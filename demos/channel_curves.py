@@ -3,13 +3,11 @@
 Prints the urban street-canyon pathloss curves (line-of-sight and blocked),
 the resulting SNR over distance for the default radio, and a concrete
 geometric-blockage example: a truck parked between two cars kills the link,
-an equally low car does not.
+an equally low car does not. Every link is measured through `link_table`.
 """
 
-import numpy as np
-
-from v2xric.channel import (ChannelParams, noise_floor, pathloss_los, pathloss_nlos,
-                            sample_link, stochastic_blockage)
+from v2xric.channel import (Antenna, ChannelParams, link_table, noise_floor, pathloss_los,
+                            pathloss_nlos)
 from v2xric.ran import NodeId, NodeKind, World
 from v2xric.scenario import (CAR_EXTENT, TALL_EXTENT, VehicleState, build_intersection,
                              default_rsus)
@@ -47,20 +45,22 @@ def main():
         middle = VehicleState(vid=2, position=(3.5, -40.0), heading=(0.0, 1.0),
                               speed_mps=0.0, extent=extent)
         world = World(layout=layout, vehicles=cars + [middle], rsus=default_rsus(layout))
-        by_node = {a.node: a for a in world.antennas()}
-        link = sample_link(params, layout, world.vehicles,
-                           by_node[tx_id], by_node[rx_id], t=0.0, seed=1)
-        state = "line of sight" if link.los else "blocked"
-        print(f"with {label:11s} in between: {state}, snr {link.snr_db:+.2f} dB")
+        antennas = world.antennas()
+        slot = {a.node: k for k, a in enumerate(antennas)}
+        link = link_table(params, layout, world.vehicles, antennas, t=0.0, seed=1,
+                          pairs=([slot[tx_id]], [slot[rx_id]]))
+        state = "line of sight" if link.los[0] else "blocked"
+        print(f"with {label:11s} in between: {state}, snr {link.snr_db[0]:+.2f} dB")
     print()
 
-    # Random (non-geometric) blockage is a seeded Bernoulli draw per link and tick.
-    draws = np.array([
-        stochastic_blockage(0.3, (tx_id, rx_id), t=k * 0.1, seed=5)
-        for k in range(20000)
-    ])
-    print(f"random blockage at p_b=0.3: empirical rate {draws.mean():.4f} "
-          f"over {draws.size} ticks")
+    # Random (non-geometric) blockage is a seeded Bernoulli draw per link and
+    # instant; measure a row of 200 roof antennas, every pair once.
+    row = [Antenna(node=NodeId(NodeKind.CAV, k), xyz=(-100.0 + float(k), -3.5, 1.6))
+           for k in range(200)]
+    random_only = ChannelParams(p_b=0.3, blockage_mode="stochastic")
+    outages = ~link_table(random_only, layout, [], row, t=0.0, seed=5).los
+    print(f"random blockage at p_b=0.3: empirical rate {outages.mean():.4f} "
+          f"over {outages.size} links")
 
 
 if __name__ == "__main__":

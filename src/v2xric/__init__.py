@@ -11,36 +11,34 @@ per-link blockage probability.
 
 __version__ = "0.1.0"
 
-from .channel import (Antenna, ChannelParams, LinkSample, LinkTable, geometric_los,
-                      link_table, noise_floor, pathloss_los, pathloss_nlos, sample_link,
-                      stochastic_blockage)
+from .channel import (Antenna, ChannelParams, LinkSample, LinkTable, link_table, noise_floor,
+                      pathloss_los, pathloss_nlos)
 from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryRow,
-                     SweepResult, SweepSpec, WorldConfig, connectivity, run,
-                     run_with_audit, sweep_blockage, sweep_snr, time_average)
+                     SweepResult, SweepSpec, WorldConfig, run, run_with_audit, sweep_blockage,
+                     sweep_snr, time_average)
 from .errors import ConfigurationError, MeasurementError
 from .ran import (ControlMessage, ForwardingEntry, IndicationReport, NodeId, NodeKind,
                   NodeState, SubscriptionRequest, World, apply_control, emit_indication,
-                  report_due, sense_neighbors)
+                  report_due)
 from .ric import (ConnectivityGraph, RelayPath, RicState, XAppConfig, XAppDiagnostics,
-                  assign_relays, build_graph, find_path, ingest, xapp_tick)
+                  build_graph, find_path, ingest, xapp_tick)
 from .scenario import (Building, Lane, MobilityState, RoadLayout, RsuNode, TrafficConfig,
                        VehicleState, build_intersection, default_rsus, spawn_vehicles,
                        step_mobility)
 
 __all__ = [
     "__version__",
-    "Antenna", "ChannelParams", "LinkSample", "LinkTable", "geometric_los",
-    "link_table", "noise_floor", "pathloss_los", "pathloss_nlos", "sample_link",
-    "stochastic_blockage",
+    "Antenna", "ChannelParams", "LinkSample", "LinkTable", "link_table", "noise_floor",
+    "pathloss_los", "pathloss_nlos",
     "AuditSummary", "MetricsRecord", "RunOutput", "SimConfig", "SummaryRow",
-    "SweepResult", "SweepSpec", "WorldConfig", "connectivity", "run",
-    "run_with_audit", "sweep_blockage", "sweep_snr", "time_average",
+    "SweepResult", "SweepSpec", "WorldConfig", "run", "run_with_audit", "sweep_blockage",
+    "sweep_snr", "time_average",
     "ConfigurationError", "MeasurementError",
     "ControlMessage", "ForwardingEntry", "IndicationReport", "NodeId", "NodeKind",
     "NodeState", "SubscriptionRequest", "World", "apply_control", "emit_indication",
-    "report_due", "sense_neighbors",
+    "report_due",
     "ConnectivityGraph", "RelayPath", "RicState", "XAppConfig", "XAppDiagnostics",
-    "assign_relays", "build_graph", "find_path", "ingest", "xapp_tick",
+    "build_graph", "find_path", "ingest", "xapp_tick",
     "Building", "Lane", "MobilityState", "RoadLayout", "RsuNode", "TrafficConfig",
     "VehicleState", "build_intersection", "default_rsus", "spawn_vehicles",
     "step_mobility",

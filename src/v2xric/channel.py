@@ -20,7 +20,6 @@ from .errors import ConfigurationError, MeasurementError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 MIN_MODEL_DISTANCE_M = 1.0  # below this the curves are clamped to 1 m
-MAX_MODEL_DISTANCE_M = 5000.0  # callers should not ask beyond this
 
 # Pathloss assigned to a stochastically blocked sample. Finite (so SNR stays a
 # number), yet deep enough that eirp - OUTAGE_PATHLOSS_DB - noise_floor lies
@@ -136,14 +135,6 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _link_uniform_int(seed: int, code_a: int, code_b: int, tick_ms: int) -> float:
-    # splitmix64-style avalanche; codes are canonical (code_a <= code_b)
-    h = _mix64_int((seed ^ _PHI64) & _MASK64)
-    h = _mix64_int(h ^ (((code_a << 22) | code_b) & _MASK64))
-    h = _mix64_int(h ^ (tick_ms & _MASK64))
-    return (h >> 11) * 2.0 ** -53
-
-
 def _mix64_u64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_C1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_C2)
@@ -151,6 +142,10 @@ def _mix64_u64(z: np.ndarray) -> np.ndarray:
 
 
 def _link_uniform_u64(seed: int, code_a: np.ndarray, code_b: np.ndarray, tick_ms: int) -> np.ndarray:
+    """Uniform [0, 1) per link from a splitmix64-style avalanche of (seed,
+    canonical node codes code_a <= code_b, instant in ms). The draw is a pure
+    function of that triple, so the outage set `u < p_b` is reproducible and
+    grows monotonically with p_b."""
     h0 = np.uint64(_mix64_int((seed ^ _PHI64) & _MASK64))
     h = _mix64_u64(h0 ^ ((code_a.astype(np.uint64) << np.uint64(22)) | code_b.astype(np.uint64)))
     h = _mix64_u64(h ^ np.uint64(tick_ms & _MASK64))
@@ -159,25 +154,6 @@ def _link_uniform_u64(seed: int, code_a: np.ndarray, code_b: np.ndarray, tick_ms
 
 def _tick_ms(t: float) -> int:
     return int(round(t * 1000.0))
-
-
-def _node_code(node) -> int:
-    code = getattr(node, "code", None)
-    if code is not None:
-        return int(code)
-    return int(node)
-
-
-def stochastic_blockage(p_b: float, link_key, t: float, seed: int) -> bool:
-    """Deterministic Bernoulli outage draw for one link at one report instant.
-
-    The draw depends only on (seed, canonical link key, instant), so the same
-    triple always produces the same answer and the blocked set grows
-    monotonically with p_b.
-    """
-    a, b = link_key
-    ca, cb = sorted((_node_code(a), _node_code(b)))
-    return _link_uniform_int(int(seed), ca, cb, _tick_ms(t)) < p_b
 
 
 # --- blockage geometry --------------------------------------------------------
@@ -209,13 +185,30 @@ def _segments_blocked(p0, p1, lo, hi, exclude_a=None, exclude_b=None) -> np.ndar
     so a ray grazing the roof line of an equal-height car stays LOS.
     exclude_a/exclude_b give, per segment, a box index to ignore (-1 = none):
     the endpoints' own vehicle bodies.
+
+    Only (segment, box) pairs whose bounding boxes overlap in the open sense
+    on every axis reach the slab test. The prefilter is exact: a segment
+    whose extent stays on one side of a slab yields slab parameters that the
+    test itself rejects, since rounding preserves the order of both the
+    differences and their quotient against 1.
     """
+    blocked = np.zeros(len(p0), dtype=bool)
     if len(lo) == 0:
-        return np.zeros(len(p0), dtype=bool)
-    seg0 = p0[:, None, :]
-    d = (p1 - p0)[:, None, :]
-    blo = lo[None, :, :]
-    bhi = hi[None, :, :]
+        return blocked
+    seg_lo = np.minimum(p0, p1)
+    seg_hi = np.maximum(p0, p1)
+    near = ((seg_lo[:, None, :] < hi[None, :, :]) & (seg_hi[:, None, :] > lo[None, :, :])).all(axis=2)
+    if exclude_a is not None:
+        rows = np.arange(len(p0))
+        mask = exclude_a >= 0
+        near[rows[mask], exclude_a[mask]] = False
+        mask = exclude_b >= 0
+        near[rows[mask], exclude_b[mask]] = False
+    seg, box = np.nonzero(near)
+    seg0 = p0[seg]
+    d = p1[seg] - seg0
+    blo = lo[box]
+    bhi = hi[box]
     zero = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t0 = (blo - seg0) / d
@@ -225,31 +218,10 @@ def _segments_blocked(p0, p1, lo, hi, exclude_a=None, exclude_b=None) -> np.ndar
     inside = (seg0 > blo) & (seg0 < bhi)
     tlo = np.where(zero, np.where(inside, -np.inf, np.inf), tlo)
     thi = np.where(zero, np.where(inside, np.inf, -np.inf), thi)
-    tmin = np.maximum(tlo.max(axis=2), 0.0)
-    tmax = np.minimum(thi.min(axis=2), 1.0)
-    hit = tmax > tmin
-    if exclude_a is not None:
-        rows = np.arange(hit.shape[0])
-        mask = exclude_a >= 0
-        hit[rows[mask], exclude_a[mask]] = False
-        mask = exclude_b >= 0
-        hit[rows[mask], exclude_b[mask]] = False
-    return hit.any(axis=1)
-
-
-def geometric_los(layout, vehicles, tx_xyz, rx_xyz, exclude=()) -> bool:
-    """True when the 3D segment clears all buildings and all non-own vehicle boxes.
-
-    exclude lists vehicle indices whose body boxes belong to the endpoints.
-    """
-    lo, hi = _blocker_boxes(layout, vehicles)
-    keep = np.ones(len(lo), dtype=bool)
-    for idx in exclude:
-        if idx is not None and 0 <= idx < len(vehicles):
-            keep[idx] = False
-    p0 = np.asarray([tx_xyz], dtype=np.float64)
-    p1 = np.asarray([rx_xyz], dtype=np.float64)
-    return not bool(_segments_blocked(p0, p1, lo[keep], hi[keep])[0])
+    tmin = np.maximum(tlo.max(axis=1), 0.0)
+    tmax = np.minimum(thi.min(axis=1), 1.0)
+    blocked[seg[tmax > tmin]] = True
+    return blocked
 
 
 # --- link sampling ------------------------------------------------------------
@@ -259,8 +231,8 @@ def link_table(params: ChannelParams, layout, vehicles, antennas, t: float, seed
     """Measure antenna pairs at instant t: all unordered pairs by default, or an
     explicit (i_indices, j_indices) selection via `pairs`.
 
-    This is the single measurement path: sample_link and neighbor sensing both
-    run through it, so scalar and batched results are bit-identical. Every
+    This is the single measurement path: per-node reports, single links and
+    neighbour ranges (`max_range`, boundary inclusive) all come from it. Every
     quantity is orientation-free, so explicit pairs may come in either order.
     """
     n = len(antennas)
@@ -290,7 +262,7 @@ def link_table(params: ChannelParams, layout, vehicles, antennas, t: float, seed
         clear = np.ones(len(iu), dtype=bool)
 
     if mode in ("stochastic", "combined") and params.p_b > 0.0:
-        codes = np.asarray([_node_code(a.node) for a in antennas], dtype=np.uint64)
+        codes = np.asarray([a.node.code for a in antennas], dtype=np.uint64)
         ca = np.minimum(codes[iu], codes[ju])
         cb = np.maximum(codes[iu], codes[ju])
         outage = _link_uniform_u64(int(seed), ca, cb, _tick_ms(t)) < params.p_b
@@ -307,19 +279,3 @@ def link_table(params: ChannelParams, layout, vehicles, antennas, t: float, seed
     pl = np.where(outage, OUTAGE_PATHLOSS_DB, pl)
     snr = params.eirp_dbm - pl - noise_floor(params)
     return LinkTable(i=iu, j=ju, distance_m=dist, los=los, pathloss_db=pl, snr_db=snr, t=t)
-
-
-def sample_link(params: ChannelParams, layout, vehicles, tx: Antenna, rx: Antenna,
-                t: float, seed: int) -> LinkSample:
-    """Measure one link. Reciprocal by construction: swapping tx and rx changes
-    only the direction labels, never distance, LOS state, pathloss, or SNR."""
-    tab = link_table(params, layout, vehicles, [tx, rx], t, seed)
-    return LinkSample(
-        tx=tx.node,
-        rx=rx.node,
-        distance_m=float(tab.distance_m[0]),
-        los=bool(tab.los[0]),
-        pathloss_db=float(tab.pathloss_db[0]),
-        snr_db=float(tab.snr_db[0]),
-        t=t,
-    )

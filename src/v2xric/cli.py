@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -76,12 +77,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_value(key: str, raw: str):
+    """Parse one raw value by its schema kind; NaN and infinities are rejected
+    for every float kind, so no run starts from a value it cannot simulate."""
     kind = _SCHEMA[key][0]
     raw = raw.strip()
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "int":
             return int(raw, 10)
         if kind == "bool":
@@ -92,14 +102,14 @@ def _parse_value(key: str, raw: str):
                 return False
             raise ValueError(raw)
         if kind == "opt_float":
-            return None if raw.lower() in ("", "none") else float(raw)
+            return None if raw.lower() in ("", "none") else _finite(raw)
         if kind == "opt_int":
             return None if raw.lower() in ("", "none") else int(raw, 10)
         if kind == "float_list":
             parts = [p for p in raw.split(",") if p.strip()]
             if not parts:
                 raise ValueError(raw)
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
         return raw  # "str"
     except ValueError:
         raise ConfigurationError(f"invalid value for {key}: {raw!r}") from None

@@ -238,6 +238,8 @@ def _build_pairs(world: ran.World, selection: str, seed: int) -> list[tuple[ran.
 def _fraction_served(pairs: list[tuple[ran.NodeId, ran.NodeId]],
                      served: set[tuple[ran.NodeId, ran.NodeId]] | frozenset,
                      metric_mode: str) -> float:
+    """Connectivity: the fraction of `pairs` that are served ("pairwise"), or
+    of the vehicles in them that belong to a served pair ("per-vehicle")."""
     if metric_mode == "pairwise":
         return len(served) / len(pairs)
     in_pairs: set[ran.NodeId] = set()
@@ -251,27 +253,6 @@ def _fraction_served(pairs: list[tuple[ran.NodeId, ran.NodeId]],
     return len(happy & in_pairs) / len(in_pairs)
 
 
-def connectivity(graph: ric.ConnectivityGraph, pairs: list[tuple[ran.NodeId, ran.NodeId]],
-                 snr_min_db: float, max_hops: int, metric_mode: str = "pairwise",
-                 allow_bs_relay: bool = False) -> float:
-    """Fraction of served pairs (or of vehicles in them) with a feasible path
-    of at most max_hops edges all at or above snr_min_db."""
-    if not pairs:
-        raise ConfigurationError("connectivity needs a non-empty pair list")
-    if metric_mode not in METRIC_MODES:
-        raise ConfigurationError(f"metric_mode must be one of {METRIC_MODES}: {metric_mode}")
-    idx = graph.index_of()
-    adj = graph.adjacency(snr_min_db)
-    tables = ric._maxmin_tables(adj, max_hops, ric._relay_eligible(graph.nodes, allow_bs_relay))
-    best = tables.max(axis=0)
-    served = set()
-    for u, v in pairs:
-        si, di = idx.get(u), idx.get(v)
-        if si is not None and di is not None and np.isfinite(best[si, di]):
-            served.add((u, v) if u < v else (v, u))
-    return _fraction_served(pairs, served, metric_mode)
-
-
 # --- the run loop -------------------------------------------------------------------
 
 def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
@@ -281,27 +262,20 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
     tab = channel.link_table(cfg.channel, world.layout, world.vehicles, antennas,
                              t, cfg.seed, max_range=cfg.sensing_range_m)
     per_node: dict[int, list[channel.LinkSample]] = {k: [] for k in range(len(antennas))}
-    for row in range(len(tab.i)):
-        a, b = int(tab.i[row]), int(tab.j[row])
-        dist = float(tab.distance_m[row])
-        los = bool(tab.los[row])
-        pl = float(tab.pathloss_db[row])
-        snr = float(tab.snr_db[row])
+    rows = zip(tab.i.tolist(), tab.j.tolist(), tab.distance_m.tolist(), tab.los.tolist(),
+               tab.pathloss_db.tolist(), tab.snr_db.tolist())
+    for a, b, dist, los, pl, snr in rows:
         per_node[a].append(channel.LinkSample(
             tx=antennas[a].node, rx=antennas[b].node, distance_m=dist,
             los=los, pathloss_db=pl, snr_db=snr, t=t))
         per_node[b].append(channel.LinkSample(
             tx=antennas[b].node, rx=antennas[a].node, distance_m=dist,
             los=los, pathloss_db=pl, snr_db=snr, t=t))
-    reports = []
-    for k, antenna in enumerate(antennas):
-        if not cfg.cav_terminations and antenna.node.kind == ran.NodeKind.CAV:
-            continue
-        report = ran.emit_indication(antenna.node, antenna.xyz, per_node[k], t,
-                                     subscription, cfg.dt_s)
-        if report is not None:
-            reports.append(report)
-    return reports
+    return [
+        ran.emit_indication(antenna.node, antenna.xyz, per_node[k], t, subscription)
+        for k, antenna in enumerate(antennas)
+        if cfg.cav_terminations or antenna.node.kind != ran.NodeKind.CAV
+    ]
 
 
 def _audit_paths(node_states: dict[ran.NodeId, ran.NodeState],
@@ -346,7 +320,6 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     pairs = _build_pairs(world, cfg.pair_selection, cfg.seed)
     xapp_cfg = replace(
         cfg.xapp,
-        pair_policy="listed",
         pairs=tuple(pairs),
         max_hops=cfg.xapp.max_hops if cfg.relay_enabled else 1,
     ).validate()
@@ -357,8 +330,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
         measured_neighbors=cfg.measured_neighbors,
     ).validate(cfg.dt_s)
 
-    ric_state = ric.RicState(staleness_window_s=cfg.resolved_staleness_window(),
-                             subscriptions=[subscription])
+    ric_state = ric.RicState(staleness_window_s=cfg.resolved_staleness_window())
     node_states = {a.node: ran.NodeState(a.node) for a in world.antennas()}
     in_flight: list[tuple[float, ran.IndicationReport]] = []
     records: list[MetricsRecord] = []

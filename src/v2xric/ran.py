@@ -1,18 +1,16 @@
 """RAN-side endpoints: node identities, measurement reports, forwarding control.
 
-Every radio node (roadside unit or vehicle) can sense its neighbors, emit
-periodic indication reports toward the controller, and apply forwarding
-control messages. Nodes are identified by a totally ordered NodeId; all
-deterministic tie-breaking in the system leans on that order.
+Every radio node (roadside unit or vehicle) emits periodic indication reports
+toward the controller and applies forwarding control messages. Nodes are
+identified by a totally ordered NodeId; all deterministic tie-breaking in the
+system leans on that order.
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import IntEnum
-
-import numpy as np
 
 from . import channel
 from .errors import ConfigurationError
@@ -27,16 +25,19 @@ class NodeKind(IntEnum):
     CAV = 2
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class NodeId:
-    """Total order is (kind, index); `code` packs both into one integer."""
+class NodeId(namedtuple("NodeId", "kind index")):
+    """Total order is (kind, index); `code` packs both into one integer.
 
-    kind: NodeKind
-    index: int
+    A tuple underneath, so the hashing, equality and ordering that every
+    table, graph and forwarding lookup leans on run at C speed.
+    """
 
-    def __post_init__(self):
-        if not (0 <= self.index < (1 << _INDEX_BITS)):
-            raise ConfigurationError(f"node index out of range [0, 2^20): {self.index}")
+    __slots__ = ()
+
+    def __new__(cls, kind: NodeKind, index: int) -> "NodeId":
+        if not (0 <= index < (1 << _INDEX_BITS)):
+            raise ConfigurationError(f"node index out of range [0, 2^20): {index}")
+        return super().__new__(cls, kind, index)
 
     @property
     def code(self) -> int:
@@ -148,38 +149,6 @@ class World:
         return out
 
 
-def sense_neighbors(node: NodeId, world: World, params: channel.ChannelParams,
-                    sensing_range_m: float, t: float, seed: int) -> list[channel.LinkSample]:
-    """Measure every other node within sensing range (3D distance, boundary
-    inclusive), returned in NodeId order."""
-    antennas = world.antennas()
-    try:
-        k = next(i for i, a in enumerate(antennas) if a.node == node)
-    except StopIteration:
-        raise ConfigurationError(f"unknown node: {node}") from None
-    others = np.asarray([i for i in range(len(antennas)) if i != k], dtype=np.int64)
-    if len(others) == 0:
-        return []
-    tab = channel.link_table(
-        params, world.layout, world.vehicles, antennas, t, seed,
-        pairs=(np.full(len(others), k, dtype=np.int64), others),
-    )
-    keep = tab.distance_m <= sensing_range_m
-    samples = []
-    for row in np.nonzero(keep)[0]:
-        other = antennas[int(tab.j[row])].node
-        samples.append(channel.LinkSample(
-            tx=node, rx=other,
-            distance_m=float(tab.distance_m[row]),
-            los=bool(tab.los[row]),
-            pathloss_db=float(tab.pathloss_db[row]),
-            snr_db=float(tab.snr_db[row]),
-            t=t,
-        ))
-    samples.sort(key=lambda s: s.rx)
-    return samples
-
-
 def report_due(t: float, reporting_period_s: float, dt: float) -> bool:
     """True when t is a multiple of the reporting period to within dt/2."""
     nearest = round(t / reporting_period_s) * reporting_period_s
@@ -188,11 +157,10 @@ def report_due(t: float, reporting_period_s: float, dt: float) -> bool:
 
 def emit_indication(node: NodeId, position_xyz: tuple[float, float, float],
                     links: list[channel.LinkSample], t: float,
-                    subscription: SubscriptionRequest, dt: float) -> IndicationReport | None:
-    """Build the periodic report, or None off-cadence. Reports larger than the
-    subscription cap keep the strongest links (ties broken by neighbor NodeId)."""
-    if not report_due(t, subscription.reporting_period_s, dt):
-        return None
+                    subscription: SubscriptionRequest) -> IndicationReport:
+    """Build the report for a report instant (the caller checks `report_due`).
+    Reports larger than the subscription cap keep the strongest links (ties
+    broken by neighbor NodeId)."""
     kept = list(links)
     cap = subscription.measured_neighbors
     if cap is not None and len(kept) > cap:

@@ -15,15 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .ran import ControlMessage, IndicationReport, NodeId, NodeKind, SubscriptionRequest
+from .ran import ControlMessage, IndicationReport, NodeId, NodeKind
 
 _FRESH_EPS = 1e-9  # guards float tick arithmetic at the staleness boundary
 
-PAIR_POLICIES = ("all-cav-pairs", "listed")
-
-# Keep the fully vectorized (n^3 scratch) relaxation below this node count;
-# larger graphs fall back to a per-relay accumulation loop to bound memory.
-_DENSE_LIMIT = 150
+# Elements of the min-array one relaxation chunk may materialise: a chunk of k
+# relays costs k * n * n, so small graphs relax in one vectorised step and large
+# ones in bounded-memory slices.
+_SCRATCH_ELEMENTS = 2**17
 
 
 @dataclass(slots=True)
@@ -32,7 +31,6 @@ class RicState:
 
     staleness_window_s: float = 0.25
     latest_report: dict[NodeId, IndicationReport] = field(default_factory=dict)
-    subscriptions: list[SubscriptionRequest] = field(default_factory=list)
     rejected_out_of_order: int = 0
 
 
@@ -60,7 +58,6 @@ class XAppConfig:
 
     snr_min_db: float = 5.0
     max_hops: int = 4
-    pair_policy: str = "all-cav-pairs"
     pairs: tuple[tuple[NodeId, NodeId], ...] = ()
     allow_bs_relay: bool = False
     control_ttl_s: float = 0.5
@@ -70,15 +67,9 @@ class XAppConfig:
             raise ConfigurationError(f"snr_min_db out of range [-300, 300]: {self.snr_min_db}")
         if self.max_hops < 1:
             raise ConfigurationError(f"max_hops must be >= 1: {self.max_hops}")
-        if self.pair_policy not in PAIR_POLICIES:
-            raise ConfigurationError(
-                f"pair_policy must be one of {PAIR_POLICIES}: {self.pair_policy}")
-        if self.pair_policy == "listed":
-            if not self.pairs:
-                raise ConfigurationError("pair_policy 'listed' needs a non-empty pairs list")
-            for u, v in self.pairs:
-                if u == v:
-                    raise ConfigurationError(f"pair endpoints must differ: {u}")
+        for u, v in self.pairs:
+            if u == v:
+                raise ConfigurationError(f"pair endpoints must differ: {u}")
         if not (self.control_ttl_s > 0):
             raise ConfigurationError(f"control_ttl_s must be positive: {self.control_ttl_s}")
         return self
@@ -196,20 +187,15 @@ def _maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray) -> np.n
     """tables[h-1][s, d] = best bottleneck over s->d walks of exactly h edges
     whose interior nodes are all relay-eligible (-inf when none exists)."""
     n = adj.shape[0]
-    tables = np.empty((max_hops, n, n))
+    tables = np.full((max_hops, n, n), -np.inf)
     tables[0] = adj
     relays = np.nonzero(relay_ok)[0]
+    chunk = max(1, _SCRATCH_ELEMENTS // (n * n))
     for h in range(1, max_hops):
-        prev = tables[h - 1]
-        if len(relays) == 0:
-            tables[h] = np.full((n, n), -np.inf)
-        elif n <= _DENSE_LIMIT:
-            tables[h] = np.minimum(prev[:, relays, None], adj[None, relays, :]).max(axis=1)
-        else:
-            cur = np.full((n, n), -np.inf)
-            for k in relays:
-                np.maximum(cur, np.minimum(prev[:, k : k + 1], adj[k : k + 1, :]), out=cur)
-            tables[h] = cur
+        prev, cur = tables[h - 1], tables[h]
+        for start in range(0, len(relays), chunk):
+            ks = relays[start : start + chunk]
+            np.maximum(cur, np.minimum(prev.T[ks, :, None], adj[ks, None, :]).max(axis=0), out=cur)
     return tables
 
 
@@ -221,27 +207,32 @@ def _best_and_hops(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, hops
 
 
-def _extract_path(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
-                  s: int, d: int, best: float, hops: int) -> list[int]:
-    """Greedy lexicographic walk: at each step take the smallest next node that
-    keeps both the edge and the remaining completion at or above `best`.
+def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
+                   s: np.ndarray, d: np.ndarray, best: np.ndarray,
+                   hops: np.ndarray) -> list[list[int]]:
+    """Greedy lexicographic walk per pair (s[p] -> d[p] at bottleneck best[p]
+    in hops[p] edges): at each step take the smallest next node that keeps
+    both the edge and the remaining completion at or above the bottleneck.
+    All pairs advance together, one step per iteration.
 
     Any hop-minimal walk at the optimal bottleneck is simple (shortcutting a
     revisit would beat the hop count), so no visited set is needed.
     """
-    path = [s]
-    cur = s
-    for remaining in range(hops, 0, -1):
-        if remaining == 1:
-            nxt = d
-        else:
-            ok = (adj[cur] >= best) & relay_ok & (tables[remaining - 2][:, d] >= best)
-            if not ok.any():
+    steps = np.empty((len(s), int(hops.max(initial=0)) + 1), dtype=np.int64)
+    steps[:, 0] = s
+    for k in range(1, steps.shape[1]):
+        remaining = hops - (k - 1)
+        last = remaining == 1
+        steps[last, k] = d[last]
+        walk = np.nonzero(remaining >= 2)[0]
+        if len(walk):
+            floor = best[walk, None]
+            ok = ((adj[steps[walk, k - 1]] >= floor) & relay_ok
+                  & (tables[remaining[walk] - 2, :, d[walk]] >= floor))
+            if not ok.any(axis=1).all():
                 raise RuntimeError("widest-path tables disagree with reconstruction")
-            nxt = int(np.argmax(ok))
-        path.append(nxt)
-        cur = nxt
-    return path
+            steps[walk, k] = np.argmax(ok, axis=1)
+    return [row[: h + 1] for row, h in zip(steps.tolist(), hops.tolist())]
 
 
 def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
@@ -264,7 +255,8 @@ def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
     si, di = idx[s], idx[d]
     if not np.isfinite(best[si, di]):
         return None
-    chain = _extract_path(adj, tables, relay_ok, si, di, best[si, di], int(hops[si, di]))
+    [chain] = _extract_paths(adj, tables, relay_ok, np.array([si]), np.array([di]),
+                             best[[si], [di]], hops[[si], [di]])
     return RelayPath(
         nodes=tuple(graph.nodes[i] for i in chain),
         bottleneck_snr_db=float(best[si, di]),
@@ -273,24 +265,12 @@ def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
 
 # --- the xApp tick ----------------------------------------------------------------
 
-def _served_pairs(graph: ConnectivityGraph, cfg: XAppConfig) -> list[tuple[NodeId, NodeId]]:
-    if cfg.pair_policy == "listed":
-        return [(u, v) if u < v else (v, u) for u, v in cfg.pairs]
-    cavs = [n for n in graph.nodes if n.kind == NodeKind.CAV]
-    return [(cavs[a], cavs[b]) for a in range(len(cavs)) for b in range(a + 1, len(cavs))]
-
-
-def assign_relays(state: RicState, t: float, cfg: XAppConfig) -> list[ControlMessage]:
-    """Control messages installing the current best paths, ordered by
-    (pair, position along the path); direct pairs emit nothing."""
-    return xapp_tick(state, t, cfg)[0]
-
-
 def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[list[ControlMessage], XAppDiagnostics]:
     """One controller pass: graph from fresh reports, widest path per served
-    pair, one message per non-destination node of every multi-hop path."""
+    pair (`cfg.pairs`), one message per non-destination node of every
+    multi-hop path."""
     graph = build_graph(state, t, cfg.snr_min_db)
-    pairs = _served_pairs(graph, cfg)
+    pairs = [(u, v) if u < v else (v, u) for u, v in cfg.pairs]
     idx = graph.index_of()
     n = len(graph.nodes)
 
@@ -302,21 +282,32 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[list[ControlM
     else:
         tables = best = hops = None  # every pair lookup below short-circuits
 
-    messages: list[ControlMessage] = []
-    pair_paths: dict[tuple[NodeId, NodeId], RelayPath] = {}
-    direct: set[tuple[NodeId, NodeId]] = set()
-    hop_counts: list[int] = []
+    served: list[tuple[NodeId, NodeId]] = []
+    ends: list[tuple[int, int]] = []
     for u, v in pairs:
         si, di = idx.get(u), idx.get(v)
         if si is None or di is None or not np.isfinite(best[si, di]):
             continue
+        served.append((u, v))
+        ends.append((si, di))
+    if ends:
+        s_idx, d_idx = np.array(ends, dtype=np.int64).T
+        bottlenecks = best[s_idx, d_idx]
+        chains = _extract_paths(adj, tables, relay_ok, s_idx, d_idx, bottlenecks,
+                                hops[s_idx, d_idx])
+        bottlenecks = bottlenecks.tolist()
+    else:
+        chains = bottlenecks = []
+
+    messages: list[ControlMessage] = []
+    pair_paths: dict[tuple[NodeId, NodeId], RelayPath] = {}
+    direct: set[tuple[NodeId, NodeId]] = set()
+    hop_counts: list[int] = []
+    for (u, v), chain, bottleneck in zip(served, chains, bottlenecks):
         if graph.has_edge(u, v):
             direct.add((u, v))
-        chain = _extract_path(adj, tables, relay_ok, si, di, best[si, di], int(hops[si, di]))
-        path = RelayPath(
-            nodes=tuple(graph.nodes[i] for i in chain),
-            bottleneck_snr_db=float(best[si, di]),
-        )
+        path = RelayPath(nodes=tuple(map(graph.nodes.__getitem__, chain)),
+                         bottleneck_snr_db=bottleneck)
         pair_paths[(u, v)] = path
         hop_counts.append(path.hops)
         if path.hops >= 2:

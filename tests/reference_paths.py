@@ -55,10 +55,12 @@ def reference_widest_path(graph: ConnectivityGraph, s: NodeId, d: NodeId,
     return -best_key[0], best_key[2]
 
 
-def random_connectivity_graph(rng, max_nodes: int = 8) -> ConnectivityGraph:
+def random_connectivity_graph(rng, max_nodes: int = 8, n_nodes: int | None = None,
+                              edge_p: float = 0.45) -> ConnectivityGraph:
     """Seeded random mixed-kind graph; half the draws use small-integer SNRs so
-    bottleneck and hop-count ties actually occur."""
-    n = int(rng.integers(2, max_nodes + 1))
+    bottleneck and hop-count ties actually occur. The node count is drawn from
+    [2, max_nodes] unless n_nodes fixes it; each edge is present with edge_p."""
+    n = int(rng.integers(2, max_nodes + 1)) if n_nodes is None else n_nodes
     counters = {NodeKind.CAV: 0, NodeKind.RSU: 0, NodeKind.BS: 0}
     nodes = []
     for _ in range(n):
@@ -71,7 +73,7 @@ def random_connectivity_graph(rng, max_nodes: int = 8) -> ConnectivityGraph:
     edges = {}
     for a in range(n):
         for b in range(a + 1, n):
-            if rng.random() < 0.45:
+            if rng.random() < edge_p:
                 if integer_snrs:
                     snr = float(rng.integers(0, 8))
                 else:

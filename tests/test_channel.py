@@ -16,9 +16,10 @@ import math
 import numpy as np
 import pytest
 
+from reference_outage import stochastic_blockage
 from v2xric import (Antenna, ChannelParams, ConfigurationError, MeasurementError, NodeId,
-                    NodeKind, build_intersection, geometric_los, link_table, noise_floor,
-                    pathloss_los, pathloss_nlos, sample_link, stochastic_blockage)
+                    NodeKind, build_intersection, link_table, noise_floor, pathloss_los,
+                    pathloss_nlos)
 from v2xric.channel import OUTAGE_PATHLOSS_DB
 from v2xric.scenario import CAR_EXTENT, TALL_EXTENT, VehicleState
 
@@ -36,6 +37,22 @@ def make_vehicle(vid, x, y, heading=(1.0, 0.0), extent=CAR_EXTENT):
 
 def cav_antenna(index, x, y, z=1.6, vehicle_index=None):
     return Antenna(node=NodeId(NodeKind.CAV, index), xyz=(x, y, z), vehicle_index=vehicle_index)
+
+
+def measure(params, layout, vehicles, tx, rx, t, seed):
+    """The one row link_table gives for the single link tx-rx."""
+    tab = link_table(params, layout, vehicles, [tx, rx], t, seed)
+    return tab.distance_m[0], bool(tab.los[0]), tab.pathloss_db[0], tab.snr_db[0]
+
+
+def geometric_los(layout, vehicles, tx, rx):
+    return measure(ChannelParams(blockage_mode="geometric"), layout, vehicles, tx, rx, 0.0, 1)[1]
+
+
+def antenna_row(n, p_b):
+    """n roof antennas 1 m apart on one lane, and random-only blockage at p_b."""
+    row = [cav_antenna(k, -250.0 + float(k), -3.5) for k in range(n)]
+    return row, ChannelParams(p_b=p_b, blockage_mode="stochastic")
 
 
 # --- pathloss curves -------------------------------------------------------------
@@ -111,23 +128,23 @@ def test_snr_identity_and_reference():
     params = ChannelParams()
     tx = cav_antenna(0, -50.0, -3.5)
     rx = cav_antenna(1, 50.0, -3.5)
-    s = sample_link(params, layout, [], tx, rx, 0.0, seed=1)
-    assert s.distance_m == pytest.approx(100.0, abs=1e-12)
-    assert s.los
-    assert s.pathloss_db == pytest.approx(LOS_100M_28GHZ, abs=1e-9)
-    assert s.snr_db == pytest.approx(SNR_100M_LOS, abs=1e-9)
+    distance, los, pathloss, snr = measure(params, layout, [], tx, rx, 0.0, seed=1)
+    assert distance == pytest.approx(100.0, abs=1e-12)
+    assert los
+    assert pathloss == pytest.approx(LOS_100M_28GHZ, abs=1e-9)
+    assert snr == pytest.approx(SNR_100M_LOS, abs=1e-9)
     # the dB identity is exact, not approximate
-    assert s.snr_db == params.eirp_dbm - s.pathloss_db - noise_floor(params)
+    assert snr == params.eirp_dbm - pathloss - noise_floor(params)
 
 
 def test_eirp_shifts_snr_only():
     layout = build_intersection(200.0, 14.0)
     tx = cav_antenna(0, -40.0, -3.5)
     rx = cav_antenna(1, 30.0, -3.5)
-    lo = sample_link(ChannelParams(eirp_dbm=23.0), layout, [], tx, rx, 0.0, 1)
-    hi = sample_link(ChannelParams(eirp_dbm=30.0), layout, [], tx, rx, 0.0, 1)
-    assert hi.pathloss_db == lo.pathloss_db
-    assert hi.snr_db - lo.snr_db == pytest.approx(7.0, abs=1e-12)
+    _, _, lo_pathloss, lo_snr = measure(ChannelParams(eirp_dbm=23.0), layout, [], tx, rx, 0.0, 1)
+    _, _, hi_pathloss, hi_snr = measure(ChannelParams(eirp_dbm=30.0), layout, [], tx, rx, 0.0, 1)
+    assert hi_pathloss == lo_pathloss
+    assert hi_snr - lo_snr == pytest.approx(7.0, abs=1e-12)
 
 
 def test_reciprocity():
@@ -141,49 +158,49 @@ def test_reciprocity():
         if abs(xs[0] - xs[1]) < 1e-6:
             continue
         t = round(0.1 * trial, 9)
-        ab = sample_link(params, layout, [], a, b, t, seed=42)
-        ba = sample_link(params, layout, [], b, a, t, seed=42)
-        assert ab.distance_m == ba.distance_m
-        assert ab.los == ba.los
-        assert ab.pathloss_db == ba.pathloss_db
-        assert ab.snr_db == ba.snr_db
+        # distance, LOS state, pathloss and SNR all survive swapping tx and rx
+        assert measure(params, layout, [], a, b, t, seed=42) == \
+            measure(params, layout, [], b, a, t, seed=42)
 
 
 def test_truck_blocks_but_equal_height_car_does_not():
     layout = build_intersection(200.0, 14.0)
     ends = [make_vehicle(0, -20.0, -3.5), make_vehicle(2, 20.0, -3.5)]
-    p0, p1 = (-20.0, -3.5, 1.6), (20.0, -3.5, 1.6)
+    # the endpoints' own bodies (vehicle indices 0 and 1) never block
+    tx = cav_antenna(0, -20.0, -3.5, vehicle_index=0)
+    rx = cav_antenna(2, 20.0, -3.5, vehicle_index=1)
 
     truck_between = ends + [make_vehicle(1, 0.0, -3.5, extent=TALL_EXTENT)]
-    assert not geometric_los(layout, truck_between, p0, p1, exclude=(0, 1))
+    assert not geometric_los(layout, truck_between, tx, rx)
 
     car_between = ends + [make_vehicle(1, 0.0, -3.5, extent=CAR_EXTENT)]
-    assert geometric_los(layout, car_between, p0, p1, exclude=(0, 1))
+    assert geometric_los(layout, car_between, tx, rx)
 
 
 def test_building_blocks_cross_quadrant_link():
     layout = build_intersection(200.0, 14.0)
     # east arm to north arm: the straight line cuts through the NE building
-    assert not geometric_los(layout, [], (30.0, -3.5, 1.6), (-3.5, 30.0, 1.6))
+    assert not geometric_los(layout, [], cav_antenna(0, 30.0, -3.5), cav_antenna(1, -3.5, 30.0))
     # along one arm: no building in the way
-    assert geometric_los(layout, [], (30.0, -3.5, 1.6), (-30.0, -3.5, 1.6))
+    assert geometric_los(layout, [], cav_antenna(0, 30.0, -3.5), cav_antenna(1, -30.0, -3.5))
 
 
 def test_face_contact_does_not_block():
     layout = build_intersection(200.0, 14.0)
     # corner-mast to corner-mast rays run exactly along building faces
-    assert geometric_los(layout, [], (9.0, 9.0, 6.0), (-9.0, 9.0, 6.0))
-    assert geometric_los(layout, [], (9.0, 9.0, 6.0), (9.0, -9.0, 6.0))
-    assert geometric_los(layout, [], (9.0, 9.0, 6.0), (-9.0, -9.0, 6.0))
+    mast = cav_antenna(0, 9.0, 9.0, z=6.0)
+    assert geometric_los(layout, [], mast, cav_antenna(1, -9.0, 9.0, z=6.0))
+    assert geometric_los(layout, [], mast, cav_antenna(1, 9.0, -9.0, z=6.0))
+    assert geometric_los(layout, [], mast, cav_antenna(1, -9.0, -9.0, z=6.0))
 
 
 def test_blocked_sample_uses_nlos_curve():
     layout = build_intersection(200.0, 14.0)
     tx = cav_antenna(0, 30.0, -3.5)
     rx = cav_antenna(1, -3.5, 30.0)
-    s = sample_link(ChannelParams(), layout, [], tx, rx, 0.0, 1)
-    assert not s.los
-    assert s.pathloss_db == pathloss_nlos(s.distance_m, 28.0, 1.6)
+    distance, los, pathloss, _snr = measure(ChannelParams(), layout, [], tx, rx, 0.0, 1)
+    assert not los
+    assert pathloss == pathloss_nlos(distance, 28.0, 1.6)
 
 
 def test_own_body_never_blocks():
@@ -200,35 +217,45 @@ def test_own_body_never_blocks():
 
 
 def test_outage_draw_is_deterministic_and_orientation_free():
-    key = (NodeId(NodeKind.CAV, 3), NodeId(NodeKind.CAV, 9))
-    a = stochastic_blockage(0.4, key, 1.7, seed=12)
-    b = stochastic_blockage(0.4, key, 1.7, seed=12)
-    c = stochastic_blockage(0.4, (key[1], key[0]), 1.7, seed=12)
-    assert a == b == c
+    layout = build_intersection(200.0, 14.0)
+    row, params = antenna_row(30, 0.4)
+    a = link_table(params, layout, [], row, 1.7, seed=12)
+    b = link_table(params, layout, [], row, 1.7, seed=12)
+    swapped = link_table(params, layout, [], row, 1.7, seed=12, pairs=(a.j, a.i))
+    assert np.array_equal(a.los, b.los)
+    assert np.array_equal(a.los, swapped.los)
+    assert 0 < int((~a.los).sum()) < len(a.los)
 
 
 def test_outage_rate_matches_probability():
-    hits = sum(
-        stochastic_blockage(0.3, (2 * k, 2 * k + 1), 0.0, seed=99)
-        for k in range(100_000)
-    )
-    assert abs(hits / 100_000 - 0.3) < 0.01
+    layout = build_intersection(200.0, 14.0)
+    row, params = antenna_row(448, 0.3)
+    outages = ~link_table(params, layout, [], row, 0.0, seed=99).los
+    assert outages.size >= 100_000
+    assert abs(outages.mean() - 0.3) < 0.01
 
 
 def test_outage_monotone_in_probability():
-    for k in range(2000):
-        key = (k, k + 70000)
-        if stochastic_blockage(0.2, key, 0.5, seed=4):
-            assert stochastic_blockage(0.5, key, 0.5, seed=4)
+    layout = build_intersection(200.0, 14.0)
+    row, params = antenna_row(64, 0.2)
+    low = ~link_table(params, layout, [], row, 0.5, seed=4).los
+    params.p_b = 0.5
+    high = ~link_table(params, layout, [], row, 0.5, seed=4).los
+    assert low.any()
+    assert np.all(high[low])
     # p=0 never blocks, p=1 always blocks
-    assert not stochastic_blockage(0.0, (1, 2), 0.0, seed=4)
-    assert stochastic_blockage(1.0, (1, 2), 0.0, seed=4)
+    params.p_b = 0.0
+    assert not (~link_table(params, layout, [], row, 0.0, seed=4).los).any()
+    params.p_b = 1.0
+    assert (~link_table(params, layout, [], row, 0.0, seed=4).los).all()
 
 
 def test_outage_varies_with_seed_and_instant():
-    key = (5, 6)
-    draws_seed = {stochastic_blockage(0.5, key, 0.0, seed=s) for s in range(64)}
-    draws_time = {stochastic_blockage(0.5, key, round(0.1 * k, 9), seed=1) for k in range(64)}
+    layout = build_intersection(200.0, 14.0)
+    pair, params = antenna_row(2, 0.5)
+    draws_seed = {measure(params, layout, [], *pair, 0.0, seed=s)[1] for s in range(64)}
+    draws_time = {measure(params, layout, [], *pair, round(0.1 * k, 9), seed=1)[1]
+                  for k in range(64)}
     assert draws_seed == {False, True}
     assert draws_time == {False, True}
 
@@ -259,7 +286,7 @@ def test_full_outage_uses_finite_sentinel():
     assert np.all(tab.snr_db == 23.0 - OUTAGE_PATHLOSS_DB + 85.0)
 
 
-def test_sample_link_matches_link_table_bitwise():
+def test_single_pair_selection_matches_link_table_bitwise():
     layout = build_intersection(200.0, 14.0)
     vehicles = [make_vehicle(k, -50.0 + 12.0 * k, -3.5) for k in range(9)]
     vehicles[4] = make_vehicle(4, -2.0, -3.5, extent=TALL_EXTENT)
@@ -268,12 +295,12 @@ def test_sample_link_matches_link_table_bitwise():
     params = ChannelParams(p_b=0.5)
     tab = link_table(params, layout, vehicles, antennas, 0.3, seed=8)
     for row in range(len(tab.i)):
-        a, b = int(tab.i[row]), int(tab.j[row])
-        s = sample_link(params, layout, vehicles, antennas[a], antennas[b], 0.3, seed=8)
-        assert s.distance_m == tab.distance_m[row]
-        assert s.los == bool(tab.los[row])
-        assert s.pathloss_db == tab.pathloss_db[row]
-        assert s.snr_db == tab.snr_db[row]
+        one = link_table(params, layout, vehicles, antennas, 0.3, seed=8,
+                         pairs=(tab.i[row : row + 1], tab.j[row : row + 1]))
+        assert one.distance_m[0] == tab.distance_m[row]
+        assert one.los[0] == tab.los[row]
+        assert one.pathloss_db[0] == tab.pathloss_db[row]
+        assert one.snr_db[0] == tab.snr_db[row]
 
 
 def test_link_table_pair_selection_matches_full_table():

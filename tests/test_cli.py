@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from v2xric.cli import METRICS_HEADER, SUMMARY_HEADER, _SCHEMA, main
 
 
@@ -87,6 +89,26 @@ def test_malformed_config_line_exits_2(tmp_path, capsys):
     cfg.write_text("duration_s\n", encoding="utf-8")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags,config_text", [
+    ("run", ["--duration", "inf"], None),
+    ("run", [], "control_delay_s = nan\n"),
+    ("run", [], "control_delay_s = inf\n"),
+    ("run", ["--warmup", "nan"], None),
+    ("run", [], "staleness_window_s = -inf\n"),
+    ("sweep-snr", ["--snr-min", "5,nan"], None),
+])
+def test_non_finite_value_exits_2_before_running(tmp_path, capsys, command, flags, config_text):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)] + flags
+    if config_text is not None:
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(config_text, encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "invalid value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):

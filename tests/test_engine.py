@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from v2xric import (ChannelParams, ConfigurationError, ConnectivityGraph, MetricsRecord,
-                    NodeId, NodeKind, SimConfig, SweepSpec, TrafficConfig, World, WorldConfig,
-                    XAppConfig, build_intersection, connectivity, run, run_with_audit,
-                    spawn_vehicles, sweep_blockage, sweep_snr, time_average)
-from v2xric.engine import _build_pairs
+from v2xric import (ChannelParams, ConfigurationError, IndicationReport, LinkSample,
+                    MetricsRecord, NodeId, NodeKind, RicState, SimConfig, SweepSpec,
+                    TrafficConfig, World, WorldConfig, XAppConfig, build_intersection, ingest,
+                    run, run_with_audit, spawn_vehicles, sweep_blockage, sweep_snr,
+                    time_average, xapp_tick)
+from v2xric.engine import _build_pairs, _fraction_served
 from v2xric.scenario import CAR_EXTENT, VehicleState
 
 
@@ -59,10 +60,18 @@ def test_decoupled_reporting_cadence_still_feeds_the_controller():
 # --- metrics ---------------------------------------------------------------------
 
 
-def path_graph():
-    a, b, c, d = cav(0), cav(1), cav(2), cav(3)
-    edges = {(a, b): 10.0, (b, c): 8.0, (c, d): 6.0}
-    return ConnectivityGraph(nodes=(a, b, c, d), edges=edges)
+def path_state():
+    """A fresh controller view of a chain a-b (10 dB), b-c (8 dB), c-d (6 dB)."""
+    edges = {(cav(0), cav(1)): 10.0, (cav(1), cav(2)): 8.0, (cav(2), cav(3)): 6.0}
+    state = RicState()
+    for node in (cav(i) for i in range(4)):
+        links = tuple(
+            LinkSample(tx=node, rx=v if u == node else u, distance_m=20.0, los=True,
+                       pathloss_db=90.0, snr_db=snr, t=0.0)
+            for (u, v), snr in edges.items() if node in (u, v))
+        ingest(state, IndicationReport(source=node, t=0.0, position=(0.0, 0.0, 1.6),
+                                       links=links))
+    return state
 
 
 def all_pairs():
@@ -70,28 +79,24 @@ def all_pairs():
     return [(ids[i], ids[j]) for i in range(4) for j in range(i + 1, 4)]
 
 
+def connectivity(snr_min_db, max_hops, metric_mode="pairwise"):
+    """One control tick's connectivity, scored as the run loop scores it."""
+    pairs = all_pairs()
+    cfg = XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops, pairs=tuple(pairs))
+    _, diag = xapp_tick(path_state(), 0.0, cfg)
+    return _fraction_served(pairs, set(diag.pair_paths), metric_mode)
+
+
 def test_connectivity_pairwise_counts_feasible_pairs():
-    g = path_graph()
-    assert connectivity(g, all_pairs(), snr_min_db=5.0, max_hops=4) == 1.0
-    assert connectivity(g, all_pairs(), snr_min_db=5.0, max_hops=1) == 0.5
-    assert connectivity(g, all_pairs(), snr_min_db=7.0, max_hops=4) == 0.5
+    assert connectivity(snr_min_db=5.0, max_hops=4) == 1.0
+    assert connectivity(snr_min_db=5.0, max_hops=1) == 0.5
+    assert connectivity(snr_min_db=7.0, max_hops=4) == 0.5
 
 
 def test_connectivity_per_vehicle_counts_served_vehicles():
-    g = path_graph()
-    assert connectivity(g, all_pairs(), snr_min_db=5.0, max_hops=1,
-                        metric_mode="per-vehicle") == 1.0
+    assert connectivity(snr_min_db=5.0, max_hops=1, metric_mode="per-vehicle") == 1.0
     # at 7 dB the c-d edge is gone: vehicle 3 is stranded, the rest are served
-    assert connectivity(g, all_pairs(), snr_min_db=7.0, max_hops=4,
-                        metric_mode="per-vehicle") == 0.75
-
-
-def test_connectivity_rejects_bad_inputs():
-    g = path_graph()
-    with pytest.raises(ConfigurationError):
-        connectivity(g, [], snr_min_db=5.0, max_hops=4)
-    with pytest.raises(ConfigurationError):
-        connectivity(g, all_pairs(), snr_min_db=5.0, max_hops=4, metric_mode="median")
+    assert connectivity(snr_min_db=7.0, max_hops=4, metric_mode="per-vehicle") == 0.75
 
 
 def test_time_average_honors_warmup():

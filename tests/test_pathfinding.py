@@ -5,6 +5,7 @@ import pytest
 
 from reference_paths import random_connectivity_graph, reference_widest_path
 from v2xric import ConnectivityGraph, NodeId, NodeKind, find_path
+from v2xric.ric import _SCRATCH_ELEMENTS
 
 
 def cav(i):
@@ -133,6 +134,32 @@ def test_matches_reference_enumeration_on_random_graphs():
             assert got.nodes == want[1]
             checked += 1
     assert checked > 50  # the loop actually exercised feasible cases
+
+
+def test_matches_reference_on_graphs_relaxed_in_several_chunks():
+    rng = np.random.default_rng(4242)
+    checked = 0
+    for _ in range(5):
+        g = random_connectivity_graph(rng, n_nodes=200, edge_p=0.03)
+        # integer SNRs so bottleneck and hop-count ties occur
+        g = ConnectivityGraph(nodes=g.nodes,
+                              edges={e: float(round(snr)) for e, snr in g.edges.items()})
+        n = len(g.nodes)
+        assert n ** 3 > 2 * _SCRATCH_ELEMENTS  # the relays span several chunks
+        for _ in range(6):
+            si, di = rng.choice(n, size=2, replace=False)
+            s, d = g.nodes[int(si)], g.nodes[int(di)]
+            for allow_bs in (False, True):
+                got = find_path(g, s, d, max_hops=4, snr_min_db=0.0, allow_bs_relay=allow_bs)
+                want = reference_widest_path(g, s, d, 4, 0.0, allow_bs)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None
+                    assert got.bottleneck_snr_db == want[0]
+                    assert got.nodes == want[1]
+                    checked += 1
+    assert checked >= 40  # most of the 30 queries, each both ways, have a feasible path
 
 
 def test_bottleneck_monotone_in_threshold():

@@ -3,9 +3,10 @@
 import pytest
 
 from v2xric import (ChannelParams, ConfigurationError, ControlMessage, LinkSample, NodeId,
-                    NodeKind, NodeState, RelayPath, SubscriptionRequest, World, apply_control,
-                    build_intersection, default_rsus, emit_indication, report_due,
-                    sense_neighbors)
+                    NodeKind, NodeState, RelayPath, SimConfig, SubscriptionRequest, World,
+                    apply_control, build_intersection, default_rsus, emit_indication,
+                    link_table, ran, report_due, run)
+from v2xric.engine import _collect_reports
 from v2xric.scenario import CAR_EXTENT, VehicleState
 
 
@@ -65,16 +66,24 @@ def test_world_antennas_in_node_order():
 
 
 # --- sensing ---------------------------------------------------------------------
+# Nodes sense through one in-range link table per report instant, which the
+# engine splits into per-node reports.
+
+
+def reports_by_source(world, sensing_range_m=300.0):
+    cfg = SimConfig(sensing_range_m=sensing_range_m)
+    subscription = SubscriptionRequest(subscriber=NodeId(NodeKind.BS, 0))
+    return {r.source: r for r in _collect_reports(world, cfg, 0.0, subscription)}
 
 
 def test_isolated_node_senses_nothing():
     world = world_with_cavs([0.0])
-    assert sense_neighbors(cav(0), world, ChannelParams(), 300.0, 0.0, 1) == []
+    assert reports_by_source(world)[cav(0)].links == ()
 
 
 def test_neighbors_sorted_by_node_id():
     world = world_with_cavs([0.0, 20.0, 40.0])
-    samples = sense_neighbors(cav(1), world, ChannelParams(), 300.0, 0.0, 1)
+    samples = reports_by_source(world)[cav(1)].links
     assert [s.rx for s in samples] == [cav(0), cav(2)]
     assert all(s.tx == cav(1) for s in samples)
     assert samples[0].distance_m == samples[1].distance_m == 20.0
@@ -82,16 +91,15 @@ def test_neighbors_sorted_by_node_id():
 
 def test_sensing_range_boundary_inclusive():
     world = world_with_cavs([0.0, 150.0])
-    within = sense_neighbors(cav(0), world, ChannelParams(), 150.0, 0.0, 1)
-    assert [s.rx for s in within] == [cav(1)]
-    beyond = sense_neighbors(cav(0), world, ChannelParams(), 149.99, 0.0, 1)
-    assert beyond == []
-
-
-def test_sensing_unknown_node_rejected():
-    world = world_with_cavs([0.0, 20.0])
-    with pytest.raises(ConfigurationError):
-        sense_neighbors(cav(9), world, ChannelParams(), 300.0, 0.0, 1)
+    antennas = world.antennas()
+    within = link_table(ChannelParams(), world.layout, world.vehicles, antennas, 0.0, 1,
+                        max_range=150.0)
+    assert [(int(i), int(j)) for i, j in zip(within.i, within.j)] == [(0, 1)]
+    beyond = link_table(ChannelParams(), world.layout, world.vehicles, antennas, 0.0, 1,
+                        max_range=149.99)
+    assert len(beyond.i) == 0
+    assert [s.rx for s in reports_by_source(world, 150.0)[cav(0)].links] == [cav(1)]
+    assert reports_by_source(world, 149.99)[cav(0)].links == ()
 
 
 # --- reporting cadence -----------------------------------------------------------
@@ -108,9 +116,18 @@ def test_report_due_survives_float_tick_accumulation():
     assert dues == 10
 
 
-def test_emit_indication_off_cadence_is_none():
-    sub = SubscriptionRequest(subscriber=cav(0), reporting_period_s=0.5)
-    assert emit_indication(cav(0), (0.0, 0.0, 1.6), [], 0.2, sub, 0.1) is None
+def test_emit_indication_off_cadence_is_none(monkeypatch):
+    # the engine gates reports on the cadence: no indication off it
+    emitted_at = []
+
+    def spy(node, position_xyz, links, t, subscription):
+        emitted_at.append(t)
+        return emit_indication(node, position_xyz, links, t, subscription)
+
+    monkeypatch.setattr(ran, "emit_indication", spy)
+    run(SimConfig(duration_s=1.2, warmup_s=0.0, seed=2, reporting_period_s=0.5))
+    assert emitted_at
+    assert sorted(set(emitted_at)) == [0.0, 0.5, 1.0]
 
 
 def make_sample(rx, snr):
@@ -122,7 +139,7 @@ def test_emit_indication_caps_to_strongest_links():
     sub = SubscriptionRequest(subscriber=cav(0), reporting_period_s=0.1, measured_neighbors=3)
     links = [make_sample(cav(5), 8.0), make_sample(cav(1), 10.0), make_sample(cav(4), 8.0),
              make_sample(cav(2), 8.0), make_sample(cav(3), 1.0)]
-    report = emit_indication(cav(0), (0.0, 0.0, 1.6), links, 0.3, sub, 0.1)
+    report = emit_indication(cav(0), (0.0, 0.0, 1.6), links, 0.3, sub)
     # strongest first on SNR, equal SNRs keep the smaller neighbor ids,
     # and the final report is in neighbor order
     assert [s.rx for s in report.links] == [cav(1), cav(2), cav(4)]
@@ -133,7 +150,7 @@ def test_emit_indication_caps_to_strongest_links():
 def test_emit_indication_without_cap_keeps_everything():
     sub = SubscriptionRequest(subscriber=cav(0), reporting_period_s=0.1)
     links = [make_sample(cav(2), 3.0), make_sample(cav(1), -5.0)]
-    report = emit_indication(cav(0), (0.0, 0.0, 1.6), links, 0.0, sub, 0.1)
+    report = emit_indication(cav(0), (0.0, 0.0, 1.6), links, 0.0, sub)
     assert len(report.links) == 2
 
 

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from reference_paths import random_connectivity_graph, reference_widest_path
 from v2xric import (ConfigurationError, IndicationReport, LinkSample, NodeId, NodeKind,
-                    RelayPath, RicState, XAppConfig, assign_relays, build_graph, ingest,
-                    xapp_tick)
+                    RelayPath, RicState, XAppConfig, build_graph, ingest, xapp_tick)
 
 
 def cav(i):
@@ -111,10 +112,10 @@ def fresh_triangle(gamma_ok=True):
     return state
 
 
-def test_assign_relays_emits_one_message_per_forwarding_node():
+def test_xapp_tick_emits_one_message_per_forwarding_node():
     state = fresh_triangle()
-    cfg = XAppConfig(snr_min_db=5.0, pair_policy="listed", pairs=((cav(0), cav(9)),))
-    messages = assign_relays(state, 0.0, cfg)
+    cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(9)),))
+    messages, _diag = xapp_tick(state, 0.0, cfg)
     assert [m.target for m in messages] == [cav(0), cav(5)]
     for m in messages:
         assert m.purpose == (cav(0), cav(9))
@@ -128,7 +129,7 @@ def test_direct_pairs_emit_no_messages():
     state = RicState(staleness_window_s=0.25)
     ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
     ingest(state, report(cav(1), 0.0, [(cav(0), 10.0)]))
-    cfg = XAppConfig(snr_min_db=5.0, pair_policy="listed", pairs=((cav(0), cav(1)),))
+    cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(1)),))
     messages, diag = xapp_tick(state, 0.0, cfg)
     assert messages == []
     assert diag.pairs_direct == 1
@@ -145,7 +146,7 @@ def test_three_relayed_pairs_give_six_ordered_messages():
         ingest(state, report(r, 0.0, [(a, 9.0), (b, 8.0)]))
         ingest(state, report(b, 0.0, [(r, 8.0)]))
         pairs.append((a, b))
-    cfg = XAppConfig(snr_min_db=5.0, pair_policy="listed", pairs=tuple(pairs))
+    cfg = XAppConfig(snr_min_db=5.0, pairs=tuple(pairs))
     messages, diag = xapp_tick(state, 0.0, cfg)
     assert diag.pairs_relayed == 3
     assert [m.target for m in messages] == [
@@ -156,8 +157,7 @@ def test_three_relayed_pairs_give_six_ordered_messages():
 def test_diagnostics_counts_are_consistent():
     state = fresh_triangle()
     ingest(state, report(cav(7), 0.0, []))  # reachable by nobody
-    cfg = XAppConfig(snr_min_db=5.0, pair_policy="listed",
-                     pairs=((cav(0), cav(9)), (cav(0), cav(7))))
+    cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(9)), (cav(0), cav(7))))
     _, diag = xapp_tick(state, 0.0, cfg)
     assert diag.pairs_total == 2
     assert diag.pairs_feasible == 1
@@ -167,12 +167,44 @@ def test_diagnostics_counts_are_consistent():
     assert (cav(0), cav(9)) in diag.pair_paths
 
 
-def test_all_cav_pairs_policy_spans_the_graph():
+def test_xapp_tick_paths_match_reference_on_random_graphs():
+    """One tick extracts every pair's path in a single batch; each must be the
+    brute-force oracle's path, ties included."""
+    rng = np.random.default_rng(31)
+    graphs = [random_connectivity_graph(rng) for _ in range(150)]
+    graphs += [random_connectivity_graph(rng, n_nodes=20, edge_p=0.2) for _ in range(3)]
+    checked = 0
+    for g in graphs:
+        state = RicState()
+        for node in g.nodes:
+            ingest(state, report(node, 0.0, [(v if u == node else u, snr)
+                                             for (u, v), snr in g.edges.items()
+                                             if node in (u, v)]))
+        pairs = tuple((u, v) for k, u in enumerate(g.nodes) for v in g.nodes[k + 1:])
+        max_hops = int(rng.integers(1, 6))
+        snr_min = float(rng.choice((-5.0, 1.5, 4.0)))
+        for allow_bs in (False, True):
+            cfg = XAppConfig(snr_min_db=snr_min, max_hops=max_hops, pairs=pairs,
+                             allow_bs_relay=allow_bs)
+            _, diag = xapp_tick(state, 0.0, cfg)
+            for u, v in pairs:
+                want = reference_widest_path(g, u, v, max_hops, snr_min, allow_bs)
+                got = diag.pair_paths.get((u, v))
+                if want is None:
+                    assert got is None
+                else:
+                    assert (got.bottleneck_snr_db, got.nodes) == want
+                    checked += 1
+    assert checked >= 1000
+
+
+def test_empty_pair_list_serves_nothing():
     state = fresh_triangle()
-    cfg = XAppConfig(snr_min_db=5.0, pair_policy="all-cav-pairs")
-    _, diag = xapp_tick(state, 0.0, cfg)
-    assert diag.pairs_total == 3  # three vehicles seen
-    assert diag.pairs_feasible == 3
+    messages, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0))
+    assert messages == []
+    assert diag.graph_nodes == 3  # the graph is still built
+    assert diag.pairs_total == 0
+    assert diag.pair_paths == {}
 
 
 def test_empty_controller_state_is_quiet():
@@ -191,9 +223,9 @@ def test_empty_controller_state_is_quiet():
     dict(snr_min_db=500.0),
     dict(snr_min_db=-500.0),
     dict(max_hops=0),
-    dict(pair_policy="everyone"),
-    dict(pair_policy="listed"),  # listed with no pairs
-    dict(pair_policy="listed", pairs=((NodeId(NodeKind.CAV, 1), NodeId(NodeKind.CAV, 1)),)),
+    dict(snr_min_db=math.nan),
+    dict(control_ttl_s=math.nan),
+    dict(pairs=((NodeId(NodeKind.CAV, 1), NodeId(NodeKind.CAV, 1)),)),
     dict(control_ttl_s=0.0),
 ])
 def test_xapp_config_validation(kwargs):
