@@ -11,8 +11,8 @@ per-link blockage probability.
 
 __version__ = "0.1.0"
 
-from .channel import (Antenna, ChannelParams, LinkSample, LinkTable, link_table, noise_floor,
-                      pathloss_los, pathloss_nlos)
+from .channel import (Antenna, ChannelParams, LinkTable, link_table, noise_floor, pathloss_los,
+                      pathloss_nlos)
 from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryRow,
                      SweepResult, SweepSpec, WorldConfig, run, run_with_audit, sweep_blockage,
                      sweep_snr, time_average)
@@ -28,8 +28,8 @@ from .scenario import (Building, Lane, MobilityState, RoadLayout, RsuNode, Traff
 
 __all__ = [
     "__version__",
-    "Antenna", "ChannelParams", "LinkSample", "LinkTable", "link_table", "noise_floor",
-    "pathloss_los", "pathloss_nlos",
+    "Antenna", "ChannelParams", "LinkTable", "link_table", "noise_floor", "pathloss_los",
+    "pathloss_nlos",
     "AuditSummary", "MetricsRecord", "RunOutput", "SimConfig", "SummaryRow",
     "SweepResult", "SweepSpec", "WorldConfig", "run", "run_with_audit", "sweep_blockage",
     "sweep_snr", "time_average",

@@ -72,19 +72,6 @@ class Antenna:
 
 
 @dataclass(slots=True)
-class LinkSample:
-    """One directed link measurement at a report instant."""
-
-    tx: object
-    rx: object
-    distance_m: float
-    los: bool
-    pathloss_db: float
-    snr_db: float
-    t: float
-
-
-@dataclass(slots=True)
 class LinkTable:
     """Columnar link measurements for one instant, unordered pairs i < j."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -77,21 +76,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
-
-
 def _parse_value(key: str, raw: str):
-    """Parse one raw value by its schema kind; NaN and infinities are rejected
-    for every float kind, so no run starts from a value it cannot simulate."""
+    """Parse one raw value by its schema kind. Range and finiteness are the
+    config objects' to check (`SimConfig.validate`, `SweepSpec.validate`)."""
     kind = _SCHEMA[key][0]
     raw = raw.strip()
     try:
         if kind == "float":
-            return _finite(raw)
+            return float(raw)
         if kind == "int":
             return int(raw, 10)
         if kind == "bool":
@@ -102,14 +94,14 @@ def _parse_value(key: str, raw: str):
                 return False
             raise ValueError(raw)
         if kind == "opt_float":
-            return None if raw.lower() in ("", "none") else _finite(raw)
+            return None if raw.lower() in ("", "none") else float(raw)
         if kind == "opt_int":
             return None if raw.lower() in ("", "none") else int(raw, 10)
         if kind == "float_list":
             parts = [p for p in raw.split(",") if p.strip()]
             if not parts:
                 raise ValueError(raw)
-            return tuple(_finite(p) for p in parts)
+            return tuple(float(p) for p in parts)
         return raw  # "str"
     except ValueError:
         raise ConfigurationError(f"invalid value for {key}: {raw!r}") from None
@@ -213,6 +205,7 @@ def parse_config(merged: dict[str, str]) -> tuple[SimConfig, dict, dict[str, str
         "replications": values["replications"],
         "workers": values["workers"],
     }
+    SweepSpec(base=cfg, **sweep).validate()  # sweep keys are checked for every command
     echo = {key: _serialize(key, values[key]) for key in _SCHEMA}
     return cfg, sweep, echo
 

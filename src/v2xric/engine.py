@@ -71,6 +71,11 @@ class SimConfig:
     cav_terminations: bool = True  # False: only infrastructure reports (ablation)
 
     def validate(self) -> "SimConfig":
+        for name in ("duration_s", "dt_s", "control_period_s", "sensing_range_m",
+                     "reporting_period_s", "staleness_window_s", "control_delay_s", "warmup_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"invalid value for {name}: {value} (must be finite)")
         if not (self.duration_s > 0):
             raise ConfigurationError(f"duration_s must be positive: {self.duration_s}")
         if not (self.dt_s > 0):
@@ -162,6 +167,11 @@ class SweepSpec:
         self.base.validate()
         if not self.gamma_min_values:
             raise ConfigurationError("gamma_min_values must be non-empty")
+        for g in self.gamma_min_values:
+            try:
+                replace(self.base.xapp, snr_min_db=g).validate()
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"invalid value for gamma_min_values: {exc}") from None
         if need_p_b and not self.p_b_values:
             raise ConfigurationError("p_b_values must be non-empty")
         for p in self.p_b_values:
@@ -242,14 +252,8 @@ def _fraction_served(pairs: list[tuple[ran.NodeId, ran.NodeId]],
     of the vehicles in them that belong to a served pair ("per-vehicle")."""
     if metric_mode == "pairwise":
         return len(served) / len(pairs)
-    in_pairs: set[ran.NodeId] = set()
-    happy: set[ran.NodeId] = set()
-    for u, v in pairs:
-        in_pairs.add(u)
-        in_pairs.add(v)
-    for u, v in served:
-        happy.add(u)
-        happy.add(v)
+    in_pairs = {node for pair in pairs for node in pair}
+    happy = {node for pair in served for node in pair}
     return len(happy & in_pairs) / len(in_pairs)
 
 
@@ -261,18 +265,17 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
     antennas = world.antennas()
     tab = channel.link_table(cfg.channel, world.layout, world.vehicles, antennas,
                              t, cfg.seed, max_range=cfg.sensing_range_m)
-    per_node: dict[int, list[channel.LinkSample]] = {k: [] for k in range(len(antennas))}
-    rows = zip(tab.i.tolist(), tab.j.tolist(), tab.distance_m.tolist(), tab.los.tolist(),
-               tab.pathloss_db.tolist(), tab.snr_db.tolist())
-    for a, b, dist, los, pl, snr in rows:
-        per_node[a].append(channel.LinkSample(
-            tx=antennas[a].node, rx=antennas[b].node, distance_m=dist,
-            los=los, pathloss_db=pl, snr_db=snr, t=t))
-        per_node[b].append(channel.LinkSample(
-            tx=antennas[b].node, rx=antennas[a].node, distance_m=dist,
-            los=los, pathloss_db=pl, snr_db=snr, t=t))
+    codes = np.array([a.node.code for a in antennas], dtype=np.int64)
+    # both directions of every row, grouped by reporting slot, neighbours ascending
+    src = np.concatenate((tab.i, tab.j))
+    neighbors = codes[np.concatenate((tab.j, tab.i))]
+    snr = np.concatenate((tab.snr_db, tab.snr_db))
+    order = np.lexsort((neighbors, src))
+    neighbors, snr = neighbors[order], snr[order]
+    bounds = np.searchsorted(src[order], np.arange(len(antennas) + 1)).tolist()
     return [
-        ran.emit_indication(antenna.node, antenna.xyz, per_node[k], t, subscription)
+        ran.emit_indication(antenna.node, antenna.xyz, neighbors[bounds[k]:bounds[k + 1]],
+                            snr[bounds[k]:bounds[k + 1]], t, subscription)
         for k, antenna in enumerate(antennas)
         if cfg.cav_terminations or antenna.node.kind != ran.NodeKind.CAV
     ]

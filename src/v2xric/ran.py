@@ -12,6 +12,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+import numpy as np
+
 from . import channel
 from .errors import ConfigurationError
 from .scenario import RoadLayout, RsuNode, VehicleState
@@ -43,6 +45,12 @@ class NodeId(namedtuple("NodeId", "kind index")):
     def code(self) -> int:
         return (int(self.kind) << _INDEX_BITS) | self.index
 
+    @classmethod
+    def from_code(cls, code: int) -> "NodeId":
+        """The NodeId whose `code` is `code`."""
+        code = int(code)
+        return cls(NodeKind(code >> _INDEX_BITS), code & ((1 << _INDEX_BITS) - 1))
+
     def __str__(self) -> str:
         return f"{self.kind.name}-{self.index}"
 
@@ -70,10 +78,14 @@ class SubscriptionRequest:
 
 @dataclass(frozen=True, slots=True)
 class IndicationReport:
+    """One node's link measurements at instant t, as columns: the measured
+    neighbours' NodeId codes (int64, ascending) and each link's SNR in dB."""
+
     source: NodeId
     t: float
     position: tuple[float, float, float]
-    links: tuple[channel.LinkSample, ...]
+    neighbors: np.ndarray
+    snr_db: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,18 +168,20 @@ def report_due(t: float, reporting_period_s: float, dt: float) -> bool:
 
 
 def emit_indication(node: NodeId, position_xyz: tuple[float, float, float],
-                    links: list[channel.LinkSample], t: float,
+                    neighbors: np.ndarray, snr_db: np.ndarray, t: float,
                     subscription: SubscriptionRequest) -> IndicationReport:
-    """Build the report for a report instant (the caller checks `report_due`).
-    Reports larger than the subscription cap keep the strongest links (ties
-    broken by neighbor NodeId)."""
-    kept = list(links)
+    """Build the report for a report instant (the caller checks `report_due`)
+    from neighbour codes in ascending order and their link SNRs. Reports
+    larger than the subscription cap keep the strongest links (ties broken by
+    the smaller neighbour), still in neighbour order."""
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    snr_db = np.asarray(snr_db, dtype=np.float64)
     cap = subscription.measured_neighbors
-    if cap is not None and len(kept) > cap:
-        kept.sort(key=lambda s: (-s.snr_db, s.rx))
-        kept = kept[:cap]
-        kept.sort(key=lambda s: s.rx)
-    return IndicationReport(source=node, t=t, position=position_xyz, links=tuple(kept))
+    if cap is not None and len(neighbors) > cap:
+        kept = np.sort(np.lexsort((neighbors, -snr_db))[:cap])
+        neighbors, snr_db = neighbors[kept], snr_db[kept]
+    return IndicationReport(source=node, t=t, position=position_xyz,
+                            neighbors=neighbors, snr_db=snr_db)
 
 
 def apply_control(state: NodeState, msg: ControlMessage, t: float) -> NodeState:

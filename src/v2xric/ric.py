@@ -70,8 +70,8 @@ class XAppConfig:
         for u, v in self.pairs:
             if u == v:
                 raise ConfigurationError(f"pair endpoints must differ: {u}")
-        if not (self.control_ttl_s > 0):
-            raise ConfigurationError(f"control_ttl_s must be positive: {self.control_ttl_s}")
+        if not (0 < self.control_ttl_s < math.inf):
+            raise ConfigurationError(f"control_ttl_s must be positive and finite: {self.control_ttl_s}")
         return self
 
 
@@ -79,32 +79,30 @@ class XAppConfig:
 class ConnectivityGraph:
     """Undirected SNR graph over the controller's current view.
 
-    nodes are sorted by NodeId; edges map canonical (smaller, larger) node
-    pairs to their SNR in dB, already at or above the build threshold.
+    nodes are sorted by NodeId; snr is the symmetric matrix in that order of
+    edge SNRs in dB, already at or above the build threshold, -inf where
+    there is no edge.
     """
 
     nodes: tuple[NodeId, ...]
-    edges: dict[tuple[NodeId, NodeId], float]
-
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
+    snr: np.ndarray
 
     def edge_snr(self, u: NodeId, v: NodeId) -> float:
-        return self.edges[(u, v) if u < v else (v, u)]
+        """SNR of the u-v edge, -inf when there is none."""
+        idx = self.index_of()
+        if u not in idx or v not in idx:
+            return -math.inf
+        return float(self.snr[idx[u], idx[v]])
+
+    def has_edge(self, u: NodeId, v: NodeId) -> bool:
+        return self.edge_snr(u, v) > -math.inf
 
     def index_of(self) -> dict[NodeId, int]:
         return {node: i for i, node in enumerate(self.nodes)}
 
     def adjacency(self, snr_min_db: float = -math.inf) -> np.ndarray:
         """Dense matrix in node order: edge SNR where >= snr_min_db, else -inf."""
-        n = len(self.nodes)
-        idx = self.index_of()
-        adj = np.full((n, n), -np.inf)
-        for (u, v), snr in self.edges.items():
-            if snr >= snr_min_db:
-                i, j = idx[u], idx[v]
-                adj[i, j] = adj[j, i] = snr
-        return adj
+        return np.where(self.snr >= snr_min_db, self.snr, -np.inf)
 
 
 @dataclass(slots=True)
@@ -145,42 +143,38 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGra
 
     Edge SNR is the minimum over the reported directions. A CAV-CAV edge needs
     both endpoints' own reports to be fresh; an edge with an infrastructure
-    endpoint (RSU or BS) stands on a single fresh measurement.
+    endpoint (RSU or BS) stands on a single fresh measurement. The nodes are
+    every reporter, fresh or stale, and every edge endpoint.
     """
-    fresh = {
-        src for src, rep in state.latest_report.items()
-        if _is_fresh(rep, t, state.staleness_window_s)
-    }
-    measured: dict[tuple[NodeId, NodeId], float] = {}
-    for src in fresh:
-        for link in state.latest_report[src].links:
-            u, v = (link.tx, link.rx) if link.tx < link.rx else (link.rx, link.tx)
-            held = measured.get((u, v))
-            if held is None or link.snr_db < held:
-                measured[(u, v)] = link.snr_db
-    edges: dict[tuple[NodeId, NodeId], float] = {}
-    for (u, v), snr in measured.items():
-        if snr < snr_min_db:
-            continue
-        infrastructure = u.kind != NodeKind.CAV or v.kind != NodeKind.CAV
-        if infrastructure or (u in fresh and v in fresh):
-            edges[(u, v)] = snr
-    nodes = set(state.latest_report)
-    for u, v in edges:
-        nodes.add(u)
-        nodes.add(v)
-    return ConnectivityGraph(nodes=tuple(sorted(nodes)), edges=edges)
+    reporters = np.array([src.code for src in state.latest_report], dtype=np.int64)
+    fresh = [rep for rep in state.latest_report.values()
+             if _is_fresh(rep, t, state.staleness_window_s)]
+    fresh_codes = np.array([rep.source.code for rep in fresh], dtype=np.int64)
+    src = np.repeat(fresh_codes, [len(rep.neighbors) for rep in fresh])
+    dst = np.concatenate([np.empty(0, dtype=np.int64), *(rep.neighbors for rep in fresh)])
+    snr = np.concatenate([np.empty(0), *(rep.snr_db for rep in fresh)])
+
+    codes = np.unique(np.concatenate((reporters, dst)))
+    nodes = [NodeId.from_code(c) for c in codes.tolist()]
+    measured = np.full((len(codes), len(codes)), np.inf)  # [reporter, neighbour]
+    np.minimum.at(measured, (np.searchsorted(codes, src), np.searchsorted(codes, dst)), snr)
+    measured = np.minimum(measured, measured.T)
+    is_fresh = np.isin(codes, fresh_codes)
+    infrastructure = np.array([node.kind != NodeKind.CAV for node in nodes], dtype=bool)
+    edge = ((measured < np.inf) & (measured >= snr_min_db)
+            & (infrastructure[:, None] | infrastructure[None, :]
+               | (is_fresh[:, None] & is_fresh[None, :])))
+
+    keep = np.isin(codes, reporters) | edge.any(axis=1)
+    sel = np.nonzero(keep)[0]
+    matrix = np.where(edge, measured, -np.inf)[np.ix_(sel, sel)]
+    return ConnectivityGraph(nodes=tuple(nodes[i] for i in sel.tolist()), snr=matrix)
 
 
 # --- hop-bounded widest paths ---------------------------------------------------
 
 def _relay_eligible(nodes: tuple[NodeId, ...], allow_bs_relay: bool) -> np.ndarray:
-    ok = np.ones(len(nodes), dtype=bool)
-    if not allow_bs_relay:
-        for i, node in enumerate(nodes):
-            if node.kind == NodeKind.BS:
-                ok[i] = False
-    return ok
+    return np.array([allow_bs_relay or node.kind != NodeKind.BS for node in nodes], dtype=bool)
 
 
 def _maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray) -> np.ndarray:
@@ -274,7 +268,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[list[ControlM
     idx = graph.index_of()
     n = len(graph.nodes)
 
-    adj = graph.adjacency(cfg.snr_min_db)
+    adj = graph.snr  # thresholded at cfg.snr_min_db by build_graph
     relay_ok = _relay_eligible(graph.nodes, cfg.allow_bs_relay)
     if n > 0:
         tables = _maxmin_tables(adj, cfg.max_hops, relay_ok)
@@ -296,15 +290,16 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[list[ControlM
         chains = _extract_paths(adj, tables, relay_ok, s_idx, d_idx, bottlenecks,
                                 hops[s_idx, d_idx])
         bottlenecks = bottlenecks.tolist()
+        is_direct = (adj[s_idx, d_idx] > -np.inf).tolist()
     else:
-        chains = bottlenecks = []
+        chains = bottlenecks = is_direct = []
 
     messages: list[ControlMessage] = []
     pair_paths: dict[tuple[NodeId, NodeId], RelayPath] = {}
     direct: set[tuple[NodeId, NodeId]] = set()
     hop_counts: list[int] = []
-    for (u, v), chain, bottleneck in zip(served, chains, bottlenecks):
-        if graph.has_edge(u, v):
+    for (u, v), chain, bottleneck, one_hop in zip(served, chains, bottlenecks, is_direct):
+        if one_hop:
             direct.add((u, v))
         path = RelayPath(nodes=tuple(map(graph.nodes.__getitem__, chain)),
                          bottleneck_snr_db=bottleneck)
@@ -322,7 +317,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[list[ControlM
     diagnostics = XAppDiagnostics(
         t=t,
         graph_nodes=n,
-        graph_edges=len(graph.edges),
+        graph_edges=int(np.count_nonzero(np.triu(adj > -np.inf))),
         pairs_total=len(pairs),
         pairs_feasible=feasible,
         pairs_direct=n_direct,

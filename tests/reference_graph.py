@@ -1,0 +1,45 @@
+"""Independent reference implementation of the controller's graph build.
+
+Used by the controller tests as an oracle for `ric.build_graph`: a plain loop
+over every fresh report's links into a dict keyed by canonical node pair,
+written with none of the production code's matrix machinery.
+"""
+
+from __future__ import annotations
+
+from v2xric import NodeId, NodeKind, RicState
+
+FRESH_EPS = 1e-9  # the controller's guard at the staleness boundary
+
+
+def reference_graph(state: RicState, t: float, snr_min_db: float
+                    ) -> tuple[tuple[NodeId, ...], dict[tuple[NodeId, NodeId], float]]:
+    """(nodes, {(u, v): snr_db} with u < v) of the thresholded graph.
+
+    Edge SNR is the minimum over the reported directions. A CAV-CAV edge needs
+    both endpoints' reports fresh; an edge with an RSU or BS endpoint stands on
+    one fresh measurement. Nodes are every reporter plus every edge endpoint.
+    """
+    fresh = {src for src, rep in state.latest_report.items()
+             if (t - rep.t) <= state.staleness_window_s + FRESH_EPS}
+    measured: dict[tuple[NodeId, NodeId], float] = {}
+    for src in fresh:
+        rep = state.latest_report[src]
+        for code, snr in zip(rep.neighbors.tolist(), rep.snr_db.tolist()):
+            rx = NodeId.from_code(code)
+            u, v = (src, rx) if src < rx else (rx, src)
+            held = measured.get((u, v))
+            if held is None or snr < held:
+                measured[(u, v)] = snr
+    edges: dict[tuple[NodeId, NodeId], float] = {}
+    for (u, v), snr in measured.items():
+        if snr < snr_min_db:
+            continue
+        infrastructure = u.kind != NodeKind.CAV or v.kind != NodeKind.CAV
+        if infrastructure or (u in fresh and v in fresh):
+            edges[(u, v)] = snr
+    nodes = set(state.latest_report)
+    for u, v in edges:
+        nodes.add(u)
+        nodes.add(v)
+    return tuple(sorted(nodes)), edges

@@ -10,7 +10,31 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from v2xric import ConnectivityGraph, NodeId, NodeKind
+
+
+def graph_of(edges: dict, extra_nodes=()) -> ConnectivityGraph:
+    """The graph with these undirected edges ({(u, v): snr_db}, either
+    orientation) over `extra_nodes` plus every edge endpoint."""
+    nodes = set(extra_nodes)
+    for u, v in edges:
+        nodes.add(u)
+        nodes.add(v)
+    nodes = tuple(sorted(nodes))
+    idx = {node: i for i, node in enumerate(nodes)}
+    snr = np.full((len(nodes), len(nodes)), -np.inf)
+    for (u, v), value in edges.items():
+        snr[idx[u], idx[v]] = snr[idx[v], idx[u]] = value
+    return ConnectivityGraph(nodes=nodes, snr=snr)
+
+
+def edges_of(graph: ConnectivityGraph) -> dict[tuple[NodeId, NodeId], float]:
+    """{(u, v): snr_db} with u < v for every edge of the graph."""
+    n = len(graph.nodes)
+    return {(graph.nodes[a], graph.nodes[b]): float(graph.snr[a, b])
+            for a in range(n) for b in range(a + 1, n) if graph.snr[a, b] > -math.inf}
 
 
 def reference_widest_path(graph: ConnectivityGraph, s: NodeId, d: NodeId,
@@ -22,7 +46,7 @@ def reference_widest_path(graph: ConnectivityGraph, s: NodeId, d: NodeId,
     if s not in graph.nodes or d not in graph.nodes:
         return None
     adj: dict[NodeId, dict[NodeId, float]] = {node: {} for node in graph.nodes}
-    for (u, v), snr in graph.edges.items():
+    for (u, v), snr in edges_of(graph).items():
         if snr >= snr_min_db:
             adj[u][v] = snr
             adj[v][u] = snr
@@ -79,4 +103,4 @@ def random_connectivity_graph(rng, max_nodes: int = 8, n_nodes: int | None = Non
                 else:
                     snr = float(rng.uniform(-10.0, 30.0))
                 edges[(nodes[a], nodes[b])] = snr
-    return ConnectivityGraph(nodes=nodes, edges=edges)
+    return graph_of(edges, nodes)

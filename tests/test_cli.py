@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from v2xric import engine
 from v2xric.cli import METRICS_HEADER, SUMMARY_HEADER, _SCHEMA, main
 
 
@@ -108,6 +109,17 @@ def test_non_finite_value_exits_2_before_running(tmp_path, capsys, command, flag
         argv += ["--config", str(cfg)]
     assert main(argv) == 2
     assert "invalid value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_range_sweep_threshold_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep-snr", "--out", str(out), "--snr-min", "5,400",
+                 "--duration", "10", "--warmup", "0"]) == 2
+    assert "gamma_min_values" in capsys.readouterr().err
+    assert runs == []
     assert not out.exists()
 
 

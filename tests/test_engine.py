@@ -3,11 +3,11 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from v2xric import (ChannelParams, ConfigurationError, IndicationReport, LinkSample,
-                    MetricsRecord, NodeId, NodeKind, RicState, SimConfig, SweepSpec,
-                    TrafficConfig, World, WorldConfig, XAppConfig, build_intersection, ingest,
+from v2xric import (ChannelParams, ConfigurationError, IndicationReport, MetricsRecord,
+                    NodeId, NodeKind, RicState, SimConfig, SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, build_intersection, ingest,
                     run, run_with_audit, spawn_vehicles, sweep_blockage, sweep_snr,
                     time_average, xapp_tick)
 from v2xric.engine import _build_pairs, _fraction_served
@@ -65,12 +65,12 @@ def path_state():
     edges = {(cav(0), cav(1)): 10.0, (cav(1), cav(2)): 8.0, (cav(2), cav(3)): 6.0}
     state = RicState()
     for node in (cav(i) for i in range(4)):
-        links = tuple(
-            LinkSample(tx=node, rx=v if u == node else u, distance_m=20.0, los=True,
-                       pathloss_db=90.0, snr_db=snr, t=0.0)
-            for (u, v), snr in edges.items() if node in (u, v))
-        ingest(state, IndicationReport(source=node, t=0.0, position=(0.0, 0.0, 1.6),
-                                       links=links))
+        links = sorted((v if u == node else u, snr) for (u, v), snr in edges.items()
+                       if node in (u, v))
+        ingest(state, IndicationReport(
+            source=node, t=0.0, position=(0.0, 0.0, 1.6),
+            neighbors=np.array([rx.code for rx, _ in links], dtype=np.int64),
+            snr_db=np.array([snr for _, snr in links], dtype=np.float64)))
     return state
 
 
@@ -258,6 +258,8 @@ def test_blockage_sweep_needs_a_stochastic_mode():
     dict(gamma_min_values=(5.0,), p_b_values=(1.5,)),
     dict(gamma_min_values=(5.0,), replications=0),
     dict(gamma_min_values=(5.0,), workers=0),
+    dict(gamma_min_values=(5.0, 400.0)),
+    dict(gamma_min_values=(math.nan,)),
 ])
 def test_sweep_spec_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -278,6 +280,14 @@ def test_sweep_spec_validation(kwargs):
     dict(pair_selection="nearest"),
     dict(staleness_window_s=0.0),
     dict(reporting_period_s=0.01, dt_s=0.1),
+    dict(duration_s=math.inf),
+    dict(control_delay_s=math.nan),
+    dict(control_delay_s=math.inf),
+    dict(warmup_s=math.nan),
+    dict(sensing_range_m=math.inf),
+    dict(staleness_window_s=math.inf),
+    dict(control_period_s=math.inf, reporting_period_s=0.1),
+    dict(control_period_s=math.nan, reporting_period_s=0.1),
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(ConfigurationError):

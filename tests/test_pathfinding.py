@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from reference_paths import random_connectivity_graph, reference_widest_path
-from v2xric import ConnectivityGraph, NodeId, NodeKind, find_path
+from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
+from v2xric import NodeId, NodeKind, find_path
 from v2xric.ric import _SCRATCH_ELEMENTS
 
 
@@ -18,15 +18,6 @@ def rsu(i):
 
 def bs(i):
     return NodeId(NodeKind.BS, i)
-
-
-def graph_of(edges: dict, extra_nodes=()) -> ConnectivityGraph:
-    canonical = {((u, v) if u < v else (v, u)): snr for (u, v), snr in edges.items()}
-    nodes = set(extra_nodes)
-    for u, v in canonical:
-        nodes.add(u)
-        nodes.add(v)
-    return ConnectivityGraph(nodes=tuple(sorted(nodes)), edges=canonical)
 
 
 def test_direct_edge():
@@ -142,8 +133,7 @@ def test_matches_reference_on_graphs_relaxed_in_several_chunks():
     for _ in range(5):
         g = random_connectivity_graph(rng, n_nodes=200, edge_p=0.03)
         # integer SNRs so bottleneck and hop-count ties occur
-        g = ConnectivityGraph(nodes=g.nodes,
-                              edges={e: float(round(snr)) for e, snr in g.edges.items()})
+        g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, g.nodes)
         n = len(g.nodes)
         assert n ** 3 > 2 * _SCRATCH_ELEMENTS  # the relays span several chunks
         for _ in range(6):

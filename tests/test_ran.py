@@ -1,8 +1,9 @@
 """RAN endpoint tests: identities, neighbor sensing, reporting, forwarding control."""
 
+import numpy as np
 import pytest
 
-from v2xric import (ChannelParams, ConfigurationError, ControlMessage, LinkSample, NodeId,
+from v2xric import (ChannelParams, ConfigurationError, ControlMessage, NodeId,
                     NodeKind, NodeState, RelayPath, SimConfig, SubscriptionRequest, World,
                     apply_control, build_intersection, default_rsus, emit_indication,
                     link_table, ran, report_due, run)
@@ -41,6 +42,16 @@ def test_node_id_code_and_str():
     assert str(NodeId(NodeKind.RSU, 0)) == "RSU-0"
 
 
+@pytest.mark.parametrize("kind", list(NodeKind))
+@pytest.mark.parametrize("index", [0, 1, 12345, (1 << 20) - 1])
+def test_node_id_from_code_round_trips(kind, index):
+    node = NodeId(kind, index)
+    back = NodeId.from_code(node.code)
+    assert back == node
+    assert back.kind is kind
+    assert NodeId.from_code(np.int64(node.code)) == node
+
+
 def test_node_index_bounds():
     with pytest.raises(ConfigurationError):
         NodeId(NodeKind.CAV, 1 << 20)
@@ -76,17 +87,29 @@ def reports_by_source(world, sensing_range_m=300.0):
     return {r.source: r for r in _collect_reports(world, cfg, 0.0, subscription)}
 
 
+def neighbors_of(report):
+    return [NodeId.from_code(c) for c in report.neighbors.tolist()]
+
+
 def test_isolated_node_senses_nothing():
     world = world_with_cavs([0.0])
-    assert reports_by_source(world)[cav(0)].links == ()
+    report = reports_by_source(world)[cav(0)]
+    assert neighbors_of(report) == []
+    assert report.neighbors.dtype == np.int64 and report.snr_db.dtype == np.float64
+    assert len(report.snr_db) == 0
 
 
 def test_neighbors_sorted_by_node_id():
     world = world_with_cavs([0.0, 20.0, 40.0])
-    samples = reports_by_source(world)[cav(1)].links
-    assert [s.rx for s in samples] == [cav(0), cav(2)]
-    assert all(s.tx == cav(1) for s in samples)
-    assert samples[0].distance_m == samples[1].distance_m == 20.0
+    reports = reports_by_source(world)
+    assert neighbors_of(reports[cav(1)]) == [cav(0), cav(2)]
+    # each link's SNR is the one the link table measured, in both reports
+    tab = link_table(ChannelParams(), world.layout, world.vehicles, world.antennas(), 0.0,
+                     SimConfig().seed, max_range=300.0)
+    snr = {(int(i), int(j)): s for i, j, s in zip(tab.i, tab.j, tab.snr_db)}
+    assert reports[cav(1)].snr_db.tolist() == [snr[(0, 1)], snr[(1, 2)]]
+    assert reports[cav(0)].snr_db.tolist() == [snr[(0, 1)], snr[(0, 2)]]
+    assert reports[cav(2)].snr_db.tolist() == [snr[(0, 2)], snr[(1, 2)]]
 
 
 def test_sensing_range_boundary_inclusive():
@@ -98,8 +121,18 @@ def test_sensing_range_boundary_inclusive():
     beyond = link_table(ChannelParams(), world.layout, world.vehicles, antennas, 0.0, 1,
                         max_range=149.99)
     assert len(beyond.i) == 0
-    assert [s.rx for s in reports_by_source(world, 150.0)[cav(0)].links] == [cav(1)]
-    assert reports_by_source(world, 149.99)[cav(0)].links == ()
+    assert neighbors_of(reports_by_source(world, 150.0)[cav(0)]) == [cav(1)]
+    assert neighbors_of(reports_by_source(world, 149.99)[cav(0)]) == []
+
+
+def test_infrastructure_only_reports_come_from_rsus():
+    layout = build_intersection(200.0, 14.0)
+    world = world_with_cavs([0.0, 20.0], rsus=default_rsus(layout))
+    cfg = SimConfig(cav_terminations=False)
+    subscription = SubscriptionRequest(subscriber=NodeId(NodeKind.BS, 0))
+    reports = _collect_reports(world, cfg, 0.0, subscription)
+    assert [r.source for r in reports] == [NodeId(NodeKind.RSU, k) for k in range(4)]
+    assert all(cav(0).code in r.neighbors for r in reports)
 
 
 # --- reporting cadence -----------------------------------------------------------
@@ -116,13 +149,13 @@ def test_report_due_survives_float_tick_accumulation():
     assert dues == 10
 
 
-def test_emit_indication_off_cadence_is_none(monkeypatch):
+def test_emit_indication_called_only_on_cadence(monkeypatch):
     # the engine gates reports on the cadence: no indication off it
     emitted_at = []
 
-    def spy(node, position_xyz, links, t, subscription):
+    def spy(node, position_xyz, neighbors, snr_db, t, subscription):
         emitted_at.append(t)
-        return emit_indication(node, position_xyz, links, t, subscription)
+        return emit_indication(node, position_xyz, neighbors, snr_db, t, subscription)
 
     monkeypatch.setattr(ran, "emit_indication", spy)
     run(SimConfig(duration_s=1.2, warmup_s=0.0, seed=2, reporting_period_s=0.5))
@@ -130,28 +163,28 @@ def test_emit_indication_off_cadence_is_none(monkeypatch):
     assert sorted(set(emitted_at)) == [0.0, 0.5, 1.0]
 
 
-def make_sample(rx, snr):
-    return LinkSample(tx=cav(0), rx=rx, distance_m=10.0, los=True,
-                      pathloss_db=90.0, snr_db=snr, t=0.0)
+def emit(links, cap=None):
+    """links: (neighbour, snr_db) in neighbour order."""
+    sub = SubscriptionRequest(subscriber=cav(0), reporting_period_s=0.1, measured_neighbors=cap)
+    return emit_indication(cav(0), (0.0, 0.0, 1.6), [rx.code for rx, _ in links],
+                           [snr for _, snr in links], 0.3, sub)
 
 
 def test_emit_indication_caps_to_strongest_links():
-    sub = SubscriptionRequest(subscriber=cav(0), reporting_period_s=0.1, measured_neighbors=3)
-    links = [make_sample(cav(5), 8.0), make_sample(cav(1), 10.0), make_sample(cav(4), 8.0),
-             make_sample(cav(2), 8.0), make_sample(cav(3), 1.0)]
-    report = emit_indication(cav(0), (0.0, 0.0, 1.6), links, 0.3, sub)
+    report = emit([(cav(1), 10.0), (cav(2), 8.0), (cav(3), 1.0), (cav(4), 8.0),
+                   (cav(5), 8.0)], cap=3)
     # strongest first on SNR, equal SNRs keep the smaller neighbor ids,
     # and the final report is in neighbor order
-    assert [s.rx for s in report.links] == [cav(1), cav(2), cav(4)]
+    assert neighbors_of(report) == [cav(1), cav(2), cav(4)]
+    assert report.snr_db.tolist() == [10.0, 8.0, 8.0]
     assert report.source == cav(0)
     assert report.t == 0.3
 
 
 def test_emit_indication_without_cap_keeps_everything():
-    sub = SubscriptionRequest(subscriber=cav(0), reporting_period_s=0.1)
-    links = [make_sample(cav(2), 3.0), make_sample(cav(1), -5.0)]
-    report = emit_indication(cav(0), (0.0, 0.0, 1.6), links, 0.0, sub)
-    assert len(report.links) == 2
+    report = emit([(cav(1), -5.0), (cav(2), 3.0)])
+    assert neighbors_of(report) == [cav(1), cav(2)]
+    assert report.snr_db.tolist() == [-5.0, 3.0]
 
 
 @pytest.mark.parametrize("kwargs,dt", [

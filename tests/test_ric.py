@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from reference_paths import random_connectivity_graph, reference_widest_path
-from v2xric import (ConfigurationError, IndicationReport, LinkSample, NodeId, NodeKind,
-                    RelayPath, RicState, XAppConfig, build_graph, ingest, xapp_tick)
+from reference_graph import reference_graph
+from reference_paths import edges_of, random_connectivity_graph, reference_widest_path
+from v2xric import (ConfigurationError, IndicationReport, NodeId, NodeKind, RelayPath,
+                    RicState, SubscriptionRequest, XAppConfig, build_graph, emit_indication,
+                    ingest, xapp_tick)
 
 
 def cav(i):
@@ -19,13 +21,11 @@ def rsu(i):
 
 
 def report(src, t, links):
-    """links: list of (rx, snr_db)."""
-    samples = tuple(
-        LinkSample(tx=src, rx=rx, distance_m=50.0, los=True, pathloss_db=99.0,
-                   snr_db=snr, t=t)
-        for rx, snr in links
-    )
-    return IndicationReport(source=src, t=t, position=(0.0, 0.0, 1.6), links=samples)
+    """links: list of (rx, snr_db), in any order."""
+    links = sorted(links)
+    return IndicationReport(source=src, t=t, position=(0.0, 0.0, 1.6),
+                            neighbors=np.array([rx.code for rx, _ in links], dtype=np.int64),
+                            snr_db=np.array([snr for _, snr in links], dtype=np.float64))
 
 
 # --- ingestion -------------------------------------------------------------------
@@ -44,7 +44,7 @@ def test_ingest_same_instant_replaces():
     ingest(state, report(cav(0), 0.2, [(cav(1), 10.0)]))
     ingest(state, report(cav(0), 0.2, [(cav(1), 4.0)]))
     assert state.rejected_out_of_order == 0
-    assert state.latest_report[cav(0)].links[0].snr_db == 4.0
+    assert state.latest_report[cav(0)].snr_db.tolist() == [4.0]
 
 
 # --- graph building --------------------------------------------------------------
@@ -98,6 +98,70 @@ def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
     assert adj[i, i] == -math.inf
     k = g.index_of()[cav(2)]
     assert adj[i, k] == adj[k, j] == -math.inf
+
+
+def random_ric_state(rng, t=1.0, window_s=0.25):
+    """Seeded controller view: mixed-kind nodes that report fresh, report
+    stale or never report; pairs measured from neither side, one side, or both
+    sides with equal or different SNRs; sometimes a report cap, sometimes only
+    infrastructure reporting."""
+    n = int(rng.integers(2, 13))
+    counters = {kind: 0 for kind in NodeKind}
+    nodes = []
+    for _ in range(n):
+        kind = NodeKind(int(rng.choice(3, p=(0.1, 0.25, 0.65))))
+        nodes.append(NodeId(kind, counters[kind]))
+        counters[kind] += int(rng.integers(1, 3))
+    nodes.sort()
+    infrastructure_only = bool(rng.random() < 0.2)
+    integer_snrs = bool(rng.random() < 0.5)
+
+    def draw():  # small integers make threshold and cap ties
+        return float(rng.integers(0, 8)) if integer_snrs else float(rng.uniform(-10.0, 30.0))
+
+    links = {node: [] for node in nodes}
+    for a in range(n):
+        for b in range(a + 1, n):
+            u, v = nodes[a], nodes[b]
+            shape = rng.choice(("none", "u", "v", "equal", "asymmetric"))
+            if shape in ("u", "equal", "asymmetric"):
+                links[u].append((v, draw()))
+            if shape in ("v", "asymmetric"):
+                links[v].append((u, draw()))
+            if shape == "equal":
+                links[v].append((u, links[u][-1][1]))
+    cap = None if rng.random() < 0.6 else int(rng.integers(1, 4))
+    state = RicState(staleness_window_s=window_s)
+    for node in nodes:
+        role = rng.choice(("fresh", "boundary", "stale", "silent"), p=(0.55, 0.1, 0.2, 0.15))
+        if role == "silent" or (infrastructure_only and node.kind == NodeKind.CAV):
+            continue
+        age = {"fresh": float(rng.uniform(0.0, window_s)), "boundary": window_s,
+               "stale": window_s + float(rng.uniform(0.01, 1.0))}[role]
+        mine = sorted(links[node])
+        sub = SubscriptionRequest(subscriber=node, measured_neighbors=cap)
+        ingest(state, emit_indication(node, (0.0, 0.0, 1.6), [rx.code for rx, _ in mine],
+                                      [snr for _, snr in mine], round(t - age, 9), sub))
+    return state
+
+
+def test_build_graph_matches_reference_on_random_reports():
+    rng = np.random.default_rng(2024)
+    edges_seen = silent_endpoint_edges = 0
+    for _ in range(400):
+        state = random_ric_state(rng)
+        snr_min = float(rng.choice((-20.0, 0.0, 3.0, 4.0, float(rng.uniform(-5.0, 20.0)))))
+        g = build_graph(state, 1.0, snr_min)
+        nodes, edges = reference_graph(state, 1.0, snr_min)
+        assert g.nodes == nodes
+        assert np.array_equal(g.snr, g.snr.T)
+        assert (np.diag(g.snr) == -np.inf).all()
+        assert edges_of(g) == edges
+        edges_seen += len(edges)
+        silent_endpoint_edges += sum(u not in state.latest_report or v not in state.latest_report
+                                   for u, v in edges)
+    assert edges_seen >= 2000
+    assert silent_endpoint_edges >= 100  # endpoints that never report still join the graph
 
 
 # --- the xApp tick ---------------------------------------------------------------
@@ -178,7 +242,7 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
         state = RicState()
         for node in g.nodes:
             ingest(state, report(node, 0.0, [(v if u == node else u, snr)
-                                             for (u, v), snr in g.edges.items()
+                                             for (u, v), snr in edges_of(g).items()
                                              if node in (u, v)]))
         pairs = tuple((u, v) for k, u in enumerate(g.nodes) for v in g.nodes[k + 1:])
         max_hops = int(rng.integers(1, 6))
@@ -227,6 +291,7 @@ def test_empty_controller_state_is_quiet():
     dict(control_ttl_s=math.nan),
     dict(pairs=((NodeId(NodeKind.CAV, 1), NodeId(NodeKind.CAV, 1)),)),
     dict(control_ttl_s=0.0),
+    dict(control_ttl_s=math.inf),
 ])
 def test_xapp_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
