@@ -17,9 +17,8 @@ from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryR
                      SweepResult, SweepSpec, WorldConfig, run, run_with_audit, sweep_blockage,
                      sweep_snr, time_average)
 from .errors import ConfigurationError, MeasurementError
-from .ran import (ControlMessage, ForwardingEntry, IndicationReport, NodeId, NodeKind,
-                  NodeState, SubscriptionRequest, World, apply_control, emit_indication,
-                  report_due)
+from .ran import (ControlBatch, ForwardingTable, IndicationReport, NodeId, NodeKind,
+                  SubscriptionRequest, World, apply_control, emit_indication, report_due)
 from .ric import (ConnectivityGraph, RelayPath, RicState, XAppConfig, XAppDiagnostics,
                   build_graph, find_path, ingest, xapp_tick)
 from .scenario import (Building, Lane, MobilityState, RoadLayout, RsuNode, TrafficConfig,
@@ -34,9 +33,8 @@ __all__ = [
     "SweepResult", "SweepSpec", "WorldConfig", "run", "run_with_audit", "sweep_blockage",
     "sweep_snr", "time_average",
     "ConfigurationError", "MeasurementError",
-    "ControlMessage", "ForwardingEntry", "IndicationReport", "NodeId", "NodeKind",
-    "NodeState", "SubscriptionRequest", "World", "apply_control", "emit_indication",
-    "report_due",
+    "ControlBatch", "ForwardingTable", "IndicationReport", "NodeId", "NodeKind",
+    "SubscriptionRequest", "World", "apply_control", "emit_indication", "report_due",
     "ConnectivityGraph", "RelayPath", "RicState", "XAppConfig", "XAppDiagnostics",
     "build_graph", "find_path", "ingest", "xapp_tick",
     "Building", "Lane", "MobilityState", "RoadLayout", "RsuNode", "TrafficConfig",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -241,7 +242,8 @@ def _write_summary(path: Path, rows: list[SummaryRow]) -> None:
 
 
 def _write_manifest(path: Path, command: str, echo: dict[str, str], seed: int,
-                    outputs: list[str], runtime_s: float) -> None:
+                    outputs: list[str], runtime_s: float,
+                    audit: engine.AuditSummary | None = None) -> None:
     manifest = {
         "artifact_version": __version__,
         "command": command,
@@ -250,6 +252,8 @@ def _write_manifest(path: Path, command: str, echo: dict[str, str], seed: int,
         "outputs": outputs,
         "runtime_s": runtime_s,
     }
+    if audit is not None:
+        manifest["audit"] = dataclasses.asdict(audit)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -277,7 +281,7 @@ def _write_sweep_outputs(out: Path, command: str, result: engine.SweepResult,
             relay_enabled="true",
         )
         _write_manifest(sub / "manifest.json", "run", run_echo, run_out.seed,
-                        ["metrics.csv"], run_out.runtime_s)
+                        ["metrics.csv"], run_out.runtime_s, run_out.audit)
         outputs.extend([f"{sub.name}/metrics.csv", f"{sub.name}/manifest.json"])
     outputs.append("manifest.json")
     _write_manifest(out / "manifest.json", command, echo, seed, outputs, runtime_s)
@@ -287,7 +291,7 @@ def _write_sweep_outputs(out: Path, command: str, result: engine.SweepResult,
 
 def cmd_run(cfg: SimConfig, out: Path, echo: dict[str, str]) -> None:
     started = time.perf_counter()
-    records, _audit = engine.run_with_audit(cfg)
+    records, audit = engine.run_with_audit(cfg)
     runtime_s = time.perf_counter() - started
     out.mkdir(parents=True, exist_ok=True)
     _write_metrics(out / "metrics.csv", records)
@@ -298,7 +302,7 @@ def cmd_run(cfg: SimConfig, out: Path, echo: dict[str, str]) -> None:
         connectivity_mean=average, connectivity_std=0.0, replications=1,
     )])
     _write_manifest(out / "manifest.json", "run", echo, cfg.seed,
-                    ["metrics.csv", "summary.csv", "manifest.json"], runtime_s)
+                    ["metrics.csv", "summary.csv", "manifest.json"], runtime_s, audit)
 
 
 def cmd_sweep_snr(cfg: SimConfig, sweep: dict, out: Path, echo: dict[str, str]) -> None:

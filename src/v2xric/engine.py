@@ -245,16 +245,15 @@ def _build_pairs(world: ran.World, selection: str, seed: int) -> list[tuple[ran.
 
 # --- metric assembly ----------------------------------------------------------------
 
-def _fraction_served(pairs: list[tuple[ran.NodeId, ran.NodeId]],
-                     served: set[tuple[ran.NodeId, ran.NodeId]] | frozenset,
-                     metric_mode: str) -> float:
-    """Connectivity: the fraction of `pairs` that are served ("pairwise"), or
-    of the vehicles in them that belong to a served pair ("per-vehicle")."""
+def _connectivity(ends: np.ndarray, served: np.ndarray, metric_mode: str) -> float:
+    """Connectivity: the fraction of pairs that are served ("pairwise"), or of
+    the vehicles in them that belong to a served pair ("per-vehicle").
+    `ends` holds each pair's two endpoints as small non-negative integers."""
     if metric_mode == "pairwise":
-        return len(served) / len(pairs)
-    in_pairs = {node for pair in pairs for node in pair}
-    happy = {node for pair in served for node in pair}
-    return len(happy & in_pairs) / len(in_pairs)
+        return int(np.count_nonzero(served)) / len(served)
+    in_pairs = np.bincount(ends.ravel()) > 0
+    happy = np.bincount(ends[served].ravel(), minlength=len(in_pairs)) > 0
+    return int(np.count_nonzero(happy)) / int(np.count_nonzero(in_pairs))
 
 
 # --- the run loop -------------------------------------------------------------------
@@ -281,24 +280,22 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
     ]
 
 
-def _audit_paths(node_states: dict[ran.NodeId, ran.NodeState],
-                 diagnostics: ric.XAppDiagnostics, t: float, audit: AuditSummary) -> None:
-    """Walk every multi-hop assignment through the installed forwarding entries
-    and confirm it reaches its destination in exactly its hop count."""
-    for pair, path in diagnostics.pair_paths.items():
-        if path.hops < 2:
-            continue
-        audit.paths_checked += 1
-        cur = path.nodes[0]
-        destination = path.nodes[-1]
-        for _ in range(path.hops):
-            nxt = node_states[cur].route_for(pair, t) if cur in node_states else None
-            if nxt is None or cur == destination:
-                cur = None
-                break
-            cur = nxt
-        if cur == destination:
-            audit.paths_ok += 1
+def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, t: float,
+           audit: AuditSummary) -> None:
+    """Walk every multi-hop path of the batch through the installed forwarding
+    entries, all paths at once, and count those that reach their destination
+    in exactly their hop count without passing it on the way."""
+    paths = batch.paths
+    hops = np.count_nonzero(paths >= 0, axis=1) - 1
+    destination = paths[np.arange(len(paths)), hops]
+    cur, ok = paths[:, 0], np.ones(len(paths), dtype=bool)
+    for k in range(int(hops.max(initial=0))):
+        step = ok & (k < hops)
+        nxt = table.next_hops(cur, batch.pair, t)
+        ok &= ~(step & ((nxt < 0) | (cur == destination)))
+        cur = np.where(step & ok, nxt, cur)
+    audit.paths_checked += len(paths)
+    audit.paths_ok += int(np.count_nonzero(ok & (cur == destination)))
 
 
 def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
@@ -334,7 +331,8 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     ).validate(cfg.dt_s)
 
     ric_state = ric.RicState(staleness_window_s=cfg.resolved_staleness_window())
-    node_states = {a.node: ran.NodeState(a.node) for a in world.antennas()}
+    table = ran.ForwardingTable.empty([a.node.code for a in world.antennas()], len(pairs))
+    ends = table.slots(np.array([(u.code, v.code) for u, v in pairs], dtype=np.int64))[0]
     in_flight: list[tuple[float, ran.IndicationReport]] = []
     records: list[MetricsRecord] = []
     audit = AuditSummary()
@@ -348,25 +346,23 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
         if ran.report_due(t, cfg.control_period_s, cfg.dt_s):
             while in_flight and in_flight[0][0] <= t + 1e-9:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
-            messages, diag = ric.xapp_tick(ric_state, t, xapp_cfg)
-            for msg in messages:
-                ran.apply_control(node_states[msg.target], msg, t)
-            audit.messages_total += len(messages)
-            _audit_paths(node_states, diag, t, audit)
-            direct_served = set(diag.direct_pairs)
+            batch, diag = ric.xapp_tick(ric_state, t, xapp_cfg)
+            ran.apply_control(table, batch, t)
+            audit.messages_total += len(batch)
+            _audit(table, batch, t, audit)
             records.append(MetricsRecord(
                 t=t,
                 gamma_min_db=xapp_cfg.snr_min_db,
                 p_b=cfg.channel.p_b,
-                connectivity=_fraction_served(pairs, set(diag.pair_paths), cfg.metric_mode),
+                connectivity=_connectivity(ends, diag.served, cfg.metric_mode),
                 pairs_total=diag.pairs_total,
                 pairs_direct=diag.pairs_direct,
                 pairs_relayed=diag.pairs_relayed,
                 mean_hops=diag.mean_hops,
-                direct_connectivity=_fraction_served(pairs, direct_served, cfg.metric_mode),
+                direct_connectivity=_connectivity(ends, diag.direct, cfg.metric_mode),
             ))
         world.vehicles = step_mobility(world.vehicles, layout, cfg.dt_s, mobility)
-    audit.protocol_errors = sum(s.protocol_errors for s in node_states.values())
+    audit.protocol_errors = table.protocol_errors
     return records, audit
 
 

@@ -9,7 +9,7 @@ system leans on that order.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -89,46 +89,56 @@ class IndicationReport:
 
 
 @dataclass(frozen=True, slots=True)
-class ControlMessage:
-    """Install one forwarding hop of a relay assignment at `target`.
+class ControlBatch:
+    """One control tick's forwarding messages as columns: the multi-hop paths
+    (NodeId codes from source to destination, padded with -1) with each one's
+    index into the served pairs, then per message, which installs one hop,
+    the target node's code and the row of its path."""
 
-    `assignment` is the controller's path object (anything exposing a `nodes`
-    sequence of NodeId); `purpose` is the source-destination pair it serves.
-    """
-
-    target: NodeId
+    paths: np.ndarray  # (M, max_hops + 1) int64
+    pair: np.ndarray  # (M,) int64
+    target: np.ndarray  # (K,) int64
+    path_row: np.ndarray  # (K,) int64
     issued_at: float
-    assignment: object
-    purpose: tuple[NodeId, NodeId]
     ttl_s: float = 0.5
 
-
-@dataclass(frozen=True, slots=True)
-class ForwardingEntry:
-    destination: NodeId
-    next_hop: NodeId
-    installed_at: float
-    expires_at: float
+    def __len__(self) -> int:
+        return len(self.target)
 
 
 @dataclass(slots=True)
-class NodeState:
-    """Per-node control-plane state: forwarding table and error counters.
+class ForwardingTable:
+    """Every node's forwarding state, indexed [slot, pair], slots in ascending
+    code order; `next_hop` is -1 where nothing was ever installed. Entries are
+    keyed by the served pair, not by the destination alone: two assignments
+    toward one destination through a shared relay would otherwise collide."""
 
-    The table is keyed by the served pair (the message's purpose), not by the
-    destination alone: two assignments toward the same destination through a
-    shared relay would otherwise overwrite each other's next hop.
-    """
-
-    node: NodeId
-    forwarding: dict[tuple[NodeId, NodeId], ForwardingEntry] = field(default_factory=dict)
+    codes: np.ndarray
+    next_hop: np.ndarray
+    installed_at: np.ndarray
+    expires_at: np.ndarray
     protocol_errors: int = 0
 
-    def route_for(self, purpose: tuple[NodeId, NodeId], t: float) -> NodeId | None:
-        entry = self.forwarding.get(purpose)
-        if entry is None or t > entry.expires_at:
-            return None
-        return entry.next_hop
+    @classmethod
+    def empty(cls, codes: np.ndarray, n_pairs: int) -> "ForwardingTable":
+        codes = np.asarray(codes, dtype=np.int64)
+        if len(codes) == 0 or (np.diff(codes) <= 0).any():
+            raise ConfigurationError("forwarding table needs ascending, distinct node codes")
+        shape = (len(codes), n_pairs)
+        return cls(codes=codes, next_hop=np.full(shape, -1, dtype=np.int64),
+                   installed_at=np.full(shape, -np.inf), expires_at=np.full(shape, -np.inf))
+
+    def slots(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slot of each node code, and whether the table holds that node at all."""
+        slot = np.minimum(np.searchsorted(self.codes, nodes), len(self.codes) - 1)
+        return slot, self.codes[slot] == nodes
+
+    def next_hops(self, nodes: np.ndarray, pair: np.ndarray, t: float) -> np.ndarray:
+        """Live next hop of each node for its pair at t (an entry lives while
+        t <= expires_at); -1 where there is none or the node is unknown."""
+        slot, known = self.slots(nodes)
+        live = known & (t <= self.expires_at[slot, pair])
+        return np.where(live, self.next_hop[slot, pair], -1)
 
 
 @dataclass(slots=True)
@@ -184,25 +194,27 @@ def emit_indication(node: NodeId, position_xyz: tuple[float, float, float],
                             neighbors=neighbors, snr_db=snr_db)
 
 
-def apply_control(state: NodeState, msg: ControlMessage, t: float) -> NodeState:
-    """Install the forwarding hop carried by msg into the node's table.
+def apply_control(table: ForwardingTable, batch: ControlBatch, t: float) -> ForwardingTable:
+    """Install every forwarding hop the batch carries into the table.
 
-    Malformed deliveries (wrong target, target absent from the path, or the
-    path's own destination) count as protocol errors and are dropped; messages
-    older than the installed entry are ignored.
+    Malformed messages (a target the table does not hold, a target absent
+    from its path, or the path's own destination) count as protocol errors
+    and are dropped; messages older than the installed entry are ignored.
+    When one batch installs the same (node, pair) twice, the later row wins.
     """
-    path = tuple(msg.assignment.nodes)
-    if msg.target != state.node or state.node not in path or state.node == path[-1]:
-        state.protocol_errors += 1
-        return state
-    pos = path.index(state.node)
-    entry = state.forwarding.get(msg.purpose)
-    if entry is not None and msg.issued_at < entry.installed_at:
-        return state  # out-of-date control, keep the newer route
-    state.forwarding[msg.purpose] = ForwardingEntry(
-        destination=path[-1],
-        next_hop=path[pos + 1],
-        installed_at=msg.issued_at,
-        expires_at=msg.issued_at + msg.ttl_s,
-    )
-    return state
+    slot, known = table.slots(batch.target)
+    rows = np.pad(batch.paths[batch.path_row], ((0, 0), (0, 1)), constant_values=-1)
+    on_path = rows == batch.target[:, None]
+    nxt = rows[np.arange(len(rows)), np.argmax(on_path, axis=1) + 1]
+    ok = known & on_path.any(axis=1) & (nxt >= 0)
+    table.protocol_errors += len(batch) - int(np.count_nonzero(ok))
+    slot, pair, nxt = slot[ok], batch.pair[batch.path_row[ok]], nxt[ok]
+    current = batch.issued_at >= table.installed_at[slot, pair]
+    key = (slot * table.next_hop.shape[1] + pair)[current]
+    order = np.argsort(key, kind="stable")
+    keep = np.nonzero(current)[0][order[np.diff(key[order], append=-1) != 0]]
+    slot, pair = slot[keep], pair[keep]
+    table.next_hop[slot, pair] = nxt[keep]
+    table.installed_at[slot, pair] = batch.issued_at
+    table.expires_at[slot, pair] = batch.issued_at + batch.ttl_s
+    return table

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .ran import ControlMessage, IndicationReport, NodeId, NodeKind
+from .ran import ControlBatch, IndicationReport, NodeId, NodeKind
 
 _FRESH_EPS = 1e-9  # guards float tick arithmetic at the staleness boundary
 
@@ -89,16 +90,12 @@ class ConnectivityGraph:
 
     def edge_snr(self, u: NodeId, v: NodeId) -> float:
         """SNR of the u-v edge, -inf when there is none."""
-        idx = self.index_of()
-        if u not in idx or v not in idx:
+        if u not in self.nodes or v not in self.nodes:
             return -math.inf
-        return float(self.snr[idx[u], idx[v]])
+        return float(self.snr[self.nodes.index(u), self.nodes.index(v)])
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return self.edge_snr(u, v) > -math.inf
-
-    def index_of(self) -> dict[NodeId, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
 
     def adjacency(self, snr_min_db: float = -math.inf) -> np.ndarray:
         """Dense matrix in node order: edge SNR where >= snr_min_db, else -inf."""
@@ -107,7 +104,9 @@ class ConnectivityGraph:
 
 @dataclass(slots=True)
 class XAppDiagnostics:
-    """Per-tick controller introspection, enough to derive every metric."""
+    """Per-tick controller introspection, enough to derive every metric. The
+    arrays run over `XAppConfig.pairs`; `routes` holds each path as NodeId
+    codes padded with -1, and `hops` is 0 for an unserved pair."""
 
     t: float
     graph_nodes: int
@@ -119,9 +118,19 @@ class XAppDiagnostics:
     pairs_infeasible: int
     mean_hops: float
     messages_issued: int
-    graph: ConnectivityGraph
-    pair_paths: dict[tuple[NodeId, NodeId], RelayPath]
-    direct_pairs: frozenset[tuple[NodeId, NodeId]]
+    served: np.ndarray
+    hops: np.ndarray
+    direct: np.ndarray
+    routes: np.ndarray
+    bottleneck_snr_db: np.ndarray
+
+    def path(self, pair: int) -> RelayPath | None:
+        """The path assigned to the pair with this index, or None."""
+        if not self.served[pair]:
+            return None
+        codes = self.routes[pair, : self.hops[pair] + 1].tolist()
+        return RelayPath(nodes=tuple(map(NodeId.from_code, codes)),
+                         bottleneck_snr_db=float(self.bottleneck_snr_db[pair]))
 
 
 def ingest(state: RicState, report: IndicationReport) -> RicState:
@@ -134,10 +143,6 @@ def ingest(state: RicState, report: IndicationReport) -> RicState:
     return state
 
 
-def _is_fresh(report: IndicationReport, t: float, window_s: float) -> bool:
-    return (t - report.t) <= window_s + _FRESH_EPS
-
-
 def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGraph:
     """Threshold the fresh reports into an undirected graph.
 
@@ -148,34 +153,34 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGra
     """
     reporters = np.array([src.code for src in state.latest_report], dtype=np.int64)
     fresh = [rep for rep in state.latest_report.values()
-             if _is_fresh(rep, t, state.staleness_window_s)]
+             if (t - rep.t) <= state.staleness_window_s + _FRESH_EPS]
     fresh_codes = np.array([rep.source.code for rep in fresh], dtype=np.int64)
     src = np.repeat(fresh_codes, [len(rep.neighbors) for rep in fresh])
     dst = np.concatenate([np.empty(0, dtype=np.int64), *(rep.neighbors for rep in fresh)])
     snr = np.concatenate([np.empty(0), *(rep.snr_db for rep in fresh)])
 
-    codes = np.unique(np.concatenate((reporters, dst)))
+    # sort-and-diff dedup and searchsorted membership: np.unique, which np.isin
+    # calls on all but tiny inputs, imports numpy.ma (~1 MB) on first use
+    codes = np.sort(np.concatenate((reporters, dst)))
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are non-negative
+    is_fresh = np.bincount(np.searchsorted(codes, fresh_codes), minlength=len(codes)) > 0
+    keep = np.bincount(np.searchsorted(codes, reporters), minlength=len(codes)) > 0
     nodes = [NodeId.from_code(c) for c in codes.tolist()]
     measured = np.full((len(codes), len(codes)), np.inf)  # [reporter, neighbour]
     np.minimum.at(measured, (np.searchsorted(codes, src), np.searchsorted(codes, dst)), snr)
     measured = np.minimum(measured, measured.T)
-    is_fresh = np.isin(codes, fresh_codes)
     infrastructure = np.array([node.kind != NodeKind.CAV for node in nodes], dtype=bool)
     edge = ((measured < np.inf) & (measured >= snr_min_db)
             & (infrastructure[:, None] | infrastructure[None, :]
                | (is_fresh[:, None] & is_fresh[None, :])))
 
-    keep = np.isin(codes, reporters) | edge.any(axis=1)
+    keep |= edge.any(axis=1)
     sel = np.nonzero(keep)[0]
     matrix = np.where(edge, measured, -np.inf)[np.ix_(sel, sel)]
     return ConnectivityGraph(nodes=tuple(nodes[i] for i in sel.tolist()), snr=matrix)
 
 
 # --- hop-bounded widest paths ---------------------------------------------------
-
-def _relay_eligible(nodes: tuple[NodeId, ...], allow_bs_relay: bool) -> np.ndarray:
-    return np.array([allow_bs_relay or node.kind != NodeKind.BS for node in nodes], dtype=bool)
-
 
 def _maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray) -> np.ndarray:
     """tables[h-1][s, d] = best bottleneck over s->d walks of exactly h edges
@@ -193,28 +198,21 @@ def _maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray) -> np.n
     return tables
 
 
-def _best_and_hops(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair: the best bottleneck over any hop count, and the fewest hops
-    achieving it (argmax picks the first, i.e. smallest, layer)."""
-    best = tables.max(axis=0)
-    hops = np.argmax(tables == best[None, :, :], axis=0) + 1
-    return best, hops
-
-
 def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
                    s: np.ndarray, d: np.ndarray, best: np.ndarray,
-                   hops: np.ndarray) -> list[list[int]]:
+                   hops: np.ndarray) -> np.ndarray:
     """Greedy lexicographic walk per pair (s[p] -> d[p] at bottleneck best[p]
     in hops[p] edges): at each step take the smallest next node that keeps
     both the edge and the remaining completion at or above the bottleneck.
-    All pairs advance together, one step per iteration.
+    All pairs advance together, one step per iteration. Returns one row of
+    node indices per pair, padded with -1 past its destination.
 
     Any hop-minimal walk at the optimal bottleneck is simple (shortcutting a
     revisit would beat the hop count), so no visited set is needed.
     """
-    steps = np.empty((len(s), int(hops.max(initial=0)) + 1), dtype=np.int64)
+    steps = np.full((len(s), tables.shape[0] + 1), -1, dtype=np.int64)
     steps[:, 0] = s
-    for k in range(1, steps.shape[1]):
+    for k in range(1, int(hops.max(initial=0)) + 1):
         remaining = hops - (k - 1)
         last = remaining == 1
         steps[last, k] = d[last]
@@ -226,7 +224,34 @@ def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
             if not ok.any(axis=1).all():
                 raise RuntimeError("widest-path tables disagree with reconstruction")
             steps[walk, k] = np.argmax(ok, axis=1)
-    return [row[: h + 1] for row, h in zip(steps.tolist(), hops.tolist())]
+    return steps
+
+
+def _widest_paths(nodes: tuple[NodeId, ...], snr: np.ndarray, ends: np.ndarray, max_hops: int,
+                  allow_bs_relay: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Widest paths for the pairs in `ends`, (P, 2) NodeId codes, from column 0
+    to column 1, over the graph `nodes` with edge matrix `snr`. Per pair: the
+    best bottleneck over any hop count, the fewest hops achieving it (argmax
+    picks the first, i.e. smallest, layer; 0 when unreachable), the path as
+    NodeId codes padded with -1, and whether a direct edge joins the pair.
+
+    Endpoints missing from the graph map to one extra isolated node, whose
+    code reads -1, so every pair goes through the same solve.
+    """
+    n = len(nodes)
+    codes = np.array([node.code for node in nodes] + [-1], dtype=np.int64)
+    idx = np.searchsorted(codes[:-1], ends)
+    s, d = np.where(codes[idx] == ends, idx, n).T
+    adj = np.pad(snr, (0, 1), constant_values=-np.inf)
+    relay_ok = np.array([allow_bs_relay or node.kind != NodeKind.BS for node in nodes] + [False])
+    tables = _maxmin_tables(adj, max_hops, relay_ok)
+    layers = tables[:, s, d]
+    best = layers.max(axis=0)
+    hops = np.where(np.isfinite(best), np.argmax(layers == best, axis=0) + 1, 0)
+    steps = np.full((len(s), max_hops + 1), -1, dtype=np.int64)
+    ok = hops > 0
+    steps[ok] = _extract_paths(adj, tables, relay_ok, s[ok], d[ok], best[ok], hops[ok])
+    return best, hops, codes[steps], adj[s, d] > -np.inf
 
 
 def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
@@ -239,94 +264,57 @@ def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
     """
     if s == d:
         raise ValueError(f"path endpoints must differ: {s}")
-    idx = graph.index_of()
-    if s not in idx or d not in idx:
+    best, hops, routes, _ = _widest_paths(graph.nodes, graph.adjacency(snr_min_db),
+                                          np.array([[s.code, d.code]]), max_hops, allow_bs_relay)
+    if hops[0] == 0:
         return None
-    adj = graph.adjacency(snr_min_db)
-    relay_ok = _relay_eligible(graph.nodes, allow_bs_relay)
-    tables = _maxmin_tables(adj, max_hops, relay_ok)
-    best, hops = _best_and_hops(tables)
-    si, di = idx[s], idx[d]
-    if not np.isfinite(best[si, di]):
-        return None
-    [chain] = _extract_paths(adj, tables, relay_ok, np.array([si]), np.array([di]),
-                             best[[si], [di]], hops[[si], [di]])
-    return RelayPath(
-        nodes=tuple(graph.nodes[i] for i in chain),
-        bottleneck_snr_db=float(best[si, di]),
-    )
+    return RelayPath(nodes=tuple(map(NodeId.from_code, routes[0, : hops[0] + 1].tolist())),
+                     bottleneck_snr_db=float(best[0]))
 
 
 # --- the xApp tick ----------------------------------------------------------------
 
-def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[list[ControlMessage], XAppDiagnostics]:
+@lru_cache(maxsize=4)
+def _pair_codes(pairs: tuple[tuple[NodeId, NodeId], ...]) -> np.ndarray:
+    """(P, 2) read-only NodeId codes of the pairs, smaller endpoint first."""
+    codes = np.sort(np.array([(u.code, v.code) for u, v in pairs], dtype=np.int64)
+                    .reshape(len(pairs), 2), axis=1)
+    codes.setflags(write=False)
+    return codes
+
+
+def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[ControlBatch, XAppDiagnostics]:
     """One controller pass: graph from fresh reports, widest path per served
     pair (`cfg.pairs`), one message per non-destination node of every
     multi-hop path."""
-    graph = build_graph(state, t, cfg.snr_min_db)
-    pairs = [(u, v) if u < v else (v, u) for u, v in cfg.pairs]
-    idx = graph.index_of()
-    n = len(graph.nodes)
+    graph = build_graph(state, t, cfg.snr_min_db)  # thresholded at cfg.snr_min_db
+    ends = _pair_codes(tuple(cfg.pairs))
+    bottleneck, hops, routes, direct = _widest_paths(graph.nodes, graph.snr, ends, cfg.max_hops,
+                                                     cfg.allow_bs_relay)
+    served = hops > 0
+    relayed = np.nonzero(hops >= 2)[0]
+    paths = routes[relayed]
+    path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[relayed, None])
+    batch = ControlBatch(paths=paths, pair=relayed, target=paths[path_row, col],
+                         path_row=path_row, issued_at=t, ttl_s=cfg.control_ttl_s)
 
-    adj = graph.snr  # thresholded at cfg.snr_min_db by build_graph
-    relay_ok = _relay_eligible(graph.nodes, cfg.allow_bs_relay)
-    if n > 0:
-        tables = _maxmin_tables(adj, cfg.max_hops, relay_ok)
-        best, hops = _best_and_hops(tables)
-    else:
-        tables = best = hops = None  # every pair lookup below short-circuits
-
-    served: list[tuple[NodeId, NodeId]] = []
-    ends: list[tuple[int, int]] = []
-    for u, v in pairs:
-        si, di = idx.get(u), idx.get(v)
-        if si is None or di is None or not np.isfinite(best[si, di]):
-            continue
-        served.append((u, v))
-        ends.append((si, di))
-    if ends:
-        s_idx, d_idx = np.array(ends, dtype=np.int64).T
-        bottlenecks = best[s_idx, d_idx]
-        chains = _extract_paths(adj, tables, relay_ok, s_idx, d_idx, bottlenecks,
-                                hops[s_idx, d_idx])
-        bottlenecks = bottlenecks.tolist()
-        is_direct = (adj[s_idx, d_idx] > -np.inf).tolist()
-    else:
-        chains = bottlenecks = is_direct = []
-
-    messages: list[ControlMessage] = []
-    pair_paths: dict[tuple[NodeId, NodeId], RelayPath] = {}
-    direct: set[tuple[NodeId, NodeId]] = set()
-    hop_counts: list[int] = []
-    for (u, v), chain, bottleneck, one_hop in zip(served, chains, bottlenecks, is_direct):
-        if one_hop:
-            direct.add((u, v))
-        path = RelayPath(nodes=tuple(map(graph.nodes.__getitem__, chain)),
-                         bottleneck_snr_db=bottleneck)
-        pair_paths[(u, v)] = path
-        hop_counts.append(path.hops)
-        if path.hops >= 2:
-            messages.extend(
-                ControlMessage(target=node, issued_at=t, assignment=path,
-                               purpose=(u, v), ttl_s=cfg.control_ttl_s)
-                for node in path.nodes[:-1]
-            )
-
-    feasible = len(pair_paths)
-    n_direct = len(direct)
+    feasible = int(np.count_nonzero(served))
+    n_direct = int(np.count_nonzero(direct))
     diagnostics = XAppDiagnostics(
         t=t,
-        graph_nodes=n,
-        graph_edges=int(np.count_nonzero(np.triu(adj > -np.inf))),
-        pairs_total=len(pairs),
+        graph_nodes=len(graph.nodes),
+        graph_edges=int(np.count_nonzero(np.triu(graph.snr > -np.inf))),
+        pairs_total=len(ends),
         pairs_feasible=feasible,
         pairs_direct=n_direct,
         pairs_relayed=feasible - n_direct,
-        pairs_infeasible=len(pairs) - feasible,
-        mean_hops=float(np.mean(hop_counts)) if hop_counts else math.nan,
-        messages_issued=len(messages),
-        graph=graph,
-        pair_paths=pair_paths,
-        direct_pairs=frozenset(direct),
+        pairs_infeasible=len(ends) - feasible,
+        mean_hops=float(np.mean(hops[served])) if feasible else math.nan,
+        messages_issued=len(batch),
+        served=served,
+        hops=hops,
+        direct=direct,
+        routes=routes,
+        bottleneck_snr_db=bottleneck,
     )
-    return messages, diagnostics
+    return batch, diagnostics

@@ -35,6 +35,11 @@ def test_run_writes_metrics_summary_and_manifest(tmp_path):
     assert manifest["config"]["duration_s"] == "2.0"
     assert manifest["outputs"] == ["metrics.csv", "summary.csv", "manifest.json"]
     assert manifest["runtime_s"] > 0
+    audit = manifest["audit"]
+    assert set(audit) == {"messages_total", "paths_checked", "paths_ok", "protocol_errors"}
+    assert audit["messages_total"] > audit["paths_checked"] > 0
+    assert audit["paths_ok"] == audit["paths_checked"]
+    assert audit["protocol_errors"] == 0
 
 
 def test_metrics_floats_round_trip(tmp_path):
@@ -166,6 +171,10 @@ def test_sweep_blockage_layout(tmp_path):
     assert rows[2][3] == "0.0"  # certain blockage: zero connectivity
     for name in ("run_g5_p0_r0", "run_g5_p0.5_r0", "run_g5_p1_r0"):
         assert (out / name / "metrics.csv").is_file()
+        audit = read_manifest(out / name / "manifest.json")["audit"]
+        assert audit["paths_ok"] == audit["paths_checked"]
+    assert read_manifest(out / "run_g5_p1_r0" / "manifest.json")["audit"]["paths_checked"] == 0
+    assert "audit" not in read_manifest(out / "manifest.json")
 
 
 def test_manifest_reruns_byte_identically(tmp_path):

@@ -1,16 +1,22 @@
 """Simulation-loop tests: cadence, determinism, metrics, audits, sweeps."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from v2xric import (ChannelParams, ConfigurationError, IndicationReport, MetricsRecord,
-                    NodeId, NodeKind, RicState, SimConfig, SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, build_intersection, ingest,
-                    run, run_with_audit, spawn_vehicles, sweep_blockage, sweep_snr,
-                    time_average, xapp_tick)
-from v2xric.engine import _build_pairs, _fraction_served
+import v2xric
+from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingTable,
+                    IndicationReport, MetricsRecord, NodeId, NodeKind, RicState, SimConfig,
+                    SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, apply_control,
+                    build_intersection, ingest, run, run_with_audit, spawn_vehicles,
+                    sweep_blockage, sweep_snr, time_average, xapp_tick)
+from v2xric.engine import _audit, _build_pairs, _connectivity
 from v2xric.scenario import CAR_EXTENT, VehicleState
 
 
@@ -84,7 +90,8 @@ def connectivity(snr_min_db, max_hops, metric_mode="pairwise"):
     pairs = all_pairs()
     cfg = XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops, pairs=tuple(pairs))
     _, diag = xapp_tick(path_state(), 0.0, cfg)
-    return _fraction_served(pairs, set(diag.pair_paths), metric_mode)
+    ends = np.array([(u.index, v.index) for u, v in pairs])
+    return _connectivity(ends, diag.served, metric_mode)
 
 
 def test_connectivity_pairwise_counts_feasible_pairs():
@@ -199,6 +206,63 @@ def test_audit_confirms_sound_control_plane():
     assert audit.paths_ok == audit.paths_checked
     assert audit.paths_failed == 0
     assert audit.protocol_errors == 0
+
+
+def test_audit_counts_broken_forwarding():
+    """A table corrupted after a sound tick fails exactly the paths it breaks:
+    chain 0-1-2-3 serves (0, 3) over three hops and (0, 2) over two."""
+    cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(3)), (cav(0), cav(2))))
+    batch, diag = xapp_tick(path_state(), 0.0, cfg)
+    assert diag.hops.tolist() == [3, 2]
+
+    def audited(corrupt, t=0.0):
+        table = ForwardingTable.empty([cav(i).code for i in range(4)], 2)
+        apply_control(table, batch, 0.0)
+        corrupt(table)
+        audit = AuditSummary()
+        _audit(table, batch, t, audit)
+        assert audit.paths_checked == 2
+        return audit.paths_failed
+
+    def drop(table):
+        table.next_hop[2, 0] = -1  # cav(2) forgets pair (0, 3)
+
+    def expire(table):
+        table.expires_at[1, 0] = 0.3  # cav(1)'s entry for (0, 3) dies first
+
+    def loop(table):
+        table.next_hop[1, 0] = cav(0).code  # cav(1) sends (0, 3) back
+
+    def through_destination(table):
+        # cav(0) jumps to cav(3), which holds an entry back to cav(2): the walk
+        # ends at the destination in three hops, but passed it after one
+        table.next_hop[0, 0] = cav(3).code
+        table.next_hop[3, 0] = cav(2).code
+        table.expires_at[3, 0] = table.expires_at[0, 0]
+
+    assert audited(lambda table: None) == 0
+    assert audited(drop) == 1
+    assert audited(expire, t=0.3) == 0
+    assert audited(expire, t=float(np.nextafter(0.3, 1.0))) == 1
+    assert audited(loop) == 1
+    assert audited(through_destination) == 1
+
+
+def test_runs_never_import_numpy_ma():
+    # np.unique (and np.isin, which calls it) imports numpy.ma, ~1 MB that stays
+    code = ("import sys\n"
+            "from v2xric import SimConfig, run\n"
+            "run(SimConfig(duration_s=0.3, warmup_s=0.0))\n"
+            "run(SimConfig(duration_s=0.3, warmup_s=0.0, metric_mode='per-vehicle',\n"
+            "              pair_selection='matched', measured_neighbors=3))\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(v2xric.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
+
+
+def test_every_export_resolves():
+    for name in v2xric.__all__:
+        assert hasattr(v2xric, name), name
 
 
 # --- sweeps ------------------------------------------------------------------------

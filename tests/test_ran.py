@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from v2xric import (ChannelParams, ConfigurationError, ControlMessage, NodeId,
-                    NodeKind, NodeState, RelayPath, SimConfig, SubscriptionRequest, World,
-                    apply_control, build_intersection, default_rsus, emit_indication,
-                    link_table, ran, report_due, run)
-from v2xric.engine import _collect_reports
+import reference_control
+from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
+                    ForwardingTable, NodeId, NodeKind, RelayPath, SimConfig,
+                    SubscriptionRequest, World, apply_control, build_intersection,
+                    default_rsus, emit_indication, link_table, ran, report_due, run)
+from v2xric.engine import _audit, _collect_reports
 from v2xric.scenario import CAR_EXTENT, VehicleState
 
 
@@ -201,64 +202,183 @@ def test_subscription_validation(kwargs, dt):
 # --- forwarding control ----------------------------------------------------------
 
 
-def relay_msg(target, issued_at=1.0, nodes=(0, 5, 9), ttl=0.5):
-    path = RelayPath(nodes=tuple(cav(i) for i in nodes), bottleneck_snr_db=7.0)
-    return ControlMessage(target=target, issued_at=issued_at, assignment=path,
-                          purpose=(path.nodes[0], path.nodes[-1]), ttl_s=ttl)
+def relay_batch(target, issued_at=1.0, nodes=(0, 5, 9), ttl=0.5, pair=0):
+    """One message installing `target`'s hop of the path `nodes` for `pair`."""
+    return ControlBatch(paths=np.array([[cav(i).code for i in nodes]], dtype=np.int64),
+                        pair=np.array([pair]), target=np.array([target.code]),
+                        path_row=np.array([0]), issued_at=issued_at, ttl_s=ttl)
+
+
+def table_of(*indices, n_pairs=2):
+    return ForwardingTable.empty([cav(i).code for i in indices], n_pairs)
+
+
+def route(table, node, pair, t):
+    [code] = table.next_hops(np.array([node.code]), np.array([pair]), t).tolist()
+    return None if code < 0 else NodeId.from_code(code)
 
 
 def test_apply_control_installs_next_hop():
-    state = NodeState(cav(0))
-    apply_control(state, relay_msg(cav(0)), 1.0)
-    purpose = (cav(0), cav(9))
-    assert state.protocol_errors == 0
-    entry = state.forwarding[purpose]
-    assert entry.next_hop == cav(5)
-    assert entry.destination == cav(9)
-    assert entry.installed_at == 1.0
-    assert entry.expires_at == 1.5
-    assert state.route_for(purpose, 1.4) == cav(5)
-    assert state.route_for(purpose, 1.6) is None  # expired
+    table = table_of(0, 5, 9)
+    apply_control(table, relay_batch(cav(0)), 1.0)
+    assert table.protocol_errors == 0
+    assert table.next_hop[0, 0] == cav(5).code
+    assert table.installed_at[0, 0] == 1.0
+    assert table.expires_at[0, 0] == 1.5
+    assert route(table, cav(0), 0, 1.4) == cav(5)
+    assert route(table, cav(0), 0, 1.6) is None  # expired
+    assert route(table, cav(0), 1, 1.4) is None  # another pair
 
 
 def test_apply_control_middle_hop():
-    state = NodeState(cav(5))
-    apply_control(state, relay_msg(cav(5)), 1.0)
-    assert state.route_for((cav(0), cav(9)), 1.0) == cav(9)
+    table = table_of(0, 5, 9)
+    apply_control(table, relay_batch(cav(5)), 1.0)
+    assert route(table, cav(5), 0, 1.0) == cav(9)
 
 
 def test_apply_control_rejects_wrong_target():
-    state = NodeState(cav(5))
-    apply_control(state, relay_msg(cav(0)), 1.0)
-    assert state.protocol_errors == 1
-    assert state.forwarding == {}
+    table = table_of(5, 9)  # holds no cav(0)
+    apply_control(table, relay_batch(cav(0)), 1.0)
+    assert table.protocol_errors == 1
+    assert (table.next_hop == -1).all()
 
 
 def test_apply_control_rejects_node_not_on_path():
-    state = NodeState(cav(7))
-    apply_control(state, relay_msg(cav(7)), 1.0)
-    assert state.protocol_errors == 1
+    table = table_of(0, 5, 7, 9)
+    apply_control(table, relay_batch(cav(7)), 1.0)
+    assert table.protocol_errors == 1
+    assert (table.next_hop == -1).all()
 
 
 def test_apply_control_rejects_destination_target():
-    state = NodeState(cav(9))
-    apply_control(state, relay_msg(cav(9)), 1.0)
-    assert state.protocol_errors == 1
+    table = table_of(0, 5, 9)
+    apply_control(table, relay_batch(cav(9)), 1.0)
+    assert table.protocol_errors == 1
+    assert (table.next_hop == -1).all()
 
 
 def test_stale_control_keeps_newer_route():
-    state = NodeState(cav(0))
-    apply_control(state, relay_msg(cav(0), issued_at=1.0, nodes=(0, 5, 9)), 1.0)
-    apply_control(state, relay_msg(cav(0), issued_at=0.5, nodes=(0, 3, 9)), 1.0)
-    assert state.protocol_errors == 0  # stale is silently ignored, not an error
-    assert state.route_for((cav(0), cav(9)), 1.0) == cav(5)
-    apply_control(state, relay_msg(cav(0), issued_at=2.0, nodes=(0, 3, 9)), 2.0)
-    assert state.route_for((cav(0), cav(9)), 2.0) == cav(3)
+    table = table_of(0, 3, 5, 9)
+    apply_control(table, relay_batch(cav(0), issued_at=1.0, nodes=(0, 5, 9)), 1.0)
+    apply_control(table, relay_batch(cav(0), issued_at=0.5, nodes=(0, 3, 9)), 1.0)
+    assert table.protocol_errors == 0  # stale is silently ignored, not an error
+    assert route(table, cav(0), 0, 1.0) == cav(5)
+    apply_control(table, relay_batch(cav(0), issued_at=2.0, nodes=(0, 3, 9)), 2.0)
+    assert route(table, cav(0), 0, 2.0) == cav(3)
 
 
 def test_routes_for_different_purposes_coexist():
-    state = NodeState(cav(5))
-    apply_control(state, relay_msg(cav(5), nodes=(0, 5, 9)), 1.0)
-    apply_control(state, relay_msg(cav(5), nodes=(1, 5, 8)), 1.0)
-    assert state.route_for((cav(0), cav(9)), 1.0) == cav(9)
-    assert state.route_for((cav(1), cav(8)), 1.0) == cav(8)
+    table = table_of(0, 1, 5, 8, 9)
+    apply_control(table, relay_batch(cav(5), nodes=(0, 5, 9), pair=0), 1.0)
+    apply_control(table, relay_batch(cav(5), nodes=(1, 5, 8), pair=1), 1.0)
+    assert route(table, cav(5), 0, 1.0) == cav(9)
+    assert route(table, cav(5), 1, 1.0) == cav(8)
+
+
+def test_forwarding_table_needs_ascending_distinct_codes():
+    for codes in ([], [cav(2).code, cav(1).code], [cav(1).code, cav(1).code]):
+        with pytest.raises(ConfigurationError):
+            ForwardingTable.empty(codes, 1)
+
+
+def random_control_tick(rng, nodes, pairs, stranger, issued_at, counts):
+    """A batch of random multi-hop paths for random pairs (a pair may get two
+    paths in one batch), each with one message per forwarding node, mixed
+    with wrong, off-path and destination targets, in shuffled row order."""
+    paths, pair_of, targets, rows = [], [], [], []
+    for _ in range(int(rng.integers(0, 5))):
+        k = int(rng.integers(len(pairs)))
+        u, v = pairs[k]
+        middle = [n for n in nodes if n not in (u, v)]
+        relays = rng.choice(len(middle), size=int(rng.integers(1, min(4, len(middle)) + 1)),
+                            replace=False)
+        path = [u, *(middle[i] for i in relays), v]
+        row = len(paths)
+        paths.append(path)
+        pair_of.append(k)
+        for node in path[:-1]:
+            targets.append(node)
+            rows.append(row)
+        kind = str(rng.choice(("none", "wrong", "off-path", "destination"),
+                              p=(0.55, 0.15, 0.15, 0.15)))
+        off_path = [n for n in nodes if n not in path]
+        if kind == "wrong":
+            targets.append(stranger)
+        elif kind == "destination":
+            targets.append(v)
+        elif kind == "off-path" and off_path:
+            targets.append(off_path[int(rng.integers(len(off_path)))])
+        else:
+            continue
+        counts[kind] += 1
+        rows.append(row)
+    order = rng.permutation(len(targets))
+    width = max((len(p) for p in paths), default=2)
+    return ControlBatch(
+        paths=np.array([[n.code for n in p] + [-1] * (width - len(p)) for p in paths],
+                       dtype=np.int64).reshape(len(paths), width),
+        pair=np.array(pair_of, dtype=np.int64),
+        target=np.array([targets[i].code for i in order], dtype=np.int64),
+        path_row=np.array([rows[i] for i in order], dtype=np.int64),
+        issued_at=issued_at, ttl_s=float(rng.choice((0.1, 0.3, 0.5))),
+    ), [(pair_of[r], RelayPath(nodes=tuple(p), bottleneck_snr_db=0.0))
+        for r, p in enumerate(paths)]
+
+
+def test_batched_control_matches_reference():
+    """The batched install and the array audit give the same next hops, the
+    same protocol-error count and the same audited-path counts as the scalar
+    per-node oracle, over random ticks, TTL boundaries and stale batches."""
+    rng = np.random.default_rng(11)
+    counts = {"wrong": 0, "off-path": 0, "destination": 0}
+    stale_batches = expiry_instants = audit_failures = audit_ok = 0
+    for _ in range(80):
+        n = int(rng.integers(3, 10))
+        nodes = sorted({NodeId(NodeKind(int(rng.integers(1, 3))), int(rng.integers(0, 50)))
+                        for _ in range(n)})
+        if len(nodes) < 3:
+            continue
+        pairs = [tuple(nodes[i] for i in sorted(rng.choice(len(nodes), 2, replace=False)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        stranger = NodeId(NodeKind.BS, 7)
+        table = ForwardingTable.empty([node.code for node in nodes], len(pairs))
+        states = {node: reference_control.NodeState(node) for node in nodes}
+        t = 0.0
+        for _ in range(6):
+            stale = bool(rng.random() < 0.2)
+            issued_at = round(t - float(rng.choice((0.1, 0.4))), 9) if stale else t
+            stale_batches += stale
+            batch, assignments = random_control_tick(rng, nodes, pairs, stranger, issued_at,
+                                                     counts)
+            apply_control(table, batch, t)
+            paths = {r: assignment for r, (_, assignment) in enumerate(assignments)}
+            for target, row in zip(batch.target.tolist(), batch.path_row.tolist()):
+                node = NodeId.from_code(target)
+                msg = reference_control.ControlMessage(
+                    target=node, issued_at=batch.issued_at, assignment=paths[row],
+                    purpose=int(batch.pair[row]), ttl_s=batch.ttl_s)
+                # a target the nodes do not hold is delivered to a node it does not name
+                reference_control.apply_control(states.get(node, states[nodes[0]]), msg, t)
+            assert table.protocol_errors == sum(s.protocol_errors for s in states.values())
+
+            # every entry lives at its expires_at and is gone one ulp later
+            expiries = np.unique(table.expires_at[np.isfinite(table.expires_at)])
+            instants = [t, *expiries.tolist(), *np.nextafter(expiries, np.inf).tolist()]
+            for q in instants:
+                for k in range(len(pairs)):
+                    got = table.next_hops(np.array([n.code for n in nodes]),
+                                          np.full(len(nodes), k), q).tolist()
+                    want = [states[n].route_for(k, q) for n in nodes]
+                    assert got == [-1 if w is None else w.code for w in want]
+                summary = AuditSummary()
+                _audit(table, batch, q, summary)
+                checked, ok = reference_control.audit_paths(states, assignments, q)
+                assert (summary.paths_checked, summary.paths_ok) == (checked, ok)
+                audit_failures += checked - ok
+                audit_ok += ok
+            expiry_instants += len(expiries)
+            t = round(t + float(rng.choice((0.1, 0.2, 0.5))), 9)
+    assert min(counts.values()) >= 50
+    assert stale_batches >= 50
+    assert expiry_instants >= 500
+    assert audit_failures >= 1000 and audit_ok >= 1000

@@ -93,10 +93,10 @@ def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
     g = build_graph(state, 0.0, snr_min_db=5.0)
     adj = g.adjacency(5.0)
     assert adj.shape == (3, 3)
-    i, j = g.index_of()[rsu(0)], g.index_of()[cav(1)]
+    i, j = g.nodes.index(rsu(0)), g.nodes.index(cav(1))
     assert adj[i, j] == adj[j, i] == 15.0
     assert adj[i, i] == -math.inf
-    k = g.index_of()[cav(2)]
+    k = g.nodes.index(cav(2))
     assert adj[i, k] == adj[k, j] == -math.inf
 
 
@@ -176,17 +176,22 @@ def fresh_triangle(gamma_ok=True):
     return state
 
 
+def codes(*nodes):
+    return [node.code for node in nodes]
+
+
 def test_xapp_tick_emits_one_message_per_forwarding_node():
     state = fresh_triangle()
     cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(9)),))
-    messages, _diag = xapp_tick(state, 0.0, cfg)
-    assert [m.target for m in messages] == [cav(0), cav(5)]
-    for m in messages:
-        assert m.purpose == (cav(0), cav(9))
-        assert tuple(m.assignment.nodes) == (cav(0), cav(5), cav(9))
-        assert m.assignment.bottleneck_snr_db == 7.0
-        assert m.issued_at == 0.0
-        assert m.ttl_s == cfg.control_ttl_s
+    batch, diag = xapp_tick(state, 0.0, cfg)
+    assert len(batch) == 2
+    assert batch.target.tolist() == codes(cav(0), cav(5))
+    assert batch.path_row.tolist() == [0, 0]
+    assert batch.pair.tolist() == [0]
+    assert batch.paths.tolist() == [codes(cav(0), cav(5), cav(9)) + [-1] * (cfg.max_hops - 2)]
+    assert batch.issued_at == 0.0
+    assert batch.ttl_s == cfg.control_ttl_s
+    assert diag.path(0) == RelayPath(nodes=(cav(0), cav(5), cav(9)), bottleneck_snr_db=7.0)
 
 
 def test_direct_pairs_emit_no_messages():
@@ -194,8 +199,9 @@ def test_direct_pairs_emit_no_messages():
     ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
     ingest(state, report(cav(1), 0.0, [(cav(0), 10.0)]))
     cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(1)),))
-    messages, diag = xapp_tick(state, 0.0, cfg)
-    assert messages == []
+    batch, diag = xapp_tick(state, 0.0, cfg)
+    assert len(batch) == 0
+    assert diag.direct.tolist() == [True]
     assert diag.pairs_direct == 1
     assert diag.pairs_relayed == 0
     assert diag.mean_hops == 1.0
@@ -211,11 +217,12 @@ def test_three_relayed_pairs_give_six_ordered_messages():
         ingest(state, report(b, 0.0, [(r, 8.0)]))
         pairs.append((a, b))
     cfg = XAppConfig(snr_min_db=5.0, pairs=tuple(pairs))
-    messages, diag = xapp_tick(state, 0.0, cfg)
+    batch, diag = xapp_tick(state, 0.0, cfg)
     assert diag.pairs_relayed == 3
-    assert [m.target for m in messages] == [
-        cav(0), cav(1), cav(10), cav(11), cav(20), cav(21)]
-    assert diag.messages_issued == 6
+    assert batch.target.tolist() == codes(cav(0), cav(1), cav(10), cav(11), cav(20), cav(21))
+    assert batch.path_row.tolist() == [0, 0, 1, 1, 2, 2]
+    assert batch.pair.tolist() == [0, 1, 2]
+    assert diag.messages_issued == len(batch) == 6
 
 
 def test_diagnostics_counts_are_consistent():
@@ -228,7 +235,10 @@ def test_diagnostics_counts_are_consistent():
     assert diag.pairs_infeasible == 1
     assert diag.pairs_feasible == diag.pairs_direct + diag.pairs_relayed
     assert diag.mean_hops == 2.0
-    assert (cav(0), cav(9)) in diag.pair_paths
+    assert diag.served.tolist() == [True, False]
+    assert diag.hops.tolist() == [2, 0]
+    assert diag.path(0).nodes == (cav(0), cav(5), cav(9))
+    assert diag.path(1) is None
 
 
 def test_xapp_tick_paths_match_reference_on_random_graphs():
@@ -251,9 +261,9 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
             cfg = XAppConfig(snr_min_db=snr_min, max_hops=max_hops, pairs=pairs,
                              allow_bs_relay=allow_bs)
             _, diag = xapp_tick(state, 0.0, cfg)
-            for u, v in pairs:
+            for k, (u, v) in enumerate(pairs):
                 want = reference_widest_path(g, u, v, max_hops, snr_min, allow_bs)
-                got = diag.pair_paths.get((u, v))
+                got = diag.path(k)
                 if want is None:
                     assert got is None
                 else:
@@ -264,19 +274,20 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
 
 def test_empty_pair_list_serves_nothing():
     state = fresh_triangle()
-    messages, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0))
-    assert messages == []
+    batch, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0))
+    assert len(batch) == 0
     assert diag.graph_nodes == 3  # the graph is still built
     assert diag.pairs_total == 0
-    assert diag.pair_paths == {}
+    assert len(diag.served) == 0
 
 
 def test_empty_controller_state_is_quiet():
     state = RicState()
-    messages, diag = xapp_tick(state, 0.0, XAppConfig())
-    assert messages == []
+    batch, diag = xapp_tick(state, 0.0, XAppConfig(pairs=((cav(0), cav(1)),)))
+    assert len(batch) == 0
+    assert diag.served.tolist() == [False]
     assert diag.graph_nodes == 0
-    assert diag.pairs_total == 0
+    assert diag.pairs_total == 1
     assert math.isnan(diag.mean_hops)
 
 
