@@ -165,7 +165,7 @@ def _blocker_boxes(layout, vehicles) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _segments_blocked(p0, p1, lo, hi, exclude_a=None, exclude_b=None) -> np.ndarray:
+def _segments_blocked(p0, p1, lo, hi, exclude_a, exclude_b) -> np.ndarray:
     """True per segment when it crosses the open interior of any box.
 
     Strict slab test: contact with a face, edge, or corner does not block,
@@ -177,36 +177,36 @@ def _segments_blocked(p0, p1, lo, hi, exclude_a=None, exclude_b=None) -> np.ndar
     on every axis reach the slab test. The prefilter is exact: a segment
     whose extent stays on one side of a slab yields slab parameters that the
     test itself rejects, since rounding preserves the order of both the
-    differences and their quotient against 1.
+    differences and their quotient against 1. Boxes with top at or below the
+    lowest segment end, or base at or above the highest, go first: every
+    segment's height range lies within those bounds, so none can overlap such
+    a box (with equal antenna heights, every equal-height car). A surviving
+    segment that does not move along an axis lies strictly inside that slab,
+    so its quotients there are infinities (never 0/0) that bound nothing.
     """
     blocked = np.zeros(len(p0), dtype=bool)
-    if len(lo) == 0:
+    if len(p0) == 0:
         return blocked
-    seg_lo = np.minimum(p0, p1)
-    seg_hi = np.maximum(p0, p1)
-    near = ((seg_lo[:, None, :] < hi[None, :, :]) & (seg_hi[:, None, :] > lo[None, :, :])).all(axis=2)
-    if exclude_a is not None:
-        rows = np.arange(len(p0))
-        mask = exclude_a >= 0
-        near[rows[mask], exclude_a[mask]] = False
-        mask = exclude_b >= 0
-        near[rows[mask], exclude_b[mask]] = False
+    seg_lo, seg_hi = np.minimum(p0, p1), np.maximum(p0, p1)
+    keep = np.nonzero((hi[:, 2] > seg_lo[:, 2].min()) & (lo[:, 2] < seg_hi[:, 2].max()))[0]
+    near = np.ones((len(p0), len(keep)), dtype=bool)
+    scratch = np.empty_like(near)
+    for a in range(3):
+        near &= np.less.outer(seg_lo[:, a], hi[keep, a], out=scratch)
+        near &= np.greater.outer(seg_hi[:, a], lo[keep, a], out=scratch)
     seg, box = np.nonzero(near)
-    seg0 = p0[seg]
-    d = p1[seg] - seg0
-    blo = lo[box]
-    bhi = hi[box]
-    zero = d == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (blo - seg0) / d
-        t1 = (bhi - seg0) / d
-    tlo = np.minimum(t0, t1)
-    thi = np.maximum(t0, t1)
-    inside = (seg0 > blo) & (seg0 < bhi)
-    tlo = np.where(zero, np.where(inside, -np.inf, np.inf), tlo)
-    thi = np.where(zero, np.where(inside, np.inf, -np.inf), thi)
-    tmin = np.maximum(tlo.max(axis=1), 0.0)
-    tmax = np.minimum(thi.min(axis=1), 1.0)
+    box = keep[box]
+    other = (box != exclude_a[seg]) & (box != exclude_b[seg])
+    seg, box = seg[other], box[other]
+    tmin, tmax = np.zeros(len(seg)), np.ones(len(seg))
+    with np.errstate(divide="ignore", invalid="raise"):
+        for a in range(3):
+            start = p0[seg, a]
+            d = p1[seg, a] - start
+            t0 = (lo[box, a] - start) / d
+            t1 = (hi[box, a] - start) / d
+            np.maximum(tmin, np.minimum(t0, t1), out=tmin)
+            np.minimum(tmax, np.maximum(t0, t1), out=tmax)
     blocked[seg[tmax > tmin]] = True
     return blocked
 
@@ -229,8 +229,8 @@ def link_table(params: ChannelParams, layout, vehicles, antennas, t: float, seed
     else:
         iu = np.asarray(pairs[0], dtype=np.int64)
         ju = np.asarray(pairs[1], dtype=np.int64)
-    diff = pos[iu] - pos[ju]
-    dist = np.sqrt((diff * diff).sum(axis=1))
+    dx, dy, dz = (pos[iu] - pos[ju]).T
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     if bool((dist == 0.0).any()):
         raise MeasurementError("coincident antenna positions")
     if max_range is not None:

@@ -109,9 +109,10 @@ class ControlBatch:
 @dataclass(slots=True)
 class ForwardingTable:
     """Every node's forwarding state, indexed [slot, pair], slots in ascending
-    code order; `next_hop` is -1 where nothing was ever installed. Entries are
-    keyed by the served pair, not by the destination alone: two assignments
-    toward one destination through a shared relay would otherwise collide."""
+    code order; `next_hop` is int32 (NodeId codes stay below 3 << 20) and -1
+    where nothing was ever installed. Entries are keyed by the served pair, not
+    by the destination alone: two assignments toward one destination through a
+    shared relay would otherwise collide."""
 
     codes: np.ndarray
     next_hop: np.ndarray
@@ -125,7 +126,7 @@ class ForwardingTable:
         if len(codes) == 0 or (np.diff(codes) <= 0).any():
             raise ConfigurationError("forwarding table needs ascending, distinct node codes")
         shape = (len(codes), n_pairs)
-        return cls(codes=codes, next_hop=np.full(shape, -1, dtype=np.int64),
+        return cls(codes=codes, next_hop=np.full(shape, -1, dtype=np.int32),
                    installed_at=np.full(shape, -np.inf), expires_at=np.full(shape, -np.inf))
 
     def slots(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

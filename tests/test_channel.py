@@ -11,15 +11,19 @@ The reference constants below were frozen from independent hand arithmetic
   SNR at 100 m LOS, 23 dBm EIRP: 23 - 103.34316062684438 + 85  =   4.65683937315562
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from reference_blockage import reference_segments_blocked
 from reference_outage import stochastic_blockage
 from v2xric import (Antenna, ChannelParams, ConfigurationError, MeasurementError, NodeId,
-                    NodeKind, build_intersection, link_table, noise_floor, pathloss_los,
-                    pathloss_nlos)
+                    NodeKind, TrafficConfig, World, build_intersection, channel,
+                    default_rsus, link_table, noise_floor, pathloss_los, pathloss_nlos,
+                    spawn_vehicles)
 from v2xric.channel import OUTAGE_PATHLOSS_DB
 from v2xric.scenario import CAR_EXTENT, TALL_EXTENT, VehicleState
 
@@ -211,6 +215,107 @@ def test_own_body_never_blocks():
     tab = link_table(ChannelParams(blockage_mode="geometric"), layout, vehicles,
                      antennas, 0.0, 1)
     assert bool(tab.los[0])
+
+
+def random_segments(rng, lo, hi, n, grid):
+    """n segments among the boxes lo/hi. Each endpoint coordinate is, with
+    equal odds, a face of a random box, the other endpoint's coordinate (a
+    zero direction component) or a free value: an integer in [0, 7] on a grid
+    layout, uniform otherwise."""
+    free = rng.integers(0, 8, (2, n, 3)).astype(float) if grid else rng.uniform(-1, 8, (2, n, 3))
+    faces = np.stack((lo, hi))[rng.integers(0, 2, (2, n, 3)),
+                               rng.integers(0, len(lo), (2, n, 3)), np.arange(3)]
+    pick = rng.integers(0, 3, (2, n, 3))
+    ends = np.where(pick == 0, faces, free)
+    ends[1] = np.where(pick[1] == 1, ends[0], ends[1])
+    return ends[0], ends[1]
+
+
+def test_segments_blocked_matches_dense_reference():
+    rng = np.random.default_rng(5)
+    seen = dict(blocked=0, clear=0, flat_axes=0, excluded=0)
+    for trial in range(300):
+        grid = trial % 2 == 0
+        n_boxes = int(rng.integers(1, 12))
+        if grid:
+            lo = rng.integers(0, 6, (n_boxes, 3)).astype(float)
+            hi = lo + rng.integers(1, 3, (n_boxes, 3))
+        else:
+            lo = rng.uniform(0, 6, (n_boxes, 3))
+            hi = lo + rng.uniform(0.2, 3, (n_boxes, 3))
+        p0, p1 = random_segments(rng, lo, hi, int(rng.integers(1, 60)), grid)
+        ex_a = rng.integers(-1, n_boxes, len(p0))
+        ex_b = rng.integers(-1, n_boxes, len(p0))
+        got = channel._segments_blocked(p0, p1, lo, hi, ex_a, ex_b)
+        want = reference_segments_blocked(p0, p1, lo, hi, ex_a, ex_b)
+        assert np.array_equal(got, want), trial
+        everything = reference_segments_blocked(p0, p1, lo, hi)
+        seen["blocked"] += int(want.sum())
+        seen["clear"] += int((~want).sum())
+        seen["flat_axes"] += int((p0 == p1).sum())
+        seen["excluded"] += int((everything & ~want).sum())
+    # every branch of the slab test was reached, own-body exclusion included
+    assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize("density, height", [(150.0, 1.0), (175.0, 1.6), (200.0, 1.6),
+                                             (200.0, 4.5)])
+def test_link_table_matches_dense_reference_in_dense_scenes(monkeypatch, density, height):
+    """A 1.0 m antenna sits below the 1.6 m car roofs, so cars stay blockers;
+    at 1.6 m only trucks and buildings can block."""
+    layout = build_intersection(200.0, 14.0)
+    vehicles = spawn_vehicles(layout, TrafficConfig(density_veh_km=density, seed=int(density),
+                                                    tall_fraction=0.3))
+    antennas = World(layout=layout, vehicles=vehicles, rsus=default_rsus(layout),
+                     cav_antenna_height_m=height).antennas()
+    params = ChannelParams(p_b=0.3)
+    got = link_table(params, layout, vehicles, antennas, 0.4, seed=3, max_range=300.0)
+    monkeypatch.setattr(channel, "_segments_blocked", reference_segments_blocked)
+    want = link_table(params, layout, vehicles, antennas, 0.4, seed=3, max_range=300.0)
+    pos = np.array([a.xyz for a in antennas])
+    diff = pos[want.i] - pos[want.j]
+    assert np.array_equal(got.distance_m, np.sqrt((diff * diff).sum(axis=1)))
+    for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
+    geometric_nlos = (~want.los) & (want.pathloss_db < OUTAGE_PATHLOSS_DB)
+    assert 0 < int(geometric_nlos.sum()) < len(want.i)
+
+
+def test_empty_selections_give_empty_columns():
+    layout = build_intersection(200.0, 14.0)
+    vehicles = [make_vehicle(0, 0.0, -3.5, extent=TALL_EXTENT)]
+    antennas = [cav_antenna(k, -30.0 + 20.0 * k, -3.5) for k in range(4)]
+    for selection in (dict(pairs=([], [])), dict(max_range=10.0)):
+        tab = link_table(ChannelParams(p_b=0.5), layout, vehicles, antennas, 0.0, seed=1,
+                         **selection)
+        for column in (tab.i, tab.j, tab.distance_m, tab.los, tab.pathloss_db, tab.snr_db):
+            assert len(column) == 0
+
+
+def test_layout_without_blockers_is_all_los():
+    layout = dataclasses.replace(build_intersection(200.0, 14.0), buildings=())
+    antennas = [cav_antenna(0, 30.0, -3.5), cav_antenna(1, -3.5, 30.0),
+                cav_antenna(2, -30.0, 3.5, z=6.0)]
+    tab = link_table(ChannelParams(blockage_mode="geometric"), layout, [], antennas, 0.0, 1)
+    assert tab.los.all()
+    assert np.array_equal(tab.pathloss_db, pathloss_los(tab.distance_m, 28.0))
+
+
+def test_dense_link_table_allocates_no_segment_box_grid():
+    """One all-pairs measurement over 176 antennas at 200 veh/km stays below
+    10 MB of traced allocations. Screening every (segment, box) pair through
+    (segments, boxes, 3) temporaries, as the reference does, peaks near 18 MB."""
+    layout = build_intersection(200.0, 14.0)
+    vehicles = spawn_vehicles(layout, TrafficConfig(density_veh_km=200.0, seed=1))
+    antennas = World(layout=layout, vehicles=vehicles, rsus=default_rsus(layout)).antennas()
+    assert len(antennas) == 176
+    tracemalloc.start()
+    try:
+        link_table(ChannelParams(), layout, vehicles, antennas, 0.1, seed=1, max_range=300.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 # --- stochastic outages ----------------------------------------------------------

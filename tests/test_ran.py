@@ -281,6 +281,17 @@ def test_forwarding_table_needs_ascending_distinct_codes():
             ForwardingTable.empty(codes, 1)
 
 
+def test_forwarding_table_stores_next_hops_as_int32():
+    table = table_of(0, 5, 9)
+    assert table.next_hop.dtype == np.int32
+    apply_control(table, relay_batch(cav(5), nodes=(0, 5, 9)), 1.0)
+    # the largest code a NodeId can have survives the narrower column
+    apply_control(table, relay_batch(cav(0), nodes=(0, (1 << 20) - 1), pair=1), 1.0)
+    hops = table.next_hops(np.array([cav(5).code, cav(0).code, cav(9).code]),
+                           np.array([0, 1, 0]), 1.0)
+    assert hops.tolist() == [cav(9).code, cav((1 << 20) - 1).code, -1]
+
+
 def random_control_tick(rng, nodes, pairs, stranger, issued_at, counts):
     """A batch of random multi-hop paths for random pairs (a pair may get two
     paths in one batch), each with one message per forwarding node, mixed
