@@ -6,11 +6,11 @@ geometric-blockage example: a truck parked between two cars kills the link,
 an equally low car does not. Every link is measured through `link_table`.
 """
 
-from v2xric.channel import (Antenna, ChannelParams, link_table, noise_floor, pathloss_los,
-                            pathloss_nlos)
+import numpy as np
+
+from v2xric.channel import ChannelParams, link_table, noise_floor, pathloss_los, pathloss_nlos
 from v2xric.ran import NodeId, NodeKind, World
-from v2xric.scenario import (CAR_EXTENT, TALL_EXTENT, VehicleState, build_intersection,
-                             default_rsus)
+from v2xric.scenario import CAR_EXTENT, TALL_EXTENT, Fleet, build_intersection, default_rsus
 
 
 def main():
@@ -34,31 +34,28 @@ def main():
     # Geometric blockage: both antennas are car roofs 1.6 m up, so whatever
     # sits between them must rise above that height to matter.
     layout = build_intersection(arm_length_m=200.0, road_width_m=14.0)
-    cars = [
-        VehicleState(vid=0, position=(3.5, -60.0), heading=(0.0, 1.0),
-                     speed_mps=0.0, extent=CAR_EXTENT),
-        VehicleState(vid=1, position=(3.5, -20.0), heading=(0.0, 1.0),
-                     speed_mps=0.0, extent=CAR_EXTENT),
-    ]
     tx_id, rx_id = NodeId(NodeKind.CAV, 0), NodeId(NodeKind.CAV, 1)
     for label, extent in (("another car", CAR_EXTENT), ("a truck", TALL_EXTENT)):
-        middle = VehicleState(vid=2, position=(3.5, -40.0), heading=(0.0, 1.0),
-                              speed_mps=0.0, extent=extent)
-        world = World(layout=layout, vehicles=cars + [middle], rsus=default_rsus(layout))
-        antennas = world.antennas()
-        slot = {a.node: k for k, a in enumerate(antennas)}
-        link = link_table(params, layout, world.vehicles, antennas, t=0.0, seed=1,
-                          pairs=([slot[tx_id]], [slot[rx_id]]))
+        # three parked vehicles on the northbound lane: the two ends, then the middle one
+        fleet = Fleet(axis=np.ones(3, dtype=np.int8), direction=np.ones(3),
+                      lateral=np.full(3, 3.5), c=np.array([-60.0, -20.0, -40.0]),
+                      speed=np.zeros(3), extent=np.array([CAR_EXTENT, CAR_EXTENT, extent]))
+        world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
+        link = link_table(params, world.xyz(), world.codes, world.body, world.boxes(),
+                          t=0.0, seed=1,
+                          pairs=([world.nodes.index(tx_id)], [world.nodes.index(rx_id)]))
         state = "line of sight" if link.los[0] else "blocked"
         print(f"with {label:11s} in between: {state}, snr {link.snr_db[0]:+.2f} dB")
     print()
 
     # Random (non-geometric) blockage is a seeded Bernoulli draw per link and
     # instant; measure a row of 200 roof antennas, every pair once.
-    row = [Antenna(node=NodeId(NodeKind.CAV, k), xyz=(-100.0 + float(k), -3.5, 1.6))
-           for k in range(200)]
+    row = np.array([(-100.0 + float(k), -3.5, 1.6) for k in range(200)])
+    codes = np.array([NodeId(NodeKind.CAV, k).code for k in range(200)])
+    no_blockers = (np.empty((0, 3)), np.empty((0, 3)))
     random_only = ChannelParams(p_b=0.3, blockage_mode="stochastic")
-    outages = ~link_table(random_only, layout, [], row, t=0.0, seed=5).los
+    outages = ~link_table(random_only, row, codes, np.full(200, -1), no_blockers,
+                          t=0.0, seed=5).los
     print(f"random blockage at p_b=0.3: empirical rate {outages.mean():.4f} "
           f"over {outages.size} links")
 

@@ -5,6 +5,8 @@ snapshot, and walks one vehicle through the junction so the lane-following
 and turning behaviour is visible tick by tick.
 """
 
+import numpy as np
+
 from v2xric.scenario import (MobilityState, TrafficConfig, build_intersection,
                              default_rsus, spawn_vehicles, step_mobility)
 
@@ -27,10 +29,10 @@ def main():
     print()
 
     cfg = TrafficConfig(density_veh_km=50.0, seed=7)
-    vehicles = spawn_vehicles(layout, cfg)
-    tall = sum(1 for v in vehicles if v.extent[2] > 2.0)
+    fleet = spawn_vehicles(layout, cfg)
+    tall = int(np.count_nonzero(fleet.extent[:, 2] > 2.0))
     print(f"seeded traffic snapshot (seed {cfg.seed})")
-    print(f"  vehicles spawned: {len(vehicles)} "
+    print(f"  vehicles spawned: {len(fleet)} "
           f"(expected about {cfg.density_veh_km * layout.total_road_length_m() / 1000:.0f})")
     print(f"  tall vehicles   : {tall}")
     print()
@@ -39,19 +41,18 @@ def main():
     # forced on, so the lane change is visible in the trace.
     state = MobilityState.from_seed(cfg.seed, turn_probability=1.0)
 
-    def travel(v):  # signed distance along the heading; negative = approaching
-        return v.position[0] * v.heading[0] + v.position[1] * v.heading[1]
-
-    probe = max((v for v in vehicles if -60.0 < travel(v) < -15.0), key=travel)
-    print(f"following CAV-{probe.vid} (turn probability forced to 1)")
+    # the travel coordinate is the signed distance along the lane; negative = approaching
+    approaching = np.nonzero((-60.0 < fleet.c) & (fleet.c < -15.0))[0]
+    probe = int(approaching[np.argmax(fleet.c[approaching])])
+    print(f"following CAV-{probe} (turn probability forced to 1)")
     dt = 0.5
     for k in range(12):
         t = k * dt
-        v = next(v for v in vehicles if v.vid == probe.vid)
-        hx, hy = v.heading
-        print(f"  t={t:4.1f}s  pos=({v.position[0]:+7.2f}, {v.position[1]:+7.2f})"
-              f"  heading=({hx:+.0f}, {hy:+.0f})")
-        vehicles = step_mobility(vehicles, layout, dt, state)
+        x, y = fleet.xy()[probe]
+        d = fleet.direction[probe]
+        hx, hy = (d, 0.0) if fleet.axis[probe] == 0 else (0.0, d)
+        print(f"  t={t:4.1f}s  pos=({x:+7.2f}, {y:+7.2f})  heading=({hx:+.0f}, {hy:+.0f})")
+        step_mobility(fleet, layout, dt, state)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ per-link blockage probability.
 
 __version__ = "0.1.0"
 
-from .channel import (Antenna, ChannelParams, LinkTable, link_table, noise_floor, pathloss_los,
+from .channel import (ChannelParams, LinkTable, link_table, noise_floor, pathloss_los,
                       pathloss_nlos)
 from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryRow,
                      SweepResult, SweepSpec, WorldConfig, run, run_with_audit, sweep_blockage,
@@ -21,13 +21,12 @@ from .ran import (ControlBatch, ForwardingTable, IndicationReport, NodeId, NodeK
                   SubscriptionRequest, World, apply_control, emit_indication, report_due)
 from .ric import (ConnectivityGraph, RelayPath, RicState, XAppConfig, XAppDiagnostics,
                   build_graph, find_path, ingest, xapp_tick)
-from .scenario import (Building, Lane, MobilityState, RoadLayout, RsuNode, TrafficConfig,
-                       VehicleState, build_intersection, default_rsus, spawn_vehicles,
-                       step_mobility)
+from .scenario import (Building, Fleet, Lane, MobilityState, RoadLayout, RsuNode, TrafficConfig,
+                       build_intersection, default_rsus, spawn_vehicles, step_mobility)
 
 __all__ = [
     "__version__",
-    "Antenna", "ChannelParams", "LinkTable", "link_table", "noise_floor", "pathloss_los",
+    "ChannelParams", "LinkTable", "link_table", "noise_floor", "pathloss_los",
     "pathloss_nlos",
     "AuditSummary", "MetricsRecord", "RunOutput", "SimConfig", "SummaryRow",
     "SweepResult", "SweepSpec", "WorldConfig", "run", "run_with_audit", "sweep_blockage",
@@ -37,7 +36,6 @@ __all__ = [
     "SubscriptionRequest", "World", "apply_control", "emit_indication", "report_due",
     "ConnectivityGraph", "RelayPath", "RicState", "XAppConfig", "XAppDiagnostics",
     "build_graph", "find_path", "ingest", "xapp_tick",
-    "Building", "Lane", "MobilityState", "RoadLayout", "RsuNode", "TrafficConfig",
-    "VehicleState", "build_intersection", "default_rsus", "spawn_vehicles",
-    "step_mobility",
+    "Building", "Fleet", "Lane", "MobilityState", "RoadLayout", "RsuNode", "TrafficConfig",
+    "build_intersection", "default_rsus", "spawn_vehicles", "step_mobility",
 ]

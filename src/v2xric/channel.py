@@ -62,16 +62,6 @@ class ChannelParams:
 
 
 @dataclass(slots=True)
-class Antenna:
-    """One radio endpoint: its node id, 3D antenna point, and (for vehicles)
-    the index of the vehicle whose body box belongs to it."""
-
-    node: object
-    xyz: tuple[float, float, float]
-    vehicle_index: int | None = None
-
-
-@dataclass(slots=True)
 class LinkTable:
     """Columnar link measurements for one instant, unordered pairs i < j."""
 
@@ -145,26 +135,6 @@ def _tick_ms(t: float) -> int:
 
 # --- blockage geometry --------------------------------------------------------
 
-def _blocker_boxes(layout, vehicles) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned boxes: one per vehicle body, then one per building."""
-    n = len(vehicles)
-    m = len(layout.buildings)
-    lo = np.empty((n + m, 3), dtype=np.float64)
-    hi = np.empty((n + m, 3), dtype=np.float64)
-    for k, v in enumerate(vehicles):
-        hx, hy = v.heading
-        length, width, height = v.extent
-        half_x = 0.5 * (length if abs(hx) >= abs(hy) else width)
-        half_y = 0.5 * (width if abs(hx) >= abs(hy) else length)
-        x, y = v.position
-        lo[k] = (x - half_x, y - half_y, 0.0)
-        hi[k] = (x + half_x, y + half_y, height)
-    for k, b in enumerate(layout.buildings):
-        lo[n + k] = (b.x0, b.y0, 0.0)
-        hi[n + k] = (b.x1, b.y1, b.height)
-    return lo, hi
-
-
 def _segments_blocked(p0, p1, lo, hi, exclude_a, exclude_b) -> np.ndarray:
     """True per segment when it crosses the open interior of any box.
 
@@ -213,19 +183,23 @@ def _segments_blocked(p0, p1, lo, hi, exclude_a, exclude_b) -> np.ndarray:
 
 # --- link sampling ------------------------------------------------------------
 
-def link_table(params: ChannelParams, layout, vehicles, antennas, t: float, seed: int,
+def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: np.ndarray,
+               boxes: tuple[np.ndarray, np.ndarray], t: float, seed: int,
                max_range: float | None = None, pairs=None) -> LinkTable:
-    """Measure antenna pairs at instant t: all unordered pairs by default, or an
+    """Measure endpoint pairs at instant t: all unordered pairs by default, or an
     explicit (i_indices, j_indices) selection via `pairs`.
 
-    This is the single measurement path: per-node reports, single links and
-    neighbour ranges (`max_range`, boundary inclusive) all come from it. Every
-    quantity is orientation-free, so explicit pairs may come in either order.
+    Endpoints come as columns: `xyz`, the (n, 3) antenna points; `codes`, their
+    NodeId codes, which key the outage draws; and `body`, the row in `boxes`
+    of each endpoint's own vehicle body, or -1. `boxes` is the blockers' (lo,
+    hi) corners, (m, 3) each. This is the single measurement path: per-node
+    reports, single links and neighbour ranges (`max_range`, boundary
+    inclusive) all come from it. Every quantity is orientation-free, so
+    explicit pairs may come in either order.
     """
-    n = len(antennas)
-    pos = np.asarray([a.xyz for a in antennas], dtype=np.float64)
+    pos = np.asarray(xyz, dtype=np.float64)
     if pairs is None:
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = np.triu_indices(len(pos), k=1)
     else:
         iu = np.asarray(pairs[0], dtype=np.int64)
         ju = np.asarray(pairs[1], dtype=np.int64)
@@ -239,17 +213,13 @@ def link_table(params: ChannelParams, layout, vehicles, antennas, t: float, seed
 
     mode = params.blockage_mode
     if mode in ("geometric", "combined"):
-        lo, hi = _blocker_boxes(layout, vehicles)
-        vidx = np.asarray(
-            [-1 if a.vehicle_index is None else a.vehicle_index for a in antennas],
-            dtype=np.int64,
-        )
-        clear = ~_segments_blocked(pos[iu], pos[ju], lo, hi, vidx[iu], vidx[ju])
+        body = np.asarray(body, dtype=np.int64)
+        clear = ~_segments_blocked(pos[iu], pos[ju], *boxes, body[iu], body[ju])
     else:
         clear = np.ones(len(iu), dtype=bool)
 
     if mode in ("stochastic", "combined") and params.p_b > 0.0:
-        codes = np.asarray([a.node.code for a in antennas], dtype=np.uint64)
+        codes = np.asarray(codes, dtype=np.uint64)
         ca = np.minimum(codes[iu], codes[ju])
         cb = np.maximum(codes[iu], codes[ju])
         outage = _link_uniform_u64(int(seed), ca, cb, _tick_ms(t)) < params.p_b

@@ -107,11 +107,25 @@ class SimConfig:
         self.xapp.validate()
         self.world.validate()
         ran.SubscriptionRequest(
-            subscriber=ran.NodeId(ran.NodeKind.BS, 0),
             reporting_period_s=self.resolved_reporting_period(),
             measured_neighbors=self.measured_neighbors,
         ).validate(self.dt_s)
+        if not self._scores_a_tick():
+            raise ConfigurationError(
+                f"no control tick at or after warmup_s={self.warmup_s} within "
+                f"duration_s={self.duration_s}: the run would score nothing")
         return self
+
+    def _scores_a_tick(self) -> bool:
+        """True when a control tick of the run falls at or after the warm-up:
+        the records `time_average` keeps. Scans back from the last step."""
+        for step in range(round(self.duration_s / self.dt_s) - 1, -1, -1):
+            t = round(step * self.dt_s, 9)
+            if t < self.warmup_s - 1e-9:
+                return False
+            if ran.report_due(t, self.control_period_s, self.dt_s):
+                return True
+        return False
 
     def resolved_reporting_period(self) -> float:
         return self.control_period_s if self.reporting_period_s is None else self.reporting_period_s
@@ -217,10 +231,6 @@ class SweepResult:
 
 # --- pair selection ----------------------------------------------------------------
 
-def _cav_ids(world: ran.World) -> list[ran.NodeId]:
-    return sorted(ran.NodeId(ran.NodeKind.CAV, v.vid) for v in world.vehicles)
-
-
 def _build_pairs(world: ran.World, selection: str, seed: int) -> list[tuple[ran.NodeId, ran.NodeId]]:
     """The served pair set, fixed for the whole run.
 
@@ -228,7 +238,7 @@ def _build_pairs(world: ran.World, selection: str, seed: int) -> list[tuple[ran.
     matching, so each vehicle is paired with exactly one partner (one vehicle
     sits out when the count is odd).
     """
-    cavs = _cav_ids(world)
+    cavs = [node for node in world.nodes if node.kind == ran.NodeKind.CAV]
     if len(cavs) < 2:
         raise ConfigurationError(f"need at least 2 vehicles for pair metrics, got {len(cavs)}")
     if selection == "all":
@@ -261,22 +271,20 @@ def _connectivity(ends: np.ndarray, served: np.ndarray, metric_mode: str) -> flo
 def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
                      subscription: ran.SubscriptionRequest) -> list[ran.IndicationReport]:
     """Sense every in-range pair once, then split the table into per-node reports."""
-    antennas = world.antennas()
-    tab = channel.link_table(cfg.channel, world.layout, world.vehicles, antennas,
+    tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
                              t, cfg.seed, max_range=cfg.sensing_range_m)
-    codes = np.array([a.node.code for a in antennas], dtype=np.int64)
     # both directions of every row, grouped by reporting slot, neighbours ascending
     src = np.concatenate((tab.i, tab.j))
-    neighbors = codes[np.concatenate((tab.j, tab.i))]
+    neighbors = world.codes[np.concatenate((tab.j, tab.i))]
     snr = np.concatenate((tab.snr_db, tab.snr_db))
     order = np.lexsort((neighbors, src))
     neighbors, snr = neighbors[order], snr[order]
-    bounds = np.searchsorted(src[order], np.arange(len(antennas) + 1)).tolist()
+    bounds = np.searchsorted(src[order], np.arange(len(world.nodes) + 1)).tolist()
     return [
-        ran.emit_indication(antenna.node, antenna.xyz, neighbors[bounds[k]:bounds[k + 1]],
+        ran.emit_indication(node, neighbors[bounds[k]:bounds[k + 1]],
                             snr[bounds[k]:bounds[k + 1]], t, subscription)
-        for k, antenna in enumerate(antennas)
-        if cfg.cav_terminations or antenna.node.kind != ran.NodeKind.CAV
+        for k, node in enumerate(world.nodes)
+        if cfg.cav_terminations or node.kind != ran.NodeKind.CAV
     ]
 
 
@@ -308,10 +316,9 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
         building_height_m=cfg.world.building_height_m,
     )
     traffic = replace(cfg.traffic, seed=cfg.seed)
-    vehicles = spawn_vehicles(layout, traffic)
     world = ran.World(
         layout=layout,
-        vehicles=vehicles,
+        fleet=spawn_vehicles(layout, traffic),
         rsus=default_rsus(layout, mast_height_m=cfg.world.rsu_mast_height_m),
         cav_antenna_height_m=cfg.world.cav_antenna_height_m,
     )
@@ -325,13 +332,12 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     ).validate()
     reporting_period = cfg.resolved_reporting_period()
     subscription = ran.SubscriptionRequest(
-        subscriber=ran.NodeId(ran.NodeKind.BS, 0),
         reporting_period_s=reporting_period,
         measured_neighbors=cfg.measured_neighbors,
     ).validate(cfg.dt_s)
 
     ric_state = ric.RicState(staleness_window_s=cfg.resolved_staleness_window())
-    table = ran.ForwardingTable.empty([a.node.code for a in world.antennas()], len(pairs))
+    table = ran.ForwardingTable.empty(world.codes, len(pairs), xapp_cfg.control_ttl_s)
     ends = table.slots(np.array([(u.code, v.code) for u, v in pairs], dtype=np.int64))[0]
     in_flight: list[tuple[float, ran.IndicationReport]] = []
     records: list[MetricsRecord] = []
@@ -361,7 +367,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
                 mean_hops=diag.mean_hops,
                 direct_connectivity=_connectivity(ends, diag.direct, cfg.metric_mode),
             ))
-        world.vehicles = step_mobility(world.vehicles, layout, cfg.dt_s, mobility)
+        step_mobility(world.fleet, layout, cfg.dt_s, mobility)
     audit.protocol_errors = table.protocol_errors
     return records, audit
 

@@ -9,14 +9,13 @@ system leans on that order.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from . import channel
 from .errors import ConfigurationError
-from .scenario import RoadLayout, RsuNode, VehicleState
+from .scenario import Fleet, RoadLayout, RsuNode
 
 _INDEX_BITS = 20  # NodeId.index must fit so (kind, index) packs into a link key
 
@@ -57,9 +56,8 @@ class NodeId(namedtuple("NodeId", "kind index")):
 
 @dataclass(frozen=True, slots=True)
 class SubscriptionRequest:
-    """Reporting contract for one node: cadence and report size cap."""
+    """Reporting contract for every node: cadence and report size cap."""
 
-    subscriber: NodeId
     reporting_period_s: float = 0.1
     measured_neighbors: int | None = None  # None = no truncation
 
@@ -83,7 +81,6 @@ class IndicationReport:
 
     source: NodeId
     t: float
-    position: tuple[float, float, float]
     neighbors: np.ndarray
     snr_db: np.ndarray
 
@@ -100,7 +97,6 @@ class ControlBatch:
     target: np.ndarray  # (K,) int64
     path_row: np.ndarray  # (K,) int64
     issued_at: float
-    ttl_s: float = 0.5
 
     def __len__(self) -> int:
         return len(self.target)
@@ -112,22 +108,23 @@ class ForwardingTable:
     code order; `next_hop` is int32 (NodeId codes stay below 3 << 20) and -1
     where nothing was ever installed. Entries are keyed by the served pair, not
     by the destination alone: two assignments toward one destination through a
-    shared relay would otherwise collide."""
+    shared relay would otherwise collide. Every entry lives `ttl_s` past the
+    issue time of the control that installed it."""
 
     codes: np.ndarray
     next_hop: np.ndarray
     installed_at: np.ndarray
-    expires_at: np.ndarray
+    ttl_s: float
     protocol_errors: int = 0
 
     @classmethod
-    def empty(cls, codes: np.ndarray, n_pairs: int) -> "ForwardingTable":
+    def empty(cls, codes: np.ndarray, n_pairs: int, ttl_s: float) -> "ForwardingTable":
         codes = np.asarray(codes, dtype=np.int64)
         if len(codes) == 0 or (np.diff(codes) <= 0).any():
             raise ConfigurationError("forwarding table needs ascending, distinct node codes")
         shape = (len(codes), n_pairs)
         return cls(codes=codes, next_hop=np.full(shape, -1, dtype=np.int32),
-                   installed_at=np.full(shape, -np.inf), expires_at=np.full(shape, -np.inf))
+                   installed_at=np.full(shape, -np.inf), ttl_s=ttl_s)
 
     def slots(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slot of each node code, and whether the table holds that node at all."""
@@ -136,40 +133,53 @@ class ForwardingTable:
 
     def next_hops(self, nodes: np.ndarray, pair: np.ndarray, t: float) -> np.ndarray:
         """Live next hop of each node for its pair at t (an entry lives while
-        t <= expires_at); -1 where there is none or the node is unknown."""
+        t <= installed_at + ttl_s); -1 where there is none or the node is unknown."""
         slot, known = self.slots(nodes)
-        live = known & (t <= self.expires_at[slot, pair])
+        live = known & (t <= self.installed_at[slot, pair] + self.ttl_s)
         return np.where(live, self.next_hop[slot, pair], -1)
 
 
 @dataclass(slots=True)
 class World:
-    """Everything a node can sense: geometry plus the radio endpoints on it."""
+    """Everything a node can sense: geometry plus the radio endpoints on it.
+
+    Endpoints are columns in NodeId order, the RSUs as listed (ascending
+    `rid`), then the CAVs by fleet row: `nodes` and `codes` are their
+    identities, `body` the row of each one's own body among `boxes()`, -1 for
+    an RSU. These and the building boxes are built once; `xyz()` and
+    `boxes()` read the fleet as it stands."""
 
     layout: RoadLayout
-    vehicles: list[VehicleState]
+    fleet: Fleet
     rsus: list[RsuNode]
     cav_antenna_height_m: float = 1.6
+    nodes: tuple[NodeId, ...] = field(init=False)
+    codes: np.ndarray = field(init=False)
+    body: np.ndarray = field(init=False)
+    _rsu_xyz: np.ndarray = field(init=False)
+    _building_boxes: tuple[np.ndarray, np.ndarray] = field(init=False)
 
-    def antennas(self) -> list[channel.Antenna]:
-        """All endpoints in NodeId order (RSUs then CAVs)."""
-        out = [
-            channel.Antenna(
-                node=NodeId(NodeKind.RSU, r.rid),
-                xyz=(r.position[0], r.position[1], r.mast_height_m),
-            )
-            for r in self.rsus
-        ]
-        h = self.cav_antenna_height_m
-        out.extend(
-            channel.Antenna(
-                node=NodeId(NodeKind.CAV, v.vid),
-                xyz=(v.position[0], v.position[1], h),
-                vehicle_index=i,
-            )
-            for i, v in enumerate(self.vehicles)
-        )
-        return out
+    def __post_init__(self) -> None:
+        n = len(self.fleet)
+        self.nodes = (*(NodeId(NodeKind.RSU, r.rid) for r in self.rsus),
+                      *(NodeId(NodeKind.CAV, k) for k in range(n)))
+        self.codes = np.array([node.code for node in self.nodes], dtype=np.int64)
+        self.body = np.concatenate((np.full(len(self.rsus), -1), np.arange(n)))
+        self._rsu_xyz = np.array([(*r.position, r.mast_height_m) for r in self.rsus],
+                                 dtype=np.float64).reshape(-1, 3)
+        buildings = np.array([(b.x0, b.y0, 0.0, b.x1, b.y1, b.height)
+                              for b in self.layout.buildings], dtype=np.float64).reshape(-1, 6)
+        self._building_boxes = (buildings[:, :3], buildings[:, 3:])
+
+    def xyz(self) -> np.ndarray:
+        """(endpoints, 3) antenna points: RSU mast tops, then vehicle roofs."""
+        cav = np.hstack((self.fleet.xy(), np.full((len(self.fleet), 1), self.cav_antenna_height_m)))
+        return np.vstack((self._rsu_xyz, cav))
+
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every blocker's (lo, hi) corners: vehicle bodies by row, then buildings."""
+        (lo, hi), (b_lo, b_hi) = self.fleet.boxes(), self._building_boxes
+        return np.vstack((lo, b_lo)), np.vstack((hi, b_hi))
 
 
 def report_due(t: float, reporting_period_s: float, dt: float) -> bool:
@@ -178,8 +188,7 @@ def report_due(t: float, reporting_period_s: float, dt: float) -> bool:
     return abs(t - nearest) < 0.5 * dt
 
 
-def emit_indication(node: NodeId, position_xyz: tuple[float, float, float],
-                    neighbors: np.ndarray, snr_db: np.ndarray, t: float,
+def emit_indication(node: NodeId, neighbors: np.ndarray, snr_db: np.ndarray, t: float,
                     subscription: SubscriptionRequest) -> IndicationReport:
     """Build the report for a report instant (the caller checks `report_due`)
     from neighbour codes in ascending order and their link SNRs. Reports
@@ -191,8 +200,7 @@ def emit_indication(node: NodeId, position_xyz: tuple[float, float, float],
     if cap is not None and len(neighbors) > cap:
         kept = np.sort(np.lexsort((neighbors, -snr_db))[:cap])
         neighbors, snr_db = neighbors[kept], snr_db[kept]
-    return IndicationReport(source=node, t=t, position=position_xyz,
-                            neighbors=neighbors, snr_db=snr_db)
+    return IndicationReport(source=node, t=t, neighbors=neighbors, snr_db=snr_db)
 
 
 def apply_control(table: ForwardingTable, batch: ControlBatch, t: float) -> ForwardingTable:
@@ -217,5 +225,4 @@ def apply_control(table: ForwardingTable, batch: ControlBatch, t: float) -> Forw
     slot, pair = slot[keep], pair[keep]
     table.next_hop[slot, pair] = nxt[keep]
     table.installed_at[slot, pair] = batch.issued_at
-    table.expires_at[slot, pair] = batch.issued_at + batch.ttl_s
     return table

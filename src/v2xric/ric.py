@@ -134,7 +134,8 @@ class XAppDiagnostics:
 
 
 def ingest(state: RicState, report: IndicationReport) -> RicState:
-    """Store the report unless an equally new or newer one is already held."""
+    """Store the report unless a newer one is already held; an equally new
+    report replaces the held one."""
     held = state.latest_report.get(report.source)
     if held is not None and report.t < held.t:
         state.rejected_out_of_order += 1
@@ -296,7 +297,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[ControlBatch,
     paths = routes[relayed]
     path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[relayed, None])
     batch = ControlBatch(paths=paths, pair=relayed, target=paths[path_row, col],
-                         path_row=path_row, issued_at=t, ttl_s=cfg.control_ttl_s)
+                         path_row=path_row, issued_at=t)
 
     feasible = int(np.count_nonzero(served))
     n_direct = int(np.count_nonzero(direct))

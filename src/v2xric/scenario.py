@@ -10,7 +10,7 @@ seeded generators, so equal (config, seed) gives bitwise-equal trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,23 +34,12 @@ class Building:
 
 @dataclass(frozen=True, slots=True)
 class Lane:
-    """One directed lane. Travel coordinate c runs from -half_length (entry)
-    to +half_length (exit) along the driving direction."""
+    """One directed lane. Travel coordinate c runs from -arm_length_m (entry)
+    to +arm_length_m (exit) along the driving direction."""
 
     axis: str  # "x" or "y"
     direction: int  # +1 or -1 along that axis
     offset: float  # perpendicular centerline offset
-    half_length: float
-
-    def point(self, c: float) -> tuple[float, float]:
-        along = c * self.direction
-        if self.axis == "x":
-            return (along, self.offset)
-        return (self.offset, along)
-
-    def heading(self) -> tuple[float, float]:
-        d = float(self.direction)
-        return (d, 0.0) if self.axis == "x" else (0.0, d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,13 +79,37 @@ class RsuNode:
     mast_height_m: float = 6.0
 
 
-@dataclass(frozen=True, slots=True)
-class VehicleState:
-    vid: int  # stable identity; the RAN layer maps it to NodeId(CAV, vid)
-    position: tuple[float, float]
-    heading: tuple[float, float]  # unit, axis-aligned
-    speed_mps: float
-    extent: tuple[float, float, float]  # length, width, height
+@dataclass(eq=False, slots=True)
+class Fleet:
+    """Every vehicle as columns; row k is the vehicle with vid k, which the RAN
+    layer maps to NodeId(CAV, k). A vehicle drives the lane along `axis` (0 =
+    x, 1 = y) in `direction` (+1.0 or -1.0) at perpendicular offset `lateral`,
+    at travel coordinate `c` (its position along the axis is c * direction)."""
+
+    axis: np.ndarray  # (n,) int8
+    direction: np.ndarray  # (n,) float64
+    lateral: np.ndarray  # (n,) float64
+    c: np.ndarray  # (n,) float64
+    speed: np.ndarray  # (n,) float64, m/s
+    extent: np.ndarray  # (n, 3) float64: length, width, height
+
+    def __len__(self) -> int:
+        return len(self.c)
+
+    def xy(self) -> np.ndarray:
+        """(n, 2) vehicle centre positions."""
+        along = self.c * self.direction
+        on_x = self.axis == 0
+        return np.stack((np.where(on_x, along, self.lateral),
+                         np.where(on_x, self.lateral, along)), axis=1)
+
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) corners of each vehicle's axis-aligned body box, (n, 3) each."""
+        # half the length along the lane axis, half the width across it
+        half = 0.5 * np.where((self.axis == 0)[:, None], self.extent[:, :2], self.extent[:, [1, 0]])
+        xy = self.xy()
+        return (np.hstack((xy - half, np.zeros((len(self), 1)))),
+                np.hstack((xy + half, self.extent[:, 2:])))
 
 
 @dataclass(slots=True)
@@ -148,10 +161,10 @@ def build_intersection(arm_length_m: float, road_width_m: float,
     )
     o = road_width_m / 4.0
     lanes = (
-        Lane("x", +1, -o, a),  # eastbound, south side
-        Lane("x", -1, +o, a),  # westbound, north side
-        Lane("y", +1, +o, a),  # northbound, east side
-        Lane("y", -1, -o, a),  # southbound, west side
+        Lane("x", +1, -o),  # eastbound, south side
+        Lane("x", -1, +o),  # westbound, north side
+        Lane("y", +1, +o),  # northbound, east side
+        Lane("y", -1, -o),  # southbound, west side
     )
     return RoadLayout(
         arm_length_m=a,
@@ -170,10 +183,11 @@ def default_rsus(layout: RoadLayout, mast_height_m: float = 6.0) -> list[RsuNode
     ]
 
 
-def spawn_vehicles(layout: RoadLayout, cfg: TrafficConfig) -> list[VehicleState]:
+def spawn_vehicles(layout: RoadLayout, cfg: TrafficConfig) -> Fleet:
     """Seeded initial traffic: per road, count ~ Poisson(density * road length),
     split uniformly over its lanes, positions uniform with a one-car-length
-    minimum spacing on each lane."""
+    minimum spacing on each lane. Rows (vids) run lane by lane in layout
+    order, x road first, in travel order within a lane."""
     cfg.validate()
     rng = np.random.default_rng([int(cfg.seed), _SPAWN_TAG])
     min_gap = CAR_EXTENT[0]
@@ -183,7 +197,7 @@ def spawn_vehicles(layout: RoadLayout, cfg: TrafficConfig) -> list[VehicleState]
     for lane in layout.lanes:
         lanes_by_axis[lane.axis].append(lane)
 
-    vehicles: list[VehicleState] = []
+    placed: list[tuple[Lane, np.ndarray, np.ndarray]] = []  # lane, coordinates, tall
     for axis in ("x", "y"):
         lanes = lanes_by_axis[axis]
         if not lanes:
@@ -209,19 +223,18 @@ def spawn_vehicles(layout: RoadLayout, cfg: TrafficConfig) -> list[VehicleState]
                 )
             u = np.sort(rng.uniform(0.0, slack, size=n))
             coords = u + min_gap * np.arange(n) - layout.arm_length_m
-            tall = rng.random(n) < cfg.tall_fraction
-            for k in range(n):
-                extent = TALL_EXTENT if tall[k] else CAR_EXTENT
-                vehicles.append(
-                    VehicleState(
-                        vid=len(vehicles),
-                        position=lane.point(float(coords[k])),
-                        heading=lane.heading(),
-                        speed_mps=cfg.speed_mps,
-                        extent=extent,
-                    )
-                )
-    return vehicles
+            placed.append((lane, coords, rng.random(n) < cfg.tall_fraction))
+
+    used = [lane for lane, _, _ in placed]
+    counts = [len(coords) for _, coords, _ in placed]
+    c = np.concatenate([np.empty(0), *(coords for _, coords, _ in placed)])
+    tall = np.concatenate([np.empty(0, dtype=bool), *(t for _, _, t in placed)])
+    return Fleet(axis=np.repeat(np.array([lane.axis == "y" for lane in used], np.int8), counts),
+                 direction=np.repeat(np.array([lane.direction for lane in used], float), counts),
+                 lateral=np.repeat(np.array([lane.offset for lane in used], float), counts),
+                 c=c,
+                 speed=np.full(len(c), cfg.speed_mps),
+                 extent=np.where(tall[:, None], TALL_EXTENT, CAR_EXTENT))
 
 
 @dataclass(slots=True)
@@ -238,86 +251,68 @@ class MobilityState:
                    turn_probability=turn_probability)
 
 
-def _travel_frame(v: VehicleState) -> tuple[str, int, float, float]:
-    """(axis, direction, travel coordinate, lateral offset) of the lane being driven."""
-    hx, hy = v.heading
-    if abs(hx) >= abs(hy):
-        direction = 1 if hx > 0 else -1
-        return "x", direction, v.position[0] * direction, v.position[1]
-    direction = 1 if hy > 0 else -1
-    return "y", direction, v.position[1] * direction, v.position[0]
-
-
-def _point_of(axis: str, direction: int, c: float, lateral: float) -> tuple[float, float]:
+def _turn(axis: int, direction: float, c: float, lateral: float,
+          clockwise: bool) -> tuple[int, float, float, float]:
+    """Rotate onto the crossing road's lane through the current point: the
+    position along the old axis becomes the new lateral offset."""
     along = c * direction
-    return (along, lateral) if axis == "x" else (lateral, along)
+    if clockwise == (axis == 0):
+        direction = -direction
+    return 1 - axis, direction, lateral * direction, along
 
 
-def _turn(axis: str, direction: int, c: float, lateral: float,
-          heading: tuple[float, float], clockwise: bool):
-    """Rotate onto the crossing road's lane passing through the current point."""
-    px, py = _point_of(axis, direction, c, lateral)
-    hx, hy = heading
-    heading = (hy, -hx) if clockwise else (-hy, hx)
-    axis = "y" if axis == "x" else "x"
-    direction = 1 if (heading[0] + heading[1]) > 0 else -1
-    lateral = px if axis == "y" else py
-    c = (py if axis == "y" else px) * direction
-    return axis, direction, c, lateral, heading
-
-
-def step_mobility(vehicles: list[VehicleState], layout: RoadLayout, dt: float,
-                  state: MobilityState) -> list[VehicleState]:
-    """Advance every vehicle by dt at constant speed along its lane.
+def step_mobility(fleet: Fleet, layout: RoadLayout, dt: float, state: MobilityState) -> None:
+    """Advance every vehicle by dt at constant speed along its lane, in place.
 
     At the intersection a seeded Bernoulli decides turn vs straight (left and
     right split evenly); a vehicle whose center reaches the scene edge respawns
     at the entry of a uniformly chosen lane carrying over leftover distance.
-    Vehicle count and identities are conserved.
+    Vehicle count and identities are conserved. Vehicles that reach no turn
+    line or exit this step advance together; the rest follow the scalar rules
+    in row order, which keeps the order of the stream's draws.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive: {dt}")
     a = layout.arm_length_m
     o = layout.lane_offset_m
+    c = fleet.c
+    remaining = fleet.speed * dt
+    # next event line strictly ahead on each lane: the turn lines, then the exit
+    ahead = np.where(c < -o, -o, np.where(c < o, o, a))
+    free = ahead - c >= remaining
+    np.add(c, remaining, out=c, where=free)
     p_turn = state.turn_probability
-    out: list[VehicleState] = []
-    for v in vehicles:
-        axis, direction, c, lateral = _travel_frame(v)
-        heading = v.heading
-        remaining = v.speed_mps * dt
+    for k in np.nonzero(~free)[0].tolist():
+        axis, direction = int(fleet.axis[k]), float(fleet.direction[k])
+        c_k, lateral, left = float(c[k]), float(fleet.lateral[k]), float(remaining[k])
         while True:
-            # next event strictly ahead on this lane: turn lines, then the exit
             next_c = a
             kind = "exit"
-            if c < -o:
+            if c_k < -o:
                 next_c, kind = -o, "decision"
-            elif c < o:
+            elif c_k < o:
                 next_c, kind = o, "exec"
-            if next_c - c >= remaining:
-                c += remaining
+            if next_c - c_k >= left:
+                c_k += left
                 break
-            remaining -= next_c - c
-            c = next_c
+            left -= next_c - c_k
+            c_k = next_c
             if kind == "decision":
-                if v.vid not in state.pending:
+                if k not in state.pending:
                     r = float(state.rng.random())
                     if r < 0.5 * p_turn:
                         # right turn happens at this line (its target lane runs here)
-                        axis, direction, c, lateral, heading = _turn(
-                            axis, direction, c, lateral, heading, clockwise=True)
+                        axis, direction, c_k, lateral = _turn(axis, direction, c_k, lateral, True)
                     elif r < p_turn:
-                        state.pending[v.vid] = "left"
+                        state.pending[k] = "left"
                     else:
-                        state.pending[v.vid] = "straight"
+                        state.pending[k] = "straight"
             elif kind == "exec":
-                if state.pending.pop(v.vid, "straight") == "left":
-                    axis, direction, c, lateral, heading = _turn(
-                        axis, direction, c, lateral, heading, clockwise=False)
+                if state.pending.pop(k, "straight") == "left":
+                    axis, direction, c_k, lateral = _turn(axis, direction, c_k, lateral, False)
             else:  # exit: respawn at the entry of a uniformly chosen lane
                 lane = layout.lanes[int(state.rng.integers(0, len(layout.lanes)))]
-                state.pending.pop(v.vid, None)
-                axis, direction = lane.axis, lane.direction
-                lateral, heading = lane.offset, lane.heading()
-                c = -a
-        out.append(replace(v, position=_point_of(axis, direction, c, lateral), heading=heading))
-    return out
+                state.pending.pop(k, None)
+                axis, direction, lateral = int(lane.axis == "y"), float(lane.direction), lane.offset
+                c_k = -a
+        fleet.axis[k], fleet.direction[k], c[k], fleet.lateral[k] = axis, direction, c_k, lateral

@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 
 from reference_blockage import reference_segments_blocked
+from reference_mobility import VehicleState, fleet_of
 from reference_outage import stochastic_blockage
-from v2xric import (Antenna, ChannelParams, ConfigurationError, MeasurementError, NodeId,
-                    NodeKind, TrafficConfig, World, build_intersection, channel,
-                    default_rsus, link_table, noise_floor, pathloss_los, pathloss_nlos,
-                    spawn_vehicles)
+from v2xric import (ChannelParams, ConfigurationError, MeasurementError, NodeId, NodeKind,
+                    TrafficConfig, World, build_intersection, channel, default_rsus,
+                    link_table, noise_floor, pathloss_los, pathloss_nlos, spawn_vehicles)
 from v2xric.channel import OUTAGE_PATHLOSS_DB
-from v2xric.scenario import CAR_EXTENT, TALL_EXTENT, VehicleState
+from v2xric.scenario import CAR_EXTENT, TALL_EXTENT
 
 LOS_100M_28GHZ = 103.34316062684438
 LOS_1M_28GHZ = 61.34316062684438
@@ -40,12 +40,22 @@ def make_vehicle(vid, x, y, heading=(1.0, 0.0), extent=CAR_EXTENT):
 
 
 def cav_antenna(index, x, y, z=1.6, vehicle_index=None):
-    return Antenna(node=NodeId(NodeKind.CAV, index), xyz=(x, y, z), vehicle_index=vehicle_index)
+    """One endpoint, (NodeId code, xyz, own-body row): CAV `index` at (x, y, z)
+    whose own body is vehicle `vehicle_index` of the scene, if any."""
+    return NodeId(NodeKind.CAV, index).code, (x, y, z), -1 if vehicle_index is None else vehicle_index
+
+
+def scene_table(params, layout, vehicles, antennas, t, seed, **selection):
+    """link_table over hand-placed endpoints, with the bodies of `vehicles`
+    (fleet rows in list order) and the layout's buildings as blockers."""
+    codes, xyz, body = (np.array(column) for column in zip(*antennas))
+    boxes = World(layout=layout, fleet=fleet_of(vehicles), rsus=[]).boxes()
+    return link_table(params, xyz, codes, body, boxes, t, seed, **selection)
 
 
 def measure(params, layout, vehicles, tx, rx, t, seed):
     """The one row link_table gives for the single link tx-rx."""
-    tab = link_table(params, layout, vehicles, [tx, rx], t, seed)
+    tab = scene_table(params, layout, vehicles, [tx, rx], t, seed)
     return tab.distance_m[0], bool(tab.los[0]), tab.pathloss_db[0], tab.snr_db[0]
 
 
@@ -212,7 +222,7 @@ def test_own_body_never_blocks():
     vehicles = [make_vehicle(0, -10.0, -3.5), make_vehicle(1, 10.0, -3.5)]
     antennas = [cav_antenna(0, -10.0, -3.5, vehicle_index=0),
                 cav_antenna(1, 10.0, -3.5, vehicle_index=1)]
-    tab = link_table(ChannelParams(blockage_mode="geometric"), layout, vehicles,
+    tab = scene_table(ChannelParams(blockage_mode="geometric"), layout, vehicles,
                      antennas, 0.0, 1)
     assert bool(tab.los[0])
 
@@ -264,15 +274,16 @@ def test_link_table_matches_dense_reference_in_dense_scenes(monkeypatch, density
     """A 1.0 m antenna sits below the 1.6 m car roofs, so cars stay blockers;
     at 1.6 m only trucks and buildings can block."""
     layout = build_intersection(200.0, 14.0)
-    vehicles = spawn_vehicles(layout, TrafficConfig(density_veh_km=density, seed=int(density),
-                                                    tall_fraction=0.3))
-    antennas = World(layout=layout, vehicles=vehicles, rsus=default_rsus(layout),
-                     cav_antenna_height_m=height).antennas()
+    fleet = spawn_vehicles(layout, TrafficConfig(density_veh_km=density, seed=int(density),
+                                                 tall_fraction=0.3))
+    world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout),
+                  cav_antenna_height_m=height)
     params = ChannelParams(p_b=0.3)
-    got = link_table(params, layout, vehicles, antennas, 0.4, seed=3, max_range=300.0)
+    pos = world.xyz()
+    ends = (pos, world.codes, world.body, world.boxes())
+    got = link_table(params, *ends, 0.4, seed=3, max_range=300.0)
     monkeypatch.setattr(channel, "_segments_blocked", reference_segments_blocked)
-    want = link_table(params, layout, vehicles, antennas, 0.4, seed=3, max_range=300.0)
-    pos = np.array([a.xyz for a in antennas])
+    want = link_table(params, *ends, 0.4, seed=3, max_range=300.0)
     diff = pos[want.i] - pos[want.j]
     assert np.array_equal(got.distance_m, np.sqrt((diff * diff).sum(axis=1)))
     for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
@@ -286,7 +297,7 @@ def test_empty_selections_give_empty_columns():
     vehicles = [make_vehicle(0, 0.0, -3.5, extent=TALL_EXTENT)]
     antennas = [cav_antenna(k, -30.0 + 20.0 * k, -3.5) for k in range(4)]
     for selection in (dict(pairs=([], [])), dict(max_range=10.0)):
-        tab = link_table(ChannelParams(p_b=0.5), layout, vehicles, antennas, 0.0, seed=1,
+        tab = scene_table(ChannelParams(p_b=0.5), layout, vehicles, antennas, 0.0, seed=1,
                          **selection)
         for column in (tab.i, tab.j, tab.distance_m, tab.los, tab.pathloss_db, tab.snr_db):
             assert len(column) == 0
@@ -296,7 +307,7 @@ def test_layout_without_blockers_is_all_los():
     layout = dataclasses.replace(build_intersection(200.0, 14.0), buildings=())
     antennas = [cav_antenna(0, 30.0, -3.5), cav_antenna(1, -3.5, 30.0),
                 cav_antenna(2, -30.0, 3.5, z=6.0)]
-    tab = link_table(ChannelParams(blockage_mode="geometric"), layout, [], antennas, 0.0, 1)
+    tab = scene_table(ChannelParams(blockage_mode="geometric"), layout, [], antennas, 0.0, 1)
     assert tab.los.all()
     assert np.array_equal(tab.pathloss_db, pathloss_los(tab.distance_m, 28.0))
 
@@ -306,12 +317,13 @@ def test_dense_link_table_allocates_no_segment_box_grid():
     10 MB of traced allocations. Screening every (segment, box) pair through
     (segments, boxes, 3) temporaries, as the reference does, peaks near 18 MB."""
     layout = build_intersection(200.0, 14.0)
-    vehicles = spawn_vehicles(layout, TrafficConfig(density_veh_km=200.0, seed=1))
-    antennas = World(layout=layout, vehicles=vehicles, rsus=default_rsus(layout)).antennas()
-    assert len(antennas) == 176
+    fleet = spawn_vehicles(layout, TrafficConfig(density_veh_km=200.0, seed=1))
+    world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
+    assert len(world.codes) == 176
+    ends = (world.xyz(), world.codes, world.body, world.boxes())
     tracemalloc.start()
     try:
-        link_table(ChannelParams(), layout, vehicles, antennas, 0.1, seed=1, max_range=300.0)
+        link_table(ChannelParams(), *ends, 0.1, seed=1, max_range=300.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -324,9 +336,9 @@ def test_dense_link_table_allocates_no_segment_box_grid():
 def test_outage_draw_is_deterministic_and_orientation_free():
     layout = build_intersection(200.0, 14.0)
     row, params = antenna_row(30, 0.4)
-    a = link_table(params, layout, [], row, 1.7, seed=12)
-    b = link_table(params, layout, [], row, 1.7, seed=12)
-    swapped = link_table(params, layout, [], row, 1.7, seed=12, pairs=(a.j, a.i))
+    a = scene_table(params, layout, [], row, 1.7, seed=12)
+    b = scene_table(params, layout, [], row, 1.7, seed=12)
+    swapped = scene_table(params, layout, [], row, 1.7, seed=12, pairs=(a.j, a.i))
     assert np.array_equal(a.los, b.los)
     assert np.array_equal(a.los, swapped.los)
     assert 0 < int((~a.los).sum()) < len(a.los)
@@ -335,7 +347,7 @@ def test_outage_draw_is_deterministic_and_orientation_free():
 def test_outage_rate_matches_probability():
     layout = build_intersection(200.0, 14.0)
     row, params = antenna_row(448, 0.3)
-    outages = ~link_table(params, layout, [], row, 0.0, seed=99).los
+    outages = ~scene_table(params, layout, [], row, 0.0, seed=99).los
     assert outages.size >= 100_000
     assert abs(outages.mean() - 0.3) < 0.01
 
@@ -343,16 +355,16 @@ def test_outage_rate_matches_probability():
 def test_outage_monotone_in_probability():
     layout = build_intersection(200.0, 14.0)
     row, params = antenna_row(64, 0.2)
-    low = ~link_table(params, layout, [], row, 0.5, seed=4).los
+    low = ~scene_table(params, layout, [], row, 0.5, seed=4).los
     params.p_b = 0.5
-    high = ~link_table(params, layout, [], row, 0.5, seed=4).los
+    high = ~scene_table(params, layout, [], row, 0.5, seed=4).los
     assert low.any()
     assert np.all(high[low])
     # p=0 never blocks, p=1 always blocks
     params.p_b = 0.0
-    assert not (~link_table(params, layout, [], row, 0.0, seed=4).los).any()
+    assert not (~scene_table(params, layout, [], row, 0.0, seed=4).los).any()
     params.p_b = 1.0
-    assert (~link_table(params, layout, [], row, 0.0, seed=4).los).all()
+    assert (~scene_table(params, layout, [], row, 0.0, seed=4).los).all()
 
 
 def test_outage_varies_with_seed_and_instant():
@@ -369,11 +381,11 @@ def test_batched_outage_matches_scalar_draws():
     layout = build_intersection(200.0, 14.0)
     antennas = [cav_antenna(k, -60.0 + 10.0 * k, -3.5) for k in range(12)]
     params = ChannelParams(p_b=0.37, blockage_mode="stochastic")
-    tab = link_table(params, layout, [], antennas, 0.7, seed=5)
+    tab = scene_table(params, layout, [], antennas, 0.7, seed=5)
     assert len(tab.i) == 12 * 11 // 2
     for row in range(len(tab.i)):
-        a = antennas[int(tab.i[row])].node
-        b = antennas[int(tab.j[row])].node
+        a = NodeId.from_code(antennas[int(tab.i[row])][0])
+        b = NodeId.from_code(antennas[int(tab.j[row])][0])
         expected = stochastic_blockage(0.37, (a, b), 0.7, seed=5)
         assert bool(tab.los[row]) == (not expected)
         assert (tab.pathloss_db[row] == OUTAGE_PATHLOSS_DB) == expected
@@ -383,7 +395,7 @@ def test_full_outage_uses_finite_sentinel():
     layout = build_intersection(200.0, 14.0)
     antennas = [cav_antenna(k, -40.0 + 10.0 * k, -3.5) for k in range(6)]
     params = ChannelParams(p_b=1.0, blockage_mode="stochastic")
-    tab = link_table(params, layout, [], antennas, 0.0, seed=1)
+    tab = scene_table(params, layout, [], antennas, 0.0, seed=1)
     assert np.all(tab.pathloss_db == OUTAGE_PATHLOSS_DB)
     assert np.all(~tab.los)
     assert np.all(np.isfinite(tab.snr_db))
@@ -398,9 +410,9 @@ def test_single_pair_selection_matches_link_table_bitwise():
     antennas = [cav_antenna(k, v.position[0], v.position[1], vehicle_index=k)
                 for k, v in enumerate(vehicles)]
     params = ChannelParams(p_b=0.5)
-    tab = link_table(params, layout, vehicles, antennas, 0.3, seed=8)
+    tab = scene_table(params, layout, vehicles, antennas, 0.3, seed=8)
     for row in range(len(tab.i)):
-        one = link_table(params, layout, vehicles, antennas, 0.3, seed=8,
+        one = scene_table(params, layout, vehicles, antennas, 0.3, seed=8,
                          pairs=(tab.i[row : row + 1], tab.j[row : row + 1]))
         assert one.distance_m[0] == tab.distance_m[row]
         assert one.los[0] == tab.los[row]
@@ -412,8 +424,8 @@ def test_link_table_pair_selection_matches_full_table():
     layout = build_intersection(200.0, 14.0)
     antennas = [cav_antenna(k, -30.0 + 15.0 * k, -3.5) for k in range(5)]
     params = ChannelParams(p_b=0.4)
-    full = link_table(params, layout, [], antennas, 0.0, seed=2)
-    sel = link_table(params, layout, [], antennas, 0.0, seed=2,
+    full = scene_table(params, layout, [], antennas, 0.0, seed=2)
+    sel = scene_table(params, layout, [], antennas, 0.0, seed=2,
                      pairs=(np.array([0, 1]), np.array([3, 4])))
     by_pair = {(int(full.i[r]), int(full.j[r])): r for r in range(len(full.i))}
     for r, pair in enumerate([(0, 3), (1, 4)]):
@@ -448,4 +460,4 @@ def test_coincident_antennas_rejected():
     layout = build_intersection(200.0, 14.0)
     antennas = [cav_antenna(0, 5.0, -3.5), cav_antenna(1, 5.0, -3.5)]
     with pytest.raises(MeasurementError):
-        link_table(ChannelParams(), layout, [], antennas, 0.0, seed=1)
+        scene_table(ChannelParams(), layout, [], antennas, 0.0, seed=1)

@@ -128,6 +128,18 @@ def test_out_of_range_sweep_threshold_exits_2_before_running(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("duration,warmup", [("0.04", "0"), ("0.15", "0.12")])
+def test_run_without_a_scored_tick_exits_2_before_running(tmp_path, capsys, monkeypatch,
+                                                          duration, warmup):
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--duration", duration, "--warmup", warmup]) == 2
+    assert "no control tick" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")]) == 2

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import v2xric
+from reference_mobility import VehicleState, fleet_of
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingTable,
                     IndicationReport, MetricsRecord, NodeId, NodeKind, RicState, SimConfig,
                     SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, apply_control,
                     build_intersection, ingest, run, run_with_audit, spawn_vehicles,
                     sweep_blockage, sweep_snr, time_average, xapp_tick)
 from v2xric.engine import _audit, _build_pairs, _connectivity
-from v2xric.scenario import CAR_EXTENT, VehicleState
+from v2xric.scenario import CAR_EXTENT
 
 
 def cav(i):
@@ -74,7 +75,7 @@ def path_state():
         links = sorted((v if u == node else u, snr) for (u, v), snr in edges.items()
                        if node in (u, v))
         ingest(state, IndicationReport(
-            source=node, t=0.0, position=(0.0, 0.0, 1.6),
+            source=node, t=0.0,
             neighbors=np.array([rx.code for rx, _ in links], dtype=np.int64),
             snr_db=np.array([snr for _, snr in links], dtype=np.float64)))
     return state
@@ -130,7 +131,7 @@ def hand_world(n):
                      speed_mps=14.0, extent=CAR_EXTENT)
         for k in range(n)
     ]
-    return World(layout=layout, vehicles=vehicles, rsus=[])
+    return World(layout=layout, fleet=fleet_of(vehicles), rsus=[])
 
 
 def test_matched_pairs_form_a_perfect_matching():
@@ -216,7 +217,7 @@ def test_audit_counts_broken_forwarding():
     assert diag.hops.tolist() == [3, 2]
 
     def audited(corrupt, t=0.0):
-        table = ForwardingTable.empty([cav(i).code for i in range(4)], 2)
+        table = ForwardingTable.empty([cav(i).code for i in range(4)], 2, 0.5)
         apply_control(table, batch, 0.0)
         corrupt(table)
         audit = AuditSummary()
@@ -228,7 +229,7 @@ def test_audit_counts_broken_forwarding():
         table.next_hop[2, 0] = -1  # cav(2) forgets pair (0, 3)
 
     def expire(table):
-        table.expires_at[1, 0] = 0.3  # cav(1)'s entry for (0, 3) dies first
+        table.installed_at[1, 0] = 0.3 - table.ttl_s  # cav(1)'s entry for (0, 3) dies first
 
     def loop(table):
         table.next_hop[1, 0] = cav(0).code  # cav(1) sends (0, 3) back
@@ -238,7 +239,7 @@ def test_audit_counts_broken_forwarding():
         # ends at the destination in three hops, but passed it after one
         table.next_hop[0, 0] = cav(3).code
         table.next_hop[3, 0] = cav(2).code
-        table.expires_at[3, 0] = table.expires_at[0, 0]
+        table.installed_at[3, 0] = table.installed_at[0, 0]
 
     assert audited(lambda table: None) == 0
     assert audited(drop) == 1
@@ -246,6 +247,19 @@ def test_audit_counts_broken_forwarding():
     assert audited(expire, t=float(np.nextafter(0.3, 1.0))) == 1
     assert audited(loop) == 1
     assert audited(through_destination) == 1
+
+
+def test_forwarding_table_lives_for_the_control_ttl(monkeypatch):
+    tables = []
+
+    def spy(table, batch, t):
+        tables.append(table)
+        return apply_control(table, batch, t)
+
+    monkeypatch.setattr(v2xric.ran, "apply_control", spy)
+    run(quick_cfg(duration_s=0.3, xapp=XAppConfig(control_ttl_s=0.3)))
+    assert len(tables) == 3
+    assert all(table.ttl_s == 0.3 for table in tables)
 
 
 def test_runs_never_import_numpy_ma():
@@ -352,10 +366,23 @@ def test_sweep_spec_validation(kwargs):
     dict(staleness_window_s=math.inf),
     dict(control_period_s=math.inf, reporting_period_s=0.1),
     dict(control_period_s=math.nan, reporting_period_s=0.1),
+    dict(duration_s=0.04, warmup_s=0.0),  # no step at all
+    dict(duration_s=0.15, warmup_s=0.12),  # ticks at 0.0 and 0.1 only
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         SimConfig(**kwargs).validate()
+
+
+def test_sim_config_needs_a_control_tick_after_warmup():
+    SimConfig(duration_s=0.2, warmup_s=0.1).validate()
+    SimConfig(duration_s=1.0, warmup_s=0.5, control_period_s=0.5).validate()
+    with pytest.raises(ConfigurationError, match="no control tick"):
+        SimConfig(duration_s=1.0, warmup_s=0.6, control_period_s=0.5).validate()
+    # the check and the run agree: the one accepted tick is the one scored
+    records = run(SimConfig(duration_s=0.2, warmup_s=0.1))
+    assert [r.t for r in records] == [0.0, 0.1]
+    assert time_average(records, 0.1) == records[1].connectivity
 
 
 def test_world_config_validation():

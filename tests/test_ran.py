@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import reference_control
+from reference_mobility import VehicleState, fleet_of
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
                     ForwardingTable, NodeId, NodeKind, RelayPath, SimConfig,
                     SubscriptionRequest, World, apply_control, build_intersection,
                     default_rsus, emit_indication, link_table, ran, report_due, run)
 from v2xric.engine import _audit, _collect_reports
-from v2xric.scenario import CAR_EXTENT, VehicleState
+from v2xric.scenario import CAR_EXTENT
 
 
 def cav(i):
@@ -23,7 +24,13 @@ def world_with_cavs(xs, rsus=()):
                      speed_mps=14.0, extent=CAR_EXTENT)
         for k, x in enumerate(xs)
     ]
-    return World(layout=layout, vehicles=vehicles, rsus=list(rsus))
+    return World(layout=layout, fleet=fleet_of(vehicles), rsus=list(rsus))
+
+
+def measure_world(world, seed=1, **selection):
+    """The world's link table at t = 0."""
+    return link_table(ChannelParams(), world.xyz(), world.codes, world.body, world.boxes(),
+                      0.0, seed, **selection)
 
 
 # --- identities ------------------------------------------------------------------
@@ -62,19 +69,21 @@ def test_node_index_bounds():
 
 def test_world_antennas_in_node_order():
     layout = build_intersection(200.0, 14.0)
-    world = World(
-        layout=layout,
-        vehicles=[VehicleState(vid=k, position=(10.0 * k, -3.5), heading=(1.0, 0.0),
-                               speed_mps=14.0, extent=CAR_EXTENT) for k in range(2)],
-        rsus=default_rsus(layout),
-    )
-    antennas = world.antennas()
-    kinds = [a.node for a in antennas]
+    world = world_with_cavs([0.0, 10.0], rsus=default_rsus(layout))
+    kinds = list(world.nodes)
     assert kinds == sorted(kinds)
-    assert [a.node.kind for a in antennas[:4]] == [NodeKind.RSU] * 4
-    assert all(a.xyz[2] == 6.0 for a in antennas[:4])
-    assert all(a.xyz[2] == 1.6 for a in antennas[4:])
-    assert [a.vehicle_index for a in antennas[4:]] == [0, 1]
+    assert [node.kind for node in world.nodes[:4]] == [NodeKind.RSU] * 4
+    assert world.codes.tolist() == [node.code for node in world.nodes]
+    xyz = world.xyz()
+    assert xyz[:4].tolist() == [[*r.position, 6.0] for r in default_rsus(layout)]
+    assert xyz[4:].tolist() == [[0.0, -3.5, 1.6], [10.0, -3.5, 1.6]]
+    assert world.body.tolist() == [-1] * 4 + [0, 1]
+    # every vehicle body, in row order, then every building
+    lo, hi = world.boxes()
+    assert lo[:2].tolist() == [[-2.5, -4.5, 0.0], [7.5, -4.5, 0.0]]
+    assert hi[:2].tolist() == [[2.5, -2.5, 1.6], [12.5, -2.5, 1.6]]
+    assert lo[2:].tolist() == [[b.x0, b.y0, 0.0] for b in layout.buildings]
+    assert hi[2:].tolist() == [[b.x1, b.y1, b.height] for b in layout.buildings]
 
 
 # --- sensing ---------------------------------------------------------------------
@@ -84,7 +93,7 @@ def test_world_antennas_in_node_order():
 
 def reports_by_source(world, sensing_range_m=300.0):
     cfg = SimConfig(sensing_range_m=sensing_range_m)
-    subscription = SubscriptionRequest(subscriber=NodeId(NodeKind.BS, 0))
+    subscription = SubscriptionRequest()
     return {r.source: r for r in _collect_reports(world, cfg, 0.0, subscription)}
 
 
@@ -105,8 +114,7 @@ def test_neighbors_sorted_by_node_id():
     reports = reports_by_source(world)
     assert neighbors_of(reports[cav(1)]) == [cav(0), cav(2)]
     # each link's SNR is the one the link table measured, in both reports
-    tab = link_table(ChannelParams(), world.layout, world.vehicles, world.antennas(), 0.0,
-                     SimConfig().seed, max_range=300.0)
+    tab = measure_world(world, SimConfig().seed, max_range=300.0)
     snr = {(int(i), int(j)): s for i, j, s in zip(tab.i, tab.j, tab.snr_db)}
     assert reports[cav(1)].snr_db.tolist() == [snr[(0, 1)], snr[(1, 2)]]
     assert reports[cav(0)].snr_db.tolist() == [snr[(0, 1)], snr[(0, 2)]]
@@ -115,12 +123,9 @@ def test_neighbors_sorted_by_node_id():
 
 def test_sensing_range_boundary_inclusive():
     world = world_with_cavs([0.0, 150.0])
-    antennas = world.antennas()
-    within = link_table(ChannelParams(), world.layout, world.vehicles, antennas, 0.0, 1,
-                        max_range=150.0)
+    within = measure_world(world, max_range=150.0)
     assert [(int(i), int(j)) for i, j in zip(within.i, within.j)] == [(0, 1)]
-    beyond = link_table(ChannelParams(), world.layout, world.vehicles, antennas, 0.0, 1,
-                        max_range=149.99)
+    beyond = measure_world(world, max_range=149.99)
     assert len(beyond.i) == 0
     assert neighbors_of(reports_by_source(world, 150.0)[cav(0)]) == [cav(1)]
     assert neighbors_of(reports_by_source(world, 149.99)[cav(0)]) == []
@@ -130,7 +135,7 @@ def test_infrastructure_only_reports_come_from_rsus():
     layout = build_intersection(200.0, 14.0)
     world = world_with_cavs([0.0, 20.0], rsus=default_rsus(layout))
     cfg = SimConfig(cav_terminations=False)
-    subscription = SubscriptionRequest(subscriber=NodeId(NodeKind.BS, 0))
+    subscription = SubscriptionRequest()
     reports = _collect_reports(world, cfg, 0.0, subscription)
     assert [r.source for r in reports] == [NodeId(NodeKind.RSU, k) for k in range(4)]
     assert all(cav(0).code in r.neighbors for r in reports)
@@ -154,9 +159,9 @@ def test_emit_indication_called_only_on_cadence(monkeypatch):
     # the engine gates reports on the cadence: no indication off it
     emitted_at = []
 
-    def spy(node, position_xyz, neighbors, snr_db, t, subscription):
+    def spy(node, neighbors, snr_db, t, subscription):
         emitted_at.append(t)
-        return emit_indication(node, position_xyz, neighbors, snr_db, t, subscription)
+        return emit_indication(node, neighbors, snr_db, t, subscription)
 
     monkeypatch.setattr(ran, "emit_indication", spy)
     run(SimConfig(duration_s=1.2, warmup_s=0.0, seed=2, reporting_period_s=0.5))
@@ -166,8 +171,8 @@ def test_emit_indication_called_only_on_cadence(monkeypatch):
 
 def emit(links, cap=None):
     """links: (neighbour, snr_db) in neighbour order."""
-    sub = SubscriptionRequest(subscriber=cav(0), reporting_period_s=0.1, measured_neighbors=cap)
-    return emit_indication(cav(0), (0.0, 0.0, 1.6), [rx.code for rx, _ in links],
+    sub = SubscriptionRequest(reporting_period_s=0.1, measured_neighbors=cap)
+    return emit_indication(cav(0), [rx.code for rx, _ in links],
                            [snr for _, snr in links], 0.3, sub)
 
 
@@ -196,21 +201,21 @@ def test_emit_indication_without_cap_keeps_everything():
 ])
 def test_subscription_validation(kwargs, dt):
     with pytest.raises(ConfigurationError):
-        SubscriptionRequest(subscriber=cav(0), **kwargs).validate(dt)
+        SubscriptionRequest(**kwargs).validate(dt)
 
 
 # --- forwarding control ----------------------------------------------------------
 
 
-def relay_batch(target, issued_at=1.0, nodes=(0, 5, 9), ttl=0.5, pair=0):
+def relay_batch(target, issued_at=1.0, nodes=(0, 5, 9), pair=0):
     """One message installing `target`'s hop of the path `nodes` for `pair`."""
     return ControlBatch(paths=np.array([[cav(i).code for i in nodes]], dtype=np.int64),
                         pair=np.array([pair]), target=np.array([target.code]),
-                        path_row=np.array([0]), issued_at=issued_at, ttl_s=ttl)
+                        path_row=np.array([0]), issued_at=issued_at)
 
 
-def table_of(*indices, n_pairs=2):
-    return ForwardingTable.empty([cav(i).code for i in indices], n_pairs)
+def table_of(*indices, n_pairs=2, ttl=0.5):
+    return ForwardingTable.empty([cav(i).code for i in indices], n_pairs, ttl)
 
 
 def route(table, node, pair, t):
@@ -224,7 +229,7 @@ def test_apply_control_installs_next_hop():
     assert table.protocol_errors == 0
     assert table.next_hop[0, 0] == cav(5).code
     assert table.installed_at[0, 0] == 1.0
-    assert table.expires_at[0, 0] == 1.5
+    assert table.installed_at[0, 0] + table.ttl_s == 1.5
     assert route(table, cav(0), 0, 1.4) == cav(5)
     assert route(table, cav(0), 0, 1.6) is None  # expired
     assert route(table, cav(0), 1, 1.4) is None  # another pair
@@ -278,7 +283,7 @@ def test_routes_for_different_purposes_coexist():
 def test_forwarding_table_needs_ascending_distinct_codes():
     for codes in ([], [cav(2).code, cav(1).code], [cav(1).code, cav(1).code]):
         with pytest.raises(ConfigurationError):
-            ForwardingTable.empty(codes, 1)
+            ForwardingTable.empty(codes, 1, 0.5)
 
 
 def test_forwarding_table_stores_next_hops_as_int32():
@@ -331,7 +336,7 @@ def random_control_tick(rng, nodes, pairs, stranger, issued_at, counts):
         pair=np.array(pair_of, dtype=np.int64),
         target=np.array([targets[i].code for i in order], dtype=np.int64),
         path_row=np.array([rows[i] for i in order], dtype=np.int64),
-        issued_at=issued_at, ttl_s=float(rng.choice((0.1, 0.3, 0.5))),
+        issued_at=issued_at,
     ), [(pair_of[r], RelayPath(nodes=tuple(p), bottleneck_snr_db=0.0))
         for r, p in enumerate(paths)]
 
@@ -352,7 +357,8 @@ def test_batched_control_matches_reference():
         pairs = [tuple(nodes[i] for i in sorted(rng.choice(len(nodes), 2, replace=False)))
                  for _ in range(int(rng.integers(1, 5)))]
         stranger = NodeId(NodeKind.BS, 7)
-        table = ForwardingTable.empty([node.code for node in nodes], len(pairs))
+        table = ForwardingTable.empty([node.code for node in nodes], len(pairs),
+                                      float(rng.choice((0.1, 0.3, 0.5))))
         states = {node: reference_control.NodeState(node) for node in nodes}
         t = 0.0
         for _ in range(6):
@@ -367,13 +373,14 @@ def test_batched_control_matches_reference():
                 node = NodeId.from_code(target)
                 msg = reference_control.ControlMessage(
                     target=node, issued_at=batch.issued_at, assignment=paths[row],
-                    purpose=int(batch.pair[row]), ttl_s=batch.ttl_s)
+                    purpose=int(batch.pair[row]), ttl_s=table.ttl_s)
                 # a target the nodes do not hold is delivered to a node it does not name
                 reference_control.apply_control(states.get(node, states[nodes[0]]), msg, t)
             assert table.protocol_errors == sum(s.protocol_errors for s in states.values())
 
-            # every entry lives at its expires_at and is gone one ulp later
-            expiries = np.unique(table.expires_at[np.isfinite(table.expires_at)])
+            # every entry lives at installed_at + ttl_s and is gone one ulp later
+            expiries = table.installed_at[np.isfinite(table.installed_at)] + table.ttl_s
+            expiries = np.unique(expiries)
             instants = [t, *expiries.tolist(), *np.nextafter(expiries, np.inf).tolist()]
             for q in instants:
                 for k in range(len(pairs)):

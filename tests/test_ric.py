@@ -23,7 +23,7 @@ def rsu(i):
 def report(src, t, links):
     """links: list of (rx, snr_db), in any order."""
     links = sorted(links)
-    return IndicationReport(source=src, t=t, position=(0.0, 0.0, 1.6),
+    return IndicationReport(source=src, t=t,
                             neighbors=np.array([rx.code for rx, _ in links], dtype=np.int64),
                             snr_db=np.array([snr for _, snr in links], dtype=np.float64))
 
@@ -139,8 +139,8 @@ def random_ric_state(rng, t=1.0, window_s=0.25):
         age = {"fresh": float(rng.uniform(0.0, window_s)), "boundary": window_s,
                "stale": window_s + float(rng.uniform(0.01, 1.0))}[role]
         mine = sorted(links[node])
-        sub = SubscriptionRequest(subscriber=node, measured_neighbors=cap)
-        ingest(state, emit_indication(node, (0.0, 0.0, 1.6), [rx.code for rx, _ in mine],
+        sub = SubscriptionRequest(measured_neighbors=cap)
+        ingest(state, emit_indication(node, [rx.code for rx, _ in mine],
                                       [snr for _, snr in mine], round(t - age, 9), sub))
     return state
 
@@ -190,7 +190,6 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
     assert batch.pair.tolist() == [0]
     assert batch.paths.tolist() == [codes(cav(0), cav(5), cav(9)) + [-1] * (cfg.max_hops - 2)]
     assert batch.issued_at == 0.0
-    assert batch.ttl_s == cfg.control_ttl_s
     assert diag.path(0) == RelayPath(nodes=(cav(0), cav(5), cav(9)), bottleneck_snr_db=7.0)
 
 
