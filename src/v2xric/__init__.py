@@ -17,7 +17,7 @@ from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryR
                      SweepResult, SweepSpec, WorldConfig, run, run_with_audit, sweep_blockage,
                      sweep_snr, time_average)
 from .errors import ConfigurationError, MeasurementError
-from .ran import (ControlBatch, ForwardingTable, IndicationReport, NodeId, NodeKind,
+from .ran import (ControlBatch, ForwardingTable, IndicationBatch, NodeId, NodeKind,
                   SubscriptionRequest, World, apply_control, emit_indication, report_due)
 from .ric import (ConnectivityGraph, RelayPath, RicState, XAppConfig, XAppDiagnostics,
                   build_graph, find_path, ingest, xapp_tick)
@@ -32,7 +32,7 @@ __all__ = [
     "SweepResult", "SweepSpec", "WorldConfig", "run", "run_with_audit", "sweep_blockage",
     "sweep_snr", "time_average",
     "ConfigurationError", "MeasurementError",
-    "ControlBatch", "ForwardingTable", "IndicationReport", "NodeId", "NodeKind",
+    "ControlBatch", "ForwardingTable", "IndicationBatch", "NodeId", "NodeKind",
     "SubscriptionRequest", "World", "apply_control", "emit_indication", "report_due",
     "ConnectivityGraph", "RelayPath", "RicState", "XAppConfig", "XAppDiagnostics",
     "build_graph", "find_path", "ingest", "xapp_tick",

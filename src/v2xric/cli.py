@@ -58,7 +58,6 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "snr_min_db": ("float", "5.0"),
     "max_hops": ("int", "4"),
     "allow_bs_relay": ("bool", "false"),
-    "control_ttl_s": ("float", "0.5"),
     "arm_length_m": ("float", "200.0"),
     "road_width_m": ("float", "14.0"),
     "building_setback_m": ("float", "2.0"),
@@ -179,7 +178,6 @@ def parse_config(merged: dict[str, str]) -> tuple[SimConfig, dict, dict[str, str
             snr_min_db=values["snr_min_db"],
             max_hops=values["max_hops"],
             allow_bs_relay=values["allow_bs_relay"],
-            control_ttl_s=values["control_ttl_s"],
         ),
         world=WorldConfig(
             arm_length_m=values["arm_length_m"],
@@ -278,7 +276,6 @@ def _write_sweep_outputs(out: Path, command: str, result: engine.SweepResult,
             snr_min_db=_fmt(run_out.gamma_min_db),
             p_b=_fmt(run_out.p_b),
             seed=str(run_out.seed),
-            relay_enabled="true",
         )
         _write_manifest(sub / "manifest.json", "run", run_echo, run_out.seed,
                         ["metrics.csv"], run_out.runtime_s, run_out.audit)

@@ -114,12 +114,19 @@ class SimConfig:
             raise ConfigurationError(
                 f"no control tick at or after warmup_s={self.warmup_s} within "
                 f"duration_s={self.duration_s}: the run would score nothing")
+        if not math.isclose(self.duration_s / self.dt_s, self.n_steps(), rel_tol=1e-9):
+            raise ConfigurationError(
+                f"duration_s must be a whole number of dt_s steps: {self.duration_s} / {self.dt_s}")
         return self
+
+    def n_steps(self) -> int:
+        """Steps of the run: `duration_s / dt_s`, a whole number once validated."""
+        return round(self.duration_s / self.dt_s)
 
     def _scores_a_tick(self) -> bool:
         """True when a control tick of the run falls at or after the warm-up:
         the records `time_average` keeps. Scans back from the last step."""
-        for step in range(round(self.duration_s / self.dt_s) - 1, -1, -1):
+        for step in range(self.n_steps() - 1, -1, -1):
             t = round(step * self.dt_s, 9)
             if t < self.warmup_s - 1e-9:
                 return False
@@ -269,27 +276,22 @@ def _connectivity(ends: np.ndarray, served: np.ndarray, metric_mode: str) -> flo
 # --- the run loop -------------------------------------------------------------------
 
 def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
-                     subscription: ran.SubscriptionRequest) -> list[ran.IndicationReport]:
-    """Sense every in-range pair once, then split the table into per-node reports."""
+                     subscription: ran.SubscriptionRequest) -> ran.IndicationBatch:
+    """Sense every in-range pair once and report both directions of each link
+    from every reporting endpoint (only the infrastructure when
+    `cav_terminations` is off), all in one batch."""
     tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
                              t, cfg.seed, max_range=cfg.sensing_range_m)
-    # both directions of every row, grouped by reporting slot, neighbours ascending
+    reporting = cfg.cav_terminations | (ran.kinds(world.codes) != ran.NodeKind.CAV)
     src = np.concatenate((tab.i, tab.j))
-    neighbors = world.codes[np.concatenate((tab.j, tab.i))]
+    dst = np.concatenate((tab.j, tab.i))
     snr = np.concatenate((tab.snr_db, tab.snr_db))
-    order = np.lexsort((neighbors, src))
-    neighbors, snr = neighbors[order], snr[order]
-    bounds = np.searchsorted(src[order], np.arange(len(world.nodes) + 1)).tolist()
-    return [
-        ran.emit_indication(node, neighbors[bounds[k]:bounds[k + 1]],
-                            snr[bounds[k]:bounds[k + 1]], t, subscription)
-        for k, node in enumerate(world.nodes)
-        if cfg.cav_terminations or node.kind != ran.NodeKind.CAV
-    ]
+    sent = reporting[src]
+    return ran.emit_indication(world.codes[reporting], world.codes[src[sent]],
+                               world.codes[dst[sent]], snr[sent], t, subscription)
 
 
-def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, t: float,
-           audit: AuditSummary) -> None:
+def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, audit: AuditSummary) -> None:
     """Walk every multi-hop path of the batch through the installed forwarding
     entries, all paths at once, and count those that reach their destination
     in exactly their hop count without passing it on the way."""
@@ -299,7 +301,7 @@ def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, t: float,
     cur, ok = paths[:, 0], np.ones(len(paths), dtype=bool)
     for k in range(int(hops.max(initial=0))):
         step = ok & (k < hops)
-        nxt = table.next_hops(cur, batch.pair, t)
+        nxt = table.next_hops(cur, batch.pair)
         ok &= ~(step & ((nxt < 0) | (cur == destination)))
         cur = np.where(step & ok, nxt, cur)
     audit.paths_checked += len(paths)
@@ -336,26 +338,25 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
         measured_neighbors=cfg.measured_neighbors,
     ).validate(cfg.dt_s)
 
-    ric_state = ric.RicState(staleness_window_s=cfg.resolved_staleness_window())
-    table = ran.ForwardingTable.empty(world.codes, len(pairs), xapp_cfg.control_ttl_s)
+    ric_state = ric.RicState(world.codes, staleness_window_s=cfg.resolved_staleness_window())
+    table = ran.ForwardingTable.empty(world.codes, len(pairs))
     ends = table.slots(np.array([(u.code, v.code) for u, v in pairs], dtype=np.int64))[0]
-    in_flight: list[tuple[float, ran.IndicationReport]] = []
+    in_flight: list[tuple[float, ran.IndicationBatch]] = []
     records: list[MetricsRecord] = []
     audit = AuditSummary()
 
-    n_steps = round(cfg.duration_s / cfg.dt_s)
-    for step in range(n_steps):
+    for step in range(cfg.n_steps()):
         t = round(step * cfg.dt_s, 9)
         if ran.report_due(t, reporting_period, cfg.dt_s):
             arrival = round(t + cfg.control_delay_s, 9)
-            in_flight.extend((arrival, rep) for rep in _collect_reports(world, cfg, t, subscription))
+            in_flight.append((arrival, _collect_reports(world, cfg, t, subscription)))
         if ran.report_due(t, cfg.control_period_s, cfg.dt_s):
             while in_flight and in_flight[0][0] <= t + 1e-9:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
             batch, diag = ric.xapp_tick(ric_state, t, xapp_cfg)
-            ran.apply_control(table, batch, t)
+            ran.apply_control(table, batch)
             audit.messages_total += len(batch)
-            _audit(table, batch, t, audit)
+            _audit(table, batch, audit)
             records.append(MetricsRecord(
                 t=t,
                 gamma_min_db=xapp_cfg.snr_min_db,
@@ -413,39 +414,44 @@ def _execute(jobs: list[tuple[tuple, SimConfig]], workers: int) -> dict[tuple, t
         return dict(pool.map(_run_cell, jobs))
 
 
-def sweep_snr(spec: SweepSpec) -> SweepResult:
-    """Connectivity versus SNR threshold: per threshold, time-averaged relay
-    and direct-only connectivity over replications (both series come from the
-    same relay-enabled runs; the direct series is the per-tick baseline)."""
-    spec.validate()
+def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
+    """Run every (gamma_min, p_b, replication) cell, replication r at seed
+    `base.seed + r`, and summarise each (gamma_min, p_b) once per mode:
+    "relay" averages the connectivity, "direct" the direct-only baseline of
+    the same runs."""
+    if not spec.base.relay_enabled:
+        raise ConfigurationError("the sweeps score relaying: relay_enabled must be true")
     gammas = sorted(spec.gamma_min_values)
-    jobs = []
-    for g in gammas:
-        for rep in range(spec.replications):
-            cfg = replace(spec.base,
-                          seed=spec.base.seed + rep,
-                          xapp=replace(spec.base.xapp, snr_min_db=g),
-                          relay_enabled=True)
-            jobs.append(((g, rep), cfg))
+    jobs = [((g, p, rep), replace(spec.base, seed=spec.base.seed + rep,
+                                  channel=replace(spec.base.channel, p_b=p),
+                                  xapp=replace(spec.base.xapp, snr_min_db=g)))
+            for g in gammas for p in p_bs for rep in range(spec.replications)]
     outcomes = _execute(jobs, spec.workers)
 
     rows: list[SummaryRow] = []
     runs: list[RunOutput] = []
     for g in gammas:
-        relay_avgs, direct_avgs = [], []
-        for rep in range(spec.replications):
-            records, audit, runtime_s = outcomes[(g, rep)]
-            relay_avgs.append(time_average(records, spec.base.warmup_s, "connectivity"))
-            direct_avgs.append(time_average(records, spec.base.warmup_s, "direct_connectivity"))
-            runs.append(RunOutput(gamma_min_db=g, p_b=spec.base.channel.p_b,
-                                  replication=rep, seed=spec.base.seed + rep,
-                                  records=records, audit=audit, runtime_s=runtime_s))
-        for mode, avgs in (("direct", direct_avgs), ("relay", relay_avgs)):
-            mean, std = _mean_std(avgs)
-            rows.append(SummaryRow(gamma_min_db=g, p_b=spec.base.channel.p_b, mode=mode,
-                                   connectivity_mean=mean, connectivity_std=std,
-                                   replications=spec.replications))
+        for p in p_bs:
+            cells = [outcomes[(g, p, rep)] for rep in range(spec.replications)]
+            runs.extend(RunOutput(gamma_min_db=g, p_b=p, replication=rep, seed=spec.base.seed + rep,
+                                  records=records, audit=audit, runtime_s=runtime_s)
+                        for rep, (records, audit, runtime_s) in enumerate(cells))
+            for mode in modes:
+                field_name = "connectivity" if mode == "relay" else "direct_connectivity"
+                mean, std = _mean_std([time_average(records, spec.base.warmup_s, field_name)
+                                       for records, _, _ in cells])
+                rows.append(SummaryRow(gamma_min_db=g, p_b=p, mode=mode,
+                                       connectivity_mean=mean, connectivity_std=std,
+                                       replications=spec.replications))
     return SweepResult(rows=rows, runs=runs)
+
+
+def sweep_snr(spec: SweepSpec) -> SweepResult:
+    """Connectivity versus SNR threshold: per threshold, time-averaged relay
+    and direct-only connectivity over replications (both series come from the
+    same relay-enabled runs; the direct series is the per-tick baseline)."""
+    spec.validate()
+    return _sweep(spec, [spec.base.channel.p_b], ("direct", "relay"))
 
 
 def sweep_blockage(spec: SweepSpec) -> SweepResult:
@@ -457,33 +463,4 @@ def sweep_blockage(spec: SweepSpec) -> SweepResult:
         raise ConfigurationError(
             "sweep_blockage needs blockage_mode 'stochastic' or 'combined', "
             f"got {spec.base.channel.blockage_mode!r}")
-    gammas = sorted(spec.gamma_min_values)
-    p_bs = sorted(spec.p_b_values)
-    jobs = []
-    for g in gammas:
-        for p in p_bs:
-            for rep in range(spec.replications):
-                cfg = replace(spec.base,
-                              seed=spec.base.seed + rep,
-                              channel=replace(spec.base.channel, p_b=p),
-                              xapp=replace(spec.base.xapp, snr_min_db=g),
-                              relay_enabled=True)
-                jobs.append(((g, p, rep), cfg))
-    outcomes = _execute(jobs, spec.workers)
-
-    rows: list[SummaryRow] = []
-    runs: list[RunOutput] = []
-    for g in gammas:
-        for p in p_bs:
-            avgs = []
-            for rep in range(spec.replications):
-                records, audit, runtime_s = outcomes[(g, p, rep)]
-                avgs.append(time_average(records, spec.base.warmup_s, "connectivity"))
-                runs.append(RunOutput(gamma_min_db=g, p_b=p, replication=rep,
-                                      seed=spec.base.seed + rep, records=records,
-                                      audit=audit, runtime_s=runtime_s))
-            mean, std = _mean_std(avgs)
-            rows.append(SummaryRow(gamma_min_db=g, p_b=p, mode="relay",
-                                   connectivity_mean=mean, connectivity_std=std,
-                                   replications=spec.replications))
-    return SweepResult(rows=rows, runs=runs)
+    return _sweep(spec, sorted(spec.p_b_values), ("relay",))

@@ -1,9 +1,9 @@
 """RAN-side endpoints: node identities, measurement reports, forwarding control.
 
 Every radio node (roadside unit or vehicle) emits periodic indication reports
-toward the controller and applies forwarding control messages. Nodes are
-identified by a totally ordered NodeId; all deterministic tie-breaking in the
-system leans on that order.
+toward the controller, all of one instant in one batch, and applies
+forwarding control messages. Nodes are identified by a totally ordered
+NodeId; all deterministic tie-breaking in the system leans on that order.
 """
 
 from __future__ import annotations
@@ -75,14 +75,16 @@ class SubscriptionRequest:
 
 
 @dataclass(frozen=True, slots=True)
-class IndicationReport:
-    """One node's link measurements at instant t, as columns: the measured
-    neighbours' NodeId codes (int64, ascending) and each link's SNR in dB."""
+class IndicationBatch:
+    """Every report taken at one instant, as columns: the reporters' NodeId
+    codes, then per measured link the reporter's code, the neighbour's code
+    and the link's SNR in dB. A reporter with no link still reports."""
 
-    source: NodeId
     t: float
-    neighbors: np.ndarray
-    snr_db: np.ndarray
+    reporters: np.ndarray  # (R,) int64
+    source: np.ndarray  # (L,) int64
+    neighbor: np.ndarray  # (L,) int64
+    snr_db: np.ndarray  # (L,) float64
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +98,6 @@ class ControlBatch:
     pair: np.ndarray  # (M,) int64
     target: np.ndarray  # (K,) int64
     path_row: np.ndarray  # (K,) int64
-    issued_at: float
 
     def __len__(self) -> int:
         return len(self.target)
@@ -108,35 +109,29 @@ class ForwardingTable:
     code order; `next_hop` is int32 (NodeId codes stay below 3 << 20) and -1
     where nothing was ever installed. Entries are keyed by the served pair, not
     by the destination alone: two assignments toward one destination through a
-    shared relay would otherwise collide. Every entry lives `ttl_s` past the
-    issue time of the control that installed it."""
+    shared relay would otherwise collide."""
 
     codes: np.ndarray
     next_hop: np.ndarray
-    installed_at: np.ndarray
-    ttl_s: float
     protocol_errors: int = 0
 
     @classmethod
-    def empty(cls, codes: np.ndarray, n_pairs: int, ttl_s: float) -> "ForwardingTable":
+    def empty(cls, codes: np.ndarray, n_pairs: int) -> "ForwardingTable":
         codes = np.asarray(codes, dtype=np.int64)
         if len(codes) == 0 or (np.diff(codes) <= 0).any():
             raise ConfigurationError("forwarding table needs ascending, distinct node codes")
-        shape = (len(codes), n_pairs)
-        return cls(codes=codes, next_hop=np.full(shape, -1, dtype=np.int32),
-                   installed_at=np.full(shape, -np.inf), ttl_s=ttl_s)
+        return cls(codes=codes, next_hop=np.full((len(codes), n_pairs), -1, dtype=np.int32))
 
     def slots(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slot of each node code, and whether the table holds that node at all."""
         slot = np.minimum(np.searchsorted(self.codes, nodes), len(self.codes) - 1)
         return slot, self.codes[slot] == nodes
 
-    def next_hops(self, nodes: np.ndarray, pair: np.ndarray, t: float) -> np.ndarray:
-        """Live next hop of each node for its pair at t (an entry lives while
-        t <= installed_at + ttl_s); -1 where there is none or the node is unknown."""
+    def next_hops(self, nodes: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        """Next hop of each node for its pair; -1 where there is none or the
+        node is unknown."""
         slot, known = self.slots(nodes)
-        live = known & (t <= self.installed_at[slot, pair] + self.ttl_s)
-        return np.where(live, self.next_hop[slot, pair], -1)
+        return np.where(known, self.next_hop[slot, pair], -1)
 
 
 @dataclass(slots=True)
@@ -188,28 +183,41 @@ def report_due(t: float, reporting_period_s: float, dt: float) -> bool:
     return abs(t - nearest) < 0.5 * dt
 
 
-def emit_indication(node: NodeId, neighbors: np.ndarray, snr_db: np.ndarray, t: float,
-                    subscription: SubscriptionRequest) -> IndicationReport:
-    """Build the report for a report instant (the caller checks `report_due`)
-    from neighbour codes in ascending order and their link SNRs. Reports
-    larger than the subscription cap keep the strongest links (ties broken by
-    the smaller neighbour), still in neighbour order."""
-    neighbors = np.asarray(neighbors, dtype=np.int64)
+def kinds(codes: np.ndarray) -> np.ndarray:
+    """The NodeKind value of each NodeId code."""
+    return np.asarray(codes) >> _INDEX_BITS
+
+
+def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndarray,
+                    snr_db: np.ndarray, t: float,
+                    subscription: SubscriptionRequest) -> IndicationBatch:
+    """Build the reports of one report instant (the caller checks
+    `report_due`) from the reporters' codes and their measured links, each
+    (source, neighbour) at most once. A reporter with more links than the
+    subscription cap keeps its strongest (ties broken by the smaller
+    neighbour); the links keep their given order."""
+    source = np.asarray(source, dtype=np.int64)
+    neighbor = np.asarray(neighbor, dtype=np.int64)
     snr_db = np.asarray(snr_db, dtype=np.float64)
     cap = subscription.measured_neighbors
-    if cap is not None and len(neighbors) > cap:
-        kept = np.sort(np.lexsort((neighbors, -snr_db))[:cap])
-        neighbors, snr_db = neighbors[kept], snr_db[kept]
-    return IndicationReport(source=node, t=t, neighbors=neighbors, snr_db=snr_db)
+    if cap is not None:
+        order = np.lexsort((neighbor, -snr_db, source))
+        grouped = source[order]
+        rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+        kept = np.zeros(len(order), dtype=bool)
+        kept[order[rank < cap]] = True
+        source, neighbor, snr_db = source[kept], neighbor[kept], snr_db[kept]
+    return IndicationBatch(t=t, reporters=np.asarray(reporters, dtype=np.int64),
+                           source=source, neighbor=neighbor, snr_db=snr_db)
 
 
-def apply_control(table: ForwardingTable, batch: ControlBatch, t: float) -> ForwardingTable:
+def apply_control(table: ForwardingTable, batch: ControlBatch) -> ForwardingTable:
     """Install every forwarding hop the batch carries into the table.
 
     Malformed messages (a target the table does not hold, a target absent
     from its path, or the path's own destination) count as protocol errors
-    and are dropped; messages older than the installed entry are ignored.
-    When one batch installs the same (node, pair) twice, the later row wins.
+    and are dropped. When one batch installs the same (node, pair) twice, the
+    later row wins.
     """
     slot, known = table.slots(batch.target)
     rows = np.pad(batch.paths[batch.path_row], ((0, 0), (0, 1)), constant_values=-1)
@@ -218,11 +226,8 @@ def apply_control(table: ForwardingTable, batch: ControlBatch, t: float) -> Forw
     ok = known & on_path.any(axis=1) & (nxt >= 0)
     table.protocol_errors += len(batch) - int(np.count_nonzero(ok))
     slot, pair, nxt = slot[ok], batch.pair[batch.path_row[ok]], nxt[ok]
-    current = batch.issued_at >= table.installed_at[slot, pair]
-    key = (slot * table.next_hop.shape[1] + pair)[current]
+    key = slot * table.next_hop.shape[1] + pair
     order = np.argsort(key, kind="stable")
-    keep = np.nonzero(current)[0][order[np.diff(key[order], append=-1) != 0]]
-    slot, pair = slot[keep], pair[keep]
-    table.next_hop[slot, pair] = nxt[keep]
-    table.installed_at[slot, pair] = batch.issued_at
+    last = order[np.diff(key[order], append=-1) != 0]
+    table.next_hop[slot[last], pair[last]] = nxt[last]
     return table

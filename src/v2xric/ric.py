@@ -1,10 +1,11 @@
 """Controller runtime for relay assignment.
 
-Maintains the latest indication report per node, builds an SNR-thresholded
-undirected connectivity graph from the fresh ones, and solves hop-bounded
-maximum-bottleneck-SNR (widest) paths between served pairs. Ties are broken
-by fewer hops, then by lexicographically smallest node sequence under the
-NodeId total order, so identical inputs always yield identical assignments.
+Holds each node's latest indication report as one row of a slot-indexed SNR
+matrix, builds an SNR-thresholded undirected connectivity graph from the
+fresh rows, and solves hop-bounded maximum-bottleneck-SNR (widest) paths
+between served pairs. Ties are broken by fewer hops, then by
+lexicographically smallest node sequence under the NodeId total order, so
+identical inputs always yield identical assignments.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .ran import ControlBatch, IndicationReport, NodeId, NodeKind
+from .ran import ControlBatch, IndicationBatch, NodeId, NodeKind, kinds
 
 _FRESH_EPS = 1e-9  # guards float tick arithmetic at the staleness boundary
 
@@ -28,11 +29,31 @@ _SCRATCH_ELEMENTS = 2**17
 
 @dataclass(slots=True)
 class RicState:
-    """Latest report per node plus the freshness rule used to trust them."""
+    """The controller's view, indexed by slot over ascending NodeId `codes`:
+    when each node's held report was taken (-inf before its first), and
+    `measured[reporter, neighbour]`, each link's SNR in the reporter's held
+    report (+inf where that report lacks the link), plus the freshness rule
+    used to trust them."""
 
+    codes: np.ndarray
     staleness_window_s: float = 0.25
-    latest_report: dict[NodeId, IndicationReport] = field(default_factory=dict)
     rejected_out_of_order: int = 0
+    reported_at: np.ndarray = field(init=False)
+    measured: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.codes = np.asarray(self.codes, dtype=np.int64)
+        if len(self.codes) == 0 or (np.diff(self.codes) <= 0).any():
+            raise ConfigurationError("controller view needs ascending, distinct node codes")
+        self.reported_at = np.full(len(self.codes), -np.inf)
+        self.measured = np.full((len(self.codes), len(self.codes)), np.inf)
+
+    def slots(self, codes: np.ndarray) -> np.ndarray:
+        """Slot of each NodeId code; every code must be one the view holds."""
+        slot = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        if (self.codes[slot] != codes).any():
+            raise ConfigurationError("report names a node outside the controller's view")
+        return slot
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,7 +82,6 @@ class XAppConfig:
     max_hops: int = 4
     pairs: tuple[tuple[NodeId, NodeId], ...] = ()
     allow_bs_relay: bool = False
-    control_ttl_s: float = 0.5
 
     def validate(self) -> "XAppConfig":
         if not (-300.0 <= self.snr_min_db <= 300.0):
@@ -71,8 +91,6 @@ class XAppConfig:
         for u, v in self.pairs:
             if u == v:
                 raise ConfigurationError(f"pair endpoints must differ: {u}")
-        if not (0 < self.control_ttl_s < math.inf):
-            raise ConfigurationError(f"control_ttl_s must be positive and finite: {self.control_ttl_s}")
         return self
 
 
@@ -80,19 +98,24 @@ class XAppConfig:
 class ConnectivityGraph:
     """Undirected SNR graph over the controller's current view.
 
-    nodes are sorted by NodeId; snr is the symmetric matrix in that order of
-    edge SNRs in dB, already at or above the build threshold, -inf where
-    there is no edge.
+    codes are the nodes' NodeId codes, ascending; snr is the symmetric matrix
+    in that order of edge SNRs in dB, already at or above the build
+    threshold, -inf where there is no edge.
     """
 
-    nodes: tuple[NodeId, ...]
+    codes: np.ndarray
     snr: np.ndarray
+
+    @property
+    def nodes(self) -> tuple[NodeId, ...]:
+        return tuple(map(NodeId.from_code, self.codes.tolist()))
 
     def edge_snr(self, u: NodeId, v: NodeId) -> float:
         """SNR of the u-v edge, -inf when there is none."""
-        if u not in self.nodes or v not in self.nodes:
+        nodes = self.nodes
+        if u not in nodes or v not in nodes:
             return -math.inf
-        return float(self.snr[self.nodes.index(u), self.nodes.index(v)])
+        return float(self.snr[nodes.index(u), nodes.index(v)])
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return self.edge_snr(u, v) > -math.inf
@@ -133,14 +156,20 @@ class XAppDiagnostics:
                          bottleneck_snr_db=float(self.bottleneck_snr_db[pair]))
 
 
-def ingest(state: RicState, report: IndicationReport) -> RicState:
-    """Store the report unless a newer one is already held; an equally new
-    report replaces the held one."""
-    held = state.latest_report.get(report.source)
-    if held is not None and report.t < held.t:
-        state.rejected_out_of_order += 1
-        return state
-    state.latest_report[report.source] = report
+def ingest(state: RicState, batch: IndicationBatch) -> RicState:
+    """Replace the row of every reporter whose report is at least as new as
+    the one held; count the other reporters in `rejected_out_of_order`."""
+    rows = state.slots(batch.reporters)
+    newer = batch.t >= state.reported_at[rows]
+    state.rejected_out_of_order += len(rows) - int(np.count_nonzero(newer))
+    rows = rows[newer]
+    state.reported_at[rows] = batch.t
+    state.measured[rows] = np.inf
+    accepted = np.zeros(len(state.codes), dtype=bool)
+    accepted[rows] = True
+    src, dst = state.slots(batch.source), state.slots(batch.neighbor)
+    lands = accepted[src]
+    state.measured[src[lands], dst[lands]] = batch.snr_db[lands]
     return state
 
 
@@ -152,33 +181,16 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGra
     endpoint (RSU or BS) stands on a single fresh measurement. The nodes are
     every reporter, fresh or stale, and every edge endpoint.
     """
-    reporters = np.array([src.code for src in state.latest_report], dtype=np.int64)
-    fresh = [rep for rep in state.latest_report.values()
-             if (t - rep.t) <= state.staleness_window_s + _FRESH_EPS]
-    fresh_codes = np.array([rep.source.code for rep in fresh], dtype=np.int64)
-    src = np.repeat(fresh_codes, [len(rep.neighbors) for rep in fresh])
-    dst = np.concatenate([np.empty(0, dtype=np.int64), *(rep.neighbors for rep in fresh)])
-    snr = np.concatenate([np.empty(0), *(rep.snr_db for rep in fresh)])
-
-    # sort-and-diff dedup and searchsorted membership: np.unique, which np.isin
-    # calls on all but tiny inputs, imports numpy.ma (~1 MB) on first use
-    codes = np.sort(np.concatenate((reporters, dst)))
-    codes = codes[np.diff(codes, prepend=-1) != 0]  # codes are non-negative
-    is_fresh = np.bincount(np.searchsorted(codes, fresh_codes), minlength=len(codes)) > 0
-    keep = np.bincount(np.searchsorted(codes, reporters), minlength=len(codes)) > 0
-    nodes = [NodeId.from_code(c) for c in codes.tolist()]
-    measured = np.full((len(codes), len(codes)), np.inf)  # [reporter, neighbour]
-    np.minimum.at(measured, (np.searchsorted(codes, src), np.searchsorted(codes, dst)), snr)
+    fresh = t - state.reported_at <= state.staleness_window_s + _FRESH_EPS
+    measured = np.where(fresh[:, None], state.measured, np.inf)
     measured = np.minimum(measured, measured.T)
-    infrastructure = np.array([node.kind != NodeKind.CAV for node in nodes], dtype=bool)
+    infrastructure = kinds(state.codes) != NodeKind.CAV
     edge = ((measured < np.inf) & (measured >= snr_min_db)
             & (infrastructure[:, None] | infrastructure[None, :]
-               | (is_fresh[:, None] & is_fresh[None, :])))
-
-    keep |= edge.any(axis=1)
-    sel = np.nonzero(keep)[0]
+               | (fresh[:, None] & fresh[None, :])))
+    sel = np.nonzero(np.isfinite(state.reported_at) | edge.any(axis=1))[0]
     matrix = np.where(edge, measured, -np.inf)[np.ix_(sel, sel)]
-    return ConnectivityGraph(nodes=tuple(nodes[i] for i in sel.tolist()), snr=matrix)
+    return ConnectivityGraph(codes=state.codes[sel], snr=matrix)
 
 
 # --- hop-bounded widest paths ---------------------------------------------------
@@ -228,23 +240,24 @@ def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
     return steps
 
 
-def _widest_paths(nodes: tuple[NodeId, ...], snr: np.ndarray, ends: np.ndarray, max_hops: int,
+def _widest_paths(codes: np.ndarray, snr: np.ndarray, ends: np.ndarray, max_hops: int,
                   allow_bs_relay: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Widest paths for the pairs in `ends`, (P, 2) NodeId codes, from column 0
-    to column 1, over the graph `nodes` with edge matrix `snr`. Per pair: the
-    best bottleneck over any hop count, the fewest hops achieving it (argmax
-    picks the first, i.e. smallest, layer; 0 when unreachable), the path as
-    NodeId codes padded with -1, and whether a direct edge joins the pair.
+    to column 1, over the graph of ascending node `codes` with edge matrix
+    `snr`. Per pair: the best bottleneck over any hop count, the fewest hops
+    achieving it (argmax picks the first, i.e. smallest, layer; 0 when
+    unreachable), the path as NodeId codes padded with -1, and whether a
+    direct edge joins the pair.
 
     Endpoints missing from the graph map to one extra isolated node, whose
     code reads -1, so every pair goes through the same solve.
     """
-    n = len(nodes)
-    codes = np.array([node.code for node in nodes] + [-1], dtype=np.int64)
+    n = len(codes)
+    relay_ok = np.append(allow_bs_relay | (kinds(codes) != NodeKind.BS), False)
+    codes = np.append(codes, -1)
     idx = np.searchsorted(codes[:-1], ends)
     s, d = np.where(codes[idx] == ends, idx, n).T
     adj = np.pad(snr, (0, 1), constant_values=-np.inf)
-    relay_ok = np.array([allow_bs_relay or node.kind != NodeKind.BS for node in nodes] + [False])
     tables = _maxmin_tables(adj, max_hops, relay_ok)
     layers = tables[:, s, d]
     best = layers.max(axis=0)
@@ -265,7 +278,7 @@ def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
     """
     if s == d:
         raise ValueError(f"path endpoints must differ: {s}")
-    best, hops, routes, _ = _widest_paths(graph.nodes, graph.adjacency(snr_min_db),
+    best, hops, routes, _ = _widest_paths(graph.codes, graph.adjacency(snr_min_db),
                                           np.array([[s.code, d.code]]), max_hops, allow_bs_relay)
     if hops[0] == 0:
         return None
@@ -290,20 +303,20 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[ControlBatch,
     multi-hop path."""
     graph = build_graph(state, t, cfg.snr_min_db)  # thresholded at cfg.snr_min_db
     ends = _pair_codes(tuple(cfg.pairs))
-    bottleneck, hops, routes, direct = _widest_paths(graph.nodes, graph.snr, ends, cfg.max_hops,
+    bottleneck, hops, routes, direct = _widest_paths(graph.codes, graph.snr, ends, cfg.max_hops,
                                                      cfg.allow_bs_relay)
     served = hops > 0
     relayed = np.nonzero(hops >= 2)[0]
     paths = routes[relayed]
     path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[relayed, None])
     batch = ControlBatch(paths=paths, pair=relayed, target=paths[path_row, col],
-                         path_row=path_row, issued_at=t)
+                         path_row=path_row)
 
     feasible = int(np.count_nonzero(served))
     n_direct = int(np.count_nonzero(direct))
     diagnostics = XAppDiagnostics(
         t=t,
-        graph_nodes=len(graph.nodes),
+        graph_nodes=len(graph.codes),
         graph_edges=int(np.count_nonzero(np.triu(graph.snr > -np.inf))),
         pairs_total=len(ends),
         pairs_feasible=feasible,

@@ -1,13 +1,15 @@
 """Independent reference implementation of the controller's graph build.
 
 Used by the controller tests as an oracle for `ric.build_graph`: a plain loop
-over every fresh report's links into a dict keyed by canonical node pair,
-written with none of the production code's matrix machinery.
+over every fresh report the per-node reference controller
+(`reference_reports.RicState`) holds, into a dict keyed by canonical node
+pair, written with none of the production code's matrix machinery.
 """
 
 from __future__ import annotations
 
-from v2xric import NodeId, NodeKind, RicState
+from reference_reports import RicState
+from v2xric import NodeId, NodeKind
 
 FRESH_EPS = 1e-9  # the controller's guard at the staleness boundary
 

@@ -27,13 +27,15 @@ def graph_of(edges: dict, extra_nodes=()) -> ConnectivityGraph:
     snr = np.full((len(nodes), len(nodes)), -np.inf)
     for (u, v), value in edges.items():
         snr[idx[u], idx[v]] = snr[idx[v], idx[u]] = value
-    return ConnectivityGraph(nodes=nodes, snr=snr)
+    return ConnectivityGraph(codes=np.array([node.code for node in nodes], dtype=np.int64),
+                             snr=snr)
 
 
 def edges_of(graph: ConnectivityGraph) -> dict[tuple[NodeId, NodeId], float]:
     """{(u, v): snr_db} with u < v for every edge of the graph."""
-    n = len(graph.nodes)
-    return {(graph.nodes[a], graph.nodes[b]): float(graph.snr[a, b])
+    nodes = graph.nodes
+    n = len(nodes)
+    return {(nodes[a], nodes[b]): float(graph.snr[a, b])
             for a in range(n) for b in range(a + 1, n) if graph.snr[a, b] > -math.inf}
 
 

@@ -128,7 +128,7 @@ def test_out_of_range_sweep_threshold_exits_2_before_running(tmp_path, capsys, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("duration,warmup", [("0.04", "0"), ("0.15", "0.12")])
+@pytest.mark.parametrize("duration,warmup", [("0.04", "0"), ("0.15", "0.12"), ("0.2", "0.15")])
 def test_run_without_a_scored_tick_exits_2_before_running(tmp_path, capsys, monkeypatch,
                                                           duration, warmup):
     runs = []
@@ -136,6 +136,19 @@ def test_run_without_a_scored_tick_exits_2_before_running(tmp_path, capsys, monk
     out = tmp_path / "out"
     assert main(["run", "--out", str(out), "--duration", duration, "--warmup", warmup]) == 2
     assert "no control tick" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags", [("sweep-snr", []), ("sweep-blockage", ["--p-b", "0,0.5"])])
+def test_sweeps_without_relaying_exit_2_before_running(tmp_path, capsys, monkeypatch,
+                                                       command, flags):
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--duration", "1", "--warmup", "0",
+                 "--no-relay"] + flags) == 2
+    assert "relay_enabled" in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
 

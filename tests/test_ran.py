@@ -5,6 +5,7 @@ import pytest
 
 import reference_control
 from reference_mobility import VehicleState, fleet_of
+from reference_reports import reports_of
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
                     ForwardingTable, NodeId, NodeKind, RelayPath, SimConfig,
                     SubscriptionRequest, World, apply_control, build_intersection,
@@ -88,13 +89,17 @@ def test_world_antennas_in_node_order():
 
 # --- sensing ---------------------------------------------------------------------
 # Nodes sense through one in-range link table per report instant, which the
-# engine splits into per-node reports.
+# engine hands to the report layer as one batch.
+
+
+def report_batch(world, sensing_range_m=300.0, **cfg):
+    return _collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0.0,
+                            SubscriptionRequest())
 
 
 def reports_by_source(world, sensing_range_m=300.0):
-    cfg = SimConfig(sensing_range_m=sensing_range_m)
-    subscription = SubscriptionRequest()
-    return {r.source: r for r in _collect_reports(world, cfg, 0.0, subscription)}
+    """The batch split into per-node reports, neighbours ascending."""
+    return {r.source: r for r in reports_of(report_batch(world, sensing_range_m))}
 
 
 def neighbors_of(report):
@@ -103,9 +108,12 @@ def neighbors_of(report):
 
 def test_isolated_node_senses_nothing():
     world = world_with_cavs([0.0])
+    batch = report_batch(world)
+    assert batch.reporters.tolist() == [cav(0).code]  # it still reports
     report = reports_by_source(world)[cav(0)]
     assert neighbors_of(report) == []
-    assert report.neighbors.dtype == np.int64 and report.snr_db.dtype == np.float64
+    assert batch.neighbor.dtype == np.int64 and batch.snr_db.dtype == np.float64
+    assert batch.source.dtype == np.int64 and batch.reporters.dtype == np.int64
     assert len(report.snr_db) == 0
 
 
@@ -134,11 +142,10 @@ def test_sensing_range_boundary_inclusive():
 def test_infrastructure_only_reports_come_from_rsus():
     layout = build_intersection(200.0, 14.0)
     world = world_with_cavs([0.0, 20.0], rsus=default_rsus(layout))
-    cfg = SimConfig(cav_terminations=False)
-    subscription = SubscriptionRequest()
-    reports = _collect_reports(world, cfg, 0.0, subscription)
-    assert [r.source for r in reports] == [NodeId(NodeKind.RSU, k) for k in range(4)]
-    assert all(cav(0).code in r.neighbors for r in reports)
+    batch = report_batch(world, cav_terminations=False)
+    assert batch.reporters.tolist() == [NodeId(NodeKind.RSU, k).code for k in range(4)]
+    assert set(batch.source.tolist()) <= set(batch.reporters.tolist())
+    assert all(cav(0).code in batch.neighbor[batch.source == code] for code in batch.reporters)
 
 
 # --- reporting cadence -----------------------------------------------------------
@@ -159,37 +166,52 @@ def test_emit_indication_called_only_on_cadence(monkeypatch):
     # the engine gates reports on the cadence: no indication off it
     emitted_at = []
 
-    def spy(node, neighbors, snr_db, t, subscription):
+    def spy(reporters, source, neighbor, snr_db, t, subscription):
         emitted_at.append(t)
-        return emit_indication(node, neighbors, snr_db, t, subscription)
+        return emit_indication(reporters, source, neighbor, snr_db, t, subscription)
 
     monkeypatch.setattr(ran, "emit_indication", spy)
     run(SimConfig(duration_s=1.2, warmup_s=0.0, seed=2, reporting_period_s=0.5))
     assert emitted_at
-    assert sorted(set(emitted_at)) == [0.0, 0.5, 1.0]
+    assert emitted_at == [0.0, 0.5, 1.0]  # one batch per report instant
 
 
-def emit(links, cap=None):
-    """links: (neighbour, snr_db) in neighbour order."""
+def emit(links, cap=None, reporters=(cav(0),)):
+    """links: (source, neighbour, snr_db), in the order the batch gets them."""
     sub = SubscriptionRequest(reporting_period_s=0.1, measured_neighbors=cap)
-    return emit_indication(cav(0), [rx.code for rx, _ in links],
-                           [snr for _, snr in links], 0.3, sub)
+    return emit_indication([node.code for node in reporters],
+                           [src.code for src, _, _ in links], [rx.code for _, rx, _ in links],
+                           [snr for _, _, snr in links], 0.3, sub)
+
+
+def links_of(batch):
+    return [(NodeId.from_code(s), NodeId.from_code(r), v) for s, r, v in
+            zip(batch.source.tolist(), batch.neighbor.tolist(), batch.snr_db.tolist())]
 
 
 def test_emit_indication_caps_to_strongest_links():
-    report = emit([(cav(1), 10.0), (cav(2), 8.0), (cav(3), 1.0), (cav(4), 8.0),
-                   (cav(5), 8.0)], cap=3)
+    report = emit([(cav(0), cav(1), 10.0), (cav(0), cav(2), 8.0), (cav(0), cav(3), 1.0),
+                   (cav(0), cav(4), 8.0), (cav(0), cav(5), 8.0)], cap=3)
     # strongest first on SNR, equal SNRs keep the smaller neighbor ids,
-    # and the final report is in neighbor order
-    assert neighbors_of(report) == [cav(1), cav(2), cav(4)]
+    # and the kept links stay in the given (here neighbor) order
+    assert [rx for _, rx, _ in links_of(report)] == [cav(1), cav(2), cav(4)]
     assert report.snr_db.tolist() == [10.0, 8.0, 8.0]
-    assert report.source == cav(0)
+    assert report.reporters.tolist() == [cav(0).code]
     assert report.t == 0.3
 
 
+def test_emit_indication_caps_each_reporter_on_its_own():
+    # cav(9)'s links are all weaker than cav(0)'s, yet it keeps its best two
+    report = emit([(cav(9), cav(3), 1.0), (cav(0), cav(1), 10.0), (cav(9), cav(1), 2.0),
+                   (cav(0), cav(2), 8.0), (cav(9), cav(2), 2.0), (cav(0), cav(3), 9.0)],
+                  cap=2, reporters=(cav(0), cav(9)))
+    assert links_of(report) == [(cav(0), cav(1), 10.0), (cav(9), cav(1), 2.0),
+                                (cav(9), cav(2), 2.0), (cav(0), cav(3), 9.0)]
+
+
 def test_emit_indication_without_cap_keeps_everything():
-    report = emit([(cav(1), -5.0), (cav(2), 3.0)])
-    assert neighbors_of(report) == [cav(1), cav(2)]
+    report = emit([(cav(0), cav(1), -5.0), (cav(0), cav(2), 3.0)])
+    assert [rx for _, rx, _ in links_of(report)] == [cav(1), cav(2)]
     assert report.snr_db.tolist() == [-5.0, 3.0]
 
 
@@ -207,97 +229,93 @@ def test_subscription_validation(kwargs, dt):
 # --- forwarding control ----------------------------------------------------------
 
 
-def relay_batch(target, issued_at=1.0, nodes=(0, 5, 9), pair=0):
+def relay_batch(target, nodes=(0, 5, 9), pair=0):
     """One message installing `target`'s hop of the path `nodes` for `pair`."""
     return ControlBatch(paths=np.array([[cav(i).code for i in nodes]], dtype=np.int64),
                         pair=np.array([pair]), target=np.array([target.code]),
-                        path_row=np.array([0]), issued_at=issued_at)
+                        path_row=np.array([0]))
 
 
-def table_of(*indices, n_pairs=2, ttl=0.5):
-    return ForwardingTable.empty([cav(i).code for i in indices], n_pairs, ttl)
+def table_of(*indices, n_pairs=2):
+    return ForwardingTable.empty([cav(i).code for i in indices], n_pairs)
 
 
-def route(table, node, pair, t):
-    [code] = table.next_hops(np.array([node.code]), np.array([pair]), t).tolist()
+def route(table, node, pair):
+    [code] = table.next_hops(np.array([node.code]), np.array([pair])).tolist()
     return None if code < 0 else NodeId.from_code(code)
 
 
 def test_apply_control_installs_next_hop():
     table = table_of(0, 5, 9)
-    apply_control(table, relay_batch(cav(0)), 1.0)
+    apply_control(table, relay_batch(cav(0)))
     assert table.protocol_errors == 0
     assert table.next_hop[0, 0] == cav(5).code
-    assert table.installed_at[0, 0] == 1.0
-    assert table.installed_at[0, 0] + table.ttl_s == 1.5
-    assert route(table, cav(0), 0, 1.4) == cav(5)
-    assert route(table, cav(0), 0, 1.6) is None  # expired
-    assert route(table, cav(0), 1, 1.4) is None  # another pair
+    assert route(table, cav(0), 0) == cav(5)
+    assert route(table, cav(0), 1) is None  # another pair
 
 
 def test_apply_control_middle_hop():
     table = table_of(0, 5, 9)
-    apply_control(table, relay_batch(cav(5)), 1.0)
-    assert route(table, cav(5), 0, 1.0) == cav(9)
+    apply_control(table, relay_batch(cav(5)))
+    assert route(table, cav(5), 0) == cav(9)
 
 
 def test_apply_control_rejects_wrong_target():
     table = table_of(5, 9)  # holds no cav(0)
-    apply_control(table, relay_batch(cav(0)), 1.0)
+    apply_control(table, relay_batch(cav(0)))
     assert table.protocol_errors == 1
     assert (table.next_hop == -1).all()
 
 
 def test_apply_control_rejects_node_not_on_path():
     table = table_of(0, 5, 7, 9)
-    apply_control(table, relay_batch(cav(7)), 1.0)
+    apply_control(table, relay_batch(cav(7)))
     assert table.protocol_errors == 1
     assert (table.next_hop == -1).all()
 
 
 def test_apply_control_rejects_destination_target():
     table = table_of(0, 5, 9)
-    apply_control(table, relay_batch(cav(9)), 1.0)
+    apply_control(table, relay_batch(cav(9)))
     assert table.protocol_errors == 1
     assert (table.next_hop == -1).all()
 
 
-def test_stale_control_keeps_newer_route():
+def test_later_control_replaces_route():
     table = table_of(0, 3, 5, 9)
-    apply_control(table, relay_batch(cav(0), issued_at=1.0, nodes=(0, 5, 9)), 1.0)
-    apply_control(table, relay_batch(cav(0), issued_at=0.5, nodes=(0, 3, 9)), 1.0)
-    assert table.protocol_errors == 0  # stale is silently ignored, not an error
-    assert route(table, cav(0), 0, 1.0) == cav(5)
-    apply_control(table, relay_batch(cav(0), issued_at=2.0, nodes=(0, 3, 9)), 2.0)
-    assert route(table, cav(0), 0, 2.0) == cav(3)
+    apply_control(table, relay_batch(cav(0), nodes=(0, 5, 9)))
+    assert route(table, cav(0), 0) == cav(5)
+    apply_control(table, relay_batch(cav(0), nodes=(0, 3, 9)))
+    assert table.protocol_errors == 0
+    assert route(table, cav(0), 0) == cav(3)
 
 
 def test_routes_for_different_purposes_coexist():
     table = table_of(0, 1, 5, 8, 9)
-    apply_control(table, relay_batch(cav(5), nodes=(0, 5, 9), pair=0), 1.0)
-    apply_control(table, relay_batch(cav(5), nodes=(1, 5, 8), pair=1), 1.0)
-    assert route(table, cav(5), 0, 1.0) == cav(9)
-    assert route(table, cav(5), 1, 1.0) == cav(8)
+    apply_control(table, relay_batch(cav(5), nodes=(0, 5, 9), pair=0))
+    apply_control(table, relay_batch(cav(5), nodes=(1, 5, 8), pair=1))
+    assert route(table, cav(5), 0) == cav(9)
+    assert route(table, cav(5), 1) == cav(8)
 
 
 def test_forwarding_table_needs_ascending_distinct_codes():
     for codes in ([], [cav(2).code, cav(1).code], [cav(1).code, cav(1).code]):
         with pytest.raises(ConfigurationError):
-            ForwardingTable.empty(codes, 1, 0.5)
+            ForwardingTable.empty(codes, 1)
 
 
 def test_forwarding_table_stores_next_hops_as_int32():
     table = table_of(0, 5, 9)
     assert table.next_hop.dtype == np.int32
-    apply_control(table, relay_batch(cav(5), nodes=(0, 5, 9)), 1.0)
+    apply_control(table, relay_batch(cav(5), nodes=(0, 5, 9)))
     # the largest code a NodeId can have survives the narrower column
-    apply_control(table, relay_batch(cav(0), nodes=(0, (1 << 20) - 1), pair=1), 1.0)
+    apply_control(table, relay_batch(cav(0), nodes=(0, (1 << 20) - 1), pair=1))
     hops = table.next_hops(np.array([cav(5).code, cav(0).code, cav(9).code]),
-                           np.array([0, 1, 0]), 1.0)
+                           np.array([0, 1, 0]))
     assert hops.tolist() == [cav(9).code, cav((1 << 20) - 1).code, -1]
 
 
-def random_control_tick(rng, nodes, pairs, stranger, issued_at, counts):
+def random_control_tick(rng, nodes, pairs, stranger, counts):
     """A batch of random multi-hop paths for random pairs (a pair may get two
     paths in one batch), each with one message per forwarding node, mixed
     with wrong, off-path and destination targets, in shuffled row order."""
@@ -336,7 +354,6 @@ def random_control_tick(rng, nodes, pairs, stranger, issued_at, counts):
         pair=np.array(pair_of, dtype=np.int64),
         target=np.array([targets[i].code for i in order], dtype=np.int64),
         path_row=np.array([rows[i] for i in order], dtype=np.int64),
-        issued_at=issued_at,
     ), [(pair_of[r], RelayPath(nodes=tuple(p), bottleneck_snr_db=0.0))
         for r, p in enumerate(paths)]
 
@@ -344,11 +361,11 @@ def random_control_tick(rng, nodes, pairs, stranger, issued_at, counts):
 def test_batched_control_matches_reference():
     """The batched install and the array audit give the same next hops, the
     same protocol-error count and the same audited-path counts as the scalar
-    per-node oracle, over random ticks, TTL boundaries and stale batches."""
+    per-node oracle, over random ticks."""
     rng = np.random.default_rng(11)
     counts = {"wrong": 0, "off-path": 0, "destination": 0}
-    stale_batches = expiry_instants = audit_failures = audit_ok = 0
-    for _ in range(80):
+    audit_failures = audit_ok = 0
+    for _ in range(300):
         n = int(rng.integers(3, 10))
         nodes = sorted({NodeId(NodeKind(int(rng.integers(1, 3))), int(rng.integers(0, 50)))
                         for _ in range(n)})
@@ -357,46 +374,30 @@ def test_batched_control_matches_reference():
         pairs = [tuple(nodes[i] for i in sorted(rng.choice(len(nodes), 2, replace=False)))
                  for _ in range(int(rng.integers(1, 5)))]
         stranger = NodeId(NodeKind.BS, 7)
-        table = ForwardingTable.empty([node.code for node in nodes], len(pairs),
-                                      float(rng.choice((0.1, 0.3, 0.5))))
+        table = ForwardingTable.empty([node.code for node in nodes], len(pairs))
         states = {node: reference_control.NodeState(node) for node in nodes}
-        t = 0.0
         for _ in range(6):
-            stale = bool(rng.random() < 0.2)
-            issued_at = round(t - float(rng.choice((0.1, 0.4))), 9) if stale else t
-            stale_batches += stale
-            batch, assignments = random_control_tick(rng, nodes, pairs, stranger, issued_at,
-                                                     counts)
-            apply_control(table, batch, t)
+            batch, assignments = random_control_tick(rng, nodes, pairs, stranger, counts)
+            apply_control(table, batch)
             paths = {r: assignment for r, (_, assignment) in enumerate(assignments)}
             for target, row in zip(batch.target.tolist(), batch.path_row.tolist()):
                 node = NodeId.from_code(target)
                 msg = reference_control.ControlMessage(
-                    target=node, issued_at=batch.issued_at, assignment=paths[row],
-                    purpose=int(batch.pair[row]), ttl_s=table.ttl_s)
+                    target=node, assignment=paths[row], purpose=int(batch.pair[row]))
                 # a target the nodes do not hold is delivered to a node it does not name
-                reference_control.apply_control(states.get(node, states[nodes[0]]), msg, t)
+                reference_control.apply_control(states.get(node, states[nodes[0]]), msg)
             assert table.protocol_errors == sum(s.protocol_errors for s in states.values())
 
-            # every entry lives at installed_at + ttl_s and is gone one ulp later
-            expiries = table.installed_at[np.isfinite(table.installed_at)] + table.ttl_s
-            expiries = np.unique(expiries)
-            instants = [t, *expiries.tolist(), *np.nextafter(expiries, np.inf).tolist()]
-            for q in instants:
-                for k in range(len(pairs)):
-                    got = table.next_hops(np.array([n.code for n in nodes]),
-                                          np.full(len(nodes), k), q).tolist()
-                    want = [states[n].route_for(k, q) for n in nodes]
-                    assert got == [-1 if w is None else w.code for w in want]
-                summary = AuditSummary()
-                _audit(table, batch, q, summary)
-                checked, ok = reference_control.audit_paths(states, assignments, q)
-                assert (summary.paths_checked, summary.paths_ok) == (checked, ok)
-                audit_failures += checked - ok
-                audit_ok += ok
-            expiry_instants += len(expiries)
-            t = round(t + float(rng.choice((0.1, 0.2, 0.5))), 9)
+            for k in range(len(pairs)):
+                got = table.next_hops(np.array([n.code for n in nodes]),
+                                      np.full(len(nodes), k)).tolist()
+                want = [states[n].route_for(k) for n in nodes]
+                assert got == [-1 if w is None else w.code for w in want]
+            summary = AuditSummary()
+            _audit(table, batch, summary)
+            checked, ok = reference_control.audit_paths(states, assignments)
+            assert (summary.paths_checked, summary.paths_ok) == (checked, ok)
+            audit_failures += checked - ok
+            audit_ok += ok
     assert min(counts.values()) >= 50
-    assert stale_batches >= 50
-    assert expiry_instants >= 500
     assert audit_failures >= 1000 and audit_ok >= 1000

@@ -1,15 +1,17 @@
 """Controller tests: report ingestion, graph building, relay assignment fan-out."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import reference_reports
 from reference_graph import reference_graph
 from reference_paths import edges_of, random_connectivity_graph, reference_widest_path
-from v2xric import (ConfigurationError, IndicationReport, NodeId, NodeKind, RelayPath,
+from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RelayPath,
                     RicState, SubscriptionRequest, XAppConfig, build_graph, emit_indication,
-                    ingest, xapp_tick)
+                    ingest, ran, xapp_tick)
 
 
 def cav(i):
@@ -20,38 +22,81 @@ def rsu(i):
     return NodeId(NodeKind.RSU, i)
 
 
+def view(staleness_window_s=0.25, nodes=None):
+    """An empty controller view over `nodes` (default: RSUs 0-3, CAVs 0-31)."""
+    if nodes is None:
+        nodes = [rsu(k) for k in range(4)] + [cav(k) for k in range(32)]
+    return RicState(sorted(node.code for node in nodes), staleness_window_s=staleness_window_s)
+
+
+def instant(t, *reports):
+    """One report instant; reports are (source, [(rx, snr_db), ...])."""
+    links = [(src.code, rx.code, snr) for src, mine in reports for rx, snr in mine]
+    return IndicationBatch(t=t, reporters=np.array([src.code for src, _ in reports], dtype=np.int64),
+                           source=np.array([s for s, _, _ in links], dtype=np.int64),
+                           neighbor=np.array([r for _, r, _ in links], dtype=np.int64),
+                           snr_db=np.array([v for _, _, v in links], dtype=np.float64))
+
+
 def report(src, t, links):
-    """links: list of (rx, snr_db), in any order."""
-    links = sorted(links)
-    return IndicationReport(source=src, t=t,
-                            neighbors=np.array([rx.code for rx, _ in links], dtype=np.int64),
-                            snr_db=np.array([snr for _, snr in links], dtype=np.float64))
+    """One node's report alone in its instant; links: list of (rx, snr_db)."""
+    return instant(t, (src, links))
+
+
+def held_links(state, node):
+    """The links in the node's held report: [(rx, snr_db)] by rx."""
+    row = state.measured[state.slots(np.array([node.code]))[0]]
+    return [(NodeId.from_code(state.codes[k]), float(row[k])) for k in np.nonzero(row < np.inf)[0]]
+
+
+def held_t(state, node):
+    return float(state.reported_at[state.slots(np.array([node.code]))[0]])
 
 
 # --- ingestion -------------------------------------------------------------------
 
 
 def test_ingest_keeps_newest_report():
-    state = RicState()
+    state = view()
     ingest(state, report(cav(0), 0.2, [(cav(1), 10.0)]))
     ingest(state, report(cav(0), 0.1, [(cav(1), 3.0)]))
-    assert state.latest_report[cav(0)].t == 0.2
+    assert held_t(state, cav(0)) == 0.2
+    assert held_links(state, cav(0)) == [(cav(1), 10.0)]
     assert state.rejected_out_of_order == 1
 
 
 def test_ingest_same_instant_replaces():
-    state = RicState()
-    ingest(state, report(cav(0), 0.2, [(cav(1), 10.0)]))
+    state = view()
+    ingest(state, report(cav(0), 0.2, [(cav(1), 10.0), (cav(2), 6.0)]))
     ingest(state, report(cav(0), 0.2, [(cav(1), 4.0)]))
     assert state.rejected_out_of_order == 0
-    assert state.latest_report[cav(0)].snr_db.tolist() == [4.0]
+    assert held_links(state, cav(0)) == [(cav(1), 4.0)]
+
+
+def test_ingest_rejects_reporters_one_by_one():
+    # one batch: cav(0) already holds a newer report, cav(1) does not
+    state = view()
+    ingest(state, report(cav(0), 0.3, [(cav(2), 9.0)]))
+    ingest(state, instant(0.2, (cav(0), [(cav(2), 1.0)]), (cav(1), [(cav(2), 5.0)])))
+    assert state.rejected_out_of_order == 1
+    assert held_links(state, cav(0)) == [(cav(2), 9.0)]
+    assert held_links(state, cav(1)) == [(cav(2), 5.0)]
+    assert (held_t(state, cav(0)), held_t(state, cav(1))) == (0.3, 0.2)
+
+
+def test_controller_view_needs_ascending_codes_and_known_nodes():
+    for codes in ([], [cav(2).code, cav(1).code], [cav(1).code, cav(1).code]):
+        with pytest.raises(ConfigurationError):
+            RicState(codes)
+    with pytest.raises(ConfigurationError):
+        ingest(view(nodes=[cav(0), cav(1)]), report(cav(0), 0.0, [(cav(5), 3.0)]))
 
 
 # --- graph building --------------------------------------------------------------
 
 
 def test_vehicle_edge_needs_both_reports_fresh():
-    state = RicState(staleness_window_s=0.25)
+    state = view(staleness_window_s=0.25)
     ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
     g = build_graph(state, 0.0, snr_min_db=5.0)
     assert not g.has_edge(cav(0), cav(1))  # cav(1) never reported
@@ -61,16 +106,15 @@ def test_vehicle_edge_needs_both_reports_fresh():
 
 
 def test_infrastructure_edge_stands_on_single_report():
-    state = RicState(staleness_window_s=0.25)
+    state = view(staleness_window_s=0.25)
     ingest(state, report(rsu(0), 0.0, [(cav(1), 15.0)]))
     g = build_graph(state, 0.0, snr_min_db=5.0)
     assert g.has_edge(rsu(0), cav(1))
 
 
 def test_stale_reports_drop_out_of_the_graph():
-    state = RicState(staleness_window_s=0.25)
-    ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
-    ingest(state, report(cav(1), 0.0, [(cav(0), 10.0)]))
+    state = view(staleness_window_s=0.25)
+    ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
     assert build_graph(state, 0.25, snr_min_db=5.0).has_edge(cav(0), cav(1))  # boundary
     late = build_graph(state, 0.3, snr_min_db=5.0)
     assert not late.has_edge(cav(0), cav(1))
@@ -78,19 +122,18 @@ def test_stale_reports_drop_out_of_the_graph():
 
 
 def test_edge_snr_is_min_over_directions():
-    state = RicState(staleness_window_s=0.25)
-    ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
-    ingest(state, report(cav(1), 0.0, [(cav(0), 3.0)]))
+    state = view(staleness_window_s=0.25)
+    ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 3.0)])))
     assert not build_graph(state, 0.0, snr_min_db=5.0).has_edge(cav(0), cav(1))
     g = build_graph(state, 0.0, snr_min_db=2.0)
     assert g.edge_snr(cav(0), cav(1)) == 3.0
 
 
 def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
-    state = RicState(staleness_window_s=0.25)
-    ingest(state, report(rsu(0), 0.0, [(cav(1), 15.0)]))
-    ingest(state, report(cav(2), 0.0, []))
+    state = view(staleness_window_s=0.25)
+    ingest(state, instant(0.0, (rsu(0), [(cav(1), 15.0)]), (cav(2), [])))
     g = build_graph(state, 0.0, snr_min_db=5.0)
+    assert g.codes.tolist() == [rsu(0).code, cav(1).code, cav(2).code]
     adj = g.adjacency(5.0)
     assert adj.shape == (3, 3)
     i, j = g.nodes.index(rsu(0)), g.nodes.index(cav(1))
@@ -100,19 +143,25 @@ def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
     assert adj[i, k] == adj[k, j] == -math.inf
 
 
-def random_ric_state(rng, t=1.0, window_s=0.25):
-    """Seeded controller view: mixed-kind nodes that report fresh, report
-    stale or never report; pairs measured from neither side, one side, or both
-    sides with equal or different SNRs; sometimes a report cap, sometimes only
-    infrastructure reporting."""
-    n = int(rng.integers(2, 13))
+def random_nodes(rng, low=2, high=13):
+    """Seeded mixed-kind nodes, ascending, with gaps in the indices."""
     counters = {kind: 0 for kind in NodeKind}
     nodes = []
-    for _ in range(n):
+    for _ in range(int(rng.integers(low, high))):
         kind = NodeKind(int(rng.choice(3, p=(0.1, 0.25, 0.65))))
         nodes.append(NodeId(kind, counters[kind]))
         counters[kind] += int(rng.integers(1, 3))
-    nodes.sort()
+    return sorted(nodes)
+
+
+def random_ric_state(rng, t=1.0, window_s=0.25):
+    """Seeded controller view, batched and per-node: mixed-kind nodes that
+    report fresh, report stale or never report; pairs measured from neither
+    side, one side, or both sides with equal or different SNRs; sometimes a
+    report cap, sometimes only infrastructure reporting. Nodes of one age
+    report in one batch."""
+    nodes = random_nodes(rng)
+    n = len(nodes)
     infrastructure_only = bool(rng.random() < 0.2)
     integer_snrs = bool(rng.random() < 0.5)
 
@@ -131,37 +180,161 @@ def random_ric_state(rng, t=1.0, window_s=0.25):
             if shape == "equal":
                 links[v].append((u, links[u][-1][1]))
     cap = None if rng.random() < 0.6 else int(rng.integers(1, 4))
-    state = RicState(staleness_window_s=window_s)
+    sub = SubscriptionRequest(measured_neighbors=cap)
+    state = view(window_s, nodes)
+    ref = reference_reports.RicState(staleness_window_s=window_s)
+    by_instant = {}
     for node in nodes:
         role = rng.choice(("fresh", "boundary", "stale", "silent"), p=(0.55, 0.1, 0.2, 0.15))
         if role == "silent" or (infrastructure_only and node.kind == NodeKind.CAV):
             continue
         age = {"fresh": float(rng.uniform(0.0, window_s)), "boundary": window_s,
                "stale": window_s + float(rng.uniform(0.01, 1.0))}[role]
-        mine = sorted(links[node])
-        sub = SubscriptionRequest(measured_neighbors=cap)
-        ingest(state, emit_indication(node, [rx.code for rx, _ in mine],
-                                      [snr for _, snr in mine], round(t - age, 9), sub))
-    return state
+        by_instant.setdefault(round(t - age, 9), []).append(node)
+    for instant, reporters in by_instant.items():
+        mine = [(src, *link) for src in reporters for link in sorted(links[src])]
+        ingest(state, emit_indication([src.code for src in reporters],
+                                      [src.code for src, _, _ in mine],
+                                      [rx.code for _, rx, _ in mine],
+                                      [snr for _, _, snr in mine], instant, sub))
+        for src in reporters:
+            own = sorted(links[src])
+            reference_reports.ingest(ref, reference_reports.emit_indication(
+                src, [rx.code for rx, _ in own], [snr for _, snr in own], instant, sub))
+    return state, ref
 
 
 def test_build_graph_matches_reference_on_random_reports():
     rng = np.random.default_rng(2024)
     edges_seen = silent_endpoint_edges = 0
     for _ in range(400):
-        state = random_ric_state(rng)
+        state, ref = random_ric_state(rng)
         snr_min = float(rng.choice((-20.0, 0.0, 3.0, 4.0, float(rng.uniform(-5.0, 20.0)))))
         g = build_graph(state, 1.0, snr_min)
-        nodes, edges = reference_graph(state, 1.0, snr_min)
+        nodes, edges = reference_graph(ref, 1.0, snr_min)
         assert g.nodes == nodes
         assert np.array_equal(g.snr, g.snr.T)
         assert (np.diag(g.snr) == -np.inf).all()
         assert edges_of(g) == edges
         edges_seen += len(edges)
-        silent_endpoint_edges += sum(u not in state.latest_report or v not in state.latest_report
+        silent_endpoint_edges += sum(u not in ref.latest_report or v not in ref.latest_report
                                    for u, v in edges)
     assert edges_seen >= 2000
     assert silent_endpoint_edges >= 100  # endpoints that never report still join the graph
+
+
+def dense_reference(nodes, edges):
+    """The reference graph as one matrix in node order, -inf off the edges."""
+    idx = {node: k for k, node in enumerate(nodes)}
+    snr = np.full((len(nodes), len(nodes)), -np.inf)
+    for (u, v), value in edges.items():
+        snr[idx[u], idx[v]] = snr[idx[v], idx[u]] = value
+    return snr
+
+
+def test_report_stream_matches_per_node_reference():
+    """One stream of report instants, fed as batches to the controller view
+    and report by report to the per-node oracle, gives after every ingest the
+    same graph codes, every SNR entry and the same out-of-order count. The
+    stream mixes out-of-order and equal-time arrivals, silent reporters,
+    stale and boundary-aged reporters, capped reports with SNR ties,
+    infrastructure-only instants and base stations."""
+    rng = np.random.default_rng(77)
+    seen = Counter()
+    for _ in range(60):
+        nodes = random_nodes(rng, 3, 14)
+        window = float(rng.choice((0.1, 0.25, 0.5)))
+        state = view(window, nodes)
+        ref = reference_reports.RicState(staleness_window_s=window)
+        cap = None if rng.random() < 0.4 else int(rng.integers(1, 4))
+        sub = SubscriptionRequest(measured_neighbors=cap)
+        integer_snrs = bool(rng.random() < 0.5)
+        seen["bs"] += any(node.kind == NodeKind.BS for node in nodes)
+        instants, now = [], 1.0
+        for _ in range(10):
+            kind = str(rng.choice(("now", "repeat", "late"), p=(0.6, 0.2, 0.2)))
+            if kind == "repeat" and instants:
+                t = instants[int(rng.integers(len(instants)))]
+            elif kind == "late":
+                t = round(now - float(rng.choice((0.1, 0.2, 0.3, 0.6))), 9)
+            else:
+                t = now
+            instants.append(t)
+            infrastructure_only = bool(rng.random() < 0.2)
+            reporters = [node for node in nodes if rng.random() < 0.7
+                         and not (infrastructure_only and node.kind == NodeKind.CAV)]
+            seen["infrastructure-only"] += infrastructure_only
+            seen["silent"] += len(nodes) - len(reporters)
+            links = []
+            for src in reporters:
+                for rx in nodes:
+                    if rx != src and rng.random() < 0.6:
+                        snr = float(rng.integers(0, 6)) if integer_snrs else float(rng.uniform(-5, 25))
+                        links.append((src, rx, snr))
+            order = rng.permutation(len(links))  # the batch keeps no particular order
+            links = [links[k] for k in order]
+            ingest(state, emit_indication([src.code for src in reporters],
+                                          [src.code for src, _, _ in links],
+                                          [rx.code for _, rx, _ in links],
+                                          [snr for _, _, snr in links], t, sub))
+            for src in reporters:
+                seen["equal-time"] += src in ref.latest_report and ref.latest_report[src].t == t
+                own = sorted((rx, snr) for s, rx, snr in links if s == src)
+                seen["capped"] += cap is not None and len(own) > cap
+                seen["capped ties"] += (cap is not None and len(own) > cap
+                                        and len({snr for _, snr in own}) < len(own))
+                reference_reports.ingest(ref, reference_reports.emit_indication(
+                    src, [rx.code for rx, _ in own], [snr for _, snr in own], t, sub))
+            assert state.rejected_out_of_order == ref.rejected_out_of_order
+
+            held = sorted({rep.t for rep in ref.latest_report.values()})
+            for q in (now, round(held[0] + window, 9) if held else now,
+                      round(now + window * 0.6, 9)):
+                ages = [q - rep.t for rep in ref.latest_report.values()]
+                seen["boundary"] += sum(abs(age - window) < 1e-9 for age in ages)
+                seen["stale"] += sum(age > window + 1e-9 for age in ages)
+                snr_min = float(rng.choice((-10.0, 2.0, 3.0, float(rng.uniform(0.0, 20.0)))))
+                g = build_graph(state, q, snr_min)
+                want_nodes, want_edges = reference_graph(ref, q, snr_min)
+                assert g.codes.tolist() == [node.code for node in want_nodes]
+                assert np.array_equal(g.snr, dense_reference(want_nodes, want_edges))
+                seen["edges"] += len(want_edges)
+            now = round(now + float(rng.choice((0.1, 0.2))), 9)
+        seen["rejected"] += state.rejected_out_of_order
+    assert seen["rejected"] >= 100 and seen["edges"] >= 5000
+    assert min(seen[key] for key in ("bs", "equal-time", "infrastructure-only", "silent",
+                                     "capped", "capped ties", "boundary", "stale")) >= 20, seen
+
+
+def test_controller_tick_constructs_no_node_ids(monkeypatch):
+    """From a report batch to the control batch, the controller works on
+    NodeId codes alone: one tick of ingest, build_graph and xapp_tick builds
+    no NodeId."""
+    rng = np.random.default_rng(5)
+    nodes = [rsu(0)] + [cav(k) for k in range(12)]
+    src, dst = np.triu_indices(len(nodes), 1)
+    snr = rng.uniform(0.0, 20.0, len(src))
+    codes = np.array([node.code for node in nodes])
+    reports = emit_indication(codes, codes[np.concatenate((src, dst))],
+                              codes[np.concatenate((dst, src))], np.concatenate((snr, snr)),
+                              0.0, SubscriptionRequest(measured_neighbors=3))
+    state = view(nodes=nodes)
+    cfg = XAppConfig(snr_min_db=5.0, pairs=tuple((nodes[a], nodes[b])
+                                                 for a in range(1, 13) for b in range(a + 1, 13)))
+    built = []
+    original = ran.NodeId.__new__
+
+    def spy(cls, *args):
+        built.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(ran.NodeId, "__new__", staticmethod(spy))
+    assert NodeId(NodeKind.CAV, 0) == cav(0) and len(built) == 2  # the spy is live
+    built.clear()
+    ingest(state, reports)
+    batch, diag = xapp_tick(state, 0.0, cfg)
+    assert diag.pairs_relayed > 0 and len(batch) > 0
+    assert built == []
 
 
 # --- the xApp tick ---------------------------------------------------------------
@@ -169,10 +342,9 @@ def test_build_graph_matches_reference_on_random_reports():
 
 def fresh_triangle(gamma_ok=True):
     """A, R, B all reporting at t=0: A-R at 9 dB, R-B at 7 dB, no A-B edge."""
-    state = RicState(staleness_window_s=0.25)
-    ingest(state, report(cav(0), 0.0, [(cav(5), 9.0)]))
-    ingest(state, report(cav(5), 0.0, [(cav(0), 9.0), (cav(9), 7.0)]))
-    ingest(state, report(cav(9), 0.0, [(cav(5), 7.0)]))
+    state = view(staleness_window_s=0.25)
+    ingest(state, instant(0.0, (cav(0), [(cav(5), 9.0)]),
+                          (cav(5), [(cav(0), 9.0), (cav(9), 7.0)]), (cav(9), [(cav(5), 7.0)])))
     return state
 
 
@@ -189,14 +361,12 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
     assert batch.path_row.tolist() == [0, 0]
     assert batch.pair.tolist() == [0]
     assert batch.paths.tolist() == [codes(cav(0), cav(5), cav(9)) + [-1] * (cfg.max_hops - 2)]
-    assert batch.issued_at == 0.0
     assert diag.path(0) == RelayPath(nodes=(cav(0), cav(5), cav(9)), bottleneck_snr_db=7.0)
 
 
 def test_direct_pairs_emit_no_messages():
-    state = RicState(staleness_window_s=0.25)
-    ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
-    ingest(state, report(cav(1), 0.0, [(cav(0), 10.0)]))
+    state = view(staleness_window_s=0.25)
+    ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
     cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(1)),))
     batch, diag = xapp_tick(state, 0.0, cfg)
     assert len(batch) == 0
@@ -207,13 +377,11 @@ def test_direct_pairs_emit_no_messages():
 
 
 def test_three_relayed_pairs_give_six_ordered_messages():
-    state = RicState(staleness_window_s=0.25)
+    state = view(staleness_window_s=0.25)
     pairs = []
     for k in range(3):
         a, r, b = cav(10 * k), cav(10 * k + 1), cav(10 * k + 2)
-        ingest(state, report(a, 0.0, [(r, 9.0)]))
-        ingest(state, report(r, 0.0, [(a, 9.0), (b, 8.0)]))
-        ingest(state, report(b, 0.0, [(r, 8.0)]))
+        ingest(state, instant(0.0, (a, [(r, 9.0)]), (r, [(a, 9.0), (b, 8.0)]), (b, [(r, 8.0)])))
         pairs.append((a, b))
     cfg = XAppConfig(snr_min_db=5.0, pairs=tuple(pairs))
     batch, diag = xapp_tick(state, 0.0, cfg)
@@ -248,11 +416,10 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
     graphs += [random_connectivity_graph(rng, n_nodes=20, edge_p=0.2) for _ in range(3)]
     checked = 0
     for g in graphs:
-        state = RicState()
-        for node in g.nodes:
-            ingest(state, report(node, 0.0, [(v if u == node else u, snr)
+        state = view(nodes=g.nodes)
+        ingest(state, instant(0.0, *((node, [(v if u == node else u, snr)
                                              for (u, v), snr in edges_of(g).items()
-                                             if node in (u, v)]))
+                                             if node in (u, v)]) for node in g.nodes)))
         pairs = tuple((u, v) for k, u in enumerate(g.nodes) for v in g.nodes[k + 1:])
         max_hops = int(rng.integers(1, 6))
         snr_min = float(rng.choice((-5.0, 1.5, 4.0)))
@@ -281,7 +448,7 @@ def test_empty_pair_list_serves_nothing():
 
 
 def test_empty_controller_state_is_quiet():
-    state = RicState()
+    state = view()
     batch, diag = xapp_tick(state, 0.0, XAppConfig(pairs=((cav(0), cav(1)),)))
     assert len(batch) == 0
     assert diag.served.tolist() == [False]
@@ -298,10 +465,9 @@ def test_empty_controller_state_is_quiet():
     dict(snr_min_db=-500.0),
     dict(max_hops=0),
     dict(snr_min_db=math.nan),
-    dict(control_ttl_s=math.nan),
+    dict(pairs=((NodeId(NodeKind.CAV, 0), NodeId(NodeKind.CAV, 1)),
+                (NodeId(NodeKind.CAV, 2), NodeId(NodeKind.CAV, 2)))),
     dict(pairs=((NodeId(NodeKind.CAV, 1), NodeId(NodeKind.CAV, 1)),)),
-    dict(control_ttl_s=0.0),
-    dict(control_ttl_s=math.inf),
 ])
 def test_xapp_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
