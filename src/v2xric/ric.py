@@ -3,9 +3,9 @@
 Holds each node's latest indication report as one row of a slot-indexed SNR
 matrix, builds an SNR-thresholded undirected connectivity graph from the
 fresh rows, and solves hop-bounded maximum-bottleneck-SNR (widest) paths
-between served pairs. Ties are broken by fewer hops, then by
-lexicographically smallest node sequence under the NodeId total order, so
-identical inputs always yield identical assignments.
+between served pairs from tables of the served destinations' columns alone.
+Ties go to fewer hops, then to the lexicographically smallest node sequence
+under the NodeId total order, so identical inputs yield identical assignments.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .ran import ControlBatch, IndicationBatch, NodeId, NodeKind, kinds
 
 _FRESH_EPS = 1e-9  # guards float tick arithmetic at the staleness boundary
 
-# Elements of the min-array one relaxation chunk may materialise: a chunk of k
-# relays costs k * n * n, so small graphs relax in one vectorised step and large
-# ones in bounded-memory slices.
+# Elements of the min-array one relaxation chunk may materialise: k relays cost
+# k * n * (destination columns), and the last hop n per pair.
 _SCRATCH_ELEMENTS = 2**17
 
 
@@ -195,36 +194,43 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGra
 
 # --- hop-bounded widest paths ---------------------------------------------------
 
-def _maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray) -> np.ndarray:
-    """tables[h-1][s, d] = best bottleneck over s->d walks of exactly h edges
-    whose interior nodes are all relay-eligible (-inf when none exists)."""
+def _maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray, s: np.ndarray,
+                   d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best bottlenecks of walks on the symmetric `adj` with relay-eligible
+    interior nodes (-inf if none): `tables[h-1][k, col[p]]` from node k to
+    d[p] in h < max_hops edges, relaxed from the destination side, and
+    `layers[h-1][p]` from s[p] to d[p] in h <= max_hops, the last per pair."""
     n = adj.shape[0]
-    tables = np.full((max_hops, n, n), -np.inf)
-    tables[0] = adj
+    dest = np.flatnonzero(np.bincount(d, minlength=n))  # distinct, ascending
+    col = np.searchsorted(dest, d)
+    tables = np.full((max_hops - 1, n, len(dest)), -np.inf)
+    tables[:1] = adj[:, dest]  # no tables at all when max_hops == 1
     relays = np.nonzero(relay_ok)[0]
-    chunk = max(1, _SCRATCH_ELEMENTS // (n * n))
-    for h in range(1, max_hops):
-        prev, cur = tables[h - 1], tables[h]
+    chunk = max(1, _SCRATCH_ELEMENTS // max(n * len(dest), 1))
+    for prev, cur in zip(tables, tables[1:]):
         for start in range(0, len(relays), chunk):
             ks = relays[start : start + chunk]
-            np.maximum(cur, np.minimum(prev.T[ks, :, None], adj[ks, None, :]).max(axis=0), out=cur)
-    return tables
+            np.maximum(cur, np.minimum(adj[ks, :, None], prev[ks, None, :]).max(axis=0), out=cur)
+    layers = np.concatenate((tables[:, s, col], adj[s, d][None]))
+    if max_hops > 1:
+        via = np.where(relay_ok[:, None], tables[-1], -np.inf)
+        step = max(1, _SCRATCH_ELEMENTS // n)
+        for p in (slice(start, start + step) for start in range(0, len(s), step)):
+            layers[-1, p] = np.minimum(adj.take(s[p], axis=1), via.take(col[p], axis=1)).max(axis=0)
+    return col, tables, layers
 
 
 def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
-                   s: np.ndarray, d: np.ndarray, best: np.ndarray,
+                   s: np.ndarray, d: np.ndarray, col: np.ndarray, best: np.ndarray,
                    hops: np.ndarray) -> np.ndarray:
-    """Greedy lexicographic walk per pair (s[p] -> d[p] at bottleneck best[p]
-    in hops[p] edges): at each step take the smallest next node that keeps
-    both the edge and the remaining completion at or above the bottleneck.
-    All pairs advance together, one step per iteration. Returns one row of
-    node indices per pair, padded with -1 past its destination.
-
-    Any hop-minimal walk at the optimal bottleneck is simple (shortcutting a
-    revisit would beat the hop count), so no visited set is needed.
-    """
-    steps = np.full((len(s), tables.shape[0] + 1), -1, dtype=np.int64)
-    steps[:, 0] = s
+    """Greedy lexicographic walk per pair (s[p] -> d[p], table column col[p],
+    bottleneck best[p], hops[p] edges; none if 0): each step takes the
+    smallest next node keeping the edge and the remaining completion at or
+    above the bottleneck, all pairs at once. Returns node indices, one row per
+    pair, padded with -1. A hop-minimal walk at the optimal bottleneck is
+    simple (shortcutting a revisit would beat the hop count): no visited set."""
+    steps = np.full((len(s), tables.shape[0] + 2), -1, dtype=np.int64)
+    steps[:, 0] = np.where(hops > 0, s, -1)
     for k in range(1, int(hops.max(initial=0)) + 1):
         remaining = hops - (k - 1)
         last = remaining == 1
@@ -233,7 +239,7 @@ def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
         if len(walk):
             floor = best[walk, None]
             ok = ((adj[steps[walk, k - 1]] >= floor) & relay_ok
-                  & (tables[remaining[walk] - 2, :, d[walk]] >= floor))
+                  & (tables[remaining[walk] - 2, :, col[walk]] >= floor))
             if not ok.any(axis=1).all():
                 raise RuntimeError("widest-path tables disagree with reconstruction")
             steps[walk, k] = np.argmax(ok, axis=1)
@@ -245,26 +251,20 @@ def _widest_paths(codes: np.ndarray, snr: np.ndarray, ends: np.ndarray, max_hops
     """Widest paths for the pairs in `ends`, (P, 2) NodeId codes, from column 0
     to column 1, over the graph of ascending node `codes` with edge matrix
     `snr`. Per pair: the best bottleneck over any hop count, the fewest hops
-    achieving it (argmax picks the first, i.e. smallest, layer; 0 when
-    unreachable), the path as NodeId codes padded with -1, and whether a
-    direct edge joins the pair.
-
-    Endpoints missing from the graph map to one extra isolated node, whose
-    code reads -1, so every pair goes through the same solve.
-    """
+    achieving it (argmax picks the smallest such layer; 0 when unreachable),
+    the path as NodeId codes padded with -1, and whether a direct edge joins
+    the pair. Endpoints missing from the graph map to one extra isolated
+    node, whose code reads -1, so every pair goes through the same solve."""
     n = len(codes)
     relay_ok = np.append(allow_bs_relay | (kinds(codes) != NodeKind.BS), False)
     codes = np.append(codes, -1)
     idx = np.searchsorted(codes[:-1], ends)
     s, d = np.where(codes[idx] == ends, idx, n).T
     adj = np.pad(snr, (0, 1), constant_values=-np.inf)
-    tables = _maxmin_tables(adj, max_hops, relay_ok)
-    layers = tables[:, s, d]
+    col, tables, layers = _maxmin_tables(adj, max_hops, relay_ok, s, d)
     best = layers.max(axis=0)
     hops = np.where(np.isfinite(best), np.argmax(layers == best, axis=0) + 1, 0)
-    steps = np.full((len(s), max_hops + 1), -1, dtype=np.int64)
-    ok = hops > 0
-    steps[ok] = _extract_paths(adj, tables, relay_ok, s[ok], d[ok], best[ok], hops[ok])
+    steps = _extract_paths(adj, tables, relay_ok, s, d, col, best, hops)
     return best, hops, codes[steps], adj[s, d] > -np.inf
 
 

@@ -1,9 +1,13 @@
-"""Independent reference implementation of the hop-bounded widest-path problem.
+"""Independent reference implementations of the hop-bounded widest-path problem.
 
-Used by the pathfinding tests as an oracle: a plain depth-first enumeration of
-all simple paths, scored by (-bottleneck, hops, node sequence) so the minimum
-key is the unique expected answer under the production tie-break rules. It is
-deliberately written with none of the production code's vectorized machinery.
+Used by the pathfinding tests as oracles. `reference_widest_path` is a plain
+depth-first enumeration of all simple paths, scored by (-bottleneck, hops,
+node sequence) so the minimum key is the unique expected answer under the
+production tie-break rules; it is deliberately written with none of the
+production code's vectorized machinery. `reference_maxmin_tables` is the
+controller's former relaxation, full `n x n` tables for every hop layer,
+against which the column tables and per-pair last layer are compared bit for
+bit.
 """
 
 from __future__ import annotations
@@ -79,6 +83,22 @@ def reference_widest_path(graph: ConnectivityGraph, s: NodeId, d: NodeId,
     if best_key is None:
         return None
     return -best_key[0], best_key[2]
+
+
+def reference_maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray) -> np.ndarray:
+    """tables[h-1][s, d] = best bottleneck over s->d walks of exactly h edges
+    whose interior nodes are all relay-eligible (-inf when none exists)."""
+    n = adj.shape[0]
+    tables = np.full((max_hops, n, n), -np.inf)
+    tables[0] = adj
+    relays = np.nonzero(relay_ok)[0]
+    chunk = max(1, 2**17 // (n * n))  # relays per slice of at most 2**17 elements
+    for h in range(1, max_hops):
+        prev, cur = tables[h - 1], tables[h]
+        for start in range(0, len(relays), chunk):
+            ks = relays[start : start + chunk]
+            np.maximum(cur, np.minimum(prev.T[ks, :, None], adj[ks, None, :]).max(axis=0), out=cur)
+    return tables
 
 
 def random_connectivity_graph(rng, max_nodes: int = 8, n_nodes: int | None = None,

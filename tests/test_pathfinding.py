@@ -1,11 +1,16 @@
 """Widest-path tests: optimality, hop budget, tie-breaks, oracle equivalence."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
+from reference_paths import (edges_of, graph_of, random_connectivity_graph,
+                             reference_maxmin_tables, reference_widest_path)
 from v2xric import NodeId, NodeKind, find_path
-from v2xric.ric import _SCRATCH_ELEMENTS
+from v2xric.ran import kinds
+from v2xric.ric import _SCRATCH_ELEMENTS, _maxmin_tables, _widest_paths
 
 
 def cav(i):
@@ -128,6 +133,9 @@ def test_matches_reference_enumeration_on_random_graphs():
 
 
 def test_matches_reference_on_graphs_relaxed_in_several_chunks():
+    """200-node queries against the oracle. find_path solves one destination
+    column, so its relays fit one slice; test_ric's xapp_tick test on the same
+    kind of graph serves enough destinations to relax in several."""
     rng = np.random.default_rng(4242)
     checked = 0
     for _ in range(5):
@@ -135,7 +143,9 @@ def test_matches_reference_on_graphs_relaxed_in_several_chunks():
         # integer SNRs so bottleneck and hop-count ties occur
         g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, g.nodes)
         n = len(g.nodes)
-        assert n ** 3 > 2 * _SCRATCH_ELEMENTS  # the relays span several chunks
+        # a slice holds _SCRATCH_ELEMENTS // (rows * columns) relays, with one
+        # row per node plus the missing-endpoint sentinel and one column here
+        assert _SCRATCH_ELEMENTS // ((n + 1) * 1) >= n
         for _ in range(6):
             si, di = rng.choice(n, size=2, replace=False)
             s, d = g.nodes[int(si)], g.nodes[int(di)]
@@ -150,6 +160,61 @@ def test_matches_reference_on_graphs_relaxed_in_several_chunks():
                     assert got.nodes == want[1]
                     checked += 1
     assert checked >= 40  # most of the 30 queries, each both ways, have a feasible path
+
+
+def test_column_tables_match_full_tables():
+    """The destination-column tables equal the matching columns of the full
+    n x n tables, and the per-pair layers their (s, d) entries, the last layer
+    included, bit for bit: integer SNRs for ties, base stations as relays or
+    not, hop budgets 1-5, repeated destinations, a destination that is another
+    pair's source, and missing endpoints sharing the sentinel column."""
+    rng = np.random.default_rng(909)
+    seen = Counter()
+    for trial in range(300):
+        g = random_connectivity_graph(rng, max_nodes=12)
+        if trial % 2:
+            g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, g.nodes)
+        n = len(g.codes)
+        adj = np.pad(g.snr, (0, 1), constant_values=-np.inf)
+        max_hops = trial % 5 + 1
+        few = rng.choice(n + 1, size=min(3, n + 1), replace=False)
+        s = rng.integers(0, n + 1, size=6)
+        d = rng.choice(few, size=6)
+        s = np.append(s, [d[0], n, int(rng.integers(0, n)), n])
+        d = np.append(d, [int(rng.integers(0, n)), int(rng.integers(0, n)), n, n])
+        full = {}
+        for allow_bs in (False, True):
+            relay_ok = np.append(allow_bs | (kinds(g.codes) != NodeKind.BS), False)
+            full[allow_bs] = reference_maxmin_tables(adj, max_hops, relay_ok)
+            col, tables, layers = _maxmin_tables(adj, max_hops, relay_ok, s, d)
+            dest = np.unique(d)
+            assert np.array_equal(dest[col], d)
+            assert tables.shape == (max_hops - 1, n + 1, len(dest))
+            assert tables.tobytes() == full[allow_bs][: max_hops - 1][:, :, dest].tobytes()
+            assert layers.shape == (max_hops, len(s))
+            assert layers[-1].tobytes() == full[allow_bs][-1][s, d].tobytes()
+            assert layers.tobytes() == full[allow_bs][:, s, d].tobytes()
+        best = layers.max(axis=0)
+        seen["bs relays matter"] += not np.array_equal(full[False], full[True])
+        seen["tied layers"] += bool(((layers == best).sum(axis=0)[np.isfinite(best)] > 1).any())
+        seen["last layer reachable"] += bool(np.isfinite(layers[-1]).any()) and max_hops > 1
+    assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+def test_widest_paths_allocates_no_full_tables():
+    """One solve for 10 pairs on a 400-node graph stays below 4 MB of traced
+    allocations; full n x n tables for all four hop layers peak near 9 MB."""
+    rng = np.random.default_rng(11)
+    g = random_connectivity_graph(rng, n_nodes=400, edge_p=0.02)
+    ends = g.codes[rng.choice(len(g.codes), size=(10, 2), replace=False)]
+    tracemalloc.start()
+    try:
+        best, _, _, _ = _widest_paths(g.codes, g.snr, ends, 4, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(best).any()  # the solve found paths, not just empty tables
+    assert peak < 4e6, peak
 
 
 def test_bottleneck_monotone_in_threshold():

@@ -8,10 +8,11 @@ import pytest
 
 import reference_reports
 from reference_graph import reference_graph
-from reference_paths import edges_of, random_connectivity_graph, reference_widest_path
+from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
 from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RelayPath,
                     RicState, SubscriptionRequest, XAppConfig, build_graph, emit_indication,
                     ingest, ran, xapp_tick)
+from v2xric.ric import _SCRATCH_ELEMENTS
 
 
 def cav(i):
@@ -436,6 +437,39 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
                     assert (got.bottleneck_snr_db, got.nodes) == want
                     checked += 1
     assert checked >= 1000
+
+
+def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
+    """200-node integer-SNR graphs with enough distinct destinations that each
+    hop layer relaxes in several slices of relays: every pair's path is the
+    brute-force oracle's, ties included."""
+    rng = np.random.default_rng(4243)
+    checked = 0
+    for _ in range(3):
+        g = random_connectivity_graph(rng, n_nodes=200, edge_p=0.03)
+        edges = {e: float(round(snr)) for e, snr in edges_of(g).items()}
+        g = graph_of(edges, g.nodes)
+        state = view(nodes=g.nodes)
+        ingest(state, instant(0.0, *((node, [(v if u == node else u, snr)
+                                             for (u, v), snr in edges.items() if node in (u, v)])
+                                     for node in g.nodes)))
+        ends = np.sort(rng.choice(len(g.nodes), size=(16, 2), replace=False), axis=1)
+        pairs = tuple((g.nodes[a], g.nodes[b]) for a, b in ends)  # served smaller -> larger
+        destinations = {v for _, v in pairs}
+        # one slice holds _SCRATCH_ELEMENTS // (rows * destination columns) relays
+        assert len(g.nodes) ** 2 * len(destinations) > 2 * _SCRATCH_ELEMENTS
+        for allow_bs in (False, True):
+            cfg = XAppConfig(snr_min_db=0.0, max_hops=4, pairs=pairs, allow_bs_relay=allow_bs)
+            _, diag = xapp_tick(state, 0.0, cfg)
+            for k, (u, v) in enumerate(pairs):
+                want = reference_widest_path(g, u, v, 4, 0.0, allow_bs)
+                got = diag.path(k)
+                if want is None:
+                    assert got is None
+                else:
+                    assert (got.bottleneck_snr_db, got.nodes) == want
+                    checked += 1
+    assert checked >= 60  # most of the 48 pairs, each both ways, have a feasible path
 
 
 def test_empty_pair_list_serves_nothing():
