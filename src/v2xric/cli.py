@@ -127,10 +127,14 @@ def _read_config(path: str) -> tuple[dict[str, str], str | None]:
     p = Path(path)
     if not p.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    text = p.read_text(encoding="utf-8")
-    if p.suffix == ".json" or text.lstrip().startswith("{"):
-        manifest = json.loads(text)
-        config = manifest.get("config")
+    try:
+        text = p.read_text(encoding="utf-8")
+        is_manifest = p.suffix == ".json" or text.lstrip().startswith("{")
+        manifest = json.loads(text) if is_manifest else None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"unreadable config file {path}: {exc}") from None
+    if is_manifest:
+        config = manifest.get("config") if isinstance(manifest, dict) else None
         if not isinstance(config, dict):
             raise ConfigurationError(f"manifest has no config mapping: {path}")
         return {str(k): str(v) for k, v in config.items()}, manifest.get("command")
@@ -302,25 +306,13 @@ def cmd_run(cfg: SimConfig, out: Path, echo: dict[str, str]) -> None:
                     ["metrics.csv", "summary.csv", "manifest.json"], runtime_s, audit)
 
 
-def cmd_sweep_snr(cfg: SimConfig, sweep: dict, out: Path, echo: dict[str, str]) -> None:
-    spec = SweepSpec(base=cfg, gamma_min_values=sweep["gamma_min_values"],
-                     replications=sweep["replications"], workers=sweep["workers"])
+def cmd_sweep(command: str, cfg: SimConfig, sweep: dict, out: Path, echo: dict[str, str]) -> None:
     started = time.perf_counter()
-    result = engine.sweep_snr(spec)
+    spec = SweepSpec(base=cfg, **sweep)
+    result = engine.sweep_snr(spec) if command == "sweep-snr" else engine.sweep_blockage(spec)
     out.mkdir(parents=True, exist_ok=True)
-    _write_sweep_outputs(out, "sweep-snr", result, echo, cfg.seed,
-                         time.perf_counter() - started, with_p_b=False)
-
-
-def cmd_sweep_blockage(cfg: SimConfig, sweep: dict, out: Path, echo: dict[str, str]) -> None:
-    spec = SweepSpec(base=cfg, gamma_min_values=sweep["gamma_min_values"],
-                     p_b_values=sweep["p_b_values"],
-                     replications=sweep["replications"], workers=sweep["workers"])
-    started = time.perf_counter()
-    result = engine.sweep_blockage(spec)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_sweep_outputs(out, "sweep-blockage", result, echo, cfg.seed,
-                         time.perf_counter() - started, with_p_b=True)
+    _write_sweep_outputs(out, command, result, echo, cfg.seed, time.perf_counter() - started,
+                         with_p_b=command == "sweep-blockage")
 
 
 # --- argument plumbing --------------------------------------------------------------
@@ -396,10 +388,8 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         if args.command == "run":
             cmd_run(cfg, out, echo)
-        elif args.command == "sweep-snr":
-            cmd_sweep_snr(cfg, sweep, out, echo)
         else:
-            cmd_sweep_blockage(cfg, sweep, out, echo)
+            cmd_sweep(args.command, cfg, sweep, out, echo)
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

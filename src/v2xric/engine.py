@@ -279,7 +279,8 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
                      subscription: ran.SubscriptionRequest) -> ran.IndicationBatch:
     """Sense every in-range pair once and report both directions of each link
     from every reporting endpoint (only the infrastructure when
-    `cav_terminations` is off), all in one batch."""
+    `cav_terminations` is off), all in one batch that names each node by its
+    view slot, the link table's endpoint index."""
     tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
                              t, cfg.seed, max_range=cfg.sensing_range_m)
     reporting = cfg.cav_terminations | (ran.kinds(world.codes) != ran.NodeKind.CAV)
@@ -287,8 +288,8 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
     dst = np.concatenate((tab.j, tab.i))
     snr = np.concatenate((tab.snr_db, tab.snr_db))
     sent = reporting[src]
-    return ran.emit_indication(world.codes[reporting], world.codes[src[sent]],
-                               world.codes[dst[sent]], snr[sent], t, subscription)
+    return ran.emit_indication(np.flatnonzero(reporting), src[sent], dst[sent], snr[sent], t,
+                               subscription)
 
 
 def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, audit: AuditSummary) -> None:
@@ -301,7 +302,7 @@ def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, audit: AuditSumm
     cur, ok = paths[:, 0], np.ones(len(paths), dtype=bool)
     for k in range(int(hops.max(initial=0))):
         step = ok & (k < hops)
-        nxt = table.next_hops(cur, batch.pair)
+        nxt = table.next_hop[cur, batch.pair]
         ok &= ~(step & ((nxt < 0) | (cur == destination)))
         cur = np.where(step & ok, nxt, cur)
     audit.paths_checked += len(paths)
@@ -339,8 +340,8 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     ).validate(cfg.dt_s)
 
     ric_state = ric.RicState(world.codes, staleness_window_s=cfg.resolved_staleness_window())
-    table = ran.ForwardingTable.empty(world.codes, len(pairs))
-    ends = table.slots(np.array([(u.code, v.code) for u, v in pairs], dtype=np.int64))[0]
+    table = ran.ForwardingTable.empty(len(world.codes), len(pairs))
+    ends = np.array([(u.index, v.index) for u, v in pairs])  # the pairs are vehicles
     in_flight: list[tuple[float, ran.IndicationBatch]] = []
     records: list[MetricsRecord] = []
     audit = AuditSummary()

@@ -4,6 +4,8 @@ Every radio node (roadside unit or vehicle) emits periodic indication reports
 toward the controller, all of one instant in one batch, and applies
 forwarding control messages. Nodes are identified by a totally ordered
 NodeId; all deterministic tie-breaking in the system leans on that order.
+Reports and control name a node by its view slot, its row among the run's
+ascending NodeId codes, so slot order is NodeId order.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ class SubscriptionRequest:
 
 @dataclass(frozen=True, slots=True)
 class IndicationBatch:
-    """Every report taken at one instant, as columns: the reporters' NodeId
-    codes, then per measured link the reporter's code, the neighbour's code
-    and the link's SNR in dB. A reporter with no link still reports."""
+    """Every report taken at one instant, as columns: the reporters' view
+    slots, then per measured link the reporter's slot, the neighbour's slot
+    and the link's SNR in dB. A node's view slot is its row in the ascending
+    `World.codes`. A reporter with no link still reports."""
 
     t: float
     reporters: np.ndarray  # (R,) int64
@@ -90,11 +93,12 @@ class IndicationBatch:
 @dataclass(frozen=True, slots=True)
 class ControlBatch:
     """One control tick's forwarding messages as columns: the multi-hop paths
-    (NodeId codes from source to destination, padded with -1) with each one's
-    index into the served pairs, then per message, which installs one hop,
-    the target node's code and the row of its path."""
+    (view slots from source to destination, padded with -1, at most
+    `max_hops + 1` wide) with each one's index into the served pairs, then per
+    message, which installs one hop, the target node's slot and the row of its
+    path."""
 
-    paths: np.ndarray  # (M, max_hops + 1) int64
+    paths: np.ndarray  # (M, <= max_hops + 1) int64
     pair: np.ndarray  # (M,) int64
     target: np.ndarray  # (K,) int64
     path_row: np.ndarray  # (K,) int64
@@ -105,33 +109,17 @@ class ControlBatch:
 
 @dataclass(slots=True)
 class ForwardingTable:
-    """Every node's forwarding state, indexed [slot, pair], slots in ascending
-    code order; `next_hop` is int32 (NodeId codes stay below 3 << 20) and -1
-    where nothing was ever installed. Entries are keyed by the served pair, not
-    by the destination alone: two assignments toward one destination through a
-    shared relay would otherwise collide."""
+    """Every node's forwarding state, indexed [slot, pair]: the next hop's
+    view slot as int32, -1 where nothing was ever installed. Entries are keyed
+    by the served pair, not by the destination alone: two assignments toward
+    one destination through a shared relay would otherwise collide."""
 
-    codes: np.ndarray
     next_hop: np.ndarray
     protocol_errors: int = 0
 
     @classmethod
-    def empty(cls, codes: np.ndarray, n_pairs: int) -> "ForwardingTable":
-        codes = np.asarray(codes, dtype=np.int64)
-        if len(codes) == 0 or (np.diff(codes) <= 0).any():
-            raise ConfigurationError("forwarding table needs ascending, distinct node codes")
-        return cls(codes=codes, next_hop=np.full((len(codes), n_pairs), -1, dtype=np.int32))
-
-    def slots(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slot of each node code, and whether the table holds that node at all."""
-        slot = np.minimum(np.searchsorted(self.codes, nodes), len(self.codes) - 1)
-        return slot, self.codes[slot] == nodes
-
-    def next_hops(self, nodes: np.ndarray, pair: np.ndarray) -> np.ndarray:
-        """Next hop of each node for its pair; -1 where there is none or the
-        node is unknown."""
-        slot, known = self.slots(nodes)
-        return np.where(known, self.next_hop[slot, pair], -1)
+    def empty(cls, n_nodes: int, n_pairs: int) -> "ForwardingTable":
+        return cls(next_hop=np.full((n_nodes, n_pairs), -1, dtype=np.int32))
 
 
 @dataclass(slots=True)
@@ -192,7 +180,7 @@ def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndar
                     snr_db: np.ndarray, t: float,
                     subscription: SubscriptionRequest) -> IndicationBatch:
     """Build the reports of one report instant (the caller checks
-    `report_due`) from the reporters' codes and their measured links, each
+    `report_due`) from the reporters' slots and their measured links, each
     (source, neighbour) at most once. A reporter with more links than the
     subscription cap keeps its strongest (ties broken by the smaller
     neighbour); the links keep their given order."""
@@ -214,19 +202,20 @@ def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndar
 def apply_control(table: ForwardingTable, batch: ControlBatch) -> ForwardingTable:
     """Install every forwarding hop the batch carries into the table.
 
-    Malformed messages (a target the table does not hold, a target absent
+    Malformed messages (a target outside the table's slots, a target absent
     from its path, or the path's own destination) count as protocol errors
     and are dropped. When one batch installs the same (node, pair) twice, the
     later row wins.
     """
-    slot, known = table.slots(batch.target)
+    n_nodes, n_pairs = table.next_hop.shape
     rows = np.pad(batch.paths[batch.path_row], ((0, 0), (0, 1)), constant_values=-1)
-    on_path = rows == batch.target[:, None]
+    inside = (batch.target >= 0) & (batch.target < n_nodes)
+    on_path = (rows == batch.target[:, None]) & inside[:, None]
     nxt = rows[np.arange(len(rows)), np.argmax(on_path, axis=1) + 1]
-    ok = known & on_path.any(axis=1) & (nxt >= 0)
+    ok = on_path.any(axis=1) & (nxt >= 0)
     table.protocol_errors += len(batch) - int(np.count_nonzero(ok))
-    slot, pair, nxt = slot[ok], batch.pair[batch.path_row[ok]], nxt[ok]
-    key = slot * table.next_hop.shape[1] + pair
+    slot, pair, nxt = batch.target[ok], batch.pair[batch.path_row[ok]], nxt[ok]
+    key = slot * n_pairs + pair
     order = np.argsort(key, kind="stable")
     last = order[np.diff(key[order], append=-1) != 0]
     table.next_hop[slot[last], pair[last]] = nxt[last]

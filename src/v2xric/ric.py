@@ -28,11 +28,12 @@ _SCRATCH_ELEMENTS = 2**17
 
 @dataclass(slots=True)
 class RicState:
-    """The controller's view, indexed by slot over ascending NodeId `codes`:
-    when each node's held report was taken (-inf before its first), and
-    `measured[reporter, neighbour]`, each link's SNR in the reporter's held
-    report (+inf where that report lacks the link), plus the freshness rule
-    used to trust them."""
+    """The controller's view, indexed by view slot, a node's row in the
+    ascending NodeId `codes`: when each node's held report was taken (-inf
+    before its first), and `measured[reporter, neighbour]`, each link's SNR in
+    the reporter's held report (+inf where that report lacks the link), plus
+    the freshness rule used to trust them. Slot order is code order, which
+    keeps the report cap's and the pathfinder's tie-breaks on NodeId order."""
 
     codes: np.ndarray
     staleness_window_s: float = 0.25
@@ -46,13 +47,6 @@ class RicState:
             raise ConfigurationError("controller view needs ascending, distinct node codes")
         self.reported_at = np.full(len(self.codes), -np.inf)
         self.measured = np.full((len(self.codes), len(self.codes)), np.inf)
-
-    def slots(self, codes: np.ndarray) -> np.ndarray:
-        """Slot of each NodeId code; every code must be one the view holds."""
-        slot = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
-        if (self.codes[slot] != codes).any():
-            raise ConfigurationError("report names a node outside the controller's view")
-        return slot
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +122,8 @@ class ConnectivityGraph:
 class XAppDiagnostics:
     """Per-tick controller introspection, enough to derive every metric. The
     arrays run over `XAppConfig.pairs`; `routes` holds each path as NodeId
-    codes padded with -1, and `hops` is 0 for an unserved pair."""
+    codes padded with -1, at most `max_hops + 1` wide, and `hops` is 0 for an
+    unserved pair."""
 
     t: float
     graph_nodes: int
@@ -158,15 +153,17 @@ class XAppDiagnostics:
 def ingest(state: RicState, batch: IndicationBatch) -> RicState:
     """Replace the row of every reporter whose report is at least as new as
     the one held; count the other reporters in `rejected_out_of_order`."""
-    rows = state.slots(batch.reporters)
-    newer = batch.t >= state.reported_at[rows]
-    state.rejected_out_of_order += len(rows) - int(np.count_nonzero(newer))
-    rows = rows[newer]
+    n = len(state.codes)
+    reporters, src, dst = batch.reporters, batch.source, batch.neighbor
+    if any(col.min(initial=0) < 0 or col.max(initial=0) >= n for col in (reporters, src, dst)):
+        raise ConfigurationError("report names a node outside the controller's view")
+    newer = batch.t >= state.reported_at[reporters]
+    state.rejected_out_of_order += len(newer) - int(np.count_nonzero(newer))
+    rows = reporters[newer]
     state.reported_at[rows] = batch.t
     state.measured[rows] = np.inf
-    accepted = np.zeros(len(state.codes), dtype=bool)
+    accepted = np.zeros(n, dtype=bool)
     accepted[rows] = True
-    src, dst = state.slots(batch.source), state.slots(batch.neighbor)
     lands = accepted[src]
     state.measured[src[lands], dst[lands]] = batch.snr_db[lands]
     return state
@@ -252,20 +249,22 @@ def _widest_paths(codes: np.ndarray, snr: np.ndarray, ends: np.ndarray, max_hops
     to column 1, over the graph of ascending node `codes` with edge matrix
     `snr`. Per pair: the best bottleneck over any hop count, the fewest hops
     achieving it (argmax picks the smallest such layer; 0 when unreachable),
-    the path as NodeId codes padded with -1, and whether a direct edge joins
+    the path as graph rows padded with -1, and whether a direct edge joins
     the pair. Endpoints missing from the graph map to one extra isolated
-    node, whose code reads -1, so every pair goes through the same solve."""
+    node, so every pair goes through the same solve. A hop-minimal widest
+    path is simple, so the hop budget is clamped to n - 1 edges: a deeper
+    layer could only tie an earlier one, and argmax keeps the earlier."""
     n = len(codes)
+    max_hops = max(1, min(max_hops, n - 1))
     relay_ok = np.append(allow_bs_relay | (kinds(codes) != NodeKind.BS), False)
-    codes = np.append(codes, -1)
-    idx = np.searchsorted(codes[:-1], ends)
-    s, d = np.where(codes[idx] == ends, idx, n).T
+    idx = np.searchsorted(codes, ends)
+    s, d = np.where(np.append(codes, -1)[idx] == ends, idx, n).T
     adj = np.pad(snr, (0, 1), constant_values=-np.inf)
     col, tables, layers = _maxmin_tables(adj, max_hops, relay_ok, s, d)
     best = layers.max(axis=0)
     hops = np.where(np.isfinite(best), np.argmax(layers == best, axis=0) + 1, 0)
     steps = _extract_paths(adj, tables, relay_ok, s, d, col, best, hops)
-    return best, hops, codes[steps], adj[s, d] > -np.inf
+    return best, hops, steps, adj[s, d] > -np.inf
 
 
 def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
@@ -278,11 +277,12 @@ def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
     """
     if s == d:
         raise ValueError(f"path endpoints must differ: {s}")
-    best, hops, routes, _ = _widest_paths(graph.codes, graph.adjacency(snr_min_db),
-                                          np.array([[s.code, d.code]]), max_hops, allow_bs_relay)
+    best, hops, rows, _ = _widest_paths(graph.codes, graph.adjacency(snr_min_db),
+                                        np.array([[s.code, d.code]]), max_hops, allow_bs_relay)
     if hops[0] == 0:
         return None
-    return RelayPath(nodes=tuple(map(NodeId.from_code, routes[0, : hops[0] + 1].tolist())),
+    codes = graph.codes[rows[0, : hops[0] + 1]]
+    return RelayPath(nodes=tuple(map(NodeId.from_code, codes.tolist())),
                      bottleneck_snr_db=float(best[0]))
 
 
@@ -303,11 +303,12 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[ControlBatch,
     multi-hop path."""
     graph = build_graph(state, t, cfg.snr_min_db)  # thresholded at cfg.snr_min_db
     ends = _pair_codes(tuple(cfg.pairs))
-    bottleneck, hops, routes, direct = _widest_paths(graph.codes, graph.snr, ends, cfg.max_hops,
-                                                     cfg.allow_bs_relay)
+    bottleneck, hops, rows, direct = _widest_paths(graph.codes, graph.snr, ends, cfg.max_hops,
+                                                   cfg.allow_bs_relay)
     served = hops > 0
     relayed = np.nonzero(hops >= 2)[0]
-    paths = routes[relayed]
+    slots = np.append(np.searchsorted(state.codes, graph.codes), -1)  # graph row -> view slot
+    paths = slots[rows[relayed]]
     path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[relayed, None])
     batch = ControlBatch(paths=paths, pair=relayed, target=paths[path_row, col],
                          path_row=path_row)
@@ -328,7 +329,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[ControlBatch,
         served=served,
         hops=hops,
         direct=direct,
-        routes=routes,
+        routes=np.append(graph.codes, -1)[rows],
         bottleneck_snr_db=bottleneck,
     )
     return batch, diagnostics

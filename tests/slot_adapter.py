@@ -1,0 +1,46 @@
+"""Slot <-> NodeId code adapter for tests that speak in NodeIds.
+
+Reports and control name each node by its view slot, its row in the run's
+ascending NodeId codes. Tests that build batches from NodeIds, or compare them
+with the per-node oracles, translate through these helpers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+
+def slots_of(codes, nodes) -> np.ndarray:
+    """The view slot of each NodeId code in `nodes` over the ascending
+    `codes`: -1 stays -1 (padding), and a code the view does not hold maps to
+    len(codes), outside the view."""
+    codes = np.asarray(codes, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    slot = np.searchsorted(codes, nodes)
+    held = np.append(codes, -2)[slot] == nodes
+    return np.where(nodes < 0, -1, np.where(held, slot, len(codes)))
+
+
+def codes_of(codes, slots) -> np.ndarray:
+    """The NodeId code of each view slot; -1 stays -1."""
+    slots = np.asarray(slots, dtype=np.int64)
+    return np.where(slots < 0, -1, np.append(codes, -1)[slots])
+
+
+def indication_slots(batch, codes):
+    """An IndicationBatch that names nodes by code, renamed by view slot."""
+    return replace(batch, reporters=slots_of(codes, batch.reporters),
+                   source=slots_of(codes, batch.source), neighbor=slots_of(codes, batch.neighbor))
+
+
+def indication_codes(batch, codes):
+    """An IndicationBatch that names nodes by view slot, renamed by code."""
+    return replace(batch, reporters=codes_of(codes, batch.reporters),
+                   source=codes_of(codes, batch.source), neighbor=codes_of(codes, batch.neighbor))
+
+
+def control_slots(batch, codes):
+    """A ControlBatch that names nodes by code, renamed by view slot."""
+    return replace(batch, paths=slots_of(codes, batch.paths), target=slots_of(codes, batch.target))

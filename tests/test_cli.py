@@ -153,6 +153,24 @@ def test_sweeps_without_relaying_exit_2_before_running(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,content", [
+    ("truncated.json", b'{"config": '),
+    ("list.json", b"[1,2]"),
+    ("latin1.cfg", b"duration_s = 2\xff\n"),
+])
+def test_malformed_config_file_exits_2_before_running(tmp_path, capsys, monkeypatch,
+                                                      name, content):
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    cfg = tmp_path / name
+    cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")]) == 2

@@ -70,15 +70,16 @@ def test_decoupled_reporting_cadence_still_feeds_the_controller():
 
 
 def path_state():
-    """A fresh controller view of a chain a-b (10 dB), b-c (8 dB), c-d (6 dB)."""
+    """A fresh controller view of a chain a-b (10 dB), b-c (8 dB), c-d (6 dB);
+    cav(i) holds view slot i."""
     edges = {(cav(0), cav(1)): 10.0, (cav(1), cav(2)): 8.0, (cav(2), cav(3)): 6.0}
     links = [(u, v, snr) for (u, v), snr in edges.items()] + [
         (v, u, snr) for (u, v), snr in edges.items()]
     codes = np.array([cav(i).code for i in range(4)])
     return ingest(RicState(codes), IndicationBatch(
-        t=0.0, reporters=codes,
-        source=np.array([u.code for u, _, _ in links], dtype=np.int64),
-        neighbor=np.array([v.code for _, v, _ in links], dtype=np.int64),
+        t=0.0, reporters=np.arange(4),
+        source=np.array([u.index for u, _, _ in links], dtype=np.int64),
+        neighbor=np.array([v.index for _, v, _ in links], dtype=np.int64),
         snr_db=np.array([snr for _, _, snr in links], dtype=np.float64)))
 
 
@@ -218,7 +219,7 @@ def test_audit_counts_broken_forwarding():
     assert diag.hops.tolist() == [3, 2]
 
     def audited(corrupt):
-        table = ForwardingTable.empty([cav(i).code for i in range(4)], 2)
+        table = ForwardingTable.empty(4, 2)
         apply_control(table, batch)
         corrupt(table)
         audit = AuditSummary()
@@ -230,13 +231,13 @@ def test_audit_counts_broken_forwarding():
         table.next_hop[2, 0] = -1  # cav(2) forgets pair (0, 3)
 
     def loop(table):
-        table.next_hop[1, 0] = cav(0).code  # cav(1) sends (0, 3) back
+        table.next_hop[1, 0] = 0  # cav(1) sends (0, 3) back to cav(0)
 
     def through_destination(table):
         # cav(0) jumps to cav(3), which holds an entry back to cav(2): the walk
         # ends at the destination in three hops, but passed it after one
-        table.next_hop[0, 0] = cav(3).code
-        table.next_hop[3, 0] = cav(2).code
+        table.next_hop[0, 0] = 3
+        table.next_hop[3, 0] = 2
 
     assert audited(lambda table: None) == 0
     assert audited(drop) == 1

@@ -59,6 +59,36 @@ def test_hop_budget_is_a_hard_limit():
     assert path.hops == 5
 
 
+def test_hop_budget_clamps_to_the_graph_size():
+    """A hop-minimal widest path is simple, so a budget past n - 1 edges
+    changes nothing: a budget of 10**6 gives the same solve as n - 1, bytes
+    and widths included, without tables for the layers no path can use."""
+    chain = [cav(i) for i in range(10)]
+    g = graph_of({(chain[i], chain[i + 1]): 10.0 + i % 3 for i in range(9)})
+    ends = np.array([[chain[0].code, chain[9].code], [chain[2].code, chain[7].code]])
+    want = _widest_paths(g.codes, g.snr, ends, 9, False)
+    tracemalloc.start()
+    try:
+        got = _widest_paths(g.codes, g.snr, ends, 10**6, False)
+        path = find_path(g, chain[0], chain[9], max_hops=10**6, snr_min_db=5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert want[1].tolist() == [9, 5]
+    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+    assert path == find_path(g, chain[0], chain[9], max_hops=9, snr_min_db=5.0)
+    assert path.nodes == tuple(chain)
+    assert peak < 1e6, peak  # unclamped, the tables alone would take ~176 MB
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        g = random_connectivity_graph(rng)
+        ends = g.codes[rng.choice(len(g.codes), size=(1, 2), replace=False)]
+        for allow_bs in (False, True):
+            want = _widest_paths(g.codes, g.snr, ends, len(g.codes) - 1, allow_bs)
+            got = _widest_paths(g.codes, g.snr, ends, 10**6, allow_bs)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_equal_bottleneck_prefers_fewer_hops():
     g = graph_of({
         (cav(0), cav(3)): 7.0,

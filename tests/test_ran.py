@@ -6,6 +6,7 @@ import pytest
 import reference_control
 from reference_mobility import VehicleState, fleet_of
 from reference_reports import reports_of
+from slot_adapter import codes_of, control_slots, indication_codes
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
                     ForwardingTable, NodeId, NodeKind, RelayPath, SimConfig,
                     SubscriptionRequest, World, apply_control, build_intersection,
@@ -93,8 +94,12 @@ def test_world_antennas_in_node_order():
 
 
 def report_batch(world, sensing_range_m=300.0, **cfg):
-    return _collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0.0,
-                            SubscriptionRequest())
+    """The engine's batch at t = 0, its view slots read back as NodeId codes."""
+    batch = _collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0.0,
+                             SubscriptionRequest())
+    for column in (batch.reporters, batch.source, batch.neighbor):
+        assert column.dtype == np.int64 and ((column >= 0) & (column < len(world.codes))).all()
+    return indication_codes(batch, world.codes)
 
 
 def reports_by_source(world, sensing_range_m=300.0):
@@ -229,90 +234,89 @@ def test_subscription_validation(kwargs, dt):
 # --- forwarding control ----------------------------------------------------------
 
 
+# The control tests below run on a view of cav(0)..cav(9), where cav(i) holds
+# view slot i; control batches and the table name nodes by slot.
+N_VIEW = 10
+
+
 def relay_batch(target, nodes=(0, 5, 9), pair=0):
-    """One message installing `target`'s hop of the path `nodes` for `pair`."""
-    return ControlBatch(paths=np.array([[cav(i).code for i in nodes]], dtype=np.int64),
-                        pair=np.array([pair]), target=np.array([target.code]),
-                        path_row=np.array([0]))
+    """One message installing slot `target`'s hop of the path `nodes` for `pair`."""
+    return ControlBatch(paths=np.array([nodes], dtype=np.int64), pair=np.array([pair]),
+                        target=np.array([target]), path_row=np.array([0]))
 
 
-def table_of(*indices, n_pairs=2):
-    return ForwardingTable.empty([cav(i).code for i in indices], n_pairs)
+def table_of(n_pairs=2):
+    return ForwardingTable.empty(N_VIEW, n_pairs)
 
 
-def route(table, node, pair):
-    [code] = table.next_hops(np.array([node.code]), np.array([pair])).tolist()
-    return None if code < 0 else NodeId.from_code(code)
+def route(table, slot, pair):
+    nxt = int(table.next_hop[slot, pair])
+    return None if nxt < 0 else nxt
 
 
 def test_apply_control_installs_next_hop():
-    table = table_of(0, 5, 9)
-    apply_control(table, relay_batch(cav(0)))
+    table = table_of()
+    apply_control(table, relay_batch(0))
     assert table.protocol_errors == 0
-    assert table.next_hop[0, 0] == cav(5).code
-    assert route(table, cav(0), 0) == cav(5)
-    assert route(table, cav(0), 1) is None  # another pair
+    assert table.next_hop[0, 0] == 5
+    assert route(table, 0, 0) == 5
+    assert route(table, 0, 1) is None  # another pair
 
 
 def test_apply_control_middle_hop():
-    table = table_of(0, 5, 9)
-    apply_control(table, relay_batch(cav(5)))
-    assert route(table, cav(5), 0) == cav(9)
+    table = table_of()
+    apply_control(table, relay_batch(5))
+    assert route(table, 5, 0) == 9
 
 
 def test_apply_control_rejects_wrong_target():
-    table = table_of(5, 9)  # holds no cav(0)
-    apply_control(table, relay_batch(cav(0)))
-    assert table.protocol_errors == 1
-    assert (table.next_hop == -1).all()
+    # a target outside the view's slots; numpy would wrap -1 to the last row
+    for outside in (-1, N_VIEW):
+        table = table_of()
+        apply_control(table, relay_batch(outside, nodes=(0, 5, 9)))
+        apply_control(table, relay_batch(outside, nodes=(0, 5, N_VIEW - 1)))
+        assert table.protocol_errors == 2
+        assert (table.next_hop == -1).all()
 
 
 def test_apply_control_rejects_node_not_on_path():
-    table = table_of(0, 5, 7, 9)
-    apply_control(table, relay_batch(cav(7)))
+    table = table_of()
+    apply_control(table, relay_batch(7))
     assert table.protocol_errors == 1
     assert (table.next_hop == -1).all()
 
 
 def test_apply_control_rejects_destination_target():
-    table = table_of(0, 5, 9)
-    apply_control(table, relay_batch(cav(9)))
+    table = table_of()
+    apply_control(table, relay_batch(9))
     assert table.protocol_errors == 1
     assert (table.next_hop == -1).all()
 
 
 def test_later_control_replaces_route():
-    table = table_of(0, 3, 5, 9)
-    apply_control(table, relay_batch(cav(0), nodes=(0, 5, 9)))
-    assert route(table, cav(0), 0) == cav(5)
-    apply_control(table, relay_batch(cav(0), nodes=(0, 3, 9)))
+    table = table_of()
+    apply_control(table, relay_batch(0, nodes=(0, 5, 9)))
+    assert route(table, 0, 0) == 5
+    apply_control(table, relay_batch(0, nodes=(0, 3, 9)))
     assert table.protocol_errors == 0
-    assert route(table, cav(0), 0) == cav(3)
+    assert route(table, 0, 0) == 3
 
 
 def test_routes_for_different_purposes_coexist():
-    table = table_of(0, 1, 5, 8, 9)
-    apply_control(table, relay_batch(cav(5), nodes=(0, 5, 9), pair=0))
-    apply_control(table, relay_batch(cav(5), nodes=(1, 5, 8), pair=1))
-    assert route(table, cav(5), 0) == cav(9)
-    assert route(table, cav(5), 1) == cav(8)
-
-
-def test_forwarding_table_needs_ascending_distinct_codes():
-    for codes in ([], [cav(2).code, cav(1).code], [cav(1).code, cav(1).code]):
-        with pytest.raises(ConfigurationError):
-            ForwardingTable.empty(codes, 1)
+    table = table_of()
+    apply_control(table, relay_batch(5, nodes=(0, 5, 9), pair=0))
+    apply_control(table, relay_batch(5, nodes=(1, 5, 8), pair=1))
+    assert route(table, 5, 0) == 9
+    assert route(table, 5, 1) == 8
 
 
 def test_forwarding_table_stores_next_hops_as_int32():
-    table = table_of(0, 5, 9)
+    table = table_of()
     assert table.next_hop.dtype == np.int32
-    apply_control(table, relay_batch(cav(5), nodes=(0, 5, 9)))
-    # the largest code a NodeId can have survives the narrower column
-    apply_control(table, relay_batch(cav(0), nodes=(0, (1 << 20) - 1), pair=1))
-    hops = table.next_hops(np.array([cav(5).code, cav(0).code, cav(9).code]),
-                           np.array([0, 1, 0]))
-    assert hops.tolist() == [cav(9).code, cav((1 << 20) - 1).code, -1]
+    apply_control(table, relay_batch(5, nodes=(0, 5, 9)))
+    # the view's last slot is a next hop like any other
+    apply_control(table, relay_batch(0, nodes=(0, N_VIEW - 1), pair=1))
+    assert table.next_hop[[5, 0, 9], [0, 1, 0]].tolist() == [9, N_VIEW - 1, -1]
 
 
 def random_control_tick(rng, nodes, pairs, stranger, counts):
@@ -374,11 +378,12 @@ def test_batched_control_matches_reference():
         pairs = [tuple(nodes[i] for i in sorted(rng.choice(len(nodes), 2, replace=False)))
                  for _ in range(int(rng.integers(1, 5)))]
         stranger = NodeId(NodeKind.BS, 7)
-        table = ForwardingTable.empty([node.code for node in nodes], len(pairs))
+        codes = np.array([node.code for node in nodes])
+        table = ForwardingTable.empty(len(nodes), len(pairs))
         states = {node: reference_control.NodeState(node) for node in nodes}
         for _ in range(6):
             batch, assignments = random_control_tick(rng, nodes, pairs, stranger, counts)
-            apply_control(table, batch)
+            apply_control(table, control_slots(batch, codes))
             paths = {r: assignment for r, (_, assignment) in enumerate(assignments)}
             for target, row in zip(batch.target.tolist(), batch.path_row.tolist()):
                 node = NodeId.from_code(target)
@@ -389,12 +394,11 @@ def test_batched_control_matches_reference():
             assert table.protocol_errors == sum(s.protocol_errors for s in states.values())
 
             for k in range(len(pairs)):
-                got = table.next_hops(np.array([n.code for n in nodes]),
-                                      np.full(len(nodes), k)).tolist()
+                got = codes_of(codes, table.next_hop[:, k]).tolist()
                 want = [states[n].route_for(k) for n in nodes]
                 assert got == [-1 if w is None else w.code for w in want]
             summary = AuditSummary()
-            _audit(table, batch, summary)
+            _audit(table, control_slots(batch, codes), summary)
             checked, ok = reference_control.audit_paths(states, assignments)
             assert (summary.paths_checked, summary.paths_ok) == (checked, ok)
             audit_failures += checked - ok

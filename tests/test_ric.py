@@ -9,9 +9,10 @@ import pytest
 import reference_reports
 from reference_graph import reference_graph
 from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
+from slot_adapter import indication_slots, slots_of
 from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RelayPath,
                     RicState, SubscriptionRequest, XAppConfig, build_graph, emit_indication,
-                    ingest, ran, xapp_tick)
+                    ran, ric, xapp_tick)
 from v2xric.ric import _SCRATCH_ELEMENTS
 
 
@@ -30,6 +31,12 @@ def view(staleness_window_s=0.25, nodes=None):
     return RicState(sorted(node.code for node in nodes), staleness_window_s=staleness_window_s)
 
 
+def ingest(state, batch):
+    """The controller's ingest of a batch that names nodes by NodeId code,
+    as the tests build them: the codes become the view's slots first."""
+    return ric.ingest(state, indication_slots(batch, state.codes))
+
+
 def instant(t, *reports):
     """One report instant; reports are (source, [(rx, snr_db), ...])."""
     links = [(src.code, rx.code, snr) for src, mine in reports for rx, snr in mine]
@@ -46,12 +53,12 @@ def report(src, t, links):
 
 def held_links(state, node):
     """The links in the node's held report: [(rx, snr_db)] by rx."""
-    row = state.measured[state.slots(np.array([node.code]))[0]]
+    row = state.measured[slots_of(state.codes, [node.code])[0]]
     return [(NodeId.from_code(state.codes[k]), float(row[k])) for k in np.nonzero(row < np.inf)[0]]
 
 
 def held_t(state, node):
-    return float(state.reported_at[state.slots(np.array([node.code]))[0]])
+    return float(state.reported_at[slots_of(state.codes, [node.code])[0]])
 
 
 # --- ingestion -------------------------------------------------------------------
@@ -89,8 +96,19 @@ def test_controller_view_needs_ascending_codes_and_known_nodes():
     for codes in ([], [cav(2).code, cav(1).code], [cav(1).code, cav(1).code]):
         with pytest.raises(ConfigurationError):
             RicState(codes)
-    with pytest.raises(ConfigurationError):
-        ingest(view(nodes=[cav(0), cav(1)]), report(cav(0), 0.0, [(cav(5), 3.0)]))
+
+
+@pytest.mark.parametrize("column", ["reporters", "source", "neighbor"])
+@pytest.mark.parametrize("outside", [-1, 2])
+def test_ingest_rejects_slots_outside_the_view(column, outside):
+    # a two-node view holds slots 0 and 1 alone; numpy would wrap -1 silently
+    batch = IndicationBatch(t=0.0, reporters=np.array([0, 1]), source=np.array([0, 1]),
+                            neighbor=np.array([1, 0]), snr_db=np.array([3.0, 4.0]))
+    getattr(batch, column)[1] = outside
+    state = view(nodes=[cav(0), cav(1)])
+    with pytest.raises(ConfigurationError, match="outside the controller's view"):
+        ric.ingest(state, batch)
+    assert (state.reported_at == -np.inf).all() and (state.measured == np.inf).all()
 
 
 # --- graph building --------------------------------------------------------------
@@ -349,8 +367,9 @@ def fresh_triangle(gamma_ok=True):
     return state
 
 
-def codes(*nodes):
-    return [node.code for node in nodes]
+def slots(state, *nodes):
+    """The nodes' view slots, as control batches name them."""
+    return slots_of(state.codes, [node.code for node in nodes]).tolist()
 
 
 def test_xapp_tick_emits_one_message_per_forwarding_node():
@@ -358,10 +377,12 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
     cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(9)),))
     batch, diag = xapp_tick(state, 0.0, cfg)
     assert len(batch) == 2
-    assert batch.target.tolist() == codes(cav(0), cav(5))
+    assert batch.target.tolist() == slots(state, cav(0), cav(5))
     assert batch.path_row.tolist() == [0, 0]
     assert batch.pair.tolist() == [0]
-    assert batch.paths.tolist() == [codes(cav(0), cav(5), cav(9)) + [-1] * (cfg.max_hops - 2)]
+    # the graph has 3 nodes, so the hop budget clamps to 2 edges and rows to 3 slots
+    width = min(cfg.max_hops, 3 - 1) + 1
+    assert batch.paths.tolist() == [slots(state, cav(0), cav(5), cav(9)) + [-1] * (width - 3)]
     assert diag.path(0) == RelayPath(nodes=(cav(0), cav(5), cav(9)), bottleneck_snr_db=7.0)
 
 
@@ -387,7 +408,7 @@ def test_three_relayed_pairs_give_six_ordered_messages():
     cfg = XAppConfig(snr_min_db=5.0, pairs=tuple(pairs))
     batch, diag = xapp_tick(state, 0.0, cfg)
     assert diag.pairs_relayed == 3
-    assert batch.target.tolist() == codes(cav(0), cav(1), cav(10), cav(11), cav(20), cav(21))
+    assert batch.target.tolist() == slots(state, cav(0), cav(1), cav(10), cav(11), cav(20), cav(21))
     assert batch.path_row.tolist() == [0, 0, 1, 1, 2, 2]
     assert batch.pair.tolist() == [0, 1, 2]
     assert diag.messages_issued == len(batch) == 6
