@@ -238,38 +238,36 @@ class SweepResult:
 
 # --- pair selection ----------------------------------------------------------------
 
-def _build_pairs(world: ran.World, selection: str, seed: int) -> list[tuple[ran.NodeId, ran.NodeId]]:
-    """The served pair set, fixed for the whole run.
+def _build_pairs(world: ran.World, selection: str, seed: int) -> np.ndarray:
+    """The served pair set, fixed for the whole run: (P, 2) view slots, the
+    smaller first, in ascending order.
 
     "all": every unordered vehicle pair. "matched": a seeded random perfect
     matching, so each vehicle is paired with exactly one partner (one vehicle
     sits out when the count is odd).
     """
-    cavs = [node for node in world.nodes if node.kind == ran.NodeKind.CAV]
+    cavs = np.flatnonzero(ran.kinds(world.codes) == ran.NodeKind.CAV)
     if len(cavs) < 2:
         raise ConfigurationError(f"need at least 2 vehicles for pair metrics, got {len(cavs)}")
     if selection == "all":
-        return [(cavs[a], cavs[b]) for a in range(len(cavs)) for b in range(a + 1, len(cavs))]
+        a, b = np.triu_indices(len(cavs), 1)
+        return np.stack((cavs[a], cavs[b]), axis=1)
     rng = np.random.default_rng([seed, _MATCH_TAG])
     order = rng.permutation(len(cavs))
-    pairs = []
-    for k in range(len(cavs) // 2):
-        u, v = cavs[order[2 * k]], cavs[order[2 * k + 1]]
-        pairs.append((u, v) if u < v else (v, u))
-    pairs.sort()
-    return pairs
+    pairs = np.sort(cavs[order[: len(cavs) // 2 * 2]].reshape(-1, 2), axis=1)
+    return pairs[np.argsort(pairs[:, 0])]  # a matching: the first slots are distinct
 
 
 # --- metric assembly ----------------------------------------------------------------
 
-def _connectivity(ends: np.ndarray, served: np.ndarray, metric_mode: str) -> float:
+def _connectivity(pairs: np.ndarray, served: np.ndarray, metric_mode: str) -> float:
     """Connectivity: the fraction of pairs that are served ("pairwise"), or of
     the vehicles in them that belong to a served pair ("per-vehicle").
-    `ends` holds each pair's two endpoints as small non-negative integers."""
+    `pairs` holds each pair's two endpoints as view slots."""
     if metric_mode == "pairwise":
         return int(np.count_nonzero(served)) / len(served)
-    in_pairs = np.bincount(ends.ravel()) > 0
-    happy = np.bincount(ends[served].ravel(), minlength=len(in_pairs)) > 0
+    in_pairs = np.bincount(pairs.ravel()) > 0
+    happy = np.bincount(pairs[served].ravel(), minlength=len(in_pairs)) > 0
     return int(np.count_nonzero(happy)) / int(np.count_nonzero(in_pairs))
 
 
@@ -328,11 +326,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     mobility = MobilityState.from_seed(cfg.seed, traffic.turn_probability)
 
     pairs = _build_pairs(world, cfg.pair_selection, cfg.seed)
-    xapp_cfg = replace(
-        cfg.xapp,
-        pairs=tuple(pairs),
-        max_hops=cfg.xapp.max_hops if cfg.relay_enabled else 1,
-    ).validate()
+    xapp_cfg = replace(cfg.xapp, max_hops=cfg.xapp.max_hops if cfg.relay_enabled else 1).validate()
     reporting_period = cfg.resolved_reporting_period()
     subscription = ran.SubscriptionRequest(
         reporting_period_s=reporting_period,
@@ -341,7 +335,6 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
 
     ric_state = ric.RicState(world.codes, staleness_window_s=cfg.resolved_staleness_window())
     table = ran.ForwardingTable.empty(len(world.codes), len(pairs))
-    ends = np.array([(u.index, v.index) for u, v in pairs])  # the pairs are vehicles
     in_flight: list[tuple[float, ran.IndicationBatch]] = []
     records: list[MetricsRecord] = []
     audit = AuditSummary()
@@ -354,7 +347,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
         if ran.report_due(t, cfg.control_period_s, cfg.dt_s):
             while in_flight and in_flight[0][0] <= t + 1e-9:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
-            batch, diag = ric.xapp_tick(ric_state, t, xapp_cfg)
+            batch, diag = ric.xapp_tick(ric_state, t, xapp_cfg, pairs)
             ran.apply_control(table, batch)
             audit.messages_total += len(batch)
             _audit(table, batch, audit)
@@ -362,12 +355,12 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
                 t=t,
                 gamma_min_db=xapp_cfg.snr_min_db,
                 p_b=cfg.channel.p_b,
-                connectivity=_connectivity(ends, diag.served, cfg.metric_mode),
+                connectivity=_connectivity(pairs, diag.served, cfg.metric_mode),
                 pairs_total=diag.pairs_total,
                 pairs_direct=diag.pairs_direct,
                 pairs_relayed=diag.pairs_relayed,
                 mean_hops=diag.mean_hops,
-                direct_connectivity=_connectivity(ends, diag.direct, cfg.metric_mode),
+                direct_connectivity=_connectivity(pairs, diag.direct, cfg.metric_mode),
             ))
         step_mobility(world.fleet, layout, cfg.dt_s, mobility)
     audit.protocol_errors = table.protocol_errors

@@ -202,19 +202,24 @@ def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndar
 def apply_control(table: ForwardingTable, batch: ControlBatch) -> ForwardingTable:
     """Install every forwarding hop the batch carries into the table.
 
-    Malformed messages (a target outside the table's slots, a target absent
-    from its path, or the path's own destination) count as protocol errors
-    and are dropped. When one batch installs the same (node, pair) twice, the
-    later row wins.
+    Malformed messages (a path row outside the batch, a pair index outside
+    the table's pairs, a target outside its slots, a target absent from its
+    path, or the path's own destination) count as protocol errors and are
+    dropped. When one batch installs the same (node, pair) twice, the later
+    row wins.
     """
     n_nodes, n_pairs = table.next_hop.shape
-    rows = np.pad(batch.paths[batch.path_row], ((0, 0), (0, 1)), constant_values=-1)
-    inside = (batch.target >= 0) & (batch.target < n_nodes)
+    m = len(batch.paths)
+    # an all -1 row for messages naming no path, a -1 column past every path's end
+    paths = np.pad(batch.paths, ((0, 1), (0, 1)), constant_values=-1)
+    path_row = np.where((batch.path_row >= 0) & (batch.path_row < m), batch.path_row, m)
+    rows, pair = paths[path_row], np.append(batch.pair, -1)[path_row]
+    inside = (batch.target >= 0) & (batch.target < n_nodes) & (pair >= 0) & (pair < n_pairs)
     on_path = (rows == batch.target[:, None]) & inside[:, None]
     nxt = rows[np.arange(len(rows)), np.argmax(on_path, axis=1) + 1]
     ok = on_path.any(axis=1) & (nxt >= 0)
     table.protocol_errors += len(batch) - int(np.count_nonzero(ok))
-    slot, pair, nxt = batch.target[ok], batch.pair[batch.path_row[ok]], nxt[ok]
+    slot, pair, nxt = batch.target[ok], pair[ok], nxt[ok]
     key = slot * n_pairs + pair
     order = np.argsort(key, kind="stable")
     last = order[np.diff(key[order], append=-1) != 0]

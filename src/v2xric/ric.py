@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,11 +68,10 @@ class RelayPath:
 
 @dataclass(slots=True)
 class XAppConfig:
-    """Relay-assignment policy: threshold, hop budget, and served pairs."""
+    """Relay-assignment policy: threshold, hop budget, base stations as relays."""
 
     snr_min_db: float = 5.0
     max_hops: int = 4
-    pairs: tuple[tuple[NodeId, NodeId], ...] = ()
     allow_bs_relay: bool = False
 
     def validate(self) -> "XAppConfig":
@@ -81,9 +79,6 @@ class XAppConfig:
             raise ConfigurationError(f"snr_min_db out of range [-300, 300]: {self.snr_min_db}")
         if self.max_hops < 1:
             raise ConfigurationError(f"max_hops must be >= 1: {self.max_hops}")
-        for u, v in self.pairs:
-            if u == v:
-                raise ConfigurationError(f"pair endpoints must differ: {u}")
         return self
 
 
@@ -93,7 +88,8 @@ class ConnectivityGraph:
 
     codes are the nodes' NodeId codes, ascending; snr is the symmetric matrix
     in that order of edge SNRs in dB, already at or above the build
-    threshold, -inf where there is no edge.
+    threshold, -inf where there is no edge. A graph from `build_graph` spans
+    every view slot, edgeless or not.
     """
 
     codes: np.ndarray
@@ -120,8 +116,9 @@ class ConnectivityGraph:
 
 @dataclass(slots=True)
 class XAppDiagnostics:
-    """Per-tick controller introspection, enough to derive every metric. The
-    arrays run over `XAppConfig.pairs`; `routes` holds each path as NodeId
+    """Per-tick controller introspection, enough to derive every metric.
+    `graph_nodes` counts the view slots that reported or hold an edge. The
+    arrays run over the served pairs; `routes` holds each path as NodeId
     codes padded with -1, at most `max_hops + 1` wide, and `hops` is 0 for an
     unserved pair."""
 
@@ -174,8 +171,8 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGra
 
     Edge SNR is the minimum over the reported directions. A CAV-CAV edge needs
     both endpoints' own reports to be fresh; an edge with an infrastructure
-    endpoint (RSU or BS) stands on a single fresh measurement. The nodes are
-    every reporter, fresh or stale, and every edge endpoint.
+    endpoint (RSU or BS) stands on a single fresh measurement. The graph spans
+    the whole view, in slot order.
     """
     fresh = t - state.reported_at <= state.staleness_window_s + _FRESH_EPS
     measured = np.where(fresh[:, None], state.measured, np.inf)
@@ -184,9 +181,7 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGra
     edge = ((measured < np.inf) & (measured >= snr_min_db)
             & (infrastructure[:, None] | infrastructure[None, :]
                | (fresh[:, None] & fresh[None, :])))
-    sel = np.nonzero(np.isfinite(state.reported_at) | edge.any(axis=1))[0]
-    matrix = np.where(edge, measured, -np.inf)[np.ix_(sel, sel)]
-    return ConnectivityGraph(codes=state.codes[sel], snr=matrix)
+    return ConnectivityGraph(codes=state.codes, snr=np.where(edge, measured, -np.inf))
 
 
 # --- hop-bounded widest paths ---------------------------------------------------
@@ -243,23 +238,20 @@ def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
     return steps
 
 
-def _widest_paths(codes: np.ndarray, snr: np.ndarray, ends: np.ndarray, max_hops: int,
-                  allow_bs_relay: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Widest paths for the pairs in `ends`, (P, 2) NodeId codes, from column 0
-    to column 1, over the graph of ascending node `codes` with edge matrix
-    `snr`. Per pair: the best bottleneck over any hop count, the fewest hops
+def _widest_paths(adj: np.ndarray, relay_ok: np.ndarray, s: np.ndarray, d: np.ndarray,
+                  max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Widest paths from row s[p] to row d[p] of the symmetric edge matrix
+    `adj` (-inf where there is no edge), relaying only through `relay_ok`
+    rows. Per pair: the best bottleneck over any hop count, the fewest hops
     achieving it (argmax picks the smallest such layer; 0 when unreachable),
-    the path as graph rows padded with -1, and whether a direct edge joins
-    the pair. Endpoints missing from the graph map to one extra isolated
-    node, so every pair goes through the same solve. A hop-minimal widest
-    path is simple, so the hop budget is clamped to n - 1 edges: a deeper
-    layer could only tie an earlier one, and argmax keeps the earlier."""
-    n = len(codes)
-    max_hops = max(1, min(max_hops, n - 1))
-    relay_ok = np.append(allow_bs_relay | (kinds(codes) != NodeKind.BS), False)
-    idx = np.searchsorted(codes, ends)
-    s, d = np.where(np.append(codes, -1)[idx] == ends, idx, n).T
-    adj = np.pad(snr, (0, 1), constant_values=-np.inf)
+    the path as rows padded with -1, and whether a direct edge joins the
+    pair. Only rows with an edge can relay; an edgeless relay contributes
+    -inf alone. A hop-minimal widest path is simple, so the hop budget is
+    clamped to one edge fewer than the rows with an edge: a deeper layer
+    could only tie an earlier one, and argmax keeps the earlier."""
+    linked = (adj > -np.inf).any(axis=1)
+    relay_ok = relay_ok & linked
+    max_hops = max(1, min(max_hops, int(np.count_nonzero(linked)) - 1))
     col, tables, layers = _maxmin_tables(adj, max_hops, relay_ok, s, d)
     best = layers.max(axis=0)
     hops = np.where(np.isfinite(best), np.argmax(layers == best, axis=0) + 1, 0)
@@ -269,7 +261,8 @@ def _widest_paths(codes: np.ndarray, snr: np.ndarray, ends: np.ndarray, max_hops
 
 def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
               snr_min_db: float, allow_bs_relay: bool = False) -> RelayPath | None:
-    """Widest feasible path from s to d within the hop budget, or None.
+    """Widest feasible path from s to d within the hop budget, or None (also
+    when s or d is not a node of the graph).
 
     Among simple paths of at most max_hops edges all at or above snr_min_db,
     maximizes the bottleneck SNR; ties fall to fewer hops, then to the
@@ -277,59 +270,60 @@ def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
     """
     if s == d:
         raise ValueError(f"path endpoints must differ: {s}")
-    best, hops, rows, _ = _widest_paths(graph.codes, graph.adjacency(snr_min_db),
-                                        np.array([[s.code, d.code]]), max_hops, allow_bs_relay)
+    codes = graph.codes.tolist()
+    if s.code not in codes or d.code not in codes:
+        return None
+    relay_ok = allow_bs_relay | (kinds(graph.codes) != NodeKind.BS)
+    best, hops, rows, _ = _widest_paths(graph.adjacency(snr_min_db), relay_ok,
+                                        np.array([codes.index(s.code)]),
+                                        np.array([codes.index(d.code)]), max_hops)
     if hops[0] == 0:
         return None
-    codes = graph.codes[rows[0, : hops[0] + 1]]
-    return RelayPath(nodes=tuple(map(NodeId.from_code, codes.tolist())),
+    return RelayPath(nodes=tuple(NodeId.from_code(codes[k]) for k in rows[0, : hops[0] + 1]),
                      bottleneck_snr_db=float(best[0]))
 
 
 # --- the xApp tick ----------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _pair_codes(pairs: tuple[tuple[NodeId, NodeId], ...]) -> np.ndarray:
-    """(P, 2) read-only NodeId codes of the pairs, smaller endpoint first."""
-    codes = np.sort(np.array([(u.code, v.code) for u, v in pairs], dtype=np.int64)
-                    .reshape(len(pairs), 2), axis=1)
-    codes.setflags(write=False)
-    return codes
-
-
-def xapp_tick(state: RicState, t: float, cfg: XAppConfig) -> tuple[ControlBatch, XAppDiagnostics]:
-    """One controller pass: graph from fresh reports, widest path per served
-    pair (`cfg.pairs`), one message per non-destination node of every
-    multi-hop path."""
+def xapp_tick(state: RicState, t: float, cfg: XAppConfig,
+              pairs: np.ndarray) -> tuple[ControlBatch, XAppDiagnostics]:
+    """One controller pass over the served `pairs`, (P, 2) view slots: graph
+    from fresh reports, widest path per pair from its smaller slot to its
+    larger, one message per non-destination node of every multi-hop path."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    if ((pairs < 0) | (pairs >= len(state.codes))).any():
+        raise ConfigurationError("pair names a node outside the controller's view")
+    s, d = pairs.min(axis=1), pairs.max(axis=1)
+    if (s == d).any():
+        raise ConfigurationError("pair endpoints must differ")
     graph = build_graph(state, t, cfg.snr_min_db)  # thresholded at cfg.snr_min_db
-    ends = _pair_codes(tuple(cfg.pairs))
-    bottleneck, hops, rows, direct = _widest_paths(graph.codes, graph.snr, ends, cfg.max_hops,
-                                                   cfg.allow_bs_relay)
+    relay_ok = cfg.allow_bs_relay | (kinds(state.codes) != NodeKind.BS)
+    bottleneck, hops, rows, direct = _widest_paths(graph.snr, relay_ok, s, d, cfg.max_hops)
     served = hops > 0
     relayed = np.nonzero(hops >= 2)[0]
-    slots = np.append(np.searchsorted(state.codes, graph.codes), -1)  # graph row -> view slot
-    paths = slots[rows[relayed]]
+    paths = rows[relayed]
     path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[relayed, None])
     batch = ControlBatch(paths=paths, pair=relayed, target=paths[path_row, col],
                          path_row=path_row)
 
+    edge = graph.snr > -np.inf
     feasible = int(np.count_nonzero(served))
     n_direct = int(np.count_nonzero(direct))
     diagnostics = XAppDiagnostics(
         t=t,
-        graph_nodes=len(graph.codes),
-        graph_edges=int(np.count_nonzero(np.triu(graph.snr > -np.inf))),
-        pairs_total=len(ends),
+        graph_nodes=int(np.count_nonzero(np.isfinite(state.reported_at) | edge.any(axis=1))),
+        graph_edges=int(np.count_nonzero(np.triu(edge))),
+        pairs_total=len(pairs),
         pairs_feasible=feasible,
         pairs_direct=n_direct,
         pairs_relayed=feasible - n_direct,
-        pairs_infeasible=len(ends) - feasible,
+        pairs_infeasible=len(pairs) - feasible,
         mean_hops=float(np.mean(hops[served])) if feasible else math.nan,
         messages_issued=len(batch),
         served=served,
         hops=hops,
         direct=direct,
-        routes=np.append(graph.codes, -1)[rows],
+        routes=np.append(state.codes, -1)[rows],
         bottleneck_snr_db=bottleneck,
     )
     return batch, diagnostics

@@ -1,8 +1,9 @@
 """Slot <-> NodeId code adapter for tests that speak in NodeIds.
 
-Reports and control name each node by its view slot, its row in the run's
-ascending NodeId codes. Tests that build batches from NodeIds, or compare them
-with the per-node oracles, translate through these helpers.
+Reports, control and the served pairs name each node by its view slot, its
+row in the run's ascending NodeId codes. Tests that build batches or pairs
+from NodeIds, or compare them with the per-node oracles, translate through
+these helpers.
 """
 
 from __future__ import annotations
@@ -44,3 +45,11 @@ def indication_codes(batch, codes):
 def control_slots(batch, codes):
     """A ControlBatch that names nodes by code, renamed by view slot."""
     return replace(batch, paths=slots_of(codes, batch.paths), target=slots_of(codes, batch.target))
+
+
+def pair_slots(codes, pairs) -> np.ndarray:
+    """The served pairs as xapp_tick takes them: (P, 2) view slots of the
+    (NodeId, NodeId) `pairs`; a node the view does not hold maps to
+    len(codes)."""
+    ends = [(u.code, v.code) for u, v in pairs]
+    return slots_of(codes, np.array(ends, dtype=np.int64).reshape(len(ends), 2))

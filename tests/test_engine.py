@@ -14,6 +14,7 @@ import pytest
 
 import v2xric
 from reference_mobility import VehicleState, fleet_of
+from slot_adapter import pair_slots
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingTable,
                     IndicationBatch, MetricsRecord, NodeId, NodeKind, RicState, SimConfig,
                     SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, apply_control,
@@ -90,11 +91,11 @@ def all_pairs():
 
 def connectivity(snr_min_db, max_hops, metric_mode="pairwise"):
     """One control tick's connectivity, scored as the run loop scores it."""
-    pairs = all_pairs()
-    cfg = XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops, pairs=tuple(pairs))
-    _, diag = xapp_tick(path_state(), 0.0, cfg)
-    ends = np.array([(u.index, v.index) for u, v in pairs])
-    return _connectivity(ends, diag.served, metric_mode)
+    state = path_state()
+    pairs = pair_slots(state.codes, all_pairs())
+    cfg = XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops)
+    _, diag = xapp_tick(state, 0.0, cfg, pairs)
+    return _connectivity(pairs, diag.served, metric_mode)
 
 
 def test_connectivity_pairwise_counts_feasible_pairs():
@@ -136,22 +137,29 @@ def hand_world(n):
     return World(layout=layout, fleet=fleet_of(vehicles), rsus=[])
 
 
+def pair_nodes(world, selection, seed):
+    """The served pairs of `_build_pairs`, named by NodeId."""
+    return [(world.nodes[a], world.nodes[b])
+            for a, b in _build_pairs(world, selection, seed).tolist()]
+
+
 def test_matched_pairs_form_a_perfect_matching():
     world = hand_world(7)
-    pairs = _build_pairs(world, "matched", seed=5)
+    pairs = pair_nodes(world, "matched", seed=5)
     assert len(pairs) == 3  # one vehicle sits out of an odd count
     seen = [node for pair in pairs for node in pair]
     assert len(seen) == len(set(seen))
     assert all(u < v for u, v in pairs)
     assert pairs == sorted(pairs)
-    assert pairs == _build_pairs(world, "matched", seed=5)
-    assert pairs != _build_pairs(world, "matched", seed=6)
+    assert pairs == pair_nodes(world, "matched", seed=5)
+    assert pairs != pair_nodes(world, "matched", seed=6)
 
 
 def test_all_pairs_enumerates_every_combination():
     world = hand_world(5)
-    pairs = _build_pairs(world, "all", seed=1)
+    pairs = pair_nodes(world, "all", seed=1)
     assert len(pairs) == 10
+    assert pairs == sorted(set(pairs)) and all(u < v for u, v in pairs)
 
 
 def test_pair_building_needs_two_vehicles():
@@ -214,8 +222,9 @@ def test_audit_confirms_sound_control_plane():
 def test_audit_counts_broken_forwarding():
     """A table corrupted after a sound tick fails exactly the paths it breaks:
     chain 0-1-2-3 serves (0, 3) over three hops and (0, 2) over two."""
-    cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(3)), (cav(0), cav(2))))
-    batch, diag = xapp_tick(path_state(), 0.0, cfg)
+    state = path_state()
+    pairs = pair_slots(state.codes, [(cav(0), cav(3)), (cav(0), cav(2))])
+    batch, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), pairs)
     assert diag.hops.tolist() == [3, 2]
 
     def audited(corrupt):

@@ -25,6 +25,12 @@ def bs(i):
     return NodeId(NodeKind.BS, i)
 
 
+def solve(g, ends, max_hops, allow_bs_relay):
+    """_widest_paths on graph g for the pairs `ends`, (P, 2) graph rows."""
+    relay_ok = allow_bs_relay | (kinds(g.codes) != NodeKind.BS)
+    return _widest_paths(g.snr, relay_ok, ends[:, 0], ends[:, 1], max_hops)
+
+
 def test_direct_edge():
     g = graph_of({(cav(0), cav(1)): 12.0})
     path = find_path(g, cav(0), cav(1), max_hops=4, snr_min_db=5.0)
@@ -65,11 +71,11 @@ def test_hop_budget_clamps_to_the_graph_size():
     and widths included, without tables for the layers no path can use."""
     chain = [cav(i) for i in range(10)]
     g = graph_of({(chain[i], chain[i + 1]): 10.0 + i % 3 for i in range(9)})
-    ends = np.array([[chain[0].code, chain[9].code], [chain[2].code, chain[7].code]])
-    want = _widest_paths(g.codes, g.snr, ends, 9, False)
+    ends = np.array([[0, 9], [2, 7]])  # chain[i] is row i
+    want = solve(g, ends, 9, False)
     tracemalloc.start()
     try:
-        got = _widest_paths(g.codes, g.snr, ends, 10**6, False)
+        got = solve(g, ends, 10**6, False)
         path = find_path(g, chain[0], chain[9], max_hops=10**6, snr_min_db=5.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -82,10 +88,10 @@ def test_hop_budget_clamps_to_the_graph_size():
     rng = np.random.default_rng(19)
     for _ in range(50):
         g = random_connectivity_graph(rng)
-        ends = g.codes[rng.choice(len(g.codes), size=(1, 2), replace=False)]
+        ends = rng.choice(len(g.codes), size=(1, 2), replace=False)
         for allow_bs in (False, True):
-            want = _widest_paths(g.codes, g.snr, ends, len(g.codes) - 1, allow_bs)
-            got = _widest_paths(g.codes, g.snr, ends, 10**6, allow_bs)
+            want = solve(g, ends, len(g.codes) - 1, allow_bs)
+            got = solve(g, ends, 10**6, allow_bs)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
@@ -174,8 +180,8 @@ def test_matches_reference_on_graphs_relaxed_in_several_chunks():
         g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, g.nodes)
         n = len(g.nodes)
         # a slice holds _SCRATCH_ELEMENTS // (rows * columns) relays, with one
-        # row per node plus the missing-endpoint sentinel and one column here
-        assert _SCRATCH_ELEMENTS // ((n + 1) * 1) >= n
+        # row per node and one column here
+        assert _SCRATCH_ELEMENTS // (n * 1) >= n
         for _ in range(6):
             si, di = rng.choice(n, size=2, replace=False)
             s, d = g.nodes[int(si)], g.nodes[int(di)]
@@ -197,7 +203,8 @@ def test_column_tables_match_full_tables():
     n x n tables, and the per-pair layers their (s, d) entries, the last layer
     included, bit for bit: integer SNRs for ties, base stations as relays or
     not, hop budgets 1-5, repeated destinations, a destination that is another
-    pair's source, and missing endpoints sharing the sentinel column."""
+    pair's source, and pairs sharing the column of an edgeless node (the
+    padded last row)."""
     rng = np.random.default_rng(909)
     seen = Counter()
     for trial in range(300):
@@ -236,10 +243,10 @@ def test_widest_paths_allocates_no_full_tables():
     allocations; full n x n tables for all four hop layers peak near 9 MB."""
     rng = np.random.default_rng(11)
     g = random_connectivity_graph(rng, n_nodes=400, edge_p=0.02)
-    ends = g.codes[rng.choice(len(g.codes), size=(10, 2), replace=False)]
+    ends = rng.choice(len(g.codes), size=(10, 2), replace=False)
     tracemalloc.start()
     try:
-        best, _, _, _ = _widest_paths(g.codes, g.snr, ends, 4, False)
+        best, _, _, _ = solve(g, ends, 4, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -279,6 +279,25 @@ def test_apply_control_rejects_wrong_target():
         assert (table.next_hop == -1).all()
 
 
+@pytest.mark.parametrize("pair, target, path_row", [
+    (-1, 1, 0),  # numpy would wrap -1 to the table's last pair column
+    (-1, 0, 0),
+    (2, 1, 0),  # the table serves pairs 0 and 1
+    (0, 1, -1),  # numpy would wrap -1 to the batch's last path
+    (0, 1, 2),  # the batch carries paths 0 and 1
+])
+def test_apply_control_rejects_out_of_range_pair_or_path_row(pair, target, path_row):
+    # beside one sound message, which installs slot 2's hop of pair 1
+    batch = ControlBatch(paths=np.array([(0, 1, 9), (2, 1, 8)]), pair=np.array([pair, 1]),
+                         target=np.array([target, 2]), path_row=np.array([path_row, 1]))
+    table = table_of()
+    apply_control(table, batch)
+    assert table.protocol_errors == 1
+    want = np.full((N_VIEW, 2), -1)
+    want[2, 1] = 1
+    assert (table.next_hop == want).all()
+
+
 def test_apply_control_rejects_node_not_on_path():
     table = table_of()
     apply_control(table, relay_batch(7))

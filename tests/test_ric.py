@@ -9,7 +9,7 @@ import pytest
 import reference_reports
 from reference_graph import reference_graph
 from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
-from slot_adapter import indication_slots, slots_of
+from slot_adapter import codes_of, indication_slots, pair_slots, slots_of
 from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RelayPath,
                     RicState, SubscriptionRequest, XAppConfig, build_graph, emit_indication,
                     ran, ric, xapp_tick)
@@ -51,6 +51,13 @@ def report(src, t, links):
     return instant(t, (src, links))
 
 
+def graph_reports(g, t=0.0):
+    """One instant in which every node of the graph g reports its edges."""
+    edges = edges_of(g)
+    return instant(t, *((node, [(v if u == node else u, snr) for (u, v), snr in edges.items()
+                                if node in (u, v)]) for node in g.nodes))
+
+
 def held_links(state, node):
     """The links in the node's held report: [(rx, snr_db)] by rx."""
     row = state.measured[slots_of(state.codes, [node.code])[0]]
@@ -59,6 +66,18 @@ def held_links(state, node):
 
 def held_t(state, node):
     return float(state.reported_at[slots_of(state.codes, [node.code])[0]])
+
+
+def graph_members(state, g):
+    """The nodes `XAppDiagnostics.graph_nodes` counts: every view slot that
+    reported or holds an edge of the graph."""
+    held = np.isfinite(state.reported_at) | (g.snr > -np.inf).any(axis=1)
+    return tuple(map(NodeId.from_code, state.codes[held].tolist()))
+
+
+def tick(state, t, cfg, pairs=()):
+    """xapp_tick for (NodeId, NodeId) pairs, which the view's slots name."""
+    return xapp_tick(state, t, cfg, pair_slots(state.codes, pairs))
 
 
 # --- ingestion -------------------------------------------------------------------
@@ -152,9 +171,10 @@ def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
     state = view(staleness_window_s=0.25)
     ingest(state, instant(0.0, (rsu(0), [(cav(1), 15.0)]), (cav(2), [])))
     g = build_graph(state, 0.0, snr_min_db=5.0)
-    assert g.codes.tolist() == [rsu(0).code, cav(1).code, cav(2).code]
+    assert graph_members(state, g) == (rsu(0), cav(1), cav(2))
+    assert g.codes is state.codes  # the graph spans the whole view
     adj = g.adjacency(5.0)
-    assert adj.shape == (3, 3)
+    assert adj.shape == (36, 36)
     i, j = g.nodes.index(rsu(0)), g.nodes.index(cav(1))
     assert adj[i, j] == adj[j, i] == 15.0
     assert adj[i, i] == -math.inf
@@ -231,10 +251,11 @@ def test_build_graph_matches_reference_on_random_reports():
         snr_min = float(rng.choice((-20.0, 0.0, 3.0, 4.0, float(rng.uniform(-5.0, 20.0)))))
         g = build_graph(state, 1.0, snr_min)
         nodes, edges = reference_graph(ref, 1.0, snr_min)
-        assert g.nodes == nodes
+        assert graph_members(state, g) == nodes
+        assert tick(state, 1.0, XAppConfig(snr_min_db=snr_min))[1].graph_nodes == len(nodes)
         assert np.array_equal(g.snr, g.snr.T)
         assert (np.diag(g.snr) == -np.inf).all()
-        assert edges_of(g) == edges
+        assert np.array_equal(g.snr, dense_reference(g.nodes, edges))
         edges_seen += len(edges)
         silent_endpoint_edges += sum(u not in ref.latest_report or v not in ref.latest_report
                                    for u, v in edges)
@@ -315,8 +336,8 @@ def test_report_stream_matches_per_node_reference():
                 snr_min = float(rng.choice((-10.0, 2.0, 3.0, float(rng.uniform(0.0, 20.0)))))
                 g = build_graph(state, q, snr_min)
                 want_nodes, want_edges = reference_graph(ref, q, snr_min)
-                assert g.codes.tolist() == [node.code for node in want_nodes]
-                assert np.array_equal(g.snr, dense_reference(want_nodes, want_edges))
+                assert graph_members(state, g) == want_nodes
+                assert np.array_equal(g.snr, dense_reference(g.nodes, want_edges))
                 seen["edges"] += len(want_edges)
             now = round(now + float(rng.choice((0.1, 0.2))), 9)
         seen["rejected"] += state.rejected_out_of_order
@@ -338,8 +359,9 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
                               codes[np.concatenate((dst, src))], np.concatenate((snr, snr)),
                               0.0, SubscriptionRequest(measured_neighbors=3))
     state = view(nodes=nodes)
-    cfg = XAppConfig(snr_min_db=5.0, pairs=tuple((nodes[a], nodes[b])
-                                                 for a in range(1, 13) for b in range(a + 1, 13)))
+    cfg = XAppConfig(snr_min_db=5.0)
+    pairs = pair_slots(state.codes, [(nodes[a], nodes[b])
+                                     for a in range(1, 13) for b in range(a + 1, 13)])
     built = []
     original = ran.NodeId.__new__
 
@@ -351,7 +373,7 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
     assert NodeId(NodeKind.CAV, 0) == cav(0) and len(built) == 2  # the spy is live
     built.clear()
     ingest(state, reports)
-    batch, diag = xapp_tick(state, 0.0, cfg)
+    batch, diag = xapp_tick(state, 0.0, cfg, pairs)
     assert diag.pairs_relayed > 0 and len(batch) > 0
     assert built == []
 
@@ -374,13 +396,13 @@ def slots(state, *nodes):
 
 def test_xapp_tick_emits_one_message_per_forwarding_node():
     state = fresh_triangle()
-    cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(9)),))
-    batch, diag = xapp_tick(state, 0.0, cfg)
+    cfg = XAppConfig(snr_min_db=5.0)
+    batch, diag = tick(state, 0.0, cfg, [(cav(0), cav(9))])
     assert len(batch) == 2
     assert batch.target.tolist() == slots(state, cav(0), cav(5))
     assert batch.path_row.tolist() == [0, 0]
     assert batch.pair.tolist() == [0]
-    # the graph has 3 nodes, so the hop budget clamps to 2 edges and rows to 3 slots
+    # 3 nodes hold an edge, so the hop budget clamps to 2 edges and rows to 3 slots
     width = min(cfg.max_hops, 3 - 1) + 1
     assert batch.paths.tolist() == [slots(state, cav(0), cav(5), cav(9)) + [-1] * (width - 3)]
     assert diag.path(0) == RelayPath(nodes=(cav(0), cav(5), cav(9)), bottleneck_snr_db=7.0)
@@ -389,8 +411,8 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
 def test_direct_pairs_emit_no_messages():
     state = view(staleness_window_s=0.25)
     ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
-    cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(1)),))
-    batch, diag = xapp_tick(state, 0.0, cfg)
+    cfg = XAppConfig(snr_min_db=5.0)
+    batch, diag = tick(state, 0.0, cfg, [(cav(0), cav(1))])
     assert len(batch) == 0
     assert diag.direct.tolist() == [True]
     assert diag.pairs_direct == 1
@@ -405,8 +427,8 @@ def test_three_relayed_pairs_give_six_ordered_messages():
         a, r, b = cav(10 * k), cav(10 * k + 1), cav(10 * k + 2)
         ingest(state, instant(0.0, (a, [(r, 9.0)]), (r, [(a, 9.0), (b, 8.0)]), (b, [(r, 8.0)])))
         pairs.append((a, b))
-    cfg = XAppConfig(snr_min_db=5.0, pairs=tuple(pairs))
-    batch, diag = xapp_tick(state, 0.0, cfg)
+    cfg = XAppConfig(snr_min_db=5.0)
+    batch, diag = tick(state, 0.0, cfg, pairs)
     assert diag.pairs_relayed == 3
     assert batch.target.tolist() == slots(state, cav(0), cav(1), cav(10), cav(11), cav(20), cav(21))
     assert batch.path_row.tolist() == [0, 0, 1, 1, 2, 2]
@@ -417,8 +439,8 @@ def test_three_relayed_pairs_give_six_ordered_messages():
 def test_diagnostics_counts_are_consistent():
     state = fresh_triangle()
     ingest(state, report(cav(7), 0.0, []))  # reachable by nobody
-    cfg = XAppConfig(snr_min_db=5.0, pairs=((cav(0), cav(9)), (cav(0), cav(7))))
-    _, diag = xapp_tick(state, 0.0, cfg)
+    cfg = XAppConfig(snr_min_db=5.0)
+    _, diag = tick(state, 0.0, cfg, [(cav(0), cav(9)), (cav(0), cav(7))])
     assert diag.pairs_total == 2
     assert diag.pairs_feasible == 1
     assert diag.pairs_infeasible == 1
@@ -439,16 +461,13 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
     checked = 0
     for g in graphs:
         state = view(nodes=g.nodes)
-        ingest(state, instant(0.0, *((node, [(v if u == node else u, snr)
-                                             for (u, v), snr in edges_of(g).items()
-                                             if node in (u, v)]) for node in g.nodes)))
+        ingest(state, graph_reports(g))
         pairs = tuple((u, v) for k, u in enumerate(g.nodes) for v in g.nodes[k + 1:])
         max_hops = int(rng.integers(1, 6))
         snr_min = float(rng.choice((-5.0, 1.5, 4.0)))
         for allow_bs in (False, True):
-            cfg = XAppConfig(snr_min_db=snr_min, max_hops=max_hops, pairs=pairs,
-                             allow_bs_relay=allow_bs)
-            _, diag = xapp_tick(state, 0.0, cfg)
+            cfg = XAppConfig(snr_min_db=snr_min, max_hops=max_hops, allow_bs_relay=allow_bs)
+            _, diag = tick(state, 0.0, cfg, pairs)
             for k, (u, v) in enumerate(pairs):
                 want = reference_widest_path(g, u, v, max_hops, snr_min, allow_bs)
                 got = diag.path(k)
@@ -471,17 +490,15 @@ def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
         edges = {e: float(round(snr)) for e, snr in edges_of(g).items()}
         g = graph_of(edges, g.nodes)
         state = view(nodes=g.nodes)
-        ingest(state, instant(0.0, *((node, [(v if u == node else u, snr)
-                                             for (u, v), snr in edges.items() if node in (u, v)])
-                                     for node in g.nodes)))
+        ingest(state, graph_reports(g))
         ends = np.sort(rng.choice(len(g.nodes), size=(16, 2), replace=False), axis=1)
         pairs = tuple((g.nodes[a], g.nodes[b]) for a, b in ends)  # served smaller -> larger
         destinations = {v for _, v in pairs}
         # one slice holds _SCRATCH_ELEMENTS // (rows * destination columns) relays
         assert len(g.nodes) ** 2 * len(destinations) > 2 * _SCRATCH_ELEMENTS
         for allow_bs in (False, True):
-            cfg = XAppConfig(snr_min_db=0.0, max_hops=4, pairs=pairs, allow_bs_relay=allow_bs)
-            _, diag = xapp_tick(state, 0.0, cfg)
+            cfg = XAppConfig(snr_min_db=0.0, max_hops=4, allow_bs_relay=allow_bs)
+            _, diag = tick(state, 0.0, cfg, pairs)
             for k, (u, v) in enumerate(pairs):
                 want = reference_widest_path(g, u, v, 4, 0.0, allow_bs)
                 got = diag.path(k)
@@ -493,9 +510,65 @@ def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
     assert checked >= 60  # most of the 48 pairs, each both ways, have a feasible path
 
 
+def spread(node, offset=1):
+    """The node at index 2 * index + offset of its kind."""
+    return NodeId(node.kind, 2 * node.index + offset)
+
+
+def test_silent_edgeless_slots_change_no_path(monkeypatch):
+    """Silent nodes without an edge, interleaved into the view of a random
+    oracle graph, change nothing: every bottleneck, hop count and path is
+    still the oracle's, ties included, and the control batch, renamed to
+    codes, and its path-row width are those of the view without them. Such
+    slots cannot relay, and the hop budget clamps to the nodes with an edge,
+    not to the view."""
+    edgeless_relays = []
+    original = ric._maxmin_tables
+
+    def spy(adj, max_hops, relay_ok, s, d):
+        edgeless_relays.append(int(np.count_nonzero(relay_ok & ~(adj > -np.inf).any(axis=1))))
+        return original(adj, max_hops, relay_ok, s, d)
+
+    monkeypatch.setattr(ric, "_maxmin_tables", spy)
+    rng = np.random.default_rng(606)
+    seen = Counter()
+    for _ in range(150):
+        g = random_connectivity_graph(rng)
+        g = graph_of({(spread(u), spread(v)): snr for (u, v), snr in edges_of(g).items()},
+                     [spread(node) for node in g.nodes])
+        silent = [spread(node, 0) for node in g.nodes if rng.random() < 0.7]
+        silent += [NodeId(NodeKind.BS, 2 * k) for k in range(int(rng.integers(0, 3)))]
+        pairs = [(u, v) for k, u in enumerate(g.nodes) for v in g.nodes[k + 1:]]
+        cfg = XAppConfig(snr_min_db=float(rng.choice((-5.0, 1.5, 4.0))),
+                         max_hops=int(rng.integers(1, 9)), allow_bs_relay=bool(rng.random() < 0.5))
+        ticks = []
+        for nodes in (g.nodes, sorted(set(g.nodes) | set(silent))):
+            state = view(nodes=nodes)
+            ingest(state, graph_reports(g))
+            ticks.append((state.codes, *tick(state, 0.0, cfg, pairs)))
+        (codes, batch, diag), (wide_codes, wide_batch, wide_diag) = ticks
+        assert len(wide_codes) > len(codes) or not silent
+        assert wide_batch.paths.shape == batch.paths.shape
+        assert codes_of(wide_codes, wide_batch.paths).tolist() == codes_of(codes, batch.paths).tolist()
+        assert codes_of(wide_codes, wide_batch.target).tolist() == codes_of(codes, batch.target).tolist()
+        assert (wide_batch.pair.tolist(), wide_batch.path_row.tolist()) == (
+            batch.pair.tolist(), batch.path_row.tolist())
+        assert wide_diag.graph_nodes == diag.graph_nodes == len(g.nodes)
+        for k, (u, v) in enumerate(pairs):
+            want = reference_widest_path(g, u, v, cfg.max_hops, cfg.snr_min_db, cfg.allow_bs_relay)
+            got = wide_diag.path(k)
+            assert (got is None) if want is None else (got.bottleneck_snr_db, got.nodes) == want
+            assert wide_diag.hops[k] == diag.hops[k]
+        seen["relayed"] += len(batch.paths)
+        seen["clamped"] += cfg.max_hops >= batch.paths.shape[1] > 0
+        seen["silent bs"] += any(node.kind == NodeKind.BS for node in silent)
+    assert min(seen.values()) >= 20, seen
+    assert len(edgeless_relays) == 300 and not any(edgeless_relays)  # relays hold an edge
+
+
 def test_empty_pair_list_serves_nothing():
     state = fresh_triangle()
-    batch, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0))
+    batch, diag = tick(state, 0.0, XAppConfig(snr_min_db=5.0))
     assert len(batch) == 0
     assert diag.graph_nodes == 3  # the graph is still built
     assert diag.pairs_total == 0
@@ -504,7 +577,7 @@ def test_empty_pair_list_serves_nothing():
 
 def test_empty_controller_state_is_quiet():
     state = view()
-    batch, diag = xapp_tick(state, 0.0, XAppConfig(pairs=((cav(0), cav(1)),)))
+    batch, diag = tick(state, 0.0, XAppConfig(), [(cav(0), cav(1))])
     assert len(batch) == 0
     assert diag.served.tolist() == [False]
     assert diag.graph_nodes == 0
@@ -520,13 +593,34 @@ def test_empty_controller_state_is_quiet():
     dict(snr_min_db=-500.0),
     dict(max_hops=0),
     dict(snr_min_db=math.nan),
-    dict(pairs=((NodeId(NodeKind.CAV, 0), NodeId(NodeKind.CAV, 1)),
-                (NodeId(NodeKind.CAV, 2), NodeId(NodeKind.CAV, 2)))),
-    dict(pairs=((NodeId(NodeKind.CAV, 1), NodeId(NodeKind.CAV, 1)),)),
 ])
 def test_xapp_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         XAppConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (2, 2)],  # a degenerate pair behind a valid one
+    [(1, 1)],
+    [(0, -1)],  # numpy would wrap -1 to the view's last slot
+    [(-1, 0)],
+    [(0, 1), (0, 36)],  # the default view holds slots 0-35
+])
+def test_xapp_tick_rejects_bad_pairs_before_building_the_graph(pairs, monkeypatch):
+    state = fresh_triangle()
+    monkeypatch.setattr(ric, "build_graph", lambda *args: pytest.fail("graph built"))
+    with pytest.raises(ConfigurationError):
+        xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array(pairs))
+
+
+def test_pairs_run_from_the_smaller_slot():
+    state = fresh_triangle()
+    a, b = slots(state, cav(0), cav(9))
+    forward, _ = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array([(a, b)]))
+    backward, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array([(b, a)]))
+    assert backward.paths.tolist() == forward.paths.tolist()
+    assert backward.target.tolist() == slots(state, cav(0), cav(5))
+    assert diag.path(0).nodes == (cav(0), cav(5), cav(9))
 
 
 def test_relay_path_shape_is_enforced():
