@@ -1,9 +1,13 @@
 """Command-line front end: single runs and the two experiment sweeps.
 
 Configuration comes from a flat key=value file (UTF-8, `#` comments), with
-command-line flags taking precedence. Every output directory receives a
-manifest that snapshots the fully resolved configuration; pointing --config at
-a manifest re-runs it and reproduces the CSVs byte for byte.
+command-line flags taking precedence. The keys are the fields of the config
+dataclasses (`SimConfig` and its four sections, then the sweep fields of
+`SweepSpec`), each parsed by its annotation and defaulting to the field's
+default; only the two sweep lists carry a CLI default of their own. Every
+output directory receives a manifest that snapshots the fully resolved
+configuration; pointing --config at a manifest re-runs it and reproduces the
+CSVs byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -27,99 +31,80 @@ from .scenario import TrafficConfig
 METRICS_HEADER = "t,gamma_min_db,p_b,connectivity,pairs_total,pairs_direct,pairs_relayed,mean_hops"
 SUMMARY_HEADER = "gamma_min_db,p_b,mode,connectivity_mean,connectivity_std,replications"
 
-# Every accepted configuration key with its parse kind and canonical default.
-# The same schema serves all three commands; sweep-only keys are simply unused
-# (but still validated and echoed) for `run`.
-_SCHEMA: dict[str, tuple[str, str]] = {
-    "duration_s": ("float", "300.0"),
-    "dt_s": ("float", "0.1"),
-    "control_period_s": ("float", "0.1"),
-    "seed": ("int", "1"),
-    "warmup_s": ("float", "10.0"),
-    "metric_mode": ("str", "pairwise"),
-    "pair_selection": ("str", "all"),
-    "relay_enabled": ("bool", "true"),
-    "cav_terminations": ("bool", "true"),
-    "sensing_range_m": ("float", "300.0"),
-    "reporting_period_s": ("opt_float", "none"),
-    "measured_neighbors": ("opt_int", "none"),
-    "staleness_window_s": ("opt_float", "none"),
-    "control_delay_s": ("float", "0.01"),
-    "carrier_ghz": ("float", "28.0"),
-    "eirp_dbm": ("float", "23.0"),
-    "bandwidth_hz": ("float", "100000000.0"),
-    "noise_figure_db": ("float", "9.0"),
-    "p_b": ("float", "0.0"),
-    "blockage_mode": ("str", "combined"),
-    "density_veh_km": ("float", "50.0"),
-    "speed_mps": ("float", "14.0"),
-    "tall_fraction": ("float", "0.1"),
-    "turn_probability": ("float", "0.25"),
-    "snr_min_db": ("float", "5.0"),
-    "max_hops": ("int", "4"),
-    "allow_bs_relay": ("bool", "false"),
-    "arm_length_m": ("float", "200.0"),
-    "road_width_m": ("float", "14.0"),
-    "building_setback_m": ("float", "2.0"),
-    "building_height_m": ("float", "20.0"),
-    "rsu_mast_height_m": ("float", "6.0"),
-    "cav_antenna_height_m": ("float", "1.6"),
-    "gamma_min_values": ("float_list", "0.0,5.0,10.0,15.0,20.0"),
-    "p_b_values": ("float_list", "0.0,0.25,0.5,0.75,1.0"),
-    "replications": ("int", "1"),
-    "workers": ("int", "1"),
-}
-
 
 def _fmt(x) -> str:
     """Canonical float text: shortest repr, round-trip exact."""
     return repr(float(x))
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _parse_floats(raw: str) -> tuple[float, ...]:
+    parts = [p for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise ValueError(raw)
+    return tuple(float(p) for p in parts)
+
+
+# Parser and canonical text of each field annotation a key may carry.
+_KINDS = {
+    "float": (float, _fmt),
+    "int": (lambda raw: int(raw, 10), str),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "str": (str, str),
+    "tuple[float, ...]": (_parse_floats, lambda value: ",".join(map(_fmt, value))),
+}
+
+
+def _kind(annotation: str):
+    """(parse, show) for a field annotation; `X | None` also takes
+    "none" or nothing, and shows None as "none"."""
+    optional = annotation.endswith(" | None")
+    base = annotation.removesuffix(" | None")
+    if base not in _KINDS:
+        raise TypeError(f"no configuration parser for annotation {annotation!r}")
+    parse, show = _KINDS[base]
+    if not optional:
+        return parse, show
+    return ((lambda raw: None if raw.lower() in ("", "none") else parse(raw)),
+            (lambda value: "none" if value is None else show(value)))
+
+
+# The config dataclasses, in key order. Their fields without a plain default
+# (the sections themselves and the sweep's base run) are not keys, and neither
+# is the traffic model's seed, which is the run's `seed`.
+_SECTIONS = (SimConfig, ChannelParams, TrafficConfig, XAppConfig, WorldConfig, SweepSpec)
+_SWEEP_DEFAULTS = {"gamma_min_values": (0.0, 5.0, 10.0, 15.0, 20.0),
+                   "p_b_values": (0.0, 0.25, 0.5, 0.75, 1.0)}
+
+
+def _section_keys(cls) -> list[dataclasses.Field]:
+    return [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+            and (cls, f.name) != (TrafficConfig, "seed")]
+
+
+# Every accepted key: (parse, show, default). The same keys serve all three
+# commands; sweep-only keys are simply unused (but still validated and echoed)
+# for `run`.
+_KEYS = {f.name: (*_kind(f.type), _SWEEP_DEFAULTS.get(f.name, f.default))
+         for cls in _SECTIONS for f in _section_keys(cls)}
+
+
 def _parse_value(key: str, raw: str):
-    """Parse one raw value by its schema kind. Range and finiteness are the
-    config objects' to check (`SimConfig.validate`, `SweepSpec.validate`)."""
-    kind = _SCHEMA[key][0]
+    """Parse one raw value by its key's annotation. Range and finiteness are
+    the config objects' to check (`SimConfig.validate`, `SweepSpec.validate`)."""
     raw = raw.strip()
     try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw, 10)
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind == "opt_float":
-            return None if raw.lower() in ("", "none") else float(raw)
-        if kind == "opt_int":
-            return None if raw.lower() in ("", "none") else int(raw, 10)
-        if kind == "float_list":
-            parts = [p for p in raw.split(",") if p.strip()]
-            if not parts:
-                raise ValueError(raw)
-            return tuple(float(p) for p in parts)
-        return raw  # "str"
+        return _KEYS[key][0](raw)
     except ValueError:
         raise ConfigurationError(f"invalid value for {key}: {raw!r}") from None
-
-
-def _serialize(key: str, value) -> str:
-    kind = _SCHEMA[key][0]
-    if kind == "float":
-        return _fmt(value)
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind in ("opt_float", "opt_int"):
-        if value is None:
-            return "none"
-        return _fmt(value) if kind == "opt_float" else str(value)
-    if kind == "float_list":
-        return ",".join(_fmt(v) for v in value)
-    return str(value)
 
 
 def _read_config(path: str) -> tuple[dict[str, str], str | None]:
@@ -150,67 +135,25 @@ def _read_config(path: str) -> tuple[dict[str, str], str | None]:
     return values, None
 
 
-def parse_config(merged: dict[str, str]) -> tuple[SimConfig, dict, dict[str, str]]:
-    """Resolve merged key=value strings into a validated SimConfig, the sweep
-    extras, and the canonical echo written into manifests."""
+def parse_config(merged: dict[str, str]) -> tuple[SweepSpec, dict[str, str]]:
+    """Resolve merged key=value strings into a validated SweepSpec, whose
+    `base` is the run's SimConfig, and the canonical echo written into
+    manifests. The sweep keys are checked for every command."""
     for key in merged:
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigurationError(f"unknown configuration key: {key}")
-    values = {key: _parse_value(key, merged.get(key, default))
-              for key, (_, default) in _SCHEMA.items()}
-    cfg = SimConfig(
-        duration_s=values["duration_s"],
-        dt_s=values["dt_s"],
-        control_period_s=values["control_period_s"],
-        seed=values["seed"],
-        channel=ChannelParams(
-            carrier_ghz=values["carrier_ghz"],
-            eirp_dbm=values["eirp_dbm"],
-            bandwidth_hz=values["bandwidth_hz"],
-            noise_figure_db=values["noise_figure_db"],
-            p_b=values["p_b"],
-            blockage_mode=values["blockage_mode"],
-        ),
-        traffic=TrafficConfig(
-            density_veh_km=values["density_veh_km"],
-            speed_mps=values["speed_mps"],
-            seed=values["seed"],
-            tall_fraction=values["tall_fraction"],
-            turn_probability=values["turn_probability"],
-        ),
-        xapp=XAppConfig(
-            snr_min_db=values["snr_min_db"],
-            max_hops=values["max_hops"],
-            allow_bs_relay=values["allow_bs_relay"],
-        ),
-        world=WorldConfig(
-            arm_length_m=values["arm_length_m"],
-            road_width_m=values["road_width_m"],
-            building_setback_m=values["building_setback_m"],
-            building_height_m=values["building_height_m"],
-            rsu_mast_height_m=values["rsu_mast_height_m"],
-            cav_antenna_height_m=values["cav_antenna_height_m"],
-        ),
-        sensing_range_m=values["sensing_range_m"],
-        reporting_period_s=values["reporting_period_s"],
-        measured_neighbors=values["measured_neighbors"],
-        staleness_window_s=values["staleness_window_s"],
-        control_delay_s=values["control_delay_s"],
-        warmup_s=values["warmup_s"],
-        metric_mode=values["metric_mode"],
-        pair_selection=values["pair_selection"],
-        relay_enabled=values["relay_enabled"],
-        cav_terminations=values["cav_terminations"],
-    ).validate()
-    sweep = {
-        "gamma_min_values": values["gamma_min_values"],
-        "p_b_values": values["p_b_values"],
-        "replications": values["replications"],
-        "workers": values["workers"],
-    }
-    SweepSpec(base=cfg, **sweep).validate()  # sweep keys are checked for every command
-    echo = {key: _serialize(key, values[key]) for key in _SCHEMA}
-    return cfg, sweep, echo
+    values = {key: _parse_value(key, merged[key]) if key in merged else default
+              for key, (_, _, default) in _KEYS.items()}
+
+    def section(cls, **extra):
+        return cls(**{f.name: values[f.name] for f in _section_keys(cls)}, **extra)
+
+    cfg = section(SimConfig, channel=section(ChannelParams),
+                  traffic=section(TrafficConfig, seed=values["seed"]),
+                  xapp=section(XAppConfig), world=section(WorldConfig)).validate()
+    spec = section(SweepSpec, base=cfg).validate()
+    echo = {key: show(values[key]) for key, (_, show, _) in _KEYS.items()}
+    return spec, echo
 
 
 # --- output writers -------------------------------------------------------------
@@ -306,12 +249,11 @@ def cmd_run(cfg: SimConfig, out: Path, echo: dict[str, str]) -> None:
                     ["metrics.csv", "summary.csv", "manifest.json"], runtime_s, audit)
 
 
-def cmd_sweep(command: str, cfg: SimConfig, sweep: dict, out: Path, echo: dict[str, str]) -> None:
+def cmd_sweep(command: str, spec: SweepSpec, out: Path, echo: dict[str, str]) -> None:
     started = time.perf_counter()
-    spec = SweepSpec(base=cfg, **sweep)
     result = engine.sweep_snr(spec) if command == "sweep-snr" else engine.sweep_blockage(spec)
     out.mkdir(parents=True, exist_ok=True)
-    _write_sweep_outputs(out, command, result, echo, cfg.seed, time.perf_counter() - started,
+    _write_sweep_outputs(out, command, result, echo, spec.base.seed, time.perf_counter() - started,
                          with_p_b=command == "sweep-blockage")
 
 
@@ -345,30 +287,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that always set one key: argparse dest -> key. --snr-min and --p-b set
+# a key that depends on the command, and --no-relay sets relay_enabled.
+_FLAG_KEYS = {"seed": "seed", "duration": "duration_s", "warmup": "warmup_s",
+              "density": "density_veh_km", "max_hops": "max_hops", "metric": "metric_mode",
+              "replications": "replications", "workers": "workers"}
+
+
 def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.duration is not None:
-        overrides["duration_s"] = args.duration
-    if args.warmup is not None:
-        overrides["warmup_s"] = args.warmup
-    if args.density is not None:
-        overrides["density_veh_km"] = args.density
+    overrides = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
+                 if getattr(args, dest) is not None}
     if args.snr_min is not None:
         overrides["snr_min_db" if args.command == "run" else "gamma_min_values"] = args.snr_min
     if args.p_b is not None:
         overrides["p_b_values" if args.command == "sweep-blockage" else "p_b"] = args.p_b
-    if args.max_hops is not None:
-        overrides["max_hops"] = args.max_hops
     if args.no_relay:
         overrides["relay_enabled"] = "false"
-    if args.metric is not None:
-        overrides["metric_mode"] = args.metric
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     return overrides
 
 
@@ -384,12 +318,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"re-run it with that subcommand")
         merged = dict(file_values)
         merged.update(_flag_overrides(args))
-        cfg, sweep, echo = parse_config(merged)
+        spec, echo = parse_config(merged)
         out = Path(args.out)
         if args.command == "run":
-            cmd_run(cfg, out, echo)
+            cmd_run(spec.base, out, echo)
         else:
-            cmd_sweep(args.command, cfg, sweep, out, echo)
+            cmd_sweep(args.command, spec, out, echo)
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -404,7 +404,7 @@ def _execute(jobs: list[tuple[tuple, SimConfig]], workers: int) -> dict[tuple, t
         return dict(_run_cell(job) for job in jobs)
     import multiprocessing
 
-    with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+    with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
         return dict(pool.map(_run_cell, jobs))
 
 

@@ -95,20 +95,6 @@ class ConnectivityGraph:
     codes: np.ndarray
     snr: np.ndarray
 
-    @property
-    def nodes(self) -> tuple[NodeId, ...]:
-        return tuple(map(NodeId.from_code, self.codes.tolist()))
-
-    def edge_snr(self, u: NodeId, v: NodeId) -> float:
-        """SNR of the u-v edge, -inf when there is none."""
-        nodes = self.nodes
-        if u not in nodes or v not in nodes:
-            return -math.inf
-        return float(self.snr[nodes.index(u), nodes.index(v)])
-
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return self.edge_snr(u, v) > -math.inf
-
     def adjacency(self, snr_min_db: float = -math.inf) -> np.ndarray:
         """Dense matrix in node order: edge SNR where >= snr_min_db, else -inf."""
         return np.where(self.snr >= snr_min_db, self.snr, -np.inf)
@@ -118,8 +104,8 @@ class ConnectivityGraph:
 class XAppDiagnostics:
     """Per-tick controller introspection, enough to derive every metric.
     `graph_nodes` counts the view slots that reported or hold an edge. The
-    arrays run over the served pairs; `routes` holds each path as NodeId
-    codes padded with -1, at most `max_hops + 1` wide, and `hops` is 0 for an
+    arrays run over the served pairs; `paths` holds each path as view slots
+    padded with -1, at most `max_hops + 1` wide, and `hops` is 0 for an
     unserved pair."""
 
     t: float
@@ -135,15 +121,16 @@ class XAppDiagnostics:
     served: np.ndarray
     hops: np.ndarray
     direct: np.ndarray
-    routes: np.ndarray
+    paths: np.ndarray
     bottleneck_snr_db: np.ndarray
 
-    def path(self, pair: int) -> RelayPath | None:
-        """The path assigned to the pair with this index, or None."""
+    def path(self, pair: int, codes: np.ndarray) -> RelayPath | None:
+        """The path assigned to the pair with this index, its nodes named by
+        the view's NodeId `codes`, or None."""
         if not self.served[pair]:
             return None
-        codes = self.routes[pair, : self.hops[pair] + 1].tolist()
-        return RelayPath(nodes=tuple(map(NodeId.from_code, codes)),
+        nodes = np.asarray(codes)[self.paths[pair, : self.hops[pair] + 1]].tolist()
+        return RelayPath(nodes=tuple(map(NodeId.from_code, nodes)),
                          bottleneck_snr_db=float(self.bottleneck_snr_db[pair]))
 
 
@@ -323,7 +310,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig,
         served=served,
         hops=hops,
         direct=direct,
-        routes=np.append(state.codes, -1)[rows],
+        paths=rows,
         bottleneck_snr_db=bottleneck,
     )
     return batch, diagnostics

@@ -62,13 +62,6 @@ class RoadLayout:
         s = self.road_width_m / 2.0 + self.building_setback_m
         return ((s, s), (-s, s), (-s, -s), (s, -s))
 
-    def on_road(self, x: float, y: float) -> bool:
-        half_w = self.road_width_m / 2.0
-        a = self.arm_length_m
-        on_x_road = abs(y) <= half_w and abs(x) <= a
-        on_y_road = abs(x) <= half_w and abs(y) <= a
-        return on_x_road or on_y_road
-
 
 @dataclass(frozen=True, slots=True)
 class RsuNode:

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from slot_adapter import graph_nodes
 from v2xric import ConnectivityGraph, NodeId, NodeKind
 
 
@@ -37,7 +38,7 @@ def graph_of(edges: dict, extra_nodes=()) -> ConnectivityGraph:
 
 def edges_of(graph: ConnectivityGraph) -> dict[tuple[NodeId, NodeId], float]:
     """{(u, v): snr_db} with u < v for every edge of the graph."""
-    nodes = graph.nodes
+    nodes = graph_nodes(graph)
     n = len(nodes)
     return {(nodes[a], nodes[b]): float(graph.snr[a, b])
             for a in range(n) for b in range(a + 1, n) if graph.snr[a, b] > -math.inf}
@@ -49,9 +50,10 @@ def reference_widest_path(graph: ConnectivityGraph, s: NodeId, d: NodeId,
     """Best (bottleneck_snr_db, node_tuple) over simple s-d paths of at most
     max_hops edges, every edge at or above snr_min_db, interior nodes never a
     base station unless allowed. None when no such path exists."""
-    if s not in graph.nodes or d not in graph.nodes:
+    nodes = graph_nodes(graph)
+    if s not in nodes or d not in nodes:
         return None
-    adj: dict[NodeId, dict[NodeId, float]] = {node: {} for node in graph.nodes}
+    adj: dict[NodeId, dict[NodeId, float]] = {node: {} for node in nodes}
     for (u, v), snr in edges_of(graph).items():
         if snr >= snr_min_db:
             adj[u][v] = snr

@@ -1,16 +1,19 @@
 """Slot <-> NodeId code adapter for tests that speak in NodeIds.
 
-Reports, control and the served pairs name each node by its view slot, its
-row in the run's ascending NodeId codes. Tests that build batches or pairs
-from NodeIds, or compare them with the per-node oracles, translate through
-these helpers.
+Reports, control, the served pairs and the controller graph name each node by
+its view slot, its row in the run's ascending NodeId codes. Tests that build
+batches or pairs from NodeIds, read a graph by NodeId, or compare either with
+the per-node oracles, translate through these helpers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
+
+from v2xric import NodeId
 
 
 def slots_of(codes, nodes) -> np.ndarray:
@@ -53,3 +56,28 @@ def pair_slots(codes, pairs) -> np.ndarray:
     len(codes)."""
     ends = [(u.code, v.code) for u, v in pairs]
     return slots_of(codes, np.array(ends, dtype=np.int64).reshape(len(ends), 2))
+
+
+def graph_nodes(graph) -> tuple[NodeId, ...]:
+    """The graph's nodes as NodeIds, in slot order."""
+    return tuple(map(NodeId.from_code, graph.codes.tolist()))
+
+
+def edge_snr(graph, u, v) -> float:
+    """SNR of the graph's u-v edge, -inf when there is none (also when u or v
+    is not a node of the graph)."""
+    a, b = slots_of(graph.codes, [u.code, v.code]).tolist()
+    if len(graph.codes) in (a, b):
+        return -math.inf
+    return float(graph.snr[a, b])
+
+
+def has_edge(graph, u, v) -> bool:
+    return edge_snr(graph, u, v) > -math.inf
+
+
+def on_road(layout, x: float, y: float) -> bool:
+    """Whether the point lies on either road of the layout, edges included."""
+    half_w = layout.road_width_m / 2.0
+    a = layout.arm_length_m
+    return (abs(y) <= half_w and abs(x) <= a) or (abs(x) <= half_w and abs(y) <= a)

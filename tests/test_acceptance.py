@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from reference_paths import random_connectivity_graph, reference_widest_path
+from slot_adapter import graph_nodes
 from v2xric.channel import pathloss_los, pathloss_nlos
 from v2xric.cli import main as cli_main
 from v2xric.engine import (SimConfig, SweepSpec, run, run_with_audit, sweep_blockage,
@@ -111,7 +112,7 @@ def test_pathfinder_oracle():
     mismatches = []
     for _ in range(1000):
         graph = random_connectivity_graph(rng)
-        nodes = list(graph.nodes)
+        nodes = list(graph_nodes(graph))
         if len(nodes) < 2:
             continue
         pairs = [(s, d) for s in nodes for d in nodes if s != d]

@@ -4,8 +4,52 @@ import json
 
 import pytest
 
-from v2xric import engine
-from v2xric.cli import METRICS_HEADER, SUMMARY_HEADER, _SCHEMA, main
+from v2xric import cli, engine
+from v2xric.cli import METRICS_HEADER, SUMMARY_HEADER, main, parse_config
+from v2xric.errors import ConfigurationError
+
+# Every configuration key with the canonical text of its default, as the
+# manifests echo it. The keys and their defaults are read off the config
+# dataclasses; this literal pins them.
+DEFAULTS = {
+    "duration_s": "300.0",
+    "dt_s": "0.1",
+    "control_period_s": "0.1",
+    "seed": "1",
+    "warmup_s": "10.0",
+    "metric_mode": "pairwise",
+    "pair_selection": "all",
+    "relay_enabled": "true",
+    "cav_terminations": "true",
+    "sensing_range_m": "300.0",
+    "reporting_period_s": "none",
+    "measured_neighbors": "none",
+    "staleness_window_s": "none",
+    "control_delay_s": "0.01",
+    "carrier_ghz": "28.0",
+    "eirp_dbm": "23.0",
+    "bandwidth_hz": "100000000.0",
+    "noise_figure_db": "9.0",
+    "p_b": "0.0",
+    "blockage_mode": "combined",
+    "density_veh_km": "50.0",
+    "speed_mps": "14.0",
+    "tall_fraction": "0.1",
+    "turn_probability": "0.25",
+    "snr_min_db": "5.0",
+    "max_hops": "4",
+    "allow_bs_relay": "false",
+    "arm_length_m": "200.0",
+    "road_width_m": "14.0",
+    "building_setback_m": "2.0",
+    "building_height_m": "20.0",
+    "rsu_mast_height_m": "6.0",
+    "cav_antenna_height_m": "1.6",
+    "gamma_min_values": "0.0,5.0,10.0,15.0,20.0",
+    "p_b_values": "0.0,0.25,0.5,0.75,1.0",
+    "replications": "1",
+    "workers": "1",
+}
 
 
 def read_lines(path):
@@ -31,7 +75,7 @@ def test_run_writes_metrics_summary_and_manifest(tmp_path):
     manifest = read_manifest(out / "manifest.json")
     assert manifest["command"] == "run"
     assert manifest["seed"] == 7
-    assert set(manifest["config"]) == set(_SCHEMA)
+    assert set(manifest["config"]) == set(DEFAULTS)
     assert manifest["config"]["duration_s"] == "2.0"
     assert manifest["outputs"] == ["metrics.csv", "summary.csv", "manifest.json"]
     assert manifest["runtime_s"] > 0
@@ -40,6 +84,55 @@ def test_run_writes_metrics_summary_and_manifest(tmp_path):
     assert audit["messages_total"] > audit["paths_checked"] > 0
     assert audit["paths_ok"] == audit["paths_checked"]
     assert audit["protocol_errors"] == 0
+
+
+def test_defaults_echo_the_pinned_text():
+    _, echo = parse_config({})
+    assert len(DEFAULTS) == 37
+    assert echo == DEFAULTS
+
+
+def test_config_echo_round_trips():
+    # Every kind away from its default: an optional float and an optional int
+    # at a value, an optional spelled empty, three bool spellings, and lists
+    # with a trailing comma. The variants below take the other bool spellings
+    # and the optionals at "none".
+    first = dict(DEFAULTS, seed="11", duration_s="20", warmup_s="2", metric_mode="per-vehicle",
+                 pair_selection="matched", relay_enabled="YES", cav_terminations="no",
+                 allow_bs_relay="1", reporting_period_s="0.2", measured_neighbors="3",
+                 staleness_window_s="", bandwidth_hz="1e8", gamma_min_values="2.5,7,",
+                 p_b_values="0.5, 0.25,", replications="2", workers="3", max_hops="0003")
+    spec, echo = parse_config(first)
+    assert (echo["relay_enabled"], echo["cav_terminations"], echo["allow_bs_relay"]) == \
+        ("true", "false", "true")
+    assert (echo["reporting_period_s"], echo["measured_neighbors"], echo["staleness_window_s"]) \
+        == ("0.2", "3", "none")
+    assert echo["gamma_min_values"] == "2.5,7.0"
+    assert echo["max_hops"] == "3"
+    assert spec.base.traffic.seed == spec.base.seed == 11  # the run's seed drives traffic
+    again, echo_again = parse_config(echo)
+    assert echo_again == echo
+    assert again == spec
+    for variant in ({"relay_enabled": "True", "cav_terminations": "0", "allow_bs_relay": "false",
+                     "measured_neighbors": "None"},
+                    {"relay_enabled": "no", "cav_terminations": "yes", "allow_bs_relay": "FALSE",
+                     "reporting_period_s": "none", "staleness_window_s": "0.5"}):
+        spec, echo = parse_config(variant)
+        assert parse_config(echo) == (spec, echo)
+
+
+@pytest.mark.parametrize("key,raw", [
+    ("seed", "x"), ("max_hops", "2.5"), ("relay_enabled", "maybe"),
+    ("measured_neighbors", "2.0"), ("gamma_min_values", ","), ("duration_s", ""),
+])
+def test_unparseable_value_names_its_key(key, raw):
+    with pytest.raises(ConfigurationError, match=f"^invalid value for {key}: "):
+        parse_config({key: raw})
+
+
+def test_unknown_annotation_has_no_parser():
+    with pytest.raises(TypeError, match="no configuration parser"):
+        cli._kind("list[int]")
 
 
 def test_metrics_floats_round_trip(tmp_path):
@@ -228,6 +321,19 @@ def test_manifest_reruns_byte_identically(tmp_path):
     assert main(["run", "--config", str(first / "manifest.json"), "--out", str(again)]) == 0
     assert (first / "metrics.csv").read_bytes() == (again / "metrics.csv").read_bytes()
     assert (first / "summary.csv").read_bytes() == (again / "summary.csv").read_bytes()
+
+
+def test_sweep_cell_manifests_rerun_byte_identically(tmp_path):
+    grid = tmp_path / "grid"
+    assert main(["sweep-blockage", "--out", str(grid), "--duration", "2", "--warmup", "0",
+                 "--seed", "6", "--snr-min", "5,15", "--p-b", "0,0.5",
+                 "--replications", "2"]) == 0
+    cells = sorted(path.parent for path in grid.glob("run_*/manifest.json"))
+    assert len(cells) == 8
+    for cell in cells:
+        again = tmp_path / "again" / cell.name
+        assert main(["run", "--config", str(cell / "manifest.json"), "--out", str(again)]) == 0
+        assert (again / "metrics.csv").read_bytes() == (cell / "metrics.csv").read_bytes()
 
 
 def test_manifest_command_mismatch_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -338,6 +339,34 @@ def test_blockage_sweep_zero_column_equals_snr_sweep():
         blocked = next(r for r in blk_rows if r.gamma_min_db == gamma)
         assert blocked.connectivity_mean == relay.connectivity_mean
         assert blocked.connectivity_std == relay.connectivity_std
+
+
+def test_sweep_pool_starts_no_more_workers_than_cells(monkeypatch):
+    """Eight workers over a four-cell grid ask the pool for four processes.
+    The pool is a stand-in that maps in this process, so nothing is forked."""
+    requested = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return list(map(fn, jobs))
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    spec = SweepSpec(base=quick_cfg(duration_s=1.0, seed=3), gamma_min_values=(5.0, 10.0),
+                     p_b_values=(0.0, 0.5), workers=8)
+    assert len(sweep_blockage(spec).runs) == 4
+    assert requested == [4]
 
 
 def test_blockage_sweep_needs_a_stochastic_mode():

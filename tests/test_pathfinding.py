@@ -8,6 +8,7 @@ import pytest
 
 from reference_paths import (edges_of, graph_of, random_connectivity_graph,
                              reference_maxmin_tables, reference_widest_path)
+from slot_adapter import graph_nodes
 from v2xric import NodeId, NodeKind, find_path
 from v2xric.ran import kinds
 from v2xric.ric import _SCRATCH_ELEMENTS, _maxmin_tables, _widest_paths
@@ -151,9 +152,10 @@ def test_matches_reference_enumeration_on_random_graphs():
     checked = 0
     for _ in range(250):
         g = random_connectivity_graph(rng)
-        n = len(g.nodes)
+        nodes = graph_nodes(g)
+        n = len(nodes)
         si, di = rng.choice(n, size=2, replace=False)
-        s, d = g.nodes[int(si)], g.nodes[int(di)]
+        s, d = nodes[int(si)], nodes[int(di)]
         gamma = float(rng.integers(0, 6)) if rng.random() < 0.5 else float(rng.uniform(-5, 15))
         allow_bs = bool(rng.random() < 0.3)
         got = find_path(g, s, d, max_hops=4, snr_min_db=gamma, allow_bs_relay=allow_bs)
@@ -177,14 +179,15 @@ def test_matches_reference_on_graphs_relaxed_in_several_chunks():
     for _ in range(5):
         g = random_connectivity_graph(rng, n_nodes=200, edge_p=0.03)
         # integer SNRs so bottleneck and hop-count ties occur
-        g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, g.nodes)
-        n = len(g.nodes)
+        g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, graph_nodes(g))
+        nodes = graph_nodes(g)
+        n = len(nodes)
         # a slice holds _SCRATCH_ELEMENTS // (rows * columns) relays, with one
         # row per node and one column here
         assert _SCRATCH_ELEMENTS // (n * 1) >= n
         for _ in range(6):
             si, di = rng.choice(n, size=2, replace=False)
-            s, d = g.nodes[int(si)], g.nodes[int(di)]
+            s, d = nodes[int(si)], nodes[int(di)]
             for allow_bs in (False, True):
                 got = find_path(g, s, d, max_hops=4, snr_min_db=0.0, allow_bs_relay=allow_bs)
                 want = reference_widest_path(g, s, d, 4, 0.0, allow_bs)
@@ -210,7 +213,7 @@ def test_column_tables_match_full_tables():
     for trial in range(300):
         g = random_connectivity_graph(rng, max_nodes=12)
         if trial % 2:
-            g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, g.nodes)
+            g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, graph_nodes(g))
         n = len(g.codes)
         adj = np.pad(g.snr, (0, 1), constant_values=-np.inf)
         max_hops = trial % 5 + 1
@@ -258,9 +261,10 @@ def test_bottleneck_monotone_in_threshold():
     rng = np.random.default_rng(77)
     for _ in range(100):
         g = random_connectivity_graph(rng)
-        n = len(g.nodes)
+        nodes = graph_nodes(g)
+        n = len(nodes)
         si, di = rng.choice(n, size=2, replace=False)
-        s, d = g.nodes[int(si)], g.nodes[int(di)]
+        s, d = nodes[int(si)], nodes[int(di)]
         lo = find_path(g, s, d, max_hops=4, snr_min_db=0.0)
         hi = find_path(g, s, d, max_hops=4, snr_min_db=5.0)
         if hi is not None:
@@ -272,9 +276,10 @@ def test_bottleneck_monotone_in_hop_budget():
     rng = np.random.default_rng(78)
     for _ in range(100):
         g = random_connectivity_graph(rng)
-        n = len(g.nodes)
+        nodes = graph_nodes(g)
+        n = len(nodes)
         si, di = rng.choice(n, size=2, replace=False)
-        s, d = g.nodes[int(si)], g.nodes[int(di)]
+        s, d = nodes[int(si)], nodes[int(di)]
         narrow = find_path(g, s, d, max_hops=2, snr_min_db=0.0)
         wide = find_path(g, s, d, max_hops=4, snr_min_db=0.0)
         if narrow is not None:

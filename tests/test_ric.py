@@ -9,7 +9,8 @@ import pytest
 import reference_reports
 from reference_graph import reference_graph
 from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
-from slot_adapter import codes_of, indication_slots, pair_slots, slots_of
+from slot_adapter import (codes_of, edge_snr, graph_nodes, has_edge, indication_slots,
+                          pair_slots, slots_of)
 from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RelayPath,
                     RicState, SubscriptionRequest, XAppConfig, build_graph, emit_indication,
                     ran, ric, xapp_tick)
@@ -55,7 +56,7 @@ def graph_reports(g, t=0.0):
     """One instant in which every node of the graph g reports its edges."""
     edges = edges_of(g)
     return instant(t, *((node, [(v if u == node else u, snr) for (u, v), snr in edges.items()
-                                if node in (u, v)]) for node in g.nodes))
+                                if node in (u, v)]) for node in graph_nodes(g)))
 
 
 def held_links(state, node):
@@ -137,34 +138,34 @@ def test_vehicle_edge_needs_both_reports_fresh():
     state = view(staleness_window_s=0.25)
     ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
     g = build_graph(state, 0.0, snr_min_db=5.0)
-    assert not g.has_edge(cav(0), cav(1))  # cav(1) never reported
+    assert not has_edge(g, cav(0), cav(1))  # cav(1) never reported
     ingest(state, report(cav(1), 0.0, [(cav(0), 12.0)]))
     g = build_graph(state, 0.0, snr_min_db=5.0)
-    assert g.has_edge(cav(0), cav(1))
+    assert has_edge(g, cav(0), cav(1))
 
 
 def test_infrastructure_edge_stands_on_single_report():
     state = view(staleness_window_s=0.25)
     ingest(state, report(rsu(0), 0.0, [(cav(1), 15.0)]))
     g = build_graph(state, 0.0, snr_min_db=5.0)
-    assert g.has_edge(rsu(0), cav(1))
+    assert has_edge(g, rsu(0), cav(1))
 
 
 def test_stale_reports_drop_out_of_the_graph():
     state = view(staleness_window_s=0.25)
     ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
-    assert build_graph(state, 0.25, snr_min_db=5.0).has_edge(cav(0), cav(1))  # boundary
+    assert has_edge(build_graph(state, 0.25, snr_min_db=5.0), cav(0), cav(1))  # boundary
     late = build_graph(state, 0.3, snr_min_db=5.0)
-    assert not late.has_edge(cav(0), cav(1))
-    assert cav(0) in late.nodes  # reporters stay known even when stale
+    assert not has_edge(late, cav(0), cav(1))
+    assert cav(0) in graph_nodes(late)  # reporters stay known even when stale
 
 
 def test_edge_snr_is_min_over_directions():
     state = view(staleness_window_s=0.25)
     ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 3.0)])))
-    assert not build_graph(state, 0.0, snr_min_db=5.0).has_edge(cav(0), cav(1))
+    assert not has_edge(build_graph(state, 0.0, snr_min_db=5.0), cav(0), cav(1))
     g = build_graph(state, 0.0, snr_min_db=2.0)
-    assert g.edge_snr(cav(0), cav(1)) == 3.0
+    assert edge_snr(g, cav(0), cav(1)) == 3.0
 
 
 def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
@@ -175,10 +176,11 @@ def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
     assert g.codes is state.codes  # the graph spans the whole view
     adj = g.adjacency(5.0)
     assert adj.shape == (36, 36)
-    i, j = g.nodes.index(rsu(0)), g.nodes.index(cav(1))
+    nodes = graph_nodes(g)
+    i, j = nodes.index(rsu(0)), nodes.index(cav(1))
     assert adj[i, j] == adj[j, i] == 15.0
     assert adj[i, i] == -math.inf
-    k = g.nodes.index(cav(2))
+    k = nodes.index(cav(2))
     assert adj[i, k] == adj[k, j] == -math.inf
 
 
@@ -255,7 +257,7 @@ def test_build_graph_matches_reference_on_random_reports():
         assert tick(state, 1.0, XAppConfig(snr_min_db=snr_min))[1].graph_nodes == len(nodes)
         assert np.array_equal(g.snr, g.snr.T)
         assert (np.diag(g.snr) == -np.inf).all()
-        assert np.array_equal(g.snr, dense_reference(g.nodes, edges))
+        assert np.array_equal(g.snr, dense_reference(graph_nodes(g), edges))
         edges_seen += len(edges)
         silent_endpoint_edges += sum(u not in ref.latest_report or v not in ref.latest_report
                                    for u, v in edges)
@@ -337,7 +339,7 @@ def test_report_stream_matches_per_node_reference():
                 g = build_graph(state, q, snr_min)
                 want_nodes, want_edges = reference_graph(ref, q, snr_min)
                 assert graph_members(state, g) == want_nodes
-                assert np.array_equal(g.snr, dense_reference(g.nodes, want_edges))
+                assert np.array_equal(g.snr, dense_reference(graph_nodes(g), want_edges))
                 seen["edges"] += len(want_edges)
             now = round(now + float(rng.choice((0.1, 0.2))), 9)
         seen["rejected"] += state.rejected_out_of_order
@@ -405,7 +407,8 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
     # 3 nodes hold an edge, so the hop budget clamps to 2 edges and rows to 3 slots
     width = min(cfg.max_hops, 3 - 1) + 1
     assert batch.paths.tolist() == [slots(state, cav(0), cav(5), cav(9)) + [-1] * (width - 3)]
-    assert diag.path(0) == RelayPath(nodes=(cav(0), cav(5), cav(9)), bottleneck_snr_db=7.0)
+    assert diag.path(0, state.codes) == RelayPath(nodes=(cav(0), cav(5), cav(9)),
+                                                  bottleneck_snr_db=7.0)
 
 
 def test_direct_pairs_emit_no_messages():
@@ -448,8 +451,8 @@ def test_diagnostics_counts_are_consistent():
     assert diag.mean_hops == 2.0
     assert diag.served.tolist() == [True, False]
     assert diag.hops.tolist() == [2, 0]
-    assert diag.path(0).nodes == (cav(0), cav(5), cav(9))
-    assert diag.path(1) is None
+    assert diag.path(0, state.codes).nodes == (cav(0), cav(5), cav(9))
+    assert diag.path(1, state.codes) is None
 
 
 def test_xapp_tick_paths_match_reference_on_random_graphs():
@@ -460,9 +463,10 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
     graphs += [random_connectivity_graph(rng, n_nodes=20, edge_p=0.2) for _ in range(3)]
     checked = 0
     for g in graphs:
-        state = view(nodes=g.nodes)
+        nodes = graph_nodes(g)
+        state = view(nodes=nodes)
         ingest(state, graph_reports(g))
-        pairs = tuple((u, v) for k, u in enumerate(g.nodes) for v in g.nodes[k + 1:])
+        pairs = tuple((u, v) for k, u in enumerate(nodes) for v in nodes[k + 1:])
         max_hops = int(rng.integers(1, 6))
         snr_min = float(rng.choice((-5.0, 1.5, 4.0)))
         for allow_bs in (False, True):
@@ -470,7 +474,7 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
             _, diag = tick(state, 0.0, cfg, pairs)
             for k, (u, v) in enumerate(pairs):
                 want = reference_widest_path(g, u, v, max_hops, snr_min, allow_bs)
-                got = diag.path(k)
+                got = diag.path(k, state.codes)
                 if want is None:
                     assert got is None
                 else:
@@ -488,20 +492,21 @@ def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
     for _ in range(3):
         g = random_connectivity_graph(rng, n_nodes=200, edge_p=0.03)
         edges = {e: float(round(snr)) for e, snr in edges_of(g).items()}
-        g = graph_of(edges, g.nodes)
-        state = view(nodes=g.nodes)
+        g = graph_of(edges, graph_nodes(g))
+        nodes = graph_nodes(g)
+        state = view(nodes=nodes)
         ingest(state, graph_reports(g))
-        ends = np.sort(rng.choice(len(g.nodes), size=(16, 2), replace=False), axis=1)
-        pairs = tuple((g.nodes[a], g.nodes[b]) for a, b in ends)  # served smaller -> larger
+        ends = np.sort(rng.choice(len(nodes), size=(16, 2), replace=False), axis=1)
+        pairs = tuple((nodes[a], nodes[b]) for a, b in ends)  # served smaller -> larger
         destinations = {v for _, v in pairs}
         # one slice holds _SCRATCH_ELEMENTS // (rows * destination columns) relays
-        assert len(g.nodes) ** 2 * len(destinations) > 2 * _SCRATCH_ELEMENTS
+        assert len(nodes) ** 2 * len(destinations) > 2 * _SCRATCH_ELEMENTS
         for allow_bs in (False, True):
             cfg = XAppConfig(snr_min_db=0.0, max_hops=4, allow_bs_relay=allow_bs)
             _, diag = tick(state, 0.0, cfg, pairs)
             for k, (u, v) in enumerate(pairs):
                 want = reference_widest_path(g, u, v, 4, 0.0, allow_bs)
-                got = diag.path(k)
+                got = diag.path(k, state.codes)
                 if want is None:
                     assert got is None
                 else:
@@ -535,14 +540,15 @@ def test_silent_edgeless_slots_change_no_path(monkeypatch):
     for _ in range(150):
         g = random_connectivity_graph(rng)
         g = graph_of({(spread(u), spread(v)): snr for (u, v), snr in edges_of(g).items()},
-                     [spread(node) for node in g.nodes])
-        silent = [spread(node, 0) for node in g.nodes if rng.random() < 0.7]
+                     [spread(node) for node in graph_nodes(g)])
+        members = graph_nodes(g)
+        silent = [spread(node, 0) for node in members if rng.random() < 0.7]
         silent += [NodeId(NodeKind.BS, 2 * k) for k in range(int(rng.integers(0, 3)))]
-        pairs = [(u, v) for k, u in enumerate(g.nodes) for v in g.nodes[k + 1:]]
+        pairs = [(u, v) for k, u in enumerate(members) for v in members[k + 1:]]
         cfg = XAppConfig(snr_min_db=float(rng.choice((-5.0, 1.5, 4.0))),
                          max_hops=int(rng.integers(1, 9)), allow_bs_relay=bool(rng.random() < 0.5))
         ticks = []
-        for nodes in (g.nodes, sorted(set(g.nodes) | set(silent))):
+        for nodes in (members, sorted(set(members) | set(silent))):
             state = view(nodes=nodes)
             ingest(state, graph_reports(g))
             ticks.append((state.codes, *tick(state, 0.0, cfg, pairs)))
@@ -553,10 +559,10 @@ def test_silent_edgeless_slots_change_no_path(monkeypatch):
         assert codes_of(wide_codes, wide_batch.target).tolist() == codes_of(codes, batch.target).tolist()
         assert (wide_batch.pair.tolist(), wide_batch.path_row.tolist()) == (
             batch.pair.tolist(), batch.path_row.tolist())
-        assert wide_diag.graph_nodes == diag.graph_nodes == len(g.nodes)
+        assert wide_diag.graph_nodes == diag.graph_nodes == len(members)
         for k, (u, v) in enumerate(pairs):
             want = reference_widest_path(g, u, v, cfg.max_hops, cfg.snr_min_db, cfg.allow_bs_relay)
-            got = wide_diag.path(k)
+            got = wide_diag.path(k, wide_codes)
             assert (got is None) if want is None else (got.bottleneck_snr_db, got.nodes) == want
             assert wide_diag.hops[k] == diag.hops[k]
         seen["relayed"] += len(batch.paths)
@@ -620,7 +626,7 @@ def test_pairs_run_from_the_smaller_slot():
     backward, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array([(b, a)]))
     assert backward.paths.tolist() == forward.paths.tolist()
     assert backward.target.tolist() == slots(state, cav(0), cav(5))
-    assert diag.path(0).nodes == (cav(0), cav(5), cav(9))
+    assert diag.path(0, state.codes).nodes == (cav(0), cav(5), cav(9))
 
 
 def test_relay_path_shape_is_enforced():

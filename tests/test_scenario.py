@@ -5,6 +5,7 @@ import pytest
 
 import reference_mobility
 from reference_mobility import VehicleState, fleet_of, vehicles_of
+from slot_adapter import on_road
 from v2xric import (ConfigurationError, Fleet, MobilityState, TrafficConfig, World,
                     build_intersection, default_rsus, spawn_vehicles, step_mobility)
 from v2xric.scenario import CAR_EXTENT, TALL_EXTENT
@@ -69,11 +70,11 @@ def test_buildings_fill_quadrants_outside_setback():
 
 def test_on_road_predicate():
     layout = default_layout()
-    assert layout.on_road(0.0, 0.0)
-    assert layout.on_road(150.0, -7.0)  # road edge is inclusive
-    assert not layout.on_road(150.0, -7.1)
-    assert not layout.on_road(201.0, 0.0)
-    assert layout.on_road(3.5, 180.0)
+    assert on_road(layout, 0.0, 0.0)
+    assert on_road(layout, 150.0, -7.0)  # road edge is inclusive
+    assert not on_road(layout, 150.0, -7.1)
+    assert not on_road(layout, 201.0, 0.0)
+    assert on_road(layout, 3.5, 180.0)
 
 
 def test_default_rsus_on_corners():
@@ -120,7 +121,7 @@ def test_spawn_positions_on_road_with_minimum_spacing():
         vehicles = vehicles_of(spawn_vehicles(layout, TrafficConfig(seed=seed)))
         lanes: dict[tuple, list[float]] = {}
         for v in vehicles:
-            assert layout.on_road(*v.position)
+            assert on_road(layout, *v.position)
             hx, hy = v.heading
             if abs(hx) >= abs(hy):
                 key, coord = (("x", hx, v.position[1]), v.position[0] * hx)
@@ -218,7 +219,7 @@ def test_always_turn_when_probability_one():
         out = stepped(v, layout, 10.0, state)
         hx, hy = out[0].heading
         assert hx == 0.0 and abs(hy) == 1.0  # rotated onto the crossing road
-        assert layout.on_road(*out[0].position)
+        assert on_road(layout, *out[0].position)
 
 
 def test_exit_respawns_at_a_lane_entry_with_leftover_distance():
@@ -226,7 +227,7 @@ def test_exit_respawns_at_a_lane_entry_with_leftover_distance():
     v = vehicle_at(199.0, -3.5, (1.0, 0.0), speed=14.0)
     out = stepped(v, layout, 1.0, MobilityState.from_seed(7))[0]
     assert out.vid == 0
-    assert layout.on_road(*out.position)
+    assert on_road(layout, *out.position)
     spans = sorted(abs(c) for c in out.position)
     assert spans == [3.5, 187.0]  # 1 m to the edge, 13 m carried past the entry
 
@@ -239,7 +240,7 @@ def test_vehicle_count_and_identity_conserved():
     for _ in range(100):
         vehicles = stepped(fleet, layout, 0.1, state)
         assert sorted(v.vid for v in vehicles) == vids
-        assert all(layout.on_road(*v.position) for v in vehicles)
+        assert all(on_road(layout, *v.position) for v in vehicles)
 
 
 def test_mobility_is_deterministic_in_seed():
