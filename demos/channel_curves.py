@@ -43,7 +43,8 @@ def main():
         world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
         link = link_table(params, world.xyz(), world.codes, world.body, world.boxes(),
                           t=0.0, seed=1,
-                          pairs=([world.nodes.index(tx_id)], [world.nodes.index(rx_id)]))
+                          pairs=(np.flatnonzero(world.codes == tx_id.code),
+                                 np.flatnonzero(world.codes == rx_id.code)))
         state = "line of sight" if link.los[0] else "blocked"
         print(f"with {label:11s} in between: {state}, snr {link.snr_db[0]:+.2f} dB")
     print()

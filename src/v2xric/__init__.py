@@ -18,7 +18,7 @@ from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryR
                      sweep_snr, time_average)
 from .errors import ConfigurationError, MeasurementError
 from .ran import (ControlBatch, ForwardingTable, IndicationBatch, NodeId, NodeKind,
-                  SubscriptionRequest, World, apply_control, emit_indication, report_due)
+                  SubscriptionRequest, World, apply_control, emit_indication)
 from .ric import (ConnectivityGraph, RelayPath, RicState, XAppConfig, XAppDiagnostics,
                   build_graph, find_path, ingest, xapp_tick)
 from .scenario import (Building, Fleet, Lane, MobilityState, RoadLayout, RsuNode, TrafficConfig,
@@ -33,7 +33,7 @@ __all__ = [
     "sweep_snr", "time_average",
     "ConfigurationError", "MeasurementError",
     "ControlBatch", "ForwardingTable", "IndicationBatch", "NodeId", "NodeKind",
-    "SubscriptionRequest", "World", "apply_control", "emit_indication", "report_due",
+    "SubscriptionRequest", "World", "apply_control", "emit_indication",
     "ConnectivityGraph", "RelayPath", "RicState", "XAppConfig", "XAppDiagnostics",
     "build_graph", "find_path", "ingest", "xapp_tick",
     "Building", "Fleet", "Lane", "MobilityState", "RoadLayout", "RsuNode", "TrafficConfig",

@@ -100,7 +100,7 @@ def pathloss_nlos(distance_m, carrier_ghz, h_ut_m=1.6):
         + 21.3 * np.log10(fc)
         - 0.3 * (np.asarray(h_ut_m, dtype=np.float64) - 1.5)
     )
-    out = np.maximum(32.4 + 21.0 * np.log10(d) + 20.0 * np.log10(fc), canyon)
+    out = np.maximum(pathloss_los(d, fc), canyon)
     return float(out) if np.ndim(out) == 0 else out
 
 

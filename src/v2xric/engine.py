@@ -109,30 +109,33 @@ class SimConfig:
         ran.SubscriptionRequest(
             reporting_period_s=self.resolved_reporting_period(),
             measured_neighbors=self.measured_neighbors,
-        ).validate(self.dt_s)
+        ).validate()
         if not self._scores_a_tick():
             raise ConfigurationError(
                 f"no control tick at or after warmup_s={self.warmup_s} within "
                 f"duration_s={self.duration_s}: the run would score nothing")
-        if not math.isclose(self.duration_s / self.dt_s, self.n_steps(), rel_tol=1e-9):
-            raise ConfigurationError(
-                f"duration_s must be a whole number of dt_s steps: {self.duration_s} / {self.dt_s}")
+        for name, value in (("duration_s", self.duration_s),
+                            ("control_period_s", self.control_period_s),
+                            ("reporting_period_s", self.resolved_reporting_period())):
+            if not math.isclose(value / self.dt_s, self.steps(value), rel_tol=1e-9):
+                raise ConfigurationError(
+                    f"{name} must be a whole number of dt_s steps: {value} / {self.dt_s}")
         return self
 
+    def steps(self, seconds: float) -> int:
+        """`seconds` in whole `dt_s` steps, exact for the periods `validate` accepts."""
+        return round(seconds / self.dt_s)
+
     def n_steps(self) -> int:
-        """Steps of the run: `duration_s / dt_s`, a whole number once validated."""
-        return round(self.duration_s / self.dt_s)
+        """Steps of the run: `duration_s / dt_s`."""
+        return self.steps(self.duration_s)
 
     def _scores_a_tick(self) -> bool:
-        """True when a control tick of the run falls at or after the warm-up:
-        the records `time_average` keeps. Scans back from the last step."""
-        for step in range(self.n_steps() - 1, -1, -1):
-            t = round(step * self.dt_s, 9)
-            if t < self.warmup_s - 1e-9:
-                return False
-            if ran.report_due(t, self.control_period_s, self.dt_s):
-                return True
-        return False
+        """True when the run's last control tick falls at or after the warm-up,
+        so `time_average` keeps at least one record."""
+        every = self.steps(self.control_period_s)
+        last = (self.n_steps() - 1) // every * every
+        return round(last * self.dt_s, 9) >= self.warmup_s - 1e-9
 
     def resolved_reporting_period(self) -> float:
         return self.control_period_s if self.reporting_period_s is None else self.reporting_period_s
@@ -326,26 +329,28 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     mobility = MobilityState.from_seed(cfg.seed, traffic.turn_probability)
 
     pairs = _build_pairs(world, cfg.pair_selection, cfg.seed)
-    xapp_cfg = replace(cfg.xapp, max_hops=cfg.xapp.max_hops if cfg.relay_enabled else 1).validate()
-    reporting_period = cfg.resolved_reporting_period()
+    xapp_cfg = replace(cfg.xapp, max_hops=cfg.xapp.max_hops if cfg.relay_enabled else 1)
     subscription = ran.SubscriptionRequest(
-        reporting_period_s=reporting_period,
+        reporting_period_s=cfg.resolved_reporting_period(),
         measured_neighbors=cfg.measured_neighbors,
-    ).validate(cfg.dt_s)
+    )
+    report_every = cfg.steps(subscription.reporting_period_s)
+    control_every = cfg.steps(cfg.control_period_s)
+    # a report arrives whole steps after it is taken, a part step rounding up
+    delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
 
     ric_state = ric.RicState(world.codes, staleness_window_s=cfg.resolved_staleness_window())
     table = ran.ForwardingTable.empty(len(world.codes), len(pairs))
-    in_flight: list[tuple[float, ran.IndicationBatch]] = []
+    in_flight: list[tuple[int, ran.IndicationBatch]] = []  # (arrival step, batch)
     records: list[MetricsRecord] = []
     audit = AuditSummary()
 
     for step in range(cfg.n_steps()):
         t = round(step * cfg.dt_s, 9)
-        if ran.report_due(t, reporting_period, cfg.dt_s):
-            arrival = round(t + cfg.control_delay_s, 9)
-            in_flight.append((arrival, _collect_reports(world, cfg, t, subscription)))
-        if ran.report_due(t, cfg.control_period_s, cfg.dt_s):
-            while in_flight and in_flight[0][0] <= t + 1e-9:
+        if step % report_every == 0:
+            in_flight.append((step + delay_steps, _collect_reports(world, cfg, t, subscription)))
+        if step % control_every == 0:
+            while in_flight and in_flight[0][0] <= step:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
             batch, diag = ric.xapp_tick(ric_state, t, xapp_cfg, pairs)
             ran.apply_control(table, batch)
@@ -390,22 +395,22 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
-def _run_cell(args: tuple[tuple, SimConfig]) -> tuple[tuple, tuple[list[MetricsRecord], AuditSummary, float]]:
-    key, cfg = args
+def _run_cell(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary, float]:
     started = time.perf_counter()
     records, audit = run_with_audit(cfg)
-    return key, (records, audit, time.perf_counter() - started)
+    return records, audit, time.perf_counter() - started
 
 
-def _execute(jobs: list[tuple[tuple, SimConfig]], workers: int) -> dict[tuple, tuple[list[MetricsRecord], AuditSummary, float]]:
-    """Run all jobs, optionally across processes; results keyed identically
-    regardless of worker count."""
+def _execute(jobs: list[SimConfig],
+             workers: int) -> list[tuple[list[MetricsRecord], AuditSummary, float]]:
+    """Run all jobs, optionally across processes; results in job order at
+    any worker count."""
     if workers <= 1 or len(jobs) <= 1:
-        return dict(_run_cell(job) for job in jobs)
+        return [_run_cell(cfg) for cfg in jobs]
     import multiprocessing
 
     with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
-        return dict(pool.map(_run_cell, jobs))
+        return pool.map(_run_cell, jobs)
 
 
 def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
@@ -415,28 +420,27 @@ def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepR
     the same runs."""
     if not spec.base.relay_enabled:
         raise ConfigurationError("the sweeps score relaying: relay_enabled must be true")
-    gammas = sorted(spec.gamma_min_values)
-    jobs = [((g, p, rep), replace(spec.base, seed=spec.base.seed + rep,
-                                  channel=replace(spec.base.channel, p_b=p),
-                                  xapp=replace(spec.base.xapp, snr_min_db=g)))
-            for g in gammas for p in p_bs for rep in range(spec.replications)]
-    outcomes = _execute(jobs, spec.workers)
+    reps = spec.replications
+    grid = [(g, p) for g in sorted(spec.gamma_min_values) for p in p_bs]
+    outcomes = _execute([replace(spec.base, seed=spec.base.seed + rep,
+                                 channel=replace(spec.base.channel, p_b=p),
+                                 xapp=replace(spec.base.xapp, snr_min_db=g))
+                         for g, p in grid for rep in range(reps)], spec.workers)
 
     rows: list[SummaryRow] = []
     runs: list[RunOutput] = []
-    for g in gammas:
-        for p in p_bs:
-            cells = [outcomes[(g, p, rep)] for rep in range(spec.replications)]
-            runs.extend(RunOutput(gamma_min_db=g, p_b=p, replication=rep, seed=spec.base.seed + rep,
-                                  records=records, audit=audit, runtime_s=runtime_s)
-                        for rep, (records, audit, runtime_s) in enumerate(cells))
-            for mode in modes:
-                field_name = "connectivity" if mode == "relay" else "direct_connectivity"
-                mean, std = _mean_std([time_average(records, spec.base.warmup_s, field_name)
-                                       for records, _, _ in cells])
-                rows.append(SummaryRow(gamma_min_db=g, p_b=p, mode=mode,
-                                       connectivity_mean=mean, connectivity_std=std,
-                                       replications=spec.replications))
+    for k, (g, p) in enumerate(grid):
+        cells = outcomes[k * reps:(k + 1) * reps]
+        runs.extend(RunOutput(gamma_min_db=g, p_b=p, replication=rep, seed=spec.base.seed + rep,
+                              records=records, audit=audit, runtime_s=runtime_s)
+                    for rep, (records, audit, runtime_s) in enumerate(cells))
+        for mode in modes:
+            field_name = "connectivity" if mode == "relay" else "direct_connectivity"
+            mean, std = _mean_std([time_average(records, spec.base.warmup_s, field_name)
+                                   for records, _, _ in cells])
+            rows.append(SummaryRow(gamma_min_db=g, p_b=p, mode=mode,
+                                   connectivity_mean=mean, connectivity_std=std,
+                                   replications=reps))
     return SweepResult(rows=rows, runs=runs)
 
 

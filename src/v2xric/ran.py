@@ -63,13 +63,10 @@ class SubscriptionRequest:
     reporting_period_s: float = 0.1
     measured_neighbors: int | None = None  # None = no truncation
 
-    def validate(self, dt: float | None = None) -> "SubscriptionRequest":
+    def validate(self) -> "SubscriptionRequest":
         if not (0.001 <= self.reporting_period_s <= 1.0):
             raise ConfigurationError(
                 f"reporting_period_s out of range [0.001, 1]: {self.reporting_period_s}")
-        if dt is not None and self.reporting_period_s < dt:
-            raise ConfigurationError(
-                f"reporting_period_s {self.reporting_period_s} below simulation dt {dt}")
         if self.measured_neighbors is not None and self.measured_neighbors < 1:
             raise ConfigurationError(
                 f"measured_neighbors must be >= 1 or None: {self.measured_neighbors}")
@@ -127,16 +124,15 @@ class World:
     """Everything a node can sense: geometry plus the radio endpoints on it.
 
     Endpoints are columns in NodeId order, the RSUs as listed (ascending
-    `rid`), then the CAVs by fleet row: `nodes` and `codes` are their
-    identities, `body` the row of each one's own body among `boxes()`, -1 for
-    an RSU. These and the building boxes are built once; `xyz()` and
-    `boxes()` read the fleet as it stands."""
+    `rid`), then the CAVs by fleet row: `codes` are their NodeId codes,
+    `body` the row of each one's own body among `boxes()`, -1 for an RSU.
+    These and the building boxes are built once; `xyz()` and `boxes()` read
+    the fleet as it stands."""
 
     layout: RoadLayout
     fleet: Fleet
     rsus: list[RsuNode]
     cav_antenna_height_m: float = 1.6
-    nodes: tuple[NodeId, ...] = field(init=False)
     codes: np.ndarray = field(init=False)
     body: np.ndarray = field(init=False)
     _rsu_xyz: np.ndarray = field(init=False)
@@ -144,9 +140,8 @@ class World:
 
     def __post_init__(self) -> None:
         n = len(self.fleet)
-        self.nodes = (*(NodeId(NodeKind.RSU, r.rid) for r in self.rsus),
-                      *(NodeId(NodeKind.CAV, k) for k in range(n)))
-        self.codes = np.array([node.code for node in self.nodes], dtype=np.int64)
+        self.codes = np.array([NodeId(NodeKind.RSU, r.rid).code for r in self.rsus]
+                              + [NodeId(NodeKind.CAV, k).code for k in range(n)], dtype=np.int64)
         self.body = np.concatenate((np.full(len(self.rsus), -1), np.arange(n)))
         self._rsu_xyz = np.array([(*r.position, r.mast_height_m) for r in self.rsus],
                                  dtype=np.float64).reshape(-1, 3)
@@ -165,12 +160,6 @@ class World:
         return np.vstack((lo, b_lo)), np.vstack((hi, b_hi))
 
 
-def report_due(t: float, reporting_period_s: float, dt: float) -> bool:
-    """True when t is a multiple of the reporting period to within dt/2."""
-    nearest = round(t / reporting_period_s) * reporting_period_s
-    return abs(t - nearest) < 0.5 * dt
-
-
 def kinds(codes: np.ndarray) -> np.ndarray:
     """The NodeKind value of each NodeId code."""
     return np.asarray(codes) >> _INDEX_BITS
@@ -179,11 +168,11 @@ def kinds(codes: np.ndarray) -> np.ndarray:
 def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndarray,
                     snr_db: np.ndarray, t: float,
                     subscription: SubscriptionRequest) -> IndicationBatch:
-    """Build the reports of one report instant (the caller checks
-    `report_due`) from the reporters' slots and their measured links, each
-    (source, neighbour) at most once. A reporter with more links than the
-    subscription cap keeps its strongest (ties broken by the smaller
-    neighbour); the links keep their given order."""
+    """Build the reports of one report instant from the reporters' slots
+    and their measured links, each (source, neighbour) at most once. A
+    reporter with more links than the subscription cap keeps its strongest
+    (ties broken by the smaller neighbour); the links keep their given
+    order."""
     source = np.asarray(source, dtype=np.int64)
     neighbor = np.asarray(neighbor, dtype=np.int64)
     snr_db = np.asarray(snr_db, dtype=np.float64)

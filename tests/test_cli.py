@@ -233,6 +233,21 @@ def test_run_without_a_scored_tick_exits_2_before_running(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("control_period_s", "0.25"),
+                                       ("reporting_period_s", "0.15")])
+def test_period_off_the_step_grid_exits_2_before_running(tmp_path, capsys, monkeypatch,
+                                                          key, value):
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    cfg = tmp_path / "period.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--config", str(cfg)]) == 2
+    assert f"{key} must be a whole number of dt_s steps" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags", [("sweep-snr", []), ("sweep-blockage", ["--p-b", "0,0.5"])])
 def test_sweeps_without_relaying_exit_2_before_running(tmp_path, capsys, monkeypatch,
                                                        command, flags):

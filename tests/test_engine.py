@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_schedule
 import v2xric
 from reference_mobility import VehicleState, fleet_of
 from slot_adapter import pair_slots
@@ -21,6 +22,7 @@ from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingT
                     SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, apply_control,
                     build_intersection, ingest, run, run_with_audit, spawn_vehicles,
                     sweep_blockage, sweep_snr, time_average, xapp_tick)
+from v2xric import engine, ric
 from v2xric.engine import _audit, _build_pairs, _connectivity
 from v2xric.scenario import CAR_EXTENT
 
@@ -57,6 +59,67 @@ def test_different_seeds_diverge():
     a = run(quick_cfg(duration_s=2.0, seed=2))
     b = run(quick_cfg(duration_s=2.0, seed=3))
     assert record_reprs(a) != record_reprs(b)
+
+
+def spy_schedule(monkeypatch):
+    """Record the report, ingest and tick events of the runs that follow, in
+    the form `reference_schedule.schedule` predicts."""
+    events = []
+    collect, ingest, tick = engine._collect_reports, ric.ingest, ric.xapp_tick
+
+    def collect_spy(world, cfg, t, subscription):
+        events.append(("report", t))
+        return collect(world, cfg, t, subscription)
+
+    def ingest_spy(state, batch):
+        events.append(("ingest", batch.t))
+        return ingest(state, batch)
+
+    def tick_spy(state, t, cfg, pairs):
+        events.append(("tick", t))
+        return tick(state, t, cfg, pairs)
+
+    monkeypatch.setattr(engine, "_collect_reports", collect_spy)
+    monkeypatch.setattr(ric, "ingest", ingest_spy)
+    monkeypatch.setattr(ric, "xapp_tick", tick_spy)
+    return events
+
+
+def reference_events(cfg):
+    return reference_schedule.schedule(cfg.duration_s, cfg.dt_s, cfg.control_period_s,
+                                       cfg.resolved_reporting_period(), cfg.control_delay_s)
+
+
+def test_report_cadence_fires_on_whole_steps(monkeypatch):
+    events = spy_schedule(monkeypatch)
+    # a 0.5 s period fires at its multiples
+    cfg = quick_cfg(duration_s=3.1, reporting_period_s=0.5, control_period_s=0.5)
+    run(cfg)
+    assert [t for kind, t in events if kind == "report"] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    assert events == reference_events(cfg)
+    # 0.3 is not exactly 3 * 0.1, yet the cadence fires every 3 steps
+    events.clear()
+    cfg = quick_cfg(duration_s=3.0, reporting_period_s=0.3, control_period_s=0.3)
+    run(cfg)
+    assert [t for kind, t in events if kind == "report"] == [round(0.3 * k, 9) for k in range(10)]
+    assert events == reference_events(cfg)
+
+
+def test_schedule_matches_the_float_reference(monkeypatch):
+    """On random whole-step configs the run reports, ingests and ticks in the
+    order the float-time rule it replaced predicts."""
+    events = spy_schedule(monkeypatch)
+    rng = np.random.default_rng(13)
+    for dt in (0.1, 0.05, 0.2, 0.3 / 3):
+        for delay in (0.0, 0.01, dt, 0.25):
+            control, reporting = rng.integers(1, 6, size=2)
+            cfg = quick_cfg(duration_s=int(rng.integers(6, 16)) * dt, dt_s=dt,
+                            control_period_s=int(control) * dt,
+                            reporting_period_s=None if rng.random() < 0.3 else int(reporting) * dt,
+                            control_delay_s=delay, traffic=TrafficConfig(density_veh_km=10.0))
+            events.clear()
+            run(cfg)
+            assert events == reference_events(cfg), cfg
 
 
 def test_decoupled_reporting_cadence_still_feeds_the_controller():
@@ -140,7 +203,7 @@ def hand_world(n):
 
 def pair_nodes(world, selection, seed):
     """The served pairs of `_build_pairs`, named by NodeId."""
-    return [(world.nodes[a], world.nodes[b])
+    return [(NodeId.from_code(world.codes[a]), NodeId.from_code(world.codes[b]))
             for a, b in _build_pairs(world, selection, seed).tolist()]
 
 
@@ -433,6 +496,14 @@ def test_sim_config_needs_whole_steps():
         cfg = SimConfig(duration_s=duration, dt_s=dt, control_period_s=dt, warmup_s=0.0)
         assert cfg.validate().n_steps() == steps
     assert len(run(SimConfig(duration_s=0.3, warmup_s=0.0))) == 3
+    # so must the control and reporting periods, each named by its key
+    with pytest.raises(ConfigurationError, match="control_period_s must be a whole number"):
+        SimConfig(control_period_s=0.25).validate()
+    with pytest.raises(ConfigurationError, match="reporting_period_s must be a whole number"):
+        SimConfig(reporting_period_s=0.15).validate()
+    for period in (dict(control_period_s=0.3), dict(reporting_period_s=0.3),
+                   dict(reporting_period_s=0.3 / 3), dict(dt_s=0.3 / 3, control_period_s=0.3)):
+        SimConfig(**period).validate()
 
 
 def test_sim_config_needs_a_control_tick_after_warmup():

@@ -6,11 +6,12 @@ import pytest
 import reference_control
 from reference_mobility import VehicleState, fleet_of
 from reference_reports import reports_of
+from reference_schedule import report_due
 from slot_adapter import codes_of, control_slots, indication_codes
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
                     ForwardingTable, NodeId, NodeKind, RelayPath, SimConfig,
                     SubscriptionRequest, World, apply_control, build_intersection,
-                    default_rsus, emit_indication, link_table, ran, report_due, run)
+                    default_rsus, emit_indication, link_table, ran, run)
 from v2xric.engine import _audit, _collect_reports
 from v2xric.scenario import CAR_EXTENT
 
@@ -72,10 +73,10 @@ def test_node_index_bounds():
 def test_world_antennas_in_node_order():
     layout = build_intersection(200.0, 14.0)
     world = world_with_cavs([0.0, 10.0], rsus=default_rsus(layout))
-    kinds = list(world.nodes)
-    assert kinds == sorted(kinds)
-    assert [node.kind for node in world.nodes[:4]] == [NodeKind.RSU] * 4
-    assert world.codes.tolist() == [node.code for node in world.nodes]
+    nodes = [NodeId.from_code(code) for code in world.codes]
+    assert nodes == sorted(nodes)
+    assert [node.kind for node in nodes[:4]] == [NodeKind.RSU] * 4
+    assert nodes == [NodeId(NodeKind.RSU, k) for k in range(4)] + [cav(0), cav(1)]
     xyz = world.xyz()
     assert xyz[:4].tolist() == [[*r.position, 6.0] for r in default_rsus(layout)]
     assert xyz[4:].tolist() == [[0.0, -3.5, 1.6], [10.0, -3.5, 1.6]]
@@ -154,6 +155,9 @@ def test_infrastructure_only_reports_come_from_rsus():
 
 
 # --- reporting cadence -----------------------------------------------------------
+# The engine counts whole steps; the float rule it replaced is the oracle in
+# reference_schedule, checked here on its own and against the engine in
+# test_engine's schedule tests.
 
 
 def test_report_due_on_period_multiples():
@@ -220,15 +224,14 @@ def test_emit_indication_without_cap_keeps_everything():
     assert report.snr_db.tolist() == [-5.0, 3.0]
 
 
-@pytest.mark.parametrize("kwargs,dt", [
-    (dict(reporting_period_s=0.0005), None),
-    (dict(reporting_period_s=2.0), None),
-    (dict(reporting_period_s=0.05), 0.1),
-    (dict(measured_neighbors=0), None),
+@pytest.mark.parametrize("kwargs", [
+    dict(reporting_period_s=0.0005),
+    dict(reporting_period_s=2.0),
+    dict(measured_neighbors=0),
 ])
-def test_subscription_validation(kwargs, dt):
+def test_subscription_validation(kwargs):
     with pytest.raises(ConfigurationError):
-        SubscriptionRequest(**kwargs).validate(dt)
+        SubscriptionRequest(**kwargs).validate()
 
 
 # --- forwarding control ----------------------------------------------------------
