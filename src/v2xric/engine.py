@@ -106,10 +106,7 @@ class SimConfig:
         self.traffic.validate()
         self.xapp.validate()
         self.world.validate()
-        ran.SubscriptionRequest(
-            reporting_period_s=self.resolved_reporting_period(),
-            measured_neighbors=self.measured_neighbors,
-        ).validate()
+        self.subscription().validate()
         if not self._scores_a_tick():
             raise ConfigurationError(
                 f"no control tick at or after warmup_s={self.warmup_s} within "
@@ -139,6 +136,11 @@ class SimConfig:
 
     def resolved_reporting_period(self) -> float:
         return self.control_period_s if self.reporting_period_s is None else self.reporting_period_s
+
+    def subscription(self) -> ran.SubscriptionRequest:
+        """The reporting contract every node of the run follows."""
+        return ran.SubscriptionRequest(reporting_period_s=self.resolved_reporting_period(),
+                                       measured_neighbors=self.measured_neighbors)
 
     def resolved_staleness_window(self) -> float:
         if self.staleness_window_s is not None:
@@ -330,10 +332,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
 
     pairs = _build_pairs(world, cfg.pair_selection, cfg.seed)
     xapp_cfg = replace(cfg.xapp, max_hops=cfg.xapp.max_hops if cfg.relay_enabled else 1)
-    subscription = ran.SubscriptionRequest(
-        reporting_period_s=cfg.resolved_reporting_period(),
-        measured_neighbors=cfg.measured_neighbors,
-    )
+    subscription = cfg.subscription()
     report_every = cfg.steps(subscription.reporting_period_s)
     control_every = cfg.steps(cfg.control_period_s)
     # a report arrives whole steps after it is taken, a part step rounding up

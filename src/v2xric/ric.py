@@ -61,6 +61,12 @@ class RelayPath:
         if len(set(self.nodes)) != len(self.nodes):
             raise ConfigurationError(f"path nodes must be distinct: {self.nodes}")
 
+    @classmethod
+    def from_row(cls, codes: np.ndarray, row: np.ndarray, bottleneck: float) -> "RelayPath":
+        """The path along a -1 padded row of view slots, named by the view's `codes`."""
+        nodes = tuple(map(NodeId.from_code, np.asarray(codes)[row[row >= 0]].tolist()))
+        return cls(nodes=nodes, bottleneck_snr_db=float(bottleneck))
+
     @property
     def hops(self) -> int:
         return len(self.nodes) - 1
@@ -80,24 +86,6 @@ class XAppConfig:
         if self.max_hops < 1:
             raise ConfigurationError(f"max_hops must be >= 1: {self.max_hops}")
         return self
-
-
-@dataclass(slots=True)
-class ConnectivityGraph:
-    """Undirected SNR graph over the controller's current view.
-
-    codes are the nodes' NodeId codes, ascending; snr is the symmetric matrix
-    in that order of edge SNRs in dB, already at or above the build
-    threshold, -inf where there is no edge. A graph from `build_graph` spans
-    every view slot, edgeless or not.
-    """
-
-    codes: np.ndarray
-    snr: np.ndarray
-
-    def adjacency(self, snr_min_db: float = -math.inf) -> np.ndarray:
-        """Dense matrix in node order: edge SNR where >= snr_min_db, else -inf."""
-        return np.where(self.snr >= snr_min_db, self.snr, -np.inf)
 
 
 @dataclass(slots=True)
@@ -129,9 +117,7 @@ class XAppDiagnostics:
         the view's NodeId `codes`, or None."""
         if not self.served[pair]:
             return None
-        nodes = np.asarray(codes)[self.paths[pair, : self.hops[pair] + 1]].tolist()
-        return RelayPath(nodes=tuple(map(NodeId.from_code, nodes)),
-                         bottleneck_snr_db=float(self.bottleneck_snr_db[pair]))
+        return RelayPath.from_row(codes, self.paths[pair], self.bottleneck_snr_db[pair])
 
 
 def ingest(state: RicState, batch: IndicationBatch) -> RicState:
@@ -153,14 +139,14 @@ def ingest(state: RicState, batch: IndicationBatch) -> RicState:
     return state
 
 
-def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGraph:
-    """Threshold the fresh reports into an undirected graph.
+def build_graph(state: RicState, t: float, snr_min_db: float) -> np.ndarray:
+    """Threshold the fresh reports into an undirected graph: the symmetric
+    matrix over view slots of edge SNRs in dB at or above `snr_min_db`, -inf
+    where there is no edge.
 
     Edge SNR is the minimum over the reported directions. A CAV-CAV edge needs
     both endpoints' own reports to be fresh; an edge with an infrastructure
-    endpoint (RSU or BS) stands on a single fresh measurement. The graph spans
-    the whole view, in slot order.
-    """
+    endpoint (RSU or BS) stands on a single fresh measurement."""
     fresh = t - state.reported_at <= state.staleness_window_s + _FRESH_EPS
     measured = np.where(fresh[:, None], state.measured, np.inf)
     measured = np.minimum(measured, measured.T)
@@ -168,7 +154,7 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> ConnectivityGra
     edge = ((measured < np.inf) & (measured >= snr_min_db)
             & (infrastructure[:, None] | infrastructure[None, :]
                | (fresh[:, None] & fresh[None, :])))
-    return ConnectivityGraph(codes=state.codes, snr=np.where(edge, measured, -np.inf))
+    return np.where(edge, measured, -np.inf)
 
 
 # --- hop-bounded widest paths ---------------------------------------------------
@@ -246,10 +232,11 @@ def _widest_paths(adj: np.ndarray, relay_ok: np.ndarray, s: np.ndarray, d: np.nd
     return best, hops, steps, adj[s, d] > -np.inf
 
 
-def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
+def find_path(codes: np.ndarray, snr: np.ndarray, s: NodeId, d: NodeId, max_hops: int,
               snr_min_db: float, allow_bs_relay: bool = False) -> RelayPath | None:
-    """Widest feasible path from s to d within the hop budget, or None (also
-    when s or d is not a node of the graph).
+    """Widest feasible path from s to d within the hop budget on the graph
+    `snr` over the ascending NodeId `codes`, or None (also when s or d is not
+    among the codes).
 
     Among simple paths of at most max_hops edges all at or above snr_min_db,
     maximizes the bottleneck SNR; ties fall to fewer hops, then to the
@@ -257,17 +244,16 @@ def find_path(graph: ConnectivityGraph, s: NodeId, d: NodeId, max_hops: int,
     """
     if s == d:
         raise ValueError(f"path endpoints must differ: {s}")
-    codes = graph.codes.tolist()
-    if s.code not in codes or d.code not in codes:
+    code_list = np.asarray(codes).tolist()
+    if s.code not in code_list or d.code not in code_list:
         return None
-    relay_ok = allow_bs_relay | (kinds(graph.codes) != NodeKind.BS)
-    best, hops, rows, _ = _widest_paths(graph.adjacency(snr_min_db), relay_ok,
-                                        np.array([codes.index(s.code)]),
-                                        np.array([codes.index(d.code)]), max_hops)
+    relay_ok = allow_bs_relay | (kinds(codes) != NodeKind.BS)
+    best, hops, rows, _ = _widest_paths(np.where(snr >= snr_min_db, snr, -np.inf), relay_ok,
+                                        np.array([code_list.index(s.code)]),
+                                        np.array([code_list.index(d.code)]), max_hops)
     if hops[0] == 0:
         return None
-    return RelayPath(nodes=tuple(NodeId.from_code(codes[k]) for k in rows[0, : hops[0] + 1]),
-                     bottleneck_snr_db=float(best[0]))
+    return RelayPath.from_row(codes, rows[0], best[0])
 
 
 # --- the xApp tick ----------------------------------------------------------------
@@ -283,9 +269,9 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig,
     s, d = pairs.min(axis=1), pairs.max(axis=1)
     if (s == d).any():
         raise ConfigurationError("pair endpoints must differ")
-    graph = build_graph(state, t, cfg.snr_min_db)  # thresholded at cfg.snr_min_db
+    snr = build_graph(state, t, cfg.snr_min_db)
     relay_ok = cfg.allow_bs_relay | (kinds(state.codes) != NodeKind.BS)
-    bottleneck, hops, rows, direct = _widest_paths(graph.snr, relay_ok, s, d, cfg.max_hops)
+    bottleneck, hops, rows, direct = _widest_paths(snr, relay_ok, s, d, cfg.max_hops)
     served = hops > 0
     relayed = np.nonzero(hops >= 2)[0]
     paths = rows[relayed]
@@ -293,7 +279,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig,
     batch = ControlBatch(paths=paths, pair=relayed, target=paths[path_row, col],
                          path_row=path_row)
 
-    edge = graph.snr > -np.inf
+    edge = snr > -np.inf
     feasible = int(np.count_nonzero(served))
     n_direct = int(np.count_nonzero(direct))
     diagnostics = XAppDiagnostics(

@@ -13,14 +13,17 @@ bit.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from slot_adapter import graph_nodes
-from v2xric import ConnectivityGraph, NodeId, NodeKind
+from v2xric import NodeId, NodeKind
+
+Graph = NamedTuple("Graph", [("codes", np.ndarray), ("snr", np.ndarray)])  # find_path(*graph, ...)
 
 
-def graph_of(edges: dict, extra_nodes=()) -> ConnectivityGraph:
+def graph_of(edges: dict, extra_nodes=()) -> Graph:
     """The graph with these undirected edges ({(u, v): snr_db}, either
     orientation) over `extra_nodes` plus every edge endpoint."""
     nodes = set(extra_nodes)
@@ -32,25 +35,24 @@ def graph_of(edges: dict, extra_nodes=()) -> ConnectivityGraph:
     snr = np.full((len(nodes), len(nodes)), -np.inf)
     for (u, v), value in edges.items():
         snr[idx[u], idx[v]] = snr[idx[v], idx[u]] = value
-    return ConnectivityGraph(codes=np.array([node.code for node in nodes], dtype=np.int64),
-                             snr=snr)
+    return Graph(codes=np.array([node.code for node in nodes], dtype=np.int64), snr=snr)
 
 
-def edges_of(graph: ConnectivityGraph) -> dict[tuple[NodeId, NodeId], float]:
+def edges_of(graph: Graph) -> dict[tuple[NodeId, NodeId], float]:
     """{(u, v): snr_db} with u < v for every edge of the graph."""
-    nodes = graph_nodes(graph)
+    nodes = graph_nodes(graph.codes)
     n = len(nodes)
     return {(nodes[a], nodes[b]): float(graph.snr[a, b])
             for a in range(n) for b in range(a + 1, n) if graph.snr[a, b] > -math.inf}
 
 
-def reference_widest_path(graph: ConnectivityGraph, s: NodeId, d: NodeId,
+def reference_widest_path(graph: Graph, s: NodeId, d: NodeId,
                           max_hops: int, snr_min_db: float,
                           allow_bs_relay: bool = False):
     """Best (bottleneck_snr_db, node_tuple) over simple s-d paths of at most
     max_hops edges, every edge at or above snr_min_db, interior nodes never a
     base station unless allowed. None when no such path exists."""
-    nodes = graph_nodes(graph)
+    nodes = graph_nodes(graph.codes)
     if s not in nodes or d not in nodes:
         return None
     adj: dict[NodeId, dict[NodeId, float]] = {node: {} for node in nodes}
@@ -104,7 +106,7 @@ def reference_maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray
 
 
 def random_connectivity_graph(rng, max_nodes: int = 8, n_nodes: int | None = None,
-                              edge_p: float = 0.45) -> ConnectivityGraph:
+                              edge_p: float = 0.45) -> Graph:
     """Seeded random mixed-kind graph; half the draws use small-integer SNRs so
     bottleneck and hop-count ties actually occur. The node count is drawn from
     [2, max_nodes] unless n_nodes fixes it; each edge is present with edge_p."""

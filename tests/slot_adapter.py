@@ -2,8 +2,8 @@
 
 Reports, control, the served pairs and the controller graph name each node by
 its view slot, its row in the run's ascending NodeId codes. Tests that build
-batches or pairs from NodeIds, read a graph by NodeId, or compare either with
-the per-node oracles, translate through these helpers.
+batches or pairs from NodeIds, read a graph's SNR matrix by NodeId, or compare
+either with the per-node oracles, translate through these helpers.
 """
 
 from __future__ import annotations
@@ -58,22 +58,22 @@ def pair_slots(codes, pairs) -> np.ndarray:
     return slots_of(codes, np.array(ends, dtype=np.int64).reshape(len(ends), 2))
 
 
-def graph_nodes(graph) -> tuple[NodeId, ...]:
-    """The graph's nodes as NodeIds, in slot order."""
-    return tuple(map(NodeId.from_code, graph.codes.tolist()))
+def graph_nodes(codes) -> tuple[NodeId, ...]:
+    """A graph's nodes, its ascending `codes`, as NodeIds in slot order."""
+    return tuple(map(NodeId.from_code, np.asarray(codes).tolist()))
 
 
-def edge_snr(graph, u, v) -> float:
-    """SNR of the graph's u-v edge, -inf when there is none (also when u or v
-    is not a node of the graph)."""
-    a, b = slots_of(graph.codes, [u.code, v.code]).tolist()
-    if len(graph.codes) in (a, b):
+def edge_snr(codes, snr, u, v) -> float:
+    """SNR of the u-v edge of the graph `snr` over `codes`, -inf when there is
+    none (also when u or v is not a node of the graph)."""
+    a, b = slots_of(codes, [u.code, v.code]).tolist()
+    if len(codes) in (a, b):
         return -math.inf
-    return float(graph.snr[a, b])
+    return float(snr[a, b])
 
 
-def has_edge(graph, u, v) -> bool:
-    return edge_snr(graph, u, v) > -math.inf
+def has_edge(codes, snr, u, v) -> bool:
+    return edge_snr(codes, snr, u, v) > -math.inf
 
 
 def on_road(layout, x: float, y: float) -> bool:

@@ -112,7 +112,7 @@ def test_pathfinder_oracle():
     mismatches = []
     for _ in range(1000):
         graph = random_connectivity_graph(rng)
-        nodes = list(graph_nodes(graph))
+        nodes = list(graph_nodes(graph.codes))
         if len(nodes) < 2:
             continue
         pairs = [(s, d) for s in nodes for d in nodes if s != d]
@@ -123,7 +123,7 @@ def test_pathfinder_oracle():
             max_hops = int(rng.integers(1, 6))
             snr_min = float(rng.choice((-5.0, 1.5, 4.0)))
             allow_bs = bool(rng.integers(2))
-            got = find_path(graph, s, d, max_hops, snr_min, allow_bs)
+            got = find_path(*graph, s, d, max_hops, snr_min, allow_bs)
             want = reference_widest_path(graph, s, d, max_hops, snr_min, allow_bs)
             compared += 1
             if got is None or want is None:

@@ -169,6 +169,20 @@ def test_flags_override_config_file(tmp_path):
     assert first_row[1] == "10.0"
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    """Blank and comment lines set nothing but still count in error line numbers."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a short run\n\n   \nduration_s = 1\n  # no warm-up\nwarmup_s = 0\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    config = read_manifest(out / "manifest.json")["config"]
+    assert (config["duration_s"], config["warmup_s"]) == ("1.0", "0.0")
+    cfg.write_text(cfg.read_text(encoding="utf-8") + "\n# next\nseed\n", encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert f"{cfg}:9: expected key=value" in capsys.readouterr().err
+
+
 def test_invalid_flag_value_exits_2(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path / "out"), "--density", "-3"])
     assert code == 2

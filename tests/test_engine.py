@@ -480,6 +480,9 @@ def test_sweep_spec_validation(kwargs):
     dict(duration_s=0.25, warmup_s=0.0),
     dict(duration_s=0.55, warmup_s=0.0),
     dict(duration_s=0.2, warmup_s=0.15),  # whole steps, ticks at 0.0 and 0.1 only
+    dict(dt_s=0.0),
+    dict(dt_s=-0.1),
+    dict(warmup_s=-0.1),
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -522,3 +525,36 @@ def test_world_config_validation():
         WorldConfig(arm_length_m=-5.0).validate()
     with pytest.raises(ConfigurationError):
         WorldConfig(cav_antenna_height_m=0.0).validate()
+
+
+def test_blockage_sweep_needs_p_b_values():
+    spec = SweepSpec(base=quick_cfg(duration_s=1.0), gamma_min_values=(5.0,), p_b_values=())
+    with pytest.raises(ConfigurationError, match="p_b_values must be non-empty"):
+        sweep_blockage(spec)
+
+
+def test_explicit_staleness_window_empties_the_graph_between_reports(monkeypatch):
+    """An explicit `staleness_window_s` is the controller's window: with one
+    report every 0.5 s, a 0.1 s window keeps the graph's edges while the held
+    report is at most 0.1 s old and leaves no edge at the ticks in between,
+    where the default window (one cycle plus slack) keeps them all."""
+    edges = []
+    original = ric.xapp_tick
+
+    def spy(state, t, cfg, pairs):
+        batch, diag = original(state, t, cfg, pairs)
+        edges.append((state.staleness_window_s, t, diag.graph_edges))
+        return batch, diag
+
+    monkeypatch.setattr(ric, "xapp_tick", spy)
+    cfg = quick_cfg(duration_s=1.0, reporting_period_s=0.5, control_delay_s=0.0)
+    default = run(cfg)
+    short = run(replace(cfg, staleness_window_s=0.1))
+    assert len(edges) == 20
+    assert all(window == 0.6 and count > 0 for window, _, count in edges[:10])
+    fresh = [round(t % 0.5, 9) <= 0.1 for _, t, _ in edges[10:]]
+    assert fresh == [True, True, False, False, False] * 2
+    assert [count > 0 for _, _, count in edges[10:]] == fresh
+    assert all(window == 0.1 for window, _, _ in edges[10:])
+    for was, now, ok in zip(default, short, fresh):
+        assert now.connectivity == (was.connectivity if ok else 0.0)

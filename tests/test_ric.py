@@ -56,7 +56,7 @@ def graph_reports(g, t=0.0):
     """One instant in which every node of the graph g reports its edges."""
     edges = edges_of(g)
     return instant(t, *((node, [(v if u == node else u, snr) for (u, v), snr in edges.items()
-                                if node in (u, v)]) for node in graph_nodes(g)))
+                                if node in (u, v)]) for node in graph_nodes(g.codes)))
 
 
 def held_links(state, node):
@@ -69,10 +69,10 @@ def held_t(state, node):
     return float(state.reported_at[slots_of(state.codes, [node.code])[0]])
 
 
-def graph_members(state, g):
+def graph_members(state, snr):
     """The nodes `XAppDiagnostics.graph_nodes` counts: every view slot that
-    reported or holds an edge of the graph."""
-    held = np.isfinite(state.reported_at) | (g.snr > -np.inf).any(axis=1)
+    reported or holds an edge of the graph `snr`."""
+    held = np.isfinite(state.reported_at) | (snr > -np.inf).any(axis=1)
     return tuple(map(NodeId.from_code, state.codes[held].tolist()))
 
 
@@ -138,45 +138,45 @@ def test_vehicle_edge_needs_both_reports_fresh():
     state = view(staleness_window_s=0.25)
     ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
     g = build_graph(state, 0.0, snr_min_db=5.0)
-    assert not has_edge(g, cav(0), cav(1))  # cav(1) never reported
+    assert not has_edge(state.codes, g, cav(0), cav(1))  # cav(1) never reported
     ingest(state, report(cav(1), 0.0, [(cav(0), 12.0)]))
     g = build_graph(state, 0.0, snr_min_db=5.0)
-    assert has_edge(g, cav(0), cav(1))
+    assert has_edge(state.codes, g, cav(0), cav(1))
 
 
 def test_infrastructure_edge_stands_on_single_report():
     state = view(staleness_window_s=0.25)
     ingest(state, report(rsu(0), 0.0, [(cav(1), 15.0)]))
     g = build_graph(state, 0.0, snr_min_db=5.0)
-    assert has_edge(g, rsu(0), cav(1))
+    assert has_edge(state.codes, g, rsu(0), cav(1))
 
 
 def test_stale_reports_drop_out_of_the_graph():
     state = view(staleness_window_s=0.25)
     ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
-    assert has_edge(build_graph(state, 0.25, snr_min_db=5.0), cav(0), cav(1))  # boundary
+    boundary = build_graph(state, 0.25, snr_min_db=5.0)
+    assert has_edge(state.codes, boundary, cav(0), cav(1))
     late = build_graph(state, 0.3, snr_min_db=5.0)
-    assert not has_edge(late, cav(0), cav(1))
-    assert cav(0) in graph_nodes(late)  # reporters stay known even when stale
+    assert not has_edge(state.codes, late, cav(0), cav(1))
+    assert cav(0) in graph_nodes(state.codes)  # reporters stay known even when stale
 
 
 def test_edge_snr_is_min_over_directions():
     state = view(staleness_window_s=0.25)
     ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 3.0)])))
-    assert not has_edge(build_graph(state, 0.0, snr_min_db=5.0), cav(0), cav(1))
+    assert not has_edge(state.codes, build_graph(state, 0.0, snr_min_db=5.0), cav(0), cav(1))
     g = build_graph(state, 0.0, snr_min_db=2.0)
-    assert edge_snr(g, cav(0), cav(1)) == 3.0
+    assert edge_snr(state.codes, g, cav(0), cav(1)) == 3.0
 
 
 def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
     state = view(staleness_window_s=0.25)
     ingest(state, instant(0.0, (rsu(0), [(cav(1), 15.0)]), (cav(2), [])))
-    g = build_graph(state, 0.0, snr_min_db=5.0)
-    assert graph_members(state, g) == (rsu(0), cav(1), cav(2))
-    assert g.codes is state.codes  # the graph spans the whole view
-    adj = g.adjacency(5.0)
+    adj = build_graph(state, 0.0, snr_min_db=5.0)
+    assert graph_members(state, adj) == (rsu(0), cav(1), cav(2))
+    assert type(adj) is np.ndarray  # the graph is the view's matrix
     assert adj.shape == (36, 36)
-    nodes = graph_nodes(g)
+    nodes = graph_nodes(state.codes)
     i, j = nodes.index(rsu(0)), nodes.index(cav(1))
     assert adj[i, j] == adj[j, i] == 15.0
     assert adj[i, i] == -math.inf
@@ -255,9 +255,9 @@ def test_build_graph_matches_reference_on_random_reports():
         nodes, edges = reference_graph(ref, 1.0, snr_min)
         assert graph_members(state, g) == nodes
         assert tick(state, 1.0, XAppConfig(snr_min_db=snr_min))[1].graph_nodes == len(nodes)
-        assert np.array_equal(g.snr, g.snr.T)
-        assert (np.diag(g.snr) == -np.inf).all()
-        assert np.array_equal(g.snr, dense_reference(graph_nodes(g), edges))
+        assert np.array_equal(g, g.T)
+        assert (np.diag(g) == -np.inf).all()
+        assert np.array_equal(g, dense_reference(graph_nodes(state.codes), edges))
         edges_seen += len(edges)
         silent_endpoint_edges += sum(u not in ref.latest_report or v not in ref.latest_report
                                    for u, v in edges)
@@ -339,7 +339,7 @@ def test_report_stream_matches_per_node_reference():
                 g = build_graph(state, q, snr_min)
                 want_nodes, want_edges = reference_graph(ref, q, snr_min)
                 assert graph_members(state, g) == want_nodes
-                assert np.array_equal(g.snr, dense_reference(graph_nodes(g), want_edges))
+                assert np.array_equal(g, dense_reference(graph_nodes(state.codes), want_edges))
                 seen["edges"] += len(want_edges)
             now = round(now + float(rng.choice((0.1, 0.2))), 9)
         seen["rejected"] += state.rejected_out_of_order
@@ -463,7 +463,7 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
     graphs += [random_connectivity_graph(rng, n_nodes=20, edge_p=0.2) for _ in range(3)]
     checked = 0
     for g in graphs:
-        nodes = graph_nodes(g)
+        nodes = graph_nodes(g.codes)
         state = view(nodes=nodes)
         ingest(state, graph_reports(g))
         pairs = tuple((u, v) for k, u in enumerate(nodes) for v in nodes[k + 1:])
@@ -492,8 +492,8 @@ def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
     for _ in range(3):
         g = random_connectivity_graph(rng, n_nodes=200, edge_p=0.03)
         edges = {e: float(round(snr)) for e, snr in edges_of(g).items()}
-        g = graph_of(edges, graph_nodes(g))
-        nodes = graph_nodes(g)
+        g = graph_of(edges, graph_nodes(g.codes))
+        nodes = graph_nodes(g.codes)
         state = view(nodes=nodes)
         ingest(state, graph_reports(g))
         ends = np.sort(rng.choice(len(nodes), size=(16, 2), replace=False), axis=1)
@@ -540,8 +540,8 @@ def test_silent_edgeless_slots_change_no_path(monkeypatch):
     for _ in range(150):
         g = random_connectivity_graph(rng)
         g = graph_of({(spread(u), spread(v)): snr for (u, v), snr in edges_of(g).items()},
-                     [spread(node) for node in graph_nodes(g)])
-        members = graph_nodes(g)
+                     [spread(node) for node in graph_nodes(g.codes)])
+        members = graph_nodes(g.codes)
         silent = [spread(node, 0) for node in members if rng.random() < 0.7]
         silent += [NodeId(NodeKind.BS, 2 * k) for k in range(int(rng.integers(0, 3)))]
         pairs = [(u, v) for k, u in enumerate(members) for v in members[k + 1:]]

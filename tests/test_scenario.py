@@ -8,7 +8,7 @@ from reference_mobility import VehicleState, fleet_of, vehicles_of
 from slot_adapter import on_road
 from v2xric import (ConfigurationError, Fleet, MobilityState, TrafficConfig, World,
                     build_intersection, default_rsus, spawn_vehicles, step_mobility)
-from v2xric.scenario import CAR_EXTENT, TALL_EXTENT
+from v2xric.scenario import CAR_EXTENT, TALL_EXTENT, RoadLayout
 
 
 def default_layout():
@@ -90,6 +90,7 @@ def test_default_rsus_on_corners():
     dict(arm_length_m=200.0, road_width_m=0.0),
     dict(arm_length_m=200.0, road_width_m=14.0, building_setback_m=-1.0),
     dict(arm_length_m=5.0, road_width_m=8.0),  # no room left for buildings
+    dict(arm_length_m=200.0, road_width_m=14.0, building_height_m=0.0),
 ])
 def test_build_intersection_rejects_bad_geometry(kwargs):
     with pytest.raises(ConfigurationError):
@@ -295,3 +296,36 @@ def test_fleet_mobility_matches_reference(density, turn_probability):
         assert state.pending == ref_state.pending, step
     assert [v.heading for v in vehicles_of(fleet)] == [v.heading for v in vehicles]
     assert long_respawns >= 3
+
+
+def test_layout_without_y_lanes_spawns_the_x_road_alone():
+    """A layout with lanes on one axis only spawns that road, drawn exactly
+    as the full layout draws it (the x road comes first)."""
+    full = default_layout()
+    x_only = RoadLayout(full.arm_length_m, full.road_width_m, full.building_setback_m,
+                        full.buildings, tuple(lane for lane in full.lanes if lane.axis == "x"))
+    alone = spawn_vehicles(x_only, TrafficConfig(seed=1))
+    both = spawn_vehicles(full, TrafficConfig(seed=1))
+    n = len(alone)
+    assert n > 0 and (alone.axis == 0).all()
+    assert np.count_nonzero(both.axis == 0) == n
+    for column in ("axis", "direction", "lateral", "c", "speed", "extent"):
+        assert np.array_equal(getattr(alone, column), getattr(both, column)[:n])
+
+
+def test_lanes_that_draw_no_vehicle_stay_empty():
+    """At 1 veh/km most lanes draw nobody: seed 1 puts one vehicle on one
+    lane, and seed 5 spawns an empty fleet with well-formed columns."""
+    one = spawn_vehicles(default_layout(), TrafficConfig(density_veh_km=1.0, seed=1))
+    assert len(one) == 1 and (one.axis.tolist(), one.direction.tolist()) == ([0], [-1.0])
+    empty = spawn_vehicles(default_layout(), TrafficConfig(density_veh_km=1.0, seed=5))
+    assert len(empty) == 0 and empty.xy().shape == (0, 2) and empty.extent.shape == (0, 3)
+
+
+def test_spawn_rejects_a_lane_draw_beyond_capacity():
+    """At 390 veh/km a lane expects 78 of the 81 vehicles it holds at 5 m
+    spacing: the Poisson draw of seed 1 overflows a lane, seed 3 fits."""
+    with pytest.raises(ConfigurationError, match="exceed lane capacity"):
+        spawn_vehicles(default_layout(), TrafficConfig(density_veh_km=390.0, seed=1))
+    fleet = spawn_vehicles(default_layout(), TrafficConfig(density_veh_km=390.0, seed=3))
+    assert len(fleet) == 300
