@@ -106,12 +106,6 @@ def pathloss_nlos(distance_m, carrier_ghz, h_ut_m=1.6):
 
 # --- deterministic per-(seed, link, instant) outage draws ---------------------
 
-def _mix64_int(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX_C1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_C2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_u64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_C1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_C2)
@@ -123,7 +117,7 @@ def _link_uniform_u64(seed: int, code_a: np.ndarray, code_b: np.ndarray, tick_ms
     canonical node codes code_a <= code_b, instant in ms). The draw is a pure
     function of that triple, so the outage set `u < p_b` is reproducible and
     grows monotonically with p_b."""
-    h0 = np.uint64(_mix64_int((seed ^ _PHI64) & _MASK64))
+    h0 = _mix64_u64(np.array([(seed ^ _PHI64) & _MASK64], dtype=np.uint64))
     h = _mix64_u64(h0 ^ ((code_a.astype(np.uint64) << np.uint64(22)) | code_b.astype(np.uint64)))
     h = _mix64_u64(h ^ np.uint64(tick_ms & _MASK64))
     return (h >> np.uint64(11)) * 2.0 ** -53

@@ -135,10 +135,10 @@ def _read_config(path: str) -> tuple[dict[str, str], str | None]:
     return values, None
 
 
-def parse_config(merged: dict[str, str]) -> tuple[SweepSpec, dict[str, str]]:
+def parse_config(merged: dict[str, str]) -> SweepSpec:
     """Resolve merged key=value strings into a validated SweepSpec, whose
-    `base` is the run's SimConfig, and the canonical echo written into
-    manifests. The sweep keys are checked for every command."""
+    `base` is the run's SimConfig. The sweep keys are checked for every
+    command."""
     for key in merged:
         if key not in _KEYS:
             raise ConfigurationError(f"unknown configuration key: {key}")
@@ -151,9 +151,17 @@ def parse_config(merged: dict[str, str]) -> tuple[SweepSpec, dict[str, str]]:
     cfg = section(SimConfig, channel=section(ChannelParams),
                   traffic=section(TrafficConfig, seed=values["seed"]),
                   xapp=section(XAppConfig), world=section(WorldConfig)).validate()
-    spec = section(SweepSpec, base=cfg).validate()
-    echo = {key: show(values[key]) for key, (_, show, _) in _KEYS.items()}
-    return spec, echo
+    return section(SweepSpec, base=cfg).validate()
+
+
+def config_echo(spec: SweepSpec) -> dict[str, str]:
+    """Every key's canonical text, read off `spec` and its `base` run: the
+    config a manifest records, which `parse_config` reads back to `spec`."""
+    cfg = spec.base
+    owners = {SimConfig: cfg, ChannelParams: cfg.channel, TrafficConfig: cfg.traffic,
+              XAppConfig: cfg.xapp, WorldConfig: cfg.world, SweepSpec: spec}
+    return {f.name: _KEYS[f.name][1](getattr(owners[cls], f.name))
+            for cls in _SECTIONS for f in _section_keys(cls)}
 
 
 # --- output writers -------------------------------------------------------------
@@ -186,14 +194,13 @@ def _write_summary(path: Path, rows: list[SummaryRow]) -> None:
     _write_lines(path, lines)
 
 
-def _write_manifest(path: Path, command: str, echo: dict[str, str], seed: int,
-                    outputs: list[str], runtime_s: float,
-                    audit: engine.AuditSummary | None = None) -> None:
+def _write_manifest(path: Path, command: str, spec: SweepSpec, outputs: list[str],
+                    runtime_s: float, audit: engine.AuditSummary | None = None) -> None:
     manifest = {
         "artifact_version": __version__,
         "command": command,
-        "config": echo,
-        "seed": seed,
+        "config": config_echo(spec),
+        "seed": spec.base.seed,
         "outputs": outputs,
         "runtime_s": runtime_s,
     }
@@ -202,59 +209,53 @@ def _write_manifest(path: Path, command: str, echo: dict[str, str], seed: int,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_dir_name(gamma: float, p_b: float | None, rep: int) -> str:
-    if p_b is None:
-        return f"run_g{gamma:g}_r{rep}"
-    return f"run_g{gamma:g}_p{p_b:g}_r{rep}"
+def _run_dir_name(cell: engine.RunOutput, by_p_b: bool) -> str:
+    p_b = f"_p{cell.cfg.channel.p_b:g}" if by_p_b else ""
+    return f"run_g{cell.cfg.xapp.snr_min_db:g}{p_b}_r{cell.replication}"
 
 
-def _write_sweep_outputs(out: Path, command: str, result: engine.SweepResult,
-                         echo: dict[str, str], seed: int, runtime_s: float,
-                         with_p_b: bool) -> None:
-    outputs = ["summary.csv"]
-    _write_summary(out / "summary.csv", result.rows)
-    for run_out in result.runs:
-        sub = out / _run_dir_name(run_out.gamma_min_db, run_out.p_b if with_p_b else None,
-                                  run_out.replication)
-        sub.mkdir(parents=True, exist_ok=True)
-        _write_metrics(sub / "metrics.csv", run_out.records)
-        run_echo = dict(
-            echo,
-            snr_min_db=_fmt(run_out.gamma_min_db),
-            p_b=_fmt(run_out.p_b),
-            seed=str(run_out.seed),
-        )
-        _write_manifest(sub / "manifest.json", "run", run_echo, run_out.seed,
-                        ["metrics.csv"], run_out.runtime_s, run_out.audit)
-        outputs.extend([f"{sub.name}/metrics.csv", f"{sub.name}/manifest.json"])
-    outputs.append("manifest.json")
-    _write_manifest(out / "manifest.json", command, echo, seed, outputs, runtime_s)
+def _check_dir_names(spec: SweepSpec, by_p_b: bool) -> None:
+    """Refuse a grid whose values `_run_dir_name` would write to one directory."""
+    for key in ("gamma_min_values", "p_b_values") if by_p_b else ("gamma_min_values",):
+        names = [f"{v:g}" for v in getattr(spec, key)]
+        if len(set(names)) < len(names):
+            raise ConfigurationError(
+                f"{key} must name distinct cell directories: {','.join(names)}")
+
+
+def _write_cell(out: Path, spec: SweepSpec, cell: engine.RunOutput, outputs: list[str]) -> None:
+    """One run's metrics.csv and re-runnable manifest.json, echoing the run's
+    own config over the command's sweep keys."""
+    out.mkdir(parents=True, exist_ok=True)
+    _write_metrics(out / "metrics.csv", cell.records)
+    _write_manifest(out / "manifest.json", "run", dataclasses.replace(spec, base=cell.cfg), outputs,
+                    cell.runtime_s, cell.audit)
 
 
 # --- commands ---------------------------------------------------------------------
 
-def cmd_run(cfg: SimConfig, out: Path, echo: dict[str, str]) -> None:
+def cmd_run(spec: SweepSpec, out: Path) -> None:
+    cell = engine.run_cell(spec.base)
+    _write_cell(out, spec, cell, ["metrics.csv", "summary.csv", "manifest.json"])
+    mode = "relay" if spec.base.relay_enabled else "direct"
+    _write_summary(out / "summary.csv", [engine.summarise([cell], mode)])
+
+
+def cmd_sweep(command: str, spec: SweepSpec, out: Path) -> None:
+    by_p_b = command == "sweep-blockage"
+    _check_dir_names(spec, by_p_b)
     started = time.perf_counter()
-    records, audit = engine.run_with_audit(cfg)
+    result = engine.sweep_blockage(spec) if by_p_b else engine.sweep_snr(spec)
     runtime_s = time.perf_counter() - started
     out.mkdir(parents=True, exist_ok=True)
-    _write_metrics(out / "metrics.csv", records)
-    mode = "relay" if cfg.relay_enabled else "direct"
-    average = engine.time_average(records, cfg.warmup_s, "connectivity")
-    _write_summary(out / "summary.csv", [SummaryRow(
-        gamma_min_db=cfg.xapp.snr_min_db, p_b=cfg.channel.p_b, mode=mode,
-        connectivity_mean=average, connectivity_std=0.0, replications=1,
-    )])
-    _write_manifest(out / "manifest.json", "run", echo, cfg.seed,
-                    ["metrics.csv", "summary.csv", "manifest.json"], runtime_s, audit)
-
-
-def cmd_sweep(command: str, spec: SweepSpec, out: Path, echo: dict[str, str]) -> None:
-    started = time.perf_counter()
-    result = engine.sweep_snr(spec) if command == "sweep-snr" else engine.sweep_blockage(spec)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_sweep_outputs(out, command, result, echo, spec.base.seed, time.perf_counter() - started,
-                         with_p_b=command == "sweep-blockage")
+    _write_summary(out / "summary.csv", result.rows)
+    outputs = ["summary.csv"]
+    for cell in result.runs:
+        name = _run_dir_name(cell, by_p_b)
+        _write_cell(out / name, spec, cell, ["metrics.csv"])
+        outputs.extend([f"{name}/metrics.csv", f"{name}/manifest.json"])
+    outputs.append("manifest.json")
+    _write_manifest(out / "manifest.json", command, spec, outputs, runtime_s)
 
 
 # --- argument plumbing --------------------------------------------------------------
@@ -318,12 +319,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"re-run it with that subcommand")
         merged = dict(file_values)
         merged.update(_flag_overrides(args))
-        spec, echo = parse_config(merged)
+        spec = parse_config(merged)
         out = Path(args.out)
         if args.command == "run":
-            cmd_run(spec.base, out, echo)
+            cmd_run(spec, out)
         else:
-            cmd_sweep(args.command, spec, out, echo)
+            cmd_sweep(args.command, spec, out)
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

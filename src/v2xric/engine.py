@@ -205,6 +205,9 @@ class SweepSpec:
                 raise ConfigurationError(f"p_b out of range [0, 1]: {p}")
         if self.replications < 1:
             raise ConfigurationError(f"replications must be >= 1: {self.replications}")
+        if self.base.seed + self.replications - 1 >= 2**63:
+            raise ConfigurationError(f"replications out of range: seed {self.base.seed} + "
+                                     f"{self.replications - 1} must stay below 2^63")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1: {self.workers}")
         return self
@@ -224,12 +227,11 @@ class SummaryRow:
 
 @dataclass(slots=True)
 class RunOutput:
-    """One sweep cell replication: its records plus the audit trail."""
+    """One sweep cell replication: the run's config, its records and audit
+    trail, and its wall time."""
 
-    gamma_min_db: float
-    p_b: float
+    cfg: SimConfig
     replication: int
-    seed: int
     records: list[MetricsRecord]
     audit: AuditSummary
     runtime_s: float
@@ -394,52 +396,51 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
-def _run_cell(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary, float]:
+def run_cell(cfg: SimConfig, replication: int = 0) -> RunOutput:
+    """Execute and time one run: replication `replication` of its sweep cell."""
     started = time.perf_counter()
     records, audit = run_with_audit(cfg)
-    return records, audit, time.perf_counter() - started
+    return RunOutput(cfg, replication, records, audit, time.perf_counter() - started)
 
 
-def _execute(jobs: list[SimConfig],
-             workers: int) -> list[tuple[list[MetricsRecord], AuditSummary, float]]:
-    """Run all jobs, optionally across processes; results in job order at
-    any worker count."""
+def _run_job(job: tuple[SimConfig, int]) -> RunOutput:
+    return run_cell(*job)
+
+
+def _execute(jobs: list[tuple[SimConfig, int]], workers: int) -> list[RunOutput]:
+    """Run all (config, replication) jobs, optionally across processes;
+    results in job order at any worker count."""
     if workers <= 1 or len(jobs) <= 1:
-        return [_run_cell(cfg) for cfg in jobs]
+        return [run_cell(*job) for job in jobs]
     import multiprocessing
 
     with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
-        return pool.map(_run_cell, jobs)
+        return pool.map(_run_job, jobs)
+
+
+def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
+    """One summary row over the replications of one (gamma_min, p_b) cell:
+    "relay" averages the connectivity, "direct" the direct-only baseline of
+    the same runs."""
+    cfg = cells[0].cfg
+    field_name = "connectivity" if mode == "relay" else "direct_connectivity"
+    mean, std = _mean_std([time_average(c.records, c.cfg.warmup_s, field_name) for c in cells])
+    return SummaryRow(gamma_min_db=cfg.xapp.snr_min_db, p_b=cfg.channel.p_b, mode=mode,
+                      connectivity_mean=mean, connectivity_std=std, replications=len(cells))
 
 
 def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
     """Run every (gamma_min, p_b, replication) cell, replication r at seed
-    `base.seed + r`, and summarise each (gamma_min, p_b) once per mode:
-    "relay" averages the connectivity, "direct" the direct-only baseline of
-    the same runs."""
+    `base.seed + r`, and summarise each (gamma_min, p_b) once per mode."""
     if not spec.base.relay_enabled:
         raise ConfigurationError("the sweeps score relaying: relay_enabled must be true")
-    reps = spec.replications
-    grid = [(g, p) for g in sorted(spec.gamma_min_values) for p in p_bs]
-    outcomes = _execute([replace(spec.base, seed=spec.base.seed + rep,
-                                 channel=replace(spec.base.channel, p_b=p),
-                                 xapp=replace(spec.base.xapp, snr_min_db=g))
-                         for g, p in grid for rep in range(reps)], spec.workers)
-
-    rows: list[SummaryRow] = []
-    runs: list[RunOutput] = []
-    for k, (g, p) in enumerate(grid):
-        cells = outcomes[k * reps:(k + 1) * reps]
-        runs.extend(RunOutput(gamma_min_db=g, p_b=p, replication=rep, seed=spec.base.seed + rep,
-                              records=records, audit=audit, runtime_s=runtime_s)
-                    for rep, (records, audit, runtime_s) in enumerate(cells))
-        for mode in modes:
-            field_name = "connectivity" if mode == "relay" else "direct_connectivity"
-            mean, std = _mean_std([time_average(records, spec.base.warmup_s, field_name)
-                                   for records, _, _ in cells])
-            rows.append(SummaryRow(gamma_min_db=g, p_b=p, mode=mode,
-                                   connectivity_mean=mean, connectivity_std=std,
-                                   replications=reps))
+    base, reps = spec.base, spec.replications
+    runs = _execute([(replace(base, seed=base.seed + rep, channel=replace(base.channel, p_b=p),
+                              xapp=replace(base.xapp, snr_min_db=g)), rep)
+                     for g in sorted(spec.gamma_min_values) for p in p_bs
+                     for rep in range(reps)], spec.workers)
+    rows = [summarise(runs[k:k + reps], mode)
+            for k in range(0, len(runs), reps) for mode in modes]
     return SweepResult(rows=rows, runs=runs)
 
 

@@ -87,7 +87,7 @@ def test_run_writes_metrics_summary_and_manifest(tmp_path):
 
 
 def test_defaults_echo_the_pinned_text():
-    _, echo = parse_config({})
+    echo = cli.config_echo(parse_config({}))
     assert len(DEFAULTS) == 37
     assert echo == DEFAULTS
 
@@ -102,7 +102,8 @@ def test_config_echo_round_trips():
                  allow_bs_relay="1", reporting_period_s="0.2", measured_neighbors="3",
                  staleness_window_s="", bandwidth_hz="1e8", gamma_min_values="2.5,7,",
                  p_b_values="0.5, 0.25,", replications="2", workers="3", max_hops="0003")
-    spec, echo = parse_config(first)
+    spec = parse_config(first)
+    echo = cli.config_echo(spec)
     assert (echo["relay_enabled"], echo["cav_terminations"], echo["allow_bs_relay"]) == \
         ("true", "false", "true")
     assert (echo["reporting_period_s"], echo["measured_neighbors"], echo["staleness_window_s"]) \
@@ -110,15 +111,15 @@ def test_config_echo_round_trips():
     assert echo["gamma_min_values"] == "2.5,7.0"
     assert echo["max_hops"] == "3"
     assert spec.base.traffic.seed == spec.base.seed == 11  # the run's seed drives traffic
-    again, echo_again = parse_config(echo)
-    assert echo_again == echo
+    again = parse_config(echo)
+    assert cli.config_echo(again) == echo
     assert again == spec
     for variant in ({"relay_enabled": "True", "cav_terminations": "0", "allow_bs_relay": "false",
                      "measured_neighbors": "None"},
                     {"relay_enabled": "no", "cav_terminations": "yes", "allow_bs_relay": "FALSE",
                      "reporting_period_s": "none", "staleness_window_s": "0.5"}):
-        spec, echo = parse_config(variant)
-        assert parse_config(echo) == (spec, echo)
+        spec = parse_config(variant)
+        assert parse_config(cli.config_echo(spec)) == spec
 
 
 @pytest.mark.parametrize("key,raw", [
@@ -231,6 +232,23 @@ def test_out_of_range_sweep_threshold_exits_2_before_running(tmp_path, capsys, m
     assert main(["sweep-snr", "--out", str(out), "--snr-min", "5,400",
                  "--duration", "10", "--warmup", "0"]) == 2
     assert "gamma_min_values" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,key", [
+    ("sweep-snr", ["--snr-min", "5.0,5.0000001"], "gamma_min_values"),  # both name run_g5_r0
+    ("sweep-snr", ["--snr-min", "5,5"], "gamma_min_values"),
+    ("sweep-blockage", ["--snr-min", "5", "--p-b", "0.5,0,0.5"], "p_b_values"),
+    ("sweep-snr", ["--snr-min", "5", "--seed", str(2**63 - 1), "--replications", "2"],
+     "replications"),  # replication 1 would run at seed 2^63
+], ids=["near-duplicate-gamma", "duplicate-gamma", "duplicate-p_b", "seed-overflow"])
+def test_bad_sweep_grid_exits_2_before_running(tmp_path, capsys, monkeypatch, command, flags, key):
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--duration", "0.3", "--warmup", "0"] + flags) == 2
+    assert key in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
 

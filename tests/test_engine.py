@@ -369,9 +369,9 @@ def test_snr_sweep_rows_pair_direct_and_relay_series():
     assert [(r.gamma_min_db, r.mode) for r in result.rows] == [
         (5.0, "direct"), (5.0, "relay"), (10.0, "direct"), (10.0, "relay")]
     assert all(r.replications == 2 for r in result.rows)
-    assert [(r.gamma_min_db, r.replication) for r in result.runs] == [
+    assert [(r.cfg.xapp.snr_min_db, r.replication) for r in result.runs] == [
         (5.0, 0), (5.0, 1), (10.0, 0), (10.0, 1)]
-    assert [r.seed for r in result.runs] == [3, 4, 3, 4]
+    assert [r.cfg.seed for r in result.runs] == [3, 4, 3, 4]
     for gamma in (5.0, 10.0):
         direct_row = next(r for r in result.rows if r.gamma_min_db == gamma and r.mode == "direct")
         relay_row = next(r for r in result.rows if r.gamma_min_db == gamma and r.mode == "relay")

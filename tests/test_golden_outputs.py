@@ -1,11 +1,14 @@
-"""Golden outputs: three short CLI commands must write byte-identical CSVs.
+"""Golden outputs: four short CLI commands must write byte-identical CSVs
+and equal manifests.
 
-Each command runs in process through `cli.main`; the sha256 of every CSV it
-writes is pinned below. A refactor that keeps the outputs unchanged passes;
-one that moves any byte of any CSV fails, naming the file.
+Each command runs once in process through `cli.main`; the sha256 of every CSV
+it writes, and of every manifest.json without its `runtime_s`, is pinned
+below. A refactor that keeps the outputs unchanged passes; one that moves any
+byte of any CSV or any other manifest value fails, naming the file.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -22,6 +25,8 @@ cav_terminations = false
 COMMANDS = {
     "default-run": (None, ["run", "--duration", "2", "--warmup", "0", "--seed", "5"]),
     "matched-run": (MATCHED, ["run", "--duration", "2", "--warmup", "0", "--seed", "6"]),
+    "no-relay-run": (None, ["run", "--duration", "2", "--warmup", "0", "--seed", "5",
+                            "--no-relay"]),
     "blockage-grid": (None, ["sweep-blockage", "--duration", "1", "--warmup", "0",
                              "--seed", "3", "--snr-min", "5,15", "--p-b", "0,0.5"]),
 }
@@ -42,6 +47,30 @@ GOLDEN = {
         "metrics.csv": "bd489df90496b389a40752bd5973d72ab925553e7c9e08e07e43f9551da0a50f",
         "summary.csv": "4f982b7727342504d0ce6682098381206025cf0094cd1baf912d401f53446515",
     },
+    "no-relay-run": {
+        "metrics.csv": "d303af5dbd464c08214e8f7960d03ac4028aa817003be743dc24180587aa7cf8",
+        "summary.csv": "f5738556ca4b0b62e045cb7d5f2b72f83a86d8c54955b0451df0db33a3defe4b",
+    },
+}
+
+
+GOLDEN_MANIFESTS = {
+    "blockage-grid": {
+        "manifest.json": "2dd8ad87b8a24f3912caa31456238fff1cc06a7ba5edd694081d75e1d6612c6c",
+        "run_g15_p0.5_r0/manifest.json": "4fecef34b00ca6c3ef179a5498c96f41bf9613772a2bfd8209c2e51ae8cda1e0",
+        "run_g15_p0_r0/manifest.json": "51ea913a877a1f66d9d5a32e4ae9be0aa2626c214b35cb37cf58371832826fe0",
+        "run_g5_p0.5_r0/manifest.json": "a67439cfe49871ea0a46c2bdddb53c0cf8e066ba4f5c56b94e5042d2a456341c",
+        "run_g5_p0_r0/manifest.json": "f9413fbd62a2f83786fb8138d89e3381e6c91623c0579135e46051f94782e8f5",
+    },
+    "default-run": {
+        "manifest.json": "05512aa23ec701b8ebce59b20e70005ee5140b46a8ee07d350da19df1a069fb2",
+    },
+    "matched-run": {
+        "manifest.json": "d90340a5c3fcf86ddc62cc187691cac9d1ae266e22b1bf1ee233548bd940f890",
+    },
+    "no-relay-run": {
+        "manifest.json": "b1e8be9542e83d046388a286a1c906a448e7bc90d9bef069443236b574ee7c76",
+    },
 }
 
 
@@ -50,12 +79,33 @@ def csv_hashes(out):
             for path in sorted(out.rglob("*.csv"))}
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_csv_outputs_match_golden_hashes(tmp_path, name):
-    config, argv = COMMANDS[name]
+def manifest_hashes(out):
+    hashes = {}
+    for path in sorted(out.rglob("manifest.json")):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["runtime_s"]
+        text = json.dumps(manifest, indent=2, sort_keys=True)
+        hashes[path.relative_to(out).as_posix()] = hashlib.sha256(text.encode()).hexdigest()
+    return hashes
+
+
+@pytest.fixture(scope="module", params=sorted(COMMANDS))
+def written(request, tmp_path_factory):
+    """(command name, output directory) after running the command once."""
+    config, argv = COMMANDS[request.param]
+    tmp = tmp_path_factory.mktemp(request.param)
     if config is not None:
-        (tmp_path / "cfg.txt").write_text(config, encoding="utf-8")
-        argv = argv + ["--config", str(tmp_path / "cfg.txt")]
-    out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 0
+        (tmp / "cfg.txt").write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(tmp / "cfg.txt")]
+    assert main(argv + ["--out", str(tmp / "out")]) == 0
+    return request.param, tmp / "out"
+
+
+def test_csv_outputs_match_golden_hashes(written):
+    name, out = written
     assert csv_hashes(out) == GOLDEN[name]
+
+
+def test_manifests_match_golden_hashes(written):
+    name, out = written
+    assert manifest_hashes(out) == GOLDEN_MANIFESTS[name]

@@ -158,7 +158,7 @@ def test_stale_reports_drop_out_of_the_graph():
     assert has_edge(state.codes, boundary, cav(0), cav(1))
     late = build_graph(state, 0.3, snr_min_db=5.0)
     assert not has_edge(state.codes, late, cav(0), cav(1))
-    assert cav(0) in graph_nodes(state.codes)  # reporters stay known even when stale
+    assert cav(0) in graph_members(state, late)  # reporters stay known even when stale
 
 
 def test_edge_snr_is_min_over_directions():
