@@ -19,8 +19,7 @@ from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryR
 from .errors import ConfigurationError, MeasurementError
 from .ran import (ControlBatch, ForwardingTable, IndicationBatch, NodeId, NodeKind,
                   SubscriptionRequest, World, apply_control, emit_indication)
-from .ric import (RelayPath, RicState, XAppConfig, XAppDiagnostics, build_graph, find_path,
-                  ingest, xapp_tick)
+from .ric import RicState, XAppConfig, XAppDiagnostics, build_graph, ingest, xapp_tick
 from .scenario import (Building, Fleet, Lane, MobilityState, RoadLayout, RsuNode, TrafficConfig,
                        build_intersection, default_rsus, spawn_vehicles, step_mobility)
 
@@ -34,8 +33,7 @@ __all__ = [
     "ConfigurationError", "MeasurementError",
     "ControlBatch", "ForwardingTable", "IndicationBatch", "NodeId", "NodeKind",
     "SubscriptionRequest", "World", "apply_control", "emit_indication",
-    "RelayPath", "RicState", "XAppConfig", "XAppDiagnostics",
-    "build_graph", "find_path", "ingest", "xapp_tick",
+    "RicState", "XAppConfig", "XAppDiagnostics", "build_graph", "ingest", "xapp_tick",
     "Building", "Fleet", "Lane", "MobilityState", "RoadLayout", "RsuNode", "TrafficConfig",
     "build_intersection", "default_rsus", "spawn_vehicles", "step_mobility",
 ]

@@ -23,7 +23,6 @@ _INDEX_BITS = 20  # NodeId.index must fit so (kind, index) packs into a link key
 
 
 class NodeKind(IntEnum):
-    BS = 0
     RSU = 1
     CAV = 2
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .ran import ControlBatch, IndicationBatch, NodeId, NodeKind, kinds
+from .ran import ControlBatch, IndicationBatch, NodeKind, kinds
 
 _FRESH_EPS = 1e-9  # guards float tick arithmetic at the staleness boundary
 
@@ -48,37 +48,12 @@ class RicState:
         self.measured = np.full((len(self.codes), len(self.codes)), np.inf)
 
 
-@dataclass(frozen=True, slots=True)
-class RelayPath:
-    """An assigned path; bottleneck is the minimum per-edge SNR along it."""
-
-    nodes: tuple[NodeId, ...]
-    bottleneck_snr_db: float
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ConfigurationError(f"path needs at least 2 nodes: {self.nodes}")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ConfigurationError(f"path nodes must be distinct: {self.nodes}")
-
-    @classmethod
-    def from_row(cls, codes: np.ndarray, row: np.ndarray, bottleneck: float) -> "RelayPath":
-        """The path along a -1 padded row of view slots, named by the view's `codes`."""
-        nodes = tuple(map(NodeId.from_code, np.asarray(codes)[row[row >= 0]].tolist()))
-        return cls(nodes=nodes, bottleneck_snr_db=float(bottleneck))
-
-    @property
-    def hops(self) -> int:
-        return len(self.nodes) - 1
-
-
 @dataclass(slots=True)
 class XAppConfig:
-    """Relay-assignment policy: threshold, hop budget, base stations as relays."""
+    """Relay-assignment policy: edge SNR threshold and hop budget."""
 
     snr_min_db: float = 5.0
     max_hops: int = 4
-    allow_bs_relay: bool = False
 
     def validate(self) -> "XAppConfig":
         if not (-300.0 <= self.snr_min_db <= 300.0):
@@ -112,13 +87,6 @@ class XAppDiagnostics:
     paths: np.ndarray
     bottleneck_snr_db: np.ndarray
 
-    def path(self, pair: int, codes: np.ndarray) -> RelayPath | None:
-        """The path assigned to the pair with this index, its nodes named by
-        the view's NodeId `codes`, or None."""
-        if not self.served[pair]:
-            return None
-        return RelayPath.from_row(codes, self.paths[pair], self.bottleneck_snr_db[pair])
-
 
 def ingest(state: RicState, batch: IndicationBatch) -> RicState:
     """Replace the row of every reporter whose report is at least as new as
@@ -146,7 +114,7 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> np.ndarray:
 
     Edge SNR is the minimum over the reported directions. A CAV-CAV edge needs
     both endpoints' own reports to be fresh; an edge with an infrastructure
-    endpoint (RSU or BS) stands on a single fresh measurement."""
+    endpoint (an RSU) stands on a single fresh measurement."""
     fresh = t - state.reported_at <= state.staleness_window_s + _FRESH_EPS
     measured = np.where(fresh[:, None], state.measured, np.inf)
     measured = np.minimum(measured, measured.T)
@@ -159,18 +127,18 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> np.ndarray:
 
 # --- hop-bounded widest paths ---------------------------------------------------
 
-def _maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray, s: np.ndarray,
+def _maxmin_tables(adj: np.ndarray, max_hops: int, s: np.ndarray,
                    d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best bottlenecks of walks on the symmetric `adj` with relay-eligible
-    interior nodes (-inf if none): `tables[h-1][k, col[p]]` from node k to
-    d[p] in h < max_hops edges, relaxed from the destination side, and
+    """Best bottlenecks of walks on the symmetric `adj` (-inf if none):
+    `tables[h-1][k, col[p]]` from node k to d[p] in h < max_hops edges,
+    relaxed from the destination side through the rows with an edge, and
     `layers[h-1][p]` from s[p] to d[p] in h <= max_hops, the last per pair."""
     n = adj.shape[0]
     dest = np.flatnonzero(np.bincount(d, minlength=n))  # distinct, ascending
     col = np.searchsorted(dest, d)
     tables = np.full((max_hops - 1, n, len(dest)), -np.inf)
     tables[:1] = adj[:, dest]  # no tables at all when max_hops == 1
-    relays = np.nonzero(relay_ok)[0]
+    relays = np.flatnonzero((adj > -np.inf).any(axis=1))
     chunk = max(1, _SCRATCH_ELEMENTS // max(n * len(dest), 1))
     for prev, cur in zip(tables, tables[1:]):
         for start in range(0, len(relays), chunk):
@@ -178,16 +146,15 @@ def _maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray, s: np.n
             np.maximum(cur, np.minimum(adj[ks, :, None], prev[ks, None, :]).max(axis=0), out=cur)
     layers = np.concatenate((tables[:, s, col], adj[s, d][None]))
     if max_hops > 1:
-        via = np.where(relay_ok[:, None], tables[-1], -np.inf)
+        via = tables[-1]
         step = max(1, _SCRATCH_ELEMENTS // n)
         for p in (slice(start, start + step) for start in range(0, len(s), step)):
             layers[-1, p] = np.minimum(adj.take(s[p], axis=1), via.take(col[p], axis=1)).max(axis=0)
     return col, tables, layers
 
 
-def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
-                   s: np.ndarray, d: np.ndarray, col: np.ndarray, best: np.ndarray,
-                   hops: np.ndarray) -> np.ndarray:
+def _extract_paths(adj: np.ndarray, tables: np.ndarray, s: np.ndarray, d: np.ndarray,
+                   col: np.ndarray, best: np.ndarray, hops: np.ndarray) -> np.ndarray:
     """Greedy lexicographic walk per pair (s[p] -> d[p], table column col[p],
     bottleneck best[p], hops[p] edges; none if 0): each step takes the
     smallest next node keeping the edge and the remaining completion at or
@@ -203,7 +170,7 @@ def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
         walk = np.nonzero(remaining >= 2)[0]
         if len(walk):
             floor = best[walk, None]
-            ok = ((adj[steps[walk, k - 1]] >= floor) & relay_ok
+            ok = ((adj[steps[walk, k - 1]] >= floor)
                   & (tables[remaining[walk] - 2, :, col[walk]] >= floor))
             if not ok.any(axis=1).all():
                 raise RuntimeError("widest-path tables disagree with reconstruction")
@@ -211,49 +178,23 @@ def _extract_paths(adj: np.ndarray, tables: np.ndarray, relay_ok: np.ndarray,
     return steps
 
 
-def _widest_paths(adj: np.ndarray, relay_ok: np.ndarray, s: np.ndarray, d: np.ndarray,
+def _widest_paths(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
                   max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Widest paths from row s[p] to row d[p] of the symmetric edge matrix
-    `adj` (-inf where there is no edge), relaying only through `relay_ok`
-    rows. Per pair: the best bottleneck over any hop count, the fewest hops
-    achieving it (argmax picks the smallest such layer; 0 when unreachable),
-    the path as rows padded with -1, and whether a direct edge joins the
-    pair. Only rows with an edge can relay; an edgeless relay contributes
-    -inf alone. A hop-minimal widest path is simple, so the hop budget is
-    clamped to one edge fewer than the rows with an edge: a deeper layer
-    could only tie an earlier one, and argmax keeps the earlier."""
-    linked = (adj > -np.inf).any(axis=1)
-    relay_ok = relay_ok & linked
-    max_hops = max(1, min(max_hops, int(np.count_nonzero(linked)) - 1))
-    col, tables, layers = _maxmin_tables(adj, max_hops, relay_ok, s, d)
+    `adj` (-inf where there is no edge). Per pair: the best bottleneck over
+    any hop count, the fewest hops achieving it (argmax picks the smallest
+    such layer; 0 when unreachable), the path as rows padded with -1, and
+    whether a direct edge joins the pair. Every row with an edge can relay,
+    and no other row can. A hop-minimal widest path is simple, so the hop
+    budget is clamped to one edge fewer than the rows with an edge: a deeper
+    layer could only tie an earlier one, and argmax keeps the earlier."""
+    linked = int(np.count_nonzero((adj > -np.inf).any(axis=1)))
+    max_hops = max(1, min(max_hops, linked - 1))
+    col, tables, layers = _maxmin_tables(adj, max_hops, s, d)
     best = layers.max(axis=0)
     hops = np.where(np.isfinite(best), np.argmax(layers == best, axis=0) + 1, 0)
-    steps = _extract_paths(adj, tables, relay_ok, s, d, col, best, hops)
+    steps = _extract_paths(adj, tables, s, d, col, best, hops)
     return best, hops, steps, adj[s, d] > -np.inf
-
-
-def find_path(codes: np.ndarray, snr: np.ndarray, s: NodeId, d: NodeId, max_hops: int,
-              snr_min_db: float, allow_bs_relay: bool = False) -> RelayPath | None:
-    """Widest feasible path from s to d within the hop budget on the graph
-    `snr` over the ascending NodeId `codes`, or None (also when s or d is not
-    among the codes).
-
-    Among simple paths of at most max_hops edges all at or above snr_min_db,
-    maximizes the bottleneck SNR; ties fall to fewer hops, then to the
-    lexicographically smallest node sequence.
-    """
-    if s == d:
-        raise ValueError(f"path endpoints must differ: {s}")
-    code_list = np.asarray(codes).tolist()
-    if s.code not in code_list or d.code not in code_list:
-        return None
-    relay_ok = allow_bs_relay | (kinds(codes) != NodeKind.BS)
-    best, hops, rows, _ = _widest_paths(np.where(snr >= snr_min_db, snr, -np.inf), relay_ok,
-                                        np.array([code_list.index(s.code)]),
-                                        np.array([code_list.index(d.code)]), max_hops)
-    if hops[0] == 0:
-        return None
-    return RelayPath.from_row(codes, rows[0], best[0])
 
 
 # --- the xApp tick ----------------------------------------------------------------
@@ -270,8 +211,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig,
     if (s == d).any():
         raise ConfigurationError("pair endpoints must differ")
     snr = build_graph(state, t, cfg.snr_min_db)
-    relay_ok = cfg.allow_bs_relay | (kinds(state.codes) != NodeKind.BS)
-    bottleneck, hops, rows, direct = _widest_paths(snr, relay_ok, s, d, cfg.max_hops)
+    bottleneck, hops, rows, direct = _widest_paths(snr, s, d, cfg.max_hops)
     served = hops > 0
     relayed = np.nonzero(hops >= 2)[0]
     paths = rows[relayed]

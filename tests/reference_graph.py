@@ -19,8 +19,8 @@ def reference_graph(state: RicState, t: float, snr_min_db: float
     """(nodes, {(u, v): snr_db} with u < v) of the thresholded graph.
 
     Edge SNR is the minimum over the reported directions. A CAV-CAV edge needs
-    both endpoints' reports fresh; an edge with an RSU or BS endpoint stands on
-    one fresh measurement. Nodes are every reporter plus every edge endpoint.
+    both endpoints' reports fresh; an edge with an RSU endpoint stands on one
+    fresh measurement. Nodes are every reporter plus every edge endpoint.
     """
     fresh = {src for src, rep in state.latest_report.items()
              if (t - rep.t) <= state.staleness_window_s + FRESH_EPS}

@@ -20,7 +20,7 @@ import numpy as np
 from slot_adapter import graph_nodes
 from v2xric import NodeId, NodeKind
 
-Graph = NamedTuple("Graph", [("codes", np.ndarray), ("snr", np.ndarray)])  # find_path(*graph, ...)
+Graph = NamedTuple("Graph", [("codes", np.ndarray), ("snr", np.ndarray)])  # widest_path(*graph, ...)
 
 
 def graph_of(edges: dict, extra_nodes=()) -> Graph:
@@ -47,11 +47,10 @@ def edges_of(graph: Graph) -> dict[tuple[NodeId, NodeId], float]:
 
 
 def reference_widest_path(graph: Graph, s: NodeId, d: NodeId,
-                          max_hops: int, snr_min_db: float,
-                          allow_bs_relay: bool = False):
+                          max_hops: int, snr_min_db: float):
     """Best (bottleneck_snr_db, node_tuple) over simple s-d paths of at most
-    max_hops edges, every edge at or above snr_min_db, interior nodes never a
-    base station unless allowed. None when no such path exists."""
+    max_hops edges, every edge at or above snr_min_db; any node may relay.
+    None when no such path exists."""
     nodes = graph_nodes(graph.codes)
     if s not in nodes or d not in nodes:
         return None
@@ -75,8 +74,6 @@ def reference_widest_path(graph: Graph, s: NodeId, d: NodeId,
         for nxt in sorted(adj[node]):
             if nxt in visited:
                 continue
-            if nxt != d and not allow_bs_relay and nxt.kind == NodeKind.BS:
-                continue
             visited.add(nxt)
             path.append(nxt)
             walk(nxt, visited, path, min(bottleneck, adj[node][nxt]))
@@ -89,13 +86,13 @@ def reference_widest_path(graph: Graph, s: NodeId, d: NodeId,
     return -best_key[0], best_key[2]
 
 
-def reference_maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray) -> np.ndarray:
+def reference_maxmin_tables(adj: np.ndarray, max_hops: int, linked: np.ndarray) -> np.ndarray:
     """tables[h-1][s, d] = best bottleneck over s->d walks of exactly h edges
-    whose interior nodes are all relay-eligible (-inf when none exists)."""
+    whose interior nodes all lie on `linked` rows (-inf when none exists)."""
     n = adj.shape[0]
     tables = np.full((max_hops, n, n), -np.inf)
     tables[0] = adj
-    relays = np.nonzero(relay_ok)[0]
+    relays = np.nonzero(linked)[0]
     chunk = max(1, 2**17 // (n * n))  # relays per slice of at most 2**17 elements
     for h in range(1, max_hops):
         prev, cur = tables[h - 1], tables[h]
@@ -107,15 +104,15 @@ def reference_maxmin_tables(adj: np.ndarray, max_hops: int, relay_ok: np.ndarray
 
 def random_connectivity_graph(rng, max_nodes: int = 8, n_nodes: int | None = None,
                               edge_p: float = 0.45) -> Graph:
-    """Seeded random mixed-kind graph; half the draws use small-integer SNRs so
-    bottleneck and hop-count ties actually occur. The node count is drawn from
-    [2, max_nodes] unless n_nodes fixes it; each edge is present with edge_p."""
+    """Seeded random graph of CAVs and RSUs; half the draws use small-integer
+    SNRs so bottleneck and hop-count ties actually occur. The node count is
+    drawn from [2, max_nodes] unless n_nodes fixes it; each edge is present
+    with edge_p."""
     n = int(rng.integers(2, max_nodes + 1)) if n_nodes is None else n_nodes
-    counters = {NodeKind.CAV: 0, NodeKind.RSU: 0, NodeKind.BS: 0}
+    counters = {NodeKind.CAV: 0, NodeKind.RSU: 0}
     nodes = []
     for _ in range(n):
-        r = float(rng.random())
-        kind = NodeKind.CAV if r < 0.7 else (NodeKind.RSU if r < 0.9 else NodeKind.BS)
+        kind = NodeKind.CAV if rng.random() < 0.7 else NodeKind.RSU
         nodes.append(NodeId(kind, counters[kind]))
         counters[kind] += 1
     nodes = tuple(sorted(nodes))

@@ -1,19 +1,22 @@
 """Slot <-> NodeId code adapter for tests that speak in NodeIds.
 
-Reports, control, the served pairs and the controller graph name each node by
-its view slot, its row in the run's ascending NodeId codes. Tests that build
-batches or pairs from NodeIds, read a graph's SNR matrix by NodeId, or compare
-either with the per-node oracles, translate through these helpers.
+Reports, control, the served pairs, the controller graph and its paths name
+each node by its view slot, its row in the run's ascending NodeId codes. Tests
+that build batches or pairs from NodeIds, read a graph's SNR matrix or a path
+by NodeId, or compare either with the per-node oracles, translate through
+these helpers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from v2xric import NodeId
+from v2xric.ric import _widest_paths
 
 
 def slots_of(codes, nodes) -> np.ndarray:
@@ -74,6 +77,34 @@ def edge_snr(codes, snr, u, v) -> float:
 
 def has_edge(codes, snr, u, v) -> bool:
     return edge_snr(codes, snr, u, v) > -math.inf
+
+
+class Path(NamedTuple):
+    """A path's bottleneck SNR and its nodes, in the oracles' (bottleneck,
+    node tuple) form."""
+
+    bottleneck_snr_db: float
+    nodes: tuple[NodeId, ...]
+
+    @property
+    def hops(self) -> int:
+        return len(self.nodes) - 1
+
+
+def path_of(codes, row, bottleneck) -> Path:
+    """The path along a -1 padded row of view slots, named by NodeIds."""
+    return Path(float(bottleneck), graph_nodes(np.asarray(codes)[row[row >= 0]]))
+
+
+def widest_path(codes, snr, s, d, max_hops, snr_min_db) -> Path | None:
+    """The controller's widest s-d path on the graph `snr` over `codes`, with
+    at most max_hops edges all at or above snr_min_db, or None: one pair of
+    `ric._widest_paths`. A node the graph does not hold maps to an added
+    edgeless row, which no path reaches."""
+    adj = np.pad(np.where(snr >= snr_min_db, snr, -np.inf), (0, 1), constant_values=-np.inf)
+    s, d = slots_of(codes, [s.code, d.code])
+    best, hops, rows, _ = _widest_paths(adj, np.array([s]), np.array([d]), max_hops)
+    return path_of(codes, rows[0], best[0]) if hops[0] else None
 
 
 def on_road(layout, x: float, y: float) -> bool:

@@ -13,12 +13,11 @@ from dataclasses import replace
 import numpy as np
 
 from reference_paths import random_connectivity_graph, reference_widest_path
-from slot_adapter import graph_nodes
+from slot_adapter import graph_nodes, widest_path
 from v2xric.channel import pathloss_los, pathloss_nlos
 from v2xric.cli import main as cli_main
 from v2xric.engine import (SimConfig, SweepSpec, run, run_with_audit, sweep_blockage,
                            time_average)
-from v2xric.ric import find_path
 
 
 def _verdict(name, ok, details):
@@ -122,16 +121,11 @@ def test_pathfinder_oracle():
         for s, d in pairs:
             max_hops = int(rng.integers(1, 6))
             snr_min = float(rng.choice((-5.0, 1.5, 4.0)))
-            allow_bs = bool(rng.integers(2))
-            got = find_path(*graph, s, d, max_hops, snr_min, allow_bs)
-            want = reference_widest_path(graph, s, d, max_hops, snr_min, allow_bs)
+            got = widest_path(*graph, s, d, max_hops, snr_min)
+            want = reference_widest_path(graph, s, d, max_hops, snr_min)
             compared += 1
-            if got is None or want is None:
-                if got is not None or want is not None:
-                    mismatches.append((s, d, max_hops, snr_min, allow_bs, got, want))
-            elif (got.bottleneck_snr_db != want[0]
-                  or tuple(got.nodes) != tuple(want[1])):
-                mismatches.append((s, d, max_hops, snr_min, allow_bs, got, want))
+            if got != want:
+                mismatches.append((s, d, max_hops, snr_min, got, want))
     elapsed = time.perf_counter() - started
     ok = not mismatches and compared >= 5000 and elapsed <= 30.0
     details = (f"{compared} lookups over 1000 random graphs, "

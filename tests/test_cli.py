@@ -38,7 +38,6 @@ DEFAULTS = {
     "turn_probability": "0.25",
     "snr_min_db": "5.0",
     "max_hops": "4",
-    "allow_bs_relay": "false",
     "arm_length_m": "200.0",
     "road_width_m": "14.0",
     "building_setback_m": "2.0",
@@ -88,24 +87,23 @@ def test_run_writes_metrics_summary_and_manifest(tmp_path):
 
 def test_defaults_echo_the_pinned_text():
     echo = cli.config_echo(parse_config({}))
-    assert len(DEFAULTS) == 37
+    assert len(DEFAULTS) == 36
     assert echo == DEFAULTS
 
 
 def test_config_echo_round_trips():
     # Every kind away from its default: an optional float and an optional int
-    # at a value, an optional spelled empty, three bool spellings, and lists
+    # at a value, an optional spelled empty, two bool spellings, and lists
     # with a trailing comma. The variants below take the other bool spellings
     # and the optionals at "none".
     first = dict(DEFAULTS, seed="11", duration_s="20", warmup_s="2", metric_mode="per-vehicle",
                  pair_selection="matched", relay_enabled="YES", cav_terminations="no",
-                 allow_bs_relay="1", reporting_period_s="0.2", measured_neighbors="3",
+                 reporting_period_s="0.2", measured_neighbors="3",
                  staleness_window_s="", bandwidth_hz="1e8", gamma_min_values="2.5,7,",
                  p_b_values="0.5, 0.25,", replications="2", workers="3", max_hops="0003")
     spec = parse_config(first)
     echo = cli.config_echo(spec)
-    assert (echo["relay_enabled"], echo["cav_terminations"], echo["allow_bs_relay"]) == \
-        ("true", "false", "true")
+    assert (echo["relay_enabled"], echo["cav_terminations"]) == ("true", "false")
     assert (echo["reporting_period_s"], echo["measured_neighbors"], echo["staleness_window_s"]) \
         == ("0.2", "3", "none")
     assert echo["gamma_min_values"] == "2.5,7.0"
@@ -114,12 +112,16 @@ def test_config_echo_round_trips():
     again = parse_config(echo)
     assert cli.config_echo(again) == echo
     assert again == spec
-    for variant in ({"relay_enabled": "True", "cav_terminations": "0", "allow_bs_relay": "false",
-                     "measured_neighbors": "None"},
-                    {"relay_enabled": "no", "cav_terminations": "yes", "allow_bs_relay": "FALSE",
-                     "reporting_period_s": "none", "staleness_window_s": "0.5"}):
+    for variant, flags in (
+            ({"relay_enabled": "True", "cav_terminations": "0", "measured_neighbors": "None"},
+             ("true", "false")),
+            ({"relay_enabled": "false", "cav_terminations": "yes", "reporting_period_s": "none",
+              "staleness_window_s": "0.5"}, ("false", "true")),
+            ({"relay_enabled": "1", "cav_terminations": "FALSE"}, ("true", "false"))):
         spec = parse_config(variant)
-        assert parse_config(cli.config_echo(spec)) == spec
+        echo = cli.config_echo(spec)
+        assert (echo["relay_enabled"], echo["cav_terminations"]) == flags
+        assert parse_config(echo) == spec
 
 
 @pytest.mark.parametrize("key,raw", [
@@ -381,6 +383,21 @@ def test_sweep_cell_manifests_rerun_byte_identically(tmp_path):
         again = tmp_path / "again" / cell.name
         assert main(["run", "--config", str(cell / "manifest.json"), "--out", str(again)]) == 0
         assert (again / "metrics.csv").read_bytes() == (cell / "metrics.csv").read_bytes()
+
+
+def test_manifest_with_a_removed_key_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    """A manifest written while the config still had `allow_bs_relay` names a
+    key the config no longer has: replaying it fails loudly, not silently."""
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    config = dict(DEFAULTS, duration_s="2.0", warmup_s="0.0", allow_bs_relay="false")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "run", "config": config}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(manifest), "--out", str(out)]) == 2
+    assert "unknown configuration key: allow_bs_relay" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
 
 
 def test_manifest_command_mismatch_exits_2(tmp_path, capsys):

@@ -56,20 +56,20 @@ GOLDEN = {
 
 GOLDEN_MANIFESTS = {
     "blockage-grid": {
-        "manifest.json": "2dd8ad87b8a24f3912caa31456238fff1cc06a7ba5edd694081d75e1d6612c6c",
-        "run_g15_p0.5_r0/manifest.json": "4fecef34b00ca6c3ef179a5498c96f41bf9613772a2bfd8209c2e51ae8cda1e0",
-        "run_g15_p0_r0/manifest.json": "51ea913a877a1f66d9d5a32e4ae9be0aa2626c214b35cb37cf58371832826fe0",
-        "run_g5_p0.5_r0/manifest.json": "a67439cfe49871ea0a46c2bdddb53c0cf8e066ba4f5c56b94e5042d2a456341c",
-        "run_g5_p0_r0/manifest.json": "f9413fbd62a2f83786fb8138d89e3381e6c91623c0579135e46051f94782e8f5",
+        "manifest.json": "8afa3ec4f60447693936bee5bd994716e8a3057b3b1eaa1ed7baf4a67226a978",
+        "run_g15_p0.5_r0/manifest.json": "03442d0f9cfa969691ef6993b100022dbf3b73006bd0a4f3115e0bebfcb20a9f",
+        "run_g15_p0_r0/manifest.json": "dc6ecc44ac4fbda4eb53d60a0b2bf91061bbf7a528caca0fb3c8761cf4454ff1",
+        "run_g5_p0.5_r0/manifest.json": "a9c57269c1679579ebe6cee2f3dec9f0420823f14b60ce4b653d6395d7fb6b8a",
+        "run_g5_p0_r0/manifest.json": "41324bccad85838c688b349c7c550916caa90baa2b8640fa5d6a7c730add7cf0",
     },
     "default-run": {
-        "manifest.json": "05512aa23ec701b8ebce59b20e70005ee5140b46a8ee07d350da19df1a069fb2",
+        "manifest.json": "3f8cafb1aebae6f02814b14eca0a56f268e0221bf50c93ef8577d28f9006e3b2",
     },
     "matched-run": {
-        "manifest.json": "d90340a5c3fcf86ddc62cc187691cac9d1ae266e22b1bf1ee233548bd940f890",
+        "manifest.json": "3de2d8035a8bc12964666acf54e34ccb1c465ffbf87f905fb438826f9a8e93d4",
     },
     "no-relay-run": {
-        "manifest.json": "b1e8be9542e83d046388a286a1c906a448e7bc90d9bef069443236b574ee7c76",
+        "manifest.json": "fb0d8ef37632cdff817e3367c64c2780de5cb9134a4c823bb486b1582cfad68d",
     },
 }
 

@@ -7,9 +7,9 @@ import reference_control
 from reference_mobility import VehicleState, fleet_of
 from reference_reports import reports_of
 from reference_schedule import report_due
-from slot_adapter import codes_of, control_slots, indication_codes
+from slot_adapter import Path, codes_of, control_slots, indication_codes
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
-                    ForwardingTable, NodeId, NodeKind, RelayPath, SimConfig,
+                    ForwardingTable, NodeId, NodeKind, SimConfig,
                     SubscriptionRequest, World, apply_control, build_intersection,
                     default_rsus, emit_indication, link_table, ran, run)
 from v2xric.engine import _audit, _collect_reports
@@ -40,10 +40,11 @@ def measure_world(world, seed=1, **selection):
 
 
 def test_node_id_total_order():
-    assert NodeId(NodeKind.BS, 0) < NodeId(NodeKind.RSU, 0) < NodeId(NodeKind.RSU, 5) < cav(0)
+    assert NodeId(NodeKind.RSU, 0) < NodeId(NodeKind.RSU, 5) < cav(0)
+    assert NodeId(NodeKind.RSU, (1 << 20) - 1) < cav(0)
     assert cav(2) < cav(10)
-    assert sorted([cav(1), NodeId(NodeKind.RSU, 3), NodeId(NodeKind.BS, 0)]) == [
-        NodeId(NodeKind.BS, 0), NodeId(NodeKind.RSU, 3), cav(1)]
+    assert sorted([cav(1), NodeId(NodeKind.RSU, 3), NodeId(NodeKind.RSU, 0)]) == [
+        NodeId(NodeKind.RSU, 0), NodeId(NodeKind.RSU, 3), cav(1)]
 
 
 def test_node_id_code_and_str():
@@ -380,7 +381,7 @@ def random_control_tick(rng, nodes, pairs, stranger, counts):
         pair=np.array(pair_of, dtype=np.int64),
         target=np.array([targets[i].code for i in order], dtype=np.int64),
         path_row=np.array([rows[i] for i in order], dtype=np.int64),
-    ), [(pair_of[r], RelayPath(nodes=tuple(p), bottleneck_snr_db=0.0))
+    ), [(pair_of[r], Path(0.0, tuple(p)))
         for r, p in enumerate(paths)]
 
 
@@ -399,7 +400,7 @@ def test_batched_control_matches_reference():
             continue
         pairs = [tuple(nodes[i] for i in sorted(rng.choice(len(nodes), 2, replace=False)))
                  for _ in range(int(rng.integers(1, 5)))]
-        stranger = NodeId(NodeKind.BS, 7)
+        stranger = NodeId(NodeKind.RSU, 77)
         codes = np.array([node.code for node in nodes])
         table = ForwardingTable.empty(len(nodes), len(pairs))
         states = {node: reference_control.NodeState(node) for node in nodes}

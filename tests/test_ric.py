@@ -9,11 +9,11 @@ import pytest
 import reference_reports
 from reference_graph import reference_graph
 from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
-from slot_adapter import (codes_of, edge_snr, graph_nodes, has_edge, indication_slots,
-                          pair_slots, slots_of)
-from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RelayPath,
-                    RicState, SubscriptionRequest, XAppConfig, build_graph, emit_indication,
-                    ran, ric, xapp_tick)
+from slot_adapter import (Path, codes_of, edge_snr, graph_nodes, has_edge, indication_slots,
+                          pair_slots, path_of, slots_of)
+from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RicState,
+                    SubscriptionRequest, XAppConfig, build_graph, emit_indication, ran, ric,
+                    xapp_tick)
 from v2xric.ric import _SCRATCH_ELEMENTS
 
 
@@ -79,6 +79,11 @@ def graph_members(state, snr):
 def tick(state, t, cfg, pairs=()):
     """xapp_tick for (NodeId, NodeId) pairs, which the view's slots name."""
     return xapp_tick(state, t, cfg, pair_slots(state.codes, pairs))
+
+
+def assigned(diag, k, codes):
+    """The path a tick assigned its k-th pair, named by the view's `codes`, or None."""
+    return path_of(codes, diag.paths[k], diag.bottleneck_snr_db[k]) if diag.served[k] else None
 
 
 # --- ingestion -------------------------------------------------------------------
@@ -189,7 +194,7 @@ def random_nodes(rng, low=2, high=13):
     counters = {kind: 0 for kind in NodeKind}
     nodes = []
     for _ in range(int(rng.integers(low, high))):
-        kind = NodeKind(int(rng.choice(3, p=(0.1, 0.25, 0.65))))
+        kind = NodeKind.RSU if rng.random() < 0.35 else NodeKind.CAV
         nodes.append(NodeId(kind, counters[kind]))
         counters[kind] += int(rng.integers(1, 3))
     return sorted(nodes)
@@ -280,7 +285,7 @@ def test_report_stream_matches_per_node_reference():
     same graph codes, every SNR entry and the same out-of-order count. The
     stream mixes out-of-order and equal-time arrivals, silent reporters,
     stale and boundary-aged reporters, capped reports with SNR ties,
-    infrastructure-only instants and base stations."""
+    infrastructure-only instants and RSUs."""
     rng = np.random.default_rng(77)
     seen = Counter()
     for _ in range(60):
@@ -291,7 +296,7 @@ def test_report_stream_matches_per_node_reference():
         cap = None if rng.random() < 0.4 else int(rng.integers(1, 4))
         sub = SubscriptionRequest(measured_neighbors=cap)
         integer_snrs = bool(rng.random() < 0.5)
-        seen["bs"] += any(node.kind == NodeKind.BS for node in nodes)
+        seen["rsu"] += any(node.kind == NodeKind.RSU for node in nodes)
         instants, now = [], 1.0
         for _ in range(10):
             kind = str(rng.choice(("now", "repeat", "late"), p=(0.6, 0.2, 0.2)))
@@ -344,7 +349,7 @@ def test_report_stream_matches_per_node_reference():
             now = round(now + float(rng.choice((0.1, 0.2))), 9)
         seen["rejected"] += state.rejected_out_of_order
     assert seen["rejected"] >= 100 and seen["edges"] >= 5000
-    assert min(seen[key] for key in ("bs", "equal-time", "infrastructure-only", "silent",
+    assert min(seen[key] for key in ("rsu", "equal-time", "infrastructure-only", "silent",
                                      "capped", "capped ties", "boundary", "stale")) >= 20, seen
 
 
@@ -407,8 +412,7 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
     # 3 nodes hold an edge, so the hop budget clamps to 2 edges and rows to 3 slots
     width = min(cfg.max_hops, 3 - 1) + 1
     assert batch.paths.tolist() == [slots(state, cav(0), cav(5), cav(9)) + [-1] * (width - 3)]
-    assert diag.path(0, state.codes) == RelayPath(nodes=(cav(0), cav(5), cav(9)),
-                                                  bottleneck_snr_db=7.0)
+    assert assigned(diag, 0, state.codes) == Path(7.0, (cav(0), cav(5), cav(9)))
 
 
 def test_direct_pairs_emit_no_messages():
@@ -451,8 +455,8 @@ def test_diagnostics_counts_are_consistent():
     assert diag.mean_hops == 2.0
     assert diag.served.tolist() == [True, False]
     assert diag.hops.tolist() == [2, 0]
-    assert diag.path(0, state.codes).nodes == (cav(0), cav(5), cav(9))
-    assert diag.path(1, state.codes) is None
+    assert assigned(diag, 0, state.codes).nodes == (cav(0), cav(5), cav(9))
+    assert assigned(diag, 1, state.codes) is None
 
 
 def test_xapp_tick_paths_match_reference_on_random_graphs():
@@ -469,17 +473,11 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
         pairs = tuple((u, v) for k, u in enumerate(nodes) for v in nodes[k + 1:])
         max_hops = int(rng.integers(1, 6))
         snr_min = float(rng.choice((-5.0, 1.5, 4.0)))
-        for allow_bs in (False, True):
-            cfg = XAppConfig(snr_min_db=snr_min, max_hops=max_hops, allow_bs_relay=allow_bs)
-            _, diag = tick(state, 0.0, cfg, pairs)
-            for k, (u, v) in enumerate(pairs):
-                want = reference_widest_path(g, u, v, max_hops, snr_min, allow_bs)
-                got = diag.path(k, state.codes)
-                if want is None:
-                    assert got is None
-                else:
-                    assert (got.bottleneck_snr_db, got.nodes) == want
-                    checked += 1
+        _, diag = tick(state, 0.0, XAppConfig(snr_min_db=snr_min, max_hops=max_hops), pairs)
+        for k, (u, v) in enumerate(pairs):
+            got = assigned(diag, k, state.codes)
+            assert got == reference_widest_path(g, u, v, max_hops, snr_min)
+            checked += got is not None
     assert checked >= 1000
 
 
@@ -489,7 +487,7 @@ def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
     brute-force oracle's, ties included."""
     rng = np.random.default_rng(4243)
     checked = 0
-    for _ in range(3):
+    for _ in range(6):
         g = random_connectivity_graph(rng, n_nodes=200, edge_p=0.03)
         edges = {e: float(round(snr)) for e, snr in edges_of(g).items()}
         g = graph_of(edges, graph_nodes(g.codes))
@@ -501,18 +499,12 @@ def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
         destinations = {v for _, v in pairs}
         # one slice holds _SCRATCH_ELEMENTS // (rows * destination columns) relays
         assert len(nodes) ** 2 * len(destinations) > 2 * _SCRATCH_ELEMENTS
-        for allow_bs in (False, True):
-            cfg = XAppConfig(snr_min_db=0.0, max_hops=4, allow_bs_relay=allow_bs)
-            _, diag = tick(state, 0.0, cfg, pairs)
-            for k, (u, v) in enumerate(pairs):
-                want = reference_widest_path(g, u, v, 4, 0.0, allow_bs)
-                got = diag.path(k, state.codes)
-                if want is None:
-                    assert got is None
-                else:
-                    assert (got.bottleneck_snr_db, got.nodes) == want
-                    checked += 1
-    assert checked >= 60  # most of the 48 pairs, each both ways, have a feasible path
+        _, diag = tick(state, 0.0, XAppConfig(snr_min_db=0.0, max_hops=4), pairs)
+        for k, (u, v) in enumerate(pairs):
+            got = assigned(diag, k, state.codes)
+            assert got == reference_widest_path(g, u, v, 4, 0.0)
+            checked += got is not None
+    assert checked >= 60  # most of the 96 pairs have a feasible path
 
 
 def spread(node, offset=1):
@@ -520,21 +512,13 @@ def spread(node, offset=1):
     return NodeId(node.kind, 2 * node.index + offset)
 
 
-def test_silent_edgeless_slots_change_no_path(monkeypatch):
+def test_silent_edgeless_slots_change_no_path():
     """Silent nodes without an edge, interleaved into the view of a random
     oracle graph, change nothing: every bottleneck, hop count and path is
     still the oracle's, ties included, and the control batch, renamed to
     codes, and its path-row width are those of the view without them. Such
     slots cannot relay, and the hop budget clamps to the nodes with an edge,
     not to the view."""
-    edgeless_relays = []
-    original = ric._maxmin_tables
-
-    def spy(adj, max_hops, relay_ok, s, d):
-        edgeless_relays.append(int(np.count_nonzero(relay_ok & ~(adj > -np.inf).any(axis=1))))
-        return original(adj, max_hops, relay_ok, s, d)
-
-    monkeypatch.setattr(ric, "_maxmin_tables", spy)
     rng = np.random.default_rng(606)
     seen = Counter()
     for _ in range(150):
@@ -543,10 +527,9 @@ def test_silent_edgeless_slots_change_no_path(monkeypatch):
                      [spread(node) for node in graph_nodes(g.codes)])
         members = graph_nodes(g.codes)
         silent = [spread(node, 0) for node in members if rng.random() < 0.7]
-        silent += [NodeId(NodeKind.BS, 2 * k) for k in range(int(rng.integers(0, 3)))]
         pairs = [(u, v) for k, u in enumerate(members) for v in members[k + 1:]]
         cfg = XAppConfig(snr_min_db=float(rng.choice((-5.0, 1.5, 4.0))),
-                         max_hops=int(rng.integers(1, 9)), allow_bs_relay=bool(rng.random() < 0.5))
+                         max_hops=int(rng.integers(1, 9)))
         ticks = []
         for nodes in (members, sorted(set(members) | set(silent))):
             state = view(nodes=nodes)
@@ -561,15 +544,13 @@ def test_silent_edgeless_slots_change_no_path(monkeypatch):
             batch.pair.tolist(), batch.path_row.tolist())
         assert wide_diag.graph_nodes == diag.graph_nodes == len(members)
         for k, (u, v) in enumerate(pairs):
-            want = reference_widest_path(g, u, v, cfg.max_hops, cfg.snr_min_db, cfg.allow_bs_relay)
-            got = wide_diag.path(k, wide_codes)
-            assert (got is None) if want is None else (got.bottleneck_snr_db, got.nodes) == want
+            want = reference_widest_path(g, u, v, cfg.max_hops, cfg.snr_min_db)
+            assert assigned(wide_diag, k, wide_codes) == want
             assert wide_diag.hops[k] == diag.hops[k]
         seen["relayed"] += len(batch.paths)
         seen["clamped"] += cfg.max_hops >= batch.paths.shape[1] > 0
-        seen["silent bs"] += any(node.kind == NodeKind.BS for node in silent)
+        seen["silent rsu"] += any(node.kind == NodeKind.RSU for node in silent)
     assert min(seen.values()) >= 20, seen
-    assert len(edgeless_relays) == 300 and not any(edgeless_relays)  # relays hold an edge
 
 
 def test_empty_pair_list_serves_nothing():
@@ -591,7 +572,7 @@ def test_empty_controller_state_is_quiet():
     assert math.isnan(diag.mean_hops)
 
 
-# --- configuration and path objects ----------------------------------------------
+# --- configuration and pairs -----------------------------------------------------
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -626,12 +607,4 @@ def test_pairs_run_from_the_smaller_slot():
     backward, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array([(b, a)]))
     assert backward.paths.tolist() == forward.paths.tolist()
     assert backward.target.tolist() == slots(state, cav(0), cav(5))
-    assert diag.path(0, state.codes).nodes == (cav(0), cav(5), cav(9))
-
-
-def test_relay_path_shape_is_enforced():
-    with pytest.raises(ConfigurationError):
-        RelayPath(nodes=(cav(0),), bottleneck_snr_db=5.0)
-    with pytest.raises(ConfigurationError):
-        RelayPath(nodes=(cav(0), cav(1), cav(0)), bottleneck_snr_db=5.0)
-    assert RelayPath(nodes=(cav(0), cav(1), cav(2)), bottleneck_snr_db=5.0).hops == 2
+    assert assigned(diag, 0, state.codes).nodes == (cav(0), cav(5), cav(9))
