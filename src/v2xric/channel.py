@@ -6,7 +6,10 @@ max of the LOS curve and the canyon NLOS curve). A link that is blocked by
 the stochastic (Bernoulli) mechanism is a deep-fade outage for that report
 instant: the sample keeps the exact dB identity snr = eirp - pathloss -
 noise_floor by carrying the sentinel outage pathloss, which sits far below
-any admissible SNR threshold, so an outage can never become a graph edge.
+any admissible SNR threshold, so an outage can never become a graph edge:
+with the validated ranges (eirp at most 60 dBm, bandwidth at least 1 Hz,
+noise figure at least 0 dB) an outage's SNR is at most 60 - 1000 + 174 =
+-766 dB, under the lowest threshold the controller accepts, -300 dB.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ MIN_MODEL_DISTANCE_M = 1.0  # below this the curves are clamped to 1 m
 
 # Pathloss assigned to a stochastically blocked sample. Finite (so SNR stays a
 # number), yet deep enough that eirp - OUTAGE_PATHLOSS_DB - noise_floor lies
-# below every admissible threshold for all valid parameter ranges.
+# below every admissible threshold for all valid parameter ranges: at most
+# -766 dB, as `ChannelParams.validate` bounds the bandwidth below by 1 Hz.
 OUTAGE_PATHLOSS_DB = 1000.0
 
 BLOCKAGE_MODES = ("geometric", "stochastic", "combined")
@@ -50,8 +54,8 @@ class ChannelParams:
             raise ConfigurationError(f"carrier_ghz out of range [0.5, 100]: {self.carrier_ghz}")
         if not (-30.0 <= self.eirp_dbm <= 60.0):
             raise ConfigurationError(f"eirp_dbm out of range [-30, 60]: {self.eirp_dbm}")
-        if not (self.bandwidth_hz > 0 and math.isfinite(self.bandwidth_hz)):
-            raise ConfigurationError(f"bandwidth_hz must be positive: {self.bandwidth_hz}")
+        if not (self.bandwidth_hz >= 1.0 and math.isfinite(self.bandwidth_hz)):
+            raise ConfigurationError(f"bandwidth_hz must be finite and >= 1: {self.bandwidth_hz}")
         if not (0.0 <= self.noise_figure_db <= 30.0):
             raise ConfigurationError(f"noise_figure_db out of range [0, 30]: {self.noise_figure_db}")
         if not (0.0 <= self.p_b <= 1.0):
@@ -179,7 +183,8 @@ def _segments_blocked(p0, p1, lo, hi, exclude_a, exclude_b) -> np.ndarray:
 
 def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: np.ndarray,
                boxes: tuple[np.ndarray, np.ndarray], t: float, seed: int,
-               max_range: float | None = None, pairs=None) -> LinkTable:
+               max_range: float | None = None, pairs=None,
+               min_snr_db: float | None = None) -> LinkTable:
     """Measure endpoint pairs at instant t: all unordered pairs by default, or an
     explicit (i_indices, j_indices) selection via `pairs`.
 
@@ -190,6 +195,15 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
     reports, single links and neighbour ranges (`max_range`, boundary
     inclusive) all come from it. Every quantity is orientation-free, so
     explicit pairs may come in either order.
+
+    `min_snr_db` is a report floor: after the range cut it drops every pair
+    whose LOS SNR lies below it, before the blockage test, the outage draw
+    and the NLOS curve. It is exact for any filter on the final SNR at or
+    above the floor. A kept pair's SNR is the one the unfloored table gives,
+    and a dropped pair's could only have been lower: the LOS SNR is the
+    final SNR's own float expression, NLOS pathloss is at least LOS
+    pathloss, an outage lies below every admissible floor, and each outage
+    draw hashes its own link alone.
     """
     pos = np.asarray(xyz, dtype=np.float64)
     if pairs is None:
@@ -204,6 +218,10 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
     if max_range is not None:
         m = dist <= max_range
         iu, ju, dist = iu[m], ju[m], dist[m]
+    pl_los = pathloss_los(dist, params.carrier_ghz)
+    if min_snr_db is not None:
+        m = params.eirp_dbm - pl_los - noise_floor(params) >= min_snr_db
+        iu, ju, dist, pl_los = iu[m], ju[m], dist[m], pl_los[m]
 
     mode = params.blockage_mode
     if mode in ("geometric", "combined"):
@@ -221,11 +239,7 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
         outage = np.zeros(len(iu), dtype=bool)
 
     h_ut = np.minimum(pos[iu, 2], pos[ju, 2])
-    pl = np.where(
-        clear,
-        pathloss_los(dist, params.carrier_ghz),
-        pathloss_nlos(dist, params.carrier_ghz, h_ut),
-    )
+    pl = np.where(clear, pl_los, pathloss_nlos(dist, params.carrier_ghz, h_ut))
     los = clear & ~outage
     pl = np.where(outage, OUTAGE_PATHLOSS_DB, pl)
     snr = params.eirp_dbm - pl - noise_floor(params)

@@ -138,9 +138,11 @@ class SimConfig:
         return self.control_period_s if self.reporting_period_s is None else self.reporting_period_s
 
     def subscription(self) -> ran.SubscriptionRequest:
-        """The reporting contract every node of the run follows."""
+        """The reporting contract every node of the run follows: its report
+        filter is the xApp's threshold, below which no link becomes an edge."""
         return ran.SubscriptionRequest(reporting_period_s=self.resolved_reporting_period(),
-                                       measured_neighbors=self.measured_neighbors)
+                                       measured_neighbors=self.measured_neighbors,
+                                       min_snr_db=self.xapp.snr_min_db)
 
     def resolved_staleness_window(self) -> float:
         if self.staleness_window_s is not None:
@@ -285,9 +287,17 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
     """Sense every in-range pair once and report both directions of each link
     from every reporting endpoint (only the infrastructure when
     `cav_terminations` is off), all in one batch that names each node by its
-    view slot, the link table's endpoint index."""
+    view slot, the link table's endpoint index.
+
+    The subscription's report filter `min_snr_db` also floors the link
+    table, so a link that cannot pass the filter is never measured in full.
+    The batch equals the unfloored one filtered to SNR at or above the
+    floor: the table keeps every such link with its unfloored SNR, and
+    under the report cap such a link is outranked only by links that also
+    pass the filter."""
     tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
-                             t, cfg.seed, max_range=cfg.sensing_range_m)
+                             t, cfg.seed, max_range=cfg.sensing_range_m,
+                             min_snr_db=subscription.min_snr_db)
     reporting = cfg.cav_terminations | (ran.kinds(world.codes) != ran.NodeKind.CAV)
     src = np.concatenate((tab.i, tab.j))
     dst = np.concatenate((tab.j, tab.i))

@@ -330,6 +330,39 @@ def test_dense_link_table_allocates_no_segment_box_grid():
     assert peak < 10e6, peak
 
 
+def test_report_floor_keeps_exactly_the_pairs_whose_los_snr_clears_it():
+    """On the dense scene (seed 1, 200 veh/km, 176 antennas) at a 5 dB floor,
+    the floored table holds exactly the in-range pairs whose LOS SNR is at or
+    above the floor, each row bit for bit the unfloored one, and no pair of
+    the unfloored table at or above the floor is missing."""
+    layout = build_intersection(200.0, 14.0)
+    fleet = spawn_vehicles(layout, TrafficConfig(density_veh_km=200.0, seed=1))
+    world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
+    assert len(world.codes) == 176
+    params = ChannelParams(p_b=0.3)
+    ends = (world.xyz(), world.codes, world.body, world.boxes())
+    full = link_table(params, *ends, 0.1, seed=1, max_range=300.0)
+    floored = link_table(params, *ends, 0.1, seed=1, max_range=300.0, min_snr_db=5.0)
+    los_snr = params.eirp_dbm - pathloss_los(full.distance_m, params.carrier_ghz) - noise_floor(params)
+    keep = los_snr >= 5.0
+    assert 0 < len(floored.i) == int(keep.sum()) < len(full.i)
+    for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
+        assert np.array_equal(getattr(floored, column), getattr(full, column)[keep]), column
+    assert np.all(keep[full.snr_db >= 5.0])
+    # LOS and NLOS rows, outages and links below the floor after blockage all remain
+    assert floored.los.any() and (floored.pathloss_db == OUTAGE_PATHLOSS_DB).any()
+    assert (floored.snr_db < 5.0).any()
+
+
+def test_report_floor_none_is_the_unfloored_table():
+    layout = build_intersection(200.0, 14.0)
+    antennas = [cav_antenna(k, -60.0 + 10.0 * k, -3.5) for k in range(12)]
+    a = scene_table(ChannelParams(p_b=0.4), layout, [], antennas, 0.2, seed=3)
+    b = scene_table(ChannelParams(p_b=0.4), layout, [], antennas, 0.2, seed=3, min_snr_db=None)
+    for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+
 # --- stochastic outages ----------------------------------------------------------
 
 
@@ -450,6 +483,7 @@ def test_link_table_pair_selection_matches_full_table():
     dict(p_b=-0.1),
     dict(p_b=1.5),
     dict(blockage_mode="sometimes"),
+    dict(bandwidth_hz=1e-100),
 ])
 def test_channel_params_validation(bad):
     with pytest.raises(ConfigurationError):
@@ -461,3 +495,15 @@ def test_coincident_antennas_rejected():
     antennas = [cav_antenna(0, 5.0, -3.5), cav_antenna(1, 5.0, -3.5)]
     with pytest.raises(MeasurementError):
         scene_table(ChannelParams(), layout, [], antennas, 0.0, seed=1)
+
+
+def test_outage_snr_lies_below_every_threshold_at_the_validated_corner():
+    """At the corner of the validated ranges that raises an outage's SNR most
+    (highest EIRP, narrowest bandwidth, no noise figure) it stays below the
+    lowest admissible threshold, -300 dB, so an outage is never an edge."""
+    params = ChannelParams(eirp_dbm=60.0, bandwidth_hz=1.0, noise_figure_db=0.0,
+                           p_b=1.0).validate()
+    assert params.eirp_dbm - OUTAGE_PATHLOSS_DB - noise_floor(params) < -300.0
+    antennas = [cav_antenna(k, -40.0 + 10.0 * k, -3.5) for k in range(6)]
+    tab = scene_table(params, build_intersection(200.0, 14.0), [], antennas, 0.0, seed=1)
+    assert np.all(tab.snr_db < -300.0)

@@ -282,6 +282,20 @@ def test_period_off_the_step_grid_exits_2_before_running(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_sub_hertz_bandwidth_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    """Below 1 Hz the noise floor falls so far that an outage's SNR could clear
+    the threshold and become an edge."""
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    cfg = tmp_path / "bandwidth.cfg"
+    cfg.write_text("bandwidth_hz = 1e-100\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--config", str(cfg)]) == 2
+    assert "bandwidth_hz" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags", [("sweep-snr", []), ("sweep-blockage", ["--p-b", "0,0.5"])])
 def test_sweeps_without_relaying_exit_2_before_running(tmp_path, capsys, monkeypatch,
                                                        command, flags):

@@ -22,7 +22,7 @@ from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingT
                     SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, apply_control,
                     build_intersection, ingest, run, run_with_audit, spawn_vehicles,
                     sweep_blockage, sweep_snr, time_average, xapp_tick)
-from v2xric import engine, ric
+from v2xric import channel, engine, ric
 from v2xric.engine import _audit, _build_pairs, _connectivity
 from v2xric.scenario import CAR_EXTENT
 
@@ -254,6 +254,40 @@ def test_relay_dominates_direct_at_every_tick():
             assert rr.connectivity >= dr.connectivity
             # a direct-only run measures exactly the relay run's direct baseline
             assert dr.connectivity == rr.direct_connectivity
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(seed=6, metric_mode="per-vehicle", pair_selection="matched",
+         channel=ChannelParams(p_b=0.3)),
+    dict(measured_neighbors=3),
+    dict(relay_enabled=False),
+    dict(xapp=XAppConfig(snr_min_db=-300.0)),
+], ids=["default", "matched-per-vehicle", "capped", "no-relay", "lowest-threshold"])
+def test_report_floor_changes_no_record_and_no_audit(monkeypatch, overrides):
+    """A run whose subscription carries no report floor gives the same records
+    and audit as the floored run, having measured at least as many links."""
+    cfg = quick_cfg(**{"duration_s": 2.0, "seed": 5, **overrides})
+    measured = []
+    link_table = channel.link_table
+
+    def spy(*args, **kwargs):
+        tab = link_table(*args, **kwargs)
+        measured.append(len(tab.i))
+        return tab
+
+    monkeypatch.setattr(channel, "link_table", spy)
+    floored = run_with_audit(cfg)
+    floored_links, measured[:] = sum(measured), []
+    subscription = SimConfig.subscription
+    monkeypatch.setattr(SimConfig, "subscription",
+                        lambda self: replace(subscription(self), min_snr_db=None))
+    unfloored = run_with_audit(cfg)
+    assert record_reprs(floored[0]) == record_reprs(unfloored[0])
+    assert floored[1] == unfloored[1]
+    assert floored_links <= sum(measured)
+    if cfg.xapp.snr_min_db > -300.0:
+        assert floored_links < sum(measured)
 
 
 @pytest.mark.parametrize("mode", ["stochastic", "combined"])

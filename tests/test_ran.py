@@ -1,5 +1,8 @@
 """RAN endpoint tests: identities, neighbor sensing, reporting, forwarding control."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,10 @@ from reference_reports import reports_of
 from reference_schedule import report_due
 from slot_adapter import Path, codes_of, control_slots, indication_codes
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
-                    ForwardingTable, NodeId, NodeKind, SimConfig,
-                    SubscriptionRequest, World, apply_control, build_intersection,
-                    default_rsus, emit_indication, link_table, ran, run)
+                    ForwardingTable, NodeId, NodeKind, RicState, SimConfig,
+                    SubscriptionRequest, TrafficConfig, World, XAppConfig, apply_control,
+                    build_graph, build_intersection, default_rsus, emit_indication, ingest,
+                    link_table, ran, run, spawn_vehicles)
 from v2xric.engine import _audit, _collect_reports
 from v2xric.scenario import CAR_EXTENT
 
@@ -155,6 +159,60 @@ def test_infrastructure_only_reports_come_from_rsus():
     assert all(cav(0).code in batch.neighbor[batch.source == code] for code in batch.reporters)
 
 
+def floor_scenes(rng):
+    """Random spawned scenes with the corner RSUs, and evenly spaced lanes of
+    cars whose left and right neighbours tie on SNR."""
+    layout = build_intersection(200.0, 14.0)
+    for _ in range(3):
+        traffic = TrafficConfig(density_veh_km=float(rng.choice((20.0, 60.0, 120.0))),
+                                seed=int(rng.integers(1000)), tall_fraction=0.3)
+        yield World(layout=layout, fleet=spawn_vehicles(layout, traffic), rsus=default_rsus(layout))
+    spacing = float(rng.choice((8.0, 15.0)))
+    yield world_with_cavs([-100.0 + spacing * k for k in range(12)], rsus=default_rsus(layout))
+
+
+def test_floored_reports_equal_unfloored_reports_filtered():
+    """On random scenes, the engine's batch under the subscription's report
+    floor equals the unfloored batch filtered to SNR at or above the floor,
+    at every p_b, report cap (with SNR ties) and reporting set; and the
+    controller's graph from either batch agrees at every threshold at or
+    above the floor."""
+    rng = np.random.default_rng(21)
+    seen = Counter()
+    for world in floor_scenes(rng):
+        t = round(0.1 * int(rng.integers(50)), 9)
+        for p_b in (0.0, 0.3, 1.0):
+            for cap in (None, 1, 3):
+                for cav_terminations in (True, False):
+                    cfg = SimConfig(channel=ChannelParams(p_b=p_b), measured_neighbors=cap,
+                                    cav_terminations=cav_terminations)
+                    unfloored = _collect_reports(world, cfg, t,
+                                                 replace(cfg.subscription(), min_snr_db=None))
+                    finite = unfloored.snr_db[unfloored.snr_db > -300.0]
+                    floors = [-300.0, float(rng.uniform(-5.0, 25.0))]
+                    if len(finite):
+                        floors.append(float(rng.choice(finite)))  # a floor on a reported SNR
+                    for floor in floors:
+                        cfg = replace(cfg, xapp=XAppConfig(snr_min_db=floor))
+                        floored = _collect_reports(world, cfg, t, cfg.subscription())
+                        keep = unfloored.snr_db >= floor
+                        assert floored.t == unfloored.t
+                        assert np.array_equal(floored.reporters, unfloored.reporters)
+                        for column in ("source", "neighbor", "snr_db"):
+                            assert np.array_equal(getattr(floored, column),
+                                                  getattr(unfloored, column)[keep]), column
+                        seen["dropped"] += int(np.count_nonzero(~keep))
+                        seen["at_floor"] += int(np.count_nonzero(unfloored.snr_db == floor))
+                        states = [ingest(RicState(world.codes), batch)
+                                  for batch in (floored, unfloored)]
+                        for gamma in (floor, floor + 0.5, floor + 3.0, *floored.snr_db[:5]):
+                            assert np.array_equal(build_graph(states[0], t, gamma),
+                                                  build_graph(states[1], t, gamma))
+                    by_link = Counter(zip(unfloored.source.tolist(), unfloored.snr_db.tolist()))
+                    seen["ties"] += sum(k > 1 for k in by_link.values())
+    assert seen["dropped"] > 0 and seen["at_floor"] > 0 and seen["ties"] > 0
+
+
 # --- reporting cadence -----------------------------------------------------------
 # The engine counts whole steps; the float rule it replaced is the oracle in
 # reference_schedule, checked here on its own and against the engine in
@@ -225,10 +283,27 @@ def test_emit_indication_without_cap_keeps_everything():
     assert report.snr_db.tolist() == [-5.0, 3.0]
 
 
+def test_emit_indication_leaves_out_links_below_min_snr():
+    sub = SubscriptionRequest(measured_neighbors=2, min_snr_db=5.0)
+    report = emit_indication([cav(0).code], [cav(0).code] * 4,
+                             [cav(k).code for k in (1, 2, 3, 4)], [4.9, 5.0, 7.0, 5.0], 0.3, sub)
+    # 4.9 dB is not reported; the cap keeps 7 dB and the smaller of the 5 dB ties
+    assert links_of(report) == [(cav(0), cav(2), 5.0), (cav(0), cav(3), 7.0)]
+    assert report.reporters.tolist() == [cav(0).code]
+    silent = emit_indication([cav(0).code], [cav(0).code], [cav(1).code], [-5.0], 0.3,
+                             SubscriptionRequest(min_snr_db=0.0))
+    assert links_of(silent) == [] and silent.reporters.tolist() == [cav(0).code]
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(reporting_period_s=0.0005),
     dict(reporting_period_s=2.0),
     dict(measured_neighbors=0),
+    dict(min_snr_db=float("nan")),
+    dict(min_snr_db=float("inf")),
+    dict(min_snr_db=-float("inf")),
+    dict(min_snr_db=300.5),
+    dict(min_snr_db=-301.0),
 ])
 def test_subscription_validation(kwargs):
     with pytest.raises(ConfigurationError):
