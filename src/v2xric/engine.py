@@ -138,11 +138,9 @@ class SimConfig:
         return self.control_period_s if self.reporting_period_s is None else self.reporting_period_s
 
     def subscription(self) -> ran.SubscriptionRequest:
-        """The reporting contract every node of the run follows: its report
-        filter is the xApp's threshold, below which no link becomes an edge."""
+        """The reporting contract every node of the run follows."""
         return ran.SubscriptionRequest(reporting_period_s=self.resolved_reporting_period(),
-                                       measured_neighbors=self.measured_neighbors,
-                                       min_snr_db=self.xapp.snr_min_db)
+                                       measured_neighbors=self.measured_neighbors)
 
     def resolved_staleness_window(self) -> float:
         if self.staleness_window_s is not None:
@@ -289,15 +287,14 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
     `cav_terminations` is off), all in one batch that names each node by its
     view slot, the link table's endpoint index.
 
-    The subscription's report filter `min_snr_db` also floors the link
-    table, so a link that cannot pass the filter is never measured in full.
-    The batch equals the unfloored one filtered to SNR at or above the
-    floor: the table keeps every such link with its unfloored SNR, and
-    under the report cap such a link is outranked only by links that also
-    pass the filter."""
+    The xApp's threshold floors the link table, so a link that can never
+    become an edge is never measured in full. Every link at or above the
+    threshold is reported as the unfloored table would report it: the table
+    keeps it with its unfloored SNR, and under the report cap it is
+    outranked only by links that are also at or above the threshold."""
     tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
                              t, cfg.seed, max_range=cfg.sensing_range_m,
-                             min_snr_db=subscription.min_snr_db)
+                             min_snr_db=cfg.xapp.snr_min_db)
     reporting = cfg.cav_terminations | (ran.kinds(world.codes) != ran.NodeKind.CAV)
     src = np.concatenate((tab.i, tab.j))
     dst = np.concatenate((tab.j, tab.i))

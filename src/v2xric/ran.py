@@ -57,14 +57,10 @@ class NodeId(namedtuple("NodeId", "kind index")):
 
 @dataclass(frozen=True, slots=True)
 class SubscriptionRequest:
-    """Reporting contract for every node: cadence, report size cap and
-    report filter. The filter is an E2 report filter: a node reports only
-    the links whose SNR is at or above `min_snr_db`, and measures in full
-    only those that can be (see `channel.link_table`)."""
+    """Reporting contract for every node: cadence and report size cap."""
 
     reporting_period_s: float = 0.1
     measured_neighbors: int | None = None  # None = no truncation
-    min_snr_db: float | None = None  # None = report every link
 
     def validate(self) -> "SubscriptionRequest":
         if not (0.001 <= self.reporting_period_s <= 1.0):
@@ -73,8 +69,6 @@ class SubscriptionRequest:
         if self.measured_neighbors is not None and self.measured_neighbors < 1:
             raise ConfigurationError(
                 f"measured_neighbors must be >= 1 or None: {self.measured_neighbors}")
-        if self.min_snr_db is not None and not (-300.0 <= self.min_snr_db <= 300.0):
-            raise ConfigurationError(f"min_snr_db out of range [-300, 300]: {self.min_snr_db}")
         return self
 
 
@@ -174,16 +168,13 @@ def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndar
                     snr_db: np.ndarray, t: float,
                     subscription: SubscriptionRequest) -> IndicationBatch:
     """Build the reports of one report instant from the reporters' slots
-    and their measured links, each (source, neighbour) at most once. Links
-    below the subscription's `min_snr_db` are not reported. A reporter with
-    more links than the subscription cap keeps its strongest (ties broken by
-    the smaller neighbour); the links keep their given order."""
+    and their measured links, each (source, neighbour) at most once. A
+    reporter with more links than the subscription cap keeps its strongest
+    (ties broken by the smaller neighbour); the links keep their given
+    order."""
     source = np.asarray(source, dtype=np.int64)
     neighbor = np.asarray(neighbor, dtype=np.int64)
     snr_db = np.asarray(snr_db, dtype=np.float64)
-    if subscription.min_snr_db is not None:
-        kept = snr_db >= subscription.min_snr_db
-        source, neighbor, snr_db = source[kept], neighbor[kept], snr_db[kept]
     cap = subscription.measured_neighbors
     if cap is not None:
         order = np.lexsort((neighbor, -snr_db, source))

@@ -354,15 +354,6 @@ def test_report_floor_keeps_exactly_the_pairs_whose_los_snr_clears_it():
     assert (floored.snr_db < 5.0).any()
 
 
-def test_report_floor_none_is_the_unfloored_table():
-    layout = build_intersection(200.0, 14.0)
-    antennas = [cav_antenna(k, -60.0 + 10.0 * k, -3.5) for k in range(12)]
-    a = scene_table(ChannelParams(p_b=0.4), layout, [], antennas, 0.2, seed=3)
-    b = scene_table(ChannelParams(p_b=0.4), layout, [], antennas, 0.2, seed=3, min_snr_db=None)
-    for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
-        assert np.array_equal(getattr(a, column), getattr(b, column)), column
-
-
 # --- stochastic outages ----------------------------------------------------------
 
 

@@ -265,23 +265,24 @@ def test_relay_dominates_direct_at_every_tick():
     dict(xapp=XAppConfig(snr_min_db=-300.0)),
 ], ids=["default", "matched-per-vehicle", "capped", "no-relay", "lowest-threshold"])
 def test_report_floor_changes_no_record_and_no_audit(monkeypatch, overrides):
-    """A run whose subscription carries no report floor gives the same records
+    """A run whose link tables carry no report floor gives the same records
     and audit as the floored run, having measured at least as many links."""
     cfg = quick_cfg(**{"duration_s": 2.0, "seed": 5, **overrides})
     measured = []
     link_table = channel.link_table
 
-    def spy(*args, **kwargs):
-        tab = link_table(*args, **kwargs)
-        measured.append(len(tab.i))
-        return tab
+    def spy(floored):
+        def measure(*args, min_snr_db, **kwargs):
+            assert min_snr_db == cfg.xapp.snr_min_db
+            tab = link_table(*args, min_snr_db=min_snr_db if floored else None, **kwargs)
+            measured.append(len(tab.i))
+            return tab
+        return measure
 
-    monkeypatch.setattr(channel, "link_table", spy)
+    monkeypatch.setattr(channel, "link_table", spy(True))
     floored = run_with_audit(cfg)
     floored_links, measured[:] = sum(measured), []
-    subscription = SimConfig.subscription
-    monkeypatch.setattr(SimConfig, "subscription",
-                        lambda self: replace(subscription(self), min_snr_db=None))
+    monkeypatch.setattr(channel, "link_table", spy(False))
     unfloored = run_with_audit(cfg)
     assert record_reprs(floored[0]) == record_reprs(unfloored[0])
     assert floored[1] == unfloored[1]

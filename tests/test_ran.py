@@ -14,8 +14,8 @@ from slot_adapter import Path, codes_of, control_slots, indication_codes
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
                     ForwardingTable, NodeId, NodeKind, RicState, SimConfig,
                     SubscriptionRequest, TrafficConfig, World, XAppConfig, apply_control,
-                    build_graph, build_intersection, default_rsus, emit_indication, ingest,
-                    link_table, ran, run, spawn_vehicles)
+                    build_graph, build_intersection, channel, default_rsus, emit_indication,
+                    ingest, link_table, ran, run, spawn_vehicles)
 from v2xric.engine import _audit, _collect_reports
 from v2xric.scenario import CAR_EXTENT
 
@@ -108,9 +108,9 @@ def report_batch(world, sensing_range_m=300.0, **cfg):
     return indication_codes(batch, world.codes)
 
 
-def reports_by_source(world, sensing_range_m=300.0):
+def reports_by_source(world, sensing_range_m=300.0, **cfg):
     """The batch split into per-node reports, neighbours ascending."""
-    return {r.source: r for r in reports_of(report_batch(world, sensing_range_m))}
+    return {r.source: r for r in reports_of(report_batch(world, sensing_range_m, **cfg))}
 
 
 def neighbors_of(report):
@@ -146,8 +146,13 @@ def test_sensing_range_boundary_inclusive():
     assert [(int(i), int(j)) for i, j in zip(within.i, within.j)] == [(0, 1)]
     beyond = measure_world(world, max_range=149.99)
     assert len(beyond.i) == 0
-    assert neighbors_of(reports_by_source(world, 150.0)[cav(0)]) == [cav(1)]
-    assert neighbors_of(reports_by_source(world, 149.99)[cav(0)]) == []
+    # at the lowest threshold the report floor keeps every in-range link
+    lowest = XAppConfig(snr_min_db=-300.0)
+    assert neighbors_of(reports_by_source(world, 150.0, xapp=lowest)[cav(0)]) == [cav(1)]
+    assert neighbors_of(reports_by_source(world, 149.99, xapp=lowest)[cav(0)]) == []
+    # at the default 5 dB the 150 m link can never be an edge, so it is not reported
+    assert within.snr_db[0] < SimConfig().xapp.snr_min_db
+    assert neighbors_of(reports_by_source(world, 150.0)[cav(0)]) == []
 
 
 def test_infrastructure_only_reports_come_from_rsus():
@@ -172,13 +177,14 @@ def floor_scenes(rng):
 
 
 def test_floored_reports_equal_unfloored_reports_filtered():
-    """On random scenes, the engine's batch under the subscription's report
-    floor equals the unfloored batch filtered to SNR at or above the floor,
-    at every p_b, report cap (with SNR ties) and reporting set; and the
-    controller's graph from either batch agrees at every threshold at or
-    above the floor."""
+    """On random scenes, the engine's batch under the xApp threshold's report
+    floor, filtered to SNR at or above the floor, equals the unfloored batch
+    filtered the same way, at every p_b, report cap (with SNR ties) and
+    reporting set; and the controller's graph from either batch agrees at
+    every threshold at or above the floor."""
     rng = np.random.default_rng(21)
     seen = Counter()
+    measure = channel.link_table
     for world in floor_scenes(rng):
         t = round(0.1 * int(rng.integers(50)), 9)
         for p_b in (0.0, 0.3, 1.0):
@@ -186,8 +192,10 @@ def test_floored_reports_equal_unfloored_reports_filtered():
                 for cav_terminations in (True, False):
                     cfg = SimConfig(channel=ChannelParams(p_b=p_b), measured_neighbors=cap,
                                     cav_terminations=cav_terminations)
-                    unfloored = _collect_reports(world, cfg, t,
-                                                 replace(cfg.subscription(), min_snr_db=None))
+                    with pytest.MonkeyPatch.context() as m:
+                        m.setattr(channel, "link_table",
+                                  lambda *args, min_snr_db, **kwargs: measure(*args, **kwargs))
+                        unfloored = _collect_reports(world, cfg, t, cfg.subscription())
                     finite = unfloored.snr_db[unfloored.snr_db > -300.0]
                     floors = [-300.0, float(rng.uniform(-5.0, 25.0))]
                     if len(finite):
@@ -196,21 +204,23 @@ def test_floored_reports_equal_unfloored_reports_filtered():
                         cfg = replace(cfg, xapp=XAppConfig(snr_min_db=floor))
                         floored = _collect_reports(world, cfg, t, cfg.subscription())
                         keep = unfloored.snr_db >= floor
+                        kept = floored.snr_db >= floor
                         assert floored.t == unfloored.t
                         assert np.array_equal(floored.reporters, unfloored.reporters)
                         for column in ("source", "neighbor", "snr_db"):
-                            assert np.array_equal(getattr(floored, column),
+                            assert np.array_equal(getattr(floored, column)[kept],
                                                   getattr(unfloored, column)[keep]), column
+                        seen["measured_below"] += int(np.count_nonzero(~kept))
                         seen["dropped"] += int(np.count_nonzero(~keep))
                         seen["at_floor"] += int(np.count_nonzero(unfloored.snr_db == floor))
                         states = [ingest(RicState(world.codes), batch)
                                   for batch in (floored, unfloored)]
-                        for gamma in (floor, floor + 0.5, floor + 3.0, *floored.snr_db[:5]):
+                        for gamma in (floor, floor + 0.5, floor + 3.0, *floored.snr_db[kept][:5]):
                             assert np.array_equal(build_graph(states[0], t, gamma),
                                                   build_graph(states[1], t, gamma))
                     by_link = Counter(zip(unfloored.source.tolist(), unfloored.snr_db.tolist()))
                     seen["ties"] += sum(k > 1 for k in by_link.values())
-    assert seen["dropped"] > 0 and seen["at_floor"] > 0 and seen["ties"] > 0
+    assert all(seen[k] > 0 for k in ("dropped", "at_floor", "ties", "measured_below"))
 
 
 # --- reporting cadence -----------------------------------------------------------
@@ -283,27 +293,10 @@ def test_emit_indication_without_cap_keeps_everything():
     assert report.snr_db.tolist() == [-5.0, 3.0]
 
 
-def test_emit_indication_leaves_out_links_below_min_snr():
-    sub = SubscriptionRequest(measured_neighbors=2, min_snr_db=5.0)
-    report = emit_indication([cav(0).code], [cav(0).code] * 4,
-                             [cav(k).code for k in (1, 2, 3, 4)], [4.9, 5.0, 7.0, 5.0], 0.3, sub)
-    # 4.9 dB is not reported; the cap keeps 7 dB and the smaller of the 5 dB ties
-    assert links_of(report) == [(cav(0), cav(2), 5.0), (cav(0), cav(3), 7.0)]
-    assert report.reporters.tolist() == [cav(0).code]
-    silent = emit_indication([cav(0).code], [cav(0).code], [cav(1).code], [-5.0], 0.3,
-                             SubscriptionRequest(min_snr_db=0.0))
-    assert links_of(silent) == [] and silent.reporters.tolist() == [cav(0).code]
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(reporting_period_s=0.0005),
     dict(reporting_period_s=2.0),
     dict(measured_neighbors=0),
-    dict(min_snr_db=float("nan")),
-    dict(min_snr_db=float("inf")),
-    dict(min_snr_db=-float("inf")),
-    dict(min_snr_db=300.5),
-    dict(min_snr_db=-301.0),
 ])
 def test_subscription_validation(kwargs):
     with pytest.raises(ConfigurationError):
