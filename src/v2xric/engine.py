@@ -18,8 +18,8 @@ import numpy as np
 
 from . import channel, ran, ric
 from .errors import ConfigurationError
-from .scenario import (MobilityState, TrafficConfig, build_intersection, default_rsus,
-                       spawn_vehicles, step_mobility)
+from .scenario import (MobilityState, RoadLayout, TrafficConfig, build_intersection,
+                       default_rsus, spawn_vehicles, step_mobility)
 
 _MATCH_TAG = 31  # seed stream tag for the matched-pair draw
 
@@ -39,12 +39,18 @@ class WorldConfig:
     cav_antenna_height_m: float = 1.6
 
     def validate(self) -> "WorldConfig":
-        for name in ("arm_length_m", "road_width_m", "building_setback_m",
-                     "building_height_m", "rsu_mast_height_m", "cav_antenna_height_m"):
+        """`build_intersection` checks the other dimensions and that they fit."""
+        for name in ("building_setback_m", "rsu_mast_height_m", "cav_antenna_height_m"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigurationError(f"{name} must be positive: {value}")
+        self.layout()
         return self
+
+    def layout(self) -> RoadLayout:
+        """The intersection these dimensions describe."""
+        return build_intersection(self.arm_length_m, self.road_width_m,
+                                  self.building_setback_m, self.building_height_m)
 
 
 @dataclass(slots=True)
@@ -106,14 +112,26 @@ class SimConfig:
         self.traffic.validate()
         self.xapp.validate()
         self.world.validate()
-        self.subscription().validate()
+        reporting = self.resolved_reporting_period()
+        if not (0.001 <= reporting <= 1.0):
+            if self.reporting_period_s is None:
+                raise ConfigurationError("control_period_s sets the reporting period, which must "
+                                         f"lie in [0.001, 1]: {reporting}")
+            raise ConfigurationError(f"reporting_period_s out of range [0.001, 1]: {reporting}")
+        if self.measured_neighbors is not None and self.measured_neighbors < 1:
+            raise ConfigurationError(
+                f"measured_neighbors must be >= 1 or None: {self.measured_neighbors}")
+        periods = (("duration_s", self.duration_s), ("control_period_s", self.control_period_s),
+                   ("reporting_period_s", reporting))
+        for name, value in periods:
+            if not math.isfinite(value / self.dt_s):
+                raise ConfigurationError(
+                    f"{name} / dt_s must be a finite number of steps: {value} / {self.dt_s}")
         if not self._scores_a_tick():
             raise ConfigurationError(
                 f"no control tick at or after warmup_s={self.warmup_s} within "
                 f"duration_s={self.duration_s}: the run would score nothing")
-        for name, value in (("duration_s", self.duration_s),
-                            ("control_period_s", self.control_period_s),
-                            ("reporting_period_s", self.resolved_reporting_period())):
+        for name, value in periods:
             if not math.isclose(value / self.dt_s, self.steps(value), rel_tol=1e-9):
                 raise ConfigurationError(
                     f"{name} must be a whole number of dt_s steps: {value} / {self.dt_s}")
@@ -136,11 +154,6 @@ class SimConfig:
 
     def resolved_reporting_period(self) -> float:
         return self.control_period_s if self.reporting_period_s is None else self.reporting_period_s
-
-    def subscription(self) -> ran.SubscriptionRequest:
-        """The reporting contract every node of the run follows."""
-        return ran.SubscriptionRequest(reporting_period_s=self.resolved_reporting_period(),
-                                       measured_neighbors=self.measured_neighbors)
 
     def resolved_staleness_window(self) -> float:
         if self.staleness_window_s is not None:
@@ -280,8 +293,7 @@ def _connectivity(pairs: np.ndarray, served: np.ndarray, metric_mode: str) -> fl
 
 # --- the run loop -------------------------------------------------------------------
 
-def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
-                     subscription: ran.SubscriptionRequest) -> ran.IndicationBatch:
+def _collect_reports(world: ran.World, cfg: SimConfig, t: float) -> ran.IndicationBatch:
     """Sense every in-range pair once and report both directions of each link
     from every reporting endpoint (only the infrastructure when
     `cav_terminations` is off), all in one batch that names each node by its
@@ -301,7 +313,7 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float,
     snr = np.concatenate((tab.snr_db, tab.snr_db))
     sent = reporting[src]
     return ran.emit_indication(np.flatnonzero(reporting), src[sent], dst[sent], snr[sent], t,
-                               subscription)
+                               cfg.measured_neighbors)
 
 
 def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, audit: AuditSummary) -> None:
@@ -324,12 +336,7 @@ def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, audit: AuditSumm
 def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     """Execute one run; returns its per-control-tick records and control audit."""
     cfg.validate()
-    layout = build_intersection(
-        arm_length_m=cfg.world.arm_length_m,
-        road_width_m=cfg.world.road_width_m,
-        building_setback_m=cfg.world.building_setback_m,
-        building_height_m=cfg.world.building_height_m,
-    )
+    layout = cfg.world.layout()
     traffic = replace(cfg.traffic, seed=cfg.seed)
     world = ran.World(
         layout=layout,
@@ -341,8 +348,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
 
     pairs = _build_pairs(world, cfg.pair_selection, cfg.seed)
     xapp_cfg = replace(cfg.xapp, max_hops=cfg.xapp.max_hops if cfg.relay_enabled else 1)
-    subscription = cfg.subscription()
-    report_every = cfg.steps(subscription.reporting_period_s)
+    report_every = cfg.steps(cfg.resolved_reporting_period())
     control_every = cfg.steps(cfg.control_period_s)
     # a report arrives whole steps after it is taken, a part step rounding up
     delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
@@ -356,7 +362,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     for step in range(cfg.n_steps()):
         t = round(step * cfg.dt_s, 9)
         if step % report_every == 0:
-            in_flight.append((step + delay_steps, _collect_reports(world, cfg, t, subscription)))
+            in_flight.append((step + delay_steps, _collect_reports(world, cfg, t)))
         if step % control_every == 0:
             while in_flight and in_flight[0][0] <= step:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
@@ -410,10 +416,6 @@ def run_cell(cfg: SimConfig, replication: int = 0) -> RunOutput:
     return RunOutput(cfg, replication, records, audit, time.perf_counter() - started)
 
 
-def _run_job(job: tuple[SimConfig, int]) -> RunOutput:
-    return run_cell(*job)
-
-
 def _execute(jobs: list[tuple[SimConfig, int]], workers: int) -> list[RunOutput]:
     """Run all (config, replication) jobs, optionally across processes;
     results in job order at any worker count."""
@@ -422,7 +424,7 @@ def _execute(jobs: list[tuple[SimConfig, int]], workers: int) -> list[RunOutput]
     import multiprocessing
 
     with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
-        return pool.map(_run_job, jobs)
+        return pool.starmap(run_cell, jobs)
 
 
 def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:

@@ -56,23 +56,6 @@ class NodeId(namedtuple("NodeId", "kind index")):
 
 
 @dataclass(frozen=True, slots=True)
-class SubscriptionRequest:
-    """Reporting contract for every node: cadence and report size cap."""
-
-    reporting_period_s: float = 0.1
-    measured_neighbors: int | None = None  # None = no truncation
-
-    def validate(self) -> "SubscriptionRequest":
-        if not (0.001 <= self.reporting_period_s <= 1.0):
-            raise ConfigurationError(
-                f"reporting_period_s out of range [0.001, 1]: {self.reporting_period_s}")
-        if self.measured_neighbors is not None and self.measured_neighbors < 1:
-            raise ConfigurationError(
-                f"measured_neighbors must be >= 1 or None: {self.measured_neighbors}")
-        return self
-
-
-@dataclass(frozen=True, slots=True)
 class IndicationBatch:
     """Every report taken at one instant, as columns: the reporters' view
     slots, then per measured link the reporter's slot, the neighbour's slot
@@ -166,22 +149,21 @@ def kinds(codes: np.ndarray) -> np.ndarray:
 
 def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndarray,
                     snr_db: np.ndarray, t: float,
-                    subscription: SubscriptionRequest) -> IndicationBatch:
+                    measured_neighbors: int | None) -> IndicationBatch:
     """Build the reports of one report instant from the reporters' slots
     and their measured links, each (source, neighbour) at most once. A
-    reporter with more links than the subscription cap keeps its strongest
-    (ties broken by the smaller neighbour); the links keep their given
-    order."""
+    reporter with more than `measured_neighbors` links keeps its strongest
+    (ties broken by the smaller neighbour); None keeps every link. The
+    links keep their given order."""
     source = np.asarray(source, dtype=np.int64)
     neighbor = np.asarray(neighbor, dtype=np.int64)
     snr_db = np.asarray(snr_db, dtype=np.float64)
-    cap = subscription.measured_neighbors
-    if cap is not None:
+    if measured_neighbors is not None:
         order = np.lexsort((neighbor, -snr_db, source))
         grouped = source[order]
         rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
         kept = np.zeros(len(order), dtype=bool)
-        kept[order[rank < cap]] = True
+        kept[order[rank < measured_neighbors]] = True
         source, neighbor, snr_db = source[kept], neighbor[kept], snr_db[kept]
     return IndicationBatch(t=t, reporters=np.asarray(reporters, dtype=np.int64),
                            source=source, neighbor=neighbor, snr_db=snr_db)

@@ -142,9 +142,8 @@ def build_intersection(arm_length_m: float, road_width_m: float,
     s = road_width_m / 2.0 + building_setback_m
     a = arm_length_m
     if s >= a:
-        raise ConfigurationError(
-            f"road_width/2 + setback ({s}) leaves no room for buildings inside arm length {a}"
-        )
+        raise ConfigurationError(f"road_width_m / 2 + building_setback_m ({s}) leaves no room "
+                                 f"for buildings inside arm_length_m ({a})")
     h = building_height_m
     buildings = (
         Building(s, s, a, a, h),

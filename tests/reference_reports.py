@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from v2xric import NodeId, SubscriptionRequest
+from v2xric import NodeId
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,14 +37,13 @@ class RicState:
 
 
 def emit_indication(node: NodeId, neighbors, snr_db, t: float,
-                    subscription: SubscriptionRequest) -> IndicationReport:
+                    cap: int | None) -> IndicationReport:
     """Build one node's report from neighbour codes in ascending order and
-    their link SNRs. Reports larger than the subscription cap keep the
-    strongest links (ties broken by the smaller neighbour), still in
-    neighbour order."""
+    their link SNRs. Reports larger than the cap keep the strongest links
+    (ties broken by the smaller neighbour), still in neighbour order; a cap
+    of None keeps them all."""
     neighbors = np.asarray(neighbors, dtype=np.int64)
     snr_db = np.asarray(snr_db, dtype=np.float64)
-    cap = subscription.measured_neighbors
     if cap is not None and len(neighbors) > cap:
         kept = np.sort(np.lexsort((neighbors, -snr_db))[:cap])
         neighbors, snr_db = neighbors[kept], snr_db[kept]

@@ -296,6 +296,26 @@ def test_sub_hertz_bandwidth_exits_2_before_running(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flags,config_text,keys", [
+    ("run", [], "duration_s = 1e300\ndt_s = 1e-10\ncontrol_period_s = 1e-10\n"
+     "reporting_period_s = 0.001\nwarmup_s = 0\n", ["duration_s"]),
+    ("sweep-snr", ["--snr-min", "5", "--workers", "2"], "arm_length_m = 5\n",
+     ["arm_length_m", "road_width_m", "building_setback_m"]),
+], ids=["step-count-overflow", "no-room-for-buildings"])
+def test_config_no_run_can_use_exits_2_before_running(tmp_path, capsys, monkeypatch, command,
+                                                      flags, config_text, keys):
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    cfg = tmp_path / "unusable.cfg"
+    cfg.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--config", str(cfg)] + flags) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys), err
+    assert runs == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags", [("sweep-snr", []), ("sweep-blockage", ["--p-b", "0,0.5"])])
 def test_sweeps_without_relaying_exit_2_before_running(tmp_path, capsys, monkeypatch,
                                                        command, flags):

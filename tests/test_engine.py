@@ -67,9 +67,9 @@ def spy_schedule(monkeypatch):
     events = []
     collect, ingest, tick = engine._collect_reports, ric.ingest, ric.xapp_tick
 
-    def collect_spy(world, cfg, t, subscription):
+    def collect_spy(world, cfg, t):
         events.append(("report", t))
-        return collect(world, cfg, t, subscription)
+        return collect(world, cfg, t)
 
     def ingest_spy(state, batch):
         events.append(("ingest", batch.t))
@@ -454,8 +454,8 @@ def test_sweep_pool_starts_no_more_workers_than_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return list(map(fn, jobs))
+        def starmap(self, fn, jobs):
+            return [fn(*job) for job in jobs]
 
     class Context:
         Pool = SerialPool
@@ -518,6 +518,11 @@ def test_sweep_spec_validation(kwargs):
     dict(dt_s=0.0),
     dict(dt_s=-0.1),
     dict(warmup_s=-0.1),
+    # periods of an infinite number of steps
+    dict(duration_s=1e300, dt_s=1e-10, control_period_s=1e-10, reporting_period_s=0.001,
+         warmup_s=0.0),
+    dict(duration_s=1.0, dt_s=1e-10, control_period_s=1e300, reporting_period_s=0.1,
+         warmup_s=0.0),
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -560,6 +565,9 @@ def test_world_config_validation():
         WorldConfig(arm_length_m=-5.0).validate()
     with pytest.raises(ConfigurationError):
         WorldConfig(cav_antenna_height_m=0.0).validate()
+    # positive dimensions that still build no intersection
+    with pytest.raises(ConfigurationError, match="no room for buildings inside arm_length_m"):
+        WorldConfig(arm_length_m=5.0).validate()
 
 
 def test_blockage_sweep_needs_p_b_values():

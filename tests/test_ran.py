@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 import reference_control
+import reference_reports
 from reference_mobility import VehicleState, fleet_of
 from reference_reports import reports_of
 from reference_schedule import report_due
 from slot_adapter import Path, codes_of, control_slots, indication_codes
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
-                    ForwardingTable, NodeId, NodeKind, RicState, SimConfig,
-                    SubscriptionRequest, TrafficConfig, World, XAppConfig, apply_control,
-                    build_graph, build_intersection, channel, default_rsus, emit_indication,
-                    ingest, link_table, ran, run, spawn_vehicles)
+                    ForwardingTable, NodeId, NodeKind, RicState, SimConfig, TrafficConfig,
+                    World, XAppConfig, apply_control, build_graph, build_intersection, channel,
+                    default_rsus, emit_indication, ingest, link_table, ran, run, spawn_vehicles)
 from v2xric.engine import _audit, _collect_reports
 from v2xric.scenario import CAR_EXTENT
 
@@ -101,8 +101,7 @@ def test_world_antennas_in_node_order():
 
 def report_batch(world, sensing_range_m=300.0, **cfg):
     """The engine's batch at t = 0, its view slots read back as NodeId codes."""
-    batch = _collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0.0,
-                             SubscriptionRequest())
+    batch = _collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0.0)
     for column in (batch.reporters, batch.source, batch.neighbor):
         assert column.dtype == np.int64 and ((column >= 0) & (column < len(world.codes))).all()
     return indication_codes(batch, world.codes)
@@ -138,6 +137,19 @@ def test_neighbors_sorted_by_node_id():
     assert reports[cav(1)].snr_db.tolist() == [snr[(0, 1)], snr[(1, 2)]]
     assert reports[cav(0)].snr_db.tolist() == [snr[(0, 1)], snr[(0, 2)]]
     assert reports[cav(2)].snr_db.tolist() == [snr[(0, 2)], snr[(1, 2)]]
+    # the run's report cap reaches the batch: each reporter keeps what the
+    # per-node oracle keeps of its uncapped report
+    world = world_with_cavs([0.0, 20.0, 40.0, 60.0, 80.0])
+    uncapped = reports_by_source(world)
+    for k in (1, 3):
+        assert any(len(report.neighbors) > k for report in uncapped.values())
+        capped = reports_by_source(world, measured_neighbors=k)
+        assert capped.keys() == uncapped.keys()
+        for node, report in uncapped.items():
+            want = reference_reports.emit_indication(node, report.neighbors, report.snr_db,
+                                                     report.t, k)
+            assert capped[node].neighbors.tolist() == want.neighbors.tolist()
+            assert capped[node].snr_db.tolist() == want.snr_db.tolist()
 
 
 def test_sensing_range_boundary_inclusive():
@@ -195,14 +207,14 @@ def test_floored_reports_equal_unfloored_reports_filtered():
                     with pytest.MonkeyPatch.context() as m:
                         m.setattr(channel, "link_table",
                                   lambda *args, min_snr_db, **kwargs: measure(*args, **kwargs))
-                        unfloored = _collect_reports(world, cfg, t, cfg.subscription())
+                        unfloored = _collect_reports(world, cfg, t)
                     finite = unfloored.snr_db[unfloored.snr_db > -300.0]
                     floors = [-300.0, float(rng.uniform(-5.0, 25.0))]
                     if len(finite):
                         floors.append(float(rng.choice(finite)))  # a floor on a reported SNR
                     for floor in floors:
                         cfg = replace(cfg, xapp=XAppConfig(snr_min_db=floor))
-                        floored = _collect_reports(world, cfg, t, cfg.subscription())
+                        floored = _collect_reports(world, cfg, t)
                         keep = unfloored.snr_db >= floor
                         kept = floored.snr_db >= floor
                         assert floored.t == unfloored.t
@@ -244,9 +256,9 @@ def test_emit_indication_called_only_on_cadence(monkeypatch):
     # the engine gates reports on the cadence: no indication off it
     emitted_at = []
 
-    def spy(reporters, source, neighbor, snr_db, t, subscription):
+    def spy(reporters, source, neighbor, snr_db, t, measured_neighbors):
         emitted_at.append(t)
-        return emit_indication(reporters, source, neighbor, snr_db, t, subscription)
+        return emit_indication(reporters, source, neighbor, snr_db, t, measured_neighbors)
 
     monkeypatch.setattr(ran, "emit_indication", spy)
     run(SimConfig(duration_s=1.2, warmup_s=0.0, seed=2, reporting_period_s=0.5))
@@ -256,10 +268,9 @@ def test_emit_indication_called_only_on_cadence(monkeypatch):
 
 def emit(links, cap=None, reporters=(cav(0),)):
     """links: (source, neighbour, snr_db), in the order the batch gets them."""
-    sub = SubscriptionRequest(reporting_period_s=0.1, measured_neighbors=cap)
     return emit_indication([node.code for node in reporters],
                            [src.code for src, _, _ in links], [rx.code for _, rx, _ in links],
-                           [snr for _, _, snr in links], 0.3, sub)
+                           [snr for _, _, snr in links], 0.3, cap)
 
 
 def links_of(batch):
@@ -297,10 +308,18 @@ def test_emit_indication_without_cap_keeps_everything():
     dict(reporting_period_s=0.0005),
     dict(reporting_period_s=2.0),
     dict(measured_neighbors=0),
+    dict(control_period_s=2.0, duration_s=20.0, warmup_s=0.0),
+    dict(control_period_s=0.0005, dt_s=0.0005),
 ])
 def test_subscription_validation(kwargs):
-    with pytest.raises(ConfigurationError):
-        SubscriptionRequest(**kwargs).validate()
+    """The run's reporting contract is checked on its SimConfig, and the error
+    names the key that was set: an unset reporting period follows
+    control_period_s."""
+    key = next(k for k in ("reporting_period_s", "measured_neighbors", "control_period_s")
+               if k in kwargs)
+    with pytest.raises(ConfigurationError, match=key) as err:
+        SimConfig(**kwargs).validate()
+    assert ("reporting_period_s" in str(err.value)) == ("reporting_period_s" in kwargs)
 
 
 # --- forwarding control ----------------------------------------------------------

@@ -11,9 +11,8 @@ from reference_graph import reference_graph
 from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
 from slot_adapter import (Path, codes_of, edge_snr, graph_nodes, has_edge, indication_slots,
                           pair_slots, path_of, slots_of)
-from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RicState,
-                    SubscriptionRequest, XAppConfig, build_graph, emit_indication, ran, ric,
-                    xapp_tick)
+from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RicState, XAppConfig,
+                    build_graph, emit_indication, ran, ric, xapp_tick)
 from v2xric.ric import _SCRATCH_ELEMENTS
 
 
@@ -226,7 +225,6 @@ def random_ric_state(rng, t=1.0, window_s=0.25):
             if shape == "equal":
                 links[v].append((u, links[u][-1][1]))
     cap = None if rng.random() < 0.6 else int(rng.integers(1, 4))
-    sub = SubscriptionRequest(measured_neighbors=cap)
     state = view(window_s, nodes)
     ref = reference_reports.RicState(staleness_window_s=window_s)
     by_instant = {}
@@ -242,11 +240,11 @@ def random_ric_state(rng, t=1.0, window_s=0.25):
         ingest(state, emit_indication([src.code for src in reporters],
                                       [src.code for src, _, _ in mine],
                                       [rx.code for _, rx, _ in mine],
-                                      [snr for _, _, snr in mine], instant, sub))
+                                      [snr for _, _, snr in mine], instant, cap))
         for src in reporters:
             own = sorted(links[src])
             reference_reports.ingest(ref, reference_reports.emit_indication(
-                src, [rx.code for rx, _ in own], [snr for _, snr in own], instant, sub))
+                src, [rx.code for rx, _ in own], [snr for _, snr in own], instant, cap))
     return state, ref
 
 
@@ -294,7 +292,6 @@ def test_report_stream_matches_per_node_reference():
         state = view(window, nodes)
         ref = reference_reports.RicState(staleness_window_s=window)
         cap = None if rng.random() < 0.4 else int(rng.integers(1, 4))
-        sub = SubscriptionRequest(measured_neighbors=cap)
         integer_snrs = bool(rng.random() < 0.5)
         seen["rsu"] += any(node.kind == NodeKind.RSU for node in nodes)
         instants, now = [], 1.0
@@ -323,7 +320,7 @@ def test_report_stream_matches_per_node_reference():
             ingest(state, emit_indication([src.code for src in reporters],
                                           [src.code for src, _, _ in links],
                                           [rx.code for _, rx, _ in links],
-                                          [snr for _, _, snr in links], t, sub))
+                                          [snr for _, _, snr in links], t, cap))
             for src in reporters:
                 seen["equal-time"] += src in ref.latest_report and ref.latest_report[src].t == t
                 own = sorted((rx, snr) for s, rx, snr in links if s == src)
@@ -331,7 +328,7 @@ def test_report_stream_matches_per_node_reference():
                 seen["capped ties"] += (cap is not None and len(own) > cap
                                         and len({snr for _, snr in own}) < len(own))
                 reference_reports.ingest(ref, reference_reports.emit_indication(
-                    src, [rx.code for rx, _ in own], [snr for _, snr in own], t, sub))
+                    src, [rx.code for rx, _ in own], [snr for _, snr in own], t, cap))
             assert state.rejected_out_of_order == ref.rejected_out_of_order
 
             held = sorted({rep.t for rep in ref.latest_report.values()})
@@ -364,7 +361,7 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
     codes = np.array([node.code for node in nodes])
     reports = emit_indication(codes, codes[np.concatenate((src, dst))],
                               codes[np.concatenate((dst, src))], np.concatenate((snr, snr)),
-                              0.0, SubscriptionRequest(measured_neighbors=3))
+                              0.0, 3)
     state = view(nodes=nodes)
     cfg = XAppConfig(snr_min_db=5.0)
     pairs = pair_slots(state.codes, [(nodes[a], nodes[b])
