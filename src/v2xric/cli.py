@@ -150,7 +150,7 @@ def parse_config(merged: dict[str, str]) -> SweepSpec:
 
     cfg = section(SimConfig, channel=section(ChannelParams),
                   traffic=section(TrafficConfig, seed=values["seed"]),
-                  xapp=section(XAppConfig), world=section(WorldConfig)).validate()
+                  xapp=section(XAppConfig), world=section(WorldConfig))
     return section(SweepSpec, base=cfg).validate()
 
 
@@ -237,7 +237,7 @@ def _write_cell(out: Path, spec: SweepSpec, cell: engine.RunOutput, outputs: lis
 def cmd_run(spec: SweepSpec, out: Path) -> None:
     cell = engine.run_cell(spec.base)
     _write_cell(out, spec, cell, ["metrics.csv", "summary.csv", "manifest.json"])
-    mode = "relay" if spec.base.relay_enabled else "direct"
+    mode = "relay" if spec.base.xapp.max_hops > 1 else "direct"
     _write_summary(out / "summary.csv", [engine.summarise([cell], mode)])
 
 
@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Flags that always set one key: argparse dest -> key. --snr-min and --p-b set
-# a key that depends on the command, and --no-relay sets relay_enabled.
+# a key that depends on the command, and --no-relay overrides max_hops to 1.
 _FLAG_KEYS = {"seed": "seed", "duration": "duration_s", "warmup": "warmup_s",
               "density": "density_veh_km", "max_hops": "max_hops", "metric": "metric_mode",
               "replications": "replications", "workers": "workers"}
@@ -303,7 +303,7 @@ def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:
     if args.p_b is not None:
         overrides["p_b_values" if args.command == "sweep-blockage" else "p_b"] = args.p_b
     if args.no_relay:
-        overrides["relay_enabled"] = "false"
+        overrides["max_hops"] = "1"
     return overrides
 
 

@@ -73,7 +73,6 @@ class SimConfig:
     warmup_s: float = 10.0
     metric_mode: str = "pairwise"
     pair_selection: str = "all"
-    relay_enabled: bool = True
     cav_terminations: bool = True  # False: only infrastructure reports (ablation)
 
     def validate(self) -> "SimConfig":
@@ -214,8 +213,10 @@ class SweepSpec:
         if need_p_b and not self.p_b_values:
             raise ConfigurationError("p_b_values must be non-empty")
         for p in self.p_b_values:
-            if not (0.0 <= p <= 1.0):
-                raise ConfigurationError(f"p_b out of range [0, 1]: {p}")
+            try:
+                replace(self.base.channel, p_b=p).validate()
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"invalid value for p_b_values: {exc}") from None
         if self.replications < 1:
             raise ConfigurationError(f"replications must be >= 1: {self.replications}")
         if self.base.seed + self.replications - 1 >= 2**63:
@@ -347,7 +348,6 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     mobility = MobilityState.from_seed(cfg.seed, traffic.turn_probability)
 
     pairs = _build_pairs(world, cfg.pair_selection, cfg.seed)
-    xapp_cfg = replace(cfg.xapp, max_hops=cfg.xapp.max_hops if cfg.relay_enabled else 1)
     report_every = cfg.steps(cfg.resolved_reporting_period())
     control_every = cfg.steps(cfg.control_period_s)
     # a report arrives whole steps after it is taken, a part step rounding up
@@ -366,13 +366,13 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
         if step % control_every == 0:
             while in_flight and in_flight[0][0] <= step:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
-            batch, diag = ric.xapp_tick(ric_state, t, xapp_cfg, pairs)
+            batch, diag = ric.xapp_tick(ric_state, t, cfg.xapp, pairs)
             ran.apply_control(table, batch)
             audit.messages_total += len(batch)
             _audit(table, batch, audit)
             records.append(MetricsRecord(
                 t=t,
-                gamma_min_db=xapp_cfg.snr_min_db,
+                gamma_min_db=cfg.xapp.snr_min_db,
                 p_b=cfg.channel.p_b,
                 connectivity=_connectivity(pairs, diag.served, cfg.metric_mode),
                 pairs_total=diag.pairs_total,
@@ -441,8 +441,8 @@ def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
 def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
     """Run every (gamma_min, p_b, replication) cell, replication r at seed
     `base.seed + r`, and summarise each (gamma_min, p_b) once per mode."""
-    if not spec.base.relay_enabled:
-        raise ConfigurationError("the sweeps score relaying: relay_enabled must be true")
+    if spec.base.xapp.max_hops < 2:
+        raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
     base, reps = spec.base, spec.replications
     runs = _execute([(replace(base, seed=base.seed + rep, channel=replace(base.channel, p_b=p),
                               xapp=replace(base.xapp, snr_min_db=g)), rep)

@@ -71,16 +71,13 @@ class XAppDiagnostics:
     padded with -1, at most `max_hops + 1` wide, and `hops` is 0 for an
     unserved pair."""
 
-    t: float
     graph_nodes: int
     graph_edges: int
     pairs_total: int
     pairs_feasible: int
     pairs_direct: int
     pairs_relayed: int
-    pairs_infeasible: int
     mean_hops: float
-    messages_issued: int
     served: np.ndarray
     hops: np.ndarray
     direct: np.ndarray
@@ -223,16 +220,13 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig,
     feasible = int(np.count_nonzero(served))
     n_direct = int(np.count_nonzero(direct))
     diagnostics = XAppDiagnostics(
-        t=t,
         graph_nodes=int(np.count_nonzero(np.isfinite(state.reported_at) | edge.any(axis=1))),
         graph_edges=int(np.count_nonzero(np.triu(edge))),
         pairs_total=len(pairs),
         pairs_feasible=feasible,
         pairs_direct=n_direct,
         pairs_relayed=feasible - n_direct,
-        pairs_infeasible=len(pairs) - feasible,
         mean_hops=float(np.mean(hops[served])) if feasible else math.nan,
-        messages_issued=len(batch),
         served=served,
         hops=hops,
         direct=direct,

@@ -159,7 +159,7 @@ def test_relay_dominance():
     for seed in range(1, 21):
         cfg = SimConfig(duration_s=20.0, seed=seed)
         relay_records = run(cfg)
-        direct_records = run(replace(cfg, relay_enabled=False))
+        direct_records = run(replace(cfg, xapp=replace(cfg.xapp, max_hops=1)))
         assert len(relay_records) == len(direct_records)
         for a, b in zip(relay_records, direct_records):
             assert a.t == b.t

@@ -1,6 +1,8 @@
 """Command-line tests: config resolution, CSV and manifest outputs, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,6 @@ DEFAULTS = {
     "warmup_s": "10.0",
     "metric_mode": "pairwise",
     "pair_selection": "all",
-    "relay_enabled": "true",
     "cav_terminations": "true",
     "sensing_range_m": "300.0",
     "reporting_period_s": "none",
@@ -87,7 +88,7 @@ def test_run_writes_metrics_summary_and_manifest(tmp_path):
 
 def test_defaults_echo_the_pinned_text():
     echo = cli.config_echo(parse_config({}))
-    assert len(DEFAULTS) == 36
+    assert len(DEFAULTS) == 35
     assert echo == DEFAULTS
 
 
@@ -97,13 +98,13 @@ def test_config_echo_round_trips():
     # with a trailing comma. The variants below take the other bool spellings
     # and the optionals at "none".
     first = dict(DEFAULTS, seed="11", duration_s="20", warmup_s="2", metric_mode="per-vehicle",
-                 pair_selection="matched", relay_enabled="YES", cav_terminations="no",
+                 pair_selection="matched", cav_terminations="no",
                  reporting_period_s="0.2", measured_neighbors="3",
                  staleness_window_s="", bandwidth_hz="1e8", gamma_min_values="2.5,7,",
                  p_b_values="0.5, 0.25,", replications="2", workers="3", max_hops="0003")
     spec = parse_config(first)
     echo = cli.config_echo(spec)
-    assert (echo["relay_enabled"], echo["cav_terminations"]) == ("true", "false")
+    assert echo["cav_terminations"] == "false"
     assert (echo["reporting_period_s"], echo["measured_neighbors"], echo["staleness_window_s"]) \
         == ("0.2", "3", "none")
     assert echo["gamma_min_values"] == "2.5,7.0"
@@ -112,20 +113,47 @@ def test_config_echo_round_trips():
     again = parse_config(echo)
     assert cli.config_echo(again) == echo
     assert again == spec
-    for variant, flags in (
-            ({"relay_enabled": "True", "cav_terminations": "0", "measured_neighbors": "None"},
-             ("true", "false")),
-            ({"relay_enabled": "false", "cav_terminations": "yes", "reporting_period_s": "none",
-              "staleness_window_s": "0.5"}, ("false", "true")),
-            ({"relay_enabled": "1", "cav_terminations": "FALSE"}, ("true", "false"))):
+    for variant, flag in (
+            ({"cav_terminations": "YES", "measured_neighbors": "None"}, "true"),
+            ({"cav_terminations": "True"}, "true"),
+            ({"cav_terminations": "0"}, "false"),
+            ({"cav_terminations": "false", "reporting_period_s": "none",
+              "staleness_window_s": "0.5"}, "false"),
+            ({"cav_terminations": "yes"}, "true"),
+            ({"cav_terminations": "1"}, "true"),
+            ({"cav_terminations": "FALSE"}, "false")):
         spec = parse_config(variant)
         echo = cli.config_echo(spec)
-        assert (echo["relay_enabled"], echo["cav_terminations"]) == flags
+        assert echo["cav_terminations"] == flag
         assert parse_config(echo) == spec
 
 
+def test_parse_config_validates_the_run_once(monkeypatch):
+    """`SweepSpec.validate` validates its base run; `parse_config` leaves the
+    run's validation to it."""
+    calls = []
+    validate = engine.SimConfig.validate
+
+    def counted(cfg):
+        calls.append(cfg)
+        return validate(cfg)
+
+    monkeypatch.setattr(engine.SimConfig, "validate", counted)
+    parse_config({})
+    assert len(calls) == 1
+
+
+def test_readme_config_table_lists_every_key_once():
+    """The README's "Configuration keys" table names each key, in backticks
+    followed by its default in parentheses, exactly once."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Configuration keys", 1)[1].split("\n### ", 1)[0]
+    named = re.findall(r"`(\w+)` \(", table)
+    assert sorted(named) == sorted(cli._KEYS)
+
+
 @pytest.mark.parametrize("key,raw", [
-    ("seed", "x"), ("max_hops", "2.5"), ("relay_enabled", "maybe"),
+    ("seed", "x"), ("max_hops", "2.5"), ("cav_terminations", "maybe"),
     ("measured_neighbors", "2.0"), ("gamma_min_values", ","), ("duration_s", ""),
 ])
 def test_unparseable_value_names_its_key(key, raw):
@@ -316,15 +344,19 @@ def test_config_no_run_can_use_exits_2_before_running(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,flags", [("sweep-snr", []), ("sweep-blockage", ["--p-b", "0,0.5"])])
+@pytest.mark.parametrize("command,flags", [
+    ("sweep-snr", ["--no-relay"]),
+    ("sweep-blockage", ["--p-b", "0,0.5", "--no-relay"]),
+    ("sweep-snr", ["--max-hops", "1"]),
+    ("sweep-blockage", ["--p-b", "0,0.5", "--max-hops", "1"]),
+])
 def test_sweeps_without_relaying_exit_2_before_running(tmp_path, capsys, monkeypatch,
                                                        command, flags):
     runs = []
     monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
     out = tmp_path / "out"
-    assert main([command, "--out", str(out), "--duration", "1", "--warmup", "0",
-                 "--no-relay"] + flags) == 2
-    assert "relay_enabled" in capsys.readouterr().err
+    assert main([command, "--out", str(out), "--duration", "1", "--warmup", "0"] + flags) == 2
+    assert "max_hops" in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
 
@@ -457,7 +489,21 @@ def test_no_relay_flag_switches_mode(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--out", str(out), "--duration", "1", "--warmup", "0", "--no-relay"]) == 0
     assert read_lines(out / "summary.csv")[1].split(",")[2] == "direct"
-    assert read_manifest(out / "manifest.json")["config"]["relay_enabled"] == "false"
+    config = read_manifest(out / "manifest.json")["config"]
+    assert config["max_hops"] == "1"
+    assert "relay_enabled" not in config
+
+
+def test_no_relay_flag_is_a_hop_budget_of_one(tmp_path):
+    outs = {}
+    for name, flags in (("no-relay", ["--no-relay"]), ("one-hop", ["--max-hops", "1"]),
+                        ("overridden", ["--max-hops", "3", "--no-relay"])):
+        outs[name] = tmp_path / name
+        assert main(["run", "--out", str(outs[name]), "--duration", "2", "--warmup", "0",
+                     "--seed", "5"] + flags) == 0
+    for name in ("one-hop", "overridden"):
+        for csv in ("metrics.csv", "summary.csv"):
+            assert (outs[name] / csv).read_bytes() == (outs["no-relay"] / csv).read_bytes()
 
 
 def test_metric_flag_is_echoed(tmp_path):

@@ -246,7 +246,7 @@ def test_relay_dominates_direct_at_every_tick():
     for seed in (1, 5, 9):
         relay_cfg = quick_cfg(duration_s=10.0, seed=seed,
                               xapp=XAppConfig(snr_min_db=10.0))
-        direct_cfg = replace(relay_cfg, relay_enabled=False)
+        direct_cfg = replace(relay_cfg, xapp=replace(relay_cfg.xapp, max_hops=1))
         relay_records = run(relay_cfg)
         direct_records = run(direct_cfg)
         assert len(relay_records) == len(direct_records)
@@ -261,7 +261,7 @@ def test_relay_dominates_direct_at_every_tick():
     dict(seed=6, metric_mode="per-vehicle", pair_selection="matched",
          channel=ChannelParams(p_b=0.3)),
     dict(measured_neighbors=3),
-    dict(relay_enabled=False),
+    dict(xapp=XAppConfig(max_hops=1)),
     dict(xapp=XAppConfig(snr_min_db=-300.0)),
 ], ids=["default", "matched-per-vehicle", "capped", "no-relay", "lowest-threshold"])
 def test_report_floor_changes_no_record_and_no_audit(monkeypatch, overrides):
@@ -481,9 +481,11 @@ def test_blockage_sweep_needs_a_stochastic_mode():
     dict(gamma_min_values=(5.0,), workers=0),
     dict(gamma_min_values=(5.0, 400.0)),
     dict(gamma_min_values=(math.nan,)),
+    dict(gamma_min_values=(5.0,), p_b_values=(math.nan,)),
 ])
 def test_sweep_spec_validation(kwargs):
-    with pytest.raises(ConfigurationError):
+    # the last keyword holds the bad value, and the error names it
+    with pytest.raises(ConfigurationError, match=list(kwargs)[-1]):
         SweepSpec(base=quick_cfg(), **kwargs).validate()
 
 

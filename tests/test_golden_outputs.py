@@ -56,20 +56,20 @@ GOLDEN = {
 
 GOLDEN_MANIFESTS = {
     "blockage-grid": {
-        "manifest.json": "8afa3ec4f60447693936bee5bd994716e8a3057b3b1eaa1ed7baf4a67226a978",
-        "run_g15_p0.5_r0/manifest.json": "03442d0f9cfa969691ef6993b100022dbf3b73006bd0a4f3115e0bebfcb20a9f",
-        "run_g15_p0_r0/manifest.json": "dc6ecc44ac4fbda4eb53d60a0b2bf91061bbf7a528caca0fb3c8761cf4454ff1",
-        "run_g5_p0.5_r0/manifest.json": "a9c57269c1679579ebe6cee2f3dec9f0420823f14b60ce4b653d6395d7fb6b8a",
-        "run_g5_p0_r0/manifest.json": "41324bccad85838c688b349c7c550916caa90baa2b8640fa5d6a7c730add7cf0",
+        "manifest.json": "036ca1c94a8118b0a4bddb4701b17a3a7e3eaebea9715e430f3a091a52885445",
+        "run_g15_p0.5_r0/manifest.json": "8fa72b0995e58b8de14e38a38147aff3cd35a307c1fefc2d50f233e7ffe7d855",
+        "run_g15_p0_r0/manifest.json": "79c505f883a33b37208e9c8a75651d8791a00dba06045cc29996f3e5f5fe9eef",
+        "run_g5_p0.5_r0/manifest.json": "ee3fc1c7bf2221c6a9d032f4c018fb25927edab07dc9f3acf7b3dcdccf233046",
+        "run_g5_p0_r0/manifest.json": "42e94d1034feb066172f107bdd8516c29c1b1e81355626f58518f9135034b07b",
     },
     "default-run": {
-        "manifest.json": "3f8cafb1aebae6f02814b14eca0a56f268e0221bf50c93ef8577d28f9006e3b2",
+        "manifest.json": "882947416935b65ac16fd911858ad9569530eda8efc2f91931d95e5eb6abf054",
     },
     "matched-run": {
-        "manifest.json": "3de2d8035a8bc12964666acf54e34ccb1c465ffbf87f905fb438826f9a8e93d4",
+        "manifest.json": "a0be4d51d6182098b4dd805bb21fbec49f8ea8ef24b0733f3c428492de0938f3",
     },
     "no-relay-run": {
-        "manifest.json": "fb0d8ef37632cdff817e3367c64c2780de5cb9134a4c823bb486b1582cfad68d",
+        "manifest.json": "d010f6fca36e7aa180e719ea2d70c99883b852f23e37d2417b074f518b952ffb",
     },
 }
 

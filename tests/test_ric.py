@@ -437,7 +437,7 @@ def test_three_relayed_pairs_give_six_ordered_messages():
     assert batch.target.tolist() == slots(state, cav(0), cav(1), cav(10), cav(11), cav(20), cav(21))
     assert batch.path_row.tolist() == [0, 0, 1, 1, 2, 2]
     assert batch.pair.tolist() == [0, 1, 2]
-    assert diag.messages_issued == len(batch) == 6
+    assert len(batch) == 6
 
 
 def test_diagnostics_counts_are_consistent():
@@ -447,7 +447,7 @@ def test_diagnostics_counts_are_consistent():
     _, diag = tick(state, 0.0, cfg, [(cav(0), cav(9)), (cav(0), cav(7))])
     assert diag.pairs_total == 2
     assert diag.pairs_feasible == 1
-    assert diag.pairs_infeasible == 1
+    assert diag.pairs_total - diag.pairs_feasible == 1
     assert diag.pairs_feasible == diag.pairs_direct + diag.pairs_relayed
     assert diag.mean_hops == 2.0
     assert diag.served.tolist() == [True, False]
