@@ -370,15 +370,17 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
             ran.apply_control(table, batch)
             audit.messages_total += len(batch)
             _audit(table, batch, audit)
+            n_direct = int(np.count_nonzero(diag.direct))
             records.append(MetricsRecord(
                 t=t,
                 gamma_min_db=cfg.xapp.snr_min_db,
                 p_b=cfg.channel.p_b,
                 connectivity=_connectivity(pairs, diag.served, cfg.metric_mode),
                 pairs_total=diag.pairs_total,
-                pairs_direct=diag.pairs_direct,
-                pairs_relayed=diag.pairs_relayed,
-                mean_hops=diag.mean_hops,
+                pairs_direct=n_direct,
+                pairs_relayed=diag.pairs_feasible - n_direct,
+                mean_hops=(float(np.mean(diag.hops[diag.served])) if diag.pairs_feasible
+                           else math.nan),
                 direct_connectivity=_connectivity(pairs, diag.direct, cfg.metric_mode),
             ))
         step_mobility(world.fleet, layout, cfg.dt_s, mobility)

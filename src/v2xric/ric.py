@@ -3,14 +3,14 @@
 Holds each node's latest indication report as one row of a slot-indexed SNR
 matrix, builds an SNR-thresholded undirected connectivity graph from the
 fresh rows, and solves hop-bounded maximum-bottleneck-SNR (widest) paths
-between served pairs from tables of the served destinations' columns alone.
+between served pairs from tables of the served destinations' rows alone, on
+the ranks of the edge SNRs.
 Ties go to fewer hops, then to the lexicographically smallest node sequence
 under the NodeId total order, so identical inputs yield identical assignments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +20,9 @@ from .ran import ControlBatch, IndicationBatch, NodeKind, kinds
 
 _FRESH_EPS = 1e-9  # guards float tick arithmetic at the staleness boundary
 
-# Elements of the min-array one relaxation chunk may materialise: k relays cost
-# k * n * (destination columns), and the last hop n per pair.
-_SCRATCH_ELEMENTS = 2**17
+# Bytes of the min-array one relaxation chunk may materialise: k relays cost
+# k * (served destinations) * n ranks, and the last hop n ranks per pair.
+_SCRATCH_BYTES = 2**20
 
 
 @dataclass(slots=True)
@@ -75,9 +75,6 @@ class XAppDiagnostics:
     graph_edges: int
     pairs_total: int
     pairs_feasible: int
-    pairs_direct: int
-    pairs_relayed: int
-    mean_hops: float
     served: np.ndarray
     hops: np.ndarray
     direct: np.ndarray
@@ -124,36 +121,52 @@ def build_graph(state: RicState, t: float, snr_min_db: float) -> np.ndarray:
 
 # --- hop-bounded widest paths ---------------------------------------------------
 
-def _maxmin_tables(adj: np.ndarray, max_hops: int, s: np.ndarray,
+def _edge_ranks(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric edge matrix `adj` (-inf where there is no edge) as ranks
+    among its distinct edge SNRs, -1 where there is no edge: int16, or int32
+    past 32,767 distinct values. The solve reads SNRs only through min, max
+    and >=, which ranks keep, ties included. Also returns the SNR of each
+    rank, with -inf last so that rank -1 reads -inf."""
+    edge = adj > -np.inf
+    values, inverse = np.unique(adj[edge], return_inverse=True)
+    rank = np.full(adj.shape, -1,
+                   dtype=np.int16 if len(values) <= np.iinfo(np.int16).max else np.int32)
+    rank[edge] = inverse
+    return rank, np.append(values, -np.inf)
+
+
+def _maxmin_tables(rank: np.ndarray, max_hops: int, s: np.ndarray,
                    d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best bottlenecks of walks on the symmetric `adj` (-inf if none):
-    `tables[h-1][k, col[p]]` from node k to d[p] in h < max_hops edges,
-    relaxed from the destination side through the rows with an edge, and
-    `layers[h-1][p]` from s[p] to d[p] in h <= max_hops, the last per pair."""
-    n = adj.shape[0]
+    """Best bottleneck ranks of walks on the symmetric edge ranks `rank` (-1
+    if none): `tables[h-1][col[p], k]` from node k to d[p] in h < max_hops
+    edges, destination-major and relaxed from the destination side through
+    the rows with an edge, and `layers[h-1][p]` from s[p] to d[p] in
+    h <= max_hops, the last per pair."""
+    n = rank.shape[0]
     dest = np.flatnonzero(np.bincount(d, minlength=n))  # distinct, ascending
     col = np.searchsorted(dest, d)
-    tables = np.full((max_hops - 1, n, len(dest)), -np.inf)
-    tables[:1] = adj[:, dest]  # no tables at all when max_hops == 1
-    relays = np.flatnonzero((adj > -np.inf).any(axis=1))
-    chunk = max(1, _SCRATCH_ELEMENTS // max(n * len(dest), 1))
+    tables = np.full((max_hops - 1, len(dest), n), -1, dtype=rank.dtype)
+    tables[:1] = rank[dest]  # no tables at all when max_hops == 1
+    relays = np.flatnonzero((rank >= 0).any(axis=1))
+    chunk = max(1, _SCRATCH_BYTES // max(rank.itemsize * n * len(dest), 1))
     for prev, cur in zip(tables, tables[1:]):
         for start in range(0, len(relays), chunk):
             ks = relays[start : start + chunk]
-            np.maximum(cur, np.minimum(adj[ks, :, None], prev[ks, None, :]).max(axis=0), out=cur)
-    layers = np.concatenate((tables[:, s, col], adj[s, d][None]))
+            np.maximum(cur, np.minimum(prev[:, ks].T[:, :, None], rank[ks, None, :]).max(axis=0),
+                       out=cur)
+    layers = np.concatenate((tables[:, col, s], rank[s, d][None]))
     if max_hops > 1:
         via = tables[-1]
-        step = max(1, _SCRATCH_ELEMENTS // n)
+        step = max(1, _SCRATCH_BYTES // (rank.itemsize * n))
         for p in (slice(start, start + step) for start in range(0, len(s), step)):
-            layers[-1, p] = np.minimum(adj.take(s[p], axis=1), via.take(col[p], axis=1)).max(axis=0)
+            layers[-1, p] = np.minimum(rank[s[p]], via[col[p]]).max(axis=1)
     return col, tables, layers
 
 
-def _extract_paths(adj: np.ndarray, tables: np.ndarray, s: np.ndarray, d: np.ndarray,
+def _extract_paths(rank: np.ndarray, tables: np.ndarray, s: np.ndarray, d: np.ndarray,
                    col: np.ndarray, best: np.ndarray, hops: np.ndarray) -> np.ndarray:
-    """Greedy lexicographic walk per pair (s[p] -> d[p], table column col[p],
-    bottleneck best[p], hops[p] edges; none if 0): each step takes the
+    """Greedy lexicographic walk per pair (s[p] -> d[p], table row col[p],
+    bottleneck rank best[p], hops[p] edges; none if 0): each step takes the
     smallest next node keeping the edge and the remaining completion at or
     above the bottleneck, all pairs at once. Returns node indices, one row per
     pair, padded with -1. A hop-minimal walk at the optimal bottleneck is
@@ -167,8 +180,8 @@ def _extract_paths(adj: np.ndarray, tables: np.ndarray, s: np.ndarray, d: np.nda
         walk = np.nonzero(remaining >= 2)[0]
         if len(walk):
             floor = best[walk, None]
-            ok = ((adj[steps[walk, k - 1]] >= floor)
-                  & (tables[remaining[walk] - 2, :, col[walk]] >= floor))
+            ok = ((rank[steps[walk, k - 1]] >= floor)
+                  & (tables[remaining[walk] - 2, col[walk]] >= floor))
             if not ok.any(axis=1).all():
                 raise RuntimeError("widest-path tables disagree with reconstruction")
             steps[walk, k] = np.argmax(ok, axis=1)
@@ -179,19 +192,21 @@ def _widest_paths(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
                   max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Widest paths from row s[p] to row d[p] of the symmetric edge matrix
     `adj` (-inf where there is no edge). Per pair: the best bottleneck over
-    any hop count, the fewest hops achieving it (argmax picks the smallest
-    such layer; 0 when unreachable), the path as rows padded with -1, and
-    whether a direct edge joins the pair. Every row with an edge can relay,
-    and no other row can. A hop-minimal widest path is simple, so the hop
-    budget is clamped to one edge fewer than the rows with an edge: a deeper
-    layer could only tie an earlier one, and argmax keeps the earlier."""
-    linked = int(np.count_nonzero((adj > -np.inf).any(axis=1)))
+    any hop count (-inf when unreachable), the fewest hops achieving it
+    (argmax picks the smallest such layer; 0 when unreachable), the path as
+    rows padded with -1, and whether a direct edge joins the pair. Every row
+    with an edge can relay, and no other row can. A hop-minimal widest path
+    is simple, so the hop budget is clamped to one edge fewer than the rows
+    with an edge: a deeper layer could only tie an earlier one, and argmax
+    keeps the earlier."""
+    rank, values = _edge_ranks(adj)
+    linked = int(np.count_nonzero((rank >= 0).any(axis=1)))
     max_hops = max(1, min(max_hops, linked - 1))
-    col, tables, layers = _maxmin_tables(adj, max_hops, s, d)
+    col, tables, layers = _maxmin_tables(rank, max_hops, s, d)
     best = layers.max(axis=0)
-    hops = np.where(np.isfinite(best), np.argmax(layers == best, axis=0) + 1, 0)
-    steps = _extract_paths(adj, tables, s, d, col, best, hops)
-    return best, hops, steps, adj[s, d] > -np.inf
+    hops = np.where(best >= 0, np.argmax(layers == best, axis=0) + 1, 0)
+    steps = _extract_paths(rank, tables, s, d, col, best, hops)
+    return values[best], hops, steps, rank[s, d] >= 0
 
 
 # --- the xApp tick ----------------------------------------------------------------
@@ -217,16 +232,11 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig,
                          path_row=path_row)
 
     edge = snr > -np.inf
-    feasible = int(np.count_nonzero(served))
-    n_direct = int(np.count_nonzero(direct))
     diagnostics = XAppDiagnostics(
         graph_nodes=int(np.count_nonzero(np.isfinite(state.reported_at) | edge.any(axis=1))),
         graph_edges=int(np.count_nonzero(np.triu(edge))),
         pairs_total=len(pairs),
-        pairs_feasible=feasible,
-        pairs_direct=n_direct,
-        pairs_relayed=feasible - n_direct,
-        mean_hops=float(np.mean(hops[served])) if feasible else math.nan,
+        pairs_feasible=int(np.count_nonzero(served)),
         served=served,
         hops=hops,
         direct=direct,

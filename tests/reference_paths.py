@@ -7,7 +7,9 @@ production tie-break rules; it is deliberately written with none of the
 production code's vectorized machinery. `reference_maxmin_tables` is the
 controller's former relaxation, full `n x n` tables for every hop layer,
 against which the column tables and per-pair last layer are compared bit for
-bit.
+bit. `reference_column_solve` is the controller's former float64 solve over
+destination columns, against which the rank solve's outputs are compared bit
+for bit on graphs too large for the enumeration.
 """
 
 from __future__ import annotations
@@ -100,6 +102,81 @@ def reference_maxmin_tables(adj: np.ndarray, max_hops: int, linked: np.ndarray) 
             ks = relays[start : start + chunk]
             np.maximum(cur, np.minimum(prev.T[ks, :, None], adj[ks, None, :]).max(axis=0), out=cur)
     return tables
+
+
+# Elements of the min-array one relaxation chunk may materialise: k relays cost
+# k * n * (destination columns), and the last hop n per pair.
+_COLUMN_SCRATCH_ELEMENTS = 2**17
+
+
+def _column_tables(adj: np.ndarray, max_hops: int, s: np.ndarray,
+                   d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best bottlenecks of walks on the symmetric `adj` (-inf if none):
+    `tables[h-1][k, col[p]]` from node k to d[p] in h < max_hops edges,
+    relaxed from the destination side through the rows with an edge, and
+    `layers[h-1][p]` from s[p] to d[p] in h <= max_hops, the last per pair."""
+    n = adj.shape[0]
+    dest = np.flatnonzero(np.bincount(d, minlength=n))  # distinct, ascending
+    col = np.searchsorted(dest, d)
+    tables = np.full((max_hops - 1, n, len(dest)), -np.inf)
+    tables[:1] = adj[:, dest]  # no tables at all when max_hops == 1
+    relays = np.flatnonzero((adj > -np.inf).any(axis=1))
+    chunk = max(1, _COLUMN_SCRATCH_ELEMENTS // max(n * len(dest), 1))
+    for prev, cur in zip(tables, tables[1:]):
+        for start in range(0, len(relays), chunk):
+            ks = relays[start : start + chunk]
+            np.maximum(cur, np.minimum(adj[ks, :, None], prev[ks, None, :]).max(axis=0), out=cur)
+    layers = np.concatenate((tables[:, s, col], adj[s, d][None]))
+    if max_hops > 1:
+        via = tables[-1]
+        step = max(1, _COLUMN_SCRATCH_ELEMENTS // n)
+        for p in (slice(start, start + step) for start in range(0, len(s), step)):
+            layers[-1, p] = np.minimum(adj.take(s[p], axis=1), via.take(col[p], axis=1)).max(axis=0)
+    return col, tables, layers
+
+
+def _column_paths(adj: np.ndarray, tables: np.ndarray, s: np.ndarray, d: np.ndarray,
+                  col: np.ndarray, best: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """Greedy lexicographic walk per pair (s[p] -> d[p], table column col[p],
+    bottleneck best[p], hops[p] edges; none if 0): each step takes the
+    smallest next node keeping the edge and the remaining completion at or
+    above the bottleneck, all pairs at once. Returns node indices, one row per
+    pair, padded with -1. A hop-minimal walk at the optimal bottleneck is
+    simple (shortcutting a revisit would beat the hop count): no visited set."""
+    steps = np.full((len(s), tables.shape[0] + 2), -1, dtype=np.int64)
+    steps[:, 0] = np.where(hops > 0, s, -1)
+    for k in range(1, int(hops.max(initial=0)) + 1):
+        remaining = hops - (k - 1)
+        last = remaining == 1
+        steps[last, k] = d[last]
+        walk = np.nonzero(remaining >= 2)[0]
+        if len(walk):
+            floor = best[walk, None]
+            ok = ((adj[steps[walk, k - 1]] >= floor)
+                  & (tables[remaining[walk] - 2, :, col[walk]] >= floor))
+            if not ok.any(axis=1).all():
+                raise RuntimeError("widest-path tables disagree with reconstruction")
+            steps[walk, k] = np.argmax(ok, axis=1)
+    return steps
+
+
+def reference_column_solve(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
+                           max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Widest paths from row s[p] to row d[p] of the symmetric edge matrix
+    `adj` (-inf where there is no edge). Per pair: the best bottleneck over
+    any hop count, the fewest hops achieving it (argmax picks the smallest
+    such layer; 0 when unreachable), the path as rows padded with -1, and
+    whether a direct edge joins the pair. Every row with an edge can relay,
+    and no other row can. A hop-minimal widest path is simple, so the hop
+    budget is clamped to one edge fewer than the rows with an edge: a deeper
+    layer could only tie an earlier one, and argmax keeps the earlier."""
+    linked = int(np.count_nonzero((adj > -np.inf).any(axis=1)))
+    max_hops = max(1, min(max_hops, linked - 1))
+    col, tables, layers = _column_tables(adj, max_hops, s, d)
+    best = layers.max(axis=0)
+    hops = np.where(np.isfinite(best), np.argmax(layers == best, axis=0) + 1, 0)
+    steps = _column_paths(adj, tables, s, d, col, best, hops)
+    return best, hops, steps, adj[s, d] > -np.inf
 
 
 def random_connectivity_graph(rng, max_nodes: int = 8, n_nodes: int | None = None,

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from reference_paths import (edges_of, graph_of, random_connectivity_graph,
-                             reference_maxmin_tables, reference_widest_path)
+                             reference_column_solve, reference_maxmin_tables,
+                             reference_widest_path)
 from slot_adapter import graph_nodes, widest_path
 from v2xric import NodeId, NodeKind
 from v2xric.ran import kinds
-from v2xric.ric import _SCRATCH_ELEMENTS, _extract_paths, _maxmin_tables, _widest_paths
+from v2xric.ric import (_SCRATCH_BYTES, _edge_ranks, _extract_paths, _maxmin_tables,
+                        _widest_paths)
 
 
 def cav(i):
@@ -156,9 +158,10 @@ def test_matches_reference_on_graphs_relaxed_in_several_chunks():
         g = graph_of({e: float(round(snr)) for e, snr in edges_of(g).items()}, graph_nodes(g.codes))
         nodes = graph_nodes(g.codes)
         n = len(nodes)
-        # a slice holds _SCRATCH_ELEMENTS // (rows * columns) relays, with one
-        # row per node and one column here
-        assert _SCRATCH_ELEMENTS // (n * 1) >= n
+        # a slice holds _SCRATCH_BYTES // (rank bytes * rows * destinations)
+        # relays, with one row per node and one destination here
+        rank, _ = _edge_ranks(g.snr)
+        assert _SCRATCH_BYTES // (rank.itemsize * n * 1) >= n
         for _ in range(12):
             si, di = rng.choice(n, size=2, replace=False)
             s, d = nodes[int(si)], nodes[int(di)]
@@ -169,11 +172,12 @@ def test_matches_reference_on_graphs_relaxed_in_several_chunks():
 
 
 def test_column_tables_match_full_tables():
-    """The destination-column tables equal the matching columns of the full
-    n x n tables, and the per-pair layers their (s, d) entries, the last layer
-    included, bit for bit: integer SNRs for ties, RSU relays, hop budgets 1-5, repeated destinations, a destination that is another
-    pair's source, and pairs sharing the column of an edgeless node (the
-    padded last row)."""
+    """The destination-major rank tables, mapped back to SNRs (rank -1 as
+    -inf), equal the matching columns of the full n x n float tables, and the
+    per-pair layers their (s, d) entries, the last layer included, bit for
+    bit: integer SNRs for ties, RSU relays, hop budgets 1-5, repeated
+    destinations, a destination that is another pair's source, and pairs
+    sharing the column of an edgeless node (the padded last row)."""
     rng = np.random.default_rng(909)
     seen = Counter()
     for trial in range(300):
@@ -190,12 +194,15 @@ def test_column_tables_match_full_tables():
         d = np.append(d, [int(rng.integers(0, n)), int(rng.integers(0, n)), n, n])
         linked = (adj > -np.inf).any(axis=1)
         full = reference_maxmin_tables(adj, max_hops, linked)
-        col, tables, layers = _maxmin_tables(adj, max_hops, s, d)
+        rank, values = _edge_ranks(adj)
+        col, tables, layers = _maxmin_tables(rank, max_hops, s, d)
         dest = np.unique(d)
         assert np.array_equal(dest[col], d)
-        assert tables.shape == (max_hops - 1, n + 1, len(dest))
+        assert tables.shape == (max_hops - 1, len(dest), n + 1)
+        tables = values[tables].transpose(0, 2, 1)
         assert tables.tobytes() == full[: max_hops - 1][:, :, dest].tobytes()
         assert layers.shape == (max_hops, len(s))
+        layers = values[layers]
         assert layers[-1].tobytes() == full[-1][s, d].tobytes()
         assert layers.tobytes() == full[:, s, d].tobytes()
         best = layers.max(axis=0)
@@ -205,6 +212,88 @@ def test_column_tables_match_full_tables():
         seen["tied layers"] += bool(((layers == best).sum(axis=0)[np.isfinite(best)] > 1).any())
         seen["last layer reachable"] += bool(np.isfinite(layers[-1]).any()) and max_hops > 1
     assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+def same_solve(got, want):
+    """Whether two solves' outputs agree in dtype, shape and bytes."""
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(got, want, strict=True))
+
+
+def test_rank_solve_matches_the_float_column_solve():
+    """Every output of the rank solve, the bottleneck in dB, the hops, the
+    path rows and the direct flags, equals the float64 column solve's bit for
+    bit: integer SNRs for ties, negative SNRs, RSU relays, hop budgets 1-5,
+    repeated destinations, pairs on the padded edgeless row, and 176-node
+    graphs serving 86 matched pairs, the shape of a 200 veh/km tick."""
+    rng = np.random.default_rng(2020)
+    seen = Counter()
+    for trial in range(300):
+        dense = trial % 24 == 0
+        g = random_connectivity_graph(rng, **(dict(n_nodes=176, edge_p=0.2) if dense
+                                              else dict(max_nodes=12)))
+        integer = trial % 2 == 1
+        if integer:  # whole dB, some below 0
+            g = graph_of({e: float(round(snr)) - 3.0 for e, snr in edges_of(g).items()},
+                         graph_nodes(g.codes))
+        n = len(g.codes)
+        adj = np.pad(g.snr, (0, 1), constant_values=-np.inf)
+        max_hops = trial % 5 + 1
+        if dense:
+            ends = np.sort(rng.permutation(n)[:172].reshape(86, 2), axis=1)
+            s, d = ends[:, 0], ends[:, 1]
+        else:
+            few = rng.choice(n + 1, size=min(3, n + 1), replace=False)
+            s = np.append(rng.integers(0, n + 1, size=6), [n, int(rng.integers(0, n))])
+            d = np.append(rng.choice(few, size=6), [int(rng.integers(0, n)), n])
+        got = _widest_paths(adj, s, d, max_hops)
+        assert same_solve(got, reference_column_solve(adj, s, d, max_hops)), trial
+        best, hops, rows, _ = got
+        relays = rows[:, 1:-1][hops[:, None] > np.arange(1, rows.shape[1] - 1)]
+        seen["dense, relayed"] += dense and bool((hops >= 2).any())
+        seen["tied"] += integer and bool(len(np.unique(best[hops > 0])) < np.count_nonzero(hops))
+        seen["negative"] += bool((np.isfinite(best) & (best < 0)).any())
+        seen["rsu relays"] += bool((kinds(g.codes[relays[relays < n]]) == NodeKind.RSU).any())
+        seen[f"max_hops {max_hops}"] += bool((hops > 0).any())
+        seen["repeated destinations"] += len(np.unique(d)) < len(d)
+    assert seen["dense, relayed"] >= 10 and min(seen.values()) >= 10 and len(seen) == 10, seen
+
+
+def test_rank_solve_takes_int32_ranks_past_32767_distinct_snrs():
+    """Ranks are int16 up to 32,767 distinct edge SNRs and int32 past them. A
+    complete 260-node graph with 33,670 distinct SNRs takes the int32 path
+    and solves as the float64 column solve does, bit for bit."""
+    rng = np.random.default_rng(260)
+    n = 260
+    a, b = np.triu_indices(n, k=1)
+    snr = rng.permutation(len(a)) * 0.01 - 100.0
+    for m, dtype in ((32_767, np.int16), (32_768, np.int32)):
+        adj = np.full((n, n), -np.inf)
+        adj[a[:m], b[:m]] = adj[b[:m], a[:m]] = snr[:m]
+        rank, values = _edge_ranks(adj)
+        assert (rank.dtype, rank.max(), len(values)) == (dtype, m - 1, m + 1)
+    adj[a, b] = adj[b, a] = snr
+    rank, values = _edge_ranks(adj)
+    assert (rank.dtype, len(a)) == (np.int32, 33_670)
+    assert values[rank].tobytes() == adj.tobytes()
+    ends = np.sort(rng.choice(n, size=(40, 2), replace=False), axis=1)
+    for max_hops in (1, 2, 4):
+        got = _widest_paths(adj, ends[:, 0], ends[:, 1], max_hops)
+        assert same_solve(got, reference_column_solve(adj, ends[:, 0], ends[:, 1], max_hops))
+        assert (got[1] >= 2).any() == (max_hops > 1)
+
+
+def test_edgeless_graph_serves_no_pair():
+    adj = np.full((5, 5), -np.inf)
+    s, d = np.array([0, 1, 3]), np.array([4, 2, 4])
+    rank, values = _edge_ranks(adj)
+    assert (rank == -1).all() and values.tolist() == [-np.inf]
+    best, hops, rows, direct = got = _widest_paths(adj, s, d, 4)
+    assert best.tolist() == [-np.inf] * 3 and best.dtype == np.float64
+    assert hops.tolist() == [0, 0, 0]
+    assert (rows == -1).all()
+    assert direct.tolist() == [False] * 3
+    assert same_solve(got, reference_column_solve(adj, s, d, 4))
 
 
 def test_widest_paths_allocates_no_full_tables():
@@ -258,13 +347,17 @@ def test_bottleneck_monotone_in_hop_budget():
 
 def test_extraction_rejects_a_bottleneck_its_tables_cannot_reach():
     """The walk checks itself against the tables: asked to extract a two-hop
-    path at a bottleneck above the widest one, it raises instead of padding."""
+    path at a bottleneck rank one above the widest, that of the graph's
+    9 dB edge, it raises instead of padding."""
     g = graph_of({(cav(0), cav(1)): 9.0, (cav(1), cav(2)): 7.0})
     s, d = np.array([0]), np.array([2])
-    col, tables, layers = _maxmin_tables(g.snr, 2, s, d)
-    assert layers[:, 0].tolist() == [-np.inf, 7.0]
+    rank, values = _edge_ranks(g.snr)
+    col, tables, layers = _maxmin_tables(rank, 2, s, d)
+    assert values[layers[:, 0]].tolist() == [-np.inf, 7.0]
+    widest = layers[:, 0].max()
+    assert values[widest + 1] == 9.0
     hops = np.array([2])
-    steps = _extract_paths(g.snr, tables, s, d, col, np.array([7.0]), hops)
+    steps = _extract_paths(rank, tables, s, d, col, np.array([widest]), hops)
     assert steps[0].tolist() == [0, 1, 2]
     with pytest.raises(RuntimeError, match="disagree"):
-        _extract_paths(g.snr, tables, s, d, col, np.array([7.5]), hops)
+        _extract_paths(rank, tables, s, d, col, np.array([widest + 1]), hops)

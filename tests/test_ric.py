@@ -13,7 +13,7 @@ from slot_adapter import (Path, codes_of, edge_snr, graph_nodes, has_edge, indic
                           pair_slots, path_of, slots_of)
 from v2xric import (ConfigurationError, IndicationBatch, NodeId, NodeKind, RicState, XAppConfig,
                     build_graph, emit_indication, ran, ric, xapp_tick)
-from v2xric.ric import _SCRATCH_ELEMENTS
+from v2xric.ric import _SCRATCH_BYTES, _edge_ranks
 
 
 def cav(i):
@@ -378,7 +378,7 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
     built.clear()
     ingest(state, reports)
     batch, diag = xapp_tick(state, 0.0, cfg, pairs)
-    assert diag.pairs_relayed > 0 and len(batch) > 0
+    assert np.count_nonzero(diag.served & ~diag.direct) > 0 and len(batch) > 0
     assert built == []
 
 
@@ -419,9 +419,9 @@ def test_direct_pairs_emit_no_messages():
     batch, diag = tick(state, 0.0, cfg, [(cav(0), cav(1))])
     assert len(batch) == 0
     assert diag.direct.tolist() == [True]
-    assert diag.pairs_direct == 1
-    assert diag.pairs_relayed == 0
-    assert diag.mean_hops == 1.0
+    assert np.count_nonzero(diag.direct) == 1
+    assert np.count_nonzero(diag.served & ~diag.direct) == 0
+    assert diag.hops[diag.served].mean() == 1.0
 
 
 def test_three_relayed_pairs_give_six_ordered_messages():
@@ -433,7 +433,7 @@ def test_three_relayed_pairs_give_six_ordered_messages():
         pairs.append((a, b))
     cfg = XAppConfig(snr_min_db=5.0)
     batch, diag = tick(state, 0.0, cfg, pairs)
-    assert diag.pairs_relayed == 3
+    assert np.count_nonzero(diag.served & ~diag.direct) == 3
     assert batch.target.tolist() == slots(state, cav(0), cav(1), cav(10), cav(11), cav(20), cav(21))
     assert batch.path_row.tolist() == [0, 0, 1, 1, 2, 2]
     assert batch.pair.tolist() == [0, 1, 2]
@@ -448,8 +448,9 @@ def test_diagnostics_counts_are_consistent():
     assert diag.pairs_total == 2
     assert diag.pairs_feasible == 1
     assert diag.pairs_total - diag.pairs_feasible == 1
-    assert diag.pairs_feasible == diag.pairs_direct + diag.pairs_relayed
-    assert diag.mean_hops == 2.0
+    assert diag.pairs_feasible == np.count_nonzero(diag.served)
+    assert diag.direct.tolist() == [False, False]
+    assert diag.hops[diag.served].mean() == 2.0
     assert diag.served.tolist() == [True, False]
     assert diag.hops.tolist() == [2, 0]
     assert assigned(diag, 0, state.codes).nodes == (cav(0), cav(5), cav(9))
@@ -480,8 +481,8 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
 
 def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
     """200-node integer-SNR graphs with enough distinct destinations that each
-    hop layer relaxes in several slices of relays: every pair's path is the
-    brute-force oracle's, ties included."""
+    hop layer relaxes in several slices of relays, at int16 ranks: every
+    pair's path is the brute-force oracle's, ties included."""
     rng = np.random.default_rng(4243)
     checked = 0
     for _ in range(6):
@@ -491,17 +492,21 @@ def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
         nodes = graph_nodes(g.codes)
         state = view(nodes=nodes)
         ingest(state, graph_reports(g))
-        ends = np.sort(rng.choice(len(nodes), size=(16, 2), replace=False), axis=1)
+        ends = np.sort(rng.choice(len(nodes), size=(32, 2), replace=False), axis=1)
         pairs = tuple((nodes[a], nodes[b]) for a, b in ends)  # served smaller -> larger
         destinations = {v for _, v in pairs}
-        # one slice holds _SCRATCH_ELEMENTS // (rows * destination columns) relays
-        assert len(nodes) ** 2 * len(destinations) > 2 * _SCRATCH_ELEMENTS
+        # one slice holds _SCRATCH_BYTES // (rank bytes * rows * destinations)
+        # relays
+        rank, _ = _edge_ranks(build_graph(state, 0.0, 0.0))
+        relays = np.count_nonzero((rank >= 0).any(axis=1))
+        assert rank.dtype == np.int16
+        assert relays > 2 * (_SCRATCH_BYTES // (rank.itemsize * len(nodes) * len(destinations)))
         _, diag = tick(state, 0.0, XAppConfig(snr_min_db=0.0, max_hops=4), pairs)
         for k, (u, v) in enumerate(pairs):
             got = assigned(diag, k, state.codes)
             assert got == reference_widest_path(g, u, v, 4, 0.0)
             checked += got is not None
-    assert checked >= 60  # most of the 96 pairs have a feasible path
+    assert checked >= 120  # most of the 192 pairs have a feasible path
 
 
 def spread(node, offset=1):
@@ -566,7 +571,7 @@ def test_empty_controller_state_is_quiet():
     assert diag.served.tolist() == [False]
     assert diag.graph_nodes == 0
     assert diag.pairs_total == 1
-    assert math.isnan(diag.mean_hops)
+    assert diag.pairs_feasible == 0 and diag.hops.tolist() == [0]
 
 
 # --- configuration and pairs -----------------------------------------------------
