@@ -17,15 +17,20 @@ def main():
     print(f"  arm length      : {layout.arm_length_m:.0f} m")
     print(f"  road width      : {layout.road_width_m:.0f} m")
     print(f"  lane offset     : {layout.lane_offset_m:.1f} m from centerline")
-    print(f"  total road      : {layout.total_road_length_m():.0f} m")
-    print(f"  building corners: {layout.corner_points()}")
-    print(f"  building height : {layout.buildings[0].height:.0f} m")
+    road_m = 2.0 * layout.arm_length_m * len(np.unique(layout.lane_axis))
+    print(f"  total road      : {road_m:.0f} m")
+    for axis, direction, offset in zip(layout.lane_axis, layout.lane_direction, layout.lane_offset):
+        print(f"  lane            : along {'xy'[axis]}, direction {direction:+.0f}, "
+              f"offset {offset:+.1f} m")
+    lo, hi = layout.building_lo, layout.building_hi
+    inner = np.where(np.abs(lo) < np.abs(hi), lo, hi)[:, :2]  # corner nearest the junction
+    print(f"  building corners: {tuple(tuple(corner) for corner in inner.tolist())}")
+    print(f"  building height : {hi[0, 2]:.0f} m")
     print()
 
     print("roadside units (corner masts)")
-    for rsu in default_rsus(layout):
-        x, y = rsu.position
-        print(f"  RSU-{rsu.rid}: x={x:+.1f} y={y:+.1f} mast={rsu.mast_height_m:.1f} m")
+    for k, (x, y, mast) in enumerate(default_rsus(layout)):
+        print(f"  RSU-{k}: x={x:+.1f} y={y:+.1f} mast={mast:.1f} m")
     print()
 
     cfg = TrafficConfig(density_veh_km=50.0, seed=7)
@@ -33,7 +38,7 @@ def main():
     tall = int(np.count_nonzero(fleet.extent[:, 2] > 2.0))
     print(f"seeded traffic snapshot (seed {cfg.seed})")
     print(f"  vehicles spawned: {len(fleet)} "
-          f"(expected about {cfg.density_veh_km * layout.total_road_length_m() / 1000:.0f})")
+          f"(expected about {cfg.density_veh_km * road_m / 1000:.0f})")
     print(f"  tall vehicles   : {tall}")
     print()
 

@@ -20,8 +20,8 @@ from .errors import ConfigurationError, MeasurementError
 from .ran import (ControlBatch, ForwardingTable, IndicationBatch, NodeId, NodeKind, World,
                   apply_control, emit_indication)
 from .ric import RicState, XAppConfig, XAppDiagnostics, build_graph, ingest, xapp_tick
-from .scenario import (Building, Fleet, Lane, MobilityState, RoadLayout, RsuNode, TrafficConfig,
-                       build_intersection, default_rsus, spawn_vehicles, step_mobility)
+from .scenario import (Fleet, MobilityState, RoadLayout, TrafficConfig, build_intersection,
+                       default_rsus, spawn_vehicles, step_mobility)
 
 __all__ = [
     "__version__",
@@ -34,6 +34,6 @@ __all__ = [
     "ControlBatch", "ForwardingTable", "IndicationBatch", "NodeId", "NodeKind", "World",
     "apply_control", "emit_indication",
     "RicState", "XAppConfig", "XAppDiagnostics", "build_graph", "ingest", "xapp_tick",
-    "Building", "Fleet", "Lane", "MobilityState", "RoadLayout", "RsuNode", "TrafficConfig",
-    "build_intersection", "default_rsus", "spawn_vehicles", "step_mobility",
+    "Fleet", "MobilityState", "RoadLayout", "TrafficConfig", "build_intersection",
+    "default_rsus", "spawn_vehicles", "step_mobility",
 ]

@@ -224,6 +224,11 @@ class SweepSpec:
                                      f"{self.replications - 1} must stay below 2^63")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1: {self.workers}")
+        # each replication's world as its runs build it, so a lane drawn past
+        # capacity or a node count past the index bound is refused before any run
+        layout = self.base.world.layout()
+        for rep in range(self.replications):
+            _world(replace(self.base, seed=self.base.seed + rep), layout)
         return self
 
 
@@ -334,18 +339,22 @@ def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, audit: AuditSumm
     audit.paths_ok += int(np.count_nonzero(ok & (cur == destination)))
 
 
+def _world(cfg: SimConfig, layout: RoadLayout) -> ran.World:
+    """The run's world at step 0: its traffic spawned at the run's seed."""
+    return ran.World(
+        layout=layout,
+        fleet=spawn_vehicles(layout, replace(cfg.traffic, seed=cfg.seed)),
+        rsus=default_rsus(layout, mast_height_m=cfg.world.rsu_mast_height_m),
+        cav_antenna_height_m=cfg.world.cav_antenna_height_m,
+    )
+
+
 def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     """Execute one run; returns its per-control-tick records and control audit."""
     cfg.validate()
     layout = cfg.world.layout()
-    traffic = replace(cfg.traffic, seed=cfg.seed)
-    world = ran.World(
-        layout=layout,
-        fleet=spawn_vehicles(layout, traffic),
-        rsus=default_rsus(layout, mast_height_m=cfg.world.rsu_mast_height_m),
-        cav_antenna_height_m=cfg.world.cav_antenna_height_m,
-    )
-    mobility = MobilityState.from_seed(cfg.seed, traffic.turn_probability)
+    world = _world(cfg, layout)
+    mobility = MobilityState.from_seed(cfg.seed, cfg.traffic.turn_probability)
 
     pairs = _build_pairs(world, cfg.pair_selection, cfg.seed)
     report_every = cfg.steps(cfg.resolved_reporting_period())

@@ -17,7 +17,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigurationError
-from .scenario import Fleet, RoadLayout, RsuNode
+from .scenario import Fleet, RoadLayout
 
 _INDEX_BITS = 20  # NodeId.index must fit so (kind, index) packs into a link key
 
@@ -105,41 +105,37 @@ class ForwardingTable:
 class World:
     """Everything a node can sense: geometry plus the radio endpoints on it.
 
-    Endpoints are columns in NodeId order, the RSUs as listed (ascending
-    `rid`), then the CAVs by fleet row: `codes` are their NodeId codes,
-    `body` the row of each one's own body among `boxes()`, -1 for an RSU.
-    These and the building boxes are built once; `xyz()` and `boxes()` read
-    the fleet as it stands."""
+    Endpoints are columns in NodeId order: RSU k at mast top `rsus[k]` is
+    NodeId(RSU, k), then CAV k is fleet row k. `codes` are their NodeId
+    codes, `body` the row of each one's own body among `boxes()`, -1 for an
+    RSU; both are built once. `xyz()` and `boxes()` read the fleet as it
+    stands."""
 
     layout: RoadLayout
     fleet: Fleet
-    rsus: list[RsuNode]
+    rsus: np.ndarray  # (R, 3) mast tops
     cav_antenna_height_m: float = 1.6
     codes: np.ndarray = field(init=False)
     body: np.ndarray = field(init=False)
-    _rsu_xyz: np.ndarray = field(init=False)
-    _building_boxes: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.fleet)
-        self.codes = np.array([NodeId(NodeKind.RSU, r.rid).code for r in self.rsus]
-                              + [NodeId(NodeKind.CAV, k).code for k in range(n)], dtype=np.int64)
-        self.body = np.concatenate((np.full(len(self.rsus), -1), np.arange(n)))
-        self._rsu_xyz = np.array([(*r.position, r.mast_height_m) for r in self.rsus],
-                                 dtype=np.float64).reshape(-1, 3)
-        buildings = np.array([(b.x0, b.y0, 0.0, b.x1, b.y1, b.height)
-                              for b in self.layout.buildings], dtype=np.float64).reshape(-1, 6)
-        self._building_boxes = (buildings[:, :3], buildings[:, 3:])
+        r, n = len(self.rsus), len(self.fleet)
+        if max(r, n) > 1 << _INDEX_BITS:
+            raise ConfigurationError(f"a node index must stay below 2^{_INDEX_BITS}: {r} RSUs and "
+                                     f"{n} vehicles, at most 2^{_INDEX_BITS} of each")
+        self.codes = np.concatenate([(int(kind) << _INDEX_BITS) | np.arange(rows, dtype=np.int64)
+                                     for kind, rows in ((NodeKind.RSU, r), (NodeKind.CAV, n))])
+        self.body = np.concatenate((np.full(r, -1), np.arange(n)))
 
     def xyz(self) -> np.ndarray:
         """(endpoints, 3) antenna points: RSU mast tops, then vehicle roofs."""
         cav = np.hstack((self.fleet.xy(), np.full((len(self.fleet), 1), self.cav_antenna_height_m)))
-        return np.vstack((self._rsu_xyz, cav))
+        return np.vstack((self.rsus, cav))
 
     def boxes(self) -> tuple[np.ndarray, np.ndarray]:
         """Every blocker's (lo, hi) corners: vehicle bodies by row, then buildings."""
-        (lo, hi), (b_lo, b_hi) = self.fleet.boxes(), self._building_boxes
-        return np.vstack((lo, b_lo)), np.vstack((hi, b_hi))
+        lo, hi = self.fleet.boxes()
+        return np.vstack((lo, self.layout.building_lo)), np.vstack((hi, self.layout.building_hi))
 
 
 def kinds(codes: np.ndarray) -> np.ndarray:

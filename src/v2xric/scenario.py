@@ -23,53 +23,26 @@ CAR_EXTENT = (5.0, 2.0, 1.6)
 TALL_EXTENT = (5.0, 2.5, 4.0)  # trucks: same order of footprint, 4 m body
 
 
-@dataclass(frozen=True, slots=True)
-class Building:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-    height: float
-
-
-@dataclass(frozen=True, slots=True)
-class Lane:
-    """One directed lane. Travel coordinate c runs from -arm_length_m (entry)
-    to +arm_length_m (exit) along the driving direction."""
-
-    axis: str  # "x" or "y"
-    direction: int  # +1 or -1 along that axis
-    offset: float  # perpendicular centerline offset
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RoadLayout:
+    """The static scene as columns. Building b is the box from
+    `building_lo[b]` to `building_hi[b]`, ground to roof. Lane k runs along
+    `lane_axis[k]` (0 = x, 1 = y) in `lane_direction[k]` (+1.0 or -1.0) at
+    perpendicular offset `lane_offset[k]`; its travel coordinate c runs from
+    -arm_length_m (entry) to +arm_length_m (exit) along the driving direction."""
+
     arm_length_m: float
     road_width_m: float
     building_setback_m: float
-    buildings: tuple[Building, ...]
-    lanes: tuple[Lane, ...]
+    building_lo: np.ndarray  # (B, 3) float64
+    building_hi: np.ndarray  # (B, 3) float64
+    lane_axis: np.ndarray  # (L,) int8
+    lane_direction: np.ndarray  # (L,) float64
+    lane_offset: np.ndarray  # (L,) float64
 
     @property
     def lane_offset_m(self) -> float:
         return self.road_width_m / 4.0
-
-    def total_road_length_m(self) -> float:
-        return 4.0 * self.arm_length_m  # two roads, each 2*arm long
-
-    def corner_points(self) -> tuple[tuple[float, float], ...]:
-        """Inner building corners nearest the junction, one per quadrant."""
-        s = self.road_width_m / 2.0 + self.building_setback_m
-        return ((s, s), (-s, s), (-s, -s), (s, -s))
-
-
-@dataclass(frozen=True, slots=True)
-class RsuNode:
-    """Roadside unit on a corner mast."""
-
-    rid: int
-    position: tuple[float, float]
-    mast_height_m: float = 6.0
 
 
 @dataclass(eq=False, slots=True)
@@ -145,34 +118,28 @@ def build_intersection(arm_length_m: float, road_width_m: float,
         raise ConfigurationError(f"road_width_m / 2 + building_setback_m ({s}) leaves no room "
                                  f"for buildings inside arm_length_m ({a})")
     h = building_height_m
-    buildings = (
-        Building(s, s, a, a, h),
-        Building(-a, s, -s, a, h),
-        Building(-a, -a, -s, -s, h),
-        Building(s, -a, a, -s, h),
-    )
     o = road_width_m / 4.0
-    lanes = (
-        Lane("x", +1, -o),  # eastbound, south side
-        Lane("x", -1, +o),  # westbound, north side
-        Lane("y", +1, +o),  # northbound, east side
-        Lane("y", -1, -o),  # southbound, west side
-    )
     return RoadLayout(
         arm_length_m=a,
         road_width_m=road_width_m,
         building_setback_m=building_setback_m,
-        buildings=buildings,
-        lanes=lanes,
+        # one building per quadrant, counter-clockwise from +x +y
+        building_lo=np.array([(s, s, 0.0), (-a, s, 0.0), (-a, -a, 0.0), (s, -a, 0.0)]),
+        building_hi=np.array([(a, a, h), (-s, a, h), (-s, -s, h), (a, -s, h)]),
+        # eastbound south side, westbound north side, northbound east side, southbound west side
+        lane_axis=np.array([0, 0, 1, 1], dtype=np.int8),
+        lane_direction=np.array([1.0, -1.0, 1.0, -1.0]),
+        lane_offset=np.array([-o, o, o, -o]),
     )
 
 
-def default_rsus(layout: RoadLayout, mast_height_m: float = 6.0) -> list[RsuNode]:
-    """One RSU per inner building corner, LOS down both arms of its quadrant."""
-    return [
-        RsuNode(rid=k, position=p, mast_height_m=mast_height_m)
-        for k, p in enumerate(layout.corner_points())
-    ]
+def default_rsus(layout: RoadLayout, mast_height_m: float = 6.0) -> np.ndarray:
+    """(4, 3) mast tops of the RSUs, RSU k in row k: one per inner building
+    corner, counter-clockwise from +x +y, each with LOS down both arms of
+    its quadrant."""
+    s = layout.road_width_m / 2.0 + layout.building_setback_m
+    return np.array([(s, s, mast_height_m), (-s, s, mast_height_m),
+                     (-s, -s, mast_height_m), (s, -s, mast_height_m)])
 
 
 def spawn_vehicles(layout: RoadLayout, cfg: TrafficConfig) -> Fleet:
@@ -185,13 +152,9 @@ def spawn_vehicles(layout: RoadLayout, cfg: TrafficConfig) -> Fleet:
     min_gap = CAR_EXTENT[0]
     lane_len = 2.0 * layout.arm_length_m
 
-    lanes_by_axis = {"x": [], "y": []}
-    for lane in layout.lanes:
-        lanes_by_axis[lane.axis].append(lane)
-
-    placed: list[tuple[Lane, np.ndarray, np.ndarray]] = []  # lane, coordinates, tall
-    for axis in ("x", "y"):
-        lanes = lanes_by_axis[axis]
+    placed: list[tuple[int, np.ndarray, np.ndarray]] = []  # lane row, coordinates, tall
+    for axis in (0, 1):
+        lanes = np.flatnonzero(layout.lane_axis == axis).tolist()
         if not lanes:
             continue
         expected_road = cfg.density_veh_km * (lane_len / 1000.0)
@@ -217,13 +180,13 @@ def spawn_vehicles(layout: RoadLayout, cfg: TrafficConfig) -> Fleet:
             coords = u + min_gap * np.arange(n) - layout.arm_length_m
             placed.append((lane, coords, rng.random(n) < cfg.tall_fraction))
 
-    used = [lane for lane, _, _ in placed]
-    counts = [len(coords) for _, coords, _ in placed]
+    row = np.repeat(np.array([lane for lane, _, _ in placed], dtype=np.intp),
+                    [len(coords) for _, coords, _ in placed])
     c = np.concatenate([np.empty(0), *(coords for _, coords, _ in placed)])
     tall = np.concatenate([np.empty(0, dtype=bool), *(t for _, _, t in placed)])
-    return Fleet(axis=np.repeat(np.array([lane.axis == "y" for lane in used], np.int8), counts),
-                 direction=np.repeat(np.array([lane.direction for lane in used], float), counts),
-                 lateral=np.repeat(np.array([lane.offset for lane in used], float), counts),
+    return Fleet(axis=layout.lane_axis[row],
+                 direction=layout.lane_direction[row],
+                 lateral=layout.lane_offset[row],
                  c=c,
                  speed=np.full(len(c), cfg.speed_mps),
                  extent=np.where(tall[:, None], TALL_EXTENT, CAR_EXTENT))
@@ -303,8 +266,9 @@ def step_mobility(fleet: Fleet, layout: RoadLayout, dt: float, state: MobilitySt
                 if state.pending.pop(k, "straight") == "left":
                     axis, direction, c_k, lateral = _turn(axis, direction, c_k, lateral, False)
             else:  # exit: respawn at the entry of a uniformly chosen lane
-                lane = layout.lanes[int(state.rng.integers(0, len(layout.lanes)))]
+                lane = int(state.rng.integers(0, len(layout.lane_axis)))
                 state.pending.pop(k, None)
-                axis, direction, lateral = int(lane.axis == "y"), float(lane.direction), lane.offset
+                axis, direction = int(layout.lane_axis[lane]), float(layout.lane_direction[lane])
+                lateral = float(layout.lane_offset[lane])
                 c_k = -a
         fleet.axis[k], fleet.direction[k], c[k], fleet.lateral[k] = axis, direction, c_k, lateral

@@ -4,7 +4,8 @@ Used by the scenario and channel tests as an oracle for the columnar
 `scenario.Fleet`: one frozen `VehicleState` per vehicle, a list rebuilt with
 `dataclasses.replace` on every step, each vehicle walked through its lane
 events in Python, and the blocker boxes read off the vehicles one by one.
-`fleet_of` and `vehicles_of` convert between the two forms.
+`fleet_of` and `vehicles_of` convert between the two forms. Respawns pick
+from the scalar lanes of `reference_layout`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+import reference_layout
 from v2xric import ConfigurationError, Fleet, MobilityState, RoadLayout
 
 
@@ -56,7 +58,7 @@ def _heading(axis: int, direction: int) -> tuple[float, float]:
 def blocker_boxes(layout: RoadLayout, vehicles: list[VehicleState]) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned boxes: one per vehicle body, then one per building."""
     n = len(vehicles)
-    m = len(layout.buildings)
+    m = len(layout.building_lo)
     lo = np.empty((n + m, 3), dtype=np.float64)
     hi = np.empty((n + m, 3), dtype=np.float64)
     for k, v in enumerate(vehicles):
@@ -67,9 +69,9 @@ def blocker_boxes(layout: RoadLayout, vehicles: list[VehicleState]) -> tuple[np.
         x, y = v.position
         lo[k] = (x - half_x, y - half_y, 0.0)
         hi[k] = (x + half_x, y + half_y, height)
-    for k, b in enumerate(layout.buildings):
-        lo[n + k] = (b.x0, b.y0, 0.0)
-        hi[n + k] = (b.x1, b.y1, b.height)
+    for k in range(m):
+        lo[n + k] = layout.building_lo[k]
+        hi[n + k] = layout.building_hi[k]
     return lo, hi
 
 
@@ -115,6 +117,7 @@ def step_mobility(vehicles: list[VehicleState], layout: RoadLayout, dt: float,
     a = layout.arm_length_m
     o = layout.lane_offset_m
     p_turn = state.turn_probability
+    lanes = reference_layout.lanes(layout.road_width_m)
     out: list[VehicleState] = []
     for v in vehicles:
         axis, direction, c, lateral = _travel_frame(v)
@@ -149,7 +152,7 @@ def step_mobility(vehicles: list[VehicleState], layout: RoadLayout, dt: float,
                     axis, direction, c, lateral, heading = _turn(
                         axis, direction, c, lateral, heading, clockwise=False)
             else:  # exit: respawn at the entry of a uniformly chosen lane
-                lane = layout.lanes[int(state.rng.integers(0, len(layout.lanes)))]
+                lane = lanes[int(state.rng.integers(0, len(lanes)))]
                 state.pending.pop(v.vid, None)
                 axis, direction = lane.axis, lane.direction
                 lateral, heading = lane.offset, _heading(int(lane.axis == "y"), lane.direction)

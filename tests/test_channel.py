@@ -49,7 +49,7 @@ def scene_table(params, layout, vehicles, antennas, t, seed, **selection):
     """link_table over hand-placed endpoints, with the bodies of `vehicles`
     (fleet rows in list order) and the layout's buildings as blockers."""
     codes, xyz, body = (np.array(column) for column in zip(*antennas))
-    boxes = World(layout=layout, fleet=fleet_of(vehicles), rsus=[]).boxes()
+    boxes = World(layout=layout, fleet=fleet_of(vehicles), rsus=np.empty((0, 3))).boxes()
     return link_table(params, xyz, codes, body, boxes, t, seed, **selection)
 
 
@@ -304,7 +304,8 @@ def test_empty_selections_give_empty_columns():
 
 
 def test_layout_without_blockers_is_all_los():
-    layout = dataclasses.replace(build_intersection(200.0, 14.0), buildings=())
+    layout = dataclasses.replace(build_intersection(200.0, 14.0), building_lo=np.empty((0, 3)),
+                                 building_hi=np.empty((0, 3)))
     antennas = [cav_antenna(0, 30.0, -3.5), cav_antenna(1, -3.5, 30.0),
                 cav_antenna(2, -30.0, 3.5, z=6.0)]
     tab = scene_table(ChannelParams(blockage_mode="geometric"), layout, [], antennas, 0.0, 1)

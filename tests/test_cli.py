@@ -1,7 +1,10 @@
 """Command-line tests: config resolution, CSV and manifest outputs, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -228,6 +231,20 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "wombat" in capsys.readouterr().err
 
 
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    """`python -m v2xric.cli` runs `main` and exits with its code."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("wombat=1\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "v2xric.cli", "run", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "unknown configuration key: wombat" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config_line_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("duration_s\n", encoding="utf-8")
@@ -280,6 +297,23 @@ def test_bad_sweep_grid_exits_2_before_running(tmp_path, capsys, monkeypatch, co
     assert main([command, "--out", str(out), "--duration", "0.3", "--warmup", "0"] + flags) == 2
     assert key in capsys.readouterr().err
     assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed,replications", [("1", "3"), ("3", "2")])
+def test_lane_overflow_of_any_replication_exits_2_before_the_pool(tmp_path, capsys, monkeypatch,
+                                                                  seed, replications):
+    """At 390 veh/km the spawn of seeds 1 and 4 overflows a lane and seed 3
+    fits: the sweep spawns every replication's fleet before it hands a job
+    to the pool, so a replication past the first is refused up front too."""
+    calls = []
+    monkeypatch.setattr(engine, "_execute", lambda jobs, workers: calls.append(jobs))
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: calls.append(cfg))
+    out = tmp_path / "out"
+    assert main(["sweep-snr", "--out", str(out), "--density", "390", "--seed", seed,
+                 "--replications", replications, "--workers", "2"]) == 2
+    assert "exceed lane capacity" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 

@@ -22,7 +22,7 @@ from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingT
                     SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, apply_control,
                     build_intersection, ingest, run, run_with_audit, spawn_vehicles,
                     sweep_blockage, sweep_snr, time_average, xapp_tick)
-from v2xric import channel, engine, ric
+from v2xric import channel, engine, ran, ric
 from v2xric.engine import _audit, _build_pairs, _connectivity
 from v2xric.scenario import CAR_EXTENT
 
@@ -198,7 +198,7 @@ def hand_world(n):
                      speed_mps=14.0, extent=CAR_EXTENT)
         for k in range(n)
     ]
-    return World(layout=layout, fleet=fleet_of(vehicles), rsus=[])
+    return World(layout=layout, fleet=fleet_of(vehicles), rsus=np.empty((0, 3)))
 
 
 def pair_nodes(world, selection, seed):
@@ -487,6 +487,18 @@ def test_sweep_spec_validation(kwargs):
     # the last keyword holds the bad value, and the error names it
     with pytest.raises(ConfigurationError, match=list(kwargs)[-1]):
         SweepSpec(base=quick_cfg(), **kwargs).validate()
+
+
+def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
+    """Validation builds each replication's world as its run would, so a
+    world past the node-index bound (scaled down to 2^6 here) is refused
+    before any run. At 80 veh/km seeds 2, 3 and 4 spawn 58, 49 and 65
+    vehicles: two replications from seed 2 fit, the third does not."""
+    monkeypatch.setattr(ran, "_INDEX_BITS", 6)
+    base = replace(quick_cfg(), traffic=TrafficConfig(density_veh_km=80.0))
+    SweepSpec(base=base, gamma_min_values=(5.0,), replications=2).validate()
+    with pytest.raises(ConfigurationError, match=r"2\^6: 4 RSUs and 65 vehicles"):
+        SweepSpec(base=base, gamma_min_values=(5.0,), replications=3).validate()
 
 
 # --- configuration validation --------------------------------------------------------

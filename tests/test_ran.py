@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference_control
+import reference_layout
 import reference_reports
 from reference_mobility import VehicleState, fleet_of
 from reference_reports import reports_of
@@ -17,21 +18,21 @@ from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatc
                     World, XAppConfig, apply_control, build_graph, build_intersection, channel,
                     default_rsus, emit_indication, ingest, link_table, ran, run, spawn_vehicles)
 from v2xric.engine import _audit, _collect_reports
-from v2xric.scenario import CAR_EXTENT
+from v2xric.scenario import CAR_EXTENT, Fleet
 
 
 def cav(i):
     return NodeId(NodeKind.CAV, i)
 
 
-def world_with_cavs(xs, rsus=()):
+def world_with_cavs(xs, rsus=np.empty((0, 3))):
     layout = build_intersection(200.0, 14.0)
     vehicles = [
         VehicleState(vid=k, position=(x, -3.5), heading=(1.0, 0.0),
                      speed_mps=14.0, extent=CAR_EXTENT)
         for k, x in enumerate(xs)
     ]
-    return World(layout=layout, fleet=fleet_of(vehicles), rsus=list(rsus))
+    return World(layout=layout, fleet=fleet_of(vehicles), rsus=rsus)
 
 
 def measure_world(world, seed=1, **selection):
@@ -83,15 +84,57 @@ def test_world_antennas_in_node_order():
     assert [node.kind for node in nodes[:4]] == [NodeKind.RSU] * 4
     assert nodes == [NodeId(NodeKind.RSU, k) for k in range(4)] + [cav(0), cav(1)]
     xyz = world.xyz()
-    assert xyz[:4].tolist() == [[*r.position, 6.0] for r in default_rsus(layout)]
+    assert xyz[:4].tolist() == [[*r.position, 6.0] for r in reference_layout.rsus(14.0, 2.0)]
     assert xyz[4:].tolist() == [[0.0, -3.5, 1.6], [10.0, -3.5, 1.6]]
     assert world.body.tolist() == [-1] * 4 + [0, 1]
     # every vehicle body, in row order, then every building
     lo, hi = world.boxes()
     assert lo[:2].tolist() == [[-2.5, -4.5, 0.0], [7.5, -4.5, 0.0]]
     assert hi[:2].tolist() == [[2.5, -2.5, 1.6], [12.5, -2.5, 1.6]]
-    assert lo[2:].tolist() == [[b.x0, b.y0, 0.0] for b in layout.buildings]
-    assert hi[2:].tolist() == [[b.x1, b.y1, b.height] for b in layout.buildings]
+    buildings = reference_layout.buildings(200.0, 14.0, 2.0, 20.0)
+    assert lo[2:].tolist() == [[b.x0, b.y0, 0.0] for b in buildings]
+    assert hi[2:].tolist() == [[b.x1, b.y1, b.height] for b in buildings]
+
+
+def test_world_codes_are_node_id_codes_built_without_node_ids(monkeypatch):
+    """A spawned world with the corner RSUs packs its codes over arrays: no
+    NodeId is constructed, and each code is the one its NodeId gives."""
+    layout = build_intersection(200.0, 14.0)
+    fleet = spawn_vehicles(layout, TrafficConfig(density_veh_km=120.0, seed=4))
+    built = []
+    original = NodeId.__new__
+
+    def spy(cls, kind, index):
+        built.append((kind, index))
+        return original(cls, kind, index)
+
+    monkeypatch.setattr(NodeId, "__new__", staticmethod(spy))
+    world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
+    assert built == []
+    monkeypatch.undo()
+    assert world.codes.dtype == np.int64
+    assert world.codes.tolist() == ([NodeId(NodeKind.RSU, k).code for k in range(4)]
+                                    + [cav(k).code for k in range(len(fleet))])
+
+
+def zero_fleet(n):
+    zeros = np.zeros(n)
+    return Fleet(axis=np.zeros(n, np.int8), direction=zeros, lateral=zeros, c=zeros,
+                 speed=zeros, extent=np.zeros((n, 3)))
+
+
+def test_world_refuses_more_nodes_than_the_index_holds():
+    """Node indices are 20 bits: 2^20 vehicles or RSUs fit, one more of
+    either is refused rather than packed into the next kind's codes."""
+    layout = build_intersection(200.0, 14.0)
+    bound = 1 << 20
+    world = World(layout=layout, fleet=zero_fleet(bound), rsus=np.zeros((bound, 3)))
+    assert world.codes[-1] == cav(bound - 1).code
+    assert world.codes[bound - 1] == NodeId(NodeKind.RSU, bound - 1).code
+    with pytest.raises(ConfigurationError, match=r"2\^20"):
+        World(layout=layout, fleet=zero_fleet(bound + 1), rsus=np.zeros((4, 3)))
+    with pytest.raises(ConfigurationError, match=r"2\^20"):
+        World(layout=layout, fleet=zero_fleet(2), rsus=np.zeros((bound + 1, 3)))
 
 
 # --- sensing ---------------------------------------------------------------------

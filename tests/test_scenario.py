@@ -1,14 +1,17 @@
 """Scene tests: intersection geometry, seeded spawning, lane-following mobility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import reference_layout
 import reference_mobility
 from reference_mobility import VehicleState, fleet_of, vehicles_of
 from slot_adapter import on_road
 from v2xric import (ConfigurationError, Fleet, MobilityState, TrafficConfig, World,
                     build_intersection, default_rsus, spawn_vehicles, step_mobility)
-from v2xric.scenario import CAR_EXTENT, TALL_EXTENT, RoadLayout
+from v2xric.scenario import CAR_EXTENT, TALL_EXTENT
 
 
 def default_layout():
@@ -37,22 +40,24 @@ def same_fleet(a, b):
 
 def test_corner_points():
     layout = default_layout()
-    assert layout.corner_points() == ((9.0, 9.0), (-9.0, 9.0), (-9.0, -9.0), (9.0, -9.0))
+    lo, hi = layout.building_lo[:, :2], layout.building_hi[:, :2]
+    inner = np.where(np.abs(lo) < np.abs(hi), lo, hi)  # each building's corner nearest the junction
+    assert inner.tolist() == [[9.0, 9.0], [-9.0, 9.0], [-9.0, -9.0], [9.0, -9.0]]
     assert layout.lane_offset_m == 3.5
-    assert layout.total_road_length_m() == 800.0
 
 
 def test_four_directed_lanes_cover_both_roads():
     layout = default_layout()
-    assert len(layout.lanes) == 4
-    frames = {(lane.axis, lane.direction, lane.offset) for lane in layout.lanes}
-    assert frames == {("x", 1, -3.5), ("x", -1, 3.5), ("y", 1, 3.5), ("y", -1, -3.5)}
+    assert len(layout.lane_axis) == 4 and layout.lane_axis.dtype == np.int8
+    frames = set(zip(layout.lane_axis.tolist(), layout.lane_direction.tolist(),
+                     layout.lane_offset.tolist()))
+    assert frames == {(0, 1, -3.5), (0, -1, 3.5), (1, 1, 3.5), (1, -1, -3.5)}
     east, west = (
-        Fleet(axis=np.array([lane.axis == "y"], np.int8), direction=np.array([lane.direction], float),
-              lateral=np.array([lane.offset]), c=np.array([-200.0]), speed=np.ones(1),
+        Fleet(axis=layout.lane_axis[[k]], direction=layout.lane_direction[[k]],
+              lateral=layout.lane_offset[[k]], c=np.array([-200.0]), speed=np.ones(1),
               extent=np.array([CAR_EXTENT]))
-        for lane in (next(l for l in layout.lanes if l.axis == "x" and l.direction == d)
-                     for d in (1, -1)))
+        for k in (int(np.flatnonzero((layout.lane_axis == 0) & (layout.lane_direction == d))[0])
+                  for d in (1, -1)))
     assert tuple(east.xy()[0]) == (-200.0, -3.5)  # entry at the west end
     assert tuple(west.xy()[0]) == (200.0, 3.5)  # entry at the east end
     assert vehicles_of(east)[0].heading == (1.0, 0.0)
@@ -60,12 +65,12 @@ def test_four_directed_lanes_cover_both_roads():
 
 def test_buildings_fill_quadrants_outside_setback():
     layout = default_layout()
-    assert len(layout.buildings) == 4
-    for b in layout.buildings:
-        assert min(abs(b.x0), abs(b.x1)) == 9.0
-        assert min(abs(b.y0), abs(b.y1)) == 9.0
-        assert max(abs(b.x0), abs(b.x1)) == 200.0
-        assert b.height == 20.0
+    assert layout.building_lo.shape == layout.building_hi.shape == (4, 3)
+    for (x0, y0, z0), (x1, y1, height) in zip(layout.building_lo, layout.building_hi):
+        assert min(abs(x0), abs(x1)) == 9.0
+        assert min(abs(y0), abs(y1)) == 9.0
+        assert max(abs(x0), abs(x1)) == 200.0
+        assert z0 == 0.0 and height == 20.0
 
 
 def test_on_road_predicate():
@@ -80,9 +85,35 @@ def test_on_road_predicate():
 def test_default_rsus_on_corners():
     layout = default_layout()
     rsus = default_rsus(layout)
-    assert [r.rid for r in rsus] == [0, 1, 2, 3]
-    assert {r.position for r in rsus} == set(layout.corner_points())
-    assert all(r.mast_height_m == 6.0 for r in rsus)
+    assert rsus.dtype == np.float64
+    # RSU k in row k, on the inner corner of building k, mast top at 6 m
+    assert rsus.tolist() == [[9.0, 9.0, 6.0], [-9.0, 9.0, 6.0], [-9.0, -9.0, 6.0],
+                             [9.0, -9.0, 6.0]]
+
+
+def test_layout_and_rsus_equal_the_object_oracle():
+    """Over random valid dimensions, fractional and whole, the layout's
+    building and lane columns and the RSU mast tops equal the per-object
+    construction bit for bit, dtype and shape included."""
+    rng = np.random.default_rng(13)
+    for trial in range(200):
+        width = float(rng.uniform(0.5, 40.0))
+        setback = float(rng.choice((0.0, rng.uniform(0.0, 10.0))))
+        arm = width / 2.0 + setback + float(rng.uniform(0.01, 500.0))
+        height, mast = float(rng.uniform(0.5, 100.0)), float(rng.uniform(0.5, 30.0))
+        if trial % 4 == 0:  # whole numbers, as a caller may pass them
+            width, arm, height, mast = 14, int(arm) + 20, int(height) + 1, int(mast) + 1
+        layout = build_intersection(arm, width, setback, height)
+        want = reference_layout.layout_columns(
+            reference_layout.buildings(arm, width, setback, height), reference_layout.lanes(width))
+        for name, column in want.items():
+            got = getattr(layout, name)
+            assert (got.dtype, got.shape) == (column.dtype, column.shape), name
+            assert got.tobytes() == column.tobytes(), (name, arm, width, setback, height)
+        got = default_rsus(layout, mast_height_m=mast)
+        want = reference_layout.rsu_columns(reference_layout.rsus(width, setback, mast))
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), (width, setback, mast)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -142,7 +173,8 @@ def test_spawn_vids_are_dense_and_stable():
     # rows run lane by lane in layout order, in travel order within a lane
     frames = [(int(a), float(d), float(o)) for a, d, o in
               zip(fleet.axis, fleet.direction, fleet.lateral)]
-    lane_order = [(int(l.axis == "y"), float(l.direction), l.offset) for l in layout.lanes]
+    lane_order = list(zip(layout.lane_axis.tolist(), layout.lane_direction.tolist(),
+                          layout.lane_offset.tolist()))
     assert frames == sorted(frames, key=lane_order.index)
     for frame in set(frames):
         rows = [k for k, f in enumerate(frames) if f == frame]
@@ -302,8 +334,9 @@ def test_layout_without_y_lanes_spawns_the_x_road_alone():
     """A layout with lanes on one axis only spawns that road, drawn exactly
     as the full layout draws it (the x road comes first)."""
     full = default_layout()
-    x_only = RoadLayout(full.arm_length_m, full.road_width_m, full.building_setback_m,
-                        full.buildings, tuple(lane for lane in full.lanes if lane.axis == "x"))
+    on_x = full.lane_axis == 0
+    x_only = replace(full, lane_axis=full.lane_axis[on_x], lane_direction=full.lane_direction[on_x],
+                     lane_offset=full.lane_offset[on_x])
     alone = spawn_vehicles(x_only, TrafficConfig(seed=1))
     both = spawn_vehicles(full, TrafficConfig(seed=1))
     n = len(alone)
