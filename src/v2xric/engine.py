@@ -225,10 +225,11 @@ class SweepSpec:
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1: {self.workers}")
         # each replication's world as its runs build it, so a lane drawn past
-        # capacity or a node count past the index bound is refused before any run
+        # capacity, a node count past the index bound or a fleet too small to
+        # pair is refused before any run
         layout = self.base.world.layout()
         for rep in range(self.replications):
-            _world(replace(self.base, seed=self.base.seed + rep), layout)
+            _vehicle_slots(_world(replace(self.base, seed=self.base.seed + rep), layout))
         return self
 
 
@@ -264,6 +265,14 @@ class SweepResult:
 
 # --- pair selection ----------------------------------------------------------------
 
+def _vehicle_slots(world: ran.World) -> np.ndarray:
+    """The view slots of the world's vehicles, at least the two a pair needs."""
+    cavs = np.flatnonzero(ran.kinds(world.codes) == ran.NodeKind.CAV)
+    if len(cavs) < 2:
+        raise ConfigurationError(f"need at least 2 vehicles for pair metrics, got {len(cavs)}")
+    return cavs
+
+
 def _build_pairs(world: ran.World, selection: str, seed: int) -> np.ndarray:
     """The served pair set, fixed for the whole run: (P, 2) view slots, the
     smaller first, in ascending order.
@@ -272,9 +281,7 @@ def _build_pairs(world: ran.World, selection: str, seed: int) -> np.ndarray:
     matching, so each vehicle is paired with exactly one partner (one vehicle
     sits out when the count is odd).
     """
-    cavs = np.flatnonzero(ran.kinds(world.codes) == ran.NodeKind.CAV)
-    if len(cavs) < 2:
-        raise ConfigurationError(f"need at least 2 vehicles for pair metrics, got {len(cavs)}")
+    cavs = _vehicle_slots(world)
     if selection == "all":
         a, b = np.triu_indices(len(cavs), 1)
         return np.stack((cavs[a], cavs[b]), axis=1)
@@ -322,17 +329,18 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float) -> ran.Indicati
                                cfg.measured_neighbors)
 
 
-def _audit(table: ran.ForwardingTable, batch: ran.ControlBatch, audit: AuditSummary) -> None:
-    """Walk every multi-hop path of the batch through the installed forwarding
-    entries, all paths at once, and count those that reach their destination
-    in exactly their hop count without passing it on the way."""
-    paths = batch.paths
+def _audit(table: ran.ForwardingTable, paths: np.ndarray, pair: np.ndarray,
+           audit: AuditSummary) -> None:
+    """Walk every multi-hop path, a row of view slots padded with -1 serving
+    pair index `pair[row]`, through the installed forwarding entries, all
+    paths at once, and count those that reach their destination in exactly
+    their hop count without passing it on the way."""
     hops = np.count_nonzero(paths >= 0, axis=1) - 1
     destination = paths[np.arange(len(paths)), hops]
     cur, ok = paths[:, 0], np.ones(len(paths), dtype=bool)
     for k in range(int(hops.max(initial=0))):
         step = ok & (k < hops)
-        nxt = table.next_hop[cur, batch.pair]
+        nxt = table.next_hop[cur, pair]
         ok &= ~(step & ((nxt < 0) | (cur == destination)))
         cur = np.where(step & ok, nxt, cur)
     audit.paths_checked += len(paths)
@@ -364,6 +372,8 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
 
     ric_state = ric.RicState(world.codes, staleness_window_s=cfg.resolved_staleness_window())
     table = ran.ForwardingTable.empty(len(world.codes), len(pairs))
+    # the path row the RAN holds per pair: last tick's multi-hop rows, -1 elsewhere
+    installed = np.full((len(pairs), cfg.xapp.max_hops + 1), -1, dtype=np.int64)
     in_flight: list[tuple[int, ran.IndicationBatch]] = []  # (arrival step, batch)
     records: list[MetricsRecord] = []
     audit = AuditSummary()
@@ -375,10 +385,14 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
         if step % control_every == 0:
             while in_flight and in_flight[0][0] <= step:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
-            batch, diag = ric.xapp_tick(ric_state, t, cfg.xapp, pairs)
+            batch, diag = ric.xapp_tick(ric_state, t, cfg.xapp, pairs, installed)
             ran.apply_control(table, batch)
-            audit.messages_total += len(batch)
-            _audit(table, batch, audit)
+            relayed = np.flatnonzero(diag.hops >= 2)
+            paths = diag.paths[relayed]
+            audit.messages_total += int(diag.hops[relayed].sum())  # the full fan-out
+            _audit(table, paths, relayed, audit)
+            installed.fill(-1)
+            installed[relayed, : paths.shape[1]] = paths
             n_direct = int(np.count_nonzero(diag.direct))
             records.append(MetricsRecord(
                 t=t,

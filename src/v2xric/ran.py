@@ -72,10 +72,10 @@ class IndicationBatch:
 @dataclass(frozen=True, slots=True)
 class ControlBatch:
     """One control tick's forwarding messages as columns: the multi-hop paths
-    (view slots from source to destination, padded with -1, at most
-    `max_hops + 1` wide) with each one's index into the served pairs, then per
-    message, which installs one hop, the target node's slot and the row of its
-    path."""
+    it installs (view slots from source to destination, padded with -1, at
+    most `max_hops + 1` wide; the controller sends only the paths that
+    changed) with each one's index into the served pairs, then per message,
+    which installs one hop, the target node's slot and the row of its path."""
 
     paths: np.ndarray  # (M, <= max_hops + 1) int64
     pair: np.ndarray  # (M,) int64
@@ -186,8 +186,12 @@ def apply_control(table: ForwardingTable, batch: ControlBatch) -> ForwardingTabl
     ok = on_path.any(axis=1) & (nxt >= 0)
     table.protocol_errors += len(batch) - int(np.count_nonzero(ok))
     slot, pair, nxt = batch.target[ok], pair[ok], nxt[ok]
-    key = slot * n_pairs + pair
-    order = np.argsort(key, kind="stable")
-    last = order[np.diff(key[order], append=-1) != 0]
-    table.next_hop[slot[last], pair[last]] = nxt[last]
+    table.next_hop[slot, pair] = nxt
+    if (table.next_hop[slot, pair] != nxt).any():
+        # a (node, pair) repeats with different hops, and numpy leaves the
+        # order of repeated writes open: write each key's later row again
+        key = slot * n_pairs + pair
+        order = np.argsort(key, kind="stable")
+        last = order[np.diff(key[order], append=-1) != 0]
+        table.next_hop[slot[last], pair[last]] = nxt[last]
     return table

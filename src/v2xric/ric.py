@@ -211,24 +211,32 @@ def _widest_paths(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
 
 # --- the xApp tick ----------------------------------------------------------------
 
-def xapp_tick(state: RicState, t: float, cfg: XAppConfig,
-              pairs: np.ndarray) -> tuple[ControlBatch, XAppDiagnostics]:
+def xapp_tick(state: RicState, t: float, cfg: XAppConfig, pairs: np.ndarray,
+              installed: np.ndarray) -> tuple[ControlBatch, XAppDiagnostics]:
     """One controller pass over the served `pairs`, (P, 2) view slots: graph
     from fresh reports, widest path per pair from its smaller slot to its
-    larger, one message per non-destination node of every multi-hop path."""
+    larger, one message per non-destination node of every multi-hop path
+    whose row differs from the one the RAN holds. `installed` is that row per
+    pair, (P, max_hops + 1) view slots padded with -1, all -1 for a pair the
+    RAN holds no path of; an all -1 array sends every multi-hop path."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
     if ((pairs < 0) | (pairs >= len(state.codes))).any():
         raise ConfigurationError("pair names a node outside the controller's view")
     s, d = pairs.min(axis=1), pairs.max(axis=1)
     if (s == d).any():
         raise ConfigurationError("pair endpoints must differ")
+    if np.shape(installed) != (len(pairs), cfg.max_hops + 1):
+        raise ConfigurationError(f"installed paths must be (pairs, max_hops + 1) = "
+                                 f"{(len(pairs), cfg.max_hops + 1)}: {np.shape(installed)}")
     snr = build_graph(state, t, cfg.snr_min_db)
     bottleneck, hops, rows, direct = _widest_paths(snr, s, d, cfg.max_hops)
     served = hops > 0
-    relayed = np.nonzero(hops >= 2)[0]
-    paths = rows[relayed]
-    path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[relayed, None])
-    batch = ControlBatch(paths=paths, pair=relayed, target=paths[path_row, col],
+    padded = np.full(np.shape(installed), -1, dtype=np.int64)
+    padded[:, : rows.shape[1]] = rows
+    changed = np.flatnonzero((hops >= 2) & (padded != installed).any(axis=1))
+    paths = rows[changed]
+    path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[changed, None])
+    batch = ControlBatch(paths=paths, pair=changed, target=paths[path_row, col],
                          path_row=path_row)
 
     edge = snr > -np.inf

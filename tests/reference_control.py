@@ -1,16 +1,46 @@
-"""Scalar reference for the control plane: per-node forwarding dicts.
+"""Scalar reference for the control plane: per-node forwarding dicts, and
+the full control fan-out.
 
 Used by the RAN and engine tests as an oracle for the batched
 `ran.apply_control` and the array audit walk: one message object per
 forwarding hop, one dict of next hops per node, and a hop-by-hop walk per
-path, written with none of the production code's [slot, pair] arrays.
+path, written with none of the production code's [slot, pair] arrays. The
+full fan-out resends every multi-hop path on every tick, the oracle for the
+controller's batches of changed paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from v2xric import NodeId
+import numpy as np
+
+from v2xric import ControlBatch, NodeId
+
+
+def nothing_installed(n_pairs: int, max_hops: int) -> np.ndarray:
+    """The `installed` argument of `xapp_tick` for a RAN that holds no path:
+    every pair's row all -1, so the tick sends every multi-hop path."""
+    return np.full((n_pairs, max_hops + 1), -1, dtype=np.int64)
+
+
+def full_fan_out(diag) -> ControlBatch:
+    """One tick's control batch when every multi-hop path is sent whatever
+    the RAN holds: per relayed pair of the diagnostics `diag`, in pair order,
+    its path row and one message per node before the destination."""
+    paths, pair, target, path_row = [], [], [], []
+    for k, hops in enumerate(diag.hops.tolist()):
+        if hops < 2:
+            continue
+        for node in diag.paths[k, :hops].tolist():
+            target.append(node)
+            path_row.append(len(paths))
+        paths.append(diag.paths[k])
+        pair.append(k)
+    return ControlBatch(
+        paths=np.array(paths, dtype=np.int64).reshape(len(paths), diag.paths.shape[1]),
+        pair=np.array(pair, dtype=np.int64), target=np.array(target, dtype=np.int64),
+        path_row=np.array(path_row, dtype=np.int64))
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,12 +11,15 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
+import reference_control
 from reference_paths import random_connectivity_graph, reference_widest_path
 from slot_adapter import graph_nodes, widest_path
+from v2xric import AuditSummary, ForwardingTable, ran, ric
 from v2xric.channel import pathloss_los, pathloss_nlos
 from v2xric.cli import main as cli_main
-from v2xric.engine import (SimConfig, SweepSpec, run, run_with_audit, sweep_blockage,
+from v2xric.engine import (SimConfig, SweepSpec, _audit, run, run_with_audit, sweep_blockage,
                            time_average)
 
 
@@ -25,6 +28,7 @@ def _verdict(name, ok, details):
     return ok
 
 
+@pytest.mark.slow
 def test_baseline_gap():
     """Relay assignment should at least double direct-only connectivity while
     the direct baseline stays low, for thresholds of 10 dB and up."""
@@ -70,6 +74,7 @@ def test_threshold_monotonicity():
     assert _verdict("threshold-monotonicity", ok, details), details
 
 
+@pytest.mark.slow
 def test_blockage_monotonicity():
     """Connectivity must fall (within one standard error) as the random
     blockage probability rises, and certain blockage must give exactly zero."""
@@ -151,6 +156,7 @@ def test_pathloss_reference():
     assert _verdict("pathloss-reference", ok, details), details
 
 
+@pytest.mark.slow
 def test_relay_dominance():
     """At every control tick of every seeded run, relay-enabled connectivity
     must be at least the direct-only value -- the hop budget includes 1."""
@@ -195,11 +201,10 @@ def test_determinism(tmp_path):
     assert _verdict("determinism", ok, details), details
 
 
-def test_forwarding_soundness():
-    """Every path the controller installs must be walkable hop by hop from
-    source to destination in exactly its advertised hop count."""
+def _forwarding_variants():
+    """The forwarding-soundness scenarios: (name, config)."""
     base = SimConfig(duration_s=10.0, warmup_s=0.0, seed=2)
-    variants = [
+    return [
         ("defaults", base),
         ("random-blockage", replace(base, seed=3,
                                     channel=replace(base.channel, p_b=0.3))),
@@ -212,10 +217,15 @@ def test_forwarding_soundness():
         ("tight-budget", replace(base, seed=7,
                                  xapp=replace(base.xapp, snr_min_db=15.0, max_hops=2))),
     ]
+
+
+def test_forwarding_soundness():
+    """Every path the controller installs must be walkable hop by hop from
+    source to destination in exactly its advertised hop count."""
     ok = True
     total = 0
     parts = []
-    for name, cfg in variants:
+    for name, cfg in _forwarding_variants():
         _, audit = run_with_audit(cfg)
         total += audit.paths_checked
         good = audit.paths_ok == audit.paths_checked and audit.protocol_errors == 0
@@ -225,3 +235,64 @@ def test_forwarding_soundness():
     ok = ok and total > 100
     details = f"paths walked ok per scenario: {'; '.join(parts)}; total={total}"
     assert _verdict("forwarding-soundness", ok, details), details
+
+
+def _padded(row, width):
+    """A path row, -1 padded to `width`, as a tuple."""
+    return tuple(row.tolist()) + (-1,) * (width - len(row))
+
+
+def test_delta_control_matches_full_fan_out(monkeypatch):
+    """Sending only the multi-hop paths that changed must leave the RAN with
+    the forwarding table that resending every path each tick leaves, after
+    every tick, and the same audit. On each forwarding-soundness scenario a
+    tick sends exactly the relayed pairs whose row differs from the tick
+    before's, and a pair that was direct or unserved then counts as
+    changed, even when its path is the one installed before."""
+    xapp, apply = ric.xapp_tick, ran.apply_control
+    ok = True
+    parts = []
+    resent_after_gap = kept = 0
+    for name, cfg in _forwarding_variants():
+        ticks, tables = [], []
+
+        def tick_spy(*args):
+            ticks.append(xapp(*args))
+            return ticks[-1]
+
+        def apply_spy(table, batch):
+            apply(table, batch)
+            tables.append(table.next_hop.copy())
+            return table
+
+        monkeypatch.setattr(ric, "xapp_tick", tick_spy)
+        monkeypatch.setattr(ran, "apply_control", apply_spy)
+        _, audit = run_with_audit(cfg)
+        width = cfg.xapp.max_hops + 1
+        oracle = ForwardingTable.empty(*tables[0].shape)
+        want = AuditSummary()
+        held = {}  # pair -> the row the RAN holds, for pairs relayed on the tick before
+        last = {}  # pair -> its row on the last tick that relayed it
+        same_tables = same_sent = True
+        for (batch, diag), got in zip(ticks, tables):
+            full = reference_control.full_fan_out(diag)
+            apply(oracle, full)
+            want.messages_total += len(full)
+            _audit(oracle, full.paths, full.pair, want)
+            same_tables &= np.array_equal(got, oracle.next_hop)
+            rows = {k: _padded(row, width) for k, row in zip(full.pair.tolist(), full.paths)}
+            changed = [k for k, row in rows.items() if held.get(k) != row]
+            same_sent &= batch.pair.tolist() == changed
+            # sent again although the path is the one installed before the gap
+            resent_after_gap += sum(k not in held and last.get(k) == rows[k] for k in changed)
+            kept += len(rows) - len(changed)
+            held = rows
+            last.update(rows)
+        want.protocol_errors = oracle.protocol_errors
+        good = same_tables and same_sent and audit == want
+        ok = ok and good
+        parts.append(f"{name} {len(ticks)} ticks {'ok' if good else 'MISMATCH'}")
+    ok = ok and resent_after_gap > 0 and kept > 0
+    details = (f"tables, sent pairs and audit equal the full fan-out's: {'; '.join(parts)}; "
+               f"{kept} paths kept, {resent_after_gap} resent after a direct or unserved tick")
+    assert _verdict("delta-control", ok, details), details

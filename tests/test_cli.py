@@ -317,6 +317,20 @@ def test_lane_overflow_of_any_replication_exits_2_before_the_pool(tmp_path, caps
     assert not out.exists()
 
 
+def test_too_few_vehicles_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    """At 1 veh/km seed 5 spawns no vehicle: the sweep refuses the
+    replication while it validates, before any job reaches `_execute`."""
+    calls = []
+    monkeypatch.setattr(engine, "_execute", lambda jobs, workers: calls.append(jobs))
+    out = tmp_path / "out"
+    assert main(["sweep-snr", "--out", str(out), "--snr-min", "5", "--density", "1",
+                 "--seed", "5", "--replications", "1", "--duration", "0.3",
+                 "--warmup", "0"]) == 2
+    assert "need at least 2 vehicles" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("duration,warmup", [("0.04", "0"), ("0.15", "0.12"), ("0.2", "0.15")])
 def test_run_without_a_scored_tick_exits_2_before_running(tmp_path, capsys, monkeypatch,
                                                           duration, warmup):

@@ -15,6 +15,7 @@ import pytest
 
 import reference_schedule
 import v2xric
+from reference_control import nothing_installed
 from reference_mobility import VehicleState, fleet_of
 from slot_adapter import pair_slots
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingTable,
@@ -75,9 +76,9 @@ def spy_schedule(monkeypatch):
         events.append(("ingest", batch.t))
         return ingest(state, batch)
 
-    def tick_spy(state, t, cfg, pairs):
+    def tick_spy(state, t, cfg, pairs, installed):
         events.append(("tick", t))
-        return tick(state, t, cfg, pairs)
+        return tick(state, t, cfg, pairs, installed)
 
     monkeypatch.setattr(engine, "_collect_reports", collect_spy)
     monkeypatch.setattr(ric, "ingest", ingest_spy)
@@ -158,7 +159,7 @@ def connectivity(snr_min_db, max_hops, metric_mode="pairwise"):
     state = path_state()
     pairs = pair_slots(state.codes, all_pairs())
     cfg = XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops)
-    _, diag = xapp_tick(state, 0.0, cfg, pairs)
+    _, diag = xapp_tick(state, 0.0, cfg, pairs, nothing_installed(len(pairs), max_hops))
     return _connectivity(pairs, diag.served, metric_mode)
 
 
@@ -323,7 +324,8 @@ def test_audit_counts_broken_forwarding():
     chain 0-1-2-3 serves (0, 3) over three hops and (0, 2) over two."""
     state = path_state()
     pairs = pair_slots(state.codes, [(cav(0), cav(3)), (cav(0), cav(2))])
-    batch, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), pairs)
+    batch, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), pairs,
+                            nothing_installed(2, 4))
     assert diag.hops.tolist() == [3, 2]
 
     def audited(corrupt):
@@ -331,7 +333,7 @@ def test_audit_counts_broken_forwarding():
         apply_control(table, batch)
         corrupt(table)
         audit = AuditSummary()
-        _audit(table, batch, audit)
+        _audit(table, diag.paths, np.arange(2), audit)
         assert audit.paths_checked == 2
         return audit.paths_failed
 
@@ -351,6 +353,41 @@ def test_audit_counts_broken_forwarding():
     assert audited(drop) == 1
     assert audited(loop) == 1
     assert audited(through_destination) == 1
+
+
+def test_audit_checks_entries_kept_from_an_earlier_tick(monkeypatch):
+    """The audit walks every multi-hop path of a tick, not only the ones the
+    tick sent: the entry of a pair relayed over the same path on two ticks,
+    corrupted between them, gets no message on the second and fails exactly
+    that path. The first tick has no reports yet; the second and third do."""
+    cfg = quick_cfg(duration_s=0.3)
+    clean = run_with_audit(cfg)[1]
+    ticks, corrupted = [], []
+    xapp, apply = ric.xapp_tick, ran.apply_control
+
+    def tick_spy(*args):
+        ticks.append(xapp(*args))
+        return ticks[-1]
+
+    def apply_spy(table, batch):
+        if len(ticks) == 3:
+            (_, before), (_, now) = ticks[1:]
+            kept = [k for k in np.flatnonzero((before.hops >= 2) & (now.hops >= 2)).tolist()
+                    if now.paths[k][now.paths[k] >= 0].tolist()
+                    == before.paths[k][before.paths[k] >= 0].tolist()]
+            k = kept[0]
+            assert k not in batch.pair.tolist()
+            table.next_hop[now.paths[k, 0], k] = -1
+            corrupted.append(k)
+        return apply(table, batch)
+
+    monkeypatch.setattr(ric, "xapp_tick", tick_spy)
+    monkeypatch.setattr(ran, "apply_control", apply_spy)
+    _, audit = run_with_audit(cfg)
+    assert len(corrupted) == 1 and clean.paths_failed == 0
+    assert (audit.messages_total, audit.paths_checked) == (clean.messages_total,
+                                                           clean.paths_checked)
+    assert audit.paths_failed == 1
 
 
 def test_runs_never_import_numpy_ma():
@@ -598,8 +635,8 @@ def test_explicit_staleness_window_empties_the_graph_between_reports(monkeypatch
     edges = []
     original = ric.xapp_tick
 
-    def spy(state, t, cfg, pairs):
-        batch, diag = original(state, t, cfg, pairs)
+    def spy(state, t, cfg, pairs, installed):
+        batch, diag = original(state, t, cfg, pairs, installed)
         edges.append((state.staleness_window_s, t, diag.graph_edges))
         return batch, diag
 

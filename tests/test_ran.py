@@ -455,6 +455,24 @@ def test_later_control_replaces_route():
     assert route(table, 0, 0) == 3
 
 
+@pytest.mark.parametrize("order, want", [([0, 1], 3), ([1, 0], 5)])
+def test_later_row_of_one_batch_wins(order, want):
+    """Two path rows of one batch install slot 0's hop of pair 0: the message
+    that comes later in the batch sets the route, and each path's other hop
+    installs as usual."""
+    targets = np.array([0, 0, 5, 3])
+    rows = np.array([0, 1, 0, 1])
+    first = [k for k in range(4) if rows[k] == order[0]]
+    second = [k for k in range(4) if rows[k] == order[1]]
+    batch = ControlBatch(paths=np.array([(0, 5, 9), (0, 3, 9)]), pair=np.array([0, 0]),
+                         target=targets[first + second], path_row=rows[first + second])
+    table = table_of()
+    apply_control(table, batch)
+    assert table.protocol_errors == 0
+    assert route(table, 0, 0) == want
+    assert (route(table, 5, 0), route(table, 3, 0)) == (9, 9)
+
+
 def test_routes_for_different_purposes_coexist():
     table = table_of()
     apply_control(table, relay_batch(5, nodes=(0, 5, 9), pair=0))
@@ -551,7 +569,8 @@ def test_batched_control_matches_reference():
                 want = [states[n].route_for(k) for n in nodes]
                 assert got == [-1 if w is None else w.code for w in want]
             summary = AuditSummary()
-            _audit(table, control_slots(batch, codes), summary)
+            slots = control_slots(batch, codes)
+            _audit(table, slots.paths, slots.pair, summary)
             checked, ok = reference_control.audit_paths(states, assignments)
             assert (summary.paths_checked, summary.paths_ok) == (checked, ok)
             audit_failures += checked - ok

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference_reports
+from reference_control import nothing_installed
 from reference_graph import reference_graph
 from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
 from slot_adapter import (Path, codes_of, edge_snr, graph_nodes, has_edge, indication_slots,
@@ -76,8 +77,10 @@ def graph_members(state, snr):
 
 
 def tick(state, t, cfg, pairs=()):
-    """xapp_tick for (NodeId, NodeId) pairs, which the view's slots name."""
-    return xapp_tick(state, t, cfg, pair_slots(state.codes, pairs))
+    """xapp_tick for (NodeId, NodeId) pairs, which the view's slots name, to
+    a RAN that holds no path."""
+    return xapp_tick(state, t, cfg, pair_slots(state.codes, pairs),
+                     nothing_installed(len(pairs), cfg.max_hops))
 
 
 def assigned(diag, k, codes):
@@ -377,7 +380,7 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
     assert NodeId(NodeKind.CAV, 0) == cav(0) and len(built) == 2  # the spy is live
     built.clear()
     ingest(state, reports)
-    batch, diag = xapp_tick(state, 0.0, cfg, pairs)
+    batch, diag = xapp_tick(state, 0.0, cfg, pairs, nothing_installed(len(pairs), cfg.max_hops))
     assert np.count_nonzero(diag.served & ~diag.direct) > 0 and len(batch) > 0
     assert built == []
 
@@ -599,14 +602,83 @@ def test_xapp_tick_rejects_bad_pairs_before_building_the_graph(pairs, monkeypatc
     state = fresh_triangle()
     monkeypatch.setattr(ric, "build_graph", lambda *args: pytest.fail("graph built"))
     with pytest.raises(ConfigurationError):
-        xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array(pairs))
+        xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array(pairs),
+                  nothing_installed(len(pairs), 4))
 
 
 def test_pairs_run_from_the_smaller_slot():
     state = fresh_triangle()
     a, b = slots(state, cav(0), cav(9))
-    forward, _ = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array([(a, b)]))
-    backward, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array([(b, a)]))
+    cfg, installed = XAppConfig(snr_min_db=5.0), nothing_installed(1, 4)
+    forward, _ = xapp_tick(state, 0.0, cfg, np.array([(a, b)]), installed)
+    backward, diag = xapp_tick(state, 0.0, cfg, np.array([(b, a)]), installed)
     assert backward.paths.tolist() == forward.paths.tolist()
     assert backward.target.tolist() == slots(state, cav(0), cav(5))
     assert assigned(diag, 0, state.codes).nodes == (cav(0), cav(5), cav(9))
+
+
+def installed_rows(diag, max_hops):
+    """The `installed` argument after a tick: each multi-hop pair's path row
+    padded to max_hops + 1, all -1 for every other pair."""
+    installed = nothing_installed(len(diag.hops), max_hops)
+    relayed = diag.hops >= 2
+    installed[relayed, : diag.paths.shape[1]] = diag.paths[relayed]
+    return installed
+
+
+def test_unchanged_path_gets_no_message():
+    """Over the triangle and a second relayed pair, a tick after the RAN
+    installed both paths sends nothing; moving one pair's relay resends that
+    pair's hops alone."""
+    state = fresh_triangle()
+    ingest(state, instant(0.0, (cav(1), [(cav(6), 9.0)]),
+                          (cav(6), [(cav(1), 9.0), (cav(8), 9.0)]), (cav(8), [(cav(6), 9.0)])))
+    cfg = XAppConfig(snr_min_db=5.0)
+    pairs = pair_slots(state.codes, [(cav(0), cav(9)), (cav(1), cav(8))])
+    first, diag = xapp_tick(state, 0.0, cfg, pairs, nothing_installed(2, cfg.max_hops))
+    assert first.pair.tolist() == [0, 1] and len(first) == 4
+    again, same = xapp_tick(state, 0.0, cfg, pairs, installed_rows(diag, cfg.max_hops))
+    assert len(again) == 0 and again.pair.tolist() == [] and again.paths.shape[0] == 0
+    assert same.paths.tolist() == diag.paths.tolist()
+    # cav(9) now reaches cav(0) better through cav(3)
+    ingest(state, instant(0.1, (cav(0), [(cav(3), 12.0)]), (cav(3), [(cav(0), 12.0), (cav(9), 12.0)]),
+                          (cav(9), [(cav(3), 12.0)])))
+    moved, now = xapp_tick(state, 0.1, cfg, pairs, installed_rows(diag, cfg.max_hops))
+    assert moved.pair.tolist() == [0]
+    assert moved.target.tolist() == slots(state, cav(0), cav(3))
+    assert assigned(now, 0, state.codes).nodes == (cav(0), cav(3), cav(9))
+
+
+@pytest.mark.parametrize("gap", ["direct", "unserved"])
+def test_pair_relayed_again_after_a_gap_gets_its_hops_resent(gap):
+    """A tick on which the pair went direct or unserved leaves its installed
+    row all -1, so the same relayed path on the next tick is sent in full."""
+    state = fresh_triangle()
+    cfg = XAppConfig(snr_min_db=5.0)
+    pairs = pair_slots(state.codes, [(cav(0), cav(9))])
+    batch, diag = xapp_tick(state, 0.0, cfg, pairs, nothing_installed(1, cfg.max_hops))
+    if gap == "direct":
+        ingest(state, instant(0.1, (cav(0), [(cav(5), 9.0), (cav(9), 10.0)]),
+                              (cav(9), [(cav(5), 7.0), (cav(0), 10.0)])))
+        between, mid = xapp_tick(state, 0.1, cfg, pairs, installed_rows(diag, cfg.max_hops))
+        assert mid.direct.tolist() == [True]
+    else:
+        between, mid = xapp_tick(state, 1.0, cfg, pairs, installed_rows(diag, cfg.max_hops))
+        assert mid.served.tolist() == [False]
+    assert len(between) == 0
+    installed = installed_rows(mid, cfg.max_hops)
+    assert (installed == -1).all()
+    state = fresh_triangle()
+    resent, again = xapp_tick(state, 0.0, cfg, pairs, installed)
+    assert again.paths.tolist() == diag.paths.tolist()
+    assert resent.target.tolist() == batch.target.tolist() == slots(state, cav(0), cav(5))
+    assert resent.paths.tolist() == batch.paths.tolist()
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (1, 6), (2, 5), (5,)])
+def test_xapp_tick_rejects_installed_rows_of_the_wrong_shape(shape):
+    state = fresh_triangle()
+    a, b = slots(state, cav(0), cav(9))
+    with pytest.raises(ConfigurationError, match="installed paths"):
+        xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array([(a, b)]),
+                  np.full(shape, -1))
