@@ -126,7 +126,9 @@ class SimConfig:
             if not math.isfinite(value / self.dt_s):
                 raise ConfigurationError(
                     f"{name} / dt_s must be a finite number of steps: {value} / {self.dt_s}")
-        if not self._scores_a_tick():
+        every = self.steps(self.control_period_s)  # the last control tick must be scored
+        if not _after_warmup(round((self.n_steps() - 1) // every * every * self.dt_s, 9),
+                             self.warmup_s):
             raise ConfigurationError(
                 f"no control tick at or after warmup_s={self.warmup_s} within "
                 f"duration_s={self.duration_s}: the run would score nothing")
@@ -144,20 +146,20 @@ class SimConfig:
         """Steps of the run: `duration_s / dt_s`."""
         return self.steps(self.duration_s)
 
-    def _scores_a_tick(self) -> bool:
-        """True when the run's last control tick falls at or after the warm-up,
-        so `time_average` keeps at least one record."""
-        every = self.steps(self.control_period_s)
-        last = (self.n_steps() - 1) // every * every
-        return round(last * self.dt_s, 9) >= self.warmup_s - 1e-9
-
     def resolved_reporting_period(self) -> float:
         return self.control_period_s if self.reporting_period_s is None else self.reporting_period_s
 
-    def resolved_staleness_window(self) -> float:
-        if self.staleness_window_s is not None:
-            return self.staleness_window_s
-        return self.resolved_reporting_period() + self.control_delay_s + self.dt_s
+    def staleness_steps(self) -> int:
+        """K, the staleness window in whole steps: the largest k <= n_steps() with
+        round(k * dt_s, 9) <= window + 1e-9, the float rule at step 0. The window
+        defaults to one reporting cycle plus the control delay and one step."""
+        window = self.staleness_window_s
+        if window is None:
+            window = self.resolved_reporting_period() + self.control_delay_s + self.dt_s
+        n, k = self.n_steps(), max(0, min(math.floor(window / self.dt_s) - 1, self.n_steps()))
+        while k < n and round((k + 1) * self.dt_s, 9) <= window + 1e-9:
+            k += 1  # from a step below window / dt_s, which the rule admits
+        return k
 
 
 @dataclass(slots=True)
@@ -224,12 +226,6 @@ class SweepSpec:
                                      f"{self.replications - 1} must stay below 2^63")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1: {self.workers}")
-        # each replication's world as its runs build it, so a lane drawn past
-        # capacity, a node count past the index bound or a fleet too small to
-        # pair is refused before any run
-        layout = self.base.world.layout()
-        for rep in range(self.replications):
-            _vehicle_slots(_world(replace(self.base, seed=self.base.seed + rep), layout))
         return self
 
 
@@ -306,11 +302,11 @@ def _connectivity(pairs: np.ndarray, served: np.ndarray, metric_mode: str) -> fl
 
 # --- the run loop -------------------------------------------------------------------
 
-def _collect_reports(world: ran.World, cfg: SimConfig, t: float) -> ran.IndicationBatch:
-    """Sense every in-range pair once and report both directions of each link
-    from every reporting endpoint (only the infrastructure when
-    `cav_terminations` is off), all in one batch that names each node by its
-    view slot, the link table's endpoint index.
+def _collect_reports(world: ran.World, cfg: SimConfig, step: int) -> ran.IndicationBatch:
+    """Sense every in-range pair at `step` and report both directions of each
+    link from every reporting endpoint (only the RSUs when `cav_terminations`
+    is off), all in one batch that names each node by its view slot, the link
+    table's endpoint index. The outage draws key on the step's time in s.
 
     The xApp's threshold floors the link table, so a link that can never
     become an edge is never measured in full. Every link at or above the
@@ -318,14 +314,14 @@ def _collect_reports(world: ran.World, cfg: SimConfig, t: float) -> ran.Indicati
     keeps it with its unfloored SNR, and under the report cap it is
     outranked only by links that are also at or above the threshold."""
     tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
-                             t, cfg.seed, max_range=cfg.sensing_range_m,
+                             round(step * cfg.dt_s, 9), cfg.seed, max_range=cfg.sensing_range_m,
                              min_snr_db=cfg.xapp.snr_min_db)
     reporting = cfg.cav_terminations | (ran.kinds(world.codes) != ran.NodeKind.CAV)
     src = np.concatenate((tab.i, tab.j))
     dst = np.concatenate((tab.j, tab.i))
     snr = np.concatenate((tab.snr_db, tab.snr_db))
     sent = reporting[src]
-    return ran.emit_indication(np.flatnonzero(reporting), src[sent], dst[sent], snr[sent], t,
+    return ran.emit_indication(np.flatnonzero(reporting), src[sent], dst[sent], snr[sent], step,
                                cfg.measured_neighbors)
 
 
@@ -370,7 +366,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     # a report arrives whole steps after it is taken, a part step rounding up
     delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
 
-    ric_state = ric.RicState(world.codes, staleness_window_s=cfg.resolved_staleness_window())
+    ric_state = ric.RicState(world.codes, staleness_steps=cfg.staleness_steps())
     table = ran.ForwardingTable.empty(len(world.codes), len(pairs))
     # the path row the RAN holds per pair: last tick's multi-hop rows, -1 elsewhere
     installed = np.full((len(pairs), cfg.xapp.max_hops + 1), -1, dtype=np.int64)
@@ -379,13 +375,12 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     audit = AuditSummary()
 
     for step in range(cfg.n_steps()):
-        t = round(step * cfg.dt_s, 9)
         if step % report_every == 0:
-            in_flight.append((step + delay_steps, _collect_reports(world, cfg, t)))
+            in_flight.append((step + delay_steps, _collect_reports(world, cfg, step)))
         if step % control_every == 0:
             while in_flight and in_flight[0][0] <= step:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
-            batch, diag = ric.xapp_tick(ric_state, t, cfg.xapp, pairs, installed)
+            batch, diag = ric.xapp_tick(ric_state, step, cfg.xapp, pairs, installed)
             ran.apply_control(table, batch)
             relayed = np.flatnonzero(diag.hops >= 2)
             paths = diag.paths[relayed]
@@ -395,7 +390,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
             installed[relayed, : paths.shape[1]] = paths
             n_direct = int(np.count_nonzero(diag.direct))
             records.append(MetricsRecord(
-                t=t,
+                t=round(step * cfg.dt_s, 9),
                 gamma_min_db=cfg.xapp.snr_min_db,
                 p_b=cfg.channel.p_b,
                 connectivity=_connectivity(pairs, diag.served, cfg.metric_mode),
@@ -418,20 +413,19 @@ def run(cfg: SimConfig) -> list[MetricsRecord]:
 
 # --- aggregation and sweeps ----------------------------------------------------------
 
+def _after_warmup(t: float, warmup_s: float) -> bool:
+    """Whether a record at `t` seconds falls in the scored, post-warm-up window."""
+    return t >= warmup_s - 1e-9
+
+
 def time_average(records: list[MetricsRecord], warmup_s: float,
                  field_name: str = "connectivity") -> float:
     """Mean of one record field over the post-warm-up window."""
-    values = [getattr(r, field_name) for r in records if r.t >= warmup_s - 1e-9]
+    values = [getattr(r, field_name) for r in records if _after_warmup(r.t, warmup_s)]
     if not values:
         raise ConfigurationError(
             f"warm-up of {warmup_s} s leaves no records to average over")
     return float(np.mean(values))
-
-
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    if len(values) == 1:
-        return float(values[0]), 0.0
-    return float(np.mean(values)), float(np.std(values, ddof=1))
 
 
 def run_cell(cfg: SimConfig, replication: int = 0) -> RunOutput:
@@ -458,17 +452,23 @@ def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
     the same runs."""
     cfg = cells[0].cfg
     field_name = "connectivity" if mode == "relay" else "direct_connectivity"
-    mean, std = _mean_std([time_average(c.records, c.cfg.warmup_s, field_name) for c in cells])
+    values = [time_average(c.records, c.cfg.warmup_s, field_name) for c in cells]
+    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return SummaryRow(gamma_min_db=cfg.xapp.snr_min_db, p_b=cfg.channel.p_b, mode=mode,
-                      connectivity_mean=mean, connectivity_std=std, replications=len(cells))
+                      connectivity_mean=float(np.mean(values)), connectivity_std=std,
+                      replications=len(cells))
 
 
 def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
     """Run every (gamma_min, p_b, replication) cell, replication r at seed
     `base.seed + r`, and summarise each (gamma_min, p_b) once per mode."""
-    if spec.base.xapp.max_hops < 2:
-        raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
     base, reps = spec.base, spec.replications
+    # each replication's world as its runs build it, so a bad spawn fails up front
+    layout = base.world.layout()
+    for rep in range(reps):
+        _vehicle_slots(_world(replace(base, seed=base.seed + rep), layout))
+    if base.xapp.max_hops < 2:
+        raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
     runs = _execute([(replace(base, seed=base.seed + rep, channel=replace(base.channel, p_b=p),
                               xapp=replace(base.xapp, snr_min_db=g)), rep)
                      for g in sorted(spec.gamma_min_values) for p in p_bs

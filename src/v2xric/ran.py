@@ -1,7 +1,7 @@
 """RAN-side endpoints: node identities, measurement reports, forwarding control.
 
 Every radio node (roadside unit or vehicle) emits periodic indication reports
-toward the controller, all of one instant in one batch, and applies
+toward the controller, all taken at one step in one batch, and applies
 forwarding control messages. Nodes are identified by a totally ordered
 NodeId; all deterministic tie-breaking in the system leans on that order.
 Reports and control name a node by its view slot, its row among the run's
@@ -57,12 +57,12 @@ class NodeId(namedtuple("NodeId", "kind index")):
 
 @dataclass(frozen=True, slots=True)
 class IndicationBatch:
-    """Every report taken at one instant, as columns: the reporters' view
-    slots, then per measured link the reporter's slot, the neighbour's slot
-    and the link's SNR in dB. A node's view slot is its row in the ascending
-    `World.codes`. A reporter with no link still reports."""
+    """Every report taken at one step of the run, as columns: the reporters'
+    view slots, then per measured link the reporter's slot, the neighbour's
+    slot and the link's SNR in dB. A node's view slot is its row in the
+    ascending `World.codes`. A reporter with no link still reports."""
 
-    t: float
+    step: int
     reporters: np.ndarray  # (R,) int64
     source: np.ndarray  # (L,) int64
     neighbor: np.ndarray  # (L,) int64
@@ -144,9 +144,9 @@ def kinds(codes: np.ndarray) -> np.ndarray:
 
 
 def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndarray,
-                    snr_db: np.ndarray, t: float,
+                    snr_db: np.ndarray, step: int,
                     measured_neighbors: int | None) -> IndicationBatch:
-    """Build the reports of one report instant from the reporters' slots
+    """Build the reports taken at `step` from the reporters' slots
     and their measured links, each (source, neighbour) at most once. A
     reporter with more than `measured_neighbors` links keeps its strongest
     (ties broken by the smaller neighbour); None keeps every link. The
@@ -161,7 +161,7 @@ def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndar
         kept = np.zeros(len(order), dtype=bool)
         kept[order[rank < measured_neighbors]] = True
         source, neighbor, snr_db = source[kept], neighbor[kept], snr_db[kept]
-    return IndicationBatch(t=t, reporters=np.asarray(reporters, dtype=np.int64),
+    return IndicationBatch(step=step, reporters=np.asarray(reporters, dtype=np.int64),
                            source=source, neighbor=neighbor, snr_db=snr_db)
 
 

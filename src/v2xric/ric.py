@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .ran import ControlBatch, IndicationBatch, NodeKind, kinds
 
-_FRESH_EPS = 1e-9  # guards float tick arithmetic at the staleness boundary
-
 # Bytes of the min-array one relaxation chunk may materialise: k relays cost
 # k * (served destinations) * n ranks, and the last hop n ranks per pair.
 _SCRATCH_BYTES = 2**20
@@ -28,14 +26,15 @@ _SCRATCH_BYTES = 2**20
 @dataclass(slots=True)
 class RicState:
     """The controller's view, indexed by view slot, a node's row in the
-    ascending NodeId `codes`: when each node's held report was taken (-inf
-    before its first), and `measured[reporter, neighbour]`, each link's SNR in
-    the reporter's held report (+inf where that report lacks the link), plus
-    the freshness rule used to trust them. Slot order is code order, which
+    ascending NodeId `codes`: the step at which each node's held report was
+    taken (-1 before its first), and `measured[reporter, neighbour]`, each
+    link's SNR in the reporter's held report (+inf where that report lacks
+    the link), plus the freshness rule used to trust them: a report at most
+    `staleness_steps` steps old is fresh. Slot order is code order, which
     keeps the report cap's and the pathfinder's tie-breaks on NodeId order."""
 
     codes: np.ndarray
-    staleness_window_s: float = 0.25
+    staleness_steps: int = 2
     rejected_out_of_order: int = 0
     reported_at: np.ndarray = field(init=False)
     measured: np.ndarray = field(init=False)
@@ -44,7 +43,7 @@ class RicState:
         self.codes = np.asarray(self.codes, dtype=np.int64)
         if len(self.codes) == 0 or (np.diff(self.codes) <= 0).any():
             raise ConfigurationError("controller view needs ascending, distinct node codes")
-        self.reported_at = np.full(len(self.codes), -np.inf)
+        self.reported_at = np.full(len(self.codes), -1, dtype=np.int64)
         self.measured = np.full((len(self.codes), len(self.codes)), np.inf)
 
 
@@ -89,10 +88,10 @@ def ingest(state: RicState, batch: IndicationBatch) -> RicState:
     reporters, src, dst = batch.reporters, batch.source, batch.neighbor
     if any(col.min(initial=0) < 0 or col.max(initial=0) >= n for col in (reporters, src, dst)):
         raise ConfigurationError("report names a node outside the controller's view")
-    newer = batch.t >= state.reported_at[reporters]
+    newer = batch.step >= state.reported_at[reporters]
     state.rejected_out_of_order += len(newer) - int(np.count_nonzero(newer))
     rows = reporters[newer]
-    state.reported_at[rows] = batch.t
+    state.reported_at[rows] = batch.step
     state.measured[rows] = np.inf
     accepted = np.zeros(n, dtype=bool)
     accepted[rows] = True
@@ -101,15 +100,16 @@ def ingest(state: RicState, batch: IndicationBatch) -> RicState:
     return state
 
 
-def build_graph(state: RicState, t: float, snr_min_db: float) -> np.ndarray:
-    """Threshold the fresh reports into an undirected graph: the symmetric
-    matrix over view slots of edge SNRs in dB at or above `snr_min_db`, -inf
-    where there is no edge.
+def build_graph(state: RicState, step: int, snr_min_db: float) -> np.ndarray:
+    """Threshold the reports fresh at `step` into an undirected graph: the
+    symmetric matrix over view slots of edge SNRs in dB at or above
+    `snr_min_db`, -inf where there is no edge.
 
     Edge SNR is the minimum over the reported directions. A CAV-CAV edge needs
     both endpoints' own reports to be fresh; an edge with an infrastructure
-    endpoint (an RSU) stands on a single fresh measurement."""
-    fresh = t - state.reported_at <= state.staleness_window_s + _FRESH_EPS
+    endpoint (an RSU) stands on a single fresh measurement. A node that never
+    reported is never fresh."""
+    fresh = (state.reported_at >= 0) & (step - state.reported_at <= state.staleness_steps)
     measured = np.where(fresh[:, None], state.measured, np.inf)
     measured = np.minimum(measured, measured.T)
     infrastructure = kinds(state.codes) != NodeKind.CAV
@@ -211,7 +211,7 @@ def _widest_paths(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
 
 # --- the xApp tick ----------------------------------------------------------------
 
-def xapp_tick(state: RicState, t: float, cfg: XAppConfig, pairs: np.ndarray,
+def xapp_tick(state: RicState, step: int, cfg: XAppConfig, pairs: np.ndarray,
               installed: np.ndarray) -> tuple[ControlBatch, XAppDiagnostics]:
     """One controller pass over the served `pairs`, (P, 2) view slots: graph
     from fresh reports, widest path per pair from its smaller slot to its
@@ -228,7 +228,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig, pairs: np.ndarray,
     if np.shape(installed) != (len(pairs), cfg.max_hops + 1):
         raise ConfigurationError(f"installed paths must be (pairs, max_hops + 1) = "
                                  f"{(len(pairs), cfg.max_hops + 1)}: {np.shape(installed)}")
-    snr = build_graph(state, t, cfg.snr_min_db)
+    snr = build_graph(state, step, cfg.snr_min_db)
     bottleneck, hops, rows, direct = _widest_paths(snr, s, d, cfg.max_hops)
     served = hops > 0
     padded = np.full(np.shape(installed), -1, dtype=np.int64)
@@ -241,7 +241,7 @@ def xapp_tick(state: RicState, t: float, cfg: XAppConfig, pairs: np.ndarray,
 
     edge = snr > -np.inf
     diagnostics = XAppDiagnostics(
-        graph_nodes=int(np.count_nonzero(np.isfinite(state.reported_at) | edge.any(axis=1))),
+        graph_nodes=int(np.count_nonzero((state.reported_at >= 0) | edge.any(axis=1))),
         graph_edges=int(np.count_nonzero(np.triu(edge))),
         pairs_total=len(pairs),
         pairs_feasible=int(np.count_nonzero(served)),

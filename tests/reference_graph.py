@@ -11,7 +11,13 @@ from __future__ import annotations
 from reference_reports import RicState
 from v2xric import NodeId, NodeKind
 
-FRESH_EPS = 1e-9  # the controller's guard at the staleness boundary
+FRESH_EPS = 1e-9  # the float rule's guard at the staleness boundary
+
+
+def fresh(t: float, reported_t: float, window_s: float) -> bool:
+    """The freshness rule on float time: a report taken at `reported_t` s is
+    fresh at `t` s within a window of `window_s` s."""
+    return (t - reported_t) <= window_s + FRESH_EPS
 
 
 def reference_graph(state: RicState, t: float, snr_min_db: float
@@ -22,10 +28,10 @@ def reference_graph(state: RicState, t: float, snr_min_db: float
     both endpoints' reports fresh; an edge with an RSU endpoint stands on one
     fresh measurement. Nodes are every reporter plus every edge endpoint.
     """
-    fresh = {src for src, rep in state.latest_report.items()
-             if (t - rep.t) <= state.staleness_window_s + FRESH_EPS}
+    trusted = {src for src, rep in state.latest_report.items()
+               if fresh(t, rep.t, state.staleness_window_s)}
     measured: dict[tuple[NodeId, NodeId], float] = {}
-    for src in fresh:
+    for src in trusted:
         rep = state.latest_report[src]
         for code, snr in zip(rep.neighbors.tolist(), rep.snr_db.tolist()):
             rx = NodeId.from_code(code)
@@ -38,7 +44,7 @@ def reference_graph(state: RicState, t: float, snr_min_db: float
         if snr < snr_min_db:
             continue
         infrastructure = u.kind != NodeKind.CAV or v.kind != NodeKind.CAV
-        if infrastructure or (u in fresh and v in fresh):
+        if infrastructure or (u in trusted and v in trusted):
             edges[(u, v)] = snr
     nodes = set(state.latest_report)
     for u, v in edges:

@@ -61,13 +61,14 @@ def ingest(state: RicState, report: IndicationReport) -> RicState:
     return state
 
 
-def reports_of(batch) -> list[IndicationReport]:
-    """The batch split into one report per reporter, neighbours ascending."""
+def reports_of(batch, t: float) -> list[IndicationReport]:
+    """The batch split into one report per reporter, neighbours ascending, as
+    taken at instant t."""
     reports = []
     for code in batch.reporters.tolist():
         mine = np.nonzero(batch.source == code)[0]
         mine = mine[np.argsort(batch.neighbor[mine], kind="stable")]
-        reports.append(IndicationReport(source=NodeId.from_code(code), t=batch.t,
+        reports.append(IndicationReport(source=NodeId.from_code(code), t=t,
                                         neighbors=batch.neighbor[mine],
                                         snr_db=batch.snr_db[mine]))
     return reports

@@ -331,6 +331,23 @@ def test_too_few_vehicles_exits_2_before_running(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flags,worlds", [
+    ("run", [], 1),
+    ("sweep-snr", ["--snr-min", "5", "--replications", "2"], 4),
+])
+def test_each_world_is_built_once_per_check_and_once_per_run(tmp_path, monkeypatch, command,
+                                                             flags, worlds):
+    """`run` builds its world once, in the run. A sweep builds each
+    replication's world once before any run, then once per run."""
+    built = []
+    world = engine._world
+    monkeypatch.setattr(engine, "_world", lambda cfg, layout: built.append(cfg.seed)
+                        or world(cfg, layout))
+    assert main([command, "--out", str(tmp_path / "out"), "--duration", "0.3",
+                 "--warmup", "0"] + flags) == 0
+    assert len(built) == worlds
+
+
 @pytest.mark.parametrize("duration,warmup", [("0.04", "0"), ("0.15", "0.12"), ("0.2", "0.15")])
 def test_run_without_a_scored_tick_exits_2_before_running(tmp_path, capsys, monkeypatch,
                                                           duration, warmup):

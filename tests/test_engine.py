@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import reference_schedule
+from reference_graph import fresh
 import v2xric
 from reference_control import nothing_installed
 from reference_mobility import VehicleState, fleet_of
@@ -64,21 +66,26 @@ def test_different_seeds_diverge():
 
 def spy_schedule(monkeypatch):
     """Record the report, ingest and tick events of the runs that follow, in
-    the form `reference_schedule.schedule` predicts."""
-    events = []
+    the form `reference_schedule.schedule` predicts: each step as its time,
+    round(step * dt_s, 9), at the dt_s of the run's latest report."""
+    events, dt = [], []
     collect, ingest, tick = engine._collect_reports, ric.ingest, ric.xapp_tick
 
-    def collect_spy(world, cfg, t):
-        events.append(("report", t))
-        return collect(world, cfg, t)
+    def seconds(step):
+        return round(step * dt[-1], 9)
+
+    def collect_spy(world, cfg, step):
+        dt.append(cfg.dt_s)
+        events.append(("report", seconds(step)))
+        return collect(world, cfg, step)
 
     def ingest_spy(state, batch):
-        events.append(("ingest", batch.t))
+        events.append(("ingest", seconds(batch.step)))
         return ingest(state, batch)
 
-    def tick_spy(state, t, cfg, pairs, installed):
-        events.append(("tick", t))
-        return tick(state, t, cfg, pairs, installed)
+    def tick_spy(state, step, cfg, pairs, installed):
+        events.append(("tick", seconds(step)))
+        return tick(state, step, cfg, pairs, installed)
 
     monkeypatch.setattr(engine, "_collect_reports", collect_spy)
     monkeypatch.setattr(ric, "ingest", ingest_spy)
@@ -143,7 +150,7 @@ def path_state():
         (v, u, snr) for (u, v), snr in edges.items()]
     codes = np.array([cav(i).code for i in range(4)])
     return ingest(RicState(codes), IndicationBatch(
-        t=0.0, reporters=np.arange(4),
+        step=0, reporters=np.arange(4),
         source=np.array([u.index for u, _, _ in links], dtype=np.int64),
         neighbor=np.array([v.index for _, v, _ in links], dtype=np.int64),
         snr_db=np.array([snr for _, _, snr in links], dtype=np.float64)))
@@ -159,7 +166,7 @@ def connectivity(snr_min_db, max_hops, metric_mode="pairwise"):
     state = path_state()
     pairs = pair_slots(state.codes, all_pairs())
     cfg = XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops)
-    _, diag = xapp_tick(state, 0.0, cfg, pairs, nothing_installed(len(pairs), max_hops))
+    _, diag = xapp_tick(state, 0, cfg, pairs, nothing_installed(len(pairs), max_hops))
     return _connectivity(pairs, diag.served, metric_mode)
 
 
@@ -324,7 +331,7 @@ def test_audit_counts_broken_forwarding():
     chain 0-1-2-3 serves (0, 3) over three hops and (0, 2) over two."""
     state = path_state()
     pairs = pair_slots(state.codes, [(cav(0), cav(3)), (cav(0), cav(2))])
-    batch, diag = xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), pairs,
+    batch, diag = xapp_tick(state, 0, XAppConfig(snr_min_db=5.0), pairs,
                             nothing_installed(2, 4))
     assert diag.hops.tolist() == [3, 2]
 
@@ -527,15 +534,20 @@ def test_sweep_spec_validation(kwargs):
 
 
 def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
-    """Validation builds each replication's world as its run would, so a
-    world past the node-index bound (scaled down to 2^6 here) is refused
-    before any run. At 80 veh/km seeds 2, 3 and 4 spawn 58, 49 and 65
-    vehicles: two replications from seed 2 fit, the third does not."""
+    """The sweep builds each replication's world as its run would before it
+    hands any job to `_execute`, so a world past the node-index bound
+    (scaled down to 2^6 here) is refused before any run. At 80 veh/km seeds
+    2, 3 and 4 spawn 58, 49 and 65 vehicles: two replications from seed 2
+    fit, the third does not."""
     monkeypatch.setattr(ran, "_INDEX_BITS", 6)
+    jobs = []
+    monkeypatch.setattr(engine, "_execute", lambda cells, workers: jobs.append(cells) or [])
     base = replace(quick_cfg(), traffic=TrafficConfig(density_veh_km=80.0))
-    SweepSpec(base=base, gamma_min_values=(5.0,), replications=2).validate()
+    sweep_snr(SweepSpec(base=base, gamma_min_values=(5.0,), replications=2))
+    assert [len(cells) for cells in jobs] == [2]
     with pytest.raises(ConfigurationError, match=r"2\^6: 4 RSUs and 65 vehicles"):
-        SweepSpec(base=base, gamma_min_values=(5.0,), replications=3).validate()
+        sweep_snr(SweepSpec(base=base, gamma_min_values=(5.0,), replications=3))
+    assert len(jobs) == 1
 
 
 # --- configuration validation --------------------------------------------------------
@@ -628,16 +640,17 @@ def test_blockage_sweep_needs_p_b_values():
 
 
 def test_explicit_staleness_window_empties_the_graph_between_reports(monkeypatch):
-    """An explicit `staleness_window_s` is the controller's window: with one
-    report every 0.5 s, a 0.1 s window keeps the graph's edges while the held
-    report is at most 0.1 s old and leaves no edge at the ticks in between,
-    where the default window (one cycle plus slack) keeps them all."""
+    """An explicit `staleness_window_s` is the controller's window, in whole
+    steps: with one report every 0.5 s (5 steps), a 0.1 s window (1 step)
+    keeps the graph's edges while the held report is at most 0.1 s old and
+    leaves no edge at the ticks in between, where the default window (one
+    cycle plus slack, 0.6 s or 6 steps) keeps them all."""
     edges = []
     original = ric.xapp_tick
 
-    def spy(state, t, cfg, pairs, installed):
-        batch, diag = original(state, t, cfg, pairs, installed)
-        edges.append((state.staleness_window_s, t, diag.graph_edges))
+    def spy(state, step, cfg, pairs, installed):
+        batch, diag = original(state, step, cfg, pairs, installed)
+        edges.append((state.staleness_steps, step, diag.graph_edges))
         return batch, diag
 
     monkeypatch.setattr(ric, "xapp_tick", spy)
@@ -645,10 +658,102 @@ def test_explicit_staleness_window_empties_the_graph_between_reports(monkeypatch
     default = run(cfg)
     short = run(replace(cfg, staleness_window_s=0.1))
     assert len(edges) == 20
-    assert all(window == 0.6 and count > 0 for window, _, count in edges[:10])
-    fresh = [round(t % 0.5, 9) <= 0.1 for _, t, _ in edges[10:]]
+    assert all(window == 6 and count > 0 for window, _, count in edges[:10])
+    fresh = [step % 5 <= 1 for _, step, _ in edges[10:]]
     assert fresh == [True, True, False, False, False] * 2
     assert [count > 0 for _, _, count in edges[10:]] == fresh
-    assert all(window == 0.1 for window, _, _ in edges[10:])
+    assert all(window == 1 for window, _, _ in edges[10:])
     for was, now, ok in zip(default, short, fresh):
         assert now.connectivity == (was.connectivity if ok else 0.0)
+
+
+# --- the controller clock ------------------------------------------------------------
+# Freshness is `age <= K` in whole steps, K = `staleness_steps()`, taken once.
+# The float rule it replaced (`reference_graph.fresh`) compared times rounded
+# to 1e-9 s, so near a boundary its verdict could depend on the absolute step.
+
+
+GRID_DTS = (0.1, 0.05, 0.2, 0.3 / 3, 0.01, 0.001, 0.025, 0.125, 0.5,
+            1 / 30, 0.1 + 3e-10, 0.0123456789)  # the last three off the 1e-9 grid
+REPORT_STEPS = (*range(40), *range(10**5, 10**5 + 20), *range(10**6, 10**6 + 20))
+
+
+def grid_windows(dt):
+    """(kind, window) for whole steps k of dt: on the grid, off it, within
+    +-2e-9 of it, and the default of one reporting cycle plus delay and a step."""
+    for k in range(1, 9):
+        yield "on", k * dt
+        yield "on", round(k * dt, 9)
+        for part in (0.25, 0.5, 0.75):
+            yield "off", (k + part) * dt
+        for offset in (5e-10, 1e-9, 1.5e-9, 2e-9, 0.999e-9, 1.001e-9):
+            yield "near", k * dt + offset
+            yield "near", k * dt - offset
+    for reporting in (1, 2, 5):
+        for delay in (0.0, 0.01, dt, 0.07, 0.25):
+            yield "default", reporting * dt + delay + dt
+
+
+def near_boundary(dt, window):
+    """Whether some absolute step can flip the float rule at this window: a
+    step difference rounded to 1e-9 s is k * dt_s within float noise for a
+    dt_s on the 1e-9 grid, and within 1e-9 s of it off the grid, so the rule
+    reads k steps against window + 1e-9 at the edge of that error."""
+    error = 1e-10 + (0.0 if math.isclose(dt, round(dt, 9), rel_tol=1e-12) else 1e-9)
+    return any(abs(k * dt - 1e-9 - window) <= error for k in range(1, 20))
+
+
+def test_step_freshness_matches_the_float_rule_off_the_boundary():
+    """Over a dense grid of admitted (dt_s, window, age, absolute step), a
+    report `age` steps old is fresh under `age <= K` exactly when the float
+    rule says so, for every window outside the near-boundary class. Inside
+    it, K is the float rule at step 0, and the float rule flips with the
+    absolute step in some cases: the deliberate change."""
+    seen = Counter()
+    for dt in GRID_DTS:
+        for kind, window in grid_windows(dt):
+            cfg = SimConfig(duration_s=2e6 * dt, dt_s=dt, control_period_s=dt,
+                            staleness_window_s=window, warmup_s=0.0).validate()
+            k = cfg.staleness_steps()
+            ages = range(max(0, k - 2), k + 3)
+            assert [age <= k for age in ages] == [fresh(round(age * dt, 9), 0.0, window)
+                                                  for age in ages]
+            near = near_boundary(dt, window)
+            flips = sum((age <= k) != fresh(round((r + age) * dt, 9), round(r * dt, 9), window)
+                        for age in ages for r in REPORT_STEPS)
+            assert near or flips == 0, (dt, kind, window, k)
+            seen[kind, near] += 1
+            seen["flips"] += flips
+    assert seen["flips"] > 0 and min(seen[kind, False] for kind in ("on", "off", "near")) > 100
+    assert seen["on", True] > 20 and seen["near", True] > 100, seen
+
+
+def test_report_seven_steps_old_is_fresh_at_every_tick_under_a_window_just_below_seven_steps():
+    """dt_s = 0.1 and staleness_window_s = 0.699999999, both admitted: the
+    float rule keeps a 7-step-old report fresh when it was taken at step 0
+    or 100 but not at step 1 or 14. K is 7, the float rule at step 0, so
+    such a report is fresh at every tick and an 8-step-old one never is."""
+    window = 0.699999999
+    assert [fresh(round((r + 7) * 0.1, 9), round(r * 0.1, 9), window)
+            for r in (0, 1, 14, 100)] == [True, False, False, True]
+    cfg = SimConfig(staleness_window_s=window).validate()
+    assert cfg.staleness_steps() == 7
+    codes = np.array([cav(0).code, cav(1).code])
+    for taken in range(120):
+        state = ingest(RicState(codes, staleness_steps=cfg.staleness_steps()), IndicationBatch(
+            step=taken, reporters=np.arange(2), source=np.array([0, 1]),
+            neighbor=np.array([1, 0]), snr_db=np.array([10.0, 10.0])))
+        assert ric.build_graph(state, taken + 7, 5.0)[0, 1] == 10.0
+        assert ric.build_graph(state, taken + 8, 5.0)[0, 1] == -np.inf
+
+
+def test_a_node_that_never_reported_is_never_fresh():
+    """With K steps of window, a vehicle whose report has not arrived gains no
+    vehicle edge from its neighbour's report in the first K steps either."""
+    codes = np.array([cav(0).code, cav(1).code])
+    state = ingest(RicState(codes, staleness_steps=5), IndicationBatch(
+        step=0, reporters=np.arange(1), source=np.array([0]), neighbor=np.array([1]),
+        snr_db=np.array([10.0])))
+    assert state.reported_at.tolist() == [0, -1]
+    for step in range(7):
+        assert (ric.build_graph(state, step, 5.0) == -np.inf).all()

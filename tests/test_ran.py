@@ -143,8 +143,8 @@ def test_world_refuses_more_nodes_than_the_index_holds():
 
 
 def report_batch(world, sensing_range_m=300.0, **cfg):
-    """The engine's batch at t = 0, its view slots read back as NodeId codes."""
-    batch = _collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0.0)
+    """The engine's batch at step 0, its view slots read back as NodeId codes."""
+    batch = _collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0)
     for column in (batch.reporters, batch.source, batch.neighbor):
         assert column.dtype == np.int64 and ((column >= 0) & (column < len(world.codes))).all()
     return indication_codes(batch, world.codes)
@@ -152,7 +152,7 @@ def report_batch(world, sensing_range_m=300.0, **cfg):
 
 def reports_by_source(world, sensing_range_m=300.0, **cfg):
     """The batch split into per-node reports, neighbours ascending."""
-    return {r.source: r for r in reports_of(report_batch(world, sensing_range_m, **cfg))}
+    return {r.source: r for r in reports_of(report_batch(world, sensing_range_m, **cfg), 0.0)}
 
 
 def neighbors_of(report):
@@ -241,7 +241,7 @@ def test_floored_reports_equal_unfloored_reports_filtered():
     seen = Counter()
     measure = channel.link_table
     for world in floor_scenes(rng):
-        t = round(0.1 * int(rng.integers(50)), 9)
+        step = int(rng.integers(50))
         for p_b in (0.0, 0.3, 1.0):
             for cap in (None, 1, 3):
                 for cav_terminations in (True, False):
@@ -250,17 +250,17 @@ def test_floored_reports_equal_unfloored_reports_filtered():
                     with pytest.MonkeyPatch.context() as m:
                         m.setattr(channel, "link_table",
                                   lambda *args, min_snr_db, **kwargs: measure(*args, **kwargs))
-                        unfloored = _collect_reports(world, cfg, t)
+                        unfloored = _collect_reports(world, cfg, step)
                     finite = unfloored.snr_db[unfloored.snr_db > -300.0]
                     floors = [-300.0, float(rng.uniform(-5.0, 25.0))]
                     if len(finite):
                         floors.append(float(rng.choice(finite)))  # a floor on a reported SNR
                     for floor in floors:
                         cfg = replace(cfg, xapp=XAppConfig(snr_min_db=floor))
-                        floored = _collect_reports(world, cfg, t)
+                        floored = _collect_reports(world, cfg, step)
                         keep = unfloored.snr_db >= floor
                         kept = floored.snr_db >= floor
-                        assert floored.t == unfloored.t
+                        assert floored.step == unfloored.step
                         assert np.array_equal(floored.reporters, unfloored.reporters)
                         for column in ("source", "neighbor", "snr_db"):
                             assert np.array_equal(getattr(floored, column)[kept],
@@ -271,8 +271,8 @@ def test_floored_reports_equal_unfloored_reports_filtered():
                         states = [ingest(RicState(world.codes), batch)
                                   for batch in (floored, unfloored)]
                         for gamma in (floor, floor + 0.5, floor + 3.0, *floored.snr_db[kept][:5]):
-                            assert np.array_equal(build_graph(states[0], t, gamma),
-                                                  build_graph(states[1], t, gamma))
+                            assert np.array_equal(build_graph(states[0], step, gamma),
+                                                  build_graph(states[1], step, gamma))
                     by_link = Counter(zip(unfloored.source.tolist(), unfloored.snr_db.tolist()))
                     seen["ties"] += sum(k > 1 for k in by_link.values())
     assert all(seen[k] > 0 for k in ("dropped", "at_floor", "ties", "measured_below"))
@@ -299,9 +299,9 @@ def test_emit_indication_called_only_on_cadence(monkeypatch):
     # the engine gates reports on the cadence: no indication off it
     emitted_at = []
 
-    def spy(reporters, source, neighbor, snr_db, t, measured_neighbors):
-        emitted_at.append(t)
-        return emit_indication(reporters, source, neighbor, snr_db, t, measured_neighbors)
+    def spy(reporters, source, neighbor, snr_db, step, measured_neighbors):
+        emitted_at.append(round(step * 0.1, 9))  # the run's dt_s
+        return emit_indication(reporters, source, neighbor, snr_db, step, measured_neighbors)
 
     monkeypatch.setattr(ran, "emit_indication", spy)
     run(SimConfig(duration_s=1.2, warmup_s=0.0, seed=2, reporting_period_s=0.5))
@@ -313,7 +313,7 @@ def emit(links, cap=None, reporters=(cav(0),)):
     """links: (source, neighbour, snr_db), in the order the batch gets them."""
     return emit_indication([node.code for node in reporters],
                            [src.code for src, _, _ in links], [rx.code for _, rx, _ in links],
-                           [snr for _, _, snr in links], 0.3, cap)
+                           [snr for _, _, snr in links], 3, cap)
 
 
 def links_of(batch):
@@ -329,7 +329,7 @@ def test_emit_indication_caps_to_strongest_links():
     assert [rx for _, rx, _ in links_of(report)] == [cav(1), cav(2), cav(4)]
     assert report.snr_db.tolist() == [10.0, 8.0, 8.0]
     assert report.reporters.tolist() == [cav(0).code]
-    assert report.t == 0.3
+    assert report.step == 3
 
 
 def test_emit_indication_caps_each_reporter_on_its_own():

@@ -25,11 +25,19 @@ def rsu(i):
     return NodeId(NodeKind.RSU, i)
 
 
-def view(staleness_window_s=0.25, nodes=None):
+DT = 0.05  # seconds per step where the float-time oracles check the controller
+
+
+def seconds(step):
+    """A step as the float-time oracles take it: its time on the DT grid."""
+    return round(step * DT, 9)
+
+
+def view(staleness_steps=2, nodes=None):
     """An empty controller view over `nodes` (default: RSUs 0-3, CAVs 0-31)."""
     if nodes is None:
         nodes = [rsu(k) for k in range(4)] + [cav(k) for k in range(32)]
-    return RicState(sorted(node.code for node in nodes), staleness_window_s=staleness_window_s)
+    return RicState(sorted(node.code for node in nodes), staleness_steps=staleness_steps)
 
 
 def ingest(state, batch):
@@ -38,24 +46,24 @@ def ingest(state, batch):
     return ric.ingest(state, indication_slots(batch, state.codes))
 
 
-def instant(t, *reports):
-    """One report instant; reports are (source, [(rx, snr_db), ...])."""
+def instant(step, *reports):
+    """The reports taken at one step; reports are (source, [(rx, snr_db), ...])."""
     links = [(src.code, rx.code, snr) for src, mine in reports for rx, snr in mine]
-    return IndicationBatch(t=t, reporters=np.array([src.code for src, _ in reports], dtype=np.int64),
+    return IndicationBatch(step=step, reporters=np.array([src.code for src, _ in reports], dtype=np.int64),
                            source=np.array([s for s, _, _ in links], dtype=np.int64),
                            neighbor=np.array([r for _, r, _ in links], dtype=np.int64),
                            snr_db=np.array([v for _, _, v in links], dtype=np.float64))
 
 
-def report(src, t, links):
-    """One node's report alone in its instant; links: list of (rx, snr_db)."""
-    return instant(t, (src, links))
+def report(src, step, links):
+    """One node's report alone in its step; links: list of (rx, snr_db)."""
+    return instant(step, (src, links))
 
 
-def graph_reports(g, t=0.0):
-    """One instant in which every node of the graph g reports its edges."""
+def graph_reports(g, step=0):
+    """One step at which every node of the graph g reports its edges."""
     edges = edges_of(g)
-    return instant(t, *((node, [(v if u == node else u, snr) for (u, v), snr in edges.items()
+    return instant(step, *((node, [(v if u == node else u, snr) for (u, v), snr in edges.items()
                                 if node in (u, v)]) for node in graph_nodes(g.codes)))
 
 
@@ -65,21 +73,21 @@ def held_links(state, node):
     return [(NodeId.from_code(state.codes[k]), float(row[k])) for k in np.nonzero(row < np.inf)[0]]
 
 
-def held_t(state, node):
-    return float(state.reported_at[slots_of(state.codes, [node.code])[0]])
+def held_step(state, node):
+    return int(state.reported_at[slots_of(state.codes, [node.code])[0]])
 
 
 def graph_members(state, snr):
     """The nodes `XAppDiagnostics.graph_nodes` counts: every view slot that
     reported or holds an edge of the graph `snr`."""
-    held = np.isfinite(state.reported_at) | (snr > -np.inf).any(axis=1)
+    held = (state.reported_at >= 0) | (snr > -np.inf).any(axis=1)
     return tuple(map(NodeId.from_code, state.codes[held].tolist()))
 
 
-def tick(state, t, cfg, pairs=()):
+def tick(state, step, cfg, pairs=()):
     """xapp_tick for (NodeId, NodeId) pairs, which the view's slots name, to
     a RAN that holds no path."""
-    return xapp_tick(state, t, cfg, pair_slots(state.codes, pairs),
+    return xapp_tick(state, step, cfg, pair_slots(state.codes, pairs),
                      nothing_installed(len(pairs), cfg.max_hops))
 
 
@@ -93,17 +101,17 @@ def assigned(diag, k, codes):
 
 def test_ingest_keeps_newest_report():
     state = view()
-    ingest(state, report(cav(0), 0.2, [(cav(1), 10.0)]))
-    ingest(state, report(cav(0), 0.1, [(cav(1), 3.0)]))
-    assert held_t(state, cav(0)) == 0.2
+    ingest(state, report(cav(0), 2, [(cav(1), 10.0)]))
+    ingest(state, report(cav(0), 1, [(cav(1), 3.0)]))
+    assert held_step(state, cav(0)) == 2
     assert held_links(state, cav(0)) == [(cav(1), 10.0)]
     assert state.rejected_out_of_order == 1
 
 
 def test_ingest_same_instant_replaces():
     state = view()
-    ingest(state, report(cav(0), 0.2, [(cav(1), 10.0), (cav(2), 6.0)]))
-    ingest(state, report(cav(0), 0.2, [(cav(1), 4.0)]))
+    ingest(state, report(cav(0), 2, [(cav(1), 10.0), (cav(2), 6.0)]))
+    ingest(state, report(cav(0), 2, [(cav(1), 4.0)]))
     assert state.rejected_out_of_order == 0
     assert held_links(state, cav(0)) == [(cav(1), 4.0)]
 
@@ -111,12 +119,12 @@ def test_ingest_same_instant_replaces():
 def test_ingest_rejects_reporters_one_by_one():
     # one batch: cav(0) already holds a newer report, cav(1) does not
     state = view()
-    ingest(state, report(cav(0), 0.3, [(cav(2), 9.0)]))
-    ingest(state, instant(0.2, (cav(0), [(cav(2), 1.0)]), (cav(1), [(cav(2), 5.0)])))
+    ingest(state, report(cav(0), 3, [(cav(2), 9.0)]))
+    ingest(state, instant(2, (cav(0), [(cav(2), 1.0)]), (cav(1), [(cav(2), 5.0)])))
     assert state.rejected_out_of_order == 1
     assert held_links(state, cav(0)) == [(cav(2), 9.0)]
     assert held_links(state, cav(1)) == [(cav(2), 5.0)]
-    assert (held_t(state, cav(0)), held_t(state, cav(1))) == (0.3, 0.2)
+    assert (held_step(state, cav(0)), held_step(state, cav(1))) == (3, 2)
 
 
 def test_controller_view_needs_ascending_codes_and_known_nodes():
@@ -129,57 +137,57 @@ def test_controller_view_needs_ascending_codes_and_known_nodes():
 @pytest.mark.parametrize("outside", [-1, 2])
 def test_ingest_rejects_slots_outside_the_view(column, outside):
     # a two-node view holds slots 0 and 1 alone; numpy would wrap -1 silently
-    batch = IndicationBatch(t=0.0, reporters=np.array([0, 1]), source=np.array([0, 1]),
+    batch = IndicationBatch(step=0, reporters=np.array([0, 1]), source=np.array([0, 1]),
                             neighbor=np.array([1, 0]), snr_db=np.array([3.0, 4.0]))
     getattr(batch, column)[1] = outside
     state = view(nodes=[cav(0), cav(1)])
     with pytest.raises(ConfigurationError, match="outside the controller's view"):
         ric.ingest(state, batch)
-    assert (state.reported_at == -np.inf).all() and (state.measured == np.inf).all()
+    assert (state.reported_at == -1).all() and (state.measured == np.inf).all()
 
 
 # --- graph building --------------------------------------------------------------
 
 
 def test_vehicle_edge_needs_both_reports_fresh():
-    state = view(staleness_window_s=0.25)
-    ingest(state, report(cav(0), 0.0, [(cav(1), 10.0)]))
-    g = build_graph(state, 0.0, snr_min_db=5.0)
+    state = view(staleness_steps=2)
+    ingest(state, report(cav(0), 0, [(cav(1), 10.0)]))
+    g = build_graph(state, 0, snr_min_db=5.0)
     assert not has_edge(state.codes, g, cav(0), cav(1))  # cav(1) never reported
-    ingest(state, report(cav(1), 0.0, [(cav(0), 12.0)]))
-    g = build_graph(state, 0.0, snr_min_db=5.0)
+    ingest(state, report(cav(1), 0, [(cav(0), 12.0)]))
+    g = build_graph(state, 0, snr_min_db=5.0)
     assert has_edge(state.codes, g, cav(0), cav(1))
 
 
 def test_infrastructure_edge_stands_on_single_report():
-    state = view(staleness_window_s=0.25)
-    ingest(state, report(rsu(0), 0.0, [(cav(1), 15.0)]))
-    g = build_graph(state, 0.0, snr_min_db=5.0)
+    state = view(staleness_steps=2)
+    ingest(state, report(rsu(0), 0, [(cav(1), 15.0)]))
+    g = build_graph(state, 0, snr_min_db=5.0)
     assert has_edge(state.codes, g, rsu(0), cav(1))
 
 
 def test_stale_reports_drop_out_of_the_graph():
-    state = view(staleness_window_s=0.25)
-    ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
-    boundary = build_graph(state, 0.25, snr_min_db=5.0)
+    state = view(staleness_steps=2)
+    ingest(state, instant(0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
+    boundary = build_graph(state, 2, snr_min_db=5.0)
     assert has_edge(state.codes, boundary, cav(0), cav(1))
-    late = build_graph(state, 0.3, snr_min_db=5.0)
+    late = build_graph(state, 3, snr_min_db=5.0)
     assert not has_edge(state.codes, late, cav(0), cav(1))
     assert cav(0) in graph_members(state, late)  # reporters stay known even when stale
 
 
 def test_edge_snr_is_min_over_directions():
-    state = view(staleness_window_s=0.25)
-    ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 3.0)])))
-    assert not has_edge(state.codes, build_graph(state, 0.0, snr_min_db=5.0), cav(0), cav(1))
-    g = build_graph(state, 0.0, snr_min_db=2.0)
+    state = view(staleness_steps=2)
+    ingest(state, instant(0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 3.0)])))
+    assert not has_edge(state.codes, build_graph(state, 0, snr_min_db=5.0), cav(0), cav(1))
+    g = build_graph(state, 0, snr_min_db=2.0)
     assert edge_snr(state.codes, g, cav(0), cav(1)) == 3.0
 
 
 def test_adjacency_matrix_is_symmetric_with_minus_inf_holes():
-    state = view(staleness_window_s=0.25)
-    ingest(state, instant(0.0, (rsu(0), [(cav(1), 15.0)]), (cav(2), [])))
-    adj = build_graph(state, 0.0, snr_min_db=5.0)
+    state = view(staleness_steps=2)
+    ingest(state, instant(0, (rsu(0), [(cav(1), 15.0)]), (cav(2), [])))
+    adj = build_graph(state, 0, snr_min_db=5.0)
     assert graph_members(state, adj) == (rsu(0), cav(1), cav(2))
     assert type(adj) is np.ndarray  # the graph is the view's matrix
     assert adj.shape == (36, 36)
@@ -202,12 +210,12 @@ def random_nodes(rng, low=2, high=13):
     return sorted(nodes)
 
 
-def random_ric_state(rng, t=1.0, window_s=0.25):
-    """Seeded controller view, batched and per-node: mixed-kind nodes that
-    report fresh, report stale or never report; pairs measured from neither
-    side, one side, or both sides with equal or different SNRs; sometimes a
-    report cap, sometimes only infrastructure reporting. Nodes of one age
-    report in one batch."""
+def random_ric_state(rng, step=40, staleness_steps=5):
+    """Seeded controller view at `step`, batched and per-node (the oracle on
+    float time): mixed-kind nodes that report fresh, report stale or never
+    report; pairs measured from neither side, one side, or both sides with
+    equal or different SNRs; sometimes a report cap, sometimes only
+    infrastructure reporting. Nodes of one age report in one batch."""
     nodes = random_nodes(rng)
     n = len(nodes)
     infrastructure_only = bool(rng.random() < 0.2)
@@ -228,26 +236,26 @@ def random_ric_state(rng, t=1.0, window_s=0.25):
             if shape == "equal":
                 links[v].append((u, links[u][-1][1]))
     cap = None if rng.random() < 0.6 else int(rng.integers(1, 4))
-    state = view(window_s, nodes)
-    ref = reference_reports.RicState(staleness_window_s=window_s)
-    by_instant = {}
+    state = view(staleness_steps, nodes)
+    ref = reference_reports.RicState(staleness_window_s=seconds(staleness_steps))
+    by_step = {}
     for node in nodes:
         role = rng.choice(("fresh", "boundary", "stale", "silent"), p=(0.55, 0.1, 0.2, 0.15))
         if role == "silent" or (infrastructure_only and node.kind == NodeKind.CAV):
             continue
-        age = {"fresh": float(rng.uniform(0.0, window_s)), "boundary": window_s,
-               "stale": window_s + float(rng.uniform(0.01, 1.0))}[role]
-        by_instant.setdefault(round(t - age, 9), []).append(node)
-    for instant, reporters in by_instant.items():
+        age = {"fresh": int(rng.uniform(0.0, staleness_steps)), "boundary": staleness_steps,
+               "stale": staleness_steps + 1 + int(rng.uniform(0.0, 20.0))}[role]
+        by_step.setdefault(step - age, []).append(node)
+    for taken, reporters in by_step.items():
         mine = [(src, *link) for src in reporters for link in sorted(links[src])]
         ingest(state, emit_indication([src.code for src in reporters],
                                       [src.code for src, _, _ in mine],
                                       [rx.code for _, rx, _ in mine],
-                                      [snr for _, _, snr in mine], instant, cap))
+                                      [snr for _, _, snr in mine], taken, cap))
         for src in reporters:
             own = sorted(links[src])
             reference_reports.ingest(ref, reference_reports.emit_indication(
-                src, [rx.code for rx, _ in own], [snr for _, snr in own], instant, cap))
+                src, [rx.code for rx, _ in own], [snr for _, snr in own], seconds(taken), cap))
     return state, ref
 
 
@@ -257,10 +265,10 @@ def test_build_graph_matches_reference_on_random_reports():
     for _ in range(400):
         state, ref = random_ric_state(rng)
         snr_min = float(rng.choice((-20.0, 0.0, 3.0, 4.0, float(rng.uniform(-5.0, 20.0)))))
-        g = build_graph(state, 1.0, snr_min)
-        nodes, edges = reference_graph(ref, 1.0, snr_min)
+        g = build_graph(state, 40, snr_min)
+        nodes, edges = reference_graph(ref, seconds(40), snr_min)
         assert graph_members(state, g) == nodes
-        assert tick(state, 1.0, XAppConfig(snr_min_db=snr_min))[1].graph_nodes == len(nodes)
+        assert tick(state, 40, XAppConfig(snr_min_db=snr_min))[1].graph_nodes == len(nodes)
         assert np.array_equal(g, g.T)
         assert (np.diag(g) == -np.inf).all()
         assert np.array_equal(g, dense_reference(graph_nodes(state.codes), edges))
@@ -281,32 +289,32 @@ def dense_reference(nodes, edges):
 
 
 def test_report_stream_matches_per_node_reference():
-    """One stream of report instants, fed as batches to the controller view
-    and report by report to the per-node oracle, gives after every ingest the
-    same graph codes, every SNR entry and the same out-of-order count. The
-    stream mixes out-of-order and equal-time arrivals, silent reporters,
-    stale and boundary-aged reporters, capped reports with SNR ties,
-    infrastructure-only instants and RSUs."""
+    """One stream of report steps, fed as batches to the controller view and
+    report by report to the per-node oracle on float time, gives after every
+    ingest the same graph codes, every SNR entry and the same out-of-order
+    count. The stream mixes out-of-order and equal-time arrivals, silent
+    reporters, stale and boundary-aged reporters, capped reports with SNR
+    ties, infrastructure-only steps and RSUs."""
     rng = np.random.default_rng(77)
     seen = Counter()
     for _ in range(60):
         nodes = random_nodes(rng, 3, 14)
-        window = float(rng.choice((0.1, 0.25, 0.5)))
+        window = int(rng.choice((2, 5, 10)))  # 0.1, 0.25 and 0.5 s
         state = view(window, nodes)
-        ref = reference_reports.RicState(staleness_window_s=window)
+        ref = reference_reports.RicState(staleness_window_s=seconds(window))
         cap = None if rng.random() < 0.4 else int(rng.integers(1, 4))
         integer_snrs = bool(rng.random() < 0.5)
         seen["rsu"] += any(node.kind == NodeKind.RSU for node in nodes)
-        instants, now = [], 1.0
+        instants, now = [], 20
         for _ in range(10):
             kind = str(rng.choice(("now", "repeat", "late"), p=(0.6, 0.2, 0.2)))
             if kind == "repeat" and instants:
-                t = instants[int(rng.integers(len(instants)))]
+                step = instants[int(rng.integers(len(instants)))]
             elif kind == "late":
-                t = round(now - float(rng.choice((0.1, 0.2, 0.3, 0.6))), 9)
+                step = now - int(rng.choice((2, 4, 6, 12)))
             else:
-                t = now
-            instants.append(t)
+                step = now
+            instants.append(step)
             infrastructure_only = bool(rng.random() < 0.2)
             reporters = [node for node in nodes if rng.random() < 0.7
                          and not (infrastructure_only and node.kind == NodeKind.CAV)]
@@ -323,30 +331,30 @@ def test_report_stream_matches_per_node_reference():
             ingest(state, emit_indication([src.code for src in reporters],
                                           [src.code for src, _, _ in links],
                                           [rx.code for _, rx, _ in links],
-                                          [snr for _, _, snr in links], t, cap))
+                                          [snr for _, _, snr in links], step, cap))
             for src in reporters:
-                seen["equal-time"] += src in ref.latest_report and ref.latest_report[src].t == t
+                seen["equal-time"] += (src in ref.latest_report
+                                       and ref.latest_report[src].t == seconds(step))
                 own = sorted((rx, snr) for s, rx, snr in links if s == src)
                 seen["capped"] += cap is not None and len(own) > cap
                 seen["capped ties"] += (cap is not None and len(own) > cap
                                         and len({snr for _, snr in own}) < len(own))
                 reference_reports.ingest(ref, reference_reports.emit_indication(
-                    src, [rx.code for rx, _ in own], [snr for _, snr in own], t, cap))
+                    src, [rx.code for rx, _ in own], [snr for _, snr in own], seconds(step), cap))
             assert state.rejected_out_of_order == ref.rejected_out_of_order
 
-            held = sorted({rep.t for rep in ref.latest_report.values()})
-            for q in (now, round(held[0] + window, 9) if held else now,
-                      round(now + window * 0.6, 9)):
-                ages = [q - rep.t for rep in ref.latest_report.values()]
-                seen["boundary"] += sum(abs(age - window) < 1e-9 for age in ages)
-                seen["stale"] += sum(age > window + 1e-9 for age in ages)
+            held = sorted({round(rep.t / DT) for rep in ref.latest_report.values()})
+            for q in (now, held[0] + window if held else now, now + round(window * 0.6)):
+                ages = [seconds(q) - rep.t for rep in ref.latest_report.values()]
+                seen["boundary"] += sum(abs(age - seconds(window)) < 1e-9 for age in ages)
+                seen["stale"] += sum(age > seconds(window) + 1e-9 for age in ages)
                 snr_min = float(rng.choice((-10.0, 2.0, 3.0, float(rng.uniform(0.0, 20.0)))))
                 g = build_graph(state, q, snr_min)
-                want_nodes, want_edges = reference_graph(ref, q, snr_min)
+                want_nodes, want_edges = reference_graph(ref, seconds(q), snr_min)
                 assert graph_members(state, g) == want_nodes
                 assert np.array_equal(g, dense_reference(graph_nodes(state.codes), want_edges))
                 seen["edges"] += len(want_edges)
-            now = round(now + float(rng.choice((0.1, 0.2))), 9)
+            now += int(rng.choice((2, 4)))
         seen["rejected"] += state.rejected_out_of_order
     assert seen["rejected"] >= 100 and seen["edges"] >= 5000
     assert min(seen[key] for key in ("rsu", "equal-time", "infrastructure-only", "silent",
@@ -364,7 +372,7 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
     codes = np.array([node.code for node in nodes])
     reports = emit_indication(codes, codes[np.concatenate((src, dst))],
                               codes[np.concatenate((dst, src))], np.concatenate((snr, snr)),
-                              0.0, 3)
+                              0, 3)
     state = view(nodes=nodes)
     cfg = XAppConfig(snr_min_db=5.0)
     pairs = pair_slots(state.codes, [(nodes[a], nodes[b])
@@ -380,7 +388,7 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
     assert NodeId(NodeKind.CAV, 0) == cav(0) and len(built) == 2  # the spy is live
     built.clear()
     ingest(state, reports)
-    batch, diag = xapp_tick(state, 0.0, cfg, pairs, nothing_installed(len(pairs), cfg.max_hops))
+    batch, diag = xapp_tick(state, 0, cfg, pairs, nothing_installed(len(pairs), cfg.max_hops))
     assert np.count_nonzero(diag.served & ~diag.direct) > 0 and len(batch) > 0
     assert built == []
 
@@ -389,9 +397,9 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
 
 
 def fresh_triangle(gamma_ok=True):
-    """A, R, B all reporting at t=0: A-R at 9 dB, R-B at 7 dB, no A-B edge."""
-    state = view(staleness_window_s=0.25)
-    ingest(state, instant(0.0, (cav(0), [(cav(5), 9.0)]),
+    """A, R, B all reporting at step 0: A-R at 9 dB, R-B at 7 dB, no A-B edge."""
+    state = view(staleness_steps=2)
+    ingest(state, instant(0, (cav(0), [(cav(5), 9.0)]),
                           (cav(5), [(cav(0), 9.0), (cav(9), 7.0)]), (cav(9), [(cav(5), 7.0)])))
     return state
 
@@ -404,7 +412,7 @@ def slots(state, *nodes):
 def test_xapp_tick_emits_one_message_per_forwarding_node():
     state = fresh_triangle()
     cfg = XAppConfig(snr_min_db=5.0)
-    batch, diag = tick(state, 0.0, cfg, [(cav(0), cav(9))])
+    batch, diag = tick(state, 0, cfg, [(cav(0), cav(9))])
     assert len(batch) == 2
     assert batch.target.tolist() == slots(state, cav(0), cav(5))
     assert batch.path_row.tolist() == [0, 0]
@@ -416,10 +424,10 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
 
 
 def test_direct_pairs_emit_no_messages():
-    state = view(staleness_window_s=0.25)
-    ingest(state, instant(0.0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
+    state = view(staleness_steps=2)
+    ingest(state, instant(0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
     cfg = XAppConfig(snr_min_db=5.0)
-    batch, diag = tick(state, 0.0, cfg, [(cav(0), cav(1))])
+    batch, diag = tick(state, 0, cfg, [(cav(0), cav(1))])
     assert len(batch) == 0
     assert diag.direct.tolist() == [True]
     assert np.count_nonzero(diag.direct) == 1
@@ -428,14 +436,14 @@ def test_direct_pairs_emit_no_messages():
 
 
 def test_three_relayed_pairs_give_six_ordered_messages():
-    state = view(staleness_window_s=0.25)
+    state = view(staleness_steps=2)
     pairs = []
     for k in range(3):
         a, r, b = cav(10 * k), cav(10 * k + 1), cav(10 * k + 2)
-        ingest(state, instant(0.0, (a, [(r, 9.0)]), (r, [(a, 9.0), (b, 8.0)]), (b, [(r, 8.0)])))
+        ingest(state, instant(0, (a, [(r, 9.0)]), (r, [(a, 9.0), (b, 8.0)]), (b, [(r, 8.0)])))
         pairs.append((a, b))
     cfg = XAppConfig(snr_min_db=5.0)
-    batch, diag = tick(state, 0.0, cfg, pairs)
+    batch, diag = tick(state, 0, cfg, pairs)
     assert np.count_nonzero(diag.served & ~diag.direct) == 3
     assert batch.target.tolist() == slots(state, cav(0), cav(1), cav(10), cav(11), cav(20), cav(21))
     assert batch.path_row.tolist() == [0, 0, 1, 1, 2, 2]
@@ -445,9 +453,9 @@ def test_three_relayed_pairs_give_six_ordered_messages():
 
 def test_diagnostics_counts_are_consistent():
     state = fresh_triangle()
-    ingest(state, report(cav(7), 0.0, []))  # reachable by nobody
+    ingest(state, report(cav(7), 0, []))  # reachable by nobody
     cfg = XAppConfig(snr_min_db=5.0)
-    _, diag = tick(state, 0.0, cfg, [(cav(0), cav(9)), (cav(0), cav(7))])
+    _, diag = tick(state, 0, cfg, [(cav(0), cav(9)), (cav(0), cav(7))])
     assert diag.pairs_total == 2
     assert diag.pairs_feasible == 1
     assert diag.pairs_total - diag.pairs_feasible == 1
@@ -474,7 +482,7 @@ def test_xapp_tick_paths_match_reference_on_random_graphs():
         pairs = tuple((u, v) for k, u in enumerate(nodes) for v in nodes[k + 1:])
         max_hops = int(rng.integers(1, 6))
         snr_min = float(rng.choice((-5.0, 1.5, 4.0)))
-        _, diag = tick(state, 0.0, XAppConfig(snr_min_db=snr_min, max_hops=max_hops), pairs)
+        _, diag = tick(state, 0, XAppConfig(snr_min_db=snr_min, max_hops=max_hops), pairs)
         for k, (u, v) in enumerate(pairs):
             got = assigned(diag, k, state.codes)
             assert got == reference_widest_path(g, u, v, max_hops, snr_min)
@@ -500,11 +508,11 @@ def test_xapp_tick_matches_reference_when_columns_relax_in_several_chunks():
         destinations = {v for _, v in pairs}
         # one slice holds _SCRATCH_BYTES // (rank bytes * rows * destinations)
         # relays
-        rank, _ = _edge_ranks(build_graph(state, 0.0, 0.0))
+        rank, _ = _edge_ranks(build_graph(state, 0, 0.0))
         relays = np.count_nonzero((rank >= 0).any(axis=1))
         assert rank.dtype == np.int16
         assert relays > 2 * (_SCRATCH_BYTES // (rank.itemsize * len(nodes) * len(destinations)))
-        _, diag = tick(state, 0.0, XAppConfig(snr_min_db=0.0, max_hops=4), pairs)
+        _, diag = tick(state, 0, XAppConfig(snr_min_db=0.0, max_hops=4), pairs)
         for k, (u, v) in enumerate(pairs):
             got = assigned(diag, k, state.codes)
             assert got == reference_widest_path(g, u, v, 4, 0.0)
@@ -539,7 +547,7 @@ def test_silent_edgeless_slots_change_no_path():
         for nodes in (members, sorted(set(members) | set(silent))):
             state = view(nodes=nodes)
             ingest(state, graph_reports(g))
-            ticks.append((state.codes, *tick(state, 0.0, cfg, pairs)))
+            ticks.append((state.codes, *tick(state, 0, cfg, pairs)))
         (codes, batch, diag), (wide_codes, wide_batch, wide_diag) = ticks
         assert len(wide_codes) > len(codes) or not silent
         assert wide_batch.paths.shape == batch.paths.shape
@@ -560,7 +568,7 @@ def test_silent_edgeless_slots_change_no_path():
 
 def test_empty_pair_list_serves_nothing():
     state = fresh_triangle()
-    batch, diag = tick(state, 0.0, XAppConfig(snr_min_db=5.0))
+    batch, diag = tick(state, 0, XAppConfig(snr_min_db=5.0))
     assert len(batch) == 0
     assert diag.graph_nodes == 3  # the graph is still built
     assert diag.pairs_total == 0
@@ -569,7 +577,7 @@ def test_empty_pair_list_serves_nothing():
 
 def test_empty_controller_state_is_quiet():
     state = view()
-    batch, diag = tick(state, 0.0, XAppConfig(), [(cav(0), cav(1))])
+    batch, diag = tick(state, 0, XAppConfig(), [(cav(0), cav(1))])
     assert len(batch) == 0
     assert diag.served.tolist() == [False]
     assert diag.graph_nodes == 0
@@ -602,7 +610,7 @@ def test_xapp_tick_rejects_bad_pairs_before_building_the_graph(pairs, monkeypatc
     state = fresh_triangle()
     monkeypatch.setattr(ric, "build_graph", lambda *args: pytest.fail("graph built"))
     with pytest.raises(ConfigurationError):
-        xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array(pairs),
+        xapp_tick(state, 0, XAppConfig(snr_min_db=5.0), np.array(pairs),
                   nothing_installed(len(pairs), 4))
 
 
@@ -610,8 +618,8 @@ def test_pairs_run_from_the_smaller_slot():
     state = fresh_triangle()
     a, b = slots(state, cav(0), cav(9))
     cfg, installed = XAppConfig(snr_min_db=5.0), nothing_installed(1, 4)
-    forward, _ = xapp_tick(state, 0.0, cfg, np.array([(a, b)]), installed)
-    backward, diag = xapp_tick(state, 0.0, cfg, np.array([(b, a)]), installed)
+    forward, _ = xapp_tick(state, 0, cfg, np.array([(a, b)]), installed)
+    backward, diag = xapp_tick(state, 0, cfg, np.array([(b, a)]), installed)
     assert backward.paths.tolist() == forward.paths.tolist()
     assert backward.target.tolist() == slots(state, cav(0), cav(5))
     assert assigned(diag, 0, state.codes).nodes == (cav(0), cav(5), cav(9))
@@ -631,19 +639,19 @@ def test_unchanged_path_gets_no_message():
     installed both paths sends nothing; moving one pair's relay resends that
     pair's hops alone."""
     state = fresh_triangle()
-    ingest(state, instant(0.0, (cav(1), [(cav(6), 9.0)]),
+    ingest(state, instant(0, (cav(1), [(cav(6), 9.0)]),
                           (cav(6), [(cav(1), 9.0), (cav(8), 9.0)]), (cav(8), [(cav(6), 9.0)])))
     cfg = XAppConfig(snr_min_db=5.0)
     pairs = pair_slots(state.codes, [(cav(0), cav(9)), (cav(1), cav(8))])
-    first, diag = xapp_tick(state, 0.0, cfg, pairs, nothing_installed(2, cfg.max_hops))
+    first, diag = xapp_tick(state, 0, cfg, pairs, nothing_installed(2, cfg.max_hops))
     assert first.pair.tolist() == [0, 1] and len(first) == 4
-    again, same = xapp_tick(state, 0.0, cfg, pairs, installed_rows(diag, cfg.max_hops))
+    again, same = xapp_tick(state, 0, cfg, pairs, installed_rows(diag, cfg.max_hops))
     assert len(again) == 0 and again.pair.tolist() == [] and again.paths.shape[0] == 0
     assert same.paths.tolist() == diag.paths.tolist()
     # cav(9) now reaches cav(0) better through cav(3)
-    ingest(state, instant(0.1, (cav(0), [(cav(3), 12.0)]), (cav(3), [(cav(0), 12.0), (cav(9), 12.0)]),
+    ingest(state, instant(1, (cav(0), [(cav(3), 12.0)]), (cav(3), [(cav(0), 12.0), (cav(9), 12.0)]),
                           (cav(9), [(cav(3), 12.0)])))
-    moved, now = xapp_tick(state, 0.1, cfg, pairs, installed_rows(diag, cfg.max_hops))
+    moved, now = xapp_tick(state, 1, cfg, pairs, installed_rows(diag, cfg.max_hops))
     assert moved.pair.tolist() == [0]
     assert moved.target.tolist() == slots(state, cav(0), cav(3))
     assert assigned(now, 0, state.codes).nodes == (cav(0), cav(3), cav(9))
@@ -656,20 +664,20 @@ def test_pair_relayed_again_after_a_gap_gets_its_hops_resent(gap):
     state = fresh_triangle()
     cfg = XAppConfig(snr_min_db=5.0)
     pairs = pair_slots(state.codes, [(cav(0), cav(9))])
-    batch, diag = xapp_tick(state, 0.0, cfg, pairs, nothing_installed(1, cfg.max_hops))
+    batch, diag = xapp_tick(state, 0, cfg, pairs, nothing_installed(1, cfg.max_hops))
     if gap == "direct":
-        ingest(state, instant(0.1, (cav(0), [(cav(5), 9.0), (cav(9), 10.0)]),
+        ingest(state, instant(1, (cav(0), [(cav(5), 9.0), (cav(9), 10.0)]),
                               (cav(9), [(cav(5), 7.0), (cav(0), 10.0)])))
-        between, mid = xapp_tick(state, 0.1, cfg, pairs, installed_rows(diag, cfg.max_hops))
+        between, mid = xapp_tick(state, 1, cfg, pairs, installed_rows(diag, cfg.max_hops))
         assert mid.direct.tolist() == [True]
     else:
-        between, mid = xapp_tick(state, 1.0, cfg, pairs, installed_rows(diag, cfg.max_hops))
+        between, mid = xapp_tick(state, 10, cfg, pairs, installed_rows(diag, cfg.max_hops))
         assert mid.served.tolist() == [False]
     assert len(between) == 0
     installed = installed_rows(mid, cfg.max_hops)
     assert (installed == -1).all()
     state = fresh_triangle()
-    resent, again = xapp_tick(state, 0.0, cfg, pairs, installed)
+    resent, again = xapp_tick(state, 0, cfg, pairs, installed)
     assert again.paths.tolist() == diag.paths.tolist()
     assert resent.target.tolist() == batch.target.tolist() == slots(state, cav(0), cav(5))
     assert resent.paths.tolist() == batch.paths.tolist()
@@ -680,5 +688,5 @@ def test_xapp_tick_rejects_installed_rows_of_the_wrong_shape(shape):
     state = fresh_triangle()
     a, b = slots(state, cav(0), cav(9))
     with pytest.raises(ConfigurationError, match="installed paths"):
-        xapp_tick(state, 0.0, XAppConfig(snr_min_db=5.0), np.array([(a, b)]),
+        xapp_tick(state, 0, XAppConfig(snr_min_db=5.0), np.array([(a, b)]),
                   np.full(shape, -1))
