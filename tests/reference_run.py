@@ -11,8 +11,8 @@ together on float time, with none of the engine's loop, arrays or clock:
 - reports and ingest: `reference_reports`, one report per node;
 - the graph: `reference_graph`, whose freshness rule runs on seconds;
 - paths: `reference_column_solve`, the float solve;
-- control and audit: `reference_control`'s per-node tables, sent every
-  multi-hop path on every tick, and `audit_paths`.
+- control and audit: `reference_control`'s per-node tables, sent the hops
+  of every multi-hop path on every tick, and `audit_paths`.
 """
 
 from __future__ import annotations
