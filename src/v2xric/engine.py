@@ -83,8 +83,8 @@ class SimConfig:
                 raise ConfigurationError(f"invalid value for {name}: {value} (must be finite)")
         if not (self.duration_s > 0):
             raise ConfigurationError(f"duration_s must be positive: {self.duration_s}")
-        if not (self.dt_s > 0):
-            raise ConfigurationError(f"dt_s must be positive: {self.dt_s}")
+        if not (self.dt_s >= 1e-9):  # record times are rounded to 1e-9 s
+            raise ConfigurationError(f"dt_s must be at least 1e-9: {self.dt_s}")
         if self.control_period_s < self.dt_s:
             raise ConfigurationError(
                 f"control_period_s must be >= dt_s: {self.control_period_s} < {self.dt_s}")
@@ -328,7 +328,7 @@ def _collect_reports(world: ran.World, cfg: SimConfig, step: int) -> ran.Indicat
 def _audit(table: ran.ForwardingTable, paths: np.ndarray, pair: np.ndarray,
            audit: AuditSummary) -> None:
     """Walk every multi-hop path, a row of view slots padded with -1 serving
-    pair index `pair[row]`, through the installed forwarding entries, all
+    pair index `pair[row]`, through the table's forwarding entries, all
     paths at once, and count those that reach their destination in exactly
     their hop count without passing it on the way."""
     hops = np.count_nonzero(paths >= 0, axis=1) - 1
@@ -366,10 +366,8 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     # a report arrives whole steps after it is taken, a part step rounding up
     delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
 
-    ric_state = ric.RicState(world.codes, staleness_steps=cfg.staleness_steps())
+    ric_state = ric.RicState(world.codes, cfg.staleness_steps(), pairs=pairs, xapp=cfg.xapp)
     table = ran.ForwardingTable.empty(len(world.codes), len(pairs))
-    # the path row the RAN holds per pair: last tick's multi-hop rows, -1 elsewhere
-    installed = np.full((len(pairs), cfg.xapp.max_hops + 1), -1, dtype=np.int64)
     in_flight: list[tuple[int, ran.IndicationBatch]] = []  # (arrival step, batch)
     records: list[MetricsRecord] = []
     audit = AuditSummary()
@@ -380,14 +378,11 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
         if step % control_every == 0:
             while in_flight and in_flight[0][0] <= step:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
-            batch, diag = ric.xapp_tick(ric_state, step, cfg.xapp, pairs, installed)
+            batch, diag = ric.xapp_tick(ric_state, step)
             ran.apply_control(table, batch)
             relayed = np.flatnonzero(diag.hops >= 2)
-            paths = diag.paths[relayed]
             audit.messages_total += int(diag.hops[relayed].sum())  # the full fan-out
-            _audit(table, paths, relayed, audit)
-            installed.fill(-1)
-            installed[relayed, : paths.shape[1]] = paths
+            _audit(table, diag.paths[relayed], relayed, audit)
             n_direct = int(np.count_nonzero(diag.direct))
             records.append(MetricsRecord(
                 t=round(step * cfg.dt_s, 9),

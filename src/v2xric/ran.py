@@ -72,12 +72,12 @@ class IndicationBatch:
 @dataclass(frozen=True, slots=True)
 class ControlBatch:
     """One control tick's forwarding messages as columns: the multi-hop paths
-    it installs (view slots from source to destination, padded with -1, at
-    most `max_hops + 1` wide; the controller sends only the paths that
+    it installs (view slots from source to destination, padded with -1 to the
+    width of `RicState.sent`; the controller sends only the paths that
     changed) with each one's index into the served pairs, then per message,
     which installs one hop, the target node's slot and the row of its path."""
 
-    paths: np.ndarray  # (M, <= max_hops + 1) int64
+    paths: np.ndarray  # (M, W) int64
     pair: np.ndarray  # (M,) int64
     target: np.ndarray  # (K,) int64
     path_row: np.ndarray  # (K,) int64
@@ -89,7 +89,7 @@ class ControlBatch:
 @dataclass(slots=True)
 class ForwardingTable:
     """Every node's forwarding state, indexed [slot, pair]: the next hop's
-    view slot as int32, -1 where nothing was ever installed. Entries are keyed
+    view slot as int32, -1 where no hop was ever set. Entries are keyed
     by the served pair, not by the destination alone: two assignments toward
     one destination through a shared relay would otherwise collide."""
 

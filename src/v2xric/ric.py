@@ -24,30 +24,6 @@ _SCRATCH_BYTES = 2**20
 
 
 @dataclass(slots=True)
-class RicState:
-    """The controller's view, indexed by view slot, a node's row in the
-    ascending NodeId `codes`: the step at which each node's held report was
-    taken (-1 before its first), and `measured[reporter, neighbour]`, each
-    link's SNR in the reporter's held report (+inf where that report lacks
-    the link), plus the freshness rule used to trust them: a report at most
-    `staleness_steps` steps old is fresh. Slot order is code order, which
-    keeps the report cap's and the pathfinder's tie-breaks on NodeId order."""
-
-    codes: np.ndarray
-    staleness_steps: int = 2
-    rejected_out_of_order: int = 0
-    reported_at: np.ndarray = field(init=False)
-    measured: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.codes = np.asarray(self.codes, dtype=np.int64)
-        if len(self.codes) == 0 or (np.diff(self.codes) <= 0).any():
-            raise ConfigurationError("controller view needs ascending, distinct node codes")
-        self.reported_at = np.full(len(self.codes), -1, dtype=np.int64)
-        self.measured = np.full((len(self.codes), len(self.codes)), np.inf)
-
-
-@dataclass(slots=True)
 class XAppConfig:
     """Relay-assignment policy: edge SNR threshold and hop budget."""
 
@@ -63,11 +39,49 @@ class XAppConfig:
 
 
 @dataclass(slots=True)
+class RicState:
+    """The xApp's run state by view slot, a node's row in the n ascending
+    NodeId `codes` (code order keeps the report cap's and the pathfinder's
+    tie-breaks on NodeId order): the step each node's held report was taken
+    (-1 before its first), `measured[reporter, neighbour]`, each link's SNR in
+    that report (+inf where it lacks the link), and `staleness_steps`, the
+    age in steps up to which a report is fresh. The policy `xapp` serves
+    `pairs`, (P, 2) slots stored smaller first; `sent` is each pair's last sent
+    path row (-1 if not relayed), W = max(1, min(max_hops, n - 1)) + 1 wide."""
+
+    codes: np.ndarray
+    staleness_steps: int = 2
+    rejected_out_of_order: int = 0
+    pairs: np.ndarray = field(default=(), kw_only=True)
+    xapp: XAppConfig = field(default_factory=XAppConfig, kw_only=True)
+    reported_at: np.ndarray = field(init=False)
+    measured: np.ndarray = field(init=False)
+    sent: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.codes = np.asarray(self.codes, dtype=np.int64)
+        n = len(self.codes)
+        if n == 0 or (np.diff(self.codes) <= 0).any():
+            raise ConfigurationError("controller view needs ascending, distinct node codes")
+        self.xapp.validate()
+        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
+        if ((pairs < 0) | (pairs >= n)).any():
+            raise ConfigurationError("pair names a node outside the controller's view")
+        if (pairs[:, 0] == pairs[:, 1]).any():
+            raise ConfigurationError("pair endpoints must differ")
+        self.pairs = np.sort(pairs, axis=1)
+        self.reported_at = np.full(n, -1, dtype=np.int64)
+        self.measured = np.full((n, n), np.inf)
+        width = max(1, min(self.xapp.max_hops, n - 1)) + 1
+        self.sent = np.full((len(pairs), width), -1, dtype=np.int64)
+
+
+@dataclass(slots=True)
 class XAppDiagnostics:
     """Per-tick controller introspection, enough to derive every metric.
     `graph_nodes` counts the view slots that reported or hold an edge. The
     arrays run over the served pairs; `paths` holds each path as view slots
-    padded with -1, at most `max_hops + 1` wide, and `hops` is 0 for an
+    padded with -1, as wide as `RicState.sent`, and `hops` is 0 for an
     unserved pair."""
 
     graph_nodes: int
@@ -211,29 +225,20 @@ def _widest_paths(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
 
 # --- the xApp tick ----------------------------------------------------------------
 
-def xapp_tick(state: RicState, step: int, cfg: XAppConfig, pairs: np.ndarray,
-              installed: np.ndarray) -> tuple[ControlBatch, XAppDiagnostics]:
-    """One controller pass over the served `pairs`, (P, 2) view slots: graph
-    from fresh reports, widest path per pair from its smaller slot to its
-    larger, one message per non-destination node of every multi-hop path
-    whose row differs from the one the RAN holds. `installed` is that row per
-    pair, (P, max_hops + 1) view slots padded with -1, all -1 for a pair the
-    RAN holds no path of; an all -1 array sends every multi-hop path."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-    if ((pairs < 0) | (pairs >= len(state.codes))).any():
-        raise ConfigurationError("pair names a node outside the controller's view")
-    s, d = pairs.min(axis=1), pairs.max(axis=1)
-    if (s == d).any():
-        raise ConfigurationError("pair endpoints must differ")
-    if np.shape(installed) != (len(pairs), cfg.max_hops + 1):
-        raise ConfigurationError(f"installed paths must be (pairs, max_hops + 1) = "
-                                 f"{(len(pairs), cfg.max_hops + 1)}: {np.shape(installed)}")
-    snr = build_graph(state, step, cfg.snr_min_db)
-    bottleneck, hops, rows, direct = _widest_paths(snr, s, d, cfg.max_hops)
-    served = hops > 0
-    padded = np.full(np.shape(installed), -1, dtype=np.int64)
-    padded[:, : rows.shape[1]] = rows
-    changed = np.flatnonzero((hops >= 2) & (padded != installed).any(axis=1))
+def xapp_tick(state: RicState, step: int) -> tuple[ControlBatch, XAppDiagnostics]:
+    """One controller pass over the state's served pairs under its policy:
+    graph from fresh reports, widest path per pair from its smaller slot to
+    its larger, one message per non-destination node of every multi-hop path
+    whose row differs from `sent`; `sent` then holds this tick's multi-hop
+    rows and -1 elsewhere, so a pair relayed again after a gap is resent."""
+    s, d = state.pairs[:, 0], state.pairs[:, 1]
+    snr = build_graph(state, step, state.xapp.snr_min_db)
+    bottleneck, hops, steps, direct = _widest_paths(snr, s, d, state.xapp.max_hops)
+    served, relayed = hops > 0, hops >= 2
+    rows = np.full(state.sent.shape, -1, dtype=np.int64)
+    rows[:, : steps.shape[1]] = steps
+    changed = np.flatnonzero(relayed & (rows != state.sent).any(axis=1))
+    state.sent = np.where(relayed[:, None], rows, -1)
     paths = rows[changed]
     path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[changed, None])
     batch = ControlBatch(paths=paths, pair=changed, target=paths[path_row, col],
@@ -243,7 +248,7 @@ def xapp_tick(state: RicState, step: int, cfg: XAppConfig, pairs: np.ndarray,
     diagnostics = XAppDiagnostics(
         graph_nodes=int(np.count_nonzero((state.reported_at >= 0) | edge.any(axis=1))),
         graph_edges=int(np.count_nonzero(np.triu(edge))),
-        pairs_total=len(pairs),
+        pairs_total=len(state.pairs),
         pairs_feasible=int(np.count_nonzero(served)),
         served=served,
         hops=hops,

@@ -18,12 +18,6 @@ import numpy as np
 from v2xric import ControlBatch, NodeId
 
 
-def nothing_installed(n_pairs: int, max_hops: int) -> np.ndarray:
-    """The `installed` argument of `xapp_tick` for a RAN that holds no path:
-    every pair's row all -1, so the tick sends every multi-hop path."""
-    return np.full((n_pairs, max_hops + 1), -1, dtype=np.int64)
-
-
 def full_fan_out(diag) -> ControlBatch:
     """One tick's control batch when every multi-hop path is sent whatever
     the RAN holds: per relayed pair of the diagnostics `diag`, in pair order,

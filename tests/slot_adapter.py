@@ -54,7 +54,7 @@ def control_slots(batch, codes):
 
 
 def pair_slots(codes, pairs) -> np.ndarray:
-    """The served pairs as xapp_tick takes them: (P, 2) view slots of the
+    """The served pairs as RicState takes them: (P, 2) view slots of the
     (NodeId, NodeId) `pairs`; a node the view does not hold maps to
     len(codes)."""
     ends = [(u.code, v.code) for u, v in pairs]

@@ -390,7 +390,7 @@ def test_sub_hertz_bandwidth_exits_2_before_running(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("command,flags,config_text,keys", [
-    ("run", [], "duration_s = 1e300\ndt_s = 1e-10\ncontrol_period_s = 1e-10\n"
+    ("run", [], "duration_s = 1e300\ndt_s = 1e-9\ncontrol_period_s = 1e-9\n"
      "reporting_period_s = 0.001\nwarmup_s = 0\n", ["duration_s"]),
     ("sweep-snr", ["--snr-min", "5", "--workers", "2"], "arm_length_m = 5\n",
      ["arm_length_m", "road_width_m", "building_setback_m"]),

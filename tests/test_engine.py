@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,6 @@ import pytest
 import reference_schedule
 from reference_graph import fresh
 import v2xric
-from reference_control import nothing_installed
 from reference_mobility import VehicleState, fleet_of
 from slot_adapter import pair_slots
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingTable,
@@ -83,9 +83,9 @@ def spy_schedule(monkeypatch):
         events.append(("ingest", seconds(batch.step)))
         return ingest(state, batch)
 
-    def tick_spy(state, step, cfg, pairs, installed):
+    def tick_spy(state, step):
         events.append(("tick", seconds(step)))
-        return tick(state, step, cfg, pairs, installed)
+        return tick(state, step)
 
     monkeypatch.setattr(engine, "_collect_reports", collect_spy)
     monkeypatch.setattr(ric, "ingest", ingest_spy)
@@ -142,14 +142,17 @@ def test_decoupled_reporting_cadence_still_feeds_the_controller():
 # --- metrics ---------------------------------------------------------------------
 
 
-def path_state():
-    """A fresh controller view of a chain a-b (10 dB), b-c (8 dB), c-d (6 dB);
-    cav(i) holds view slot i."""
+def path_state(pairs=(), cfg=None):
+    """A fresh controller view of a chain a-b (10 dB), b-c (8 dB), c-d (6 dB)
+    whose xApp serves the (NodeId, NodeId) `pairs` under `cfg`; cav(i) holds
+    view slot i."""
     edges = {(cav(0), cav(1)): 10.0, (cav(1), cav(2)): 8.0, (cav(2), cav(3)): 6.0}
     links = [(u, v, snr) for (u, v), snr in edges.items()] + [
         (v, u, snr) for (u, v), snr in edges.items()]
     codes = np.array([cav(i).code for i in range(4)])
-    return ingest(RicState(codes), IndicationBatch(
+    state = RicState(codes, pairs=pair_slots(codes, pairs),
+                     xapp=XAppConfig() if cfg is None else cfg)
+    return ingest(state, IndicationBatch(
         step=0, reporters=np.arange(4),
         source=np.array([u.index for u, _, _ in links], dtype=np.int64),
         neighbor=np.array([v.index for _, v, _ in links], dtype=np.int64),
@@ -163,11 +166,9 @@ def all_pairs():
 
 def connectivity(snr_min_db, max_hops, metric_mode="pairwise"):
     """One control tick's connectivity, scored as the run loop scores it."""
-    state = path_state()
-    pairs = pair_slots(state.codes, all_pairs())
-    cfg = XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops)
-    _, diag = xapp_tick(state, 0, cfg, pairs, nothing_installed(len(pairs), max_hops))
-    return _connectivity(pairs, diag.served, metric_mode)
+    state = path_state(all_pairs(), XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops))
+    _, diag = xapp_tick(state, 0)
+    return _connectivity(state.pairs, diag.served, metric_mode)
 
 
 def test_connectivity_pairwise_counts_feasible_pairs():
@@ -326,13 +327,33 @@ def test_audit_confirms_sound_control_plane():
     assert audit.protocol_errors == 0
 
 
+def test_hop_budget_past_the_view_costs_nothing():
+    """A hop-minimal widest path is simple, so a budget past n - 1 edges for
+    the n slots of the controller's view changes nothing in a run: records
+    and audit equal the n - 1 run's, and the traced peak stays within 1 MB
+    of it, since the path rows the xApp keeps are sized by the view, not by
+    the budget."""
+    cfg = SimConfig(duration_s=0.3, warmup_s=0.0)
+    n = len(engine._world(cfg, cfg.world.layout()).codes)
+    outputs, peaks = [], []
+    for max_hops in (n - 1, 5000):
+        tracemalloc.start()
+        try:
+            outputs.append(run_with_audit(replace(cfg, xapp=XAppConfig(max_hops=max_hops))))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    (records, audit), (deep_records, deep_audit) = outputs
+    assert n == 43 and audit.paths_checked > 0
+    assert record_reprs(deep_records) == record_reprs(records) and deep_audit == audit
+    assert peaks[1] < peaks[0] + 1e6, peaks
+
+
 def test_audit_counts_broken_forwarding():
     """A table corrupted after a sound tick fails exactly the paths it breaks:
     chain 0-1-2-3 serves (0, 3) over three hops and (0, 2) over two."""
-    state = path_state()
-    pairs = pair_slots(state.codes, [(cav(0), cav(3)), (cav(0), cav(2))])
-    batch, diag = xapp_tick(state, 0, XAppConfig(snr_min_db=5.0), pairs,
-                            nothing_installed(2, 4))
+    state = path_state([(cav(0), cav(3)), (cav(0), cav(2))], XAppConfig(snr_min_db=5.0))
+    batch, diag = xapp_tick(state, 0)
     assert diag.hops.tolist() == [3, 2]
 
     def audited(corrupt):
@@ -582,14 +603,33 @@ def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
     dict(dt_s=-0.1),
     dict(warmup_s=-0.1),
     # periods of an infinite number of steps
-    dict(duration_s=1e300, dt_s=1e-10, control_period_s=1e-10, reporting_period_s=0.001,
+    dict(duration_s=1e300, dt_s=1e-9, control_period_s=1e-9, reporting_period_s=0.001,
          warmup_s=0.0),
-    dict(duration_s=1.0, dt_s=1e-10, control_period_s=1e300, reporting_period_s=0.1,
+    dict(duration_s=1.0, dt_s=1e-9, control_period_s=1e300, reporting_period_s=0.1,
+         warmup_s=0.0),
+    # steps below 1e-9 s, the grid record times round to
+    dict(duration_s=2e-9, dt_s=1e-10, control_period_s=1e-10, reporting_period_s=0.001,
          warmup_s=0.0),
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         SimConfig(**kwargs).validate()
+
+
+def test_every_step_has_its_own_time():
+    """Record times and outage keys round to 1e-9 s, so `dt_s` is refused
+    below 1e-9, where several steps would share one time, and accepted at it,
+    where 200 steps carry 200 times."""
+    for dt in (1e-10, 5e-10):
+        cfg = SimConfig(duration_s=200 * dt, dt_s=dt, control_period_s=dt,
+                        reporting_period_s=0.001, warmup_s=0.0)
+        assert len({round(step * dt, 9) for step in range(200)}) < 200
+        with pytest.raises(ConfigurationError, match="dt_s"):
+            cfg.validate()
+    cfg = SimConfig(duration_s=2e-7, dt_s=1e-9, control_period_s=1e-9,
+                    reporting_period_s=0.001, warmup_s=0.0).validate()
+    assert cfg.n_steps() == 200
+    assert len({round(step * cfg.dt_s, 9) for step in range(cfg.n_steps())}) == 200
 
 
 def test_sim_config_needs_whole_steps():
@@ -648,8 +688,8 @@ def test_explicit_staleness_window_empties_the_graph_between_reports(monkeypatch
     edges = []
     original = ric.xapp_tick
 
-    def spy(state, step, cfg, pairs, installed):
-        batch, diag = original(state, step, cfg, pairs, installed)
+    def spy(state, step):
+        batch, diag = original(state, step)
         edges.append((state.staleness_steps, step, diag.graph_edges))
         return batch, diag
 

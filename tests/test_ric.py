@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import reference_reports
-from reference_control import nothing_installed
 from reference_graph import reference_graph
 from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
 from slot_adapter import (Path, codes_of, edge_snr, graph_nodes, has_edge, indication_slots,
@@ -33,11 +32,14 @@ def seconds(step):
     return round(step * DT, 9)
 
 
-def view(staleness_steps=2, nodes=None):
-    """An empty controller view over `nodes` (default: RSUs 0-3, CAVs 0-31)."""
+def view(staleness_steps=2, nodes=None, pairs=(), cfg=None):
+    """An empty controller view over `nodes` (default: RSUs 0-3, CAVs 0-31)
+    whose xApp serves the (NodeId, NodeId) `pairs` under `cfg`."""
     if nodes is None:
         nodes = [rsu(k) for k in range(4)] + [cav(k) for k in range(32)]
-    return RicState(sorted(node.code for node in nodes), staleness_steps=staleness_steps)
+    codes = sorted(node.code for node in nodes)
+    return RicState(codes, staleness_steps=staleness_steps, pairs=pair_slots(codes, pairs),
+                    xapp=XAppConfig() if cfg is None else cfg)
 
 
 def ingest(state, batch):
@@ -85,10 +87,13 @@ def graph_members(state, snr):
 
 
 def tick(state, step, cfg, pairs=()):
-    """xapp_tick for (NodeId, NodeId) pairs, which the view's slots name, to
-    a RAN that holds no path."""
-    return xapp_tick(state, step, cfg, pair_slots(state.codes, pairs),
-                     nothing_installed(len(pairs), cfg.max_hops))
+    """xapp_tick under `cfg` for (NodeId, NodeId) pairs, which the view's
+    slots name, by an xApp that holds the view's reports and has sent no
+    path yet."""
+    xapp = RicState(state.codes, state.staleness_steps, pairs=pair_slots(state.codes, pairs),
+                    xapp=cfg)
+    xapp.reported_at, xapp.measured = state.reported_at, state.measured
+    return xapp_tick(xapp, step)
 
 
 def assigned(diag, k, codes):
@@ -373,10 +378,9 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
     reports = emit_indication(codes, codes[np.concatenate((src, dst))],
                               codes[np.concatenate((dst, src))], np.concatenate((snr, snr)),
                               0, 3)
-    state = view(nodes=nodes)
-    cfg = XAppConfig(snr_min_db=5.0)
-    pairs = pair_slots(state.codes, [(nodes[a], nodes[b])
-                                     for a in range(1, 13) for b in range(a + 1, 13)])
+    state = view(nodes=nodes, pairs=[(nodes[a], nodes[b])
+                                     for a in range(1, 13) for b in range(a + 1, 13)],
+                 cfg=XAppConfig(snr_min_db=5.0))
     built = []
     original = ran.NodeId.__new__
 
@@ -388,7 +392,7 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
     assert NodeId(NodeKind.CAV, 0) == cav(0) and len(built) == 2  # the spy is live
     built.clear()
     ingest(state, reports)
-    batch, diag = xapp_tick(state, 0, cfg, pairs, nothing_installed(len(pairs), cfg.max_hops))
+    batch, diag = xapp_tick(state, 0)
     assert np.count_nonzero(diag.served & ~diag.direct) > 0 and len(batch) > 0
     assert built == []
 
@@ -396,12 +400,15 @@ def test_controller_tick_constructs_no_node_ids(monkeypatch):
 # --- the xApp tick ---------------------------------------------------------------
 
 
-def fresh_triangle(gamma_ok=True):
-    """A, R, B all reporting at step 0: A-R at 9 dB, R-B at 7 dB, no A-B edge."""
-    state = view(staleness_steps=2)
-    ingest(state, instant(0, (cav(0), [(cav(5), 9.0)]),
-                          (cav(5), [(cav(0), 9.0), (cav(9), 7.0)]), (cav(9), [(cav(5), 7.0)])))
-    return state
+def triangle(step):
+    """A, R, B all reporting at `step`: A-R at 9 dB, R-B at 7 dB, no A-B edge."""
+    return instant(step, (cav(0), [(cav(5), 9.0)]),
+                   (cav(5), [(cav(0), 9.0), (cav(9), 7.0)]), (cav(9), [(cav(5), 7.0)]))
+
+
+def fresh_triangle(pairs=(), cfg=None):
+    """The triangle reported at step 0 to a view whose xApp serves `pairs`."""
+    return ingest(view(staleness_steps=2, pairs=pairs, cfg=cfg), triangle(0))
 
 
 def slots(state, *nodes):
@@ -417,8 +424,9 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
     assert batch.target.tolist() == slots(state, cav(0), cav(5))
     assert batch.path_row.tolist() == [0, 0]
     assert batch.pair.tolist() == [0]
-    # 3 nodes hold an edge, so the hop budget clamps to 2 edges and rows to 3 slots
-    width = min(cfg.max_hops, 3 - 1) + 1
+    # 3 nodes hold an edge, so the solve clamps the budget to 2 edges, and
+    # its rows are padded to the width a simple path over the view can fill
+    width = min(cfg.max_hops, len(state.codes) - 1) + 1
     assert batch.paths.tolist() == [slots(state, cav(0), cav(5), cav(9)) + [-1] * (width - 3)]
     assert assigned(diag, 0, state.codes) == Path(7.0, (cav(0), cav(5), cav(9)))
 
@@ -529,9 +537,9 @@ def test_silent_edgeless_slots_change_no_path():
     """Silent nodes without an edge, interleaved into the view of a random
     oracle graph, change nothing: every bottleneck, hop count and path is
     still the oracle's, ties included, and the control batch, renamed to
-    codes, and its path-row width are those of the view without them. Such
-    slots cannot relay, and the hop budget clamps to the nodes with an edge,
-    not to the view."""
+    codes, is that of the view without them. Such slots cannot relay, and the
+    solve clamps the hop budget to the nodes with an edge; only the -1
+    padding widens, to the min(max_hops, n - 1) + 1 slots of each view."""
     rng = np.random.default_rng(606)
     seen = Counter()
     for _ in range(150):
@@ -550,8 +558,15 @@ def test_silent_edgeless_slots_change_no_path():
             ticks.append((state.codes, *tick(state, 0, cfg, pairs)))
         (codes, batch, diag), (wide_codes, wide_batch, wide_diag) = ticks
         assert len(wide_codes) > len(codes) or not silent
-        assert wide_batch.paths.shape == batch.paths.shape
-        assert codes_of(wide_codes, wide_batch.paths).tolist() == codes_of(codes, batch.paths).tolist()
+        for n, control, result in ((len(codes), batch, diag),
+                                   (len(wide_codes), wide_batch, wide_diag)):
+            width = max(1, min(cfg.max_hops, n - 1)) + 1
+            assert control.paths.shape[1] == result.paths.shape[1] == width
+        width = batch.paths.shape[1]
+        assert wide_batch.paths.shape[0] == batch.paths.shape[0]
+        assert (wide_batch.paths[:, width:] == -1).all()
+        assert (codes_of(wide_codes, wide_batch.paths[:, :width]).tolist()
+                == codes_of(codes, batch.paths).tolist())
         assert codes_of(wide_codes, wide_batch.target).tolist() == codes_of(codes, batch.target).tolist()
         assert (wide_batch.pair.tolist(), wide_batch.path_row.tolist()) == (
             batch.pair.tolist(), batch.path_row.tolist())
@@ -562,6 +577,7 @@ def test_silent_edgeless_slots_change_no_path():
             assert wide_diag.hops[k] == diag.hops[k]
         seen["relayed"] += len(batch.paths)
         seen["clamped"] += cfg.max_hops >= batch.paths.shape[1] > 0
+        seen["wider rows"] += wide_batch.paths.shape[1] > width and len(batch.paths) > 0
         seen["silent rsu"] += any(node.kind == NodeKind.RSU for node in silent)
     assert min(seen.values()) >= 20, seen
 
@@ -607,51 +623,47 @@ def test_xapp_config_validation(kwargs):
     [(0, 1), (0, 36)],  # the default view holds slots 0-35
 ])
 def test_xapp_tick_rejects_bad_pairs_before_building_the_graph(pairs, monkeypatch):
-    state = fresh_triangle()
+    """Bad pairs are refused when the xApp's state is built, before any tick
+    builds a graph."""
     monkeypatch.setattr(ric, "build_graph", lambda *args: pytest.fail("graph built"))
     with pytest.raises(ConfigurationError):
-        xapp_tick(state, 0, XAppConfig(snr_min_db=5.0), np.array(pairs),
-                  nothing_installed(len(pairs), 4))
+        RicState(view().codes, pairs=np.array(pairs), xapp=XAppConfig(snr_min_db=5.0))
+
+
+def test_xapp_state_validates_its_policy():
+    with pytest.raises(ConfigurationError, match="max_hops"):
+        RicState(view().codes, xapp=XAppConfig(max_hops=0))
 
 
 def test_pairs_run_from_the_smaller_slot():
-    state = fresh_triangle()
-    a, b = slots(state, cav(0), cav(9))
-    cfg, installed = XAppConfig(snr_min_db=5.0), nothing_installed(1, 4)
-    forward, _ = xapp_tick(state, 0, cfg, np.array([(a, b)]), installed)
-    backward, diag = xapp_tick(state, 0, cfg, np.array([(b, a)]), installed)
+    cfg = XAppConfig(snr_min_db=5.0)
+    forward_state = fresh_triangle([(cav(0), cav(9))], cfg)
+    backward_state = fresh_triangle([(cav(9), cav(0))], cfg)
+    assert backward_state.pairs.tolist() == [slots(forward_state, cav(0), cav(9))]
+    forward, _ = xapp_tick(forward_state, 0)
+    backward, diag = xapp_tick(backward_state, 0)
     assert backward.paths.tolist() == forward.paths.tolist()
-    assert backward.target.tolist() == slots(state, cav(0), cav(5))
-    assert assigned(diag, 0, state.codes).nodes == (cav(0), cav(5), cav(9))
-
-
-def installed_rows(diag, max_hops):
-    """The `installed` argument after a tick: each multi-hop pair's path row
-    padded to max_hops + 1, all -1 for every other pair."""
-    installed = nothing_installed(len(diag.hops), max_hops)
-    relayed = diag.hops >= 2
-    installed[relayed, : diag.paths.shape[1]] = diag.paths[relayed]
-    return installed
+    assert backward.target.tolist() == slots(backward_state, cav(0), cav(5))
+    assert assigned(diag, 0, backward_state.codes).nodes == (cav(0), cav(5), cav(9))
 
 
 def test_unchanged_path_gets_no_message():
-    """Over the triangle and a second relayed pair, a tick after the RAN
-    installed both paths sends nothing; moving one pair's relay resends that
-    pair's hops alone."""
-    state = fresh_triangle()
+    """Over the triangle and a second relayed pair, a second tick of the same
+    xApp sends nothing; moving one pair's relay resends that pair's hops
+    alone."""
+    cfg = XAppConfig(snr_min_db=5.0)
+    state = fresh_triangle([(cav(0), cav(9)), (cav(1), cav(8))], cfg)
     ingest(state, instant(0, (cav(1), [(cav(6), 9.0)]),
                           (cav(6), [(cav(1), 9.0), (cav(8), 9.0)]), (cav(8), [(cav(6), 9.0)])))
-    cfg = XAppConfig(snr_min_db=5.0)
-    pairs = pair_slots(state.codes, [(cav(0), cav(9)), (cav(1), cav(8))])
-    first, diag = xapp_tick(state, 0, cfg, pairs, nothing_installed(2, cfg.max_hops))
+    first, diag = xapp_tick(state, 0)
     assert first.pair.tolist() == [0, 1] and len(first) == 4
-    again, same = xapp_tick(state, 0, cfg, pairs, installed_rows(diag, cfg.max_hops))
+    again, same = xapp_tick(state, 0)
     assert len(again) == 0 and again.pair.tolist() == [] and again.paths.shape[0] == 0
     assert same.paths.tolist() == diag.paths.tolist()
     # cav(9) now reaches cav(0) better through cav(3)
     ingest(state, instant(1, (cav(0), [(cav(3), 12.0)]), (cav(3), [(cav(0), 12.0), (cav(9), 12.0)]),
                           (cav(9), [(cav(3), 12.0)])))
-    moved, now = xapp_tick(state, 1, cfg, pairs, installed_rows(diag, cfg.max_hops))
+    moved, now = xapp_tick(state, 1)
     assert moved.pair.tolist() == [0]
     assert moved.target.tolist() == slots(state, cav(0), cav(3))
     assert assigned(now, 0, state.codes).nodes == (cav(0), cav(3), cav(9))
@@ -659,34 +671,23 @@ def test_unchanged_path_gets_no_message():
 
 @pytest.mark.parametrize("gap", ["direct", "unserved"])
 def test_pair_relayed_again_after_a_gap_gets_its_hops_resent(gap):
-    """A tick on which the pair went direct or unserved leaves its installed
-    row all -1, so the same relayed path on the next tick is sent in full."""
-    state = fresh_triangle()
+    """A tick on which the pair went direct or unserved leaves its sent row
+    all -1, so the same relayed path on a later tick is sent in full."""
     cfg = XAppConfig(snr_min_db=5.0)
-    pairs = pair_slots(state.codes, [(cav(0), cav(9))])
-    batch, diag = xapp_tick(state, 0, cfg, pairs, nothing_installed(1, cfg.max_hops))
+    state = fresh_triangle([(cav(0), cav(9))], cfg)
+    batch, diag = xapp_tick(state, 0)
     if gap == "direct":
         ingest(state, instant(1, (cav(0), [(cav(5), 9.0), (cav(9), 10.0)]),
                               (cav(9), [(cav(5), 7.0), (cav(0), 10.0)])))
-        between, mid = xapp_tick(state, 1, cfg, pairs, installed_rows(diag, cfg.max_hops))
+        between, mid = xapp_tick(state, 1)
         assert mid.direct.tolist() == [True]
     else:
-        between, mid = xapp_tick(state, 10, cfg, pairs, installed_rows(diag, cfg.max_hops))
+        between, mid = xapp_tick(state, 10)
         assert mid.served.tolist() == [False]
     assert len(between) == 0
-    installed = installed_rows(mid, cfg.max_hops)
-    assert (installed == -1).all()
-    state = fresh_triangle()
-    resent, again = xapp_tick(state, 0, cfg, pairs, installed)
+    assert (state.sent == -1).all()
+    ingest(state, triangle(11))
+    resent, again = xapp_tick(state, 11)
     assert again.paths.tolist() == diag.paths.tolist()
     assert resent.target.tolist() == batch.target.tolist() == slots(state, cav(0), cav(5))
     assert resent.paths.tolist() == batch.paths.tolist()
-
-
-@pytest.mark.parametrize("shape", [(1, 4), (1, 6), (2, 5), (5,)])
-def test_xapp_tick_rejects_installed_rows_of_the_wrong_shape(shape):
-    state = fresh_triangle()
-    a, b = slots(state, cav(0), cav(9))
-    with pytest.raises(ConfigurationError, match="installed paths"):
-        xapp_tick(state, 0, XAppConfig(snr_min_db=5.0), np.array([(a, b)]),
-                  np.full(shape, -1))
