@@ -151,28 +151,34 @@ def _segments_blocked(p0, p1, lo, hi, exclude_a, exclude_b) -> np.ndarray:
     a box (with equal antenna heights, every equal-height car). A surviving
     segment that does not move along an axis lies strictly inside that slab,
     so its quotients there are infinities (never 0/0) that bound nothing.
+
+    The screen is box-major, (kept boxes, segments): numpy's inner loops run
+    over the many segments, not the few kept boxes, and the candidates come
+    out box by box, which is harmless as blocking is set per segment.
+    `link_table` passes p0 and p1 as (L, 3) views of axis-major arrays, so
+    every per-axis read `p0[:, a]` is contiguous.
     """
     blocked = np.zeros(len(p0), dtype=bool)
     if len(p0) == 0:
         return blocked
     seg_lo, seg_hi = np.minimum(p0, p1), np.maximum(p0, p1)
     keep = np.nonzero((hi[:, 2] > seg_lo[:, 2].min()) & (lo[:, 2] < seg_hi[:, 2].max()))[0]
-    near = np.ones((len(p0), len(keep)), dtype=bool)
+    near = np.ones((len(keep), len(p0)), dtype=bool)
     scratch = np.empty_like(near)
     for a in range(3):
-        near &= np.less.outer(seg_lo[:, a], hi[keep, a], out=scratch)
-        near &= np.greater.outer(seg_hi[:, a], lo[keep, a], out=scratch)
-    seg, box = np.nonzero(near)
+        near &= np.greater.outer(hi[keep, a], seg_lo[:, a], out=scratch)
+        near &= np.less.outer(lo[keep, a], seg_hi[:, a], out=scratch)
+    box, seg = np.divmod(np.flatnonzero(near), len(p0))
     box = keep[box]
     other = (box != exclude_a[seg]) & (box != exclude_b[seg])
     seg, box = seg[other], box[other]
     tmin, tmax = np.zeros(len(seg)), np.ones(len(seg))
     with np.errstate(divide="ignore", invalid="raise"):
         for a in range(3):
-            start = p0[seg, a]
-            d = p1[seg, a] - start
-            t0 = (lo[box, a] - start) / d
-            t1 = (hi[box, a] - start) / d
+            start = p0[:, a][seg]
+            d = p1[:, a][seg] - start
+            t0 = (lo[:, a][box] - start) / d
+            t1 = (hi[:, a][box] - start) / d
             np.maximum(tmin, np.minimum(t0, t1), out=tmin)
             np.minimum(tmax, np.maximum(t0, t1), out=tmax)
     blocked[seg[tmax > tmin]] = True
@@ -206,12 +212,14 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
     draw hashes its own link alone.
     """
     pos = np.asarray(xyz, dtype=np.float64)
+    ends = pos.T.copy()  # axis-major: one contiguous row per axis, gathered per axis
+    x, y, z = ends
     if pairs is None:
         iu, ju = np.triu_indices(len(pos), k=1)
     else:
         iu = np.asarray(pairs[0], dtype=np.int64)
         ju = np.asarray(pairs[1], dtype=np.int64)
-    dx, dy, dz = (pos[iu] - pos[ju]).T
+    dx, dy, dz = x[iu] - x[ju], y[iu] - y[ju], z[iu] - z[ju]
     dist = np.sqrt(dx * dx + dy * dy + dz * dz)
     if bool((dist == 0.0).any()):
         raise MeasurementError("coincident antenna positions")
@@ -226,7 +234,8 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
     mode = params.blockage_mode
     if mode in ("geometric", "combined"):
         body = np.asarray(body, dtype=np.int64)
-        clear = ~_segments_blocked(pos[iu], pos[ju], *boxes, body[iu], body[ju])
+        clear = ~_segments_blocked(ends.take(iu, axis=1).T, ends.take(ju, axis=1).T, *boxes,
+                                   body[iu], body[ju])
     else:
         clear = np.ones(len(iu), dtype=bool)
 
@@ -238,7 +247,7 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
     else:
         outage = np.zeros(len(iu), dtype=bool)
 
-    h_ut = np.minimum(pos[iu, 2], pos[ju, 2])
+    h_ut = np.minimum(z[iu], z[ju])
     pl = np.where(clear, pl_los, pathloss_nlos(dist, params.carrier_ghz, h_ut))
     los = clear & ~outage
     pl = np.where(outage, OUTAGE_PATHLOSS_DB, pl)

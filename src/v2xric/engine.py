@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channel, ran, ric
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .scenario import (MobilityState, RoadLayout, TrafficConfig, build_intersection,
                        default_rsus, spawn_vehicles, step_mobility)
 
@@ -117,9 +117,11 @@ class SimConfig:
                 raise ConfigurationError("control_period_s sets the reporting period, which must "
                                          f"lie in [0.001, 1]: {reporting}")
             raise ConfigurationError(f"reporting_period_s out of range [0.001, 1]: {reporting}")
-        if self.measured_neighbors is not None and self.measured_neighbors < 1:
-            raise ConfigurationError(
-                f"measured_neighbors must be >= 1 or None: {self.measured_neighbors}")
+        if self.measured_neighbors is not None:
+            require_int("measured_neighbors", self.measured_neighbors)
+            if self.measured_neighbors < 1:
+                raise ConfigurationError(
+                    f"measured_neighbors must be >= 1 or None: {self.measured_neighbors}")
         periods = (("duration_s", self.duration_s), ("control_period_s", self.control_period_s),
                    ("reporting_period_s", reporting))
         for name, value in periods:

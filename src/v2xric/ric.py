@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .ran import ControlBatch, IndicationBatch, NodeKind, kinds
 
 # Bytes of the min-array one relaxation chunk may materialise: k relays cost
@@ -33,6 +33,7 @@ class XAppConfig:
     def validate(self) -> "XAppConfig":
         if not (-300.0 <= self.snr_min_db <= 300.0):
             raise ConfigurationError(f"snr_min_db out of range [-300, 300]: {self.snr_min_db}")
+        require_int("max_hops", self.max_hops)
         if self.max_hops < 1:
             raise ConfigurationError(f"max_hops must be >= 1: {self.max_hops}")
         return self
@@ -63,6 +64,9 @@ class RicState:
         n = len(self.codes)
         if n == 0 or (np.diff(self.codes) <= 0).any():
             raise ConfigurationError("controller view needs ascending, distinct node codes")
+        require_int("staleness_steps", self.staleness_steps)
+        if self.staleness_steps < 0:
+            raise ConfigurationError(f"staleness_steps must be >= 0: {self.staleness_steps}")
         self.xapp.validate()
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
         if ((pairs < 0) | (pairs >= n)).any():

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from reference_blockage import reference_segments_blocked
+from reference_channel import reference_link_table
 from reference_mobility import VehicleState, fleet_of
 from reference_outage import stochastic_blockage
 from v2xric import (ChannelParams, ConfigurationError, MeasurementError, NodeId, NodeKind,
@@ -290,6 +291,86 @@ def test_link_table_matches_dense_reference_in_dense_scenes(monkeypatch, density
         assert np.array_equal(getattr(got, column), getattr(want, column)), column
     geometric_nlos = (~want.los) & (want.pathloss_db < OUTAGE_PATHLOSS_DB)
     assert 0 < int(geometric_nlos.sum()) < len(want.i)
+
+
+def face_endpoints(rng, world, n):
+    """n extra endpoints on the vehicle bodies' side faces: x and y are each,
+    with equal odds, a random body's lo or hi face on that axis or the
+    coordinate of a random antenna of `world`; z is always an antenna's, so
+    the height cut still drops the bodies below every antenna. Bodies on one lane
+    share their side faces, so many of the segments between these points lie
+    flat on a face. Each gets a random own body (or none), like a roof
+    antenna."""
+    lo, hi = world.fleet.boxes()
+    xyz = world.xyz()
+    faces = np.stack((lo, hi))[rng.integers(0, 2, (n, 3)), rng.integers(0, len(lo), (n, 3)),
+                               np.arange(3)]
+    free = xyz[rng.integers(0, len(xyz), (n, 3)), np.arange(3)]
+    snap = rng.integers(0, 2, (n, 3)) == 0
+    snap[:, 2] = False
+    points = np.unique(np.where(snap, faces, free), axis=0)
+    points = points[~(points[:, None, :] == xyz[None, :, :]).all(axis=2).any(axis=1)]
+    codes = np.array([NodeId(NodeKind.CAV, 1000 + k).code for k in range(len(points))])
+    return points, codes, rng.integers(-1, len(lo), len(points))
+
+
+def selections(rng, n):
+    """link_table selections over n endpoints: all pairs and a random subset
+    with random orientation, each under every combination of range cut and
+    report floor, then three empty ones."""
+    a = rng.integers(0, n, 3 * n)
+    b = (a + rng.integers(1, n, 3 * n)) % n
+    for pairs in (None, (a, b)):
+        for max_range in (None, 120.0):
+            for min_snr_db in (None, 5.0):
+                yield dict(pairs=pairs, max_range=max_range, min_snr_db=min_snr_db)
+    yield dict(pairs=(np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
+    yield dict(max_range=1e-3)
+    yield dict(min_snr_db=200.0)
+
+
+@pytest.mark.parametrize("mode", channel.BLOCKAGE_MODES)
+@pytest.mark.parametrize("p_b", [0.0, 0.3, 1.0])
+def test_link_table_matches_row_major_reference(mode, p_b):
+    """Every column of the column-major table, row order included, is bit
+    for bit the row-major reference's, over random scenes (antenna heights
+    1.0, 1.6 and 4.5 m among 30% trucks, endpoints on body faces, and the same
+    endpoints with no blockers at all) and every kind of selection."""
+    params = ChannelParams(p_b=p_b, blockage_mode=mode)
+    layout = build_intersection(200.0, 14.0)
+    rng = np.random.default_rng(int(p_b * 10) + 100 * channel.BLOCKAGE_MODES.index(mode))
+    seen = dict(rows=0, empty=0, nlos=0, outage=0, flat_on_face=0)
+    for height in (1.0, 1.6, 4.5):
+        fleet = spawn_vehicles(layout, TrafficConfig(density_veh_km=float(rng.uniform(30, 80)),
+                                                     seed=int(rng.integers(1 << 30)),
+                                                     tall_fraction=0.3))
+        world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout),
+                      cav_antenna_height_m=height)
+        points, codes, body = face_endpoints(rng, world, 40)
+        xyz = np.vstack((world.xyz(), points))
+        codes = np.concatenate((world.codes, codes))
+        body = np.concatenate((world.body, body))
+        face_values = np.unique(np.concatenate(fleet.boxes()))
+        nothing = (np.empty((0, 3)), np.empty((0, 3)))
+        for boxes, own in ((world.boxes(), body), (nothing, np.full(len(body), -1))):
+            for selection in selections(rng, len(xyz)):
+                got = link_table(params, xyz, codes, own, boxes, 0.3, 7, **selection)
+                want = reference_link_table(params, xyz, codes, own, boxes, 0.3, 7, **selection)
+                for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
+                    g, w = getattr(got, column), getattr(want, column)
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (height, column)
+                assert got.t == want.t
+                outage = want.pathloss_db == OUTAGE_PATHLOSS_DB
+                same = xyz[want.i] == xyz[want.j]
+                seen["rows"] += len(want.i)
+                seen["empty"] += len(want.i) == 0
+                seen["nlos"] += int((~want.los & ~outage).sum())
+                seen["outage"] += int(outage.sum())
+                seen["flat_on_face"] += int((same & np.isin(xyz[want.i], face_values)).sum())
+    assert seen["empty"] >= 3 * 2 * 3
+    assert seen["rows"] > 10_000 and seen["flat_on_face"] > 100, seen
+    assert (seen["nlos"] > 100) == (mode == "geometric" or (mode == "combined" and p_b < 1.0)), seen
+    assert (seen["outage"] > 100) == (mode != "geometric" and p_b > 0.0), seen
 
 
 def test_empty_selections_give_empty_columns():

@@ -616,6 +616,14 @@ def test_sim_config_validation(kwargs):
         SimConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize("cap", [2.5, True, 0, -1, np.float64(3.0)])
+def test_measured_neighbors_must_be_a_positive_integer(cap):
+    """A fractional cap ran as the next integer up (2.5 kept 3 links)."""
+    with pytest.raises(ConfigurationError, match="measured_neighbors"):
+        SimConfig(measured_neighbors=cap).validate()
+    assert SimConfig(measured_neighbors=np.int64(3)).validate().measured_neighbors == 3
+
+
 def test_every_step_has_its_own_time():
     """Record times and outage keys round to 1e-9 s, so `dt_s` is refused
     below 1e-9, where several steps would share one time, and accepted at it,

@@ -630,6 +630,30 @@ def test_xapp_tick_rejects_bad_pairs_before_building_the_graph(pairs, monkeypatc
         RicState(view().codes, pairs=np.array(pairs), xapp=XAppConfig(snr_min_db=5.0))
 
 
+@pytest.mark.parametrize("hops", [2.5, True, "4", np.float64(3.0)])
+def test_xapp_config_refuses_a_hop_budget_that_is_not_an_integer(hops):
+    """A fractional hop budget was accepted and only failed when the first
+    tick sized its path rows."""
+    with pytest.raises(ConfigurationError, match="max_hops"):
+        XAppConfig(max_hops=hops).validate()
+    assert XAppConfig(max_hops=np.int64(3)).validate().max_hops == 3
+
+
+@pytest.mark.parametrize("window", [-1, 2.5, True, np.float64(2.0)])
+def test_ric_state_refuses_a_staleness_window_that_is_not_a_step_count(window):
+    """A negative K made a report stale at the step it was taken, so the xApp
+    could never build an edge; a fractional or bool K was taken as a number."""
+    with pytest.raises(ConfigurationError, match="staleness_steps"):
+        RicState(view().codes, window)
+
+
+def test_zero_staleness_keeps_a_report_fresh_at_its_own_step():
+    state = view(staleness_steps=0)
+    ingest(state, instant(0, (cav(0), [(cav(1), 10.0)]), (cav(1), [(cav(0), 10.0)])))
+    assert has_edge(state.codes, build_graph(state, 0, snr_min_db=5.0), cav(0), cav(1))
+    assert not has_edge(state.codes, build_graph(state, 1, snr_min_db=5.0), cav(0), cav(1))
+
+
 def test_xapp_state_validates_its_policy():
     with pytest.raises(ConfigurationError, match="max_hops"):
         RicState(view().codes, xapp=XAppConfig(max_hops=0))
