@@ -9,7 +9,7 @@ an equally low car does not. Every link is measured through `link_table`.
 import numpy as np
 
 from v2xric.channel import ChannelParams, link_table, noise_floor, pathloss_los, pathloss_nlos
-from v2xric.ran import NodeId, NodeKind, World
+from v2xric.ran import NodeKind, World, node_codes
 from v2xric.scenario import CAR_EXTENT, TALL_EXTENT, Fleet, build_intersection, default_rsus
 
 
@@ -34,7 +34,6 @@ def main():
     # Geometric blockage: both antennas are car roofs 1.6 m up, so whatever
     # sits between them must rise above that height to matter.
     layout = build_intersection(arm_length_m=200.0, road_width_m=14.0)
-    tx_id, rx_id = NodeId(NodeKind.CAV, 0), NodeId(NodeKind.CAV, 1)
     for label, extent in (("another car", CAR_EXTENT), ("a truck", TALL_EXTENT)):
         # three parked vehicles on the northbound lane: the two ends, then the middle one
         fleet = Fleet(axis=np.ones(3, dtype=np.int8), direction=np.ones(3),
@@ -43,8 +42,7 @@ def main():
         world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
         link = link_table(params, world.xyz(), world.codes, world.body, world.boxes(),
                           t=0.0, seed=1,
-                          pairs=(np.flatnonzero(world.codes == tx_id.code),
-                                 np.flatnonzero(world.codes == rx_id.code)))
+                          pairs=(np.flatnonzero(world.body == 0), np.flatnonzero(world.body == 1)))
         state = "line of sight" if link.los[0] else "blocked"
         print(f"with {label:11s} in between: {state}, snr {link.snr_db[0]:+.2f} dB")
     print()
@@ -52,7 +50,7 @@ def main():
     # Random (non-geometric) blockage is a seeded Bernoulli draw per link and
     # instant; measure a row of 200 roof antennas, every pair once.
     row = np.array([(-100.0 + float(k), -3.5, 1.6) for k in range(200)])
-    codes = np.array([NodeId(NodeKind.CAV, k).code for k in range(200)])
+    codes = node_codes(NodeKind.CAV, np.arange(200))
     no_blockers = (np.empty((0, 3)), np.empty((0, 3)))
     random_only = ChannelParams(p_b=0.3, blockage_mode="stochastic")
     outages = ~link_table(random_only, row, codes, np.full(200, -1), no_blockers,

@@ -17,7 +17,7 @@ from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryR
                      SweepResult, SweepSpec, WorldConfig, run, run_with_audit, sweep_blockage,
                      sweep_snr, time_average)
 from .errors import ConfigurationError, MeasurementError
-from .ran import (ControlBatch, ForwardingTable, IndicationBatch, NodeId, NodeKind, World,
+from .ran import (ControlBatch, ForwardingTable, IndicationBatch, NodeKind, World,
                   apply_control, emit_indication)
 from .ric import RicState, XAppConfig, XAppDiagnostics, build_graph, ingest, xapp_tick
 from .scenario import (Fleet, MobilityState, RoadLayout, TrafficConfig, build_intersection,
@@ -31,7 +31,7 @@ __all__ = [
     "SweepResult", "SweepSpec", "WorldConfig", "run", "run_with_audit", "sweep_blockage",
     "sweep_snr", "time_average",
     "ConfigurationError", "MeasurementError",
-    "ControlBatch", "ForwardingTable", "IndicationBatch", "NodeId", "NodeKind", "World",
+    "ControlBatch", "ForwardingTable", "IndicationBatch", "NodeKind", "World",
     "apply_control", "emit_indication",
     "RicState", "XAppConfig", "XAppDiagnostics", "build_graph", "ingest", "xapp_tick",
     "Fleet", "MobilityState", "RoadLayout", "TrafficConfig", "build_intersection",

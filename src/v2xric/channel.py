@@ -122,6 +122,7 @@ def _link_uniform_u64(seed: int, code_a: np.ndarray, code_b: np.ndarray, tick_ms
     function of that triple, so the outage set `u < p_b` is reproducible and
     grows monotonically with p_b."""
     h0 = _mix64_u64(np.array([(seed ^ _PHI64) & _MASK64], dtype=np.uint64))
+    # injective while every code is below 2^22, as `ran.node_codes` keeps them
     h = _mix64_u64(h0 ^ ((code_a.astype(np.uint64) << np.uint64(22)) | code_b.astype(np.uint64)))
     h = _mix64_u64(h ^ np.uint64(tick_ms & _MASK64))
     return (h >> np.uint64(11)) * 2.0 ** -53
@@ -195,7 +196,7 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
     explicit (i_indices, j_indices) selection via `pairs`.
 
     Endpoints come as columns: `xyz`, the (n, 3) antenna points; `codes`, their
-    NodeId codes, which key the outage draws; and `body`, the row in `boxes`
+    node codes, which key the outage draws; and `body`, the row in `boxes`
     of each endpoint's own vehicle body, or -1. `boxes` is the blockers' (lo,
     hi) corners, (m, 3) each. This is the single measurement path: per-node
     reports, single links and neighbour ranges (`max_range`, boundary

@@ -88,8 +88,11 @@ class SimConfig:
         if self.control_period_s < self.dt_s:
             raise ConfigurationError(
                 f"control_period_s must be >= dt_s: {self.control_period_s} < {self.dt_s}")
+        require_int("seed", self.seed)
         if not (0 <= self.seed < 2**63):
             raise ConfigurationError(f"seed out of range [0, 2^63): {self.seed}")
+        if not isinstance(self.cav_terminations, (bool, np.bool_)):
+            raise ConfigurationError(f"cav_terminations must be a bool: {self.cav_terminations!r}")
         if not (self.sensing_range_m > 0):
             raise ConfigurationError(f"sensing_range_m must be positive: {self.sensing_range_m}")
         if self.control_delay_s < 0:
@@ -221,11 +224,13 @@ class SweepSpec:
                 replace(self.base.channel, p_b=p).validate()
             except ConfigurationError as exc:
                 raise ConfigurationError(f"invalid value for p_b_values: {exc}") from None
+        require_int("replications", self.replications)
         if self.replications < 1:
             raise ConfigurationError(f"replications must be >= 1: {self.replications}")
         if self.base.seed + self.replications - 1 >= 2**63:
             raise ConfigurationError(f"replications out of range: seed {self.base.seed} + "
                                      f"{self.replications - 1} must stay below 2^63")
+        require_int("workers", self.workers)
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1: {self.workers}")
         return self

@@ -1,16 +1,15 @@
-"""RAN-side endpoints: node identities, measurement reports, forwarding control.
+"""RAN-side endpoints: node codes, measurement reports, forwarding control.
 
 Every radio node (roadside unit or vehicle) emits periodic indication reports
 toward the controller, all taken at one step in one batch, and applies
-forwarding control messages. Nodes are identified by a totally ordered
-NodeId; all deterministic tie-breaking in the system leans on that order.
-Reports and control name a node by its view slot, its row among the run's
-ascending NodeId codes, so slot order is NodeId order.
+forwarding control messages. A node's integer code packs its kind and index
+(`node_codes`, read back by `kinds`); all deterministic tie-breaking in the
+system leans on code order. Reports and control name a node by its view
+slot, its row among the run's ascending codes, so slot order is code order.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -19,40 +18,12 @@ import numpy as np
 from .errors import ConfigurationError
 from .scenario import Fleet, RoadLayout
 
-_INDEX_BITS = 20  # NodeId.index must fit so (kind, index) packs into a link key
+_INDEX_BITS = 20  # a node index must fit so (kind, index) packs into a code below 2^22
 
 
 class NodeKind(IntEnum):
     RSU = 1
     CAV = 2
-
-
-class NodeId(namedtuple("NodeId", "kind index")):
-    """Total order is (kind, index); `code` packs both into one integer.
-
-    A tuple underneath, so the hashing, equality and ordering that every
-    table, graph and forwarding lookup leans on run at C speed.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: NodeKind, index: int) -> "NodeId":
-        if not (0 <= index < (1 << _INDEX_BITS)):
-            raise ConfigurationError(f"node index out of range [0, 2^20): {index}")
-        return super().__new__(cls, kind, index)
-
-    @property
-    def code(self) -> int:
-        return (int(self.kind) << _INDEX_BITS) | self.index
-
-    @classmethod
-    def from_code(cls, code: int) -> "NodeId":
-        """The NodeId whose `code` is `code`."""
-        code = int(code)
-        return cls(NodeKind(code >> _INDEX_BITS), code & ((1 << _INDEX_BITS) - 1))
-
-    def __str__(self) -> str:
-        return f"{self.kind.name}-{self.index}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,11 +76,10 @@ class ForwardingTable:
 class World:
     """Everything a node can sense: geometry plus the radio endpoints on it.
 
-    Endpoints are columns in NodeId order: RSU k at mast top `rsus[k]` is
-    NodeId(RSU, k), then CAV k is fleet row k. `codes` are their NodeId
-    codes, `body` the row of each one's own body among `boxes()`, -1 for an
-    RSU; both are built once. `xyz()` and `boxes()` read the fleet as it
-    stands."""
+    Endpoints are columns in code order: RSU k at mast top `rsus[k]`, then
+    CAV k at fleet row k. `codes` are their `node_codes`, `body` the row of
+    each one's own body among `boxes()`, -1 for an RSU; both are built once.
+    `xyz()` and `boxes()` read the fleet as it stands."""
 
     layout: RoadLayout
     fleet: Fleet
@@ -123,8 +93,8 @@ class World:
         if max(r, n) > 1 << _INDEX_BITS:
             raise ConfigurationError(f"a node index must stay below 2^{_INDEX_BITS}: {r} RSUs and "
                                      f"{n} vehicles, at most 2^{_INDEX_BITS} of each")
-        self.codes = np.concatenate([(int(kind) << _INDEX_BITS) | np.arange(rows, dtype=np.int64)
-                                     for kind, rows in ((NodeKind.RSU, r), (NodeKind.CAV, n))])
+        self.codes = np.concatenate((node_codes(NodeKind.RSU, np.arange(r)),
+                                     node_codes(NodeKind.CAV, np.arange(n))))
         self.body = np.concatenate((np.full(r, -1), np.arange(n)))
 
     def xyz(self) -> np.ndarray:
@@ -138,8 +108,13 @@ class World:
         return np.vstack((lo, self.layout.building_lo)), np.vstack((hi, self.layout.building_hi))
 
 
+def node_codes(kind: NodeKind, index: np.ndarray) -> np.ndarray:
+    """The int64 code of each node of `kind` at `index`; `kinds` inverts it."""
+    return (int(kind) << _INDEX_BITS) | np.asarray(index, dtype=np.int64)
+
+
 def kinds(codes: np.ndarray) -> np.ndarray:
-    """The NodeKind value of each NodeId code."""
+    """The NodeKind value of each node code."""
     return np.asarray(codes) >> _INDEX_BITS
 
 

@@ -6,7 +6,7 @@ fresh rows, and solves hop-bounded maximum-bottleneck-SNR (widest) paths
 between served pairs from tables of the served destinations' rows alone, on
 the ranks of the edge SNRs.
 Ties go to fewer hops, then to the lexicographically smallest node sequence
-under the NodeId total order, so identical inputs yield identical assignments.
+in code order, so identical inputs yield identical assignments.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class XAppConfig:
 @dataclass(slots=True)
 class RicState:
     """The xApp's run state by view slot, a node's row in the n ascending
-    NodeId `codes` (code order keeps the report cap's and the pathfinder's
-    tie-breaks on NodeId order): the step each node's held report was taken
+    node `codes` (slot order keeps the report cap's and the pathfinder's
+    tie-breaks on code order): the step each node's held report was taken
     (-1 before its first), `measured[reporter, neighbour]`, each link's SNR in
     that report (+inf where it lacks the link), and `staleness_steps`, the
     age in steps up to which a report is fresh. The policy `xapp` serves

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 
 _SPAWN_TAG = 17
 _MOBILITY_TAG = 23
@@ -48,9 +48,10 @@ class RoadLayout:
 @dataclass(eq=False, slots=True)
 class Fleet:
     """Every vehicle as columns; row k is the vehicle with vid k, which the RAN
-    layer maps to NodeId(CAV, k). A vehicle drives the lane along `axis` (0 =
-    x, 1 = y) in `direction` (+1.0 or -1.0) at perpendicular offset `lateral`,
-    at travel coordinate `c` (its position along the axis is c * direction)."""
+    layer codes as `node_codes(CAV, k)`. A vehicle drives the lane along
+    `axis` (0 = x, 1 = y) in `direction` (+1.0 or -1.0) at perpendicular
+    offset `lateral`, at travel coordinate `c` (its position along the axis
+    is c * direction)."""
 
     axis: np.ndarray  # (n,) int8
     direction: np.ndarray  # (n,) float64
@@ -95,7 +96,8 @@ class TrafficConfig:
             raise ConfigurationError(f"tall_fraction out of range [0, 1]: {self.tall_fraction}")
         if not (0.0 <= self.turn_probability <= 1.0):
             raise ConfigurationError(f"turn_probability out of range [0, 1]: {self.turn_probability}")
-        if not (0 <= int(self.seed) < 2**63):
+        require_int("seed", self.seed)
+        if not (0 <= self.seed < 2**63):
             raise ConfigurationError(f"seed out of range: {self.seed}")
         return self
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from v2xric import ControlBatch, NodeId
+from reference_ids import NodeId
+from v2xric import ControlBatch
 
 
 def full_fan_out(diag) -> ControlBatch:

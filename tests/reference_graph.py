@@ -8,8 +8,9 @@ pair, written with none of the production code's matrix machinery.
 
 from __future__ import annotations
 
+from reference_ids import NodeId
 from reference_reports import RicState
-from v2xric import NodeId, NodeKind
+from v2xric import NodeKind
 
 FRESH_EPS = 1e-9  # the float rule's guard at the staleness boundary
 

@@ -19,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from reference_ids import NodeId
 from slot_adapter import graph_nodes
-from v2xric import NodeId, NodeKind
+from v2xric import NodeKind
 
 Graph = NamedTuple("Graph", [("codes", np.ndarray), ("snr", np.ndarray)])  # widest_path(*graph, ...)
 

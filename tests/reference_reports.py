@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from v2xric import NodeId
+from reference_ids import NodeId
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,12 +28,13 @@ import reference_schedule
 from reference_blockage import reference_segments_blocked
 from reference_control import ControlMessage, NodeState, apply_control, audit_paths
 from reference_graph import reference_graph
+from reference_ids import NodeId
 from reference_mobility import blocker_boxes, step_mobility, vehicles_of
 from reference_outage import stochastic_blockage
 from reference_paths import reference_column_solve
 from reference_reports import RicState, emit_indication, ingest
 from slot_adapter import Path
-from v2xric import (AuditSummary, MetricsRecord, MobilityState, NodeId, NodeKind, SimConfig,
+from v2xric import (AuditSummary, MetricsRecord, MobilityState, NodeKind, SimConfig,
                     noise_floor, pathloss_los, pathloss_nlos, spawn_vehicles)
 from v2xric.channel import OUTAGE_PATHLOSS_DB
 from v2xric.engine import _MATCH_TAG

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from v2xric import NodeId
+from reference_ids import NodeId
 from v2xric.ric import _widest_paths
 
 

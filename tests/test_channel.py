@@ -20,9 +20,10 @@ import pytest
 
 from reference_blockage import reference_segments_blocked
 from reference_channel import reference_link_table
+from reference_ids import NodeId
 from reference_mobility import VehicleState, fleet_of
 from reference_outage import stochastic_blockage
-from v2xric import (ChannelParams, ConfigurationError, MeasurementError, NodeId, NodeKind,
+from v2xric import (ChannelParams, ConfigurationError, MeasurementError, NodeKind,
                     TrafficConfig, World, build_intersection, channel, default_rsus,
                     link_table, noise_floor, pathloss_los, pathloss_nlos, spawn_vehicles)
 from v2xric.channel import OUTAGE_PATHLOSS_DB

@@ -17,11 +17,12 @@ import pytest
 
 import reference_schedule
 from reference_graph import fresh
+from reference_ids import NodeId
 import v2xric
 from reference_mobility import VehicleState, fleet_of
 from slot_adapter import pair_slots
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingTable,
-                    IndicationBatch, MetricsRecord, NodeId, NodeKind, RicState, SimConfig,
+                    IndicationBatch, MetricsRecord, NodeKind, RicState, SimConfig,
                     SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, apply_control,
                     build_intersection, ingest, run, run_with_audit, spawn_vehicles,
                     sweep_blockage, sweep_snr, time_average, xapp_tick)
@@ -547,11 +548,35 @@ def test_blockage_sweep_needs_a_stochastic_mode():
     dict(gamma_min_values=(5.0, 400.0)),
     dict(gamma_min_values=(math.nan,)),
     dict(gamma_min_values=(5.0,), p_b_values=(math.nan,)),
+    # fractional counts died with a TypeError after the worlds were built, or
+    # (workers=2.5) ran
+    dict(gamma_min_values=(5.0,), replications=1.5),
+    dict(gamma_min_values=(5.0,), replications=True),
+    dict(gamma_min_values=(5.0,), workers=1.5),
+    dict(gamma_min_values=(5.0,), workers=2.5),
 ])
 def test_sweep_spec_validation(kwargs):
     # the last keyword holds the bad value, and the error names it
     with pytest.raises(ConfigurationError, match=list(kwargs)[-1]):
         SweepSpec(base=quick_cfg(), **kwargs).validate()
+
+
+def test_numpy_integer_seeds_and_counts_pass():
+    spec = SweepSpec(base=quick_cfg(seed=np.int64(3)), gamma_min_values=(5.0,),
+                     replications=np.int64(2), workers=np.int64(2))
+    assert spec.validate() is spec
+
+
+@pytest.mark.parametrize("flag", [1, 0, "yes", None])
+def test_cav_terminations_must_be_a_bool(flag):
+    """`cav_terminations=1` turned the reporting mask into an index array: a
+    1 s run from t = 0 scored 0.0 connectivity at every tick, where True
+    scores 0.94 at t = 0.1 s. A numpy bool runs as the bool."""
+    with pytest.raises(ConfigurationError, match="cav_terminations"):
+        SimConfig(cav_terminations=flag).validate()
+    cfg = quick_cfg(duration_s=0.2)
+    assert record_reprs(run(replace(cfg, cav_terminations=np.bool_(True)))) == \
+        record_reprs(run(cfg))
 
 
 def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
@@ -610,6 +635,9 @@ def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
     # steps below 1e-9 s, the grid record times round to
     dict(duration_s=2e-9, dt_s=1e-10, control_period_s=1e-10, reporting_period_s=0.001,
          warmup_s=0.0),
+    # a seed that is not an integer (both ran to the end)
+    dict(seed=1.5),
+    dict(seed=True),
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(ConfigurationError):

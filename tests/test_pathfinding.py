@@ -6,11 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from reference_ids import NodeId
 from reference_paths import (edges_of, graph_of, random_connectivity_graph,
                              reference_column_solve, reference_maxmin_tables,
                              reference_widest_path)
 from slot_adapter import graph_nodes, widest_path
-from v2xric import NodeId, NodeKind
+from v2xric import NodeKind
 from v2xric.ran import kinds
 from v2xric.ric import (_SCRATCH_BYTES, _edge_ranks, _extract_paths, _maxmin_tables,
                         _widest_paths)

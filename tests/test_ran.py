@@ -9,12 +9,13 @@ import pytest
 import reference_control
 import reference_layout
 import reference_reports
+from reference_ids import NodeId
 from reference_mobility import VehicleState, fleet_of
 from reference_reports import reports_of
 from reference_schedule import report_due
 from slot_adapter import Path, codes_of, control_slots, indication_codes
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
-                    ForwardingTable, NodeId, NodeKind, RicState, SimConfig, TrafficConfig,
+                    ForwardingTable, NodeKind, RicState, SimConfig, TrafficConfig,
                     World, XAppConfig, apply_control, build_graph, build_intersection, channel,
                     default_rsus, emit_indication, ingest, link_table, ran, run, spawn_vehicles)
 from v2xric.engine import _audit, _collect_reports
@@ -96,22 +97,13 @@ def test_world_antennas_in_node_order():
     assert hi[2:].tolist() == [[b.x1, b.y1, b.height] for b in buildings]
 
 
-def test_world_codes_are_node_id_codes_built_without_node_ids(monkeypatch):
-    """A spawned world with the corner RSUs packs its codes over arrays: no
-    NodeId is constructed, and each code is the one its NodeId gives."""
+def test_world_codes_are_node_id_codes_built_without_node_ids():
+    """A spawned world with the corner RSUs packs its codes over arrays, and
+    each code is the one its NodeId gives. The package has no NodeId to
+    build (`test_api` guards that)."""
     layout = build_intersection(200.0, 14.0)
     fleet = spawn_vehicles(layout, TrafficConfig(density_veh_km=120.0, seed=4))
-    built = []
-    original = NodeId.__new__
-
-    def spy(cls, kind, index):
-        built.append((kind, index))
-        return original(cls, kind, index)
-
-    monkeypatch.setattr(NodeId, "__new__", staticmethod(spy))
     world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
-    assert built == []
-    monkeypatch.undo()
     assert world.codes.dtype == np.int64
     assert world.codes.tolist() == ([NodeId(NodeKind.RSU, k).code for k in range(4)]
                                     + [cav(k).code for k in range(len(fleet))])
@@ -131,6 +123,7 @@ def test_world_refuses_more_nodes_than_the_index_holds():
     world = World(layout=layout, fleet=zero_fleet(bound), rsus=np.zeros((bound, 3)))
     assert world.codes[-1] == cav(bound - 1).code
     assert world.codes[bound - 1] == NodeId(NodeKind.RSU, bound - 1).code
+    assert world.codes.max() < 1 << 22  # the width the outage draw's link key leaves a code
     with pytest.raises(ConfigurationError, match=r"2\^20"):
         World(layout=layout, fleet=zero_fleet(bound + 1), rsus=np.zeros((4, 3)))
     with pytest.raises(ConfigurationError, match=r"2\^20"):

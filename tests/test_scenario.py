@@ -203,6 +203,8 @@ def test_spawn_rejects_infeasible_density():
     dict(tall_fraction=-0.1),
     dict(turn_probability=1.5),
     dict(seed=-1),
+    dict(seed=1.5),
+    dict(seed=True),
 ])
 def test_traffic_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
