@@ -16,9 +16,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigurationError
-from .scenario import Fleet, RoadLayout
-
-_INDEX_BITS = 20  # a node index must fit so (kind, index) packs into a code below 2^22
+from .scenario import _INDEX_BITS, Fleet, RoadLayout
 
 
 class NodeKind(IntEnum):
@@ -42,16 +40,14 @@ class IndicationBatch:
 
 @dataclass(frozen=True, slots=True)
 class ControlBatch:
-    """One control tick's forwarding messages as columns: the multi-hop paths
-    it installs (view slots from source to destination, padded with -1 to the
-    width of `RicState.sent`; the controller sends only the paths that
-    changed) with each one's index into the served pairs, then per message,
-    which installs one hop, the target node's slot and the row of its path."""
+    """One control tick's forwarding messages as columns, one forwarding
+    entry each: the target node's view slot, the index of the served pair the
+    entry serves and the target's next hop for that pair, a view slot. The
+    controller sends the hops of the paths that changed."""
 
-    paths: np.ndarray  # (M, W) int64
-    pair: np.ndarray  # (M,) int64
     target: np.ndarray  # (K,) int64
-    path_row: np.ndarray  # (K,) int64
+    pair: np.ndarray  # (K,) int64
+    next_hop: np.ndarray  # (K,) int64
 
     def __len__(self) -> int:
         return len(self.target)
@@ -141,30 +137,23 @@ def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndar
 
 
 def apply_control(table: ForwardingTable, batch: ControlBatch) -> ForwardingTable:
-    """Install every forwarding hop the batch carries into the table.
+    """Install every forwarding entry the batch carries into the table.
 
-    Malformed messages (a path row outside the batch, a pair index outside
-    the table's pairs, a target outside its slots, a target absent from its
-    path, or the path's own destination) count as protocol errors and are
-    dropped. When one batch installs the same (node, pair) twice, the later
-    row wins.
+    Malformed messages (a target or next hop outside the table's slots, a
+    pair index outside its pairs, or a node forwarding to itself) count as
+    protocol errors and are dropped. When one batch installs the same (node,
+    pair) twice, the later message wins.
     """
     n_nodes, n_pairs = table.next_hop.shape
-    m = len(batch.paths)
-    # an all -1 row for messages naming no path, a -1 column past every path's end
-    paths = np.pad(batch.paths, ((0, 1), (0, 1)), constant_values=-1)
-    path_row = np.where((batch.path_row >= 0) & (batch.path_row < m), batch.path_row, m)
-    rows, pair = paths[path_row], np.append(batch.pair, -1)[path_row]
-    inside = (batch.target >= 0) & (batch.target < n_nodes) & (pair >= 0) & (pair < n_pairs)
-    on_path = (rows == batch.target[:, None]) & inside[:, None]
-    nxt = rows[np.arange(len(rows)), np.argmax(on_path, axis=1) + 1]
-    ok = on_path.any(axis=1) & (nxt >= 0)
+    slot, pair, nxt = batch.target, batch.pair, batch.next_hop
+    ok = ((slot >= 0) & (slot < n_nodes) & (nxt >= 0) & (nxt < n_nodes) & (nxt != slot)
+          & (pair >= 0) & (pair < n_pairs))
     table.protocol_errors += len(batch) - int(np.count_nonzero(ok))
-    slot, pair, nxt = batch.target[ok], pair[ok], nxt[ok]
+    slot, pair, nxt = slot[ok], pair[ok], nxt[ok]
     table.next_hop[slot, pair] = nxt
     if (table.next_hop[slot, pair] != nxt).any():
         # a (node, pair) repeats with different hops, and numpy leaves the
-        # order of repeated writes open: write each key's later row again
+        # order of repeated writes open: write each key's later message again
         key = slot * n_pairs + pair
         order = np.argsort(key, kind="stable")
         last = order[np.diff(key[order], append=-1) != 0]

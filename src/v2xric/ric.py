@@ -232,9 +232,9 @@ def _widest_paths(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
 def xapp_tick(state: RicState, step: int) -> tuple[ControlBatch, XAppDiagnostics]:
     """One controller pass over the state's served pairs under its policy:
     graph from fresh reports, widest path per pair from its smaller slot to
-    its larger, one message per non-destination node of every multi-hop path
-    whose row differs from `sent`; `sent` then holds this tick's multi-hop
-    rows and -1 elsewhere, so a pair relayed again after a gap is resent."""
+    its larger, one message (node, pair, next hop) per hop of each multi-hop
+    path whose row differs from `sent`; `sent` then holds this tick's
+    multi-hop rows and -1 elsewhere, so a pair relayed after a gap is resent."""
     s, d = state.pairs[:, 0], state.pairs[:, 1]
     snr = build_graph(state, step, state.xapp.snr_min_db)
     bottleneck, hops, steps, direct = _widest_paths(snr, s, d, state.xapp.max_hops)
@@ -243,10 +243,9 @@ def xapp_tick(state: RicState, step: int) -> tuple[ControlBatch, XAppDiagnostics
     rows[:, : steps.shape[1]] = steps
     changed = np.flatnonzero(relayed & (rows != state.sent).any(axis=1))
     state.sent = np.where(relayed[:, None], rows, -1)
-    paths = rows[changed]
-    path_row, col = np.nonzero(np.arange(paths.shape[1]) < hops[changed, None])
-    batch = ControlBatch(paths=paths, pair=changed, target=paths[path_row, col],
-                         path_row=path_row)
+    path, col = np.nonzero(np.arange(rows.shape[1]) < hops[changed, None])
+    pair = changed[path]
+    batch = ControlBatch(target=rows[pair, col], pair=pair, next_hop=rows[pair, col + 1])
 
     edge = snr > -np.inf
     diagnostics = XAppDiagnostics(

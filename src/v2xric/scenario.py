@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, require_int
 
+_INDEX_BITS = 20  # a run holds at most 2^20 vehicles and RSUs, each coded below 2^22
 _SPAWN_TAG = 17
 _MOBILITY_TAG = 23
 
@@ -150,6 +151,10 @@ def spawn_vehicles(layout: RoadLayout, cfg: TrafficConfig) -> Fleet:
     minimum spacing on each lane. Rows (vids) run lane by lane in layout
     order, x road first, in travel order within a lane."""
     cfg.validate()
+    expected = cfg.density_veh_km * 4.0 * layout.arm_length_m / 1000.0  # two roads of two arms
+    if not expected <= 1 << _INDEX_BITS:
+        raise ConfigurationError(f"arm_length_m={layout.arm_length_m} at {cfg.density_veh_km} "
+                                 f"veh/km expects {expected:.3g} vehicles, over 2^{_INDEX_BITS}")
     rng = np.random.default_rng([int(cfg.seed), _SPAWN_TAG])
     min_gap = CAR_EXTENT[0]
     lane_len = 2.0 * layout.arm_length_m

@@ -50,7 +50,8 @@ def indication_codes(batch, codes):
 
 def control_slots(batch, codes):
     """A ControlBatch that names nodes by code, renamed by view slot."""
-    return replace(batch, paths=slots_of(codes, batch.paths), target=slots_of(codes, batch.target))
+    return replace(batch, target=slots_of(codes, batch.target),
+                   next_hop=slots_of(codes, batch.next_hop))
 
 
 def pair_slots(codes, pairs) -> np.ndarray:

@@ -409,6 +409,18 @@ def test_config_no_run_can_use_exits_2_before_running(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("arm_length_m", ["1e308", "1e9"], ids=["1e308", "1e9"])
+def test_fleet_past_the_node_index_bound_exits_2(tmp_path, capsys, arm_length_m):
+    """An arm so long that its expected fleet cannot be coded is a
+    configuration error; at 1e308 it was a traceback from the spawn's draw."""
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"arm_length_m = {arm_length_m}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--out", str(out), "--config", str(cfg)]) == 2
+    assert "arm_length_m" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags", [
     ("sweep-snr", ["--no-relay"]),
     ("sweep-blockage", ["--p-b", "0,0.5", "--no-relay"]),

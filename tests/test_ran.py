@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from reference_ids import NodeId
 from reference_mobility import VehicleState, fleet_of
 from reference_reports import reports_of
 from reference_schedule import report_due
-from slot_adapter import Path, codes_of, control_slots, indication_codes
+from slot_adapter import Path, codes_of, control_slots, indication_codes, slots_of
 from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
                     ForwardingTable, NodeKind, RicState, SimConfig, TrafficConfig,
                     World, XAppConfig, apply_control, build_graph, build_intersection, channel,
@@ -366,10 +367,10 @@ def test_subscription_validation(kwargs):
 N_VIEW = 10
 
 
-def relay_batch(target, nodes=(0, 5, 9), pair=0):
-    """One message installing slot `target`'s hop of the path `nodes` for `pair`."""
-    return ControlBatch(paths=np.array([nodes], dtype=np.int64), pair=np.array([pair]),
-                        target=np.array([target]), path_row=np.array([0]))
+def hop_batch(*messages):
+    """A batch of (target, pair, next hop) messages, in order."""
+    target, pair, next_hop = np.array(messages, dtype=np.int64).reshape(len(messages), 3).T
+    return ControlBatch(target=target, pair=pair, next_hop=next_hop)
 
 
 def table_of(n_pairs=2):
@@ -383,7 +384,7 @@ def route(table, slot, pair):
 
 def test_apply_control_installs_next_hop():
     table = table_of()
-    apply_control(table, relay_batch(0))
+    apply_control(table, hop_batch((0, 0, 5)))
     assert table.protocol_errors == 0
     assert table.next_hop[0, 0] == 5
     assert route(table, 0, 0) == 5
@@ -392,7 +393,7 @@ def test_apply_control_installs_next_hop():
 
 def test_apply_control_middle_hop():
     table = table_of()
-    apply_control(table, relay_batch(5))
+    apply_control(table, hop_batch((5, 0, 9)))
     assert route(table, 5, 0) == 9
 
 
@@ -400,67 +401,70 @@ def test_apply_control_rejects_wrong_target():
     # a target outside the view's slots; numpy would wrap -1 to the last row
     for outside in (-1, N_VIEW):
         table = table_of()
-        apply_control(table, relay_batch(outside, nodes=(0, 5, 9)))
-        apply_control(table, relay_batch(outside, nodes=(0, 5, N_VIEW - 1)))
+        apply_control(table, hop_batch((outside, 0, 5)))
+        apply_control(table, hop_batch((outside, 0, N_VIEW - 1)))
         assert table.protocol_errors == 2
         assert (table.next_hop == -1).all()
 
 
-@pytest.mark.parametrize("pair, target, path_row", [
-    (-1, 1, 0),  # numpy would wrap -1 to the table's last pair column
-    (-1, 0, 0),
-    (2, 1, 0),  # the table serves pairs 0 and 1
-    (0, 1, -1),  # numpy would wrap -1 to the batch's last path
-    (0, 1, 2),  # the batch carries paths 0 and 1
+@pytest.mark.parametrize("pair, target, next_hop", [
+    (-1, 1, 9),  # numpy would wrap -1 to the table's last pair column
+    (-1, 0, 5),
+    (2, 1, 9),  # the table serves pairs 0 and 1
+    (0, 1, -1),  # -1 is no hop, and numpy would write it
+    (0, 1, N_VIEW),  # the view holds slots 0-9
 ])
-def test_apply_control_rejects_out_of_range_pair_or_path_row(pair, target, path_row):
+def test_apply_control_rejects_out_of_range_pair_or_next_hop(pair, target, next_hop):
     # beside one sound message, which installs slot 2's hop of pair 1
-    batch = ControlBatch(paths=np.array([(0, 1, 9), (2, 1, 8)]), pair=np.array([pair, 1]),
-                         target=np.array([target, 2]), path_row=np.array([path_row, 1]))
     table = table_of()
-    apply_control(table, batch)
+    apply_control(table, hop_batch((target, pair, next_hop), (2, 1, 1)))
     assert table.protocol_errors == 1
     want = np.full((N_VIEW, 2), -1)
     want[2, 1] = 1
     assert (table.next_hop == want).all()
 
 
-def test_apply_control_rejects_node_not_on_path():
+def test_apply_control_rejects_a_self_loop():
+    """A node told to forward a pair to itself would hold the pair forever."""
     table = table_of()
-    apply_control(table, relay_batch(7))
+    apply_control(table, hop_batch((7, 0, 7), (0, 1, 0)))
+    assert table.protocol_errors == 2
+    assert (table.next_hop == -1).all()
+
+
+def test_apply_control_rejects_node_not_on_path():
+    """A node off a path has no next hop on it: its message would carry -1."""
+    table = table_of()
+    apply_control(table, hop_batch((7, 0, -1)))
     assert table.protocol_errors == 1
     assert (table.next_hop == -1).all()
 
 
 def test_apply_control_rejects_destination_target():
+    """A path's destination has no next hop: its message would carry -1."""
     table = table_of()
-    apply_control(table, relay_batch(9))
+    apply_control(table, hop_batch((9, 0, -1)))
     assert table.protocol_errors == 1
     assert (table.next_hop == -1).all()
 
 
 def test_later_control_replaces_route():
     table = table_of()
-    apply_control(table, relay_batch(0, nodes=(0, 5, 9)))
+    apply_control(table, hop_batch((0, 0, 5)))
     assert route(table, 0, 0) == 5
-    apply_control(table, relay_batch(0, nodes=(0, 3, 9)))
+    apply_control(table, hop_batch((0, 0, 3)))
     assert table.protocol_errors == 0
     assert route(table, 0, 0) == 3
 
 
 @pytest.mark.parametrize("order, want", [([0, 1], 3), ([1, 0], 5)])
 def test_later_row_of_one_batch_wins(order, want):
-    """Two path rows of one batch install slot 0's hop of pair 0: the message
-    that comes later in the batch sets the route, and each path's other hop
-    installs as usual."""
-    targets = np.array([0, 0, 5, 3])
-    rows = np.array([0, 1, 0, 1])
-    first = [k for k in range(4) if rows[k] == order[0]]
-    second = [k for k in range(4) if rows[k] == order[1]]
-    batch = ControlBatch(paths=np.array([(0, 5, 9), (0, 3, 9)]), pair=np.array([0, 0]),
-                         target=targets[first + second], path_row=rows[first + second])
+    """The hops of two paths of one batch, 0-5-9 and 0-3-9, install slot 0's
+    hop of pair 0: the message that comes later in the batch sets the route,
+    and each path's other hop installs as usual."""
+    paths = ([(0, 0, 5), (5, 0, 9)], [(0, 0, 3), (3, 0, 9)])
     table = table_of()
-    apply_control(table, batch)
+    apply_control(table, hop_batch(*paths[order[0]], *paths[order[1]]))
     assert table.protocol_errors == 0
     assert route(table, 0, 0) == want
     assert (route(table, 5, 0), route(table, 3, 0)) == (9, 9)
@@ -468,8 +472,8 @@ def test_later_row_of_one_batch_wins(order, want):
 
 def test_routes_for_different_purposes_coexist():
     table = table_of()
-    apply_control(table, relay_batch(5, nodes=(0, 5, 9), pair=0))
-    apply_control(table, relay_batch(5, nodes=(1, 5, 8), pair=1))
+    apply_control(table, hop_batch((5, 0, 9)))
+    apply_control(table, hop_batch((5, 1, 8)))
     assert route(table, 5, 0) == 9
     assert route(table, 5, 1) == 8
 
@@ -477,53 +481,171 @@ def test_routes_for_different_purposes_coexist():
 def test_forwarding_table_stores_next_hops_as_int32():
     table = table_of()
     assert table.next_hop.dtype == np.int32
-    apply_control(table, relay_batch(5, nodes=(0, 5, 9)))
+    apply_control(table, hop_batch((5, 0, 9)))
     # the view's last slot is a next hop like any other
-    apply_control(table, relay_batch(0, nodes=(0, N_VIEW - 1), pair=1))
+    apply_control(table, hop_batch((0, 1, N_VIEW - 1)))
     assert table.next_hop[[5, 0, 9], [0, 1, 0]].tolist() == [9, N_VIEW - 1, -1]
 
 
+def random_hops(rng, n_nodes, n_pairs, seen):
+    """Random (target, pair, next hop) messages over n_nodes slots and
+    n_pairs pairs: sound ones, ones with one column out of range (-1 or one
+    past its last value), self-loops, and repeats of an earlier sound
+    message's (target, pair) with the same or another next hop."""
+    messages, installed = [], []  # every message, the sound ones
+    for _ in range(int(rng.integers(0, 12))):
+        node, nxt = (int(v) for v in rng.choice(n_nodes, size=2, replace=False))
+        message = [node, int(rng.integers(n_pairs)), nxt]
+        kind = str(rng.choice(("sound", "target", "pair", "next hop", "self-loop", "repeat"),
+                              p=(0.4, 0.12, 0.12, 0.12, 0.12, 0.12)))
+        if kind in ("target", "pair", "next hop"):
+            column = ("target", "pair", "next hop").index(kind)
+            message[column] = int(rng.choice((-1, (n_nodes, n_pairs, n_nodes)[column])))
+            kind += " -1" if message[column] < 0 else " past the end"
+        elif kind == "self-loop":
+            message[2] = node
+        elif kind == "repeat" and installed:
+            message[:2] = installed[int(rng.integers(len(installed)))][:2]
+            if message[0] == message[2]:
+                continue
+            same = [m for m in installed if m[:2] == message[:2]][-1][2] == message[2]
+            kind += " with the same hop" if same else ""
+        else:
+            kind = "sound"
+        seen[kind] += 1
+        messages.append(message)
+        if kind.startswith(("sound", "repeat")):
+            installed.append(message)
+    return hop_batch(*messages)
+
+
+class ReversedWrites(np.ndarray):
+    """An array whose index-array writes land last to first, so the first of
+    two writes to one cell stays: an order numpy leaves open."""
+
+    def __setitem__(self, key, value):
+        if isinstance(key, tuple) and all(isinstance(k, np.ndarray) for k in key):
+            # copies: numpy may walk a reversed view in memory order
+            value = np.broadcast_to(value, np.broadcast(*key).shape)[::-1].copy()
+            key = tuple(k[::-1].copy() for k in key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("writes", ["numpy", "reversed"])
+def test_apply_control_matches_scalar_oracle(writes):
+    """Over random ticks of every kind of message, the batched install leaves
+    the table and the error count that installing message by message in
+    batch order leaves: range checks on each column, no self-loops, and the
+    later of two messages for one (node, pair) wins, also when repeated
+    writes land in reverse order."""
+    rng = np.random.default_rng(27)
+    seen = Counter()
+    for _ in range(300):
+        n_nodes, n_pairs = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        table = ForwardingTable.empty(n_nodes, n_pairs)
+        if writes == "reversed":
+            table.next_hop = table.next_hop.view(ReversedWrites)
+        forwarding, errors = {}, 0
+        for _ in range(4):
+            batch = random_hops(rng, n_nodes, n_pairs, seen)
+            apply_control(table, batch)
+            errors += reference_control.install_hops(forwarding, n_nodes, n_pairs, batch)
+            want = np.full((n_nodes, n_pairs), -1)
+            for key, nxt in forwarding.items():
+                want[key] = nxt
+            assert table.next_hop.tolist() == want.tolist()
+            assert table.protocol_errors == errors
+    kinds = ("sound", "target -1", "target past the end", "pair -1", "pair past the end",
+             "next hop -1", "next hop past the end", "self-loop", "repeat",
+             "repeat with the same hop")
+    assert set(seen) == set(kinds) and min(seen.values()) >= 30, seen
+
+
+def random_path_rows(rng, n_nodes, n_pairs):
+    """A sound path-row batch: random simple paths, a pair may get two in one
+    batch, one message per node before each path's destination, in shuffled
+    order, so a (node, pair) may repeat across two paths."""
+    paths, pair, target, path_row = [], [], [], []
+    width = int(rng.integers(3, n_nodes + 1))
+    for row in range(int(rng.integers(0, 5))):
+        path = rng.choice(n_nodes, size=int(rng.integers(3, width + 1)), replace=False).tolist()
+        paths.append(path + [-1] * (width - len(path)))
+        pair.append(int(rng.integers(n_pairs)))
+        target += path[:-1]
+        path_row += [row] * (len(path) - 1)
+    order = rng.permutation(len(target))
+    return reference_control.PathControlBatch(
+        paths=np.array(paths, dtype=np.int64).reshape(len(paths), width),
+        pair=np.array(pair, dtype=np.int64),
+        target=np.array(target, dtype=np.int64)[order],
+        path_row=np.array(path_row, dtype=np.int64)[order])
+
+
+def test_split_path_rows_install_the_path_row_table():
+    """Each sound path-row batch, split into one forwarding entry per message,
+    leaves the table bit for bit as the path-row install leaves it, repeated
+    (node, pair) messages included."""
+    rng = np.random.default_rng(2627)
+    repeats = 0
+    for _ in range(200):
+        n_nodes, n_pairs = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+        old, new = (ForwardingTable.empty(n_nodes, n_pairs) for _ in range(2))
+        for _ in range(4):
+            batch = random_path_rows(rng, n_nodes, n_pairs)
+            reference_control.apply_path_control(old, batch)
+            hops = reference_control.split_hops(batch)
+            apply_control(new, hops)
+            assert len(hops) == len(batch)
+            assert np.array_equal(new.next_hop, old.next_hop)
+            assert new.protocol_errors == old.protocol_errors == 0
+            keys = hops.target * n_pairs + hops.pair
+            repeats += len(keys) - len(np.unique(keys))
+    assert repeats >= 100
+
+
+def test_full_fan_out_sends_one_entry_per_hop():
+    """The fan-out oracle names each forwarding node of every multi-hop path
+    with the path's pair and the next node, pair by pair and hop by hop."""
+    diag = SimpleNamespace(hops=np.array([2, 0, 1, 3]),
+                           paths=np.array([(4, 1, 6, -1), (-1, -1, -1, -1), (2, 3, -1, -1),
+                                           (0, 5, 2, 7)]))
+    full = reference_control.full_fan_out(diag)
+    assert full.target.tolist() == [4, 1, 0, 5, 2]
+    assert full.pair.tolist() == [0, 0, 3, 3, 3]
+    assert full.next_hop.tolist() == [1, 6, 5, 2, 7]
+    assert all(col.dtype == np.int64 for col in (full.target, full.pair, full.next_hop))
+
+
 def random_control_tick(rng, nodes, pairs, stranger, counts):
-    """A batch of random multi-hop paths for random pairs (a pair may get two
-    paths in one batch), each with one message per forwarding node, mixed
-    with wrong, off-path and destination targets, in shuffled row order."""
-    paths, pair_of, targets, rows = [], [], [], []
+    """A batch of the hops of random multi-hop paths for random pairs (a pair
+    may get two paths in one batch), named by code, mixed with messages to a
+    target the view does not hold and to a path's destination (whose next
+    hop is -1), in shuffled order; with the same messages for the per-node
+    oracle, and the paths."""
+    assignments, messages = [], []
     for _ in range(int(rng.integers(0, 5))):
         k = int(rng.integers(len(pairs)))
         u, v = pairs[k]
         middle = [n for n in nodes if n not in (u, v)]
         relays = rng.choice(len(middle), size=int(rng.integers(1, min(4, len(middle)) + 1)),
                             replace=False)
-        path = [u, *(middle[i] for i in relays), v]
-        row = len(paths)
-        paths.append(path)
-        pair_of.append(k)
-        for node in path[:-1]:
-            targets.append(node)
-            rows.append(row)
-        kind = str(rng.choice(("none", "wrong", "off-path", "destination"),
-                              p=(0.55, 0.15, 0.15, 0.15)))
-        off_path = [n for n in nodes if n not in path]
+        path = Path(0.0, (u, *(middle[i] for i in relays), v))
+        assignments.append((k, path))
+        messages += [(node, k, path, nxt.code) for node, nxt in zip(path.nodes, path.nodes[1:])]
+        kind = str(rng.choice(("none", "wrong", "destination"), p=(0.6, 0.2, 0.2)))
         if kind == "wrong":
-            targets.append(stranger)
+            messages.append((stranger, k, path, path.nodes[1].code))
         elif kind == "destination":
-            targets.append(v)
-        elif kind == "off-path" and off_path:
-            targets.append(off_path[int(rng.integers(len(off_path)))])
+            messages.append((v, k, path, -1))
         else:
             continue
         counts[kind] += 1
-        rows.append(row)
-    order = rng.permutation(len(targets))
-    width = max((len(p) for p in paths), default=2)
-    return ControlBatch(
-        paths=np.array([[n.code for n in p] + [-1] * (width - len(p)) for p in paths],
-                       dtype=np.int64).reshape(len(paths), width),
-        pair=np.array(pair_of, dtype=np.int64),
-        target=np.array([targets[i].code for i in order], dtype=np.int64),
-        path_row=np.array([rows[i] for i in order], dtype=np.int64),
-    ), [(pair_of[r], Path(0.0, tuple(p)))
-        for r, p in enumerate(paths)]
+    messages = [messages[i] for i in rng.permutation(len(messages))]
+    batch = ControlBatch(target=np.array([m[0].code for m in messages], dtype=np.int64),
+                         pair=np.array([m[1] for m in messages], dtype=np.int64),
+                         next_hop=np.array([m[3] for m in messages], dtype=np.int64))
+    return batch, [reference_control.ControlMessage(target=node, assignment=path, purpose=k)
+                   for node, k, path, _ in messages], assignments
 
 
 def test_batched_control_matches_reference():
@@ -531,7 +653,7 @@ def test_batched_control_matches_reference():
     same protocol-error count and the same audited-path counts as the scalar
     per-node oracle, over random ticks."""
     rng = np.random.default_rng(11)
-    counts = {"wrong": 0, "off-path": 0, "destination": 0}
+    counts = {"wrong": 0, "destination": 0}
     audit_failures = audit_ok = 0
     for _ in range(300):
         n = int(rng.integers(3, 10))
@@ -546,24 +668,24 @@ def test_batched_control_matches_reference():
         table = ForwardingTable.empty(len(nodes), len(pairs))
         states = {node: reference_control.NodeState(node) for node in nodes}
         for _ in range(6):
-            batch, assignments = random_control_tick(rng, nodes, pairs, stranger, counts)
+            batch, messages, assignments = random_control_tick(rng, nodes, pairs, stranger,
+                                                               counts)
             apply_control(table, control_slots(batch, codes))
-            paths = {r: assignment for r, (_, assignment) in enumerate(assignments)}
-            for target, row in zip(batch.target.tolist(), batch.path_row.tolist()):
-                node = NodeId.from_code(target)
-                msg = reference_control.ControlMessage(
-                    target=node, assignment=paths[row], purpose=int(batch.pair[row]))
+            for msg in messages:
                 # a target the nodes do not hold is delivered to a node it does not name
-                reference_control.apply_control(states.get(node, states[nodes[0]]), msg)
+                reference_control.apply_control(states.get(msg.target, states[nodes[0]]), msg)
             assert table.protocol_errors == sum(s.protocol_errors for s in states.values())
 
             for k in range(len(pairs)):
                 got = codes_of(codes, table.next_hop[:, k]).tolist()
                 want = [states[n].route_for(k) for n in nodes]
                 assert got == [-1 if w is None else w.code for w in want]
+            width = max((len(path.nodes) for _, path in assignments), default=2)
+            rows = np.array([[n.code for n in path.nodes] + [-1] * (width - len(path.nodes))
+                             for _, path in assignments], dtype=np.int64)
             summary = AuditSummary()
-            slots = control_slots(batch, codes)
-            _audit(table, slots.paths, slots.pair, summary)
+            _audit(table, slots_of(codes, rows.reshape(len(assignments), width)),
+                   np.array([k for k, _ in assignments], dtype=np.int64), summary)
             checked, ok = reference_control.audit_paths(states, assignments)
             assert (summary.paths_checked, summary.paths_ok) == (checked, ok)
             audit_failures += checked - ok

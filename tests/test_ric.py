@@ -412,12 +412,12 @@ def test_xapp_tick_emits_one_message_per_forwarding_node():
     batch, diag = tick(state, 0, cfg, [(cav(0), cav(9))])
     assert len(batch) == 2
     assert batch.target.tolist() == slots(state, cav(0), cav(5))
-    assert batch.path_row.tolist() == [0, 0]
-    assert batch.pair.tolist() == [0]
+    assert batch.pair.tolist() == [0, 0]
+    assert batch.next_hop.tolist() == slots(state, cav(5), cav(9))
     # 3 nodes hold an edge, so the solve clamps the budget to 2 edges, and
     # its rows are padded to the width a simple path over the view can fill
     width = min(cfg.max_hops, len(state.codes) - 1) + 1
-    assert batch.paths.tolist() == [slots(state, cav(0), cav(5), cav(9)) + [-1] * (width - 3)]
+    assert diag.paths.tolist() == [slots(state, cav(0), cav(5), cav(9)) + [-1] * (width - 3)]
     assert assigned(diag, 0, state.codes) == Path(7.0, (cav(0), cav(5), cav(9)))
 
 
@@ -444,8 +444,9 @@ def test_three_relayed_pairs_give_six_ordered_messages():
     batch, diag = tick(state, 0, cfg, pairs)
     assert np.count_nonzero(diag.served & ~diag.direct) == 3
     assert batch.target.tolist() == slots(state, cav(0), cav(1), cav(10), cav(11), cav(20), cav(21))
-    assert batch.path_row.tolist() == [0, 0, 1, 1, 2, 2]
-    assert batch.pair.tolist() == [0, 1, 2]
+    assert batch.pair.tolist() == [0, 0, 1, 1, 2, 2]
+    assert batch.next_hop.tolist() == slots(state, cav(1), cav(2), cav(11), cav(12), cav(21),
+                                            cav(22))
     assert len(batch) == 6
 
 
@@ -548,26 +549,25 @@ def test_silent_edgeless_slots_change_no_path():
             ticks.append((state.codes, *tick(state, 0, cfg, pairs)))
         (codes, batch, diag), (wide_codes, wide_batch, wide_diag) = ticks
         assert len(wide_codes) > len(codes) or not silent
-        for n, control, result in ((len(codes), batch, diag),
-                                   (len(wide_codes), wide_batch, wide_diag)):
+        for n, result in ((len(codes), diag), (len(wide_codes), wide_diag)):
             width = max(1, min(cfg.max_hops, n - 1)) + 1
-            assert control.paths.shape[1] == result.paths.shape[1] == width
-        width = batch.paths.shape[1]
-        assert wide_batch.paths.shape[0] == batch.paths.shape[0]
-        assert (wide_batch.paths[:, width:] == -1).all()
-        assert (codes_of(wide_codes, wide_batch.paths[:, :width]).tolist()
-                == codes_of(codes, batch.paths).tolist())
+            assert result.paths.shape[1] == width
+        width = diag.paths.shape[1]
+        assert (wide_diag.paths[:, width:] == -1).all()
+        assert (codes_of(wide_codes, wide_diag.paths[:, :width]).tolist()
+                == codes_of(codes, diag.paths).tolist())
         assert codes_of(wide_codes, wide_batch.target).tolist() == codes_of(codes, batch.target).tolist()
-        assert (wide_batch.pair.tolist(), wide_batch.path_row.tolist()) == (
-            batch.pair.tolist(), batch.path_row.tolist())
+        assert (codes_of(wide_codes, wide_batch.next_hop).tolist()
+                == codes_of(codes, batch.next_hop).tolist())
+        assert wide_batch.pair.tolist() == batch.pair.tolist()
         assert wide_diag.graph_nodes == diag.graph_nodes == len(members)
         for k, (u, v) in enumerate(pairs):
             want = reference_widest_path(g, u, v, cfg.max_hops, cfg.snr_min_db)
             assert assigned(wide_diag, k, wide_codes) == want
             assert wide_diag.hops[k] == diag.hops[k]
-        seen["relayed"] += len(batch.paths)
-        seen["clamped"] += cfg.max_hops >= batch.paths.shape[1] > 0
-        seen["wider rows"] += wide_batch.paths.shape[1] > width and len(batch.paths) > 0
+        seen["relayed"] += len(np.unique(batch.pair))
+        seen["clamped"] += cfg.max_hops >= width and len(batch) > 0
+        seen["wider rows"] += wide_diag.paths.shape[1] > width and len(batch) > 0
         seen["silent rsu"] += any(node.kind == NodeKind.RSU for node in silent)
     assert min(seen.values()) >= 20, seen
 
@@ -656,7 +656,8 @@ def test_pairs_run_from_the_smaller_slot():
     assert backward_state.pairs.tolist() == [slots(forward_state, cav(0), cav(9))]
     forward, _ = xapp_tick(forward_state, 0)
     backward, diag = xapp_tick(backward_state, 0)
-    assert backward.paths.tolist() == forward.paths.tolist()
+    assert (backward.target.tolist(), backward.pair.tolist(), backward.next_hop.tolist()) == (
+        forward.target.tolist(), forward.pair.tolist(), forward.next_hop.tolist())
     assert backward.target.tolist() == slots(backward_state, cav(0), cav(5))
     assert assigned(diag, 0, backward_state.codes).nodes == (cav(0), cav(5), cav(9))
 
@@ -670,16 +671,17 @@ def test_unchanged_path_gets_no_message():
     ingest(state, instant(0, (cav(1), [(cav(6), 9.0)]),
                           (cav(6), [(cav(1), 9.0), (cav(8), 9.0)]), (cav(8), [(cav(6), 9.0)])))
     first, diag = xapp_tick(state, 0)
-    assert first.pair.tolist() == [0, 1] and len(first) == 4
+    assert first.pair.tolist() == [0, 0, 1, 1] and len(first) == 4
     again, same = xapp_tick(state, 0)
-    assert len(again) == 0 and again.pair.tolist() == [] and again.paths.shape[0] == 0
+    assert len(again) == 0 and again.pair.tolist() == [] and again.next_hop.shape == (0,)
     assert same.paths.tolist() == diag.paths.tolist()
     # cav(9) now reaches cav(0) better through cav(3)
     ingest(state, instant(1, (cav(0), [(cav(3), 12.0)]), (cav(3), [(cav(0), 12.0), (cav(9), 12.0)]),
                           (cav(9), [(cav(3), 12.0)])))
     moved, now = xapp_tick(state, 1)
-    assert moved.pair.tolist() == [0]
+    assert moved.pair.tolist() == [0, 0]
     assert moved.target.tolist() == slots(state, cav(0), cav(3))
+    assert moved.next_hop.tolist() == slots(state, cav(3), cav(9))
     assert assigned(now, 0, state.codes).nodes == (cav(0), cav(3), cav(9))
 
 
@@ -704,4 +706,5 @@ def test_pair_relayed_again_after_a_gap_gets_its_hops_resent(gap):
     resent, again = xapp_tick(state, 11)
     assert again.paths.tolist() == diag.paths.tolist()
     assert resent.target.tolist() == batch.target.tolist() == slots(state, cav(0), cav(5))
-    assert resent.paths.tolist() == batch.paths.tolist()
+    assert (resent.pair.tolist(), resent.next_hop.tolist()) == (batch.pair.tolist(),
+                                                                batch.next_hop.tolist())

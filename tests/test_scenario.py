@@ -195,6 +195,16 @@ def test_spawn_rejects_infeasible_density():
         spawn_vehicles(layout, TrafficConfig(seed=1, density_veh_km=500.0))
 
 
+@pytest.mark.parametrize("arm_length_m", [1e308, 1e9], ids=["1e308", "1e9"])
+def test_spawn_refuses_a_fleet_past_the_node_index_bound(arm_length_m):
+    """The expected fleet, 4 * arm_length_m / 1000 * density_veh_km, must fit
+    the 2^20 vehicles a run can code. Past it the Poisson draw failed with
+    numpy's "lam value too large" (1e308) or drew 10^8 lane picks (1e9)."""
+    layout = build_intersection(arm_length_m, 14.0)
+    with pytest.raises(ConfigurationError, match="arm_length_m"):
+        spawn_vehicles(layout, TrafficConfig(seed=1))
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(density_veh_km=0.5),
     dict(density_veh_km=1000.0),
