@@ -17,8 +17,8 @@ from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryR
                      SweepResult, SweepSpec, WorldConfig, run, run_with_audit, sweep_blockage,
                      sweep_snr, time_average)
 from .errors import ConfigurationError, MeasurementError
-from .ran import (ControlBatch, ForwardingTable, IndicationBatch, NodeKind, World,
-                  apply_control, emit_indication)
+from .ran import (ControlBatch, IndicationBatch, NodeKind, World, apply_control,
+                  emit_indication, forwarding_table)
 from .ric import RicState, XAppConfig, XAppDiagnostics, build_graph, ingest, xapp_tick
 from .scenario import (Fleet, MobilityState, RoadLayout, TrafficConfig, build_intersection,
                        default_rsus, spawn_vehicles, step_mobility)
@@ -31,8 +31,8 @@ __all__ = [
     "SweepResult", "SweepSpec", "WorldConfig", "run", "run_with_audit", "sweep_blockage",
     "sweep_snr", "time_average",
     "ConfigurationError", "MeasurementError",
-    "ControlBatch", "ForwardingTable", "IndicationBatch", "NodeKind", "World",
-    "apply_control", "emit_indication",
+    "ControlBatch", "IndicationBatch", "NodeKind", "World", "apply_control",
+    "emit_indication", "forwarding_table",
     "RicState", "XAppConfig", "XAppDiagnostics", "build_graph", "ingest", "xapp_tick",
     "Fleet", "MobilityState", "RoadLayout", "TrafficConfig", "build_intersection",
     "default_rsus", "spawn_vehicles", "step_mobility",

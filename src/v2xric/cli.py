@@ -124,6 +124,7 @@ def _read_config(path: str) -> tuple[dict[str, str], str | None]:
             raise ConfigurationError(f"manifest has no config mapping: {path}")
         return {str(k): str(v) for k, v in config.items()}, manifest.get("command")
     values: dict[str, str] = {}
+    first: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -131,7 +132,11 @@ def _read_config(path: str) -> tuple[dict[str, str], str | None]:
         if "=" not in stripped:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.split("#", 1)[0].strip()
+        key = key.strip()
+        if key in first:
+            raise ConfigurationError(f"{path}:{lineno}: {key} repeats line {first[key]}")
+        first[key] = lineno
+        values[key] = raw.split("#", 1)[0].strip()
     return values, None
 
 

@@ -208,7 +208,7 @@ class SweepSpec:
     replications: int = 1
     workers: int = 1
 
-    def validate(self, need_p_b: bool = False) -> "SweepSpec":
+    def validate(self) -> "SweepSpec":
         self.base.validate()
         if not self.gamma_min_values:
             raise ConfigurationError("gamma_min_values must be non-empty")
@@ -217,8 +217,6 @@ class SweepSpec:
                 replace(self.base.xapp, snr_min_db=g).validate()
             except ConfigurationError as exc:
                 raise ConfigurationError(f"invalid value for gamma_min_values: {exc}") from None
-        if need_p_b and not self.p_b_values:
-            raise ConfigurationError("p_b_values must be non-empty")
         for p in self.p_b_values:
             try:
                 replace(self.base.channel, p_b=p).validate()
@@ -332,24 +330,6 @@ def _collect_reports(world: ran.World, cfg: SimConfig, step: int) -> ran.Indicat
                                cfg.measured_neighbors)
 
 
-def _audit(table: ran.ForwardingTable, paths: np.ndarray, pair: np.ndarray,
-           audit: AuditSummary) -> None:
-    """Walk every multi-hop path, a row of view slots padded with -1 serving
-    pair index `pair[row]`, through the table's forwarding entries, all
-    paths at once, and count those that reach their destination in exactly
-    their hop count without passing it on the way."""
-    hops = np.count_nonzero(paths >= 0, axis=1) - 1
-    destination = paths[np.arange(len(paths)), hops]
-    cur, ok = paths[:, 0], np.ones(len(paths), dtype=bool)
-    for k in range(int(hops.max(initial=0))):
-        step = ok & (k < hops)
-        nxt = table.next_hop[cur, pair]
-        ok &= ~(step & ((nxt < 0) | (cur == destination)))
-        cur = np.where(step & ok, nxt, cur)
-    audit.paths_checked += len(paths)
-    audit.paths_ok += int(np.count_nonzero(ok & (cur == destination)))
-
-
 def _world(cfg: SimConfig, layout: RoadLayout) -> ran.World:
     """The run's world at step 0: its traffic spawned at the run's seed."""
     return ran.World(
@@ -374,7 +354,7 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
     delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
 
     ric_state = ric.RicState(world.codes, cfg.staleness_steps(), pairs=pairs, xapp=cfg.xapp)
-    table = ran.ForwardingTable.empty(len(world.codes), len(pairs))
+    table = ran.forwarding_table(len(world.codes), len(pairs))
     in_flight: list[tuple[int, ran.IndicationBatch]] = []  # (arrival step, batch)
     records: list[MetricsRecord] = []
     audit = AuditSummary()
@@ -386,10 +366,11 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
             while in_flight and in_flight[0][0] <= step:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
             batch, diag = ric.xapp_tick(ric_state, step)
-            ran.apply_control(table, batch)
+            audit.protocol_errors += ran.apply_control(table, batch)
             relayed = np.flatnonzero(diag.hops >= 2)
             audit.messages_total += int(diag.hops[relayed].sum())  # the full fan-out
-            _audit(table, diag.paths[relayed], relayed, audit)
+            audit.paths_checked += len(relayed)
+            audit.paths_ok += ran.delivered(table, diag.paths[relayed], relayed)
             n_direct = int(np.count_nonzero(diag.direct))
             records.append(MetricsRecord(
                 t=round(step * cfg.dt_s, 9),
@@ -404,7 +385,6 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
                 direct_connectivity=_connectivity(pairs, diag.direct, cfg.metric_mode),
             ))
         step_mobility(world.fleet, layout, cfg.dt_s, mobility)
-    audit.protocol_errors = table.protocol_errors
     return records, audit
 
 
@@ -492,7 +472,9 @@ def sweep_blockage(spec: SweepSpec) -> SweepResult:
     """Relay connectivity over the (gamma_min, p_b) grid. Replication seeds are
     shared across cells, so the blockage draws are coupled and the p_b = 0
     column reproduces the SNR sweep exactly."""
-    spec.validate(need_p_b=True)
+    spec.validate()
+    if not spec.p_b_values:
+        raise ConfigurationError("p_b_values must be non-empty")
     if spec.base.channel.blockage_mode not in ("stochastic", "combined"):
         raise ConfigurationError(
             "sweep_blockage needs blockage_mode 'stochastic' or 'combined', "

@@ -54,21 +54,6 @@ class ControlBatch:
 
 
 @dataclass(slots=True)
-class ForwardingTable:
-    """Every node's forwarding state, indexed [slot, pair]: the next hop's
-    view slot as int32, -1 where no hop was ever set. Entries are keyed
-    by the served pair, not by the destination alone: two assignments toward
-    one destination through a shared relay would otherwise collide."""
-
-    next_hop: np.ndarray
-    protocol_errors: int = 0
-
-    @classmethod
-    def empty(cls, n_nodes: int, n_pairs: int) -> "ForwardingTable":
-        return cls(next_hop=np.full((n_nodes, n_pairs), -1, dtype=np.int32))
-
-
-@dataclass(slots=True)
 class World:
     """Everything a node can sense: geometry plus the radio endpoints on it.
 
@@ -136,26 +121,47 @@ def emit_indication(reporters: np.ndarray, source: np.ndarray, neighbor: np.ndar
                            source=source, neighbor=neighbor, snr_db=snr_db)
 
 
-def apply_control(table: ForwardingTable, batch: ControlBatch) -> ForwardingTable:
-    """Install every forwarding entry the batch carries into the table.
+def forwarding_table(n_nodes: int, n_pairs: int) -> np.ndarray:
+    """Every node's forwarding state, indexed [slot, pair]: the next hop's
+    view slot as int32, -1 where no hop was ever set. Entries are keyed
+    by the served pair, not by the destination alone: two assignments toward
+    one destination through a shared relay would otherwise collide."""
+    return np.full((n_nodes, n_pairs), -1, dtype=np.int32)
 
-    Malformed messages (a target or next hop outside the table's slots, a
-    pair index outside its pairs, or a node forwarding to itself) count as
-    protocol errors and are dropped. When one batch installs the same (node,
-    pair) twice, the later message wins.
-    """
-    n_nodes, n_pairs = table.next_hop.shape
+
+def apply_control(table: np.ndarray, batch: ControlBatch) -> int:
+    """Install every forwarding entry the batch carries into the table and
+    return the batch's acknowledgement: how many of its messages were dropped
+    as protocol errors (a target or next hop outside the table's slots, a
+    pair index outside its pairs, or a node forwarding to itself). When one
+    batch installs the same (node, pair) twice, the later message wins."""
+    n_nodes, n_pairs = table.shape
     slot, pair, nxt = batch.target, batch.pair, batch.next_hop
     ok = ((slot >= 0) & (slot < n_nodes) & (nxt >= 0) & (nxt < n_nodes) & (nxt != slot)
           & (pair >= 0) & (pair < n_pairs))
-    table.protocol_errors += len(batch) - int(np.count_nonzero(ok))
     slot, pair, nxt = slot[ok], pair[ok], nxt[ok]
-    table.next_hop[slot, pair] = nxt
-    if (table.next_hop[slot, pair] != nxt).any():
+    table[slot, pair] = nxt
+    if (table[slot, pair] != nxt).any():
         # a (node, pair) repeats with different hops, and numpy leaves the
         # order of repeated writes open: write each key's later message again
         key = slot * n_pairs + pair
         order = np.argsort(key, kind="stable")
         last = order[np.diff(key[order], append=-1) != 0]
-        table.next_hop[slot[last], pair[last]] = nxt[last]
-    return table
+        table[slot[last], pair[last]] = nxt[last]
+    return len(batch) - len(slot)
+
+
+def delivered(table: np.ndarray, paths: np.ndarray, pair: np.ndarray) -> int:
+    """Walk every multi-hop path, a row of view slots padded with -1 serving
+    pair index `pair[row]`, through the table's forwarding entries, all
+    paths at once, and count those that reach their destination in exactly
+    their hop count without passing it on the way."""
+    hops = np.count_nonzero(paths >= 0, axis=1) - 1
+    destination = paths[np.arange(len(paths)), hops]
+    cur, ok = paths[:, 0], np.ones(len(paths), dtype=bool)
+    for k in range(int(hops.max(initial=0))):
+        step = ok & (k < hops)
+        nxt = table[cur, pair]
+        ok &= ~(step & ((nxt < 0) | (cur == destination)))
+        cur = np.where(step & ok, nxt, cur)
+    return int(np.count_nonzero(ok & (cur == destination)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from reference_ids import NodeId
-from v2xric import ControlBatch, ForwardingTable
+from v2xric import ControlBatch
 
 
 def full_fan_out(diag) -> ControlBatch:
@@ -71,8 +71,9 @@ class PathControlBatch:
         return len(self.target)
 
 
-def apply_path_control(table: ForwardingTable, batch: PathControlBatch) -> ForwardingTable:
-    """Install every forwarding hop the path-row batch carries into the table.
+def apply_path_control(table: np.ndarray, batch: PathControlBatch) -> int:
+    """Install every forwarding hop the path-row batch carries into the
+    [slot, pair] table and return how many messages were dropped.
 
     Malformed messages (a path row outside the batch, a pair index outside
     the table's pairs, a target outside its slots, a target absent from its
@@ -80,7 +81,7 @@ def apply_path_control(table: ForwardingTable, batch: PathControlBatch) -> Forwa
     dropped. When one batch installs the same (node, pair) twice, the later
     row wins.
     """
-    n_nodes, n_pairs = table.next_hop.shape
+    n_nodes, n_pairs = table.shape
     m = len(batch.paths)
     # an all -1 row for messages naming no path, a -1 column past every path's end
     paths = np.pad(batch.paths, ((0, 1), (0, 1)), constant_values=-1)
@@ -90,17 +91,16 @@ def apply_path_control(table: ForwardingTable, batch: PathControlBatch) -> Forwa
     on_path = (rows == batch.target[:, None]) & inside[:, None]
     nxt = rows[np.arange(len(rows)), np.argmax(on_path, axis=1) + 1]
     ok = on_path.any(axis=1) & (nxt >= 0)
-    table.protocol_errors += len(batch) - int(np.count_nonzero(ok))
     slot, pair, nxt = batch.target[ok], pair[ok], nxt[ok]
-    table.next_hop[slot, pair] = nxt
-    if (table.next_hop[slot, pair] != nxt).any():
+    table[slot, pair] = nxt
+    if (table[slot, pair] != nxt).any():
         # a (node, pair) repeats with different hops, and numpy leaves the
         # order of repeated writes open: write each key's later row again
         key = slot * n_pairs + pair
         order = np.argsort(key, kind="stable")
         last = order[np.diff(key[order], append=-1) != 0]
-        table.next_hop[slot[last], pair[last]] = nxt[last]
-    return table
+        table[slot[last], pair[last]] = nxt[last]
+    return len(batch) - len(slot)
 
 
 def split_hops(batch: PathControlBatch) -> ControlBatch:

@@ -16,11 +16,10 @@ import pytest
 import reference_control
 from reference_paths import random_connectivity_graph, reference_widest_path
 from slot_adapter import graph_nodes, widest_path
-from v2xric import AuditSummary, ForwardingTable, ran, ric
+from v2xric import AuditSummary, forwarding_table, ran, ric
 from v2xric.channel import pathloss_los, pathloss_nlos
 from v2xric.cli import main as cli_main
-from v2xric.engine import (SimConfig, SweepSpec, _audit, run, run_with_audit, sweep_blockage,
-                           time_average)
+from v2xric.engine import SimConfig, SweepSpec, run, run_with_audit, sweep_blockage, time_average
 
 
 def _verdict(name, ok, details):
@@ -261,26 +260,27 @@ def test_delta_control_matches_full_fan_out(monkeypatch):
             return ticks[-1]
 
         def apply_spy(table, batch):
-            apply(table, batch)
-            tables.append(table.next_hop.copy())
-            return table
+            errors = apply(table, batch)
+            tables.append(table.copy())
+            return errors
 
         monkeypatch.setattr(ric, "xapp_tick", tick_spy)
         monkeypatch.setattr(ran, "apply_control", apply_spy)
         _, audit = run_with_audit(cfg)
         width = cfg.xapp.max_hops + 1
-        oracle = ForwardingTable.empty(*tables[0].shape)
+        oracle = forwarding_table(*tables[0].shape)
         want = AuditSummary()
         held = {}  # pair -> the row the RAN holds, for pairs relayed on the tick before
         last = {}  # pair -> its row on the last tick that relayed it
         same_tables = same_sent = True
         for (batch, diag), got in zip(ticks, tables):
             full = reference_control.full_fan_out(diag)
-            apply(oracle, full)
+            want.protocol_errors += apply(oracle, full)
             want.messages_total += len(full)
             relayed = np.flatnonzero(diag.hops >= 2)
-            _audit(oracle, diag.paths[relayed], relayed, want)
-            same_tables &= np.array_equal(got, oracle.next_hop)
+            want.paths_checked += len(relayed)
+            want.paths_ok += ran.delivered(oracle, diag.paths[relayed], relayed)
+            same_tables &= np.array_equal(got, oracle)
             rows = {k: _padded(diag.paths[k], width) for k in relayed.tolist()}
             changed = [k for k, row in rows.items() if held.get(k) != row]
             # the batch is the full fan-out's messages for the changed pairs
@@ -292,7 +292,6 @@ def test_delta_control_matches_full_fan_out(monkeypatch):
             kept += len(rows) - len(changed)
             held = rows
             last.update(rows)
-        want.protocol_errors = oracle.protocol_errors
         good = same_tables and same_sent and audit == want
         ok = ok and good
         parts.append(f"{name} {len(ticks)} ticks {'ok' if good else 'MISMATCH'}")

@@ -4,6 +4,8 @@ package exports nothing else."""
 import types
 from collections import Counter
 
+import numpy as np
+
 import v2xric
 from v2xric import ran
 
@@ -26,3 +28,13 @@ def test_node_ids_left_the_package():
     test oracle `reference_ids`."""
     assert "NodeId" not in v2xric.__all__
     assert not hasattr(v2xric, "NodeId") and not hasattr(ran, "NodeId")
+
+
+def test_the_forwarding_table_is_a_bare_array():
+    """The RAN's forwarding state is the int32 array `forwarding_table`
+    returns; the ForwardingTable wrapper class is gone."""
+    assert "ForwardingTable" not in v2xric.__all__
+    assert not hasattr(v2xric, "ForwardingTable") and not hasattr(ran, "ForwardingTable")
+    table = v2xric.forwarding_table(3, 2)
+    assert type(table) is np.ndarray and table.dtype == np.int32
+    assert table.shape == (3, 2) and (table == -1).all()

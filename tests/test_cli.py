@@ -217,6 +217,21 @@ def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
     assert f"{cfg}:9: expected key=value" in capsys.readouterr().err
 
 
+def test_repeated_config_key_exits_2(tmp_path, capsys, monkeypatch):
+    """A key set twice is refused with both line numbers, not read as the
+    later value, and nothing runs, also when a flag sets that key."""
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\nduration_s=0.3\nwarmup_s=0\n# again\n seed = 2\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    for flags in ([], ["--seed", "3"]):
+        assert main(["run", "--config", str(cfg), "--out", str(out)] + flags) == 2
+        assert f"{cfg}:5: seed repeats line 1" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+
+
 def test_invalid_flag_value_exits_2(tmp_path, capsys):
     code = main(["run", "--out", str(tmp_path / "out"), "--density", "-3"])
     assert code == 2

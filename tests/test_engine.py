@@ -21,13 +21,13 @@ from reference_ids import NodeId
 import v2xric
 from reference_mobility import VehicleState, fleet_of
 from slot_adapter import pair_slots
-from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ForwardingTable,
-                    IndicationBatch, MetricsRecord, NodeKind, RicState, SimConfig,
-                    SweepSpec, TrafficConfig, World, WorldConfig, XAppConfig, apply_control,
-                    build_intersection, ingest, run, run_with_audit, spawn_vehicles,
-                    sweep_blockage, sweep_snr, time_average, xapp_tick)
+from v2xric import (ChannelParams, ConfigurationError, IndicationBatch, MetricsRecord,
+                    NodeKind, RicState, SimConfig, SweepSpec, TrafficConfig, World, WorldConfig,
+                    XAppConfig, apply_control, build_intersection, forwarding_table, ingest, run,
+                    run_with_audit, spawn_vehicles, sweep_blockage, sweep_snr, time_average,
+                    xapp_tick)
 from v2xric import channel, engine, ran, ric
-from v2xric.engine import _audit, _build_pairs, _connectivity
+from v2xric.engine import _build_pairs, _connectivity
 from v2xric.scenario import CAR_EXTENT
 
 
@@ -358,25 +358,23 @@ def test_audit_counts_broken_forwarding():
     assert diag.hops.tolist() == [3, 2]
 
     def audited(corrupt):
-        table = ForwardingTable.empty(4, 2)
+        table = forwarding_table(4, 2)
         apply_control(table, batch)
         corrupt(table)
-        audit = AuditSummary()
-        _audit(table, diag.paths, np.arange(2), audit)
-        assert audit.paths_checked == 2
-        return audit.paths_failed
+        assert len(diag.paths) == 2
+        return len(diag.paths) - ran.delivered(table, diag.paths, np.arange(2))
 
     def drop(table):
-        table.next_hop[2, 0] = -1  # cav(2) forgets pair (0, 3)
+        table[2, 0] = -1  # cav(2) forgets pair (0, 3)
 
     def loop(table):
-        table.next_hop[1, 0] = 0  # cav(1) sends (0, 3) back to cav(0)
+        table[1, 0] = 0  # cav(1) sends (0, 3) back to cav(0)
 
     def through_destination(table):
         # cav(0) jumps to cav(3), which holds an entry back to cav(2): the walk
         # ends at the destination in three hops, but passed it after one
-        table.next_hop[0, 0] = 3
-        table.next_hop[3, 0] = 2
+        table[0, 0] = 3
+        table[3, 0] = 2
 
     assert audited(lambda table: None) == 0
     assert audited(drop) == 1
@@ -406,7 +404,7 @@ def test_audit_checks_entries_kept_from_an_earlier_tick(monkeypatch):
                     == before.paths[k][before.paths[k] >= 0].tolist()]
             k = kept[0]
             assert k not in batch.pair.tolist()
-            table.next_hop[now.paths[k, 0], k] = -1
+            table[now.paths[k, 0], k] = -1
             corrupted.append(k)
         return apply(table, batch)
 

@@ -15,11 +15,11 @@ from reference_mobility import VehicleState, fleet_of
 from reference_reports import reports_of
 from reference_schedule import report_due
 from slot_adapter import Path, codes_of, control_slots, indication_codes, slots_of
-from v2xric import (AuditSummary, ChannelParams, ConfigurationError, ControlBatch,
-                    ForwardingTable, NodeKind, RicState, SimConfig, TrafficConfig,
-                    World, XAppConfig, apply_control, build_graph, build_intersection, channel,
-                    default_rsus, emit_indication, ingest, link_table, ran, run, spawn_vehicles)
-from v2xric.engine import _audit, _collect_reports
+from v2xric import (ChannelParams, ConfigurationError, ControlBatch, NodeKind, RicState,
+                    SimConfig, TrafficConfig, World, XAppConfig, apply_control, build_graph,
+                    build_intersection, channel, default_rsus, emit_indication,
+                    forwarding_table, ingest, link_table, ran, run, spawn_vehicles)
+from v2xric.engine import _collect_reports
 from v2xric.scenario import CAR_EXTENT, Fleet
 
 
@@ -374,19 +374,18 @@ def hop_batch(*messages):
 
 
 def table_of(n_pairs=2):
-    return ForwardingTable.empty(N_VIEW, n_pairs)
+    return forwarding_table(N_VIEW, n_pairs)
 
 
 def route(table, slot, pair):
-    nxt = int(table.next_hop[slot, pair])
+    nxt = int(table[slot, pair])
     return None if nxt < 0 else nxt
 
 
 def test_apply_control_installs_next_hop():
     table = table_of()
-    apply_control(table, hop_batch((0, 0, 5)))
-    assert table.protocol_errors == 0
-    assert table.next_hop[0, 0] == 5
+    assert apply_control(table, hop_batch((0, 0, 5))) == 0
+    assert table[0, 0] == 5
     assert route(table, 0, 0) == 5
     assert route(table, 0, 1) is None  # another pair
 
@@ -401,10 +400,10 @@ def test_apply_control_rejects_wrong_target():
     # a target outside the view's slots; numpy would wrap -1 to the last row
     for outside in (-1, N_VIEW):
         table = table_of()
-        apply_control(table, hop_batch((outside, 0, 5)))
-        apply_control(table, hop_batch((outside, 0, N_VIEW - 1)))
-        assert table.protocol_errors == 2
-        assert (table.next_hop == -1).all()
+        errors = apply_control(table, hop_batch((outside, 0, 5)))
+        errors += apply_control(table, hop_batch((outside, 0, N_VIEW - 1)))
+        assert errors == 2
+        assert (table == -1).all()
 
 
 @pytest.mark.parametrize("pair, target, next_hop", [
@@ -417,43 +416,38 @@ def test_apply_control_rejects_wrong_target():
 def test_apply_control_rejects_out_of_range_pair_or_next_hop(pair, target, next_hop):
     # beside one sound message, which installs slot 2's hop of pair 1
     table = table_of()
-    apply_control(table, hop_batch((target, pair, next_hop), (2, 1, 1)))
-    assert table.protocol_errors == 1
+    assert apply_control(table, hop_batch((target, pair, next_hop), (2, 1, 1))) == 1
     want = np.full((N_VIEW, 2), -1)
     want[2, 1] = 1
-    assert (table.next_hop == want).all()
+    assert (table == want).all()
 
 
 def test_apply_control_rejects_a_self_loop():
     """A node told to forward a pair to itself would hold the pair forever."""
     table = table_of()
-    apply_control(table, hop_batch((7, 0, 7), (0, 1, 0)))
-    assert table.protocol_errors == 2
-    assert (table.next_hop == -1).all()
+    assert apply_control(table, hop_batch((7, 0, 7), (0, 1, 0))) == 2
+    assert (table == -1).all()
 
 
 def test_apply_control_rejects_node_not_on_path():
     """A node off a path has no next hop on it: its message would carry -1."""
     table = table_of()
-    apply_control(table, hop_batch((7, 0, -1)))
-    assert table.protocol_errors == 1
-    assert (table.next_hop == -1).all()
+    assert apply_control(table, hop_batch((7, 0, -1))) == 1
+    assert (table == -1).all()
 
 
 def test_apply_control_rejects_destination_target():
     """A path's destination has no next hop: its message would carry -1."""
     table = table_of()
-    apply_control(table, hop_batch((9, 0, -1)))
-    assert table.protocol_errors == 1
-    assert (table.next_hop == -1).all()
+    assert apply_control(table, hop_batch((9, 0, -1))) == 1
+    assert (table == -1).all()
 
 
 def test_later_control_replaces_route():
     table = table_of()
     apply_control(table, hop_batch((0, 0, 5)))
     assert route(table, 0, 0) == 5
-    apply_control(table, hop_batch((0, 0, 3)))
-    assert table.protocol_errors == 0
+    assert apply_control(table, hop_batch((0, 0, 3))) == 0
     assert route(table, 0, 0) == 3
 
 
@@ -464,8 +458,7 @@ def test_later_row_of_one_batch_wins(order, want):
     and each path's other hop installs as usual."""
     paths = ([(0, 0, 5), (5, 0, 9)], [(0, 0, 3), (3, 0, 9)])
     table = table_of()
-    apply_control(table, hop_batch(*paths[order[0]], *paths[order[1]]))
-    assert table.protocol_errors == 0
+    assert apply_control(table, hop_batch(*paths[order[0]], *paths[order[1]])) == 0
     assert route(table, 0, 0) == want
     assert (route(table, 5, 0), route(table, 3, 0)) == (9, 9)
 
@@ -480,11 +473,11 @@ def test_routes_for_different_purposes_coexist():
 
 def test_forwarding_table_stores_next_hops_as_int32():
     table = table_of()
-    assert table.next_hop.dtype == np.int32
+    assert table.dtype == np.int32
     apply_control(table, hop_batch((5, 0, 9)))
     # the view's last slot is a next hop like any other
     apply_control(table, hop_batch((0, 1, N_VIEW - 1)))
-    assert table.next_hop[[5, 0, 9], [0, 1, 0]].tolist() == [9, N_VIEW - 1, -1]
+    assert table[[5, 0, 9], [0, 1, 0]].tolist() == [9, N_VIEW - 1, -1]
 
 
 def random_hops(rng, n_nodes, n_pairs, seen):
@@ -537,24 +530,25 @@ def test_apply_control_matches_scalar_oracle(writes):
     the table and the error count that installing message by message in
     batch order leaves: range checks on each column, no self-loops, and the
     later of two messages for one (node, pair) wins, also when repeated
-    writes land in reverse order."""
+    writes land in reverse order. Each call acknowledges its batch with the
+    batch's own error count."""
     rng = np.random.default_rng(27)
     seen = Counter()
     for _ in range(300):
         n_nodes, n_pairs = int(rng.integers(2, 8)), int(rng.integers(1, 4))
-        table = ForwardingTable.empty(n_nodes, n_pairs)
+        table = forwarding_table(n_nodes, n_pairs)
         if writes == "reversed":
-            table.next_hop = table.next_hop.view(ReversedWrites)
-        forwarding, errors = {}, 0
+            table = table.view(ReversedWrites)
+        forwarding = {}
         for _ in range(4):
             batch = random_hops(rng, n_nodes, n_pairs, seen)
-            apply_control(table, batch)
-            errors += reference_control.install_hops(forwarding, n_nodes, n_pairs, batch)
+            acknowledged = apply_control(table, batch)
+            errors = reference_control.install_hops(forwarding, n_nodes, n_pairs, batch)
             want = np.full((n_nodes, n_pairs), -1)
             for key, nxt in forwarding.items():
                 want[key] = nxt
-            assert table.next_hop.tolist() == want.tolist()
-            assert table.protocol_errors == errors
+            assert table.tolist() == want.tolist()
+            assert acknowledged == errors
     kinds = ("sound", "target -1", "target past the end", "pair -1", "pair past the end",
              "next hop -1", "next hop past the end", "self-loop", "repeat",
              "repeat with the same hop")
@@ -589,15 +583,15 @@ def test_split_path_rows_install_the_path_row_table():
     repeats = 0
     for _ in range(200):
         n_nodes, n_pairs = int(rng.integers(3, 9)), int(rng.integers(1, 4))
-        old, new = (ForwardingTable.empty(n_nodes, n_pairs) for _ in range(2))
+        old, new = (forwarding_table(n_nodes, n_pairs) for _ in range(2))
         for _ in range(4):
             batch = random_path_rows(rng, n_nodes, n_pairs)
-            reference_control.apply_path_control(old, batch)
+            old_errors = reference_control.apply_path_control(old, batch)
             hops = reference_control.split_hops(batch)
-            apply_control(new, hops)
+            new_errors = apply_control(new, hops)
             assert len(hops) == len(batch)
-            assert np.array_equal(new.next_hop, old.next_hop)
-            assert new.protocol_errors == old.protocol_errors == 0
+            assert np.array_equal(new, old)
+            assert new_errors == old_errors == 0
             keys = hops.target * n_pairs + hops.pair
             repeats += len(keys) - len(np.unique(keys))
     assert repeats >= 100
@@ -665,29 +659,30 @@ def test_batched_control_matches_reference():
                  for _ in range(int(rng.integers(1, 5)))]
         stranger = NodeId(NodeKind.RSU, 77)
         codes = np.array([node.code for node in nodes])
-        table = ForwardingTable.empty(len(nodes), len(pairs))
+        table = forwarding_table(len(nodes), len(pairs))
         states = {node: reference_control.NodeState(node) for node in nodes}
+        errors = 0
         for _ in range(6):
             batch, messages, assignments = random_control_tick(rng, nodes, pairs, stranger,
                                                                counts)
-            apply_control(table, control_slots(batch, codes))
+            errors += apply_control(table, control_slots(batch, codes))
             for msg in messages:
                 # a target the nodes do not hold is delivered to a node it does not name
                 reference_control.apply_control(states.get(msg.target, states[nodes[0]]), msg)
-            assert table.protocol_errors == sum(s.protocol_errors for s in states.values())
+            assert errors == sum(s.protocol_errors for s in states.values())
 
             for k in range(len(pairs)):
-                got = codes_of(codes, table.next_hop[:, k]).tolist()
+                got = codes_of(codes, table[:, k]).tolist()
                 want = [states[n].route_for(k) for n in nodes]
                 assert got == [-1 if w is None else w.code for w in want]
             width = max((len(path.nodes) for _, path in assignments), default=2)
             rows = np.array([[n.code for n in path.nodes] + [-1] * (width - len(path.nodes))
                              for _, path in assignments], dtype=np.int64)
-            summary = AuditSummary()
-            _audit(table, slots_of(codes, rows.reshape(len(assignments), width)),
-                   np.array([k for k, _ in assignments], dtype=np.int64), summary)
+            paths = slots_of(codes, rows.reshape(len(assignments), width))
+            served = np.array([k for k, _ in assignments], dtype=np.int64)
+            delivered = ran.delivered(table, paths, served)
             checked, ok = reference_control.audit_paths(states, assignments)
-            assert (summary.paths_checked, summary.paths_ok) == (checked, ok)
+            assert (len(assignments), delivered) == (checked, ok)
             audit_failures += checked - ok
             audit_ok += ok
     assert min(counts.values()) >= 50
