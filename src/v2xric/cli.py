@@ -4,10 +4,10 @@ Configuration comes from a flat key=value file (UTF-8, `#` comments), with
 command-line flags taking precedence. The keys are the fields of the config
 dataclasses (`SimConfig` and its four sections, then the sweep fields of
 `SweepSpec`), each parsed by its annotation and defaulting to the field's
-default; only the two sweep lists carry a CLI default of their own. Every
-output directory receives a manifest that snapshots the fully resolved
-configuration; pointing --config at a manifest re-runs it and reproduces the
-CSVs byte for byte.
+default. The CSV columns are the fields of the row dataclasses, shown by the
+same annotation rules. Every output directory receives a manifest that
+snapshots the fully resolved configuration; pointing --config at a manifest
+re-runs it and reproduces the CSVs byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
@@ -23,13 +23,10 @@ from pathlib import Path
 
 from . import __version__, engine
 from .channel import ChannelParams
-from .engine import SimConfig, SummaryRow, SweepSpec, WorldConfig
+from .engine import MetricsRecord, SimConfig, SummaryRow, SweepSpec, WorldConfig
 from .errors import ConfigurationError
 from .ric import XAppConfig
 from .scenario import TrafficConfig
-
-METRICS_HEADER = "t,gamma_min_db,p_b,connectivity,pairs_total,pairs_direct,pairs_relayed,mean_hops"
-SUMMARY_HEADER = "gamma_min_db,p_b,mode,connectivity_mean,connectivity_std,replications"
 
 
 def _fmt(x) -> str:
@@ -81,8 +78,6 @@ def _kind(annotation: str):
 # (the sections themselves and the sweep's base run) are not keys, and neither
 # is the traffic model's seed, which is the run's `seed`.
 _SECTIONS = (SimConfig, ChannelParams, TrafficConfig, XAppConfig, WorldConfig, SweepSpec)
-_SWEEP_DEFAULTS = {"gamma_min_values": (0.0, 5.0, 10.0, 15.0, 20.0),
-                   "p_b_values": (0.0, 0.25, 0.5, 0.75, 1.0)}
 
 
 def _section_keys(cls) -> list[dataclasses.Field]:
@@ -93,8 +88,18 @@ def _section_keys(cls) -> list[dataclasses.Field]:
 # Every accepted key: (parse, show, default). The same keys serve all three
 # commands; sweep-only keys are simply unused (but still validated and echoed)
 # for `run`.
-_KEYS = {f.name: (*_kind(f.type), _SWEEP_DEFAULTS.get(f.name, f.default))
-         for cls in _SECTIONS for f in _section_keys(cls)}
+_KEYS = {f.name: (*_kind(f.type), f.default) for cls in _SECTIONS for f in _section_keys(cls)}
+
+
+def _columns(cls, leave_out=()) -> list[tuple[str, object]]:
+    """A CSV's columns: (name, show) of each field of the row dataclass."""
+    return [(f.name, _kind(f.type)[1]) for f in dataclasses.fields(cls) if f.name not in leave_out]
+
+
+# `direct_connectivity` rides on each record for the summaries and the
+# baseline checks; it is not a metrics.csv column.
+_METRICS_COLUMNS = _columns(MetricsRecord, leave_out=("direct_connectivity",))
+_SUMMARY_COLUMNS = _columns(SummaryRow)
 
 
 def _parse_value(key: str, raw: str):
@@ -107,6 +112,16 @@ def _parse_value(key: str, raw: str):
         raise ConfigurationError(f"invalid value for {key}: {raw!r}") from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object of a manifest, refusing a key that it repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"manifest repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_config(path: str) -> tuple[dict[str, str], str | None]:
     """Read a key=value file or a manifest JSON; returns (values, manifest command)."""
     p = Path(path)
@@ -115,7 +130,7 @@ def _read_config(path: str) -> tuple[dict[str, str], str | None]:
     try:
         text = p.read_text(encoding="utf-8")
         is_manifest = p.suffix == ".json" or text.lstrip().startswith("{")
-        manifest = json.loads(text) if is_manifest else None
+        manifest = json.loads(text, object_pairs_hook=_unique_keys) if is_manifest else None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"unreadable config file {path}: {exc}") from None
     if is_manifest:
@@ -171,32 +186,11 @@ def config_echo(spec: SweepSpec) -> dict[str, str]:
 
 # --- output writers -------------------------------------------------------------
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _write_csv(path: Path, columns: list[tuple[str, object]], rows: list) -> None:
+    """A header of the column names, then one line per row."""
+    lines = [",".join(name for name, _ in columns)]
+    lines.extend(",".join(show(getattr(row, name)) for name, show in columns) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_metrics(path: Path, records: list[engine.MetricsRecord]) -> None:
-    lines = [METRICS_HEADER]
-    lines.extend(
-        ",".join((
-            _fmt(r.t), _fmt(r.gamma_min_db), _fmt(r.p_b), _fmt(r.connectivity),
-            str(r.pairs_total), str(r.pairs_direct), str(r.pairs_relayed), _fmt(r.mean_hops),
-        ))
-        for r in records
-    )
-    _write_lines(path, lines)
-
-
-def _write_summary(path: Path, rows: list[SummaryRow]) -> None:
-    lines = [SUMMARY_HEADER]
-    lines.extend(
-        ",".join((
-            _fmt(row.gamma_min_db), _fmt(row.p_b), row.mode,
-            _fmt(row.connectivity_mean), _fmt(row.connectivity_std), str(row.replications),
-        ))
-        for row in rows
-    )
-    _write_lines(path, lines)
 
 
 def _write_manifest(path: Path, command: str, spec: SweepSpec, outputs: list[str],
@@ -232,7 +226,7 @@ def _write_cell(out: Path, spec: SweepSpec, cell: engine.RunOutput, outputs: lis
     """One run's metrics.csv and re-runnable manifest.json, echoing the run's
     own config over the command's sweep keys."""
     out.mkdir(parents=True, exist_ok=True)
-    _write_metrics(out / "metrics.csv", cell.records)
+    _write_csv(out / "metrics.csv", _METRICS_COLUMNS, cell.records)
     _write_manifest(out / "manifest.json", "run", dataclasses.replace(spec, base=cell.cfg), outputs,
                     cell.runtime_s, cell.audit)
 
@@ -243,7 +237,7 @@ def cmd_run(spec: SweepSpec, out: Path) -> None:
     cell = engine.run_cell(spec.base)
     _write_cell(out, spec, cell, ["metrics.csv", "summary.csv", "manifest.json"])
     mode = "relay" if spec.base.xapp.max_hops > 1 else "direct"
-    _write_summary(out / "summary.csv", [engine.summarise([cell], mode)])
+    _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, [engine.summarise([cell], mode)])
 
 
 def cmd_sweep(command: str, spec: SweepSpec, out: Path) -> None:
@@ -253,7 +247,7 @@ def cmd_sweep(command: str, spec: SweepSpec, out: Path) -> None:
     result = engine.sweep_blockage(spec) if by_p_b else engine.sweep_snr(spec)
     runtime_s = time.perf_counter() - started
     out.mkdir(parents=True, exist_ok=True)
-    _write_summary(out / "summary.csv", result.rows)
+    _write_csv(out / "summary.csv", _SUMMARY_COLUMNS, result.rows)
     outputs = ["summary.csv"]
     for cell in result.runs:
         name = _run_dir_name(cell, by_p_b)

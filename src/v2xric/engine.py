@@ -127,8 +127,10 @@ class SimConfig:
                     f"measured_neighbors must be >= 1 or None: {self.measured_neighbors}")
         periods = (("duration_s", self.duration_s), ("control_period_s", self.control_period_s),
                    ("reporting_period_s", reporting))
-        for name, value in periods:
-            if not math.isfinite(value / self.dt_s):
+        spans = (*periods, ("control_delay_s", self.control_delay_s),
+                 ("staleness_window_s", self.staleness_window_s))
+        for name, value in spans:
+            if value is not None and not math.isfinite(value / self.dt_s):
                 raise ConfigurationError(
                     f"{name} / dt_s must be a finite number of steps: {value} / {self.dt_s}")
         every = self.steps(self.control_period_s)  # the last control tick must be scored
@@ -203,8 +205,8 @@ class SweepSpec:
     """Grid description for the experiment sweeps."""
 
     base: SimConfig
-    gamma_min_values: tuple[float, ...] = ()
-    p_b_values: tuple[float, ...] = ()
+    gamma_min_values: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+    p_b_values: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     replications: int = 1
     workers: int = 1
 

@@ -10,8 +10,14 @@ from pathlib import Path
 import pytest
 
 from v2xric import cli, engine
-from v2xric.cli import METRICS_HEADER, SUMMARY_HEADER, main, parse_config
+from v2xric.cli import main, parse_config
+from v2xric.engine import SimConfig, SweepSpec
 from v2xric.errors import ConfigurationError
+
+# The CSV schemas. The writers read their columns off the row dataclasses;
+# these literals pin the names and their order.
+METRICS_HEADER = "t,gamma_min_db,p_b,connectivity,pairs_total,pairs_direct,pairs_relayed,mean_hops"
+SUMMARY_HEADER = "gamma_min_db,p_b,mode,connectivity_mean,connectivity_std,replications"
 
 # Every configuration key with the canonical text of its default, as the
 # manifests echo it. The keys and their defaults are read off the config
@@ -93,6 +99,7 @@ def test_defaults_echo_the_pinned_text():
     echo = cli.config_echo(parse_config({}))
     assert len(DEFAULTS) == 35
     assert echo == DEFAULTS
+    assert cli.config_echo(SweepSpec(base=SimConfig())) == DEFAULTS  # the library's defaults
 
 
 def test_config_echo_round_trips():
@@ -409,7 +416,11 @@ def test_sub_hertz_bandwidth_exits_2_before_running(tmp_path, capsys, monkeypatc
      "reporting_period_s = 0.001\nwarmup_s = 0\n", ["duration_s"]),
     ("sweep-snr", ["--snr-min", "5", "--workers", "2"], "arm_length_m = 5\n",
      ["arm_length_m", "road_width_m", "building_setback_m"]),
-], ids=["step-count-overflow", "no-room-for-buildings"])
+    # a delay or window of an infinite number of steps (the delay was a traceback)
+    ("run", [], "control_delay_s = 1e308\n", ["control_delay_s"]),
+    ("run", [], "staleness_window_s = 1e308\n", ["staleness_window_s"]),
+], ids=["step-count-overflow", "no-room-for-buildings", "delay-step-overflow",
+        "window-step-overflow"])
 def test_config_no_run_can_use_exits_2_before_running(tmp_path, capsys, monkeypatch, command,
                                                       flags, config_text, keys):
     runs = []
@@ -554,6 +565,20 @@ def test_manifest_with_a_removed_key_exits_2_before_running(tmp_path, capsys, mo
     out = tmp_path / "out"
     assert main(["run", "--config", str(manifest), "--out", str(out)]) == 2
     assert "unknown configuration key: allow_bs_relay" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+def test_manifest_repeating_a_key_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    """A repeated key is refused as in a key=value file; the last one used to win."""
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"command": "run", "config": {"seed": "1", "seed": "5"}}',
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(manifest), "--out", str(out)]) == 2
+    assert "manifest repeats key 'seed'" in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
 

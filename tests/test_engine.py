@@ -636,6 +636,9 @@ def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
     # a seed that is not an integer (both ran to the end)
     dict(seed=1.5),
     dict(seed=True),
+    # a delay or window of an infinite number of steps (both overflowed in the run)
+    dict(duration_s=0.3, warmup_s=0.0, control_delay_s=1e308),
+    dict(duration_s=0.3, warmup_s=0.0, staleness_window_s=1e308),
 ])
 def test_sim_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
