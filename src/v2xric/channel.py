@@ -83,6 +83,11 @@ def noise_floor(params: ChannelParams) -> float:
     return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(params.bandwidth_hz) + params.noise_figure_db
 
 
+def link_snr_db(params: ChannelParams, pathloss_db):
+    """The dB identity every sample keeps: eirp - pathloss - noise floor."""
+    return params.eirp_dbm - pathloss_db - noise_floor(params)
+
+
 def pathloss_los(distance_m, carrier_ghz):
     """LOS street-canyon pathloss in dB; distances below 1 m evaluate as 1 m."""
     d = np.maximum(np.asarray(distance_m, dtype=np.float64), MIN_MODEL_DISTANCE_M)
@@ -130,6 +135,15 @@ def _link_uniform_u64(seed: int, code_a: np.ndarray, code_b: np.ndarray, tick_ms
 
 def _tick_ms(t: float) -> int:
     return int(round(t * 1000.0))
+
+
+def outage_uniform(codes: np.ndarray, i: np.ndarray, j: np.ndarray, t: float,
+                   seed: int) -> np.ndarray:
+    """The outage uniform u of each link i-j at instant t, keyed on its node
+    codes in canonical order: the link is in outage at p_b where u < p_b."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    a, b = codes[i], codes[j]
+    return _link_uniform_u64(int(seed), np.minimum(a, b), np.maximum(a, b), _tick_ms(t))
 
 
 # --- blockage geometry --------------------------------------------------------
@@ -229,7 +243,7 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
         iu, ju, dist = iu[m], ju[m], dist[m]
     pl_los = pathloss_los(dist, params.carrier_ghz)
     if min_snr_db is not None:
-        m = params.eirp_dbm - pl_los - noise_floor(params) >= min_snr_db
+        m = link_snr_db(params, pl_los) >= min_snr_db
         iu, ju, dist, pl_los = iu[m], ju[m], dist[m], pl_los[m]
 
     mode = params.blockage_mode
@@ -241,10 +255,7 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
         clear = np.ones(len(iu), dtype=bool)
 
     if mode in ("stochastic", "combined") and params.p_b > 0.0:
-        codes = np.asarray(codes, dtype=np.uint64)
-        ca = np.minimum(codes[iu], codes[ju])
-        cb = np.maximum(codes[iu], codes[ju])
-        outage = _link_uniform_u64(int(seed), ca, cb, _tick_ms(t)) < params.p_b
+        outage = outage_uniform(codes, iu, ju, t, seed) < params.p_b
     else:
         outage = np.zeros(len(iu), dtype=bool)
 
@@ -252,5 +263,5 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
     pl = np.where(clear, pl_los, pathloss_nlos(dist, params.carrier_ghz, h_ut))
     los = clear & ~outage
     pl = np.where(outage, OUTAGE_PATHLOSS_DB, pl)
-    snr = params.eirp_dbm - pl - noise_floor(params)
+    snr = link_snr_db(params, pl)
     return LinkTable(i=iu, j=ju, distance_m=dist, los=los, pathloss_db=pl, snr_db=snr, t=t)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import channel, ran, ric
+from . import channel, ran, ric, streams
 from .errors import ConfigurationError, require_int
-from .scenario import (MobilityState, RoadLayout, TrafficConfig, build_intersection,
+from .scenario import (RoadLayout, TrafficConfig, build_intersection,
                        default_rsus, spawn_vehicles, step_mobility)
 
 _MATCH_TAG = 31  # seed stream tag for the matched-pair draw
@@ -268,15 +268,15 @@ class SweepResult:
 
 # --- pair selection ----------------------------------------------------------------
 
-def _vehicle_slots(world: ran.World) -> np.ndarray:
+def _vehicle_slots(codes: np.ndarray) -> np.ndarray:
     """The view slots of the world's vehicles, at least the two a pair needs."""
-    cavs = np.flatnonzero(ran.kinds(world.codes) == ran.NodeKind.CAV)
+    cavs = np.flatnonzero(ran.kinds(codes) == ran.NodeKind.CAV)
     if len(cavs) < 2:
         raise ConfigurationError(f"need at least 2 vehicles for pair metrics, got {len(cavs)}")
     return cavs
 
 
-def _build_pairs(world: ran.World, selection: str, seed: int) -> np.ndarray:
+def _build_pairs(codes: np.ndarray, selection: str, seed: int) -> np.ndarray:
     """The served pair set, fixed for the whole run: (P, 2) view slots, the
     smaller first, in ascending order.
 
@@ -284,7 +284,7 @@ def _build_pairs(world: ran.World, selection: str, seed: int) -> np.ndarray:
     matching, so each vehicle is paired with exactly one partner (one vehicle
     sits out when the count is odd).
     """
-    cavs = _vehicle_slots(world)
+    cavs = _vehicle_slots(codes)
     if selection == "all":
         a, b = np.triu_indices(len(cavs), 1)
         return np.stack((cavs[a], cavs[b]), axis=1)
@@ -309,29 +309,6 @@ def _connectivity(pairs: np.ndarray, served: np.ndarray, metric_mode: str) -> fl
 
 # --- the run loop -------------------------------------------------------------------
 
-def _collect_reports(world: ran.World, cfg: SimConfig, step: int) -> ran.IndicationBatch:
-    """Sense every in-range pair at `step` and report both directions of each
-    link from every reporting endpoint (only the RSUs when `cav_terminations`
-    is off), all in one batch that names each node by its view slot, the link
-    table's endpoint index. The outage draws key on the step's time in s.
-
-    The xApp's threshold floors the link table, so a link that can never
-    become an edge is never measured in full. Every link at or above the
-    threshold is reported as the unfloored table would report it: the table
-    keeps it with its unfloored SNR, and under the report cap it is
-    outranked only by links that are also at or above the threshold."""
-    tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
-                             round(step * cfg.dt_s, 9), cfg.seed, max_range=cfg.sensing_range_m,
-                             min_snr_db=cfg.xapp.snr_min_db)
-    reporting = cfg.cav_terminations | (ran.kinds(world.codes) != ran.NodeKind.CAV)
-    src = np.concatenate((tab.i, tab.j))
-    dst = np.concatenate((tab.j, tab.i))
-    snr = np.concatenate((tab.snr_db, tab.snr_db))
-    sent = reporting[src]
-    return ran.emit_indication(np.flatnonzero(reporting), src[sent], dst[sent], snr[sent], step,
-                               cfg.measured_neighbors)
-
-
 def _world(cfg: SimConfig, layout: RoadLayout) -> ran.World:
     """The run's world at step 0: its traffic spawned at the run's seed."""
     return ran.World(
@@ -342,28 +319,41 @@ def _world(cfg: SimConfig, layout: RoadLayout) -> ran.World:
     )
 
 
-def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
-    """Execute one run; returns its per-control-tick records and control audit."""
-    cfg.validate()
-    layout = cfg.world.layout()
-    world = _world(cfg, layout)
-    mobility = MobilityState.from_seed(cfg.seed, cfg.traffic.turn_probability)
+def _world_stream(cfg: SimConfig, gammas, p_bs) -> streams.WorldStream:
+    """`cfg`'s world, measured as it is read, for cells on the grids; its
+    fleet moves through this module's `step_mobility`."""
+    return streams.world_stream(cfg, _world(cfg, cfg.world.layout()), gammas, p_bs, step_mobility)
 
-    pairs = _build_pairs(world, cfg.pair_selection, cfg.seed)
+
+def run_with_audit(cfg: SimConfig, stream: streams.WorldStream | None = None
+                   ) -> tuple[list[MetricsRecord], AuditSummary]:
+    """Execute one run; returns its per-control-tick records and control audit.
+    `stream` is the run's world as a sweep holds it for all cells of one
+    replication; by default the run measures its own world as it goes."""
+    cfg.validate()
+    if stream is None:
+        stream = _world_stream(cfg, (cfg.xapp.snr_min_db,), (cfg.channel.p_b,))
+    levels = streams.cell_levels(cfg, stream)
+    codes = stream.codes
+
+    pairs = _build_pairs(codes, cfg.pair_selection, cfg.seed)
     report_every = cfg.steps(cfg.resolved_reporting_period())
     control_every = cfg.steps(cfg.control_period_s)
     # a report arrives whole steps after it is taken, a part step rounding up
     delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
 
-    ric_state = ric.RicState(world.codes, cfg.staleness_steps(), pairs=pairs, xapp=cfg.xapp)
-    table = ran.forwarding_table(len(world.codes), len(pairs))
+    ric_state = ric.RicState(codes, cfg.staleness_steps(), pairs=pairs, xapp=cfg.xapp)
+    table = ran.forwarding_table(len(codes), len(pairs))
+    reporting = cfg.cav_terminations | (ran.kinds(codes) != ran.NodeKind.CAV)
+    measured = iter(stream.steps)
     in_flight: list[tuple[int, ran.IndicationBatch]] = []  # (arrival step, batch)
     records: list[MetricsRecord] = []
     audit = AuditSummary()
 
     for step in range(cfg.n_steps()):
         if step % report_every == 0:
-            in_flight.append((step + delay_steps, _collect_reports(world, cfg, step)))
+            in_flight.append((step + delay_steps,
+                              streams.collect_reports(next(measured), cfg, reporting, levels)))
         if step % control_every == 0:
             while in_flight and in_flight[0][0] <= step:
                 ric.ingest(ric_state, in_flight.pop(0)[1])
@@ -386,7 +376,6 @@ def run_with_audit(cfg: SimConfig) -> tuple[list[MetricsRecord], AuditSummary]:
                            else math.nan),
                 direct_connectivity=_connectivity(pairs, diag.direct, cfg.metric_mode),
             ))
-        step_mobility(world.fleet, layout, cfg.dt_s, mobility)
     return records, audit
 
 
@@ -412,22 +401,38 @@ def time_average(records: list[MetricsRecord], warmup_s: float,
     return float(np.mean(values))
 
 
-def run_cell(cfg: SimConfig, replication: int = 0) -> RunOutput:
-    """Execute and time one run: replication `replication` of its sweep cell."""
+def run_cell(cfg: SimConfig, replication: int = 0,
+             stream: streams.WorldStream | None = None) -> RunOutput:
+    """Execute and time one run: replication `replication` of its sweep cell,
+    on its replication's world `stream` when one is held."""
     started = time.perf_counter()
-    records, audit = run_with_audit(cfg)
+    records, audit = run_with_audit(cfg, stream)
     return RunOutput(cfg, replication, records, audit, time.perf_counter() - started)
 
 
-def _execute(jobs: list[tuple[SimConfig, int]], workers: int) -> list[RunOutput]:
-    """Run all (config, replication) jobs, optionally across processes;
+_HELD: streams.WorldStream | None = None  # the stream a pool's forked workers inherit
+
+
+def _run_held(cfg: SimConfig, replication: int) -> RunOutput:
+    return run_cell(cfg, replication, _HELD)
+
+
+def _execute(jobs: list[tuple[SimConfig, int]], workers: int,
+             stream: streams.WorldStream | None) -> list[RunOutput]:
+    """Run all (config, replication) jobs on one world `stream`, or each on
+    its own, optionally across processes (forked with the stream in place);
     results in job order at any worker count."""
     if workers <= 1 or len(jobs) <= 1:
-        return [run_cell(*job) for job in jobs]
+        return [run_cell(*job, stream) for job in jobs]
     import multiprocessing
 
-    with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
-        return pool.starmap(run_cell, jobs)
+    global _HELD
+    _HELD = stream
+    try:
+        with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
+            return pool.starmap(_run_held, jobs)
+    finally:
+        _HELD = None
 
 
 def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
@@ -445,18 +450,24 @@ def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
 
 def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
     """Run every (gamma_min, p_b, replication) cell, replication r at seed
-    `base.seed + r`, and summarise each (gamma_min, p_b) once per mode."""
+    `base.seed + r`, and summarise each (gamma_min, p_b) once per mode. One
+    replication at a time, its cells share one held world stream."""
     base, reps = spec.base, spec.replications
     # each replication's world as its runs build it, so a bad spawn fails up front
     layout = base.world.layout()
     for rep in range(reps):
-        _vehicle_slots(_world(replace(base, seed=base.seed + rep), layout))
+        _vehicle_slots(_world(replace(base, seed=base.seed + rep), layout).codes)
     if base.xapp.max_hops < 2:
         raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
-    runs = _execute([(replace(base, seed=base.seed + rep, channel=replace(base.channel, p_b=p),
-                              xapp=replace(base.xapp, snr_min_db=g)), rep)
-                     for g in sorted(spec.gamma_min_values) for p in p_bs
-                     for rep in range(reps)], spec.workers)
+    gammas, by_rep = sorted(spec.gamma_min_values), []
+    for rep in range(reps):
+        cfg = replace(base, seed=base.seed + rep)
+        cells = [(replace(cfg, channel=replace(base.channel, p_b=p),
+                          xapp=replace(base.xapp, snr_min_db=g)), rep) for g in gammas for p in p_bs]
+        stream = streams.hold(_world_stream(cfg, gammas, p_bs)) if len(cells) > 1 else None
+        by_rep.append(_execute(cells, spec.workers, stream))
+        del stream  # before the next replication's is measured
+    runs = [outs[k] for k in range(len(by_rep[0])) for outs in by_rep]
     rows = [summarise(runs[k:k + reps], mode)
             for k in range(0, len(runs), reps) for mode in modes]
     return SweepResult(rows=rows, runs=runs)

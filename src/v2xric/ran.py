@@ -60,7 +60,8 @@ class World:
     Endpoints are columns in code order: RSU k at mast top `rsus[k]`, then
     CAV k at fleet row k. `codes` are their `node_codes`, `body` the row of
     each one's own body among `boxes()`, -1 for an RSU; both are built once.
-    `xyz()` and `boxes()` read the fleet as it stands."""
+    `xyz()` and `boxes()` read the fleet as it stands, or take the centres
+    `xy` of one `Fleet.xy()` read."""
 
     layout: RoadLayout
     fleet: Fleet
@@ -78,14 +79,15 @@ class World:
                                      node_codes(NodeKind.CAV, np.arange(n))))
         self.body = np.concatenate((np.full(r, -1), np.arange(n)))
 
-    def xyz(self) -> np.ndarray:
+    def xyz(self, xy: np.ndarray | None = None) -> np.ndarray:
         """(endpoints, 3) antenna points: RSU mast tops, then vehicle roofs."""
-        cav = np.hstack((self.fleet.xy(), np.full((len(self.fleet), 1), self.cav_antenna_height_m)))
+        xy = self.fleet.xy() if xy is None else xy
+        cav = np.hstack((xy, np.full((len(self.fleet), 1), self.cav_antenna_height_m)))
         return np.vstack((self.rsus, cav))
 
-    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+    def boxes(self, xy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Every blocker's (lo, hi) corners: vehicle bodies by row, then buildings."""
-        lo, hi = self.fleet.boxes()
+        lo, hi = self.fleet.boxes(xy)
         return np.vstack((lo, self.layout.building_lo)), np.vstack((hi, self.layout.building_hi))
 
 

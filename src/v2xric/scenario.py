@@ -71,11 +71,12 @@ class Fleet:
         return np.stack((np.where(on_x, along, self.lateral),
                          np.where(on_x, self.lateral, along)), axis=1)
 
-    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lo, hi) corners of each vehicle's axis-aligned body box, (n, 3) each."""
+    def boxes(self, xy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) corners of each vehicle's axis-aligned body box, (n, 3) each,
+        about the centres `xy` (by default the fleet's own)."""
         # half the length along the lane axis, half the width across it
         half = 0.5 * np.where((self.axis == 0)[:, None], self.extent[:, :2], self.extent[:, [1, 0]])
-        xy = self.xy()
+        xy = self.xy() if xy is None else xy
         return (np.hstack((xy - half, np.zeros((len(self), 1)))),
                 np.hstack((xy + half, self.extent[:, 2:])))
 

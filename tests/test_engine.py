@@ -20,13 +20,14 @@ from reference_graph import fresh
 from reference_ids import NodeId
 import v2xric
 from reference_mobility import VehicleState, fleet_of
+from reference_outage import _link_uniform_int
 from slot_adapter import pair_slots
 from v2xric import (ChannelParams, ConfigurationError, IndicationBatch, MetricsRecord,
-                    NodeKind, RicState, SimConfig, SweepSpec, TrafficConfig, World, WorldConfig,
-                    XAppConfig, apply_control, build_intersection, forwarding_table, ingest, run,
-                    run_with_audit, spawn_vehicles, sweep_blockage, sweep_snr, time_average,
-                    xapp_tick)
-from v2xric import channel, engine, ran, ric
+                    MobilityState, NodeKind, RicState, SimConfig, SweepSpec, TrafficConfig, World,
+                    WorldConfig, XAppConfig, apply_control, build_intersection, forwarding_table,
+                    ingest, run, run_with_audit, spawn_vehicles, step_mobility, sweep_blockage,
+                    sweep_snr, time_average, xapp_tick)
+from v2xric import channel, engine, ran, ric, streams
 from v2xric.engine import _build_pairs, _connectivity
 from v2xric.scenario import CAR_EXTENT
 
@@ -70,15 +71,15 @@ def spy_schedule(monkeypatch):
     the form `reference_schedule.schedule` predicts: each step as its time,
     round(step * dt_s, 9), at the dt_s of the run's latest report."""
     events, dt = [], []
-    collect, ingest, tick = engine._collect_reports, ric.ingest, ric.xapp_tick
+    collect, ingest, tick = streams.collect_reports, ric.ingest, ric.xapp_tick
 
     def seconds(step):
         return round(step * dt[-1], 9)
 
-    def collect_spy(world, cfg, step):
+    def collect_spy(measured, cfg, *rest):
         dt.append(cfg.dt_s)
-        events.append(("report", seconds(step)))
-        return collect(world, cfg, step)
+        events.append(("report", seconds(measured.step)))
+        return collect(measured, cfg, *rest)
 
     def ingest_spy(state, batch):
         events.append(("ingest", seconds(batch.step)))
@@ -88,7 +89,7 @@ def spy_schedule(monkeypatch):
         events.append(("tick", seconds(step)))
         return tick(state, step)
 
-    monkeypatch.setattr(engine, "_collect_reports", collect_spy)
+    monkeypatch.setattr(streams, "collect_reports", collect_spy)
     monkeypatch.setattr(ric, "ingest", ingest_spy)
     monkeypatch.setattr(ric, "xapp_tick", tick_spy)
     return events
@@ -214,7 +215,7 @@ def hand_world(n):
 def pair_nodes(world, selection, seed):
     """The served pairs of `_build_pairs`, named by NodeId."""
     return [(NodeId.from_code(world.codes[a]), NodeId.from_code(world.codes[b]))
-            for a, b in _build_pairs(world, selection, seed).tolist()]
+            for a, b in _build_pairs(world.codes, selection, seed).tolist()]
 
 
 def test_matched_pairs_form_a_perfect_matching():
@@ -238,7 +239,7 @@ def test_all_pairs_enumerates_every_combination():
 
 def test_pair_building_needs_two_vehicles():
     with pytest.raises(ConfigurationError):
-        _build_pairs(hand_world(1), "all", seed=1)
+        _build_pairs(hand_world(1).codes, "all", seed=1)
 
 
 def test_records_report_the_full_pair_count():
@@ -531,6 +532,153 @@ def test_sweep_pool_starts_no_more_workers_than_cells(monkeypatch):
     assert requested == [4]
 
 
+def sweep_case(rng, measured_neighbors):
+    """A random short blockage sweep with two replications. Its threshold
+    grid holds the SNR of a LOS link between an RSU and a vehicle measured
+    at the first step, which is that link's LOS SNR, and its p_b grid holds
+    0, 1 and the same link's outage uniform at that step. A bandwidth off
+    the powers of ten makes the noise floor a fraction of a dB, and the
+    EIRP is one at which the outage SNR's float depends on the order of
+    its terms."""
+    params = ChannelParams(bandwidth_hz=float(rng.choice((20e6, 50e6, 400e6))),
+                           blockage_mode=str(rng.choice(("stochastic", "combined"))))
+    noise, outage = channel.noise_floor(params), channel.OUTAGE_PATHLOSS_DB
+    eirp = float(rng.uniform(15.0, 30.0))
+    while eirp - outage - noise == eirp - noise - outage:
+        eirp = float(rng.uniform(15.0, 30.0))
+    base = quick_cfg(
+        duration_s=float(rng.choice((0.4, 0.6))), seed=int(rng.integers(1, 10_000)),
+        traffic=TrafficConfig(density_veh_km=float(rng.choice((20.0, 40.0, 60.0)))),
+        channel=replace(params, eirp_dbm=eirp),
+        measured_neighbors=measured_neighbors,
+        cav_terminations=bool(rng.random() < 0.7),
+        reporting_period_s=float(rng.choice((0.1, 0.2))),
+        control_delay_s=float(rng.choice((0.0, 0.01, 0.15))))
+    world = engine._world(base, base.world.layout())
+    tab = channel.link_table(base.channel, world.xyz(), world.codes, world.body, world.boxes(),
+                             0.0, base.seed, max_range=base.sensing_range_m)
+    rsu_link = (ran.kinds(world.codes[tab.i]) == NodeKind.RSU) & (tab.snr_db > 0.0)
+    k = int(rng.choice(np.flatnonzero(rsu_link & tab.los)))
+    u = _link_uniform_int(base.seed, *sorted((int(world.codes[tab.i[k]]),
+                                              int(world.codes[tab.j[k]]))), 0)
+    gammas = (float(tab.snr_db[k]), *(float(g) for g in rng.uniform(-5.0, 25.0, size=2)))
+    p_bs = (0.0, 1.0, u, float(rng.uniform(0.05, 0.95)))
+    return SweepSpec(base=base, gamma_min_values=gammas, p_b_values=p_bs, replications=2)
+
+
+def spy_batches(monkeypatch):
+    """Every report batch the runs that follow emit, column by column as bytes."""
+    batches, emit = [], ran.emit_indication
+
+    def spy(*args):
+        batch = emit(*args)
+        batches.append((batch.step, *(getattr(batch, c).tobytes()
+                                      for c in ("reporters", "source", "neighbor", "snr_db"))))
+        return batch
+
+    monkeypatch.setattr(ran, "emit_indication", spy)
+    return batches
+
+
+def cell_outputs(result):
+    return [(record_reprs(cell.records), cell.audit) for cell in result.runs]
+
+
+@pytest.mark.parametrize("measured_neighbors", [None, 1, 3])
+def test_sweep_cells_equal_their_own_runs(monkeypatch, measured_neighbors):
+    """Every cell of a sweep on its replication's shared world stream gives
+    the records and audit of its own standalone run, at one and two
+    workers, and emits bit for bit the report batches that run emits, the
+    link on the threshold and at the outage boundary included."""
+    spec = sweep_case(np.random.default_rng([41, measured_neighbors or 0]), measured_neighbors)
+    batches = spy_batches(monkeypatch)
+    swept = sweep_blockage(spec)
+    shared, batches[:] = list(batches), []
+    for rep in range(spec.replications):
+        for cell in (c for c in swept.runs if c.replication == rep):
+            records, audit = run_with_audit(cell.cfg)
+            assert record_reprs(records) == record_reprs(cell.records), cell.cfg
+            assert audit == cell.audit
+    assert batches == shared
+    assert cell_outputs(sweep_blockage(replace(spec, workers=2))) == cell_outputs(swept)
+
+
+def own_link_table_batch(world, cfg, step):
+    """The report batch of `cfg`'s own floored `link_table` call on `world`
+    at `step`, as a run measured before world streams."""
+    tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
+                             round(step * cfg.dt_s, 9), cfg.seed, max_range=cfg.sensing_range_m,
+                             min_snr_db=cfg.xapp.snr_min_db)
+    reporting = cfg.cav_terminations | (ran.kinds(world.codes) != NodeKind.CAV)
+    src, dst = np.concatenate((tab.i, tab.j)), np.concatenate((tab.j, tab.i))
+    sent = reporting[src]
+    return ran.emit_indication(np.flatnonzero(reporting), src[sent], dst[sent],
+                               np.concatenate((tab.snr_db, tab.snr_db))[sent], step,
+                               cfg.measured_neighbors)
+
+
+@pytest.mark.parametrize("measured_neighbors", [None, 1, 3])
+def test_every_cell_reports_what_its_own_link_table_gives(measured_neighbors):
+    """At every report step of a world stream, each grid cell's batch is bit
+    for bit the one its own floored `link_table` call gives, the link on a
+    threshold and at an outage boundary included."""
+    spec = sweep_case(np.random.default_rng([47, measured_neighbors or 0]), measured_neighbors)
+    base = spec.base
+    stream = engine._world_stream(base, spec.gamma_min_values, spec.p_b_values)
+    world = engine._world(base, base.world.layout())
+    mobility = MobilityState.from_seed(base.seed, base.traffic.turn_probability)
+    reporting = base.cav_terminations | (ran.kinds(world.codes) != NodeKind.CAV)
+    at, outages = 0, 0
+    for measured in stream.steps:
+        for at in range(at, measured.step):
+            step_mobility(world.fleet, world.layout, base.dt_s, mobility)
+        at = measured.step
+        for g in spec.gamma_min_values:
+            for p in spec.p_b_values:
+                cell = replace(base, xapp=replace(base.xapp, snr_min_db=g),
+                               channel=replace(base.channel, p_b=p))
+                got = streams.collect_reports(measured, cell, reporting,
+                                              streams.cell_levels(cell, stream))
+                want = own_link_table_batch(world, cell, measured.step)
+                assert got.step == want.step
+                for column in ("reporters", "source", "neighbor", "snr_db"):
+                    assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+                outages += int(np.count_nonzero(want.snr_db < -300.0))
+    assert outages > 0
+
+
+def test_sweep_past_the_stream_budget_measures_each_cell(monkeypatch):
+    """A stream held within the byte budget is measured once per
+    replication and report step. Past the budget, here 0 bytes, the first
+    measurement is dropped and every cell measures its own world, with the
+    same outputs at one and two workers."""
+    spec = sweep_case(np.random.default_rng(43), None)
+    calls, measure = [], channel.link_table
+    monkeypatch.setattr(channel, "link_table",
+                        lambda *args, **kwargs: calls.append(1) or measure(*args, **kwargs))
+    shared = sweep_blockage(spec)
+    reports = math.ceil(spec.base.n_steps() / spec.base.steps(spec.base.reporting_period_s))
+    cells = len(spec.gamma_min_values) * len(spec.p_b_values)
+    assert len(calls) == spec.replications * reports
+    calls.clear()
+    monkeypatch.setattr(streams, "_STREAM_BYTES", 0)
+    alone = sweep_blockage(spec)
+    assert len(calls) == spec.replications * (1 + cells * reports)
+    assert cell_outputs(alone) == cell_outputs(shared) and alone.rows == shared.rows
+    assert cell_outputs(sweep_blockage(replace(spec, workers=2))) == cell_outputs(shared)
+
+
+def test_a_run_refuses_a_stream_measured_for_another_run():
+    cfg = quick_cfg(duration_s=0.3)
+    stream = streams.hold(engine._world_stream(cfg, (5.0, 10.0), (0.0, 0.5)))
+    for other in (replace(cfg, seed=3), replace(cfg, xapp=XAppConfig(snr_min_db=7.0)),
+                  replace(cfg, channel=ChannelParams(p_b=1.0))):
+        with pytest.raises(ConfigurationError, match="measured for another run"):
+            run_with_audit(other, stream)
+    cell = replace(cfg, xapp=XAppConfig(snr_min_db=10.0), channel=ChannelParams(p_b=0.5))
+    assert record_reprs(run_with_audit(cell, stream)[0]) == record_reprs(run(cell))
+
+
 def test_blockage_sweep_needs_a_stochastic_mode():
     spec = SweepSpec(base=quick_cfg(channel=ChannelParams(blockage_mode="geometric")),
                      gamma_min_values=(5.0,), p_b_values=(0.0,))
@@ -582,16 +730,18 @@ def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
     hands any job to `_execute`, so a world past the node-index bound
     (scaled down to 2^6 here) is refused before any run. At 80 veh/km seeds
     2, 3 and 4 spawn 58, 49 and 65 vehicles: two replications from seed 2
-    fit, the third does not."""
+    fit, the third does not. `_execute` runs one replication's cells at a
+    time."""
     monkeypatch.setattr(ran, "_INDEX_BITS", 6)
     jobs = []
-    monkeypatch.setattr(engine, "_execute", lambda cells, workers: jobs.append(cells) or [])
+    monkeypatch.setattr(engine, "_execute",
+                        lambda cells, workers, stream: jobs.append(cells) or [])
     base = replace(quick_cfg(), traffic=TrafficConfig(density_veh_km=80.0))
     sweep_snr(SweepSpec(base=base, gamma_min_values=(5.0,), replications=2))
-    assert [len(cells) for cells in jobs] == [2]
+    assert [[rep for _, rep in cells] for cells in jobs] == [[0], [1]]
     with pytest.raises(ConfigurationError, match=r"2\^6: 4 RSUs and 65 vehicles"):
         sweep_snr(SweepSpec(base=base, gamma_min_values=(5.0,), replications=3))
-    assert len(jobs) == 1
+    assert len(jobs) == 2
 
 
 # --- configuration validation --------------------------------------------------------

@@ -18,8 +18,7 @@ from slot_adapter import Path, codes_of, control_slots, indication_codes, slots_
 from v2xric import (ChannelParams, ConfigurationError, ControlBatch, NodeKind, RicState,
                     SimConfig, TrafficConfig, World, XAppConfig, apply_control, build_graph,
                     build_intersection, channel, default_rsus, emit_indication,
-                    forwarding_table, ingest, link_table, ran, run, spawn_vehicles)
-from v2xric.engine import _collect_reports
+                    forwarding_table, ingest, link_table, ran, run, spawn_vehicles, streams)
 from v2xric.scenario import CAR_EXTENT, Fleet
 
 
@@ -136,9 +135,16 @@ def test_world_refuses_more_nodes_than_the_index_holds():
 # engine hands to the report layer as one batch.
 
 
+def collect_reports(world, cfg, step):
+    """The engine's batch of a run of `cfg` that measures `world` at `step`."""
+    measured = streams.sense(world, cfg, step, (cfg.xapp.snr_min_db,), (cfg.channel.p_b,))
+    reporting = cfg.cav_terminations | (ran.kinds(world.codes) != NodeKind.CAV)
+    return streams.collect_reports(measured, cfg, reporting, (0, 0))
+
+
 def report_batch(world, sensing_range_m=300.0, **cfg):
     """The engine's batch at step 0, its view slots read back as NodeId codes."""
-    batch = _collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0)
+    batch = collect_reports(world, SimConfig(sensing_range_m=sensing_range_m, **cfg), 0)
     for column in (batch.reporters, batch.source, batch.neighbor):
         assert column.dtype == np.int64 and ((column >= 0) & (column < len(world.codes))).all()
     return indication_codes(batch, world.codes)
@@ -244,14 +250,14 @@ def test_floored_reports_equal_unfloored_reports_filtered():
                     with pytest.MonkeyPatch.context() as m:
                         m.setattr(channel, "link_table",
                                   lambda *args, min_snr_db, **kwargs: measure(*args, **kwargs))
-                        unfloored = _collect_reports(world, cfg, step)
+                        unfloored = collect_reports(world, cfg, step)
                     finite = unfloored.snr_db[unfloored.snr_db > -300.0]
                     floors = [-300.0, float(rng.uniform(-5.0, 25.0))]
                     if len(finite):
                         floors.append(float(rng.choice(finite)))  # a floor on a reported SNR
                     for floor in floors:
                         cfg = replace(cfg, xapp=XAppConfig(snr_min_db=floor))
-                        floored = _collect_reports(world, cfg, step)
+                        floored = collect_reports(world, cfg, step)
                         keep = unfloored.snr_db >= floor
                         kept = floored.snr_db >= floor
                         assert floored.step == unfloored.step
