@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, MeasurementError
+from .errors import MeasurementError, check_keys, config_key
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 MIN_MODEL_DISTANCE_M = 1.0  # below this the curves are clamped to 1 m
@@ -27,7 +27,7 @@ MIN_MODEL_DISTANCE_M = 1.0  # below this the curves are clamped to 1 m
 # Pathloss assigned to a stochastically blocked sample. Finite (so SNR stays a
 # number), yet deep enough that eirp - OUTAGE_PATHLOSS_DB - noise_floor lies
 # below every admissible threshold for all valid parameter ranges: at most
-# -766 dB, as `ChannelParams.validate` bounds the bandwidth below by 1 Hz.
+# -766 dB, as the domain of `ChannelParams.bandwidth_hz` starts at 1 Hz.
 OUTAGE_PATHLOSS_DB = 1000.0
 
 BLOCKAGE_MODES = ("geometric", "stochastic", "combined")
@@ -42,26 +42,15 @@ _MIX_C2 = 0x94D049BB133111EB
 class ChannelParams:
     """Link-budget and blockage knobs shared by every measurement."""
 
-    carrier_ghz: float = 28.0
-    eirp_dbm: float = 23.0
-    bandwidth_hz: float = 100e6
-    noise_figure_db: float = 9.0
-    p_b: float = 0.0
-    blockage_mode: str = "combined"
+    carrier_ghz: float = config_key(28.0, "[0.5, 100]")
+    eirp_dbm: float = config_key(23.0, "[-30, 60]")
+    bandwidth_hz: float = config_key(100e6, "[1, inf)")
+    noise_figure_db: float = config_key(9.0, "[0, 30]")
+    p_b: float = config_key(0.0, "[0, 1]")
+    blockage_mode: str = config_key("combined", BLOCKAGE_MODES)
 
     def validate(self) -> "ChannelParams":
-        if not (0.5 <= self.carrier_ghz <= 100.0):
-            raise ConfigurationError(f"carrier_ghz out of range [0.5, 100]: {self.carrier_ghz}")
-        if not (-30.0 <= self.eirp_dbm <= 60.0):
-            raise ConfigurationError(f"eirp_dbm out of range [-30, 60]: {self.eirp_dbm}")
-        if not (self.bandwidth_hz >= 1.0 and math.isfinite(self.bandwidth_hz)):
-            raise ConfigurationError(f"bandwidth_hz must be finite and >= 1: {self.bandwidth_hz}")
-        if not (0.0 <= self.noise_figure_db <= 30.0):
-            raise ConfigurationError(f"noise_figure_db out of range [0, 30]: {self.noise_figure_db}")
-        if not (0.0 <= self.p_b <= 1.0):
-            raise ConfigurationError(f"p_b out of range [0, 1]: {self.p_b}")
-        if self.blockage_mode not in BLOCKAGE_MODES:
-            raise ConfigurationError(f"blockage_mode must be one of {BLOCKAGE_MODES}: {self.blockage_mode}")
+        check_keys(self)
         return self
 
 

@@ -103,8 +103,8 @@ _SUMMARY_COLUMNS = _columns(SummaryRow)
 
 
 def _parse_value(key: str, raw: str):
-    """Parse one raw value by its key's annotation. Range and finiteness are
-    the config objects' to check (`SimConfig.validate`, `SweepSpec.validate`)."""
+    """Parse one raw value by its key's annotation. Its domain is the config
+    objects' to check, as its field declares it (`errors.check_keys`)."""
     raw = raw.strip()
     try:
         return _KEYS[key][0](raw)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channel, ran, ric, streams
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, check_keys, config_key, within
 from .scenario import (RoadLayout, TrafficConfig, build_intersection,
                        default_rsus, spawn_vehicles, step_mobility)
 
@@ -25,25 +25,23 @@ _MATCH_TAG = 31  # seed stream tag for the matched-pair draw
 
 METRIC_MODES = ("pairwise", "per-vehicle")
 PAIR_SELECTIONS = ("all", "matched")
+_REPORTING_PERIODS = "[0.001, 1]"  # seconds, set or taken from control_period_s
 
 
 @dataclass(slots=True)
 class WorldConfig:
     """Static geometry of the intersection scene."""
 
-    arm_length_m: float = 200.0
-    road_width_m: float = 14.0
-    building_setback_m: float = 2.0
-    building_height_m: float = 20.0
-    rsu_mast_height_m: float = 6.0
-    cav_antenna_height_m: float = 1.6
+    arm_length_m: float = config_key(200.0, "(0, inf)")
+    road_width_m: float = config_key(14.0, "(0, inf)")
+    building_setback_m: float = config_key(2.0, "(0, inf)")
+    building_height_m: float = config_key(20.0, "(0, inf)")
+    rsu_mast_height_m: float = config_key(6.0, "(0, inf)")
+    cav_antenna_height_m: float = config_key(1.6, "(0, inf)")
 
     def validate(self) -> "WorldConfig":
-        """`build_intersection` checks the other dimensions and that they fit."""
-        for name in ("building_setback_m", "rsu_mast_height_m", "cav_antenna_height_m"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(f"{name} must be positive: {value}")
+        """Each dimension in its domain, and the buildings fitting the layout."""
+        check_keys(self)
         self.layout()
         return self
 
@@ -57,74 +55,39 @@ class WorldConfig:
 class SimConfig:
     """Full description of one run; every derived quantity comes from `seed`."""
 
-    duration_s: float = 300.0
-    dt_s: float = 0.1
-    control_period_s: float = 0.1
-    seed: int = 1
+    duration_s: float = config_key(300.0, "(0, inf)")
+    dt_s: float = config_key(0.1, "[1e-9, inf)")  # record times are rounded to 1e-9 s
+    control_period_s: float = config_key(0.1, "(0, inf)")
+    seed: int = config_key(1, "[0, 2^63)")
     channel: channel.ChannelParams = field(default_factory=channel.ChannelParams)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     xapp: ric.XAppConfig = field(default_factory=ric.XAppConfig)
     world: WorldConfig = field(default_factory=WorldConfig)
-    sensing_range_m: float = 300.0
-    reporting_period_s: float | None = None  # None: report at the control cadence
-    measured_neighbors: int | None = None
-    staleness_window_s: float | None = None  # None: one reporting cycle plus slack
-    control_delay_s: float = 0.01
-    warmup_s: float = 10.0
-    metric_mode: str = "pairwise"
-    pair_selection: str = "all"
-    cav_terminations: bool = True  # False: only infrastructure reports (ablation)
+    sensing_range_m: float = config_key(300.0, "(0, inf)")
+    reporting_period_s: float | None = config_key(None, _REPORTING_PERIODS)  # None: control cadence
+    measured_neighbors: int | None = config_key(None, "[1, inf)")  # None: no cap
+    staleness_window_s: float | None = config_key(None, "(0, inf)")  # None: a cycle plus slack
+    control_delay_s: float = config_key(0.01, "[0, inf)")
+    warmup_s: float = config_key(10.0, "[0, inf)")
+    metric_mode: str = config_key("pairwise", METRIC_MODES)
+    pair_selection: str = config_key("all", PAIR_SELECTIONS)
+    cav_terminations: bool = config_key(True, (False, True))  # False: only RSUs report
 
     def validate(self) -> "SimConfig":
-        for name in ("duration_s", "dt_s", "control_period_s", "sensing_range_m",
-                     "reporting_period_s", "staleness_window_s", "control_delay_s", "warmup_s"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"invalid value for {name}: {value} (must be finite)")
-        if not (self.duration_s > 0):
-            raise ConfigurationError(f"duration_s must be positive: {self.duration_s}")
-        if not (self.dt_s >= 1e-9):  # record times are rounded to 1e-9 s
-            raise ConfigurationError(f"dt_s must be at least 1e-9: {self.dt_s}")
+        """Every key in its domain, then the rules that join keys."""
+        check_keys(self)
         if self.control_period_s < self.dt_s:
             raise ConfigurationError(
                 f"control_period_s must be >= dt_s: {self.control_period_s} < {self.dt_s}")
-        require_int("seed", self.seed)
-        if not (0 <= self.seed < 2**63):
-            raise ConfigurationError(f"seed out of range [0, 2^63): {self.seed}")
-        if not isinstance(self.cav_terminations, (bool, np.bool_)):
-            raise ConfigurationError(f"cav_terminations must be a bool: {self.cav_terminations!r}")
-        if not (self.sensing_range_m > 0):
-            raise ConfigurationError(f"sensing_range_m must be positive: {self.sensing_range_m}")
-        if self.control_delay_s < 0:
-            raise ConfigurationError(f"control_delay_s must be >= 0: {self.control_delay_s}")
-        if self.warmup_s < 0:
-            raise ConfigurationError(f"warmup_s must be >= 0: {self.warmup_s}")
         if self.warmup_s >= self.duration_s:
             raise ConfigurationError(
                 f"warmup_s must be below duration_s: {self.warmup_s} >= {self.duration_s}")
-        if self.metric_mode not in METRIC_MODES:
-            raise ConfigurationError(f"metric_mode must be one of {METRIC_MODES}: {self.metric_mode}")
-        if self.pair_selection not in PAIR_SELECTIONS:
-            raise ConfigurationError(
-                f"pair_selection must be one of {PAIR_SELECTIONS}: {self.pair_selection}")
-        if self.staleness_window_s is not None and not (self.staleness_window_s > 0):
-            raise ConfigurationError(
-                f"staleness_window_s must be positive: {self.staleness_window_s}")
-        self.channel.validate()
-        self.traffic.validate()
-        self.xapp.validate()
-        self.world.validate()
-        reporting = self.resolved_reporting_period()
-        if not (0.001 <= reporting <= 1.0):
-            if self.reporting_period_s is None:
-                raise ConfigurationError("control_period_s sets the reporting period, which must "
-                                         f"lie in [0.001, 1]: {reporting}")
-            raise ConfigurationError(f"reporting_period_s out of range [0.001, 1]: {reporting}")
-        if self.measured_neighbors is not None:
-            require_int("measured_neighbors", self.measured_neighbors)
-            if self.measured_neighbors < 1:
-                raise ConfigurationError(
-                    f"measured_neighbors must be >= 1 or None: {self.measured_neighbors}")
+        for section in (self.channel, self.traffic, self.xapp, self.world):
+            section.validate()
+        reporting = self.resolved_reporting_period()  # a set one passed its domain above
+        if not within(_REPORTING_PERIODS, reporting):
+            raise ConfigurationError("control_period_s sets the reporting period, which must "
+                                     f"lie in {_REPORTING_PERIODS}: {reporting}")
         periods = (("duration_s", self.duration_s), ("control_period_s", self.control_period_s),
                    ("reporting_period_s", reporting))
         spans = (*periods, ("control_delay_s", self.control_delay_s),
@@ -205,34 +168,22 @@ class SweepSpec:
     """Grid description for the experiment sweeps."""
 
     base: SimConfig
-    gamma_min_values: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
-    p_b_values: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    replications: int = 1
-    workers: int = 1
+    # each grid value must pass the domain of the key it sets in its cells
+    gamma_min_values: tuple[float, ...] = config_key(
+        (0.0, 5.0, 10.0, 15.0, 20.0), ric.XAppConfig.__dataclass_fields__["snr_min_db"])
+    p_b_values: tuple[float, ...] = config_key(
+        (0.0, 0.25, 0.5, 0.75, 1.0), channel.ChannelParams.__dataclass_fields__["p_b"])
+    replications: int = config_key(1, "[1, inf)")
+    workers: int = config_key(1, "[1, inf)")
 
     def validate(self) -> "SweepSpec":
         self.base.validate()
+        check_keys(self)
         if not self.gamma_min_values:
             raise ConfigurationError("gamma_min_values must be non-empty")
-        for g in self.gamma_min_values:
-            try:
-                replace(self.base.xapp, snr_min_db=g).validate()
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"invalid value for gamma_min_values: {exc}") from None
-        for p in self.p_b_values:
-            try:
-                replace(self.base.channel, p_b=p).validate()
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"invalid value for p_b_values: {exc}") from None
-        require_int("replications", self.replications)
-        if self.replications < 1:
-            raise ConfigurationError(f"replications must be >= 1: {self.replications}")
         if self.base.seed + self.replications - 1 >= 2**63:
             raise ConfigurationError(f"replications out of range: seed {self.base.seed} + "
                                      f"{self.replications - 1} must stay below 2^63")
-        require_int("workers", self.workers)
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1: {self.workers}")
         return self
 
 
@@ -453,12 +404,12 @@ def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepR
     `base.seed + r`, and summarise each (gamma_min, p_b) once per mode. One
     replication at a time, its cells share one held world stream."""
     base, reps = spec.base, spec.replications
+    if base.xapp.max_hops < 2:
+        raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
     # each replication's world as its runs build it, so a bad spawn fails up front
     layout = base.world.layout()
     for rep in range(reps):
         _vehicle_slots(_world(replace(base, seed=base.seed + rep), layout).codes)
-    if base.xapp.max_hops < 2:
-        raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
     gammas, by_rep = sorted(spec.gamma_min_values), []
     for rep in range(reps):
         cfg = replace(base, seed=base.seed + rep)

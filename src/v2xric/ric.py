@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, check_keys, config_key, require_int
 from .ran import ControlBatch, IndicationBatch, NodeKind, kinds
 
 # Bytes of the min-array one relaxation chunk may materialise: k relays cost
@@ -27,15 +27,11 @@ _SCRATCH_BYTES = 2**20
 class XAppConfig:
     """Relay-assignment policy: edge SNR threshold and hop budget."""
 
-    snr_min_db: float = 5.0
-    max_hops: int = 4
+    snr_min_db: float = config_key(5.0, "[-300, 300]")
+    max_hops: int = config_key(4, "[1, inf)")
 
     def validate(self) -> "XAppConfig":
-        if not (-300.0 <= self.snr_min_db <= 300.0):
-            raise ConfigurationError(f"snr_min_db out of range [-300, 300]: {self.snr_min_db}")
-        require_int("max_hops", self.max_hops)
-        if self.max_hops < 1:
-            raise ConfigurationError(f"max_hops must be >= 1: {self.max_hops}")
+        check_keys(self)
         return self
 
 

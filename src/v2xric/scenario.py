@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, check_keys, config_key
 
 _INDEX_BITS = 20  # a run holds at most 2^20 vehicles and RSUs, each coded below 2^22
 _SPAWN_TAG = 17
@@ -83,24 +83,14 @@ class Fleet:
 
 @dataclass(slots=True)
 class TrafficConfig:
-    density_veh_km: float = 50.0
-    speed_mps: float = 14.0
-    seed: int = 1
-    tall_fraction: float = 0.10
-    turn_probability: float = 0.25
+    density_veh_km: float = config_key(50.0, "[1, 500]")
+    speed_mps: float = config_key(14.0, "(0, 40]")
+    seed: int = config_key(1, "[0, 2^63)")
+    tall_fraction: float = config_key(0.10, "[0, 1]")
+    turn_probability: float = config_key(0.25, "[0, 1]")
 
     def validate(self) -> "TrafficConfig":
-        if not (1.0 <= self.density_veh_km <= 500.0):
-            raise ConfigurationError(f"density_veh_km out of range [1, 500]: {self.density_veh_km}")
-        if not (0.0 < self.speed_mps <= 40.0):
-            raise ConfigurationError(f"speed_mps out of range (0, 40]: {self.speed_mps}")
-        if not (0.0 <= self.tall_fraction <= 1.0):
-            raise ConfigurationError(f"tall_fraction out of range [0, 1]: {self.tall_fraction}")
-        if not (0.0 <= self.turn_probability <= 1.0):
-            raise ConfigurationError(f"turn_probability out of range [0, 1]: {self.turn_probability}")
-        require_int("seed", self.seed)
-        if not (0 <= self.seed < 2**63):
-            raise ConfigurationError(f"seed out of range: {self.seed}")
+        check_keys(self)
         return self
 
 

@@ -558,10 +558,15 @@ def test_link_table_pair_selection_matches_full_table():
     dict(p_b=1.5),
     dict(blockage_mode="sometimes"),
     dict(bandwidth_hz=1e-100),
+    # a bool was taken as 1.0, and a str died with a TypeError
+    dict(eirp_dbm=True),
+    dict(p_b=True),
+    dict(carrier_ghz="28"),
 ])
 def test_channel_params_validation(bad):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as err:
         ChannelParams(**bad).validate()
+    assert any(key in str(err.value) for key in bad), err.value
 
 
 def test_coincident_antennas_rejected():

@@ -1,18 +1,21 @@
 """Command-line tests: config resolution, CSV and manifest outputs, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from v2xric import cli, engine
 from v2xric.cli import main, parse_config
 from v2xric.engine import SimConfig, SweepSpec
-from v2xric.errors import ConfigurationError
+from v2xric.errors import ConfigurationError, bounds
 
 # The CSV schemas. The writers read their columns off the row dataclasses;
 # these literals pin the names and their order.
@@ -169,6 +172,47 @@ def test_readme_config_table_lists_every_key_once():
 def test_unparseable_value_names_its_key(key, raw):
     with pytest.raises(ConfigurationError, match=f"^invalid value for {key}: "):
         parse_config({key: raw})
+
+
+def test_every_key_declares_its_domain_and_refuses_a_value_outside_it(tmp_path, capsys,
+                                                                      monkeypatch):
+    """Every key's field declares its domain (`errors.config_key`). A value
+    just past each finite bound, an unknown string for a key of listed
+    values, and 2.5 for an integer key each exit 2 naming the key, before
+    any run and before any output is written. A grid's values walk the
+    domain of the key they set."""
+    fields = {f.name: f for cls in cli._SECTIONS for f in dataclasses.fields(cls)
+              if f.default is not dataclasses.MISSING}
+    assert set(cli._KEYS) <= set(fields)
+    assert [name for name, f in fields.items() if "domain" not in f.metadata] == []
+    cases = []
+    for key in cli._KEYS:
+        kind, domain = fields[key].type.removesuffix(" | None"), fields[key].metadata["domain"]
+        if kind == "tuple[float, ...]":
+            kind, domain = domain.type, domain.metadata["domain"]
+        if isinstance(domain, tuple):
+            cases.append((key, "wombat"))
+            continue
+        if kind == "int":
+            cases.append((key, "2.5"))
+        lo, lo_open, hi, hi_open = bounds(domain)
+        for bound, is_open, outward in ((lo, lo_open, -1), (hi, hi_open, 1)):
+            if not math.isfinite(bound):
+                continue
+            if kind == "int":
+                cases.append((key, str(int(bound) + (0 if is_open else outward))))
+            else:
+                cases.append((key, repr(bound if is_open else
+                                        float(np.nextafter(bound, outward * math.inf)))))
+    assert len(cases) > len(cli._KEYS)
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda *args: runs.append(args))
+    cfg, out = tmp_path / "key.cfg", tmp_path / "out"
+    for key, raw in cases:
+        cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2, (key, raw)
+        assert key in capsys.readouterr().err, (key, raw)
+        assert runs == [] and not out.exists(), (key, raw)
 
 
 def test_unknown_annotation_has_no_parser():
@@ -455,10 +499,13 @@ def test_fleet_past_the_node_index_bound_exits_2(tmp_path, capsys, arm_length_m)
 ])
 def test_sweeps_without_relaying_exit_2_before_running(tmp_path, capsys, monkeypatch,
                                                        command, flags):
+    """The hop budget is refused before any replication's world is built."""
     runs = []
     monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    monkeypatch.setattr(engine, "_world", lambda cfg, layout: pytest.fail("world built"))
     out = tmp_path / "out"
-    assert main([command, "--out", str(out), "--duration", "1", "--warmup", "0"] + flags) == 2
+    assert main([command, "--out", str(out), "--duration", "1", "--warmup", "0",
+                 "--replications", "3"] + flags) == 2
     assert "max_hops" in capsys.readouterr().err
     assert runs == []
     assert not out.exists()

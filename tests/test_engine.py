@@ -700,6 +700,10 @@ def test_blockage_sweep_needs_a_stochastic_mode():
     dict(gamma_min_values=(5.0,), replications=True),
     dict(gamma_min_values=(5.0,), workers=1.5),
     dict(gamma_min_values=(5.0,), workers=2.5),
+    # a bool grid value was taken as 1.0, and a str died with a TypeError
+    dict(gamma_min_values=(True,)),
+    dict(gamma_min_values=(5.0,), p_b_values=(0.5, True)),
+    dict(gamma_min_values=("5",)),
 ])
 def test_sweep_spec_validation(kwargs):
     # the last keyword holds the bad value, and the error names it
@@ -789,10 +793,16 @@ def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
     # a delay or window of an infinite number of steps (both overflowed in the run)
     dict(duration_s=0.3, warmup_s=0.0, control_delay_s=1e308),
     dict(duration_s=0.3, warmup_s=0.0, staleness_window_s=1e308),
+    # a bool was taken as 1.0 (both ran), and a str or None died with a TypeError
+    dict(sensing_range_m=True),
+    dict(control_delay_s=True),
+    dict(duration_s="1"),
+    dict(warmup_s=None),
 ])
 def test_sim_config_validation(kwargs):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as err:
         SimConfig(**kwargs).validate()
+    assert any(key in str(err.value) for key in kwargs), err.value
 
 
 @pytest.mark.parametrize("cap", [2.5, True, 0, -1, np.float64(3.0)])
@@ -858,6 +868,11 @@ def test_world_config_validation():
     # positive dimensions that still build no intersection
     with pytest.raises(ConfigurationError, match="no room for buildings inside arm_length_m"):
         WorldConfig(arm_length_m=5.0).validate()
+    # a bool was taken as 1.0 (the mast ran 1 m high), and a str died with a TypeError
+    for key, value in (("rsu_mast_height_m", True), ("arm_length_m", "200"),
+                       ("building_height_m", math.nan)):
+        with pytest.raises(ConfigurationError, match=key):
+            WorldConfig(**{key: value}).validate()
 
 
 def test_blockage_sweep_needs_p_b_values():

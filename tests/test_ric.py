@@ -599,10 +599,14 @@ def test_empty_controller_state_is_quiet():
     dict(snr_min_db=-500.0),
     dict(max_hops=0),
     dict(snr_min_db=math.nan),
+    # a bool was taken as 1.0, and a str died with a TypeError
+    dict(snr_min_db=True),
+    dict(snr_min_db="5"),
 ])
 def test_xapp_config_validation(kwargs):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as err:
         XAppConfig(**kwargs).validate()
+    assert any(key in str(err.value) for key in kwargs), err.value
 
 
 @pytest.mark.parametrize("pairs", [

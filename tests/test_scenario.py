@@ -215,10 +215,14 @@ def test_spawn_refuses_a_fleet_past_the_node_index_bound(arm_length_m):
     dict(seed=-1),
     dict(seed=1.5),
     dict(seed=True),
+    # a bool was taken as 1.0, and a str died with a TypeError
+    dict(density_veh_km=True),
+    dict(speed_mps="1"),
 ])
 def test_traffic_config_validation(kwargs):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as err:
         TrafficConfig(**kwargs).validate()
+    assert any(key in str(err.value) for key in kwargs), err.value
 
 
 # --- mobility --------------------------------------------------------------------
