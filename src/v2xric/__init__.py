@@ -19,7 +19,8 @@ from .engine import (AuditSummary, MetricsRecord, RunOutput, SimConfig, SummaryR
 from .errors import ConfigurationError, MeasurementError
 from .ran import (ControlBatch, IndicationBatch, NodeKind, World, apply_control,
                   emit_indication, forwarding_table)
-from .ric import RicState, XAppConfig, XAppDiagnostics, build_graph, ingest, xapp_tick
+from .ric import (RicState, XAppConfig, XAppDiagnostics, XAppState, build_graph, ingest,
+                  xapp_tick)
 from .scenario import (Fleet, MobilityState, RoadLayout, TrafficConfig, build_intersection,
                        default_rsus, spawn_vehicles, step_mobility)
 
@@ -33,7 +34,8 @@ __all__ = [
     "ConfigurationError", "MeasurementError",
     "ControlBatch", "IndicationBatch", "NodeKind", "World", "apply_control",
     "emit_indication", "forwarding_table",
-    "RicState", "XAppConfig", "XAppDiagnostics", "build_graph", "ingest", "xapp_tick",
+    "RicState", "XAppConfig", "XAppDiagnostics", "XAppState", "build_graph", "ingest",
+    "xapp_tick",
     "Fleet", "MobilityState", "RoadLayout", "TrafficConfig", "build_intersection",
     "default_rsus", "spawn_vehicles", "step_mobility",
 ]

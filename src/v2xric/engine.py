@@ -3,9 +3,9 @@
 One run advances vehicle mobility every `dt_s`, has every radio endpoint sense
 and report on its reporting cadence, and executes the controller (graph build,
 widest-path assignment, control fan-out) on every control tick, recording one
-connectivity measurement per control tick. Sweeps fan runs out over a worker
-pool; everything is keyed off the run seed, so identical configurations give
-bit-identical outputs at any worker count.
+connectivity measurement per control tick, from streams (`v2xric.streams`).
+Sweeps fan runs out over a worker pool; everything is keyed off the run seed,
+so identical configurations give bit-identical outputs at any worker count.
 """
 
 from __future__ import annotations
@@ -276,57 +276,54 @@ def _world_stream(cfg: SimConfig, gammas, p_bs) -> streams.WorldStream:
     return streams.world_stream(cfg, _world(cfg, cfg.world.layout()), gammas, p_bs, step_mobility)
 
 
-def run_with_audit(cfg: SimConfig, stream: streams.WorldStream | None = None
-                   ) -> tuple[list[MetricsRecord], AuditSummary]:
-    """Execute one run; returns its per-control-tick records and control audit.
-    `stream` is the run's world as a sweep holds it for all cells of one
-    replication; by default the run measures its own world as it goes."""
-    cfg.validate()
+def _solve_stream(cfg: SimConfig, stream: streams.WorldStream | None,
+                  gammas: tuple[float, ...]) -> streams.SolveStream:
+    """`cfg`'s controller for cells on the sorted grid `gammas`, on its own
+    world unless a world `stream` is given."""
     if stream is None:
         stream = _world_stream(cfg, (cfg.xapp.snr_min_db,), (cfg.channel.p_b,))
-    levels = streams.cell_levels(cfg, stream)
-    codes = stream.codes
+    pairs = _build_pairs(stream.codes, cfg.pair_selection, cfg.seed)
+    return streams.solve_stream(cfg, stream, pairs, gammas)
 
-    pairs = _build_pairs(codes, cfg.pair_selection, cfg.seed)
-    report_every = cfg.steps(cfg.resolved_reporting_period())
-    control_every = cfg.steps(cfg.control_period_s)
-    # a report arrives whole steps after it is taken, a part step rounding up
-    delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
 
-    ric_state = ric.RicState(codes, cfg.staleness_steps(), pairs=pairs, xapp=cfg.xapp)
-    table = ran.forwarding_table(len(codes), len(pairs))
-    reporting = cfg.cav_terminations | (ran.kinds(codes) != ran.NodeKind.CAV)
-    measured = iter(stream.steps)
-    in_flight: list[tuple[int, ran.IndicationBatch]] = []  # (arrival step, batch)
+def run_with_audit(cfg: SimConfig, stream: streams.WorldStream | None = None,
+                   solves: streams.SolveStream | None = None
+                   ) -> tuple[list[MetricsRecord], AuditSummary]:
+    """Execute one run; returns its per-control-tick records and control audit.
+    `stream` and `solves` are the world and controller a sweep holds for the
+    run's replication and p_b; by default the run draws its own."""
+    cfg.validate()
+    if solves is None:
+        solves = _solve_stream(cfg, stream, (cfg.xapp.snr_min_db,))
+    else:
+        streams.check_solves(cfg, solves)
+    pairs = solves.pairs
+    xapp = ric.XAppState(len(solves.codes), pairs=pairs, xapp=cfg.xapp)
+    table = ran.forwarding_table(len(solves.codes), len(pairs))
     records: list[MetricsRecord] = []
     audit = AuditSummary()
 
-    for step in range(cfg.n_steps()):
-        if step % report_every == 0:
-            in_flight.append((step + delay_steps,
-                              streams.collect_reports(next(measured), cfg, reporting, levels)))
-        if step % control_every == 0:
-            while in_flight and in_flight[0][0] <= step:
-                ric.ingest(ric_state, in_flight.pop(0)[1])
-            batch, diag = ric.xapp_tick(ric_state, step)
-            audit.protocol_errors += ran.apply_control(table, batch)
-            relayed = np.flatnonzero(diag.hops >= 2)
-            audit.messages_total += int(diag.hops[relayed].sum())  # the full fan-out
-            audit.paths_checked += len(relayed)
-            audit.paths_ok += ran.delivered(table, diag.paths[relayed], relayed)
-            n_direct = int(np.count_nonzero(diag.direct))
-            records.append(MetricsRecord(
-                t=round(step * cfg.dt_s, 9),
-                gamma_min_db=cfg.xapp.snr_min_db,
-                p_b=cfg.channel.p_b,
-                connectivity=_connectivity(pairs, diag.served, cfg.metric_mode),
-                pairs_total=diag.pairs_total,
-                pairs_direct=n_direct,
-                pairs_relayed=diag.pairs_feasible - n_direct,
-                mean_hops=(float(np.mean(diag.hops[diag.served])) if diag.pairs_feasible
-                           else math.nan),
-                direct_connectivity=_connectivity(pairs, diag.direct, cfg.metric_mode),
-            ))
+    for solved in solves.ticks:
+        batch, diag = ric.xapp_tick(xapp, solved)
+        audit.protocol_errors += ran.apply_control(table, batch)
+        relayed = np.flatnonzero(diag.hops >= 2)
+        audit.messages_total += int(diag.hops[relayed].sum())  # the full fan-out
+        audit.paths_checked += len(relayed)
+        audit.paths_ok += ran.delivered(table, diag.paths[relayed], relayed)
+        n_direct = int(np.count_nonzero(diag.direct))
+        records.append(MetricsRecord(
+            t=round(solved.step * cfg.dt_s, 9),
+            gamma_min_db=cfg.xapp.snr_min_db,
+            p_b=cfg.channel.p_b,
+            connectivity=_connectivity(pairs, diag.served, cfg.metric_mode),
+            pairs_total=diag.pairs_total,
+            pairs_direct=n_direct,
+            pairs_relayed=diag.pairs_feasible - n_direct,
+            mean_hops=(float(np.mean(diag.hops[diag.served])) if diag.pairs_feasible
+                       else math.nan),
+            direct_connectivity=_connectivity(pairs, diag.direct, cfg.metric_mode),
+        ))
+        del solved, batch, diag  # before the next tick is solved
     return records, audit
 
 
@@ -352,38 +349,39 @@ def time_average(records: list[MetricsRecord], warmup_s: float,
     return float(np.mean(values))
 
 
-def run_cell(cfg: SimConfig, replication: int = 0,
-             stream: streams.WorldStream | None = None) -> RunOutput:
+def run_cell(cfg: SimConfig, replication: int = 0, stream: streams.WorldStream | None = None,
+             solves: streams.SolveStream | None = None) -> RunOutput:
     """Execute and time one run: replication `replication` of its sweep cell,
-    on its replication's world `stream` when one is held."""
+    on the held `stream` and `solves` if any."""
     started = time.perf_counter()
-    records, audit = run_with_audit(cfg, stream)
+    records, audit = run_with_audit(cfg, stream, solves)
     return RunOutput(cfg, replication, records, audit, time.perf_counter() - started)
 
 
-_HELD: streams.WorldStream | None = None  # the stream a pool's forked workers inherit
+_HELD: tuple = (None, None)  # the world and solve streams a pool's forked workers inherit
 
 
 def _run_held(cfg: SimConfig, replication: int) -> RunOutput:
-    return run_cell(cfg, replication, _HELD)
+    return run_cell(cfg, replication, *_HELD)
 
 
 def _execute(jobs: list[tuple[SimConfig, int]], workers: int,
-             stream: streams.WorldStream | None) -> list[RunOutput]:
-    """Run all (config, replication) jobs on one world `stream`, or each on
-    its own, optionally across processes (forked with the stream in place);
-    results in job order at any worker count."""
+             stream: streams.WorldStream | None,
+             solves: streams.SolveStream | None) -> list[RunOutput]:
+    """Run all (config, replication) jobs on one world `stream` and
+    `solves`, or each on its own, optionally across processes (forked with
+    them in place); results in job order at any worker count."""
     if workers <= 1 or len(jobs) <= 1:
-        return [run_cell(*job, stream) for job in jobs]
+        return [run_cell(*job, stream, solves) for job in jobs]
     import multiprocessing
 
     global _HELD
-    _HELD = stream
+    _HELD = stream, solves
     try:
         with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
             return pool.starmap(_run_held, jobs)
     finally:
-        _HELD = None
+        _HELD = None, None
 
 
 def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
@@ -402,7 +400,8 @@ def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
 def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
     """Run every (gamma_min, p_b, replication) cell, replication r at seed
     `base.seed + r`, and summarise each (gamma_min, p_b) once per mode. One
-    replication at a time, its cells share one held world stream."""
+    replication at a time, its cells share one held world stream, and one
+    p_b at a time, its cells one held solve stream."""
     base, reps = spec.base, spec.replications
     if base.xapp.max_hops < 2:
         raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
@@ -410,15 +409,20 @@ def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepR
     layout = base.world.layout()
     for rep in range(reps):
         _vehicle_slots(_world(replace(base, seed=base.seed + rep), layout).codes)
-    gammas, by_rep = sorted(spec.gamma_min_values), []
+    gammas, runs = tuple(sorted(spec.gamma_min_values)), []
+    held = len(gammas) * len(p_bs) > 1
     for rep in range(reps):
         cfg = replace(base, seed=base.seed + rep)
-        cells = [(replace(cfg, channel=replace(base.channel, p_b=p),
-                          xapp=replace(base.xapp, snr_min_db=g)), rep) for g in gammas for p in p_bs]
-        stream = streams.hold(_world_stream(cfg, gammas, p_bs)) if len(cells) > 1 else None
-        by_rep.append(_execute(cells, spec.workers, stream))
+        stream = streams.hold(_world_stream(cfg, gammas, p_bs)) if held else None
+        for p in p_bs:
+            cells = [(replace(cfg, channel=replace(base.channel, p_b=p),
+                              xapp=replace(base.xapp, snr_min_db=g)), rep) for g in gammas]
+            solves = (streams.hold_solves(_solve_stream(cells[0][0], stream, gammas))
+                      if stream is not None and len(gammas) > 1 else None)
+            runs += _execute(cells, spec.workers, stream, solves)
+            del solves  # before the next p_b's are solved
         del stream  # before the next replication's is measured
-    runs = [outs[k] for k in range(len(by_rep[0])) for outs in by_rep]
+    runs.sort(key=lambda out: (out.cfg.xapp.snr_min_db, out.cfg.channel.p_b, out.replication))
     rows = [summarise(runs[k:k + reps], mode)
             for k in range(0, len(runs), reps) for mode in modes]
     return SweepResult(rows=rows, runs=runs)

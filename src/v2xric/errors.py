@@ -3,6 +3,7 @@ config boundary: every configuration key declares its domain on its
 dataclass field (`config_key`), and `check_keys` holds a section to them."""
 
 import math
+from collections.abc import Sequence
 from dataclasses import Field, field, fields
 from functools import cache
 from numbers import Integral, Real
@@ -61,12 +62,15 @@ def check_keys(section) -> None:
 def _check(key: Field, value) -> None:
     """Refuse a `value` outside `key`'s domain, naming the key. The annotation
     says whether None passes, and the type: a float is any finite real number
-    but a bool, an int any integer but a bool, a bool a bool or `np.bool_`."""
+    but a bool, an int any integer but a bool, a bool a bool or `np.bool_`,
+    a grid a sequence (a tuple or a list)."""
     name, domain = key.name, key.metadata["domain"]
     kind = key.type.removesuffix(" | None")
     if value is None and kind != key.type:
         return
     if kind == "tuple[float, ...]":
+        if not isinstance(value, Sequence):
+            raise ConfigurationError(f"{name} must be a sequence of numbers: {value!r}")
         for each in value:
             try:
                 _check(domain, each)

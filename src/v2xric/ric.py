@@ -4,9 +4,10 @@ Holds each node's latest indication report as one row of a slot-indexed SNR
 matrix, builds an SNR-thresholded undirected connectivity graph from the
 fresh rows, and solves hop-bounded maximum-bottleneck-SNR (widest) paths
 between served pairs from tables of the served destinations' rows alone, on
-the ranks of the edge SNRs.
-Ties go to fewer hops, then to the lexicographically smallest node sequence
-in code order, so identical inputs yield identical assignments.
+the ranks of the edge SNRs. An xApp cuts its tick from a solve at or below
+its threshold. Ties go to fewer hops, then to the lexicographically
+smallest node sequence in code order, so identical inputs yield identical
+assignments.
 """
 
 from __future__ import annotations
@@ -37,23 +38,18 @@ class XAppConfig:
 
 @dataclass(slots=True)
 class RicState:
-    """The xApp's run state by view slot, a node's row in the n ascending
-    node `codes` (slot order keeps the report cap's and the pathfinder's
+    """The controller's view by slot, a node's row in the n ascending node
+    `codes` (slot order keeps the report cap's and the pathfinder's
     tie-breaks on code order): the step each node's held report was taken
     (-1 before its first), `measured[reporter, neighbour]`, each link's SNR in
     that report (+inf where it lacks the link), and `staleness_steps`, the
-    age in steps up to which a report is fresh. The policy `xapp` serves
-    `pairs`, (P, 2) slots stored smaller first; `sent` is each pair's last sent
-    path row (-1 if not relayed), W = max(1, min(max_hops, n - 1)) + 1 wide."""
+    age in steps up to which a report is fresh."""
 
     codes: np.ndarray
     staleness_steps: int = 2
     rejected_out_of_order: int = 0
-    pairs: np.ndarray = field(default=(), kw_only=True)
-    xapp: XAppConfig = field(default_factory=XAppConfig, kw_only=True)
     reported_at: np.ndarray = field(init=False)
     measured: np.ndarray = field(init=False)
-    sent: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.codes = np.asarray(self.codes, dtype=np.int64)
@@ -63,17 +59,51 @@ class RicState:
         require_int("staleness_steps", self.staleness_steps)
         if self.staleness_steps < 0:
             raise ConfigurationError(f"staleness_steps must be >= 0: {self.staleness_steps}")
+        self.reported_at = np.full(n, -1, dtype=np.int64)
+        self.measured = np.full((n, n), np.inf)
+
+
+def row_width(n: int, max_hops: int) -> int:
+    """The slots of a path row on a view of n slots."""
+    return max(1, min(max_hops, n - 1)) + 1
+
+
+@dataclass(slots=True)
+class XAppState:
+    """One xApp on a view of `n` slots: its policy, its `pairs`, (P, 2) slots
+    smaller first, and `sent`, each pair's last sent path row (-1 if none)."""
+
+    n: int
+    pairs: np.ndarray = field(default=())
+    xapp: XAppConfig = field(default_factory=XAppConfig)
+    sent: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
         self.xapp.validate()
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
-        if ((pairs < 0) | (pairs >= n)).any():
+        if ((pairs < 0) | (pairs >= self.n)).any():
             raise ConfigurationError("pair names a node outside the controller's view")
         if (pairs[:, 0] == pairs[:, 1]).any():
             raise ConfigurationError("pair endpoints must differ")
         self.pairs = np.sort(pairs, axis=1)
-        self.reported_at = np.full(n, -1, dtype=np.int64)
-        self.measured = np.full((n, n), np.inf)
-        width = max(1, min(self.xapp.max_hops, n - 1)) + 1
-        self.sent = np.full((len(pairs), width), -1, dtype=np.int64)
+        self.sent = np.full((len(pairs), row_width(self.n, self.xapp.max_hops)), -1,
+                            dtype=np.int64)
+
+
+@dataclass(frozen=True, slots=True)
+class Solve:
+    """One tick's widest paths at `gammas[0]`: per pair the bottleneck SNR
+    (-inf if unreachable), hops (0 then), the path padded with -1 and the
+    direct link's SNR (-inf if none); the graph's (nodes, edges) at each
+    of the sorted `gammas`."""
+
+    step: int
+    gammas: tuple[float, ...]
+    graph: tuple[tuple[int, int], ...]
+    best: np.ndarray
+    hops: np.ndarray
+    paths: np.ndarray
+    link: np.ndarray
 
 
 @dataclass(slots=True)
@@ -81,7 +111,7 @@ class XAppDiagnostics:
     """Per-tick controller introspection, enough to derive every metric.
     `graph_nodes` counts the view slots that reported or hold an edge. The
     arrays run over the served pairs; `paths` holds each path as view slots
-    padded with -1, as wide as `RicState.sent`, and `hops` is 0 for an
+    padded with -1, as wide as `XAppState.sent`, and `hops` is 0 for an
     unserved pair."""
 
     graph_nodes: int
@@ -225,34 +255,50 @@ def _widest_paths(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
 
 # --- the xApp tick ----------------------------------------------------------------
 
-def xapp_tick(state: RicState, step: int) -> tuple[ControlBatch, XAppDiagnostics]:
-    """One controller pass over the state's served pairs under its policy:
-    graph from fresh reports, widest path per pair from its smaller slot to
-    its larger, one message (node, pair, next hop) per hop of each multi-hop
-    path whose row differs from `sent`; `sent` then holds this tick's
-    multi-hop rows and -1 elsewhere, so a pair relayed after a gap is resent."""
-    s, d = state.pairs[:, 0], state.pairs[:, 1]
-    snr = build_graph(state, step, state.xapp.snr_min_db)
-    bottleneck, hops, steps, direct = _widest_paths(snr, s, d, state.xapp.max_hops)
-    served, relayed = hops > 0, hops >= 2
-    rows = np.full(state.sent.shape, -1, dtype=np.int64)
-    rows[:, : steps.shape[1]] = steps
+def solve(view: RicState, step: int, pairs: np.ndarray, max_hops: int,
+          gammas: tuple[float, ...]) -> Solve:
+    """The widest path of each of `pairs` (smaller slot first) under
+    `max_hops` on the graph at `step` and `gammas[0]`; its nodes are the
+    slots that reported or hold an edge."""
+    s, d = pairs[:, 0], pairs[:, 1]
+    snr = build_graph(view, step, gammas[0])
+    best, hops, steps, _ = _widest_paths(snr, s, d, max_hops)
+    paths = np.full((len(pairs), row_width(len(view.codes), max_hops)), -1, dtype=np.int64)
+    paths[:, : steps.shape[1]] = steps
+    reported = view.reported_at >= 0
+    graph = tuple((int(np.count_nonzero(reported | edge.any(axis=1))),
+                   int(np.count_nonzero(np.triu(edge)))) for edge in (snr >= g for g in gammas))
+    return Solve(step, gammas, graph, best, hops, paths, snr[s, d])
+
+
+def xapp_tick(state: XAppState, solved: Solve) -> tuple[ControlBatch, XAppDiagnostics]:
+    """The xApp's tick cut from a solve of its pairs at its threshold γ: a
+    pair is served when its bottleneck reaches γ. Exact, since the graph at
+    γ holds every path at or above γ of the solve's graph. One message
+    (node, pair, next hop) per hop of each multi-hop path whose row differs
+    from `sent`; `sent` then holds this tick's multi-hop rows and -1
+    elsewhere, so a pair relayed after a gap is resent."""
+    gamma = state.xapp.snr_min_db
+    served = solved.best >= gamma
+    hops = np.where(served, solved.hops, np.int64(0))
+    rows = np.where(served[:, None], solved.paths, np.int64(-1))
+    relayed = hops >= 2
     changed = np.flatnonzero(relayed & (rows != state.sent).any(axis=1))
     state.sent = np.where(relayed[:, None], rows, -1)
     path, col = np.nonzero(np.arange(rows.shape[1]) < hops[changed, None])
     pair = changed[path]
     batch = ControlBatch(target=rows[pair, col], pair=pair, next_hop=rows[pair, col + 1])
 
-    edge = snr > -np.inf
+    graph_nodes, graph_edges = solved.graph[solved.gammas.index(gamma)]
     diagnostics = XAppDiagnostics(
-        graph_nodes=int(np.count_nonzero((state.reported_at >= 0) | edge.any(axis=1))),
-        graph_edges=int(np.count_nonzero(np.triu(edge))),
+        graph_nodes=graph_nodes,
+        graph_edges=graph_edges,
         pairs_total=len(state.pairs),
         pairs_feasible=int(np.count_nonzero(served)),
         served=served,
         hops=hops,
-        direct=direct,
+        direct=solved.link >= gamma,
         paths=rows,
-        bottleneck_snr_db=bottleneck,
+        bottleneck_snr_db=np.where(served, solved.best, -np.inf),
     )
     return batch, diagnostics

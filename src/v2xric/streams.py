@@ -1,4 +1,5 @@
-"""World streams: one world measured once per report step for many runs.
+"""World and solve streams: one world measured, and one controller solved,
+once per step for many runs.
 
 Control never feeds back into motion and each outage draw is a stateless
 hash of (seed, link, time), so a sweep's geometry, mobility and outage
@@ -8,25 +9,31 @@ outage, and every cell of that replication cuts its own reports from it: the
 links at or above its threshold, an outage where the uniform lies below its
 p_b. Each cut is bit for bit the report batch of the cell's own floored
 `link_table` call.
+
+A solve stream is one controller solved once per control tick at the
+grid's smallest threshold; each threshold cell of one (replication, p_b)
+cuts its tick from it (`ric.xapp_tick`). A run draws its own streams lazily.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channel, ran
+from . import channel, ran, ric
 from .errors import ConfigurationError
 from .scenario import MobilityState
 
 # `SimConfig` in the annotations is `engine.SimConfig`, left unimported
 # because the engine imports this module.
 
-# Bytes of measurements one replication's held world stream may take; past
-# them every cell of that replication measures its own world, as a run does.
+# Bytes a held world stream (one replication) and a held solve stream (one
+# p_b of it) may take; past them each cell measures or solves its own.
 _STREAM_BYTES = 2**26
+_SOLVE_BYTES = 2**27
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,16 +107,21 @@ def world_stream(cfg: SimConfig, world: ran.World, gammas, p_bs,
 
 
 def hold(stream: WorldStream) -> WorldStream | None:
-    """The stream held whole, its endpoints as int32, or None once it
-    passes `_STREAM_BYTES`."""
-    held, size = [], 0
-    for m in stream.steps:
-        m = replace(m, i=m.i.astype(np.int32), j=m.j.astype(np.int32))
-        size += sum(a.nbytes for a in (m.i, m.j, m.snr_db, m.floor, m.outage) if a is not None)
-        if size > _STREAM_BYTES:
-            return None
-        held.append(m)
-    return replace(stream, steps=held)
+    """The stream held whole, its endpoints as int32, or None when its first
+    step's size times its report steps passes `_STREAM_BYTES`."""
+    steps = iter(stream.steps)
+    first = _compact(next(steps))
+    size = sum(a.nbytes for a in (first.i, first.j, first.snr_db, first.floor, first.outage)
+               if a is not None)
+    cfg = stream.cfg
+    reports = len(range(0, cfg.n_steps(), cfg.steps(cfg.resolved_reporting_period())))
+    if reports * size > _STREAM_BYTES:
+        return None
+    return replace(stream, steps=[first, *map(_compact, steps)])
+
+
+def _compact(m: Measurement) -> Measurement:
+    return replace(m, i=m.i.astype(np.int32), j=m.j.astype(np.int32))
 
 
 def cell_levels(cfg: SimConfig, stream: WorldStream) -> tuple[int, int]:
@@ -146,3 +158,62 @@ def collect_reports(m: Measurement, cfg: SimConfig, reporting: np.ndarray,
     sent = reporting[src]
     return ran.emit_indication(np.flatnonzero(reporting), src[sent], dst[sent], snr[sent], m.step,
                                cfg.measured_neighbors)
+
+
+@dataclass(frozen=True, slots=True)
+class SolveStream:
+    """A controller solved from `cfg` at `gammas[0]` of the sorted grid: its
+    view's codes, its served pairs, and one `ric.Solve` per control tick."""
+
+    cfg: SimConfig
+    codes: np.ndarray
+    pairs: np.ndarray
+    gammas: tuple[float, ...]
+    ticks: Iterable[ric.Solve]
+
+
+def solve_stream(cfg: SimConfig, stream: WorldStream, pairs: np.ndarray,
+                 gammas: tuple[float, ...]) -> SolveStream:
+    """`cfg`'s controller for `pairs`, solved as it is read on its reports
+    cut from `stream`, each ingested at the first control tick at least
+    ⌈control_delay_s / dt_s⌉ steps after it was taken."""
+    levels = cell_levels(cfg, stream)
+    reporting = cfg.cav_terminations | (ran.kinds(stream.codes) != ran.NodeKind.CAV)
+
+    def solve():
+        view = ric.RicState(stream.codes, cfg.staleness_steps())
+        report_every = cfg.steps(cfg.resolved_reporting_period())
+        control_every = cfg.steps(cfg.control_period_s)
+        delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
+        measured = iter(stream.steps)
+        in_flight: list[tuple[int, ran.IndicationBatch]] = []  # (arrival step, batch)
+        for step in range(cfg.n_steps()):
+            if step % report_every == 0:
+                in_flight.append((step + delay_steps,
+                                  collect_reports(next(measured), cfg, reporting, levels)))
+            if step % control_every == 0:
+                while in_flight and in_flight[0][0] <= step:
+                    ric.ingest(view, in_flight.pop(0)[1])
+                yield ric.solve(view, step, pairs, cfg.xapp.max_hops, gammas)
+
+    return SolveStream(cfg, stream.codes, pairs, gammas, solve())
+
+
+def hold_solves(solves: SolveStream) -> SolveStream | None:
+    """The solves held whole, hops and paths in a small int type, or None,
+    before any is solved, when they would pass `_SOLVE_BYTES`."""
+    cfg, n = solves.cfg, len(solves.codes)
+    small = np.dtype(np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+    pair_bytes = 2 * 8 + (ric.row_width(n, cfg.xapp.max_hops) + 1) * small.itemsize
+    ticks = len(range(0, cfg.n_steps(), cfg.steps(cfg.control_period_s)))
+    if ticks * len(solves.pairs) * pair_bytes > _SOLVE_BYTES:
+        return None
+    return replace(solves, ticks=[replace(t, hops=t.hops.astype(small), paths=t.paths.astype(small))
+                                  for t in solves.ticks])
+
+
+def check_solves(cfg: SimConfig, solves: SolveStream) -> None:
+    """Refuse solves made for another config than `cfg` at a grid threshold."""
+    if cfg.xapp.snr_min_db not in solves.gammas or solves.cfg != replace(
+            cfg, xapp=replace(cfg.xapp, snr_min_db=solves.cfg.xapp.snr_min_db)):
+        raise ConfigurationError("the solve stream was solved for another run")

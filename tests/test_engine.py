@@ -24,9 +24,9 @@ from reference_outage import _link_uniform_int
 from slot_adapter import pair_slots
 from v2xric import (ChannelParams, ConfigurationError, IndicationBatch, MetricsRecord,
                     MobilityState, NodeKind, RicState, SimConfig, SweepSpec, TrafficConfig, World,
-                    WorldConfig, XAppConfig, apply_control, build_intersection, forwarding_table,
-                    ingest, run, run_with_audit, spawn_vehicles, step_mobility, sweep_blockage,
-                    sweep_snr, time_average, xapp_tick)
+                    WorldConfig, XAppConfig, XAppState, apply_control, build_intersection,
+                    forwarding_table, ingest, run, run_with_audit, spawn_vehicles, step_mobility,
+                    sweep_blockage, sweep_snr, time_average, xapp_tick)
 from v2xric import channel, engine, ran, ric, streams
 from v2xric.engine import _build_pairs, _connectivity
 from v2xric.scenario import CAR_EXTENT
@@ -85,9 +85,9 @@ def spy_schedule(monkeypatch):
         events.append(("ingest", seconds(batch.step)))
         return ingest(state, batch)
 
-    def tick_spy(state, step):
-        events.append(("tick", seconds(step)))
-        return tick(state, step)
+    def tick_spy(state, solved):
+        events.append(("tick", seconds(solved.step)))
+        return tick(state, solved)
 
     monkeypatch.setattr(streams, "collect_reports", collect_spy)
     monkeypatch.setattr(ric, "ingest", ingest_spy)
@@ -144,21 +144,25 @@ def test_decoupled_reporting_cadence_still_feeds_the_controller():
 # --- metrics ---------------------------------------------------------------------
 
 
-def path_state(pairs=(), cfg=None):
-    """A fresh controller view of a chain a-b (10 dB), b-c (8 dB), c-d (6 dB)
-    whose xApp serves the (NodeId, NodeId) `pairs` under `cfg`; cav(i) holds
-    view slot i."""
+def path_tick(pairs=(), cfg=None):
+    """The first tick, at step 0, of an xApp that serves the (NodeId,
+    NodeId) `pairs` under `cfg` on a fresh controller view of a chain a-b (10
+    dB), b-c (8 dB), c-d (6 dB); cav(i) holds view slot i. Returns the xApp's
+    state, its control batch and its diagnostics."""
     edges = {(cav(0), cav(1)): 10.0, (cav(1), cav(2)): 8.0, (cav(2), cav(3)): 6.0}
     links = [(u, v, snr) for (u, v), snr in edges.items()] + [
         (v, u, snr) for (u, v), snr in edges.items()]
     codes = np.array([cav(i).code for i in range(4)])
-    state = RicState(codes, pairs=pair_slots(codes, pairs),
-                     xapp=XAppConfig() if cfg is None else cfg)
-    return ingest(state, IndicationBatch(
+    view = ingest(RicState(codes), IndicationBatch(
         step=0, reporters=np.arange(4),
         source=np.array([u.index for u, _, _ in links], dtype=np.int64),
         neighbor=np.array([v.index for _, v, _ in links], dtype=np.int64),
         snr_db=np.array([snr for _, _, snr in links], dtype=np.float64)))
+    state = XAppState(len(codes), pairs=pair_slots(codes, pairs),
+                      xapp=XAppConfig() if cfg is None else cfg)
+    policy = state.xapp
+    return (state, *xapp_tick(state, ric.solve(view, 0, state.pairs, policy.max_hops,
+                                               (policy.snr_min_db,))))
 
 
 def all_pairs():
@@ -168,8 +172,7 @@ def all_pairs():
 
 def connectivity(snr_min_db, max_hops, metric_mode="pairwise"):
     """One control tick's connectivity, scored as the run loop scores it."""
-    state = path_state(all_pairs(), XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops))
-    _, diag = xapp_tick(state, 0)
+    state, _, diag = path_tick(all_pairs(), XAppConfig(snr_min_db=snr_min_db, max_hops=max_hops))
     return _connectivity(state.pairs, diag.served, metric_mode)
 
 
@@ -354,8 +357,7 @@ def test_hop_budget_past_the_view_costs_nothing():
 def test_audit_counts_broken_forwarding():
     """A table corrupted after a sound tick fails exactly the paths it breaks:
     chain 0-1-2-3 serves (0, 3) over three hops and (0, 2) over two."""
-    state = path_state([(cav(0), cav(3)), (cav(0), cav(2))], XAppConfig(snr_min_db=5.0))
-    batch, diag = xapp_tick(state, 0)
+    _, batch, diag = path_tick([(cav(0), cav(3)), (cav(0), cav(2))], XAppConfig(snr_min_db=5.0))
     assert diag.hops.tolist() == [3, 2]
 
     def audited(corrupt):
@@ -505,8 +507,9 @@ def test_blockage_sweep_zero_column_equals_snr_sweep():
 
 
 def test_sweep_pool_starts_no_more_workers_than_cells(monkeypatch):
-    """Eight workers over a four-cell grid ask the pool for four processes.
-    The pool is a stand-in that maps in this process, so nothing is forked."""
+    """Eight workers over a 2 x 2 grid ask the pool of each p_b's two
+    threshold cells for two processes. The pool is a stand-in that maps in
+    this process, so nothing is forked."""
     requested = []
 
     class SerialPool:
@@ -529,7 +532,7 @@ def test_sweep_pool_starts_no_more_workers_than_cells(monkeypatch):
     spec = SweepSpec(base=quick_cfg(duration_s=1.0, seed=3), gamma_min_values=(5.0, 10.0),
                      p_b_values=(0.0, 0.5), workers=8)
     assert len(sweep_blockage(spec).runs) == 4
-    assert requested == [4]
+    assert requested == [2, 2]
 
 
 def sweep_case(rng, measured_neighbors):
@@ -586,20 +589,27 @@ def cell_outputs(result):
 
 @pytest.mark.parametrize("measured_neighbors", [None, 1, 3])
 def test_sweep_cells_equal_their_own_runs(monkeypatch, measured_neighbors):
-    """Every cell of a sweep on its replication's shared world stream gives
-    the records and audit of its own standalone run, at one and two
-    workers, and emits bit for bit the report batches that run emits, the
-    link on the threshold and at the outage boundary included."""
+    """Every cell of a sweep on its replication's shared world stream and its
+    p_b's shared solve stream gives the records and audit of its own
+    standalone run, at one and two workers. The sweep emits, replication by
+    replication and p_b by p_b, bit for bit the report batches the
+    standalone run at the smallest threshold emits, the link on the
+    threshold and at the outage boundary included."""
     spec = sweep_case(np.random.default_rng([41, measured_neighbors or 0]), measured_neighbors)
     batches = spy_batches(monkeypatch)
     swept = sweep_blockage(spec)
-    shared, batches[:] = list(batches), []
+    shared, lowest = list(batches), []
     for rep in range(spec.replications):
-        for cell in (c for c in swept.runs if c.replication == rep):
-            records, audit = run_with_audit(cell.cfg)
-            assert record_reprs(records) == record_reprs(cell.records), cell.cfg
-            assert audit == cell.audit
-    assert batches == shared
+        for p_b in sorted(spec.p_b_values):
+            for cell in (c for c in swept.runs
+                         if c.replication == rep and c.cfg.channel.p_b == p_b):
+                batches[:] = []
+                records, audit = run_with_audit(cell.cfg)
+                assert record_reprs(records) == record_reprs(cell.records), cell.cfg
+                assert audit == cell.audit
+                if cell.cfg.xapp.snr_min_db == min(spec.gamma_min_values):
+                    lowest += batches
+    assert lowest == shared
     assert cell_outputs(sweep_blockage(replace(spec, workers=2))) == cell_outputs(swept)
 
 
@@ -668,6 +678,68 @@ def test_sweep_past_the_stream_budget_measures_each_cell(monkeypatch):
     assert cell_outputs(sweep_blockage(replace(spec, workers=2))) == cell_outputs(shared)
 
 
+def test_sweep_decides_the_stream_budget_on_its_first_step(monkeypatch):
+    """A budget that one report step fits and the whole stream does not is
+    decided on the first step: that step is the only measurement dropped,
+    and every cell measures its own world."""
+    spec = sweep_case(np.random.default_rng(43), None)
+    base = spec.base
+    first = next(iter(engine._world_stream(base, spec.gamma_min_values, spec.p_b_values).steps))
+    size = sum(a.nbytes for a in (first.i.astype(np.int32), first.j.astype(np.int32),
+                                  first.snr_db, first.floor, first.outage) if a is not None)
+    budget = streams._STREAM_BYTES
+    monkeypatch.setattr(streams, "_STREAM_BYTES", 2 * size)
+    calls, measure = [], channel.link_table
+    monkeypatch.setattr(channel, "link_table",
+                        lambda *args, **kwargs: calls.append(1) or measure(*args, **kwargs))
+    alone = sweep_blockage(replace(spec, replications=1))
+    reports = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
+    cells = len(spec.gamma_min_values) * len(spec.p_b_values)
+    assert reports > 2 and len(calls) == 1 + cells * reports
+    monkeypatch.setattr(streams, "_STREAM_BYTES", budget)
+    assert cell_outputs(alone) == cell_outputs(sweep_blockage(replace(spec, replications=1)))
+
+
+def spy_solves(monkeypatch):
+    """Count the widest-path solves of the runs that follow, in this process."""
+    calls, widest = [], ric._widest_paths
+    monkeypatch.setattr(ric, "_widest_paths",
+                        lambda *args: calls.append(1) or widest(*args))
+    return calls
+
+
+def test_sweep_solves_each_p_b_once_per_tick(monkeypatch):
+    """Within the solve budget the threshold cells of one (replication, p_b)
+    share one widest-path solve per control tick; past it, here 0 bytes,
+    every cell solves its own, with the same outputs at one and two
+    workers."""
+    spec = sweep_case(np.random.default_rng(45), 2)
+    calls = spy_solves(monkeypatch)
+    shared = sweep_blockage(spec)
+    ticks = len(shared.runs[0].records)
+    assert ticks == spec.base.n_steps() // spec.base.steps(spec.base.control_period_s)
+    assert len(calls) == spec.replications * len(spec.p_b_values) * ticks
+    calls.clear()
+    monkeypatch.setattr(streams, "_SOLVE_BYTES", 0)
+    alone = sweep_blockage(spec)
+    assert len(calls) == len(shared.runs) * ticks
+    assert cell_outputs(alone) == cell_outputs(shared) and alone.rows == shared.rows
+    assert cell_outputs(sweep_blockage(replace(spec, workers=2))) == cell_outputs(shared)
+
+
+def test_a_run_refuses_solves_for_another_run():
+    cfg = quick_cfg(duration_s=0.3)
+    stream = streams.hold(engine._world_stream(cfg, (5.0, 10.0), (0.0,)))
+    solves = streams.hold_solves(engine._solve_stream(cfg, stream, (5.0, 10.0)))
+    for other in (replace(cfg, seed=3), replace(cfg, xapp=XAppConfig(snr_min_db=7.0)),
+                  replace(cfg, xapp=XAppConfig(max_hops=3)),
+                  replace(cfg, channel=ChannelParams(p_b=0.5))):
+        with pytest.raises(ConfigurationError, match="solved for another run"):
+            run_with_audit(other, solves=solves)
+    cell = replace(cfg, xapp=XAppConfig(snr_min_db=10.0))
+    assert record_reprs(run_with_audit(cell, solves=solves)[0]) == record_reprs(run(cell))
+
+
 def test_a_run_refuses_a_stream_measured_for_another_run():
     cfg = quick_cfg(duration_s=0.3)
     stream = streams.hold(engine._world_stream(cfg, (5.0, 10.0), (0.0, 0.5)))
@@ -704,11 +776,19 @@ def test_blockage_sweep_needs_a_stochastic_mode():
     dict(gamma_min_values=(True,)),
     dict(gamma_min_values=(5.0,), p_b_values=(0.5, True)),
     dict(gamma_min_values=("5",)),
+    # a grid that is not a sequence died with a TypeError
+    dict(gamma_min_values=5.0),
+    dict(gamma_min_values=(5.0,), p_b_values=None),
 ])
 def test_sweep_spec_validation(kwargs):
     # the last keyword holds the bad value, and the error names it
     with pytest.raises(ConfigurationError, match=list(kwargs)[-1]):
         SweepSpec(base=quick_cfg(), **kwargs).validate()
+
+
+def test_a_grid_may_be_a_list():
+    spec = SweepSpec(base=quick_cfg(), gamma_min_values=[5.0, 10.0], p_b_values=[0.0, 0.5])
+    assert spec.validate() is spec
 
 
 def test_numpy_integer_seeds_and_counts_pass():
@@ -739,7 +819,7 @@ def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
     monkeypatch.setattr(ran, "_INDEX_BITS", 6)
     jobs = []
     monkeypatch.setattr(engine, "_execute",
-                        lambda cells, workers, stream: jobs.append(cells) or [])
+                        lambda cells, workers, stream, solves: jobs.append(cells) or [])
     base = replace(quick_cfg(), traffic=TrafficConfig(density_veh_km=80.0))
     sweep_snr(SweepSpec(base=base, gamma_min_values=(5.0,), replications=2))
     assert [[rep for _, rep in cells] for cells in jobs] == [[0], [1]]
@@ -887,15 +967,20 @@ def test_explicit_staleness_window_empties_the_graph_between_reports(monkeypatch
     keeps the graph's edges while the held report is at most 0.1 s old and
     leaves no edge at the ticks in between, where the default window (one
     cycle plus slack, 0.6 s or 6 steps) keeps them all."""
-    edges = []
-    original = ric.xapp_tick
+    edges, windows = [], []
+    original, build = ric.xapp_tick, ric.build_graph
 
-    def spy(state, step):
-        batch, diag = original(state, step)
-        edges.append((state.staleness_steps, step, diag.graph_edges))
+    def spy(state, solved):
+        batch, diag = original(state, solved)
+        edges.append((windows[-1], solved.step, diag.graph_edges))
         return batch, diag
 
+    def graph_spy(view, step, snr_min_db):
+        windows.append(view.staleness_steps)
+        return build(view, step, snr_min_db)
+
     monkeypatch.setattr(ric, "xapp_tick", spy)
+    monkeypatch.setattr(ric, "build_graph", graph_spy)
     cfg = quick_cfg(duration_s=1.0, reporting_period_s=0.5, control_delay_s=0.0)
     default = run(cfg)
     short = run(replace(cfg, staleness_window_s=0.1))

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from reference_paths import edges_of, graph_of, random_connectivity_graph, refer
 from slot_adapter import (Path, codes_of, edge_snr, graph_nodes, has_edge, indication_slots,
                           pair_slots, path_of, slots_of)
 from v2xric import (ConfigurationError, IndicationBatch, NodeKind, RicState, XAppConfig,
-                    build_graph, emit_indication, ric, xapp_tick)
+                    XAppState, build_graph, emit_indication, ric, xapp_tick)
 from v2xric.ric import _SCRATCH_BYTES, _edge_ranks
 
 
@@ -33,14 +34,25 @@ def seconds(step):
     return round(step * DT, 9)
 
 
-def view(staleness_steps=2, nodes=None, pairs=(), cfg=None):
-    """An empty controller view over `nodes` (default: RSUs 0-3, CAVs 0-31)
-    whose xApp serves the (NodeId, NodeId) `pairs` under `cfg`."""
+def view(staleness_steps=2, nodes=None):
+    """An empty controller view over `nodes` (default: RSUs 0-3, CAVs 0-31)."""
     if nodes is None:
         nodes = [rsu(k) for k in range(4)] + [cav(k) for k in range(32)]
-    codes = sorted(node.code for node in nodes)
-    return RicState(codes, staleness_steps=staleness_steps, pairs=pair_slots(codes, pairs),
-                    xapp=XAppConfig() if cfg is None else cfg)
+    return RicState(sorted(node.code for node in nodes), staleness_steps=staleness_steps)
+
+
+def xapp_on(state, pairs=(), cfg=None):
+    """An xApp on the view `state` that serves the (NodeId, NodeId) `pairs`
+    under `cfg` and has sent no path yet."""
+    return XAppState(len(state.codes), pairs=pair_slots(state.codes, pairs),
+                     xapp=XAppConfig() if cfg is None else cfg)
+
+
+def run_tick(state, xapp, step):
+    """The xApp's tick at `step` on the view `state`, solved at its own threshold."""
+    policy = xapp.xapp
+    return xapp_tick(xapp, ric.solve(state, step, xapp.pairs, policy.max_hops,
+                                     (policy.snr_min_db,)))
 
 
 def ingest(state, batch):
@@ -89,12 +101,8 @@ def graph_members(state, snr):
 
 def tick(state, step, cfg, pairs=()):
     """xapp_tick under `cfg` for (NodeId, NodeId) pairs, which the view's
-    slots name, by an xApp that holds the view's reports and has sent no
-    path yet."""
-    xapp = RicState(state.codes, state.staleness_steps, pairs=pair_slots(state.codes, pairs),
-                    xapp=cfg)
-    xapp.reported_at, xapp.measured = state.reported_at, state.measured
-    return xapp_tick(xapp, step)
+    slots name, by an xApp on the view that has sent no path yet."""
+    return run_tick(state, xapp_on(state, pairs, cfg), step)
 
 
 def assigned(diag, k, codes):
@@ -379,11 +387,10 @@ def test_controller_tick_constructs_no_node_ids():
     reports = emit_indication(codes, codes[np.concatenate((src, dst))],
                               codes[np.concatenate((dst, src))], np.concatenate((snr, snr)),
                               0, 3)
-    state = view(nodes=nodes, pairs=[(nodes[a], nodes[b])
-                                     for a in range(1, 13) for b in range(a + 1, 13)],
-                 cfg=XAppConfig(snr_min_db=5.0))
+    state = view(nodes=nodes)
     ingest(state, reports)
-    batch, diag = xapp_tick(state, 0)
+    batch, diag = tick(state, 0, XAppConfig(snr_min_db=5.0),
+                       [(nodes[a], nodes[b]) for a in range(1, 13) for b in range(a + 1, 13)])
     assert np.count_nonzero(diag.served & ~diag.direct) > 0 and len(batch) > 0
 
 
@@ -396,9 +403,9 @@ def triangle(step):
                    (cav(5), [(cav(0), 9.0), (cav(9), 7.0)]), (cav(9), [(cav(5), 7.0)]))
 
 
-def fresh_triangle(pairs=(), cfg=None):
-    """The triangle reported at step 0 to a view whose xApp serves `pairs`."""
-    return ingest(view(staleness_steps=2, pairs=pairs, cfg=cfg), triangle(0))
+def fresh_triangle():
+    """The triangle reported at step 0 to a view."""
+    return ingest(view(staleness_steps=2), triangle(0))
 
 
 def slots(state, *nodes):
@@ -465,6 +472,72 @@ def test_diagnostics_counts_are_consistent():
     assert diag.hops.tolist() == [2, 0]
     assert assigned(diag, 0, state.codes).nodes == (cav(0), cav(5), cav(9))
     assert assigned(diag, 1, state.codes) is None
+
+
+def same_tick(got, want):
+    """Whether two (ControlBatch, XAppDiagnostics) are equal, arrays bit for
+    bit with their dtypes."""
+    (batch, diag), (want_batch, want_diag) = got, want
+    arrays = [(getattr(batch, c), getattr(want_batch, c)) for c in ("target", "pair", "next_hop")]
+    arrays += [(getattr(diag, c), getattr(want_diag, c))
+               for c in ("served", "hops", "direct", "paths", "bottleneck_snr_db")]
+    counts = ("graph_nodes", "graph_edges", "pairs_total", "pairs_feasible")
+    return (all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                for a, b in arrays)
+            and [getattr(diag, c) for c in counts] == [getattr(want_diag, c) for c in counts])
+
+
+@pytest.mark.parametrize("measured_neighbors", [None, 1, 3])
+def test_a_solve_cut_at_a_higher_threshold_is_the_tick_solved_there(measured_neighbors):
+    """On one ingested view, the solve at the smallest threshold of a grid,
+    held in the narrow types a sweep holds it in or not, and cut by
+    `xapp_tick` at a threshold of the grid, gives tick after tick the batch
+    and diagnostics of the solve at that threshold itself, each xApp's
+    `sent` carried along: a threshold on an edge's SNR, one above every
+    edge and ticks with no edge included. Reports are capped at
+    `measured_neighbors` and come from a random part of the nodes."""
+    rng = np.random.default_rng([53, measured_neighbors or 0])
+    seen = Counter()
+    for _ in range(40):
+        nodes = random_nodes(rng, 4, 16)
+        n = len(nodes)
+        state = view(int(rng.integers(0, 3)), nodes)
+        a, b = np.triu_indices(n, 1)
+        link_snr = (rng.integers(0, 8, len(a)).astype(float) if rng.random() < 0.5
+                    else rng.uniform(-10.0, 30.0, len(a)))
+        pick = rng.permutation(len(a))[: int(rng.integers(1, 12))]
+        pairs = np.stack((a[pick], b[pick]), axis=1)
+        max_hops = int(rng.integers(1, 5))
+        gammas = tuple(sorted({float(rng.uniform(-20.0, 0.0)), float(rng.choice(link_snr)),
+                               float(link_snr.max()) + 1.0, float(rng.uniform(0.0, 20.0))}))
+        own = {g: XAppState(n, pairs, XAppConfig(snr_min_db=g, max_hops=max_hops)) for g in gammas}
+        cut = {g: XAppState(n, pairs, XAppConfig(snr_min_db=g, max_hops=max_hops)) for g in gammas}
+        held = bool(rng.random() < 0.5)
+        for step in range(8):
+            if rng.random() < 0.6:
+                links = np.flatnonzero(rng.random(len(a)) < 0.5)
+                src = np.concatenate((a[links], b[links]))
+                dst = np.concatenate((b[links], a[links]))
+                reporters = np.flatnonzero(rng.random(n) < 0.8)
+                sent = np.isin(src, reporters)
+                ric.ingest(state, emit_indication(reporters, src[sent], dst[sent],
+                                                  np.tile(link_snr[links], 2)[sent], step,
+                                                  measured_neighbors))
+            shared = ric.solve(state, step, pairs, max_hops, gammas)
+            if held:
+                shared = replace(shared, hops=shared.hops.astype(np.int16),
+                                 paths=shared.paths.astype(np.int16))
+            for g in gammas:
+                want = xapp_tick(own[g], ric.solve(state, step, pairs, max_hops, (g,)))
+                assert same_tick(xapp_tick(cut[g], shared), want), (step, g)
+                diag = want[1]
+                seen["on an edge"] += bool((diag.bottleneck_snr_db[diag.served] == g).any())
+                seen["cut"] += bool(np.count_nonzero(diag.served)
+                                    < np.count_nonzero(shared.best >= gammas[0]))
+                seen["above every edge"] += diag.graph_edges == 0 < shared.graph[0][1]
+                seen["relayed"] += len(want[0]) > 0
+            seen["no edges"] += shared.graph[0][1] == 0
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
 
 
 def test_xapp_tick_paths_match_reference_on_random_graphs():
@@ -621,7 +694,7 @@ def test_xapp_tick_rejects_bad_pairs_before_building_the_graph(pairs, monkeypatc
     builds a graph."""
     monkeypatch.setattr(ric, "build_graph", lambda *args: pytest.fail("graph built"))
     with pytest.raises(ConfigurationError):
-        RicState(view().codes, pairs=np.array(pairs), xapp=XAppConfig(snr_min_db=5.0))
+        XAppState(len(view().codes), pairs=np.array(pairs), xapp=XAppConfig(snr_min_db=5.0))
 
 
 @pytest.mark.parametrize("hops", [2.5, True, "4", np.float64(3.0)])
@@ -650,20 +723,21 @@ def test_zero_staleness_keeps_a_report_fresh_at_its_own_step():
 
 def test_xapp_state_validates_its_policy():
     with pytest.raises(ConfigurationError, match="max_hops"):
-        RicState(view().codes, xapp=XAppConfig(max_hops=0))
+        XAppState(len(view().codes), xapp=XAppConfig(max_hops=0))
 
 
 def test_pairs_run_from_the_smaller_slot():
     cfg = XAppConfig(snr_min_db=5.0)
-    forward_state = fresh_triangle([(cav(0), cav(9))], cfg)
-    backward_state = fresh_triangle([(cav(9), cav(0))], cfg)
-    assert backward_state.pairs.tolist() == [slots(forward_state, cav(0), cav(9))]
-    forward, _ = xapp_tick(forward_state, 0)
-    backward, diag = xapp_tick(backward_state, 0)
+    state = fresh_triangle()
+    forward_xapp = xapp_on(state, [(cav(0), cav(9))], cfg)
+    backward_xapp = xapp_on(state, [(cav(9), cav(0))], cfg)
+    assert backward_xapp.pairs.tolist() == [slots(state, cav(0), cav(9))]
+    forward, _ = run_tick(state, forward_xapp, 0)
+    backward, diag = run_tick(state, backward_xapp, 0)
     assert (backward.target.tolist(), backward.pair.tolist(), backward.next_hop.tolist()) == (
         forward.target.tolist(), forward.pair.tolist(), forward.next_hop.tolist())
-    assert backward.target.tolist() == slots(backward_state, cav(0), cav(5))
-    assert assigned(diag, 0, backward_state.codes).nodes == (cav(0), cav(5), cav(9))
+    assert backward.target.tolist() == slots(state, cav(0), cav(5))
+    assert assigned(diag, 0, state.codes).nodes == (cav(0), cav(5), cav(9))
 
 
 def test_unchanged_path_gets_no_message():
@@ -671,18 +745,19 @@ def test_unchanged_path_gets_no_message():
     xApp sends nothing; moving one pair's relay resends that pair's hops
     alone."""
     cfg = XAppConfig(snr_min_db=5.0)
-    state = fresh_triangle([(cav(0), cav(9)), (cav(1), cav(8))], cfg)
+    state = fresh_triangle()
+    xapp = xapp_on(state, [(cav(0), cav(9)), (cav(1), cav(8))], cfg)
     ingest(state, instant(0, (cav(1), [(cav(6), 9.0)]),
                           (cav(6), [(cav(1), 9.0), (cav(8), 9.0)]), (cav(8), [(cav(6), 9.0)])))
-    first, diag = xapp_tick(state, 0)
+    first, diag = run_tick(state, xapp, 0)
     assert first.pair.tolist() == [0, 0, 1, 1] and len(first) == 4
-    again, same = xapp_tick(state, 0)
+    again, same = run_tick(state, xapp, 0)
     assert len(again) == 0 and again.pair.tolist() == [] and again.next_hop.shape == (0,)
     assert same.paths.tolist() == diag.paths.tolist()
     # cav(9) now reaches cav(0) better through cav(3)
     ingest(state, instant(1, (cav(0), [(cav(3), 12.0)]), (cav(3), [(cav(0), 12.0), (cav(9), 12.0)]),
                           (cav(9), [(cav(3), 12.0)])))
-    moved, now = xapp_tick(state, 1)
+    moved, now = run_tick(state, xapp, 1)
     assert moved.pair.tolist() == [0, 0]
     assert moved.target.tolist() == slots(state, cav(0), cav(3))
     assert moved.next_hop.tolist() == slots(state, cav(3), cav(9))
@@ -694,20 +769,21 @@ def test_pair_relayed_again_after_a_gap_gets_its_hops_resent(gap):
     """A tick on which the pair went direct or unserved leaves its sent row
     all -1, so the same relayed path on a later tick is sent in full."""
     cfg = XAppConfig(snr_min_db=5.0)
-    state = fresh_triangle([(cav(0), cav(9))], cfg)
-    batch, diag = xapp_tick(state, 0)
+    state = fresh_triangle()
+    xapp = xapp_on(state, [(cav(0), cav(9))], cfg)
+    batch, diag = run_tick(state, xapp, 0)
     if gap == "direct":
         ingest(state, instant(1, (cav(0), [(cav(5), 9.0), (cav(9), 10.0)]),
                               (cav(9), [(cav(5), 7.0), (cav(0), 10.0)])))
-        between, mid = xapp_tick(state, 1)
+        between, mid = run_tick(state, xapp, 1)
         assert mid.direct.tolist() == [True]
     else:
-        between, mid = xapp_tick(state, 10)
+        between, mid = run_tick(state, xapp, 10)
         assert mid.served.tolist() == [False]
     assert len(between) == 0
-    assert (state.sent == -1).all()
+    assert (xapp.sent == -1).all()
     ingest(state, triangle(11))
-    resent, again = xapp_tick(state, 11)
+    resent, again = run_tick(state, xapp, 11)
     assert again.paths.tolist() == diag.paths.tolist()
     assert resent.target.tolist() == batch.target.tolist() == slots(state, cav(0), cav(5))
     assert (resent.pair.tolist(), resent.next_hop.tolist()) == (batch.pair.tolist(),
