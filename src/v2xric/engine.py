@@ -219,23 +219,18 @@ class SweepResult:
 
 # --- pair selection ----------------------------------------------------------------
 
-def _vehicle_slots(codes: np.ndarray) -> np.ndarray:
-    """The view slots of the world's vehicles, at least the two a pair needs."""
-    cavs = np.flatnonzero(ran.kinds(codes) == ran.NodeKind.CAV)
-    if len(cavs) < 2:
-        raise ConfigurationError(f"need at least 2 vehicles for pair metrics, got {len(cavs)}")
-    return cavs
-
-
 def _build_pairs(codes: np.ndarray, selection: str, seed: int) -> np.ndarray:
     """The served pair set, fixed for the whole run: (P, 2) view slots, the
     smaller first, in ascending order.
 
     "all": every unordered vehicle pair. "matched": a seeded random perfect
     matching, so each vehicle is paired with exactly one partner (one vehicle
-    sits out when the count is odd).
+    sits out when the count is odd). A world with fewer than two vehicles
+    is refused.
     """
-    cavs = _vehicle_slots(codes)
+    cavs = np.flatnonzero(ran.kinds(codes) == ran.NodeKind.CAV)
+    if len(cavs) < 2:
+        raise ConfigurationError(f"need at least 2 vehicles for pair metrics, got {len(cavs)}")
     if selection == "all":
         a, b = np.triu_indices(len(cavs), 1)
         return np.stack((cavs[a], cavs[b]), axis=1)
@@ -270,31 +265,27 @@ def _world(cfg: SimConfig, layout: RoadLayout) -> ran.World:
     )
 
 
-def _world_stream(cfg: SimConfig, gammas, p_bs) -> streams.WorldStream:
-    """`cfg`'s world, measured as it is read, for cells on the grids; its
+def _world_stream(cfg: SimConfig, p_bs) -> streams.WorldStream:
+    """`cfg`'s world, measured as it is read, for cells on the p_b grid; its
     fleet moves through this module's `step_mobility`."""
-    return streams.world_stream(cfg, _world(cfg, cfg.world.layout()), gammas, p_bs, step_mobility)
+    return streams.world_stream(cfg, _world(cfg, cfg.world.layout()), p_bs, step_mobility)
 
 
-def _solve_stream(cfg: SimConfig, stream: streams.WorldStream | None,
-                  gammas: tuple[float, ...]) -> streams.SolveStream:
-    """`cfg`'s controller for cells on the sorted grid `gammas`, on its own
-    world unless a world `stream` is given."""
-    if stream is None:
-        stream = _world_stream(cfg, (cfg.xapp.snr_min_db,), (cfg.channel.p_b,))
+def _solve_stream(cfg: SimConfig) -> streams.SolveStream:
+    """`cfg`'s controller at its own threshold, on its own world."""
+    stream = _world_stream(cfg, (cfg.channel.p_b,))
     pairs = _build_pairs(stream.codes, cfg.pair_selection, cfg.seed)
-    return streams.solve_stream(cfg, stream, pairs, gammas)
+    return streams.solve_stream(cfg, stream, pairs, (cfg.xapp.snr_min_db,))
 
 
-def run_with_audit(cfg: SimConfig, stream: streams.WorldStream | None = None,
-                   solves: streams.SolveStream | None = None
+def run_with_audit(cfg: SimConfig, solves: streams.SolveStream | None = None
                    ) -> tuple[list[MetricsRecord], AuditSummary]:
     """Execute one run; returns its per-control-tick records and control audit.
-    `stream` and `solves` are the world and controller a sweep holds for the
-    run's replication and p_b; by default the run draws its own."""
+    `solves` is the controller a sweep holds for the run's replication and
+    p_b; by default the run draws its own."""
     cfg.validate()
     if solves is None:
-        solves = _solve_stream(cfg, stream, (cfg.xapp.snr_min_db,))
+        solves = _solve_stream(cfg)
     else:
         streams.check_solves(cfg, solves)
     pairs = solves.pairs
@@ -349,39 +340,38 @@ def time_average(records: list[MetricsRecord], warmup_s: float,
     return float(np.mean(values))
 
 
-def run_cell(cfg: SimConfig, replication: int = 0, stream: streams.WorldStream | None = None,
+def run_cell(cfg: SimConfig, replication: int = 0,
              solves: streams.SolveStream | None = None) -> RunOutput:
     """Execute and time one run: replication `replication` of its sweep cell,
-    on the held `stream` and `solves` if any."""
+    on the held `solves` if any."""
     started = time.perf_counter()
-    records, audit = run_with_audit(cfg, stream, solves)
+    records, audit = run_with_audit(cfg, solves)
     return RunOutput(cfg, replication, records, audit, time.perf_counter() - started)
 
 
-_HELD: tuple = (None, None)  # the world and solve streams a pool's forked workers inherit
+_HELD: streams.SolveStream | None = None  # the solves a pool's forked workers inherit
 
 
 def _run_held(cfg: SimConfig, replication: int) -> RunOutput:
-    return run_cell(cfg, replication, *_HELD)
+    return run_cell(cfg, replication, _HELD)
 
 
 def _execute(jobs: list[tuple[SimConfig, int]], workers: int,
-             stream: streams.WorldStream | None,
              solves: streams.SolveStream | None) -> list[RunOutput]:
-    """Run all (config, replication) jobs on one world `stream` and
-    `solves`, or each on its own, optionally across processes (forked with
-    them in place); results in job order at any worker count."""
+    """Run all (config, replication) jobs on held `solves`, or each on its
+    own, optionally across processes (forked with them in place); results
+    in job order at any worker count."""
     if workers <= 1 or len(jobs) <= 1:
-        return [run_cell(*job, stream, solves) for job in jobs]
+        return [run_cell(*job, solves) for job in jobs]
     import multiprocessing
 
     global _HELD
-    _HELD = stream, solves
+    _HELD = solves
     try:
         with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
             return pool.starmap(_run_held, jobs)
     finally:
-        _HELD = None, None
+        _HELD = None
 
 
 def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
@@ -400,26 +390,30 @@ def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
 def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
     """Run every (gamma_min, p_b, replication) cell, replication r at seed
     `base.seed + r`, and summarise each (gamma_min, p_b) once per mode. One
-    replication at a time, its cells share one held world stream, and one
-    p_b at a time, its cells one held solve stream."""
+    replication at a time, its world is measured once at the smallest
+    threshold, and one p_b at a time, its threshold cells cut one held
+    solve stream; past `streams.hold`'s budget each cell is a run of its own."""
     base, reps = spec.base, spec.replications
     if base.xapp.max_hops < 2:
         raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
+    gammas, runs = tuple(sorted(spec.gamma_min_values)), []
+    cfgs = [replace(base, seed=base.seed + rep, xapp=replace(base.xapp, snr_min_db=gammas[0]))
+            for rep in range(reps)]
     # each replication's world as its runs build it, so a bad spawn fails up front
     layout = base.world.layout()
-    for rep in range(reps):
-        _vehicle_slots(_world(replace(base, seed=base.seed + rep), layout).codes)
-    gammas, runs = tuple(sorted(spec.gamma_min_values)), []
+    pairs = [_build_pairs(_world(cfg, layout).codes, cfg.pair_selection, cfg.seed) for cfg in cfgs]
     held = len(gammas) * len(p_bs) > 1
-    for rep in range(reps):
-        cfg = replace(base, seed=base.seed + rep)
-        stream = streams.hold(_world_stream(cfg, gammas, p_bs)) if held else None
+    for rep, cfg in enumerate(cfgs):
+        stream = streams.hold(_world_stream(cfg, p_bs), len(pairs[rep])) if held else None
         for p in p_bs:
-            cells = [(replace(cfg, channel=replace(base.channel, p_b=p),
-                              xapp=replace(base.xapp, snr_min_db=g)), rep) for g in gammas]
-            solves = (streams.hold_solves(_solve_stream(cells[0][0], stream, gammas))
-                      if stream is not None and len(gammas) > 1 else None)
-            runs += _execute(cells, spec.workers, stream, solves)
+            lowest = replace(cfg, channel=replace(base.channel, p_b=p))
+            cells = [(replace(lowest, xapp=replace(base.xapp, snr_min_db=g)), rep) for g in gammas]
+            solves = None
+            if stream is not None:
+                solves = streams.solve_stream(lowest, stream, pairs[rep], gammas)
+                if len(gammas) > 1:
+                    solves = streams.hold_solves(solves)
+            runs += _execute(cells, spec.workers, solves)
             del solves  # before the next p_b's are solved
         del stream  # before the next replication's is measured
     runs.sort(key=lambda out: (out.cfg.xapp.snr_min_db, out.cfg.channel.p_b, out.replication))

@@ -63,7 +63,7 @@ def _check(key: Field, value) -> None:
     """Refuse a `value` outside `key`'s domain, naming the key. The annotation
     says whether None passes, and the type: a float is any finite real number
     but a bool, an int any integer but a bool, a bool a bool or `np.bool_`,
-    a grid a sequence (a tuple or a list)."""
+    a grid a sequence (a tuple or a list) of distinct values."""
     name, domain = key.name, key.metadata["domain"]
     kind = key.type.removesuffix(" | None")
     if value is None and kind != key.type:
@@ -76,6 +76,8 @@ def _check(key: Field, value) -> None:
                 _check(domain, each)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"invalid value for {name}: {exc}") from None
+        if len(set(value)) < len(value):  # a repeat would run and summarise a cell twice
+            raise ConfigurationError(f"{name} must hold distinct values: {value!r}")
         return
     if kind == "int":
         require_int(name, value)

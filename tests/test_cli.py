@@ -373,7 +373,8 @@ def test_lane_overflow_of_any_replication_exits_2_before_the_pool(tmp_path, caps
     fits: the sweep spawns every replication's fleet before it hands a job
     to the pool, so a replication past the first is refused up front too."""
     calls = []
-    monkeypatch.setattr(engine, "_execute", lambda jobs, workers: calls.append(jobs))
+    monkeypatch.setattr(engine, "_execute",
+                        lambda jobs, workers, solves: calls.append(jobs))
     monkeypatch.setattr(engine, "run_with_audit", lambda cfg: calls.append(cfg))
     out = tmp_path / "out"
     assert main(["sweep-snr", "--out", str(out), "--density", "390", "--seed", seed,
@@ -387,7 +388,8 @@ def test_too_few_vehicles_exits_2_before_running(tmp_path, capsys, monkeypatch):
     """At 1 veh/km seed 5 spawns no vehicle: the sweep refuses the
     replication while it validates, before any job reaches `_execute`."""
     calls = []
-    monkeypatch.setattr(engine, "_execute", lambda jobs, workers: calls.append(jobs))
+    monkeypatch.setattr(engine, "_execute",
+                        lambda jobs, workers, solves: calls.append(jobs))
     out = tmp_path / "out"
     assert main(["sweep-snr", "--out", str(out), "--snr-min", "5", "--density", "1",
                  "--seed", "5", "--replications", "1", "--duration", "0.3",

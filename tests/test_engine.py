@@ -629,12 +629,13 @@ def own_link_table_batch(world, cfg, step):
 
 @pytest.mark.parametrize("measured_neighbors", [None, 1, 3])
 def test_every_cell_reports_what_its_own_link_table_gives(measured_neighbors):
-    """At every report step of a world stream, each grid cell's batch is bit
-    for bit the one its own floored `link_table` call gives, the link on a
-    threshold and at an outage boundary included."""
+    """At every report step of a world stream floored at a threshold, each
+    p_b cell's batch at that threshold is bit for bit the one its own
+    floored `link_table` call gives, the link on the threshold and at an
+    outage boundary included."""
     spec = sweep_case(np.random.default_rng([47, measured_neighbors or 0]), measured_neighbors)
-    base = spec.base
-    stream = engine._world_stream(base, spec.gamma_min_values, spec.p_b_values)
+    base = replace(spec.base, xapp=replace(spec.base.xapp, snr_min_db=spec.gamma_min_values[0]))
+    stream = engine._world_stream(base, spec.p_b_values)
     world = engine._world(base, base.world.layout())
     mobility = MobilityState.from_seed(base.seed, base.traffic.turn_probability)
     reporting = base.cav_terminations | (ran.kinds(world.codes) != NodeKind.CAV)
@@ -643,61 +644,15 @@ def test_every_cell_reports_what_its_own_link_table_gives(measured_neighbors):
         for at in range(at, measured.step):
             step_mobility(world.fleet, world.layout, base.dt_s, mobility)
         at = measured.step
-        for g in spec.gamma_min_values:
-            for p in spec.p_b_values:
-                cell = replace(base, xapp=replace(base.xapp, snr_min_db=g),
-                               channel=replace(base.channel, p_b=p))
-                got = streams.collect_reports(measured, cell, reporting,
-                                              streams.cell_levels(cell, stream))
-                want = own_link_table_batch(world, cell, measured.step)
-                assert got.step == want.step
-                for column in ("reporters", "source", "neighbor", "snr_db"):
-                    assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
-                outages += int(np.count_nonzero(want.snr_db < -300.0))
+        for p in spec.p_b_values:
+            cell = replace(base, channel=replace(base.channel, p_b=p))
+            got = streams.collect_reports(measured, cell, reporting, streams.cell_level(cell, stream))
+            want = own_link_table_batch(world, cell, measured.step)
+            assert got.step == want.step
+            for column in ("reporters", "source", "neighbor", "snr_db"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+            outages += int(np.count_nonzero(want.snr_db < -300.0))
     assert outages > 0
-
-
-def test_sweep_past_the_stream_budget_measures_each_cell(monkeypatch):
-    """A stream held within the byte budget is measured once per
-    replication and report step. Past the budget, here 0 bytes, the first
-    measurement is dropped and every cell measures its own world, with the
-    same outputs at one and two workers."""
-    spec = sweep_case(np.random.default_rng(43), None)
-    calls, measure = [], channel.link_table
-    monkeypatch.setattr(channel, "link_table",
-                        lambda *args, **kwargs: calls.append(1) or measure(*args, **kwargs))
-    shared = sweep_blockage(spec)
-    reports = math.ceil(spec.base.n_steps() / spec.base.steps(spec.base.reporting_period_s))
-    cells = len(spec.gamma_min_values) * len(spec.p_b_values)
-    assert len(calls) == spec.replications * reports
-    calls.clear()
-    monkeypatch.setattr(streams, "_STREAM_BYTES", 0)
-    alone = sweep_blockage(spec)
-    assert len(calls) == spec.replications * (1 + cells * reports)
-    assert cell_outputs(alone) == cell_outputs(shared) and alone.rows == shared.rows
-    assert cell_outputs(sweep_blockage(replace(spec, workers=2))) == cell_outputs(shared)
-
-
-def test_sweep_decides_the_stream_budget_on_its_first_step(monkeypatch):
-    """A budget that one report step fits and the whole stream does not is
-    decided on the first step: that step is the only measurement dropped,
-    and every cell measures its own world."""
-    spec = sweep_case(np.random.default_rng(43), None)
-    base = spec.base
-    first = next(iter(engine._world_stream(base, spec.gamma_min_values, spec.p_b_values).steps))
-    size = sum(a.nbytes for a in (first.i.astype(np.int32), first.j.astype(np.int32),
-                                  first.snr_db, first.floor, first.outage) if a is not None)
-    budget = streams._STREAM_BYTES
-    monkeypatch.setattr(streams, "_STREAM_BYTES", 2 * size)
-    calls, measure = [], channel.link_table
-    monkeypatch.setattr(channel, "link_table",
-                        lambda *args, **kwargs: calls.append(1) or measure(*args, **kwargs))
-    alone = sweep_blockage(replace(spec, replications=1))
-    reports = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
-    cells = len(spec.gamma_min_values) * len(spec.p_b_values)
-    assert reports > 2 and len(calls) == 1 + cells * reports
-    monkeypatch.setattr(streams, "_STREAM_BYTES", budget)
-    assert cell_outputs(alone) == cell_outputs(sweep_blockage(replace(spec, replications=1)))
 
 
 def spy_solves(monkeypatch):
@@ -708,29 +663,91 @@ def spy_solves(monkeypatch):
     return calls
 
 
+def counted_sweep(monkeypatch, spec, budget):
+    """`spec`'s blockage sweep under a hold budget of `budget` bytes, its
+    `link_table` and widest-path calls, and its outputs, which are the same
+    at two workers."""
+    monkeypatch.setattr(streams, "_HOLD_BYTES", budget)
+    measured, measure = [], channel.link_table
+    monkeypatch.setattr(channel, "link_table",
+                        lambda *args, **kwargs: measured.append(1) or measure(*args, **kwargs))
+    solved = spy_solves(monkeypatch)
+    result = sweep_blockage(spec)
+    counts = len(measured), len(solved)
+    assert cell_outputs(sweep_blockage(replace(spec, workers=2))) == cell_outputs(result)
+    return counts, result
+
+
 def test_sweep_solves_each_p_b_once_per_tick(monkeypatch):
-    """Within the solve budget the threshold cells of one (replication, p_b)
-    share one widest-path solve per control tick; past it, here 0 bytes,
-    every cell solves its own, with the same outputs at one and two
-    workers."""
+    """Within the hold budget a replication's world is measured once per
+    report step, and the threshold cells of one (replication, p_b) share
+    one widest-path solve per control tick."""
     spec = sweep_case(np.random.default_rng(45), 2)
-    calls = spy_solves(monkeypatch)
-    shared = sweep_blockage(spec)
+    (measured, solved), shared = counted_sweep(monkeypatch, spec, streams._HOLD_BYTES)
+    base = spec.base
     ticks = len(shared.runs[0].records)
-    assert ticks == spec.base.n_steps() // spec.base.steps(spec.base.control_period_s)
-    assert len(calls) == spec.replications * len(spec.p_b_values) * ticks
-    calls.clear()
-    monkeypatch.setattr(streams, "_SOLVE_BYTES", 0)
-    alone = sweep_blockage(spec)
-    assert len(calls) == len(shared.runs) * ticks
+    assert ticks == base.n_steps() // base.steps(base.control_period_s)
+    reports = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
+    assert measured == spec.replications * reports
+    assert solved == spec.replications * len(spec.p_b_values) * ticks
+
+
+def test_sweep_past_the_hold_budget_runs_each_cell_alone(monkeypatch):
+    """Past the hold budget, here 0 bytes, a replication's first report step
+    is the only one measured for the sweep: it is dropped, and every cell
+    measures its own world and solves its own controller, with the outputs
+    of the held sweep."""
+    spec = sweep_case(np.random.default_rng(43), None)
+    shared = sweep_blockage(spec)
+    (measured, solved), alone = counted_sweep(monkeypatch, spec, 0)
+    base = spec.base
+    ticks = len(shared.runs[0].records)
+    reports = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
+    cells = len(spec.gamma_min_values) * len(spec.p_b_values)
+    assert reports > 2
+    assert measured == spec.replications * (1 + cells * reports)
+    assert solved == spec.replications * cells * ticks
     assert cell_outputs(alone) == cell_outputs(shared) and alone.rows == shared.rows
-    assert cell_outputs(sweep_blockage(replace(spec, workers=2))) == cell_outputs(shared)
+
+
+def test_sweep_holds_a_world_only_with_its_solves(monkeypatch):
+    """The budget is the first report step's bytes times the report steps
+    plus one p_b's solves: control ticks times pairs times 16 bytes and a
+    2-byte slot per hop count and path entry. At exactly that many bytes the
+    replication is held; one byte fewer, or a budget the world alone fits,
+    and every cell runs alone. The outputs are the same in every case."""
+    spec = replace(sweep_case(np.random.default_rng(49), 1), replications=1)
+    base = spec.base
+    cfg = replace(base, xapp=replace(base.xapp, snr_min_db=min(spec.gamma_min_values)))
+    stream = engine._world_stream(cfg, sorted(spec.p_b_values))
+    first = next(iter(stream.steps))
+    pairs = len(engine._build_pairs(stream.codes, cfg.pair_selection, cfg.seed))
+    assert len(stream.codes) > cfg.xapp.max_hops
+    reports = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
+    ticks = base.n_steps() // base.steps(base.control_period_s)
+    world = reports * sum(a.nbytes for a in (first.i.astype(np.int32), first.j.astype(np.int32),
+                                              first.snr_db, first.outage))
+    solves = ticks * pairs * (16 + 2 * (cfg.xapp.max_hops + 2))
+    cells = len(spec.gamma_min_values) * len(spec.p_b_values)
+    (measured, solved), held = counted_sweep(monkeypatch, spec, world + solves)
+    assert (measured, solved) == (reports, len(spec.p_b_values) * ticks)
+    for budget in (world + solves - 1, world):
+        (measured, solved), alone = counted_sweep(monkeypatch, spec, budget)
+        assert (measured, solved) == (1 + cells * reports, cells * ticks)
+        assert cell_outputs(alone) == cell_outputs(held) and alone.rows == held.rows
+
+
+def held_solves(cfg, gammas, p_bs):
+    """`cfg`'s solves held at the smallest of `gammas` on its world for `p_bs`."""
+    stream = engine._world_stream(cfg, p_bs)
+    pairs = engine._build_pairs(stream.codes, cfg.pair_selection, cfg.seed)
+    return streams.hold_solves(streams.solve_stream(cfg, streams.hold(stream, len(pairs)),
+                                                    pairs, gammas))
 
 
 def test_a_run_refuses_solves_for_another_run():
     cfg = quick_cfg(duration_s=0.3)
-    stream = streams.hold(engine._world_stream(cfg, (5.0, 10.0), (0.0,)))
-    solves = streams.hold_solves(engine._solve_stream(cfg, stream, (5.0, 10.0)))
+    solves = held_solves(cfg, (5.0, 10.0), (0.0,))
     for other in (replace(cfg, seed=3), replace(cfg, xapp=XAppConfig(snr_min_db=7.0)),
                   replace(cfg, xapp=XAppConfig(max_hops=3)),
                   replace(cfg, channel=ChannelParams(p_b=0.5))):
@@ -740,15 +757,18 @@ def test_a_run_refuses_solves_for_another_run():
     assert record_reprs(run_with_audit(cell, solves=solves)[0]) == record_reprs(run(cell))
 
 
-def test_a_run_refuses_a_stream_measured_for_another_run():
+def test_a_solve_stream_refuses_a_world_measured_for_another_run():
     cfg = quick_cfg(duration_s=0.3)
-    stream = streams.hold(engine._world_stream(cfg, (5.0, 10.0), (0.0, 0.5)))
+    stream = engine._world_stream(cfg, (0.0, 0.5))
+    pairs = engine._build_pairs(stream.codes, cfg.pair_selection, cfg.seed)
     for other in (replace(cfg, seed=3), replace(cfg, xapp=XAppConfig(snr_min_db=7.0)),
                   replace(cfg, channel=ChannelParams(p_b=1.0))):
         with pytest.raises(ConfigurationError, match="measured for another run"):
-            run_with_audit(other, stream)
-    cell = replace(cfg, xapp=XAppConfig(snr_min_db=10.0), channel=ChannelParams(p_b=0.5))
-    assert record_reprs(run_with_audit(cell, stream)[0]) == record_reprs(run(cell))
+            streams.solve_stream(other, stream, pairs, (other.xapp.snr_min_db,))
+    cell = replace(cfg, channel=ChannelParams(p_b=0.5))
+    solves = held_solves(cell, (5.0, 10.0), (0.0, 0.5))
+    cell = replace(cell, xapp=XAppConfig(snr_min_db=10.0))
+    assert record_reprs(run_with_audit(cell, solves=solves)[0]) == record_reprs(run(cell))
 
 
 def test_blockage_sweep_needs_a_stochastic_mode():
@@ -779,6 +799,10 @@ def test_blockage_sweep_needs_a_stochastic_mode():
     # a grid that is not a sequence died with a TypeError
     dict(gamma_min_values=5.0),
     dict(gamma_min_values=(5.0,), p_b_values=None),
+    # a repeated value ran its cell twice, and each summary row averaged one
+    # replication with itself
+    dict(gamma_min_values=(5.0, 5.0)),
+    dict(gamma_min_values=(5.0,), p_b_values=(0.5, 0.0, 0.5)),
 ])
 def test_sweep_spec_validation(kwargs):
     # the last keyword holds the bad value, and the error names it
@@ -819,7 +843,7 @@ def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
     monkeypatch.setattr(ran, "_INDEX_BITS", 6)
     jobs = []
     monkeypatch.setattr(engine, "_execute",
-                        lambda cells, workers, stream, solves: jobs.append(cells) or [])
+                        lambda cells, workers, solves: jobs.append(cells) or [])
     base = replace(quick_cfg(), traffic=TrafficConfig(density_veh_km=80.0))
     sweep_snr(SweepSpec(base=base, gamma_min_values=(5.0,), replications=2))
     assert [[rep for _, rep in cells] for cells in jobs] == [[0], [1]]

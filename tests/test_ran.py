@@ -137,9 +137,9 @@ def test_world_refuses_more_nodes_than_the_index_holds():
 
 def collect_reports(world, cfg, step):
     """The engine's batch of a run of `cfg` that measures `world` at `step`."""
-    measured = streams.sense(world, cfg, step, (cfg.xapp.snr_min_db,), (cfg.channel.p_b,))
+    measured = streams.sense(world, cfg, step, (cfg.channel.p_b,))
     reporting = cfg.cav_terminations | (ran.kinds(world.codes) != NodeKind.CAV)
-    return streams.collect_reports(measured, cfg, reporting, (0, 0))
+    return streams.collect_reports(measured, cfg, reporting, 0)
 
 
 def report_batch(world, sensing_range_m=300.0, **cfg):

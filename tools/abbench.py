@@ -9,9 +9,17 @@ benchmark code. Then, for seeds 1 to --seeds and every workload, it runs
 first on odd seeds, this checkout first on even ones.
 
 The JSON written to --out holds every run's last output line; per workload and
-end-to-end metric, each side's median and quartiles and the pairs this
-checkout won (better in the direction `BENCHMARK.json` declares); and the
-machine. Needs only the standard library.
+end-to-end metric, each side's median and quartiles, the pairs this checkout
+won (better in the direction `BENCHMARK.json` declares), the parent's IQR, the
+change in the median and a verdict; and the machine. A table of the verdicts
+ends the output. Needs only the standard library.
+
+The verdict is "gain" when at least 9 of 10 pairs are won and the median moved
+the better way by more than the parent's IQR; "worse" when the median moved the
+worse way by more than the metric's `bound` and the parent's IQR; otherwise
+"unresolved" when the parent's IQR is wider than the bound, since the runs
+cannot tell a move of the bound's size from noise, and "within bound" when it
+is not.
 """
 
 from __future__ import annotations
@@ -59,8 +67,18 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(pairs: int, won: int, parent_iqr: float, gain: float, bound: float) -> str:
+    """The verdict on a metric whose median moved `gain` the better way."""
+    if won >= 0.9 * pairs and gain > parent_iqr:
+        return "gain"
+    if -gain > max(bound, parent_iqr):
+        return "worse"
+    return "unresolved" if parent_iqr > bound else "within bound"
+
+
 def summary(runs: list[dict], declared: dict) -> dict:
-    """Per workload and metric: both sides' quartiles and the pairs won."""
+    """Per workload and metric: both sides' quartiles, the pairs won, the
+    parent's IQR, the change's median less the parent's, and the verdict."""
     out: dict = {}
     for workload in sorted({r["workload"] for r in runs}):
         by_seed = {}
@@ -74,11 +92,26 @@ def summary(runs: list[dict], declared: dict) -> dict:
             change = [p["change"][name]["value"] for p in pairs]
             lower = spec["better"] == "lower"
             won = sum((c < a) if lower else (c > a) for a, c in zip(parent, change))
-            out[workload][name] = {"unit": spec["unit"], "better": spec["better"],
-                                   "bound": spec["bound"], "pairs": len(pairs),
-                                   "pairs_won": won, "parent": quartiles(parent),
-                                   "change": quartiles(change)}
+            sides = {"parent": quartiles(parent), "change": quartiles(change)}
+            iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+            delta = sides["change"]["median"] - sides["parent"]["median"]
+            out[workload][name] = {
+                "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+                "pairs": len(pairs), "pairs_won": won, **sides, "parent_iqr": iqr,
+                "median_delta": delta,
+                "verdict": verdict(len(pairs), won, iqr, -delta if lower else delta, spec["bound"])}
     return out
+
+
+def table(summed: dict) -> str:
+    """One line per workload and metric: medians, parent IQR, pairs won, verdict."""
+    lines = []
+    for workload, metrics in summed.items():
+        for name, m in metrics.items():
+            lines.append(f"{workload:14} {name:12} {m['parent']['median']:10.4g} -> "
+                         f"{m['change']['median']:<10.4g} IQR {m['parent_iqr']:<8.3g} "
+                         f"won {m['pairs_won']}/{m['pairs']}  {m['verdict']}")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,14 +142,16 @@ def main(argv: list[str] | None = None) -> int:
                              "result": result})
                 print(json.dumps(runs[-1]), flush=True)
 
+    summed = summary(runs, declared)
     args.out.write_text(json.dumps({
         "protocol": {"seeds": list(range(1, args.seeds + 1)), "seconds": args.seconds,
                      "trace": 0, "parent_first": "odd seeds"},
         "machine": machine(),
         "all_correct": all(r["result"]["correct"] and r["result"]["failed"] == 0 for r in runs),
-        "summary": summary(runs, declared),
+        "summary": summed,
         "runs": runs,
     }, indent=1) + "\n", encoding="utf-8")
+    print(table(summed))
     return 0
 
 
