@@ -2,14 +2,15 @@
 
 Units: meters, GHz, dB/dBm, seconds. Pathloss follows the 3GPP TR 38.901
 UMi street-canyon forms (LOS below the breakpoint distance; NLOS as the
-max of the LOS curve and the canyon NLOS curve). A link that is blocked by
-the stochastic (Bernoulli) mechanism is a deep-fade outage for that report
-instant: the sample keeps the exact dB identity snr = eirp - pathloss -
-noise_floor by carrying the sentinel outage pathloss, which sits far below
-any admissible SNR threshold, so an outage can never become a graph edge:
-with the validated ranges (eirp at most 60 dBm, bandwidth at least 1 Hz,
-noise figure at least 0 dB) an outage's SNR is at most 60 - 1000 + 174 =
--766 dB, under the lowest threshold the controller accepts, -300 dB.
+max of the LOS curve and the canyon NLOS curve). A link that the world
+stream puts in outage by the stochastic (Bernoulli) draw `outage_uniform` is
+a deep fade for that report instant: the sample keeps the exact dB identity
+snr = eirp - pathloss - noise_floor by carrying the sentinel outage
+pathloss, which sits far below any admissible SNR threshold, so an outage
+can never become a graph edge: with the validated ranges (eirp at most 60
+dBm, bandwidth at least 1 Hz, noise figure at least 0 dB) an outage's SNR is
+at most 60 - 1000 + 174 = -766 dB, under the lowest threshold the controller
+accepts, -300 dB.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ChannelParams:
 
 @dataclass(slots=True)
 class LinkTable:
-    """Columnar link measurements for one instant, unordered pairs i < j."""
+    """One instant's links, unordered pairs i < j: geometry only, no outage."""
 
     i: np.ndarray
     j: np.ndarray
@@ -64,7 +65,6 @@ class LinkTable:
     los: np.ndarray
     pathloss_db: np.ndarray
     snr_db: np.ndarray
-    t: float
 
 
 def noise_floor(params: ChannelParams) -> float:
@@ -191,29 +191,26 @@ def _segments_blocked(p0, p1, lo, hi, exclude_a, exclude_b) -> np.ndarray:
 
 # --- link sampling ------------------------------------------------------------
 
-def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: np.ndarray,
-               boxes: tuple[np.ndarray, np.ndarray], t: float, seed: int,
-               max_range: float | None = None, pairs=None,
+def link_table(params: ChannelParams, xyz: np.ndarray, body: np.ndarray,
+               boxes: tuple[np.ndarray, np.ndarray], max_range: float | None = None, pairs=None,
                min_snr_db: float | None = None) -> LinkTable:
-    """Measure endpoint pairs at instant t: all unordered pairs by default, or an
-    explicit (i_indices, j_indices) selection via `pairs`.
+    """Measure endpoint pairs: all unordered pairs by default, or an explicit
+    (i_indices, j_indices) selection via `pairs`.
 
-    Endpoints come as columns: `xyz`, the (n, 3) antenna points; `codes`, their
-    node codes, which key the outage draws; and `body`, the row in `boxes`
-    of each endpoint's own vehicle body, or -1. `boxes` is the blockers' (lo,
-    hi) corners, (m, 3) each. This is the single measurement path: per-node
-    reports, single links and neighbour ranges (`max_range`, boundary
-    inclusive) all come from it. Every quantity is orientation-free, so
-    explicit pairs may come in either order.
+    Endpoints come as columns: `xyz`, the (n, 3) antenna points, and `body`,
+    the row in `boxes` of each endpoint's own vehicle body, or -1. `boxes` is
+    the blockers' (lo, hi) corners, (m, 3) each. This is the single
+    measurement path: per-node reports, single links and neighbour ranges
+    (`max_range`, boundary inclusive) all come from it. Every quantity is
+    orientation-free, so explicit pairs may come in either order. Outages
+    are the world stream's (`streams.sense`); `params.p_b` is not read.
 
     `min_snr_db` is a report floor: after the range cut it drops every pair
-    whose LOS SNR lies below it, before the blockage test, the outage draw
-    and the NLOS curve. It is exact for any filter on the final SNR at or
-    above the floor. A kept pair's SNR is the one the unfloored table gives,
-    and a dropped pair's could only have been lower: the LOS SNR is the
-    final SNR's own float expression, NLOS pathloss is at least LOS
-    pathloss, an outage lies below every admissible floor, and each outage
-    draw hashes its own link alone.
+    whose LOS SNR lies below it, before the blockage test and the NLOS
+    curve. It is exact for any filter on the final SNR at or above the
+    floor. A kept pair's SNR is the one the unfloored table gives, and a
+    dropped pair's could only have been lower: the LOS SNR is the final
+    SNR's own float expression, and NLOS pathloss is at least LOS pathloss.
     """
     pos = np.asarray(xyz, dtype=np.float64)
     ends = pos.T.copy()  # axis-major: one contiguous row per axis, gathered per axis
@@ -235,22 +232,14 @@ def link_table(params: ChannelParams, xyz: np.ndarray, codes: np.ndarray, body: 
         m = link_snr_db(params, pl_los) >= min_snr_db
         iu, ju, dist, pl_los = iu[m], ju[m], dist[m], pl_los[m]
 
-    mode = params.blockage_mode
-    if mode in ("geometric", "combined"):
+    if params.blockage_mode in ("geometric", "combined"):
         body = np.asarray(body, dtype=np.int64)
-        clear = ~_segments_blocked(ends.take(iu, axis=1).T, ends.take(ju, axis=1).T, *boxes,
-                                   body[iu], body[ju])
+        los = ~_segments_blocked(ends.take(iu, axis=1).T, ends.take(ju, axis=1).T, *boxes,
+                                 body[iu], body[ju])
     else:
-        clear = np.ones(len(iu), dtype=bool)
-
-    if mode in ("stochastic", "combined") and params.p_b > 0.0:
-        outage = outage_uniform(codes, iu, ju, t, seed) < params.p_b
-    else:
-        outage = np.zeros(len(iu), dtype=bool)
+        los = np.ones(len(iu), dtype=bool)
 
     h_ut = np.minimum(z[iu], z[ju])
-    pl = np.where(clear, pl_los, pathloss_nlos(dist, params.carrier_ghz, h_ut))
-    los = clear & ~outage
-    pl = np.where(outage, OUTAGE_PATHLOSS_DB, pl)
-    snr = link_snr_db(params, pl)
-    return LinkTable(i=iu, j=ju, distance_m=dist, los=los, pathloss_db=pl, snr_db=snr, t=t)
+    pl = np.where(los, pl_los, pathloss_nlos(dist, params.carrier_ghz, h_ut))
+    return LinkTable(i=iu, j=ju, distance_m=dist, los=los, pathloss_db=pl,
+                     snr_db=link_snr_db(params, pl))

@@ -34,7 +34,7 @@ class WorldConfig:
 
     arm_length_m: float = config_key(200.0, "(0, inf)")
     road_width_m: float = config_key(14.0, "(0, inf)")
-    building_setback_m: float = config_key(2.0, "(0, inf)")
+    building_setback_m: float = config_key(2.0, "[0, inf)")
     building_height_m: float = config_key(20.0, "(0, inf)")
     rsu_mast_height_m: float = config_key(6.0, "(0, inf)")
     cav_antenna_height_m: float = config_key(1.6, "(0, inf)")
@@ -179,8 +179,6 @@ class SweepSpec:
     def validate(self) -> "SweepSpec":
         self.base.validate()
         check_keys(self)
-        if not self.gamma_min_values:
-            raise ConfigurationError("gamma_min_values must be non-empty")
         if self.base.seed + self.replications - 1 >= 2**63:
             raise ConfigurationError(f"replications out of range: seed {self.base.seed} + "
                                      f"{self.replications - 1} must stay below 2^63")
@@ -435,8 +433,6 @@ def sweep_blockage(spec: SweepSpec) -> SweepResult:
     shared across cells, so the blockage draws are coupled and the p_b = 0
     column reproduces the SNR sweep exactly."""
     spec.validate()
-    if not spec.p_b_values:
-        raise ConfigurationError("p_b_values must be non-empty")
     if spec.base.channel.blockage_mode not in ("stochastic", "combined"):
         raise ConfigurationError(
             "sweep_blockage needs blockage_mode 'stochastic' or 'combined', "

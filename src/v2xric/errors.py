@@ -63,7 +63,7 @@ def _check(key: Field, value) -> None:
     """Refuse a `value` outside `key`'s domain, naming the key. The annotation
     says whether None passes, and the type: a float is any finite real number
     but a bool, an int any integer but a bool, a bool a bool or `np.bool_`,
-    a grid a sequence (a tuple or a list) of distinct values."""
+    a grid a non-empty sequence (a tuple or a list) of distinct values."""
     name, domain = key.name, key.metadata["domain"]
     kind = key.type.removesuffix(" | None")
     if value is None and kind != key.type:
@@ -71,6 +71,8 @@ def _check(key: Field, value) -> None:
     if kind == "tuple[float, ...]":
         if not isinstance(value, Sequence):
             raise ConfigurationError(f"{name} must be a sequence of numbers: {value!r}")
+        if not value:
+            raise ConfigurationError(f"{name} must be non-empty")
         for each in value:
             try:
                 _check(domain, each)

@@ -4,10 +4,11 @@ once per step for many runs.
 Control never feeds back into motion and each outage draw is a stateless
 hash of (seed, link, time), so a sweep's geometry, mobility and outage
 uniforms depend on the replication seed alone. A world stream measures each
-report step once, floored at its config's threshold and with no outage, and
-each p_b of that replication cuts its reports from it: an outage where the
-uniform lies below its p_b. Each cut is bit for bit the report batch of the
-run's own `link_table` call.
+report step once (`sense`), floored at its config's threshold, with each
+link's outage uniform, and each p_b of that replication cuts its reports
+from it (`collect_reports`): an outage where the uniform lies below its p_b.
+That draw and that cut are the one outage rule. The floor stays exact under
+it: an outage lies below every floor, and each draw hashes its own link.
 
 A solve stream is one controller solved on those reports once per control
 tick at the grid's smallest threshold; each threshold cell of one
@@ -61,18 +62,15 @@ class WorldStream:
 
 
 def sense(world: ran.World, cfg: SimConfig, step: int, p_bs: tuple[float, ...]) -> Measurement:
-    """Measure `world` at `step` from one read of the fleet, with no outage.
-    The outage uniforms key on the step's time in s; like `link_table`, it
-    draws them only when some p_b of the grid can block."""
-    t = round(step * cfg.dt_s, 9)
+    """Measure `world` at `step` from one read of the fleet. Where some p_b
+    of the grid can block, each link's outage uniform is drawn, keyed on the
+    step's time in s, and kept as its grid level."""
     xy = world.fleet.xy()
-    params = replace(cfg.channel, p_b=0.0)
-    tab = channel.link_table(params, world.xyz(xy), world.codes, world.body, world.boxes(xy), t,
-                             cfg.seed, max_range=cfg.sensing_range_m,
-                             min_snr_db=cfg.xapp.snr_min_db)
+    tab = channel.link_table(cfg.channel, world.xyz(xy), world.body, world.boxes(xy),
+                             max_range=cfg.sensing_range_m, min_snr_db=cfg.xapp.snr_min_db)
     outage = None
-    if params.blockage_mode in ("stochastic", "combined") and p_bs[-1] > 0.0:
-        u = channel.outage_uniform(world.codes, tab.i, tab.j, t, cfg.seed)
+    if cfg.channel.blockage_mode in ("stochastic", "combined") and p_bs[-1] > 0.0:
+        u = channel.outage_uniform(world.codes, tab.i, tab.j, round(step * cfg.dt_s, 9), cfg.seed)
         outage = np.searchsorted(p_bs, u, side="right").astype(np.min_scalar_type(len(p_bs)))
     return Measurement(step, tab.i, tab.j, tab.snr_db, outage)
 
@@ -135,8 +133,8 @@ def collect_reports(m: Measurement, cfg: SimConfig, reporting: np.ndarray,
     """One run's reports at a measured step, both directions of each link
     from every reporting endpoint, in one batch of view slots. At p_b level
     k an outage is a uniform with at most k grid values at or below it, so
-    u < p_b. The batch is bit for bit the one the run's own `link_table`
-    call gives at the stream's threshold."""
+    u < p_b, and the link's SNR becomes that of the outage pathloss
+    `channel.OUTAGE_PATHLOSS_DB`."""
     i, j, snr = m.i, m.j, m.snr_db
     if m.outage is not None:
         snr = np.where(m.outage <= level,

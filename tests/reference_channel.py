@@ -1,11 +1,17 @@
-"""Row-major reference of `channel.link_table`.
+"""Row-major reference of the link measurement with its outage inside.
 
-Used by the channel tests as a bit-for-bit oracle for the column-major
-measurement path. Endpoints stay (n, 3) rows: every distance and segment
-argument is a row gather `pos[iu]`, and the blockage overlap screen runs on a
-segment-major `(segments, kept boxes)` grid. The pathloss curves, the outage
-draw and the noise floor are the channel module's own, so only the data
-layout differs from the code under test.
+Used by the channel and engine tests as a bit-for-bit oracle. At p_b = 0 it
+is `channel.link_table`. At any p_b it is `link_table` followed by the
+world stream's outage rule: `streams.sense` draws each link's
+`channel.outage_uniform`, and `streams.collect_reports` gives a link whose
+uniform lies below p_b the outage pathloss' SNR. Here the outage is drawn
+and applied inside the one measurement, as the measurement did before the
+world stream took it over. Endpoints stay (n, 3) rows: every distance and
+segment argument is a row gather `pos[iu]`, and the blockage overlap screen
+runs on a segment-major `(segments, kept boxes)` grid. The pathloss curves,
+the outage hash and the noise floor are the channel module's own, so only
+the data layout and the place of the outage differ from the code under
+test.
 """
 
 from __future__ import annotations
@@ -49,8 +55,9 @@ def segments_blocked(p0, p1, lo, hi, exclude_a, exclude_b) -> np.ndarray:
 
 def reference_link_table(params, xyz, codes, body, boxes, t, seed, max_range=None, pairs=None,
                          min_snr_db=None) -> LinkTable:
-    """`channel.link_table` over (n, 3) endpoint rows: same arguments, same
-    rows in the same order, same floats."""
+    """`channel.link_table` over (n, 3) endpoint rows, with the outage of
+    instant t and `seed` at `params.p_b` applied: the same rows in the same
+    order, and the same floats as the stream's cut."""
     pos = np.asarray(xyz, dtype=np.float64)
     if pairs is None:
         iu, ju = np.triu_indices(len(pos), k=1)
@@ -89,4 +96,4 @@ def reference_link_table(params, xyz, codes, body, boxes, t, seed, max_range=Non
     los = clear & ~outage
     pl = np.where(outage, OUTAGE_PATHLOSS_DB, pl)
     snr = params.eirp_dbm - pl - noise_floor(params)
-    return LinkTable(i=iu, j=ju, distance_m=dist, los=los, pathloss_db=pl, snr_db=snr, t=t)
+    return LinkTable(i=iu, j=ju, distance_m=dist, los=los, pathloss_db=pl, snr_db=snr)

@@ -1,8 +1,9 @@
 """Scalar reference for the seeded per-link outage draw.
 
-Used by the channel tests as an oracle for the batched draw inside
-`link_table`: the same splitmix64-style avalanche written with plain Python
-integers, one link at a time, with none of the production uint64 arrays.
+Used by the tests as an oracle for `channel.outage_uniform`, the batched
+draw `streams.sense` makes for every measured link: the same
+splitmix64-style avalanche written with plain Python integers, one link at
+a time, with none of the production uint64 arrays.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Link-model tests: pathloss curves, blockage geometry, seeded outage draws.
+"""Link-model tests: pathloss curves, blockage geometry, seeded outage draws
+and the world stream's outage cut.
 
 The reference constants below were frozen from independent hand arithmetic
 (log10(28) = 1.4471580313422192), not read back from the implementation:
@@ -23,10 +24,11 @@ from reference_channel import reference_link_table
 from reference_ids import NodeId
 from reference_mobility import VehicleState, fleet_of
 from reference_outage import stochastic_blockage
-from v2xric import (ChannelParams, ConfigurationError, MeasurementError, NodeKind,
-                    TrafficConfig, World, build_intersection, channel, default_rsus,
-                    link_table, noise_floor, pathloss_los, pathloss_nlos, spawn_vehicles)
-from v2xric.channel import OUTAGE_PATHLOSS_DB
+from v2xric import (ChannelParams, ConfigurationError, MeasurementError, NodeKind, SimConfig,
+                    TrafficConfig, World, XAppConfig, build_intersection, channel,
+                    default_rsus, link_table, noise_floor, pathloss_los, pathloss_nlos,
+                    spawn_vehicles, streams)
+from v2xric.channel import OUTAGE_PATHLOSS_DB, link_snr_db
 from v2xric.scenario import CAR_EXTENT, TALL_EXTENT
 
 LOS_100M_28GHZ = 103.34316062684438
@@ -41,34 +43,53 @@ def make_vehicle(vid, x, y, heading=(1.0, 0.0), extent=CAR_EXTENT):
                         speed_mps=14.0, extent=extent)
 
 
-def cav_antenna(index, x, y, z=1.6, vehicle_index=None):
-    """One endpoint, (NodeId code, xyz, own-body row): CAV `index` at (x, y, z)
-    whose own body is vehicle `vehicle_index` of the scene, if any."""
-    return NodeId(NodeKind.CAV, index).code, (x, y, z), -1 if vehicle_index is None else vehicle_index
+def antenna(x, y, z=1.6, vehicle_index=None):
+    """One endpoint, (xyz, own-body row): an antenna at (x, y, z) whose own
+    body is vehicle `vehicle_index` of the scene, if any."""
+    return (x, y, z), -1 if vehicle_index is None else vehicle_index
 
 
-def scene_table(params, layout, vehicles, antennas, t, seed, **selection):
+def scene_table(params, layout, vehicles, antennas, **selection):
     """link_table over hand-placed endpoints, with the bodies of `vehicles`
     (fleet rows in list order) and the layout's buildings as blockers."""
-    codes, xyz, body = (np.array(column) for column in zip(*antennas))
+    xyz, body = (np.array(column) for column in zip(*antennas))
     boxes = World(layout=layout, fleet=fleet_of(vehicles), rsus=np.empty((0, 3))).boxes()
-    return link_table(params, xyz, codes, body, boxes, t, seed, **selection)
+    return link_table(params, xyz, body, boxes, **selection)
 
 
-def measure(params, layout, vehicles, tx, rx, t, seed):
+def measure(params, layout, vehicles, tx, rx):
     """The one row link_table gives for the single link tx-rx."""
-    tab = scene_table(params, layout, vehicles, [tx, rx], t, seed)
+    tab = scene_table(params, layout, vehicles, [tx, rx])
     return tab.distance_m[0], bool(tab.los[0]), tab.pathloss_db[0], tab.snr_db[0]
 
 
 def geometric_los(layout, vehicles, tx, rx):
-    return measure(ChannelParams(blockage_mode="geometric"), layout, vehicles, tx, rx, 0.0, 1)[1]
+    return measure(ChannelParams(blockage_mode="geometric"), layout, vehicles, tx, rx)[1]
 
 
-def antenna_row(n, p_b):
-    """n roof antennas 1 m apart on one lane, and random-only blockage at p_b."""
-    row = [cav_antenna(k, -250.0 + float(k), -3.5) for k in range(n)]
-    return row, ChannelParams(p_b=p_b, blockage_mode="stochastic")
+def row_uniforms(n, t, seed, swap=False):
+    """The outage uniform of every link i < j among CAVs 0 .. n-1 at instant
+    t, each link keyed as (j, i) when `swap`."""
+    codes = np.array([NodeId(NodeKind.CAV, k).code for k in range(n)])
+    i, j = np.triu_indices(n, k=1)
+    return channel.outage_uniform(codes, *((j, i) if swap else (i, j)), t, seed)
+
+
+def stream_cut(n, p_bs, seed, **radio):
+    """A world stream's step 0 over n cars 5 m apart on one lane, with
+    random-only blockage: `streams.sense` measures it and draws each link's
+    outage uniform, and `streams.collect_reports` cuts each p_b of the
+    sorted grid `p_bs` from it. The measured step, and per p_b the SNR each
+    link is reported with (both directions report it alike)."""
+    layout = build_intersection(200.0, 14.0)
+    world = World(layout=layout, rsus=np.empty((0, 3)), fleet=fleet_of(
+        [make_vehicle(k, -150.0 + 5.0 * k, -3.5) for k in range(n)]))
+    cfg = SimConfig(seed=seed, channel=ChannelParams(blockage_mode="stochastic", **radio),
+                    sensing_range_m=1000.0, xapp=XAppConfig(snr_min_db=-300.0))
+    measured = streams.sense(world, cfg, 0, p_bs)
+    every = np.ones(n, dtype=bool)
+    return measured, [streams.collect_reports(measured, cfg, every, level).snr_db[:len(measured.i)]
+                      for level in range(len(p_bs))]
 
 
 # --- pathloss curves -------------------------------------------------------------
@@ -142,9 +163,9 @@ def test_pathloss_vectorized_matches_scalar():
 def test_snr_identity_and_reference():
     layout = build_intersection(200.0, 14.0)
     params = ChannelParams()
-    tx = cav_antenna(0, -50.0, -3.5)
-    rx = cav_antenna(1, 50.0, -3.5)
-    distance, los, pathloss, snr = measure(params, layout, [], tx, rx, 0.0, seed=1)
+    tx = antenna(-50.0, -3.5)
+    rx = antenna(50.0, -3.5)
+    distance, los, pathloss, snr = measure(params, layout, [], tx, rx)
     assert distance == pytest.approx(100.0, abs=1e-12)
     assert los
     assert pathloss == pytest.approx(LOS_100M_28GHZ, abs=1e-9)
@@ -155,36 +176,34 @@ def test_snr_identity_and_reference():
 
 def test_eirp_shifts_snr_only():
     layout = build_intersection(200.0, 14.0)
-    tx = cav_antenna(0, -40.0, -3.5)
-    rx = cav_antenna(1, 30.0, -3.5)
-    _, _, lo_pathloss, lo_snr = measure(ChannelParams(eirp_dbm=23.0), layout, [], tx, rx, 0.0, 1)
-    _, _, hi_pathloss, hi_snr = measure(ChannelParams(eirp_dbm=30.0), layout, [], tx, rx, 0.0, 1)
+    tx = antenna(-40.0, -3.5)
+    rx = antenna(30.0, -3.5)
+    _, _, lo_pathloss, lo_snr = measure(ChannelParams(eirp_dbm=23.0), layout, [], tx, rx)
+    _, _, hi_pathloss, hi_snr = measure(ChannelParams(eirp_dbm=30.0), layout, [], tx, rx)
     assert hi_pathloss == lo_pathloss
     assert hi_snr - lo_snr == pytest.approx(7.0, abs=1e-12)
 
 
 def test_reciprocity():
     layout = build_intersection(200.0, 14.0)
-    params = ChannelParams(p_b=0.4)
+    params = ChannelParams()
     rng = np.random.default_rng(5)
-    for trial in range(25):
+    for _ in range(25):
         xs = rng.uniform(-150.0, 150.0, size=2)
-        a = cav_antenna(0, float(xs[0]), -3.5)
-        b = cav_antenna(1, float(xs[1]), 3.5)
+        a = antenna(float(xs[0]), -3.5)
+        b = antenna(float(xs[1]), 3.5)
         if abs(xs[0] - xs[1]) < 1e-6:
             continue
-        t = round(0.1 * trial, 9)
         # distance, LOS state, pathloss and SNR all survive swapping tx and rx
-        assert measure(params, layout, [], a, b, t, seed=42) == \
-            measure(params, layout, [], b, a, t, seed=42)
+        assert measure(params, layout, [], a, b) == measure(params, layout, [], b, a)
 
 
 def test_truck_blocks_but_equal_height_car_does_not():
     layout = build_intersection(200.0, 14.0)
     ends = [make_vehicle(0, -20.0, -3.5), make_vehicle(2, 20.0, -3.5)]
     # the endpoints' own bodies (vehicle indices 0 and 1) never block
-    tx = cav_antenna(0, -20.0, -3.5, vehicle_index=0)
-    rx = cav_antenna(2, 20.0, -3.5, vehicle_index=1)
+    tx = antenna(-20.0, -3.5, vehicle_index=0)
+    rx = antenna(20.0, -3.5, vehicle_index=1)
 
     truck_between = ends + [make_vehicle(1, 0.0, -3.5, extent=TALL_EXTENT)]
     assert not geometric_los(layout, truck_between, tx, rx)
@@ -196,25 +215,25 @@ def test_truck_blocks_but_equal_height_car_does_not():
 def test_building_blocks_cross_quadrant_link():
     layout = build_intersection(200.0, 14.0)
     # east arm to north arm: the straight line cuts through the NE building
-    assert not geometric_los(layout, [], cav_antenna(0, 30.0, -3.5), cav_antenna(1, -3.5, 30.0))
+    assert not geometric_los(layout, [], antenna(30.0, -3.5), antenna(-3.5, 30.0))
     # along one arm: no building in the way
-    assert geometric_los(layout, [], cav_antenna(0, 30.0, -3.5), cav_antenna(1, -30.0, -3.5))
+    assert geometric_los(layout, [], antenna(30.0, -3.5), antenna(-30.0, -3.5))
 
 
 def test_face_contact_does_not_block():
     layout = build_intersection(200.0, 14.0)
     # corner-mast to corner-mast rays run exactly along building faces
-    mast = cav_antenna(0, 9.0, 9.0, z=6.0)
-    assert geometric_los(layout, [], mast, cav_antenna(1, -9.0, 9.0, z=6.0))
-    assert geometric_los(layout, [], mast, cav_antenna(1, 9.0, -9.0, z=6.0))
-    assert geometric_los(layout, [], mast, cav_antenna(1, -9.0, -9.0, z=6.0))
+    mast = antenna(9.0, 9.0, z=6.0)
+    assert geometric_los(layout, [], mast, antenna(-9.0, 9.0, z=6.0))
+    assert geometric_los(layout, [], mast, antenna(9.0, -9.0, z=6.0))
+    assert geometric_los(layout, [], mast, antenna(-9.0, -9.0, z=6.0))
 
 
 def test_blocked_sample_uses_nlos_curve():
     layout = build_intersection(200.0, 14.0)
-    tx = cav_antenna(0, 30.0, -3.5)
-    rx = cav_antenna(1, -3.5, 30.0)
-    distance, los, pathloss, _snr = measure(ChannelParams(), layout, [], tx, rx, 0.0, 1)
+    tx = antenna(30.0, -3.5)
+    rx = antenna(-3.5, 30.0)
+    distance, los, pathloss, _snr = measure(ChannelParams(), layout, [], tx, rx)
     assert not los
     assert pathloss == pathloss_nlos(distance, 28.0, 1.6)
 
@@ -222,10 +241,9 @@ def test_blocked_sample_uses_nlos_curve():
 def test_own_body_never_blocks():
     layout = build_intersection(200.0, 14.0)
     vehicles = [make_vehicle(0, -10.0, -3.5), make_vehicle(1, 10.0, -3.5)]
-    antennas = [cav_antenna(0, -10.0, -3.5, vehicle_index=0),
-                cav_antenna(1, 10.0, -3.5, vehicle_index=1)]
-    tab = scene_table(ChannelParams(blockage_mode="geometric"), layout, vehicles,
-                     antennas, 0.0, 1)
+    antennas = [antenna(-10.0, -3.5, vehicle_index=0),
+                antenna(10.0, -3.5, vehicle_index=1)]
+    tab = scene_table(ChannelParams(blockage_mode="geometric"), layout, vehicles, antennas)
     assert bool(tab.los[0])
 
 
@@ -280,18 +298,17 @@ def test_link_table_matches_dense_reference_in_dense_scenes(monkeypatch, density
                                                  tall_fraction=0.3))
     world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout),
                   cav_antenna_height_m=height)
-    params = ChannelParams(p_b=0.3)
+    params = ChannelParams()
     pos = world.xyz()
-    ends = (pos, world.codes, world.body, world.boxes())
-    got = link_table(params, *ends, 0.4, seed=3, max_range=300.0)
+    ends = (pos, world.body, world.boxes())
+    got = link_table(params, *ends, max_range=300.0)
     monkeypatch.setattr(channel, "_segments_blocked", reference_segments_blocked)
-    want = link_table(params, *ends, 0.4, seed=3, max_range=300.0)
+    want = link_table(params, *ends, max_range=300.0)
     diff = pos[want.i] - pos[want.j]
     assert np.array_equal(got.distance_m, np.sqrt((diff * diff).sum(axis=1)))
     for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
         assert np.array_equal(getattr(got, column), getattr(want, column)), column
-    geometric_nlos = (~want.los) & (want.pathloss_db < OUTAGE_PATHLOSS_DB)
-    assert 0 < int(geometric_nlos.sum()) < len(want.i)
+    assert 0 < int((~want.los).sum()) < len(want.i)
 
 
 def face_endpoints(rng, world, n):
@@ -334,9 +351,13 @@ def selections(rng, n):
 @pytest.mark.parametrize("p_b", [0.0, 0.3, 1.0])
 def test_link_table_matches_row_major_reference(mode, p_b):
     """Every column of the column-major table, row order included, is bit
-    for bit the row-major reference's, over random scenes (antenna heights
-    1.0, 1.6 and 4.5 m among 30% trucks, endpoints on body faces, and the same
-    endpoints with no blockers at all) and every kind of selection."""
+    for bit the row-major reference's at p_b = 0, whatever `params.p_b`
+    says, over random scenes (antenna heights 1.0, 1.6 and 4.5 m among 30%
+    trucks, endpoints on body faces, and the same endpoints with no blockers
+    at all) and every kind of selection. With the world stream's outage
+    rule applied after it (an outage where the link's `outage_uniform` lies
+    below p_b, in a stochastic mode), it is the reference at p_b, which
+    applies the outage inside the measurement."""
     params = ChannelParams(p_b=p_b, blockage_mode=mode)
     layout = build_intersection(200.0, 14.0)
     rng = np.random.default_rng(int(p_b * 10) + 100 * channel.BLOCKAGE_MODES.index(mode))
@@ -355,13 +376,21 @@ def test_link_table_matches_row_major_reference(mode, p_b):
         nothing = (np.empty((0, 3)), np.empty((0, 3)))
         for boxes, own in ((world.boxes(), body), (nothing, np.full(len(body), -1))):
             for selection in selections(rng, len(xyz)):
-                got = link_table(params, xyz, codes, own, boxes, 0.3, 7, **selection)
+                got = link_table(params, xyz, own, boxes, **selection)
+                clear = reference_link_table(dataclasses.replace(params, p_b=0.0), xyz, codes,
+                                             own, boxes, 0.3, 7, **selection)
                 want = reference_link_table(params, xyz, codes, own, boxes, 0.3, 7, **selection)
+                outage = channel.outage_uniform(codes, got.i, got.j, 0.3, 7) < p_b
+                outage &= mode != "geometric"
+                cut = dataclasses.replace(
+                    got, los=got.los & ~outage,
+                    pathloss_db=np.where(outage, OUTAGE_PATHLOSS_DB, got.pathloss_db),
+                    snr_db=np.where(outage, link_snr_db(params, OUTAGE_PATHLOSS_DB), got.snr_db))
                 for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
-                    g, w = getattr(got, column), getattr(want, column)
-                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (height, column)
-                assert got.t == want.t
-                outage = want.pathloss_db == OUTAGE_PATHLOSS_DB
+                    for g, w in ((got, clear), (cut, want)):
+                        g, w = getattr(g, column), getattr(w, column)
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (height, column)
+                assert np.array_equal(outage, want.pathloss_db == OUTAGE_PATHLOSS_DB)
                 same = xyz[want.i] == xyz[want.j]
                 seen["rows"] += len(want.i)
                 seen["empty"] += len(want.i) == 0
@@ -377,10 +406,9 @@ def test_link_table_matches_row_major_reference(mode, p_b):
 def test_empty_selections_give_empty_columns():
     layout = build_intersection(200.0, 14.0)
     vehicles = [make_vehicle(0, 0.0, -3.5, extent=TALL_EXTENT)]
-    antennas = [cav_antenna(k, -30.0 + 20.0 * k, -3.5) for k in range(4)]
+    antennas = [antenna(-30.0 + 20.0 * k, -3.5) for k in range(4)]
     for selection in (dict(pairs=([], [])), dict(max_range=10.0)):
-        tab = scene_table(ChannelParams(p_b=0.5), layout, vehicles, antennas, 0.0, seed=1,
-                         **selection)
+        tab = scene_table(ChannelParams(), layout, vehicles, antennas, **selection)
         for column in (tab.i, tab.j, tab.distance_m, tab.los, tab.pathloss_db, tab.snr_db):
             assert len(column) == 0
 
@@ -388,9 +416,9 @@ def test_empty_selections_give_empty_columns():
 def test_layout_without_blockers_is_all_los():
     layout = dataclasses.replace(build_intersection(200.0, 14.0), building_lo=np.empty((0, 3)),
                                  building_hi=np.empty((0, 3)))
-    antennas = [cav_antenna(0, 30.0, -3.5), cav_antenna(1, -3.5, 30.0),
-                cav_antenna(2, -30.0, 3.5, z=6.0)]
-    tab = scene_table(ChannelParams(blockage_mode="geometric"), layout, [], antennas, 0.0, 1)
+    antennas = [antenna(30.0, -3.5), antenna(-3.5, 30.0),
+                antenna(-30.0, 3.5, z=6.0)]
+    tab = scene_table(ChannelParams(blockage_mode="geometric"), layout, [], antennas)
     assert tab.los.all()
     assert np.array_equal(tab.pathloss_db, pathloss_los(tab.distance_m, 28.0))
 
@@ -403,10 +431,10 @@ def test_dense_link_table_allocates_no_segment_box_grid():
     fleet = spawn_vehicles(layout, TrafficConfig(density_veh_km=200.0, seed=1))
     world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
     assert len(world.codes) == 176
-    ends = (world.xyz(), world.codes, world.body, world.boxes())
+    ends = (world.xyz(), world.body, world.boxes())
     tracemalloc.start()
     try:
-        link_table(ChannelParams(), *ends, 0.1, seed=1, max_range=300.0)
+        link_table(ChannelParams(), *ends, max_range=300.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,105 +450,90 @@ def test_report_floor_keeps_exactly_the_pairs_whose_los_snr_clears_it():
     fleet = spawn_vehicles(layout, TrafficConfig(density_veh_km=200.0, seed=1))
     world = World(layout=layout, fleet=fleet, rsus=default_rsus(layout))
     assert len(world.codes) == 176
-    params = ChannelParams(p_b=0.3)
-    ends = (world.xyz(), world.codes, world.body, world.boxes())
-    full = link_table(params, *ends, 0.1, seed=1, max_range=300.0)
-    floored = link_table(params, *ends, 0.1, seed=1, max_range=300.0, min_snr_db=5.0)
+    params = ChannelParams()
+    ends = (world.xyz(), world.body, world.boxes())
+    full = link_table(params, *ends, max_range=300.0)
+    floored = link_table(params, *ends, max_range=300.0, min_snr_db=5.0)
     los_snr = params.eirp_dbm - pathloss_los(full.distance_m, params.carrier_ghz) - noise_floor(params)
     keep = los_snr >= 5.0
     assert 0 < len(floored.i) == int(keep.sum()) < len(full.i)
     for column in ("i", "j", "distance_m", "los", "pathloss_db", "snr_db"):
         assert np.array_equal(getattr(floored, column), getattr(full, column)[keep]), column
     assert np.all(keep[full.snr_db >= 5.0])
-    # LOS and NLOS rows, outages and links below the floor after blockage all remain
-    assert floored.los.any() and (floored.pathloss_db == OUTAGE_PATHLOSS_DB).any()
+    # LOS and NLOS rows and links below the floor after blockage all remain
+    assert floored.los.any() and (~floored.los).any()
     assert (floored.snr_db < 5.0).any()
 
 
 # --- stochastic outages ----------------------------------------------------------
+# `channel.outage_uniform` is the one draw, which `streams.sense` makes, and
+# `streams.collect_reports` the one cut.
 
 
 def test_outage_draw_is_deterministic_and_orientation_free():
-    layout = build_intersection(200.0, 14.0)
-    row, params = antenna_row(30, 0.4)
-    a = scene_table(params, layout, [], row, 1.7, seed=12)
-    b = scene_table(params, layout, [], row, 1.7, seed=12)
-    swapped = scene_table(params, layout, [], row, 1.7, seed=12, pairs=(a.j, a.i))
-    assert np.array_equal(a.los, b.los)
-    assert np.array_equal(a.los, swapped.los)
-    assert 0 < int((~a.los).sum()) < len(a.los)
+    a = row_uniforms(30, 1.7, seed=12) < 0.4
+    b = row_uniforms(30, 1.7, seed=12) < 0.4
+    swapped = row_uniforms(30, 1.7, seed=12, swap=True) < 0.4
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, swapped)
+    assert 0 < int(a.sum()) < len(a)
 
 
 def test_outage_rate_matches_probability():
-    layout = build_intersection(200.0, 14.0)
-    row, params = antenna_row(448, 0.3)
-    outages = ~scene_table(params, layout, [], row, 0.0, seed=99).los
+    outages = row_uniforms(448, 0.0, seed=99) < 0.3
     assert outages.size >= 100_000
     assert abs(outages.mean() - 0.3) < 0.01
 
 
 def test_outage_monotone_in_probability():
-    layout = build_intersection(200.0, 14.0)
-    row, params = antenna_row(64, 0.2)
-    low = ~scene_table(params, layout, [], row, 0.5, seed=4).los
-    params.p_b = 0.5
-    high = ~scene_table(params, layout, [], row, 0.5, seed=4).los
-    assert low.any()
-    assert np.all(high[low])
-    # p=0 never blocks, p=1 always blocks
-    params.p_b = 0.0
-    assert not (~scene_table(params, layout, [], row, 0.0, seed=4).los).any()
-    params.p_b = 1.0
-    assert (~scene_table(params, layout, [], row, 0.0, seed=4).los).all()
+    """The stream's cut at each p_b of a grid: the outages grow with p_b,
+    p_b = 0 never blocks, p_b = 1 always does, and a link not in outage
+    keeps its measured SNR."""
+    measured, cuts = stream_cut(64, (0.0, 0.2, 0.5, 1.0), seed=4)
+    outage = [snr == link_snr_db(ChannelParams(), OUTAGE_PATHLOSS_DB) for snr in cuts]
+    assert outage[1].any()
+    for low, high in zip(outage, outage[1:]):
+        assert np.all(high[low])
+    assert not outage[0].any() and outage[-1].all()
+    for snr, out in zip(cuts, outage):
+        assert np.array_equal(snr[~out], measured.snr_db[~out])
 
 
 def test_outage_varies_with_seed_and_instant():
-    layout = build_intersection(200.0, 14.0)
-    pair, params = antenna_row(2, 0.5)
-    draws_seed = {measure(params, layout, [], *pair, 0.0, seed=s)[1] for s in range(64)}
-    draws_time = {measure(params, layout, [], *pair, round(0.1 * k, 9), seed=1)[1]
-                  for k in range(64)}
+    draws_seed = {bool(row_uniforms(2, 0.0, seed=s)[0] < 0.5) for s in range(64)}
+    draws_time = {bool(row_uniforms(2, round(0.1 * k, 9), seed=1)[0] < 0.5) for k in range(64)}
     assert draws_seed == {False, True}
     assert draws_time == {False, True}
 
 
 def test_batched_outage_matches_scalar_draws():
-    layout = build_intersection(200.0, 14.0)
-    antennas = [cav_antenna(k, -60.0 + 10.0 * k, -3.5) for k in range(12)]
-    params = ChannelParams(p_b=0.37, blockage_mode="stochastic")
-    tab = scene_table(params, layout, [], antennas, 0.7, seed=5)
-    assert len(tab.i) == 12 * 11 // 2
-    for row in range(len(tab.i)):
-        a = NodeId.from_code(antennas[int(tab.i[row])][0])
-        b = NodeId.from_code(antennas[int(tab.j[row])][0])
-        expected = stochastic_blockage(0.37, (a, b), 0.7, seed=5)
-        assert bool(tab.los[row]) == (not expected)
-        assert (tab.pathloss_db[row] == OUTAGE_PATHLOSS_DB) == expected
+    outage = row_uniforms(12, 0.7, seed=5) < 0.37
+    i, j = np.triu_indices(12, k=1)
+    assert len(outage) == 12 * 11 // 2
+    for row in range(len(outage)):
+        a, b = NodeId(NodeKind.CAV, int(i[row])), NodeId(NodeKind.CAV, int(j[row]))
+        assert bool(outage[row]) == stochastic_blockage(0.37, (a, b), 0.7, seed=5)
 
 
 def test_full_outage_uses_finite_sentinel():
-    layout = build_intersection(200.0, 14.0)
-    antennas = [cav_antenna(k, -40.0 + 10.0 * k, -3.5) for k in range(6)]
-    params = ChannelParams(p_b=1.0, blockage_mode="stochastic")
-    tab = scene_table(params, layout, [], antennas, 0.0, seed=1)
-    assert np.all(tab.pathloss_db == OUTAGE_PATHLOSS_DB)
-    assert np.all(~tab.los)
-    assert np.all(np.isfinite(tab.snr_db))
+    _, (snr,) = stream_cut(6, (1.0,), seed=1)
+    assert len(snr) == 6 * 5 // 2
+    assert np.all(np.isfinite(snr))
     # identity: eirp - sentinel - noise floor
-    assert np.all(tab.snr_db == 23.0 - OUTAGE_PATHLOSS_DB + 85.0)
+    assert np.all(snr == 23.0 - OUTAGE_PATHLOSS_DB + 85.0)
 
 
 def test_single_pair_selection_matches_link_table_bitwise():
     layout = build_intersection(200.0, 14.0)
     vehicles = [make_vehicle(k, -50.0 + 12.0 * k, -3.5) for k in range(9)]
     vehicles[4] = make_vehicle(4, -2.0, -3.5, extent=TALL_EXTENT)
-    antennas = [cav_antenna(k, v.position[0], v.position[1], vehicle_index=k)
+    antennas = [antenna(v.position[0], v.position[1], vehicle_index=k)
                 for k, v in enumerate(vehicles)]
-    params = ChannelParams(p_b=0.5)
-    tab = scene_table(params, layout, vehicles, antennas, 0.3, seed=8)
+    params = ChannelParams()
+    tab = scene_table(params, layout, vehicles, antennas)
     for row in range(len(tab.i)):
-        one = scene_table(params, layout, vehicles, antennas, 0.3, seed=8,
-                         pairs=(tab.i[row : row + 1], tab.j[row : row + 1]))
+        one = scene_table(params, layout, vehicles, antennas,
+                          pairs=(tab.i[row : row + 1], tab.j[row : row + 1]))
         assert one.distance_m[0] == tab.distance_m[row]
         assert one.los[0] == tab.los[row]
         assert one.pathloss_db[0] == tab.pathloss_db[row]
@@ -529,11 +542,10 @@ def test_single_pair_selection_matches_link_table_bitwise():
 
 def test_link_table_pair_selection_matches_full_table():
     layout = build_intersection(200.0, 14.0)
-    antennas = [cav_antenna(k, -30.0 + 15.0 * k, -3.5) for k in range(5)]
-    params = ChannelParams(p_b=0.4)
-    full = scene_table(params, layout, [], antennas, 0.0, seed=2)
-    sel = scene_table(params, layout, [], antennas, 0.0, seed=2,
-                     pairs=(np.array([0, 1]), np.array([3, 4])))
+    antennas = [antenna(-30.0 + 15.0 * k, -3.5) for k in range(5)]
+    params = ChannelParams()
+    full = scene_table(params, layout, [], antennas)
+    sel = scene_table(params, layout, [], antennas, pairs=(np.array([0, 1]), np.array([3, 4])))
     by_pair = {(int(full.i[r]), int(full.j[r])): r for r in range(len(full.i))}
     for r, pair in enumerate([(0, 3), (1, 4)]):
         fr = by_pair[pair]
@@ -571,9 +583,9 @@ def test_channel_params_validation(bad):
 
 def test_coincident_antennas_rejected():
     layout = build_intersection(200.0, 14.0)
-    antennas = [cav_antenna(0, 5.0, -3.5), cav_antenna(1, 5.0, -3.5)]
+    antennas = [antenna(5.0, -3.5), antenna(5.0, -3.5)]
     with pytest.raises(MeasurementError):
-        scene_table(ChannelParams(), layout, [], antennas, 0.0, seed=1)
+        scene_table(ChannelParams(), layout, [], antennas)
 
 
 def test_outage_snr_lies_below_every_threshold_at_the_validated_corner():
@@ -583,6 +595,6 @@ def test_outage_snr_lies_below_every_threshold_at_the_validated_corner():
     params = ChannelParams(eirp_dbm=60.0, bandwidth_hz=1.0, noise_figure_db=0.0,
                            p_b=1.0).validate()
     assert params.eirp_dbm - OUTAGE_PATHLOSS_DB - noise_floor(params) < -300.0
-    antennas = [cav_antenna(k, -40.0 + 10.0 * k, -3.5) for k in range(6)]
-    tab = scene_table(params, build_intersection(200.0, 14.0), [], antennas, 0.0, seed=1)
-    assert np.all(tab.snr_db < -300.0)
+    _, (snr,) = stream_cut(6, (1.0,), seed=1, eirp_dbm=60.0, bandwidth_hz=1.0,
+                           noise_figure_db=0.0)
+    assert len(snr) and np.all(snr < -300.0)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import reference_schedule
+from reference_channel import reference_link_table
 from reference_graph import fresh
 from reference_ids import NodeId
 import v2xric
@@ -558,8 +559,8 @@ def sweep_case(rng, measured_neighbors):
         reporting_period_s=float(rng.choice((0.1, 0.2))),
         control_delay_s=float(rng.choice((0.0, 0.01, 0.15))))
     world = engine._world(base, base.world.layout())
-    tab = channel.link_table(base.channel, world.xyz(), world.codes, world.body, world.boxes(),
-                             0.0, base.seed, max_range=base.sensing_range_m)
+    tab = channel.link_table(base.channel, world.xyz(), world.body, world.boxes(),
+                             max_range=base.sensing_range_m)
     rsu_link = (ran.kinds(world.codes[tab.i]) == NodeKind.RSU) & (tab.snr_db > 0.0)
     k = int(rng.choice(np.flatnonzero(rsu_link & tab.los)))
     u = _link_uniform_int(base.seed, *sorted((int(world.codes[tab.i[k]]),
@@ -614,11 +615,12 @@ def test_sweep_cells_equal_their_own_runs(monkeypatch, measured_neighbors):
 
 
 def own_link_table_batch(world, cfg, step):
-    """The report batch of `cfg`'s own floored `link_table` call on `world`
-    at `step`, as a run measured before world streams."""
-    tab = channel.link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
-                             round(step * cfg.dt_s, 9), cfg.seed, max_range=cfg.sensing_range_m,
-                             min_snr_db=cfg.xapp.snr_min_db)
+    """The report batch of `cfg`'s own floored measurement of `world` at
+    `step` with its outages applied inside it, as a run measured before world
+    streams: the oracle `reference_link_table` at the cell's p_b."""
+    tab = reference_link_table(cfg.channel, world.xyz(), world.codes, world.body, world.boxes(),
+                               round(step * cfg.dt_s, 9), cfg.seed, max_range=cfg.sensing_range_m,
+                               min_snr_db=cfg.xapp.snr_min_db)
     reporting = cfg.cav_terminations | (ran.kinds(world.codes) != NodeKind.CAV)
     src, dst = np.concatenate((tab.i, tab.j)), np.concatenate((tab.j, tab.i))
     sent = reporting[src]
@@ -631,8 +633,9 @@ def own_link_table_batch(world, cfg, step):
 def test_every_cell_reports_what_its_own_link_table_gives(measured_neighbors):
     """At every report step of a world stream floored at a threshold, each
     p_b cell's batch at that threshold is bit for bit the one its own
-    floored `link_table` call gives, the link on the threshold and at an
-    outage boundary included."""
+    floored measurement with its outages inside gives (the oracle
+    `reference_link_table`), the link on the threshold and at an outage
+    boundary included."""
     spec = sweep_case(np.random.default_rng([47, measured_neighbors or 0]), measured_neighbors)
     base = replace(spec.base, xapp=replace(spec.base.xapp, snr_min_db=spec.gamma_min_values[0]))
     stream = engine._world_stream(base, spec.p_b_values)
@@ -780,6 +783,7 @@ def test_blockage_sweep_needs_a_stochastic_mode():
 
 @pytest.mark.parametrize("kwargs", [
     dict(gamma_min_values=()),
+    dict(gamma_min_values=(5.0,), p_b_values=()),
     dict(gamma_min_values=(5.0,), p_b_values=(1.5,)),
     dict(gamma_min_values=(5.0,), replications=0),
     dict(gamma_min_values=(5.0,), workers=0),
@@ -977,6 +981,16 @@ def test_world_config_validation():
                        ("building_height_m", math.nan)):
         with pytest.raises(ConfigurationError, match=key):
             WorldConfig(**{key: value}).validate()
+
+
+def test_a_building_setback_of_zero_is_a_world():
+    """Buildings flush with the road edge: `build_intersection` accepts a
+    setback of 0, and so does the config."""
+    world = WorldConfig(building_setback_m=0.0)
+    assert world.validate() is world
+    got, want = world.layout(), build_intersection(200.0, 14.0, 0.0)
+    for key in got.__dataclass_fields__:
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
 
 
 def test_blockage_sweep_needs_p_b_values():

@@ -36,10 +36,9 @@ def world_with_cavs(xs, rsus=np.empty((0, 3))):
     return World(layout=layout, fleet=fleet_of(vehicles), rsus=rsus)
 
 
-def measure_world(world, seed=1, **selection):
-    """The world's link table at t = 0."""
-    return link_table(ChannelParams(), world.xyz(), world.codes, world.body, world.boxes(),
-                      0.0, seed, **selection)
+def measure_world(world, **selection):
+    """The world's link table."""
+    return link_table(ChannelParams(), world.xyz(), world.body, world.boxes(), **selection)
 
 
 # --- identities ------------------------------------------------------------------
@@ -175,7 +174,7 @@ def test_neighbors_sorted_by_node_id():
     reports = reports_by_source(world)
     assert neighbors_of(reports[cav(1)]) == [cav(0), cav(2)]
     # each link's SNR is the one the link table measured, in both reports
-    tab = measure_world(world, SimConfig().seed, max_range=300.0)
+    tab = measure_world(world, max_range=300.0)
     snr = {(int(i), int(j)): s for i, j, s in zip(tab.i, tab.j, tab.snr_db)}
     assert reports[cav(1)].snr_db.tolist() == [snr[(0, 1)], snr[(1, 2)]]
     assert reports[cav(0)].snr_db.tolist() == [snr[(0, 1)], snr[(0, 2)]]

@@ -68,3 +68,17 @@ def test_table_has_one_line_per_workload_and_metric():
     runs += [dict(r, workload="v") for r in runs]
     lines = abbench.table(abbench.summary(runs, {"tick_ms": DECLARED["tick_ms"]})).splitlines()
     assert len(lines) == 2 and all(line.endswith("gain") for line in lines)
+
+
+def test_src_lines_counts_each_trees_package_modules(tmp_path):
+    """Each side's `src/v2xric/*.py` lines, and nothing else in the tree."""
+    for side, modules in (("parent", {"a.py": 3, "b.py": 2}), ("change", {"a.py": 4})):
+        package = tmp_path / side / "src" / "v2xric"
+        (package / "sub").mkdir(parents=True)
+        for name, n in modules.items():
+            (package / name).write_text("x = 1\n" * n, encoding="utf-8")
+        (package / "sub" / "c.py").write_text("x = 1\n", encoding="utf-8")
+        (package / "notes.txt").write_text("x\n", encoding="utf-8")
+        (tmp_path / side / "tools.py").write_text("x = 1\n", encoding="utf-8")
+    assert abbench.src_lines(tmp_path / "parent") == 5
+    assert abbench.src_lines(tmp_path / "change") == 4

@@ -11,8 +11,9 @@ first on odd seeds, this checkout first on even ones.
 The JSON written to --out holds every run's last output line; per workload and
 end-to-end metric, each side's median and quartiles, the pairs this checkout
 won (better in the direction `BENCHMARK.json` declares), the parent's IQR, the
-change in the median and a verdict; and the machine. A table of the verdicts
-ends the output. Needs only the standard library.
+change in the median and a verdict; the machine; and each side's
+`src/v2xric/*.py` line count (`src_lines`). A table of the verdicts, then the
+line counts, ends the output. Needs only the standard library.
 
 The verdict is "gain" when at least 9 of 10 pairs are won and the median moved
 the better way by more than the parent's IQR; "worse" when the median moved the
@@ -60,6 +61,12 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                          cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """The line count of the checkout's `src/v2xric/*.py`."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (checkout / "src" / "v2xric").glob("*.py"))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -143,15 +150,18 @@ def main(argv: list[str] | None = None) -> int:
                 print(json.dumps(runs[-1]), flush=True)
 
     summed = summary(runs, declared)
+    lines = {"parent": src_lines(parent), "change": src_lines(ROOT)}
     args.out.write_text(json.dumps({
         "protocol": {"seeds": list(range(1, args.seeds + 1)), "seconds": args.seconds,
                      "trace": 0, "parent_first": "odd seeds"},
         "machine": machine(),
         "all_correct": all(r["result"]["correct"] and r["result"]["failed"] == 0 for r in runs),
         "summary": summed,
+        "src_lines": lines,
         "runs": runs,
     }, indent=1) + "\n", encoding="utf-8")
     print(table(summed))
+    print(f"src/v2xric lines {lines['parent']} -> {lines['change']}")
     return 0
 
 
