@@ -312,7 +312,7 @@ def run_with_audit(cfg: SimConfig, solves: streams.SolveStream | None = None
                        else math.nan),
             direct_connectivity=_connectivity(pairs, diag.direct, cfg.metric_mode),
         ))
-        del solved, batch, diag  # before the next tick is solved
+        del solved, batch, diag  # a solved block is freed before the next is solved
     return records, audit
 
 

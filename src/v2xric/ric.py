@@ -4,15 +4,17 @@ Holds each node's latest indication report as one row of a slot-indexed SNR
 matrix, builds an SNR-thresholded undirected connectivity graph from the
 fresh rows, and solves hop-bounded maximum-bottleneck-SNR (widest) paths
 between served pairs from tables of the served destinations' rows alone, on
-the ranks of the edge SNRs. An xApp cuts its tick from a solve at or below
-its threshold. Ties go to fewer hops, then to the lexicographically
-smallest node sequence in code order, so identical inputs yield identical
-assignments.
+the ranks of the edge SNRs, a block of ticks at once. An xApp cuts its tick
+from a solve at or below its threshold. Ties go to fewer hops, then to the
+lexicographically smallest node sequence in code order, so identical inputs
+yield identical assignments.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -22,6 +24,9 @@ from .ran import ControlBatch, IndicationBatch, NodeKind, kinds
 # Bytes of the min-array one relaxation chunk may materialise: k relays cost
 # k * (served destinations) * n ranks, and the last hop n ranks per pair.
 _SCRATCH_BYTES = 2**20
+# Bytes of the ticks solved as one block, a tick of n slots and P pairs counted
+# as 8n(n + P): its float64 graph and a float64 row per pair.
+_BLOCK_BYTES = 2**17
 
 
 @dataclass(slots=True)
@@ -166,109 +171,116 @@ def build_graph(state: RicState, step: int, snr_min_db: float) -> np.ndarray:
 # --- hop-bounded widest paths ---------------------------------------------------
 
 def _edge_ranks(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric edge matrix `adj` (-inf where there is no edge) as ranks
-    among its distinct edge SNRs, -1 where there is no edge: int16, or int32
-    past 32,767 distinct values. The solve reads SNRs only through min, max
-    and >=, which ranks keep, ties included. Also returns the SNR of each
+    """The symmetric edge matrices `adj` (-inf where there is no edge, on the
+    diagonal too) as ranks among all their distinct edge SNRs, each edge
+    ranked once from the upper triangle, -1 where there is no edge: int16, or
+    int32 past 32,767 distinct values. The solve reads SNRs only through min,
+    max and >=, which ranks keep, ties included. Also returns the SNR of each
     rank, with -inf last so that rank -1 reads -inf."""
-    edge = adj > -np.inf
+    edge = np.triu(adj > -np.inf, 1)
     values, inverse = np.unique(adj[edge], return_inverse=True)
     rank = np.full(adj.shape, -1,
                    dtype=np.int16 if len(values) <= np.iinfo(np.int16).max else np.int32)
     rank[edge] = inverse
-    return rank, np.append(values, -np.inf)
+    return np.maximum(rank, rank.swapaxes(-1, -2)), np.append(values, -np.inf)
 
 
 def _maxmin_tables(rank: np.ndarray, max_hops: int, s: np.ndarray,
                    d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best bottleneck ranks of walks on the symmetric edge ranks `rank` (-1
-    if none): `tables[h-1][col[p], k]` from node k to d[p] in h < max_hops
-    edges, destination-major and relaxed from the destination side through
-    the rows with an edge, and `layers[h-1][p]` from s[p] to d[p] in
-    h <= max_hops, the last per pair."""
-    n = rank.shape[0]
+    """Best bottleneck ranks of walks on tick t's edge ranks `rank[t]` (-1 if
+    none): `tables[h-1][t, col[p], k]` from node k to d[p] in h < max_hops
+    edges, destination-major, relaxed from the destination side through the
+    rows with an edge in some tick, a T-th of one tick's chunk at a time, and
+    `layers[h-1][t, p]` from s[p] to d[p] in h <= max_hops, the last per pair."""
+    ticks, n = rank.shape[:2]
     dest = np.flatnonzero(np.bincount(d, minlength=n))  # distinct, ascending
     col = np.searchsorted(dest, d)
-    tables = np.full((max_hops - 1, len(dest), n), -1, dtype=rank.dtype)
-    tables[:1] = rank[dest]  # no tables at all when max_hops == 1
-    relays = np.flatnonzero((rank >= 0).any(axis=1))
-    chunk = max(1, _SCRATCH_BYTES // max(rank.itemsize * n * len(dest), 1))
+    tables = np.full((max_hops - 1, ticks, len(dest), n), -1, dtype=rank.dtype)
+    tables[:1] = rank[:, dest]  # no tables at all when max_hops == 1
+    relays = np.flatnonzero((rank >= 0).any(axis=(0, 2)))
+    chunk = min(len(relays), _SCRATCH_BYTES // max(rank.itemsize * n * len(dest), 1))
+    chunk = max(1, chunk // ticks)
     for prev, cur in zip(tables, tables[1:]):
-        for start in range(0, len(relays), chunk):
-            ks = relays[start : start + chunk]
-            np.maximum(cur, np.minimum(prev[:, ks].T[:, :, None], rank[ks, None, :]).max(axis=0),
-                       out=cur)
-    layers = np.concatenate((tables[:, col, s], rank[s, d][None]))
+        for ks in (relays[start : start + chunk] for start in range(0, len(relays), chunk)):
+            np.maximum(cur, np.minimum(prev[..., ks, None], rank[:, None, ks]).max(axis=2), out=cur)
+    layers = np.concatenate((tables[:, :, col, s], rank[:, s, d][None]))
     if max_hops > 1:
         via = tables[-1]
-        step = max(1, _SCRATCH_BYTES // (rank.itemsize * n))
+        step = max(1, min(len(s), _SCRATCH_BYTES // (rank.itemsize * n)) // ticks)
         for p in (slice(start, start + step) for start in range(0, len(s), step)):
-            layers[-1, p] = np.minimum(rank[s[p]], via[col[p]]).max(axis=1)
+            layers[-1][:, p] = np.minimum(rank.take(s[p], 1), via.take(col[p], 1)).max(axis=2)
     return col, tables, layers
 
 
 def _extract_paths(rank: np.ndarray, tables: np.ndarray, s: np.ndarray, d: np.ndarray,
-                   col: np.ndarray, best: np.ndarray, hops: np.ndarray) -> np.ndarray:
-    """Greedy lexicographic walk per pair (s[p] -> d[p], table row col[p],
-    bottleneck rank best[p], hops[p] edges; none if 0): each step takes the
-    smallest next node keeping the edge and the remaining completion at or
-    above the bottleneck, all pairs at once. Returns node indices, one row per
-    pair, padded with -1. A hop-minimal walk at the optimal bottleneck is
-    simple (shortcutting a revisit would beat the hop count): no visited set."""
-    steps = np.full((len(s), tables.shape[0] + 2), -1, dtype=np.int64)
-    steps[:, 0] = np.where(hops > 0, s, -1)
+                   col: np.ndarray, best: np.ndarray, hops: np.ndarray, width: int) -> np.ndarray:
+    """Greedy lexicographic walk per tick t and pair p (s[p] -> d[p], table
+    row col[p], bottleneck rank best[t, p], hops[t, p] edges; none if 0):
+    each step takes the smallest next node keeping the edge and the remaining
+    completion at or above the bottleneck, all at once. Returns node indices,
+    padded with -1 to `width`. A hop-minimal walk at the optimal bottleneck is
+    simple (shortcutting a revisit would beat the hop count)."""
+    ticks, dests, n = tables.shape[1:]
+    ranks, tables = rank.reshape(-1, n), tables.reshape(-1, n)  # np.take beats a fancy index
+    steps = np.full((*best.shape, width), -1, dtype=np.int64)
+    steps[..., 0] = np.where(hops > 0, s, -1)
     for k in range(1, int(hops.max(initial=0)) + 1):
         remaining = hops - (k - 1)
-        last = remaining == 1
-        steps[last, k] = d[last]
-        walk = np.nonzero(remaining >= 2)[0]
-        if len(walk):
-            floor = best[walk, None]
-            ok = ((rank[steps[walk, k - 1]] >= floor)
-                  & (tables[remaining[walk] - 2, col[walk]] >= floor))
+        steps[..., k] = np.where(remaining == 1, d, -1)
+        t, p = np.nonzero(remaining >= 2)
+        if len(t):
+            floor = best[t, p, None]
+            ok = ((ranks.take(t * n + steps[t, p, k - 1], 0) >= floor)
+                  & (tables.take(((remaining[t, p] - 2) * ticks + t) * dests + col[p], 0) >= floor))
             if not ok.any(axis=1).all():
                 raise RuntimeError("widest-path tables disagree with reconstruction")
-            steps[walk, k] = np.argmax(ok, axis=1)
+            steps[t, p, k] = np.argmax(ok, axis=1)
     return steps
 
 
-def _widest_paths(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
+def _widest_paths(rank: np.ndarray, values: np.ndarray, s: np.ndarray, d: np.ndarray,
                   max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Widest paths from row s[p] to row d[p] of the symmetric edge matrix
-    `adj` (-inf where there is no edge). Per pair: the best bottleneck over
-    any hop count (-inf when unreachable), the fewest hops achieving it
-    (argmax picks the smallest such layer; 0 when unreachable), the path as
-    rows padded with -1, and whether a direct edge joins the pair. Every row
-    with an edge can relay, and no other row can. A hop-minimal widest path
-    is simple, so the hop budget is clamped to one edge fewer than the rows
-    with an edge: a deeper layer could only tie an earlier one, and argmax
-    keeps the earlier."""
-    rank, values = _edge_ranks(adj)
-    linked = int(np.count_nonzero((rank >= 0).any(axis=1)))
-    max_hops = max(1, min(max_hops, linked - 1))
-    col, tables, layers = _maxmin_tables(rank, max_hops, s, d)
+    """Widest paths from row s[p] to row d[p] of each tick's edge ranks
+    `rank[t]` (`_edge_ranks`, whose SNRs are `values`). Per tick and pair: the
+    best bottleneck over any hop count (-inf when unreachable), the fewest
+    hops achieving it (argmax picks the smallest such layer; 0 when
+    unreachable), the path as a row padded with -1 to `row_width`, and
+    whether a direct edge joins the pair. Every row with an edge in some tick
+    can relay. A hop-minimal widest path is simple, so the hop budget is
+    clamped to one edge fewer than those rows: a deeper layer could only tie
+    an earlier one, and argmax keeps the earlier."""
+    linked = int(np.count_nonzero((rank >= 0).any(axis=(0, 2))))
+    col, tables, layers = _maxmin_tables(rank, max(1, min(max_hops, linked - 1)), s, d)
     best = layers.max(axis=0)
     hops = np.where(best >= 0, np.argmax(layers == best, axis=0) + 1, 0)
-    steps = _extract_paths(rank, tables, s, d, col, best, hops)
-    return values[best], hops, steps, rank[s, d] >= 0
+    steps = _extract_paths(rank, tables, s, d, col, best, hops, row_width(rank.shape[-1], max_hops))
+    return values[best], hops, steps, rank[:, s, d] >= 0
 
 
 # --- the xApp tick ----------------------------------------------------------------
 
-def solve(view: RicState, step: int, pairs: np.ndarray, max_hops: int,
-          gammas: tuple[float, ...]) -> Solve:
-    """The widest path of each of `pairs` (smaller slot first) under
-    `max_hops` on the graph at `step` and `gammas[0]`; its nodes are the
-    slots that reported or hold an edge."""
+def solve(ticks: Iterable[tuple[int, np.ndarray, np.ndarray]], pairs: np.ndarray,
+          max_hops: int, gammas: tuple[float, ...]) -> Iterator[Solve]:
+    """The widest path of each of `pairs` (smaller slot first) under `max_hops`
+    at each of `ticks`, (step, graph at `gammas[0]`, slots that had reported),
+    solved in blocks that fit `_BLOCK_BYTES`. A graph's nodes are the slots
+    that reported or hold an edge."""
     s, d = pairs[:, 0], pairs[:, 1]
-    snr = build_graph(view, step, gammas[0])
-    best, hops, steps, _ = _widest_paths(snr, s, d, max_hops)
-    paths = np.full((len(pairs), row_width(len(view.codes), max_hops)), -1, dtype=np.int64)
-    paths[:, : steps.shape[1]] = steps
-    reported = view.reported_at >= 0
-    graph = tuple((int(np.count_nonzero(reported | edge.any(axis=1))),
-                   int(np.count_nonzero(np.triu(edge)))) for edge in (snr >= g for g in gammas))
-    return Solve(step, gammas, graph, best, hops, paths, snr[s, d])
+    ticks = iter(ticks)
+    for first in ticks:
+        n = len(first[2])
+        more = islice(ticks, max(1, _BLOCK_BYTES // (8 * n * (n + len(pairs)))) - 1)
+        steps, snr, reported = map(np.array, zip(first, *more))
+        del first  # the stacked graphs are the block's one copy
+        counts = [(np.count_nonzero(reported | edge.any(axis=2), axis=1),
+                   np.count_nonzero(edge, axis=(1, 2)) // 2) for edge in (snr >= g for g in gammas)]
+        link, (rank, values) = snr[:, s, d], _edge_ranks(snr)
+        del snr  # the ranks stand for the graphs from here
+        best, hops, paths, _ = _widest_paths(rank, values, s, d, max_hops)
+        for t, step in enumerate(steps.tolist()):
+            graph = tuple((int(nodes[t]), int(edges[t])) for nodes, edges in counts)
+            yield Solve(step, gammas, graph, best[t], hops[t], paths[t], link[t])
+        del rank, best, hops, paths, link  # before the next block is read
 
 
 def xapp_tick(state: XAppState, solved: Solve) -> tuple[ControlBatch, XAppDiagnostics]:

@@ -11,9 +11,9 @@ That draw and that cut are the one outage rule. The floor stays exact under
 it: an outage lies below every floor, and each draw hashes its own link.
 
 A solve stream is one controller solved on those reports once per control
-tick at the grid's smallest threshold; each threshold cell of one
-(replication, p_b) cuts its tick from it (`ric.xapp_tick`). A run draws its
-own streams lazily.
+tick at the grid's smallest threshold, a block of ticks at a time; each
+threshold cell of one (replication, p_b) cuts its tick from it
+(`ric.xapp_tick`). A run draws its own streams lazily.
 """
 
 from __future__ import annotations
@@ -161,13 +161,13 @@ class SolveStream:
 
 def solve_stream(cfg: SimConfig, stream: WorldStream, pairs: np.ndarray,
                  gammas: tuple[float, ...]) -> SolveStream:
-    """`cfg`'s controller for `pairs`, solved as it is read on its reports
-    cut from `stream`, each ingested at the first control tick at least
-    ⌈control_delay_s / dt_s⌉ steps after it was taken."""
+    """`cfg`'s controller for `pairs`, solved a block of ticks at a time as it
+    is read on its reports cut from `stream`, each ingested at the first
+    control tick at least ⌈control_delay_s / dt_s⌉ steps after it was taken."""
     level = cell_level(cfg, stream)
     reporting = cfg.cav_terminations | (ran.kinds(stream.codes) != ran.NodeKind.CAV)
 
-    def solve():
+    def ticks():
         view = ric.RicState(stream.codes, cfg.staleness_steps())
         report_every = cfg.steps(cfg.resolved_reporting_period())
         control_every = cfg.steps(cfg.control_period_s)
@@ -181,9 +181,10 @@ def solve_stream(cfg: SimConfig, stream: WorldStream, pairs: np.ndarray,
             if step % control_every == 0:
                 while in_flight and in_flight[0][0] <= step:
                     ric.ingest(view, in_flight.pop(0)[1])
-                yield ric.solve(view, step, pairs, cfg.xapp.max_hops, gammas)
+                yield step, ric.build_graph(view, step, gammas[0]), view.reported_at >= 0
 
-    return SolveStream(cfg, stream.codes, pairs, gammas, solve())
+    return SolveStream(cfg, stream.codes, pairs, gammas,
+                       ric.solve(ticks(), pairs, cfg.xapp.max_hops, gammas))
 
 
 def hold_solves(solves: SolveStream) -> SolveStream:

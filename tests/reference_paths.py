@@ -9,7 +9,9 @@ controller's former relaxation, full `n x n` tables for every hop layer,
 against which the column tables and per-pair last layer are compared bit for
 bit. `reference_column_solve` is the controller's former float64 solve over
 destination columns, against which the rank solve's outputs are compared bit
-for bit on graphs too large for the enumeration.
+for bit on graphs too large for the enumeration. `reference_tick_solve` is
+the controller's former solve of one tick at a time on its own ranks, against
+which the tick-blocked solve is compared bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from reference_ids import NodeId
 from slot_adapter import graph_nodes
 from v2xric import NodeKind
+from v2xric.ric import Solve, build_graph, row_width
 
 Graph = NamedTuple("Graph", [("codes", np.ndarray), ("snr", np.ndarray)])  # widest_path(*graph, ...)
 
@@ -178,6 +181,100 @@ def reference_column_solve(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
     hops = np.where(np.isfinite(best), np.argmax(layers == best, axis=0) + 1, 0)
     steps = _column_paths(adj, tables, s, d, col, best, hops)
     return best, hops, steps, adj[s, d] > -np.inf
+
+
+# Bytes of the min-array one relaxation chunk of the per-tick solve materialises.
+_TICK_SCRATCH_BYTES = 2**20
+
+
+def _tick_ranks(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One tick's edge matrix as ranks among its distinct edge SNRs (-1 for
+    no edge; int16, or int32 past 32,767 values) and the SNR of each rank,
+    -inf last."""
+    edge = adj > -np.inf
+    values, inverse = np.unique(adj[edge], return_inverse=True)
+    rank = np.full(adj.shape, -1,
+                   dtype=np.int16 if len(values) <= np.iinfo(np.int16).max else np.int32)
+    rank[edge] = inverse
+    return rank, np.append(values, -np.inf)
+
+
+def _tick_tables(rank: np.ndarray, max_hops: int, s: np.ndarray,
+                 d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`tables[h-1][col[p], k]`, the best bottleneck rank from k to d[p] in h
+    < max_hops edges through the rows with an edge, and `layers[h-1][p]`
+    from s[p] to d[p] in h <= max_hops."""
+    n = rank.shape[0]
+    dest = np.flatnonzero(np.bincount(d, minlength=n))
+    col = np.searchsorted(dest, d)
+    tables = np.full((max_hops - 1, len(dest), n), -1, dtype=rank.dtype)
+    tables[:1] = rank[dest]
+    relays = np.flatnonzero((rank >= 0).any(axis=1))
+    chunk = max(1, _TICK_SCRATCH_BYTES // max(rank.itemsize * n * len(dest), 1))
+    for prev, cur in zip(tables, tables[1:]):
+        for start in range(0, len(relays), chunk):
+            ks = relays[start : start + chunk]
+            np.maximum(cur, np.minimum(prev[:, ks].T[:, :, None], rank[ks, None, :]).max(axis=0),
+                       out=cur)
+    layers = np.concatenate((tables[:, col, s], rank[s, d][None]))
+    if max_hops > 1:
+        via = tables[-1]
+        step = max(1, _TICK_SCRATCH_BYTES // (rank.itemsize * n))
+        for p in (slice(start, start + step) for start in range(0, len(s), step)):
+            layers[-1, p] = np.minimum(rank[s[p]], via[col[p]]).max(axis=1)
+    return col, tables, layers
+
+
+def _tick_paths(rank: np.ndarray, tables: np.ndarray, s: np.ndarray, d: np.ndarray,
+                col: np.ndarray, best: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """The greedy lexicographic walk of each pair at its bottleneck rank and
+    hop count, as rows padded with -1."""
+    steps = np.full((len(s), tables.shape[0] + 2), -1, dtype=np.int64)
+    steps[:, 0] = np.where(hops > 0, s, -1)
+    for k in range(1, int(hops.max(initial=0)) + 1):
+        remaining = hops - (k - 1)
+        last = remaining == 1
+        steps[last, k] = d[last]
+        walk = np.nonzero(remaining >= 2)[0]
+        if len(walk):
+            floor = best[walk, None]
+            ok = ((rank[steps[walk, k - 1]] >= floor)
+                  & (tables[remaining[walk] - 2, col[walk]] >= floor))
+            if not ok.any(axis=1).all():
+                raise RuntimeError("widest-path tables disagree with reconstruction")
+            steps[walk, k] = np.argmax(ok, axis=1)
+    return steps
+
+
+def reference_rank_solve(adj: np.ndarray, s: np.ndarray, d: np.ndarray,
+                         max_hops: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One tick's rank solve: per pair the bottleneck in dB, the hops, the
+    path rows and the direct flags, the hop budget clamped to one edge fewer
+    than this tick's rows with an edge."""
+    rank, values = _tick_ranks(adj)
+    linked = int(np.count_nonzero((rank >= 0).any(axis=1)))
+    max_hops = max(1, min(max_hops, linked - 1))
+    col, tables, layers = _tick_tables(rank, max_hops, s, d)
+    best = layers.max(axis=0)
+    hops = np.where(best >= 0, np.argmax(layers == best, axis=0) + 1, 0)
+    steps = _tick_paths(rank, tables, s, d, col, best, hops)
+    return values[best], hops, steps, rank[s, d] >= 0
+
+
+def reference_tick_solve(view, step: int, pairs: np.ndarray, max_hops: int,
+                         gammas: tuple[float, ...]) -> Solve:
+    """The solve of the view's tick at `step` alone: its graph at gammas[0],
+    its paths padded to `row_width`, and its (nodes, edges) at each of
+    `gammas`, an edge counted once in the upper triangle."""
+    s, d = pairs[:, 0], pairs[:, 1]
+    snr = build_graph(view, step, gammas[0])
+    best, hops, steps, _ = reference_rank_solve(snr, s, d, max_hops)
+    paths = np.full((len(pairs), row_width(len(view.codes), max_hops)), -1, dtype=np.int64)
+    paths[:, : steps.shape[1]] = steps
+    reported = view.reported_at >= 0
+    graph = tuple((int(np.count_nonzero(reported | edge.any(axis=1))),
+                   int(np.count_nonzero(np.triu(edge)))) for edge in (snr >= g for g in gammas))
+    return Solve(step, gammas, graph, best, hops, paths, snr[s, d])
 
 
 def random_connectivity_graph(rng, max_nodes: int = 8, n_nodes: int | None = None,

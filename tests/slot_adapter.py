@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from reference_ids import NodeId
-from v2xric.ric import _widest_paths
+from v2xric import ric
+from v2xric.ric import _edge_ranks, _widest_paths
 
 
 def slots_of(codes, nodes) -> np.ndarray:
@@ -100,12 +101,20 @@ def path_of(codes, row, bottleneck) -> Path:
 def widest_path(codes, snr, s, d, max_hops, snr_min_db) -> Path | None:
     """The controller's widest s-d path on the graph `snr` over `codes`, with
     at most max_hops edges all at or above snr_min_db, or None: one pair of
-    `ric._widest_paths`. A node the graph does not hold maps to an added
-    edgeless row, which no path reaches."""
+    `ric._widest_paths` on a block of one tick. A node the graph does not
+    hold maps to an added edgeless row, which no path reaches."""
     adj = np.pad(np.where(snr >= snr_min_db, snr, -np.inf), (0, 1), constant_values=-np.inf)
     s, d = slots_of(codes, [s.code, d.code])
-    best, hops, rows, _ = _widest_paths(adj, np.array([s]), np.array([d]), max_hops)
-    return path_of(codes, rows[0], best[0]) if hops[0] else None
+    best, hops, rows, _ = _widest_paths(*_edge_ranks(adj[None]), np.array([s]), np.array([d]),
+                                        max_hops)
+    return path_of(codes, rows[0, 0], best[0, 0]) if hops[0, 0] else None
+
+
+def solve_tick(view, step, pairs, max_hops, gammas):
+    """`ric.solve` on a block of one tick: the view's tick at `step` as it
+    stands, solved at `gammas[0]`."""
+    tick = (step, ric.build_graph(view, step, gammas[0]), view.reported_at >= 0)
+    return next(ric.solve([tick], pairs, max_hops, gammas))
 
 
 def on_road(layout, x: float, y: float) -> bool:

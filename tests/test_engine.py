@@ -22,7 +22,7 @@ from reference_ids import NodeId
 import v2xric
 from reference_mobility import VehicleState, fleet_of
 from reference_outage import _link_uniform_int
-from slot_adapter import pair_slots
+from slot_adapter import pair_slots, solve_tick
 from v2xric import (ChannelParams, ConfigurationError, IndicationBatch, MetricsRecord,
                     MobilityState, NodeKind, RicState, SimConfig, SweepSpec, TrafficConfig, World,
                     WorldConfig, XAppConfig, XAppState, apply_control, build_intersection,
@@ -70,9 +70,11 @@ def test_different_seeds_diverge():
 def spy_schedule(monkeypatch):
     """Record the report, ingest and tick events of the runs that follow, in
     the form `reference_schedule.schedule` predicts: each step as its time,
-    round(step * dt_s, 9), at the dt_s of the run's latest report."""
+    round(step * dt_s, 9), at the dt_s of the run's latest report. A tick is
+    recorded where its solve stream fixes its graph from the view, in step
+    order, ahead of the block of ticks solved with it."""
     events, dt = [], []
-    collect, ingest, tick = streams.collect_reports, ric.ingest, ric.xapp_tick
+    collect, ingest, fix = streams.collect_reports, ric.ingest, ric.build_graph
 
     def seconds(step):
         return round(step * dt[-1], 9)
@@ -86,13 +88,13 @@ def spy_schedule(monkeypatch):
         events.append(("ingest", seconds(batch.step)))
         return ingest(state, batch)
 
-    def tick_spy(state, solved):
-        events.append(("tick", seconds(solved.step)))
-        return tick(state, solved)
+    def fix_spy(state, step, snr_min_db):
+        events.append(("tick", seconds(step)))
+        return fix(state, step, snr_min_db)
 
     monkeypatch.setattr(streams, "collect_reports", collect_spy)
     monkeypatch.setattr(ric, "ingest", ingest_spy)
-    monkeypatch.setattr(ric, "xapp_tick", tick_spy)
+    monkeypatch.setattr(ric, "build_graph", fix_spy)
     return events
 
 
@@ -162,8 +164,8 @@ def path_tick(pairs=(), cfg=None):
     state = XAppState(len(codes), pairs=pair_slots(codes, pairs),
                       xapp=XAppConfig() if cfg is None else cfg)
     policy = state.xapp
-    return (state, *xapp_tick(state, ric.solve(view, 0, state.pairs, policy.max_hops,
-                                               (policy.snr_min_db,))))
+    return (state, *xapp_tick(state, solve_tick(view, 0, state.pairs, policy.max_hops,
+                                                (policy.snr_min_db,))))
 
 
 def all_pairs():
@@ -422,12 +424,16 @@ def test_audit_checks_entries_kept_from_an_earlier_tick(monkeypatch):
 
 
 def test_runs_never_import_numpy_ma():
-    # np.unique (and np.isin, which calls it) imports numpy.ma, ~1 MB that stays
+    # np.unique (and np.isin, which calls it) imports numpy.ma, ~1 MB that stays;
+    # the held sweep solves its ticks in blocks of several
     code = ("import sys\n"
-            "from v2xric import SimConfig, run\n"
+            "from v2xric import SimConfig, SweepSpec, run, sweep_blockage\n"
             "run(SimConfig(duration_s=0.3, warmup_s=0.0))\n"
             "run(SimConfig(duration_s=0.3, warmup_s=0.0, metric_mode='per-vehicle',\n"
             "              pair_selection='matched', measured_neighbors=3))\n"
+            "sweep_blockage(SweepSpec(SimConfig(duration_s=0.5, warmup_s=0.0,\n"
+            "                                   pair_selection='matched'),\n"
+            "                         gamma_min_values=(5.0, 15.0), p_b_values=(0.0, 0.5)))\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
     env = dict(os.environ, PYTHONPATH=str(Path(v2xric.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
@@ -659,11 +665,12 @@ def test_every_cell_reports_what_its_own_link_table_gives(measured_neighbors):
 
 
 def spy_solves(monkeypatch):
-    """Count the widest-path solves of the runs that follow, in this process."""
-    calls, widest = [], ric._widest_paths
+    """Count the ticks of the widest-path solves of the runs that follow, in
+    this process, one entry per tick of each solved block."""
+    ticks, widest = [], ric._widest_paths
     monkeypatch.setattr(ric, "_widest_paths",
-                        lambda *args: calls.append(1) or widest(*args))
-    return calls
+                        lambda rank, *args: ticks.extend([1] * len(rank)) or widest(rank, *args))
+    return ticks
 
 
 def counted_sweep(monkeypatch, spec, budget):

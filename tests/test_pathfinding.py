@@ -9,12 +9,12 @@ import pytest
 from reference_ids import NodeId
 from reference_paths import (edges_of, graph_of, random_connectivity_graph,
                              reference_column_solve, reference_maxmin_tables,
-                             reference_widest_path)
+                             reference_tick_solve, reference_widest_path)
 from slot_adapter import graph_nodes, widest_path
-from v2xric import NodeKind
+from v2xric import NodeKind, RicState, build_graph, emit_indication, ric
 from v2xric.ran import kinds
 from v2xric.ric import (_SCRATCH_BYTES, _edge_ranks, _extract_paths, _maxmin_tables,
-                        _widest_paths)
+                        _widest_paths, row_width)
 
 
 def cav(i):
@@ -25,9 +25,14 @@ def rsu(i):
     return NodeId(NodeKind.RSU, i)
 
 
+def tick_solve(adj, s, d, max_hops):
+    """_widest_paths on a block of the one tick `adj`: that tick's outputs."""
+    return tuple(a[0] for a in _widest_paths(*_edge_ranks(adj[None]), s, d, max_hops))
+
+
 def solve(g, ends, max_hops):
     """_widest_paths on graph g for the pairs `ends`, (P, 2) graph rows."""
-    return _widest_paths(g.snr, ends[:, 0], ends[:, 1], max_hops)
+    return tick_solve(g.snr, ends[:, 0], ends[:, 1], max_hops)
 
 
 def test_direct_edge():
@@ -196,7 +201,8 @@ def test_column_tables_match_full_tables():
         linked = (adj > -np.inf).any(axis=1)
         full = reference_maxmin_tables(adj, max_hops, linked)
         rank, values = _edge_ranks(adj)
-        col, tables, layers = _maxmin_tables(rank, max_hops, s, d)
+        col, tables, layers = _maxmin_tables(rank[None], max_hops, s, d)
+        tables, layers = tables[:, 0], layers[:, 0]
         dest = np.unique(d)
         assert np.array_equal(dest[col], d)
         assert tables.shape == (max_hops - 1, len(dest), n + 1)
@@ -213,6 +219,15 @@ def test_column_tables_match_full_tables():
         seen["tied layers"] += bool(((layers == best).sum(axis=0)[np.isfinite(best)] > 1).any())
         seen["last layer reachable"] += bool(np.isfinite(layers[-1]).any()) and max_hops > 1
     assert min(seen.values()) >= 20 and len(seen) == 3, seen
+
+
+def padded(solved, n, max_hops):
+    """A solve's outputs with its path rows padded with -1 to the `row_width`
+    of an n-row graph, as the controller writes them."""
+    best, hops, rows, direct = solved
+    wide = np.full((len(rows), row_width(n, max_hops)), -1, dtype=rows.dtype)
+    wide[:, : rows.shape[1]] = rows
+    return best, hops, wide, direct
 
 
 def same_solve(got, want):
@@ -247,8 +262,9 @@ def test_rank_solve_matches_the_float_column_solve():
             few = rng.choice(n + 1, size=min(3, n + 1), replace=False)
             s = np.append(rng.integers(0, n + 1, size=6), [n, int(rng.integers(0, n))])
             d = np.append(rng.choice(few, size=6), [int(rng.integers(0, n)), n])
-        got = _widest_paths(adj, s, d, max_hops)
-        assert same_solve(got, reference_column_solve(adj, s, d, max_hops)), trial
+        got = tick_solve(adj, s, d, max_hops)
+        want = padded(reference_column_solve(adj, s, d, max_hops), n + 1, max_hops)
+        assert same_solve(got, want), trial
         best, hops, rows, _ = got
         relays = rows[:, 1:-1][hops[:, None] > np.arange(1, rows.shape[1] - 1)]
         seen["dense, relayed"] += dense and bool((hops >= 2).any())
@@ -279,8 +295,9 @@ def test_rank_solve_takes_int32_ranks_past_32767_distinct_snrs():
     assert values[rank].tobytes() == adj.tobytes()
     ends = np.sort(rng.choice(n, size=(40, 2), replace=False), axis=1)
     for max_hops in (1, 2, 4):
-        got = _widest_paths(adj, ends[:, 0], ends[:, 1], max_hops)
-        assert same_solve(got, reference_column_solve(adj, ends[:, 0], ends[:, 1], max_hops))
+        got = tick_solve(adj, ends[:, 0], ends[:, 1], max_hops)
+        want = reference_column_solve(adj, ends[:, 0], ends[:, 1], max_hops)
+        assert same_solve(got, padded(want, n, max_hops))
         assert (got[1] >= 2).any() == (max_hops > 1)
 
 
@@ -289,12 +306,12 @@ def test_edgeless_graph_serves_no_pair():
     s, d = np.array([0, 1, 3]), np.array([4, 2, 4])
     rank, values = _edge_ranks(adj)
     assert (rank == -1).all() and values.tolist() == [-np.inf]
-    best, hops, rows, direct = got = _widest_paths(adj, s, d, 4)
+    best, hops, rows, direct = got = tick_solve(adj, s, d, 4)
     assert best.tolist() == [-np.inf] * 3 and best.dtype == np.float64
     assert hops.tolist() == [0, 0, 0]
     assert (rows == -1).all()
     assert direct.tolist() == [False] * 3
-    assert same_solve(got, reference_column_solve(adj, s, d, 4))
+    assert same_solve(got, padded(reference_column_solve(adj, s, d, 4), 5, 4))
 
 
 def test_widest_paths_allocates_no_full_tables():
@@ -353,12 +370,118 @@ def test_extraction_rejects_a_bottleneck_its_tables_cannot_reach():
     g = graph_of({(cav(0), cav(1)): 9.0, (cav(1), cav(2)): 7.0})
     s, d = np.array([0]), np.array([2])
     rank, values = _edge_ranks(g.snr)
-    col, tables, layers = _maxmin_tables(rank, 2, s, d)
-    assert values[layers[:, 0]].tolist() == [-np.inf, 7.0]
-    widest = layers[:, 0].max()
+    col, tables, layers = _maxmin_tables(rank[None], 2, s, d)
+    assert values[layers[:, 0, 0]].tolist() == [-np.inf, 7.0]
+    widest = layers[:, 0, 0].max()
     assert values[widest + 1] == 9.0
-    hops = np.array([2])
-    steps = _extract_paths(rank, tables, s, d, col, np.array([widest]), hops)
-    assert steps[0].tolist() == [0, 1, 2]
+    hops = np.array([[2]])
+    steps = _extract_paths(rank[None], tables, s, d, col, np.array([[widest]]), hops, 3)
+    assert steps[0, 0].tolist() == [0, 1, 2]
     with pytest.raises(RuntimeError, match="disagree"):
-        _extract_paths(rank, tables, s, d, col, np.array([widest + 1]), hops)
+        _extract_paths(rank[None], tables, s, d, col, np.array([[widest + 1]]), hops, 3)
+
+
+def report(view, step, links, snr, reporters):
+    """Ingest, at `step`, the reports of `reporters` on the view's links
+    (i, j) with these SNRs, each link from both ends."""
+    i, j = links
+    src, dst = np.concatenate((i, j)), np.concatenate((j, i))
+    sent = np.isin(src, reporters)
+    ric.ingest(view, emit_indication(reporters, src[sent], dst[sent],
+                                     np.tile(snr, 2)[sent], step, None))
+
+
+def solved_in_blocks(monkeypatch, ticks, pairs, max_hops, gammas, block):
+    """`ric.solve` of `ticks` with its byte budget set to blocks of `block`
+    ticks; checks that the ticks were solved in such blocks."""
+    n = len(ticks[0][2])
+    monkeypatch.setattr(ric, "_BLOCK_BYTES", block * 8 * n * (n + len(pairs)))
+    blocks, widest = [], ric._widest_paths
+    monkeypatch.setattr(ric, "_widest_paths",
+                        lambda rank, *args: blocks.append(len(rank)) or widest(rank, *args))
+    got = list(ric.solve(iter(ticks), pairs, max_hops, gammas))
+    whole, rest = divmod(len(ticks), block)
+    assert blocks == [block] * whole + [rest] * (rest > 0)
+    return got
+
+
+def same_solves(got, want):
+    """Whether two lists of `Solve`s agree field for field, arrays in dtype,
+    shape and bytes."""
+    return len(got) == len(want) and all(
+        (a.step, a.gammas, a.graph) == (b.step, b.gammas, b.graph)
+        and same_solve((a.best, a.hops, a.paths, a.link), (b.best, b.hops, b.paths, b.link))
+        for a, b in zip(got, want))
+
+
+def test_blocked_solve_matches_the_per_tick_solve(monkeypatch):
+    """The solve of a run's ticks in blocks of T equals, tick for tick, the
+    per-tick oracle's solve of the view as it stood, every field byte for
+    byte and the graph counted at three thresholds: T = 1 to 5, tick counts
+    that are and are not multiples of T, edgeless ticks between ticks with
+    edges, blocks of edgeless ticks only, and hop budgets from 1 to past n."""
+    rng = np.random.default_rng(3535)
+    seen = Counter()
+    for trial in range(200):
+        codes = random_connectivity_graph(rng, max_nodes=13, edge_p=0.0).codes
+        n = len(codes)
+        view = RicState(codes, staleness_steps=int(rng.integers(0, 3)))
+        links = np.triu_indices(n, 1)
+        pick = rng.permutation(len(links[0]))[: int(rng.integers(1, 9))]
+        pairs = np.stack((links[0][pick], links[1][pick]), axis=1)
+        max_hops = int(rng.choice([1, 2, 3, 4, n - 1, n + 3]))
+        gamma = float(rng.choice([-5.0, 0.0, 3.0]))
+        gammas = (gamma, gamma + float(rng.integers(1, 4)), gamma + float(rng.uniform(4.0, 12.0)))
+        block = int(rng.integers(1, 6))
+        silent = int(rng.integers(0, 2 * block + 1))  # ticks before the first report
+        ticks, want = [], []
+        for step in range(int(rng.integers(1, 13))):
+            draw = rng.random()
+            if step >= silent and draw < 0.5:
+                snr = (rng.integers(0, 8, len(links[0])).astype(float) if trial % 2
+                       else rng.uniform(-10.0, 30.0, len(links[0])))
+                keep = rng.random(len(snr)) < 0.5
+                report(view, step, (links[0][keep], links[1][keep]), snr[keep],
+                       np.flatnonzero(rng.random(n) < 0.8))
+            elif step >= silent and draw < 0.75:  # every row emptied: no edge
+                report(view, step, (links[0][:0], links[1][:0]), np.empty(0), np.arange(n))
+            ticks.append((step, build_graph(view, step, gammas[0]), view.reported_at >= 0))
+            want.append(reference_tick_solve(view, step, pairs, max_hops, gammas))
+        got = solved_in_blocks(monkeypatch, ticks, pairs, max_hops, gammas, block)
+        assert same_solves(got, want), trial
+        edges = [solved.graph[0][1] for solved in want]
+        seen["T = 1"] += block == 1
+        seen["partial last block"] += len(ticks) > block > 1 and len(ticks) % block > 0
+        seen["edgeless between edges"] += any(
+            edges[k] == 0 < min(max(edges[start:k]), max(edges[k + 1 : start + block]))
+            for start in range(0, len(edges), block) for k in range(start + 1, start + block - 1)
+            if k + 1 < len(edges))
+        seen["edgeless block"] += any(len(edges[k : k + block]) > 1 and not any(edges[k : k + block])
+                                      for k in range(0, len(edges), block))
+        seen["relayed"] += any((solved.hops >= 2).any() for solved in want)
+        seen["max_hops 1"] += max_hops == 1
+        seen["max_hops >= n"] += max_hops >= n
+    assert min(seen.values()) >= 10 and len(seen) == 7, seen
+
+
+def test_a_block_past_32767_distinct_snrs_ranks_in_int32(monkeypatch):
+    """Two ticks of a complete 200-node graph, 19,900 distinct SNRs each and
+    39,800 between them: each tick alone ranks in int16, their block in
+    int32, and the block's solves are the per-tick oracle's byte for byte."""
+    rng = np.random.default_rng(32768)
+    n = 200
+    codes = np.array([NodeId(NodeKind.CAV, k).code for k in range(n)])
+    view = RicState(codes)
+    links = np.triu_indices(n, 1)
+    pairs = np.sort(rng.choice(n, size=(12, 2), replace=False), axis=1)
+    distinct = rng.permutation(2 * len(links[0])) * 0.001 - 10.0
+    ticks, want = [], []
+    for step, snr in enumerate(distinct.reshape(2, -1)):
+        report(view, step, links, snr, np.arange(n))
+        ticks.append((step, build_graph(view, step, -20.0), view.reported_at >= 0))
+        want.append(reference_tick_solve(view, step, pairs, 3, (-20.0, 30.0)))
+    assert [_edge_ranks(graph)[0].dtype for _, graph, _ in ticks] == [np.int16] * 2
+    assert _edge_ranks(np.array([graph for _, graph, _ in ticks]))[0].dtype == np.int32
+    got = solved_in_blocks(monkeypatch, ticks, pairs, 3, (-20.0, 30.0), 2)
+    assert same_solves(got, want)
+    assert all((solved.hops >= 1).all() for solved in got)

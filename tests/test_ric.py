@@ -12,7 +12,7 @@ from reference_ids import NodeId
 from reference_graph import reference_graph
 from reference_paths import edges_of, graph_of, random_connectivity_graph, reference_widest_path
 from slot_adapter import (Path, codes_of, edge_snr, graph_nodes, has_edge, indication_slots,
-                          pair_slots, path_of, slots_of)
+                          pair_slots, path_of, slots_of, solve_tick)
 from v2xric import (ConfigurationError, IndicationBatch, NodeKind, RicState, XAppConfig,
                     XAppState, build_graph, emit_indication, ric, xapp_tick)
 from v2xric.ric import _SCRATCH_BYTES, _edge_ranks
@@ -51,8 +51,8 @@ def xapp_on(state, pairs=(), cfg=None):
 def run_tick(state, xapp, step):
     """The xApp's tick at `step` on the view `state`, solved at its own threshold."""
     policy = xapp.xapp
-    return xapp_tick(xapp, ric.solve(state, step, xapp.pairs, policy.max_hops,
-                                     (policy.snr_min_db,)))
+    return xapp_tick(xapp, solve_tick(state, step, xapp.pairs, policy.max_hops,
+                                      (policy.snr_min_db,)))
 
 
 def ingest(state, batch):
@@ -523,12 +523,12 @@ def test_a_solve_cut_at_a_higher_threshold_is_the_tick_solved_there(measured_nei
                 ric.ingest(state, emit_indication(reporters, src[sent], dst[sent],
                                                   np.tile(link_snr[links], 2)[sent], step,
                                                   measured_neighbors))
-            shared = ric.solve(state, step, pairs, max_hops, gammas)
+            shared = solve_tick(state, step, pairs, max_hops, gammas)
             if held:
                 shared = replace(shared, hops=shared.hops.astype(np.int16),
                                  paths=shared.paths.astype(np.int16))
             for g in gammas:
-                want = xapp_tick(own[g], ric.solve(state, step, pairs, max_hops, (g,)))
+                want = xapp_tick(own[g], solve_tick(state, step, pairs, max_hops, (g,)))
                 assert same_tick(xapp_tick(cut[g], shared), want), (step, g)
                 diag = want[1]
                 seen["on an edge"] += bool((diag.bottleneck_snr_db[diag.served] == g).any())

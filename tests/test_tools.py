@@ -82,3 +82,14 @@ def test_src_lines_counts_each_trees_package_modules(tmp_path):
         (tmp_path / side / "tools.py").write_text("x = 1\n", encoding="utf-8")
     assert abbench.src_lines(tmp_path / "parent") == 5
     assert abbench.src_lines(tmp_path / "change") == 4
+
+
+def test_traced_peak_repeats_on_the_smoke_config():
+    """A traced pass of this checkout's smoke `blockage-grid` command, in a
+    fresh interpreter after a warm-up run, reads a positive peak, and a
+    second pass reads it again to within 4 KB, far below the 128 KB steps
+    in which `peak_rss_mb` moves."""
+    root = Path(__file__).resolve().parents[1]
+    peak = abbench.traced_peak_kb(root, "blockage-grid", smoke=True)
+    assert peak > 0
+    assert abbench.traced_peak_kb(root, "blockage-grid", smoke=True) == pytest.approx(peak, abs=4.0)

@@ -11,9 +11,13 @@ first on odd seeds, this checkout first on even ones.
 The JSON written to --out holds every run's last output line; per workload and
 end-to-end metric, each side's median and quartiles, the pairs this checkout
 won (better in the direction `BENCHMARK.json` declares), the parent's IQR, the
-change in the median and a verdict; the machine; and each side's
-`src/v2xric/*.py` line count (`src_lines`). A table of the verdicts, then the
-line counts, ends the output. Needs only the standard library.
+change in the median and a verdict; the machine; each side's
+`src/v2xric/*.py` line count (`src_lines`); and, per workload, each side's
+`tracemalloc` peak in KB (`traced_peak_kb`) over one `cli.main` run of the
+seed-1 command, taken in a fresh interpreter after a first run has compiled
+and warmed that side's code. Unlike `peak_rss_mb`, it does not move with the
+size of the source. A table of the verdicts, then the line counts and traced
+peaks, ends the output. Needs only the standard library.
 
 The verdict is "gain" when at least 9 of 10 pairs are won and the median moved
 the better way by more than the parent's IQR; "worse" when the median moved the
@@ -61,6 +65,36 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                          cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+# Run in a fresh interpreter with one side's `src`: the workload's seed-1
+# command once to compile and warm up, then once under tracemalloc.
+TRACED_PASS = """
+import sys, tempfile, tracemalloc
+from pathlib import Path
+sys.path.insert(0, {bench!r})
+from workloads import WORKLOADS, scene_seed
+from v2xric import cli
+workload = WORKLOADS[{workload!r}]
+with tempfile.TemporaryDirectory() as work:
+    config = Path(work) / "input.cfg"
+    config.write_text(workload.config_text(scene_seed(workload, 1), {smoke!r}), encoding="utf-8")
+    argv = [workload.command, "--config", str(config), "--out"]
+    cli.main(argv + [str(Path(work) / "warm-up")])
+    tracemalloc.start()
+    cli.main(argv + [str(Path(work) / "traced")])
+    print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def traced_peak_kb(checkout: Path, workload: str, smoke: bool = False) -> float:
+    """The `tracemalloc` peak in KB of the workload's seed-1 command run on
+    the checkout's `src` (its smoke duration if `smoke`), after a warm-up
+    run; the config comes from this checkout's `bench/workloads.py`."""
+    code = TRACED_PASS.format(bench=str(ROOT / "bench"), workload=workload, smoke=smoke)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONHASHSEED="0"))
+    return int(out.stdout.split()[-1]) / 1024
 
 
 def src_lines(checkout: Path) -> int:
@@ -151,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
 
     summed = summary(runs, declared)
     lines = {"parent": src_lines(parent), "change": src_lines(ROOT)}
+    traced = {workload: {side: traced_peak_kb(checkout, workload)
+                         for side, checkout in (("parent", parent), ("change", ROOT))}
+              for workload in args.workloads}
     args.out.write_text(json.dumps({
         "protocol": {"seeds": list(range(1, args.seeds + 1)), "seconds": args.seconds,
                      "trace": 0, "parent_first": "odd seeds"},
@@ -158,10 +195,13 @@ def main(argv: list[str] | None = None) -> int:
         "all_correct": all(r["result"]["correct"] and r["result"]["failed"] == 0 for r in runs),
         "summary": summed,
         "src_lines": lines,
+        "traced_peak_kb": traced,
         "runs": runs,
     }, indent=1) + "\n", encoding="utf-8")
     print(table(summed))
     print(f"src/v2xric lines {lines['parent']} -> {lines['change']}")
+    for workload, peak in traced.items():
+        print(f"{workload:14} traced_peak_kb {peak['parent']:10.1f} -> {peak['change']:.1f}")
     return 0
 
 
