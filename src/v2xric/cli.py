@@ -264,26 +264,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="v2xric",
         description="Simulated controller-assisted vehicular relaying at an urban intersection.",
     )
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--config", metavar="PATH", help="key=value file or manifest.json")
+    options.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    options.add_argument("--seed", metavar="U64")
+    options.add_argument("--duration", metavar="S")
+    options.add_argument("--warmup", metavar="S")
+    options.add_argument("--density", metavar="VEHKM")
+    options.add_argument("--snr-min", metavar="DB[,DB...]", dest="snr_min")
+    options.add_argument("--p-b", metavar="P[,P...]", dest="p_b")
+    options.add_argument("--max-hops", metavar="N", dest="max_hops")
+    options.add_argument("--no-relay", action="store_true", dest="no_relay")
+    options.add_argument("--metric", metavar="{pairwise,per-vehicle}")
+    options.add_argument("--replications", metavar="N")
+    options.add_argument("--workers", metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("run", "single simulation run"),
         ("sweep-snr", "connectivity versus SNR threshold"),
         ("sweep-blockage", "connectivity versus blockage probability grid"),
     ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", metavar="PATH", help="key=value file or manifest.json")
-        sp.add_argument("--out", metavar="DIR", default="out", help="output directory")
-        sp.add_argument("--seed", metavar="U64")
-        sp.add_argument("--duration", metavar="S")
-        sp.add_argument("--warmup", metavar="S")
-        sp.add_argument("--density", metavar="VEHKM")
-        sp.add_argument("--snr-min", metavar="DB[,DB...]", dest="snr_min")
-        sp.add_argument("--p-b", metavar="P[,P...]", dest="p_b")
-        sp.add_argument("--max-hops", metavar="N", dest="max_hops")
-        sp.add_argument("--no-relay", action="store_true", dest="no_relay")
-        sp.add_argument("--metric", metavar="{pairwise,per-vehicle}")
-        sp.add_argument("--replications", metavar="N")
-        sp.add_argument("--workers", metavar="N")
+        sub.add_parser(name, help=help_text, parents=[options])
     return parser
 
 

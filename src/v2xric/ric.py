@@ -177,11 +177,11 @@ def _edge_ranks(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     int32 past 32,767 distinct values. The solve reads SNRs only through min,
     max and >=, which ranks keep, ties included. Also returns the SNR of each
     rank, with -inf last so that rank -1 reads -inf."""
-    edge = np.triu(adj > -np.inf, 1)
-    values, inverse = np.unique(adj[edge], return_inverse=True)
+    edge = np.flatnonzero(np.triu(adj > -np.inf, 1))
+    values, inverse = np.unique(adj.take(edge), return_inverse=True)
     rank = np.full(adj.shape, -1,
                    dtype=np.int16 if len(values) <= np.iinfo(np.int16).max else np.int32)
-    rank[edge] = inverse
+    rank.put(edge, inverse)
     return np.maximum(rank, rank.swapaxes(-1, -2)), np.append(values, -np.inf)
 
 

@@ -4,11 +4,12 @@ once per step for many runs.
 Control never feeds back into motion and each outage draw is a stateless
 hash of (seed, link, time), so a sweep's geometry, mobility and outage
 uniforms depend on the replication seed alone. A world stream measures each
-report step once (`sense`), floored at its config's threshold, with each
-link's outage uniform, and each p_b of that replication cuts its reports
-from it (`collect_reports`): an outage where the uniform lies below its p_b.
-That draw and that cut are the one outage rule. The floor stays exact under
-it: an outage lies below every floor, and each draw hashes its own link.
+report step some control tick reads once (`sense`, `schedule`), floored at
+its config's threshold, with each link's outage uniform, and each p_b of
+that replication cuts its reports from it (`collect_reports`): an outage
+where the uniform lies below its p_b. That draw and that cut are the one
+outage rule. The floor stays exact under it: an outage lies below every
+floor, and each draw hashes its own link.
 
 A solve stream is one controller solved on those reports once per control
 tick at the grid's smallest threshold, a block of ticks at a time; each
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -53,7 +55,7 @@ class Measurement:
 class WorldStream:
     """One replication's world for the solves of its sweep cells: the config
     it is measured from, its node codes, the sorted p_b grid it serves, and
-    one `Measurement` per report step, floored at the config's threshold."""
+    one `Measurement` per read report step, floored at the config's threshold."""
 
     cfg: SimConfig
     codes: np.ndarray
@@ -75,19 +77,28 @@ def sense(world: ran.World, cfg: SimConfig, step: int, p_bs: tuple[float, ...]) 
     return Measurement(step, tab.i, tab.j, tab.snr_db, outage)
 
 
+def schedule(cfg: SimConfig) -> tuple[range, range, int]:
+    """`cfg`'s read report steps, control ticks and delay in steps. A report
+    taken at step s arrives at s + ⌈control_delay_s / dt_s⌉ and is read only
+    if it arrives by the last control tick; no output depends on the rest."""
+    ticks = range(0, cfg.n_steps(), cfg.steps(cfg.control_period_s))
+    delay = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
+    return range(0, ticks[-1] - delay + 1, cfg.steps(cfg.resolved_reporting_period())), ticks, delay
+
+
 def world_stream(cfg: SimConfig, world: ran.World, p_bs, move: Callable) -> WorldStream:
-    """`cfg`'s `world` for cells on the p_b grid, measured at every report
-    step as it is read and moved after every step by `move`, called as
+    """`cfg`'s `world` for cells on the p_b grid, measured at each read report
+    step as it is read and moved up to the last by `move`, called as
     `step_mobility` is; the engine passes the `step_mobility` it sees."""
-    p_bs = tuple(sorted(p_bs))
+    p_bs, reads = tuple(sorted(p_bs)), schedule(cfg)[0]
 
     def measure():
         mobility = MobilityState.from_seed(cfg.seed, cfg.traffic.turn_probability)
-        report_every = cfg.steps(cfg.resolved_reporting_period())
-        for step in range(cfg.n_steps()):
-            if step % report_every == 0:
+        for step in range(reads[-1] + 1 if reads else 0):
+            if step:
+                move(world.fleet, world.layout, cfg.dt_s, mobility)
+            if step in reads:
                 yield sense(world, cfg, step, p_bs)
-            move(world.fleet, world.layout, cfg.dt_s, mobility)
 
     return WorldStream(cfg, world.codes, p_bs, measure())
 
@@ -99,19 +110,18 @@ def _small(n: int) -> np.dtype:
 
 def hold(stream: WorldStream, pairs: int) -> WorldStream | None:
     """The stream held whole, its endpoints as int32, or None when its first
-    step's size times its report steps, plus one p_b's solves of `pairs`
-    pairs (ticks times pairs times bytes a pair), passes `_HOLD_BYTES`;
-    decided before any later step is measured."""
+    step's size (0 if it has none) times its read report steps, plus one
+    p_b's solves of `pairs` pairs (ticks times pairs times bytes a pair),
+    passes `_HOLD_BYTES`; decided before any later step is measured."""
     steps = iter(stream.steps)
-    first = _compact(next(steps))
-    size = sum(a.nbytes for a in (first.i, first.j, first.snr_db, first.outage) if a is not None)
+    first = [_compact(m) for m in islice(steps, 1)]
+    size = sum(a.nbytes for m in first for a in (m.i, m.j, m.snr_db, m.outage) if a is not None)
     cfg, n = stream.cfg, len(stream.codes)
-    reports = len(range(0, cfg.n_steps(), cfg.steps(cfg.resolved_reporting_period())))
-    ticks = len(range(0, cfg.n_steps(), cfg.steps(cfg.control_period_s)))
+    reads, ticks, _ = schedule(cfg)
     pair_bytes = 2 * 8 + (ric.row_width(n, cfg.xapp.max_hops) + 1) * _small(n).itemsize
-    if reports * size + ticks * pairs * pair_bytes > _HOLD_BYTES:
+    if len(reads) * size + len(ticks) * pairs * pair_bytes > _HOLD_BYTES:
         return None
-    return replace(stream, steps=[first, *map(_compact, steps)])
+    return replace(stream, steps=[*first, *map(_compact, steps)])
 
 
 def _compact(m: Measurement) -> Measurement:
@@ -162,23 +172,21 @@ class SolveStream:
 def solve_stream(cfg: SimConfig, stream: WorldStream, pairs: np.ndarray,
                  gammas: tuple[float, ...]) -> SolveStream:
     """`cfg`'s controller for `pairs`, solved a block of ticks at a time as it
-    is read on its reports cut from `stream`, each ingested at the first
-    control tick at least ⌈control_delay_s / dt_s⌉ steps after it was taken."""
+    is read on its reports cut from `stream` at its read report steps, each
+    ingested at the first control tick at or after its arrival."""
     level = cell_level(cfg, stream)
     reporting = cfg.cav_terminations | (ran.kinds(stream.codes) != ran.NodeKind.CAV)
+    reads, control, delay = schedule(cfg)
 
     def ticks():
         view = ric.RicState(stream.codes, cfg.staleness_steps())
-        report_every = cfg.steps(cfg.resolved_reporting_period())
-        control_every = cfg.steps(cfg.control_period_s)
-        delay_steps = math.ceil(round(cfg.control_delay_s / cfg.dt_s, 9))
         measured = iter(stream.steps)
         in_flight: list[tuple[int, ran.IndicationBatch]] = []  # (arrival step, batch)
         for step in range(cfg.n_steps()):
-            if step % report_every == 0:
-                in_flight.append((step + delay_steps,
+            if step in reads:
+                in_flight.append((step + delay,
                                   collect_reports(next(measured), cfg, reporting, level)))
-            if step % control_every == 0:
+            if step in control:
                 while in_flight and in_flight[0][0] <= step:
                     ric.ingest(view, in_flight.pop(0)[1])
                 yield step, ric.build_graph(view, step, gammas[0]), view.reported_at >= 0

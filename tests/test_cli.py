@@ -1,6 +1,7 @@
 """Command-line tests: config resolution, CSV and manifest outputs, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -295,6 +296,37 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "wombat" in capsys.readouterr().err
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (exit code, sha256 of stdout, sha256 of stderr) of each command line at an
+# 80-column terminal, as Python 3.11's argparse writes them.
+SURFACE = {
+    "": (2, EMPTY, "cdd384127b2e05304d65516b9e2eb2032b2ef0f566156eb14abb9d2e415f549b"),
+    "--help": (0, "b27eb7b6dda85ce4c386256f6f48504dc8a3baa24dd8c03ff95ef6dc889352e3", EMPTY),
+    "run --help": (0, "d88d7a960278bc61d94be5a0600d4bf1e0a4825e3eb5468c25bb872fcd15b7ed", EMPTY),
+    "sweep-snr --help": (
+        0, "a5839ca8008e4bc621db59b1a583c9bd552b6403da2baf465cb5400a98d80861", EMPTY),
+    "sweep-blockage --help": (
+        0, "2e79d7d09ac2ff22a2040678f6924e0b784399b41e5e57871bfdeafaab5dd927", EMPTY),
+    "--bogus": (2, EMPTY, "cdd384127b2e05304d65516b9e2eb2032b2ef0f566156eb14abb9d2e415f549b"),
+    "run --bogus": (2, EMPTY, "002f88c61c9e1e426201aa685fcd688ae4941594fecb07b94cbe9558ba18e40e"),
+    "launch": (2, EMPTY, "f308ccbca303a285b95a45159cbb963b13baddd60bf4ca0390a0ff94c81306b0"),
+    "run --seed": (2, EMPTY, "d37dd6740f4e74a8b8c917fded458e5b28fe4d544b552aebedd6aac7ad8bf13a"),
+}
+
+
+@pytest.mark.parametrize("line", SURFACE)
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys, line):
+    """Help texts, usage errors and their exit codes, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    out, err = capsys.readouterr()
+    got = (exc.value.code, hashlib.sha256(out.encode()).hexdigest(),
+           hashlib.sha256(err.encode()).hexdigest())
+    assert got == SURFACE[line], out + err
 
 
 def test_module_entry_point_exits_with_the_code_of_main(tmp_path):

@@ -22,6 +22,7 @@ from reference_ids import NodeId
 import v2xric
 from reference_mobility import VehicleState, fleet_of
 from reference_outage import _link_uniform_int
+from reference_run import reference_run
 from slot_adapter import pair_slots, solve_tick
 from v2xric import (ChannelParams, ConfigurationError, IndicationBatch, MetricsRecord,
                     MobilityState, NodeKind, RicState, SimConfig, SweepSpec, TrafficConfig, World,
@@ -99,23 +100,41 @@ def spy_schedule(monkeypatch):
 
 
 def reference_events(cfg):
-    return reference_schedule.schedule(cfg.duration_s, cfg.dt_s, cfg.control_period_s,
-                                       cfg.resolved_reporting_period(), cfg.control_delay_s)
+    """The float reference's events for `cfg`, less the reports that arrive
+    after its last tick: no tick ingests them, so the run takes none."""
+    events = reference_schedule.schedule(cfg.duration_s, cfg.dt_s, cfg.control_period_s,
+                                         cfg.resolved_reporting_period(), cfg.control_delay_s)
+    ingested = {t for kind, t in events if kind == "ingest"}
+    return [(kind, t) for kind, t in events if kind != "report" or t in ingested]
+
+
+def read_reports(cfg):
+    """How many reports of a run `cfg` some control tick ingests."""
+    return sum(kind == "ingest" for kind, _ in reference_events(cfg))
+
+
+def assert_schedule(events, cfg):
+    """The run's events are `reference_events`', and every report it takes
+    is ingested, in the order taken."""
+    assert events == reference_events(cfg), cfg
+    assert ([t for kind, t in events if kind == "report"]
+            == [t for kind, t in events if kind == "ingest"]), cfg
 
 
 def test_report_cadence_fires_on_whole_steps(monkeypatch):
     events = spy_schedule(monkeypatch)
-    # a 0.5 s period fires at its multiples
+    # a 0.5 s period fires at its multiples; the 3.0 s report would arrive
+    # at 3.01 s, after the last tick
     cfg = quick_cfg(duration_s=3.1, reporting_period_s=0.5, control_period_s=0.5)
     run(cfg)
-    assert [t for kind, t in events if kind == "report"] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    assert events == reference_events(cfg)
+    assert [t for kind, t in events if kind == "report"] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+    assert_schedule(events, cfg)
     # 0.3 is not exactly 3 * 0.1, yet the cadence fires every 3 steps
     events.clear()
     cfg = quick_cfg(duration_s=3.0, reporting_period_s=0.3, control_period_s=0.3)
     run(cfg)
-    assert [t for kind, t in events if kind == "report"] == [round(0.3 * k, 9) for k in range(10)]
-    assert events == reference_events(cfg)
+    assert [t for kind, t in events if kind == "report"] == [round(0.3 * k, 9) for k in range(9)]
+    assert_schedule(events, cfg)
 
 
 def test_schedule_matches_the_float_reference(monkeypatch):
@@ -132,7 +151,7 @@ def test_schedule_matches_the_float_reference(monkeypatch):
                             control_delay_s=delay, traffic=TrafficConfig(density_veh_km=10.0))
             events.clear()
             run(cfg)
-            assert events == reference_events(cfg), cfg
+            assert_schedule(events, cfg)
 
 
 def test_decoupled_reporting_cadence_still_feeds_the_controller():
@@ -690,14 +709,14 @@ def counted_sweep(monkeypatch, spec, budget):
 
 def test_sweep_solves_each_p_b_once_per_tick(monkeypatch):
     """Within the hold budget a replication's world is measured once per
-    report step, and the threshold cells of one (replication, p_b) share
-    one widest-path solve per control tick."""
+    report step some tick reads, and the threshold cells of one (replication,
+    p_b) share one widest-path solve per control tick."""
     spec = sweep_case(np.random.default_rng(45), 2)
     (measured, solved), shared = counted_sweep(monkeypatch, spec, streams._HOLD_BYTES)
     base = spec.base
     ticks = len(shared.runs[0].records)
     assert ticks == base.n_steps() // base.steps(base.control_period_s)
-    reports = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
+    reports = read_reports(base)
     assert measured == spec.replications * reports
     assert solved == spec.replications * len(spec.p_b_values) * ticks
 
@@ -712,16 +731,17 @@ def test_sweep_past_the_hold_budget_runs_each_cell_alone(monkeypatch):
     (measured, solved), alone = counted_sweep(monkeypatch, spec, 0)
     base = spec.base
     ticks = len(shared.runs[0].records)
-    reports = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
+    reports = read_reports(base)
     cells = len(spec.gamma_min_values) * len(spec.p_b_values)
-    assert reports > 2
+    taken = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
+    assert taken > 2 and reports < taken  # the last report arrives after the last tick
     assert measured == spec.replications * (1 + cells * reports)
     assert solved == spec.replications * cells * ticks
     assert cell_outputs(alone) == cell_outputs(shared) and alone.rows == shared.rows
 
 
 def test_sweep_holds_a_world_only_with_its_solves(monkeypatch):
-    """The budget is the first report step's bytes times the report steps
+    """The budget is the first report step's bytes times the read report steps
     plus one p_b's solves: control ticks times pairs times 16 bytes and a
     2-byte slot per hop count and path entry. At exactly that many bytes the
     replication is held; one byte fewer, or a budget the world alone fits,
@@ -733,7 +753,7 @@ def test_sweep_holds_a_world_only_with_its_solves(monkeypatch):
     first = next(iter(stream.steps))
     pairs = len(engine._build_pairs(stream.codes, cfg.pair_selection, cfg.seed))
     assert len(stream.codes) > cfg.xapp.max_hops
-    reports = math.ceil(base.n_steps() / base.steps(base.reporting_period_s))
+    reports = read_reports(base)
     ticks = base.n_steps() // base.steps(base.control_period_s)
     world = reports * sum(a.nbytes for a in (first.i.astype(np.int32), first.j.astype(np.int32),
                                               first.snr_db, first.outage))
@@ -745,6 +765,40 @@ def test_sweep_holds_a_world_only_with_its_solves(monkeypatch):
         (measured, solved), alone = counted_sweep(monkeypatch, spec, budget)
         assert (measured, solved) == (1 + cells * reports, cells * ticks)
         assert cell_outputs(alone) == cell_outputs(held) and alone.rows == held.rows
+
+
+# Runs whose every report would arrive after their last control tick: one
+# tick at 0 s, before the first report arrives at 0.01 s, and a delay past
+# the run.
+NOTHING_READ = {
+    "one-tick": quick_cfg(duration_s=0.1, traffic=TrafficConfig(density_veh_km=20.0)),
+    "delay-past-the-run": quick_cfg(duration_s=0.5, control_delay_s=1.0,
+                                    traffic=TrafficConfig(density_veh_km=20.0)),
+}
+
+
+@pytest.mark.parametrize("cfg", NOTHING_READ.values(), ids=NOTHING_READ.keys())
+def test_a_run_that_reads_no_report_measures_no_link(monkeypatch, cfg):
+    """With no report read, a run and a held 2 x 2 blockage sweep, within
+    its hold budget and past it, run to the end without a `link_table` call,
+    each run with the records and audit of the whole-run reference."""
+    assert read_reports(cfg) == 0
+    spec = SweepSpec(base=cfg, gamma_min_values=(5.0, 10.0), p_b_values=(0.0, 0.5))
+    cells = [replace(cfg, xapp=XAppConfig(snr_min_db=g), channel=ChannelParams(p_b=p))
+             for g in spec.gamma_min_values for p in spec.p_b_values]
+    want = [reference_run(c) for c in [cfg, *cells]]
+    measured, measure = [], channel.link_table
+    monkeypatch.setattr(channel, "link_table",
+                        lambda *args, **kwargs: measured.append(1) or measure(*args, **kwargs))
+    got = [run_with_audit(cfg)]
+    for budget in (streams._HOLD_BYTES, 0):
+        monkeypatch.setattr(streams, "_HOLD_BYTES", budget)
+        runs = sweep_blockage(spec).runs
+        assert [c.cfg for c in runs] == cells
+        got += [(c.records, c.audit) for c in runs]
+    for (records, audit), (want_records, want_audit) in zip(got, want + want[1:], strict=True):
+        assert record_reprs(records) == record_reprs(want_records) and audit == want_audit
+    assert measured == []
 
 
 def held_solves(cfg, gammas, p_bs):

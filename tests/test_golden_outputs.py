@@ -4,7 +4,8 @@ and equal manifests.
 Each command runs once in process through `cli.main`; the sha256 of every CSV
 it writes, and of every manifest.json without its `runtime_s`, is pinned
 below. A refactor that keeps the outputs unchanged passes; one that moves any
-byte of any CSV or any other manifest value fails, naming the file.
+byte of any CSV or any other manifest value fails, naming the file. The CSVs
+are also pinned with each byte budget that sizes the work at an extreme.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import json
 
 import pytest
 
+from v2xric import ric, streams
 from v2xric.cli import main
 
 MATCHED = """\
@@ -89,16 +91,20 @@ def manifest_hashes(out):
     return hashes
 
 
-@pytest.fixture(scope="module", params=sorted(COMMANDS))
-def written(request, tmp_path_factory):
-    """(command name, output directory) after running the command once."""
-    config, argv = COMMANDS[request.param]
-    tmp = tmp_path_factory.mktemp(request.param)
+def write(name, tmp):
+    """Run command `name` with its outputs under `tmp`; returns their directory."""
+    config, argv = COMMANDS[name]
     if config is not None:
         (tmp / "cfg.txt").write_text(config, encoding="utf-8")
         argv = argv + ["--config", str(tmp / "cfg.txt")]
     assert main(argv + ["--out", str(tmp / "out")]) == 0
-    return request.param, tmp / "out"
+    return tmp / "out"
+
+
+@pytest.fixture(scope="module", params=sorted(COMMANDS))
+def written(request, tmp_path_factory):
+    """(command name, output directory) after running the command once."""
+    return request.param, write(request.param, tmp_path_factory.mktemp(request.param))
 
 
 def test_csv_outputs_match_golden_hashes(written):
@@ -109,3 +115,21 @@ def test_csv_outputs_match_golden_hashes(written):
 def test_manifests_match_golden_hashes(written):
     name, out = written
     assert manifest_hashes(out) == GOLDEN_MANIFESTS[name]
+
+
+# Byte budgets that size blocks, chunks and held streams, each at an extreme:
+# (module, name, bytes).
+BUDGETS = {
+    "one-tick-blocks": (ric, "_BLOCK_BYTES", 1),
+    "whole-run-blocks": (ric, "_BLOCK_BYTES", 2**40),
+    "one-relay-chunks": (ric, "_SCRATCH_BYTES", 1),
+    "nothing-held": (streams, "_HOLD_BYTES", 0),
+    "everything-held": (streams, "_HOLD_BYTES", 2**40),
+}
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_csv_outputs_do_not_depend_on_the_byte_budgets(monkeypatch, tmp_path, name, budget):
+    monkeypatch.setattr(*BUDGETS[budget])
+    assert csv_hashes(write(name, tmp_path)) == GOLDEN[name]
