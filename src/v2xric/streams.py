@@ -88,17 +88,17 @@ def schedule(cfg: SimConfig) -> tuple[range, range, int]:
 
 def world_stream(cfg: SimConfig, world: ran.World, p_bs, move: Callable) -> WorldStream:
     """`cfg`'s `world` for cells on the p_b grid, measured at each read report
-    step as it is read and moved up to the last by `move`, called as
-    `step_mobility` is; the engine passes the `step_mobility` it sees."""
+    step as it is read and moved after each step through the last read one by
+    `move`, called as `step_mobility` is; the engine passes the one it sees."""
     p_bs, reads = tuple(sorted(p_bs)), schedule(cfg)[0]
 
     def measure():
         mobility = MobilityState.from_seed(cfg.seed, cfg.traffic.turn_probability)
         for step in range(reads[-1] + 1 if reads else 0):
-            if step:
-                move(world.fleet, world.layout, cfg.dt_s, mobility)
-            if step in reads:
-                yield sense(world, cfg, step, p_bs)
+            reading = step in reads and sense(world, cfg, step, p_bs)
+            move(world.fleet, world.layout, cfg.dt_s, mobility)
+            if reading:
+                yield reading
 
     return WorldStream(cfg, world.codes, p_bs, measure())
 
