@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         file_values: dict[str, str] = {}
-        if args.config:
+        if args.config is not None:
             file_values, manifest_command = _read_config(args.config)
             if manifest_command is not None and manifest_command != args.command:
                 raise ConfigurationError(

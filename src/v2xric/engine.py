@@ -4,8 +4,8 @@ One run advances vehicle mobility every `dt_s`, has every radio endpoint sense
 and report on its reporting cadence, and executes the controller (graph build,
 widest-path assignment, control fan-out) on every control tick, recording one
 connectivity measurement per control tick, from streams (`v2xric.streams`).
-Sweeps fan runs out over a worker pool; everything is keyed off the run seed,
-so identical configurations give bit-identical outputs at any worker count.
+Sweeps run a job per replication (per cell past the hold budget) on one pool;
+all is keyed off the run seed, so outputs are bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -263,17 +263,12 @@ def _world(cfg: SimConfig, layout: RoadLayout) -> ran.World:
     )
 
 
-def _world_stream(cfg: SimConfig, p_bs) -> streams.WorldStream:
-    """`cfg`'s world, measured as it is read, for cells on the p_b grid; its
-    fleet moves through this module's `step_mobility`."""
-    return streams.world_stream(cfg, _world(cfg, cfg.world.layout()), p_bs, step_mobility)
-
-
-def _solve_stream(cfg: SimConfig) -> streams.SolveStream:
-    """`cfg`'s controller at its own threshold, on its own world."""
-    stream = _world_stream(cfg, (cfg.channel.p_b,))
-    pairs = _build_pairs(stream.codes, cfg.pair_selection, cfg.seed)
-    return streams.solve_stream(cfg, stream, pairs, (cfg.xapp.snr_min_db,))
+def _world_stream(cfg: SimConfig, p_bs, world: ran.World | None = None,
+                  first: list | None = None) -> streams.WorldStream:
+    """`cfg`'s world, or `world` at step 0, for cells on the p_b grid, held given
+    its `first` step (`streams.need`); it moves through this module's `step_mobility`."""
+    world = world or _world(cfg, cfg.world.layout())
+    return streams.world_stream(cfg, world, p_bs, step_mobility, first)
 
 
 def run_with_audit(cfg: SimConfig, solves: streams.SolveStream | None = None
@@ -282,8 +277,10 @@ def run_with_audit(cfg: SimConfig, solves: streams.SolveStream | None = None
     `solves` is the controller a sweep holds for the run's replication and
     p_b; by default the run draws its own."""
     cfg.validate()
-    if solves is None:
-        solves = _solve_stream(cfg)
+    if solves is None:  # its own controller at its own threshold, on its own world
+        stream = _world_stream(cfg, (cfg.channel.p_b,))
+        pairs = _build_pairs(stream.codes, cfg.pair_selection, cfg.seed)
+        solves = streams.solve_stream(cfg, stream, pairs, (cfg.xapp.snr_min_db,))
     else:
         streams.check_solves(cfg, solves)
     pairs = solves.pairs
@@ -341,35 +338,10 @@ def time_average(records: list[MetricsRecord], warmup_s: float,
 def run_cell(cfg: SimConfig, replication: int = 0,
              solves: streams.SolveStream | None = None) -> RunOutput:
     """Execute and time one run: replication `replication` of its sweep cell,
-    on the held `solves` if any."""
+    on the solves its replication's job holds for it, if any."""
     started = time.perf_counter()
     records, audit = run_with_audit(cfg, solves)
     return RunOutput(cfg, replication, records, audit, time.perf_counter() - started)
-
-
-_HELD: streams.SolveStream | None = None  # the solves a pool's forked workers inherit
-
-
-def _run_held(cfg: SimConfig, replication: int) -> RunOutput:
-    return run_cell(cfg, replication, _HELD)
-
-
-def _execute(jobs: list[tuple[SimConfig, int]], workers: int,
-             solves: streams.SolveStream | None) -> list[RunOutput]:
-    """Run all (config, replication) jobs on held `solves`, or each on its
-    own, optionally across processes (forked with them in place); results
-    in job order at any worker count."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [run_cell(*job, solves) for job in jobs]
-    import multiprocessing
-
-    global _HELD
-    _HELD = solves
-    try:
-        with multiprocessing.get_context("fork").Pool(processes=min(workers, len(jobs))) as pool:
-            return pool.starmap(_run_held, jobs)
-    finally:
-        _HELD = None
 
 
 def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
@@ -385,36 +357,62 @@ def summarise(cells: list[RunOutput], mode: str) -> SummaryRow:
                       replications=len(cells))
 
 
+def _replication(cfg: SimConfig, rep: int, world: ran.World, pairs: np.ndarray, p_bs,
+                 gammas: tuple[float, ...], first: list | None) -> list[RunOutput]:
+    """Every cell of replication `rep` (`cfg` at the least of the sorted `gammas`)
+    on its `world` at step 0 and `pairs`: held given its `first` step, one p_b's
+    threshold cells at a time on one held solve stream, else each cell alone."""
+    stream = None if first is None else _world_stream(cfg, p_bs, world, first)
+    runs = []
+    for p in p_bs:
+        lowest = replace(cfg, channel=replace(cfg.channel, p_b=p))
+        solves = stream and streams.solve_stream(lowest, stream, pairs, gammas)
+        if solves and len(gammas) > 1:
+            solves = streams.hold_solves(solves)
+        runs += [run_cell(replace(lowest, xapp=replace(cfg.xapp, snr_min_db=g)), rep, solves)
+                 for g in gammas]
+    return runs
+
+
+def _in_turn(jobs: list[tuple]) -> list[RunOutput]:
+    """The runs of `_replication` jobs, one job after another."""
+    return [out for job in jobs for out in _replication(*job)]
+
+
 def _sweep(spec: SweepSpec, p_bs: list[float], modes: tuple[str, ...]) -> SweepResult:
     """Run every (gamma_min, p_b, replication) cell, replication r at seed
-    `base.seed + r`, and summarise each (gamma_min, p_b) once per mode. One
-    replication at a time, its world is measured once at the smallest
-    threshold, and one p_b at a time, its threshold cells cut one held
-    solve stream; past `streams.hold`'s budget each cell is a run of its own."""
+    `base.seed + r`, and summarise each (gamma_min, p_b) once per mode. A
+    replication is a job (`_replication`) if it fits the hold budget
+    (`streams.need`), else each of its cells is; all are spawned before any
+    job starts. The held jobs share as many lanes as fit the budget at once;
+    lanes and cells run in turn or on one fork pool of up to `spec.workers`."""
     base, reps = spec.base, spec.replications
     if base.xapp.max_hops < 2:
         raise ConfigurationError("the sweeps score relaying: max_hops must be >= 2")
-    gammas, runs = tuple(sorted(spec.gamma_min_values)), []
-    cfgs = [replace(base, seed=base.seed + rep, xapp=replace(base.xapp, snr_min_db=gammas[0]))
-            for rep in range(reps)]
-    # each replication's world as its runs build it, so a bad spawn fails up front
-    layout = base.world.layout()
-    pairs = [_build_pairs(_world(cfg, layout).codes, cfg.pair_selection, cfg.seed) for cfg in cfgs]
-    held = len(gammas) * len(p_bs) > 1
-    for rep, cfg in enumerate(cfgs):
-        stream = streams.hold(_world_stream(cfg, p_bs), len(pairs[rep])) if held else None
-        for p in p_bs:
-            lowest = replace(cfg, channel=replace(base.channel, p_b=p))
-            cells = [(replace(lowest, xapp=replace(base.xapp, snr_min_db=g)), rep) for g in gammas]
-            solves = None
-            if stream is not None:
-                solves = streams.solve_stream(lowest, stream, pairs[rep], gammas)
-                if len(gammas) > 1:
-                    solves = streams.hold_solves(solves)
-            runs += _execute(cells, spec.workers, solves)
-            del solves  # before the next p_b's are solved
-        del stream  # before the next replication's is measured
-    runs.sort(key=lambda out: (out.cfg.xapp.snr_min_db, out.cfg.channel.p_b, out.replication))
+    gammas, layout = tuple(sorted(spec.gamma_min_values)), base.world.layout()
+    held, cells, most = [], [], 1  # most: the largest held job's bytes
+    for rep in range(reps):
+        cfg = replace(base, seed=base.seed + rep, xapp=replace(base.xapp, snr_min_db=gammas[0]))
+        world = _world(cfg, layout)
+        pairs = _build_pairs(world.codes, cfg.pair_selection, cfg.seed)
+        need, first = (streams.need(cfg, world, p_bs, len(pairs)) if len(gammas) * len(p_bs) > 1
+                       else (math.inf, None))
+        if need <= streams._HOLD_BYTES:
+            held.append((cfg, rep, world, pairs, p_bs, gammas, first))
+            most = max(most, need)
+        else:
+            cells += [[(cfg, rep, world, pairs, (p,), (g,), None)] for p in p_bs for g in gammas]
+    lanes = streams._HOLD_BYTES // most
+    units = [held[k::lanes] for k in range(min(lanes, len(held)))] + cells
+    processes = min(spec.workers, len(units))
+    if processes == 1:
+        done = list(map(_in_turn, units))
+    else:
+        import multiprocessing
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
+            done = pool.map(_in_turn, units)
+    runs = sorted((out for outs in done for out in outs),
+                  key=lambda out: (out.cfg.xapp.snr_min_db, out.cfg.channel.p_b, out.replication))
     rows = [summarise(runs[k:k + reps], mode)
             for k in range(0, len(runs), reps) for mode in modes]
     return SweepResult(rows=rows, runs=runs)

@@ -14,7 +14,8 @@ floor, and each draw hashes its own link.
 A solve stream is one controller solved on those reports once per control
 tick at the grid's smallest threshold, a block of ticks at a time; each
 threshold cell of one (replication, p_b) cuts its tick from it
-(`ric.xapp_tick`). A run draws its own streams lazily.
+(`ric.xapp_tick`). A run draws its own streams lazily; a sweep holds a
+replication's whole when they fit `_HOLD_BYTES` (`need`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from .scenario import MobilityState
 # `SimConfig` in the annotations is `engine.SimConfig`, left unimported
 # because the engine imports this module.
 
-# Bytes a replication's held world stream and one p_b's held solves may
-# take together; past them each cell of the replication is a run of its own.
+# Bytes the held world streams and p_b solves of a sweep's processes may take
+# together: a replication past it alone runs each of its cells on its own, and
+# no more held replications run at once than fit it.
 _HOLD_BYTES = 3 * 2**26
 
 
@@ -86,21 +87,25 @@ def schedule(cfg: SimConfig) -> tuple[range, range, int]:
     return range(0, ticks[-1] - delay + 1, cfg.steps(cfg.resolved_reporting_period())), ticks, delay
 
 
-def world_stream(cfg: SimConfig, world: ran.World, p_bs, move: Callable) -> WorldStream:
+def world_stream(cfg: SimConfig, world: ran.World, p_bs, move: Callable,
+                 first: list[Measurement] | None = None) -> WorldStream:
     """`cfg`'s `world` for cells on the p_b grid, measured at each read report
     step as it is read and moved after each step through the last read one by
-    `move`, called as `step_mobility` is; the engine passes the one it sees."""
+    `move`, called as `step_mobility` is (the engine passes the one it sees);
+    held whole with int32 endpoints given the `first` read step `need` took."""
     p_bs, reads = tuple(sorted(p_bs)), schedule(cfg)[0]
 
     def measure():
         mobility = MobilityState.from_seed(cfg.seed, cfg.traffic.turn_probability)
+        taken = iter(first or ())
         for step in range(reads[-1] + 1 if reads else 0):
-            reading = step in reads and sense(world, cfg, step, p_bs)
+            reading = step in reads and (next(taken, None) or sense(world, cfg, step, p_bs))
             move(world.fleet, world.layout, cfg.dt_s, mobility)
             if reading:
                 yield reading
 
-    return WorldStream(cfg, world.codes, p_bs, measure())
+    return WorldStream(cfg, world.codes, p_bs,
+                       measure() if first is None else [*map(_compact, measure())])
 
 
 def _small(n: int) -> np.dtype:
@@ -108,24 +113,21 @@ def _small(n: int) -> np.dtype:
     return np.dtype(np.int16 if n <= np.iinfo(np.int16).max else np.int32)
 
 
-def hold(stream: WorldStream, pairs: int) -> WorldStream | None:
-    """The stream held whole, its endpoints as int32, or None when its first
-    step's size (0 if it has none) times its read report steps, plus one
-    p_b's solves of `pairs` pairs (ticks times pairs times bytes a pair),
-    passes `_HOLD_BYTES`; decided before any later step is measured."""
-    steps = iter(stream.steps)
-    first = [_compact(m) for m in islice(steps, 1)]
-    size = sum(a.nbytes for m in first for a in (m.i, m.j, m.snr_db, m.outage) if a is not None)
-    cfg, n = stream.cfg, len(stream.codes)
+def need(cfg: SimConfig, world: ran.World, p_bs, pairs: int) -> tuple[int, list[Measurement]]:
+    """The bytes `cfg`'s world stream held whole and one p_b's solves of
+    `pairs` pairs take: its first read report step's size with int32
+    endpoints times its read report steps, plus ticks times pairs times bytes
+    a pair; and that step ([] if none), measured on `world` without moving it."""
     reads, ticks, _ = schedule(cfg)
+    first = [_compact(sense(world, cfg, 0, tuple(sorted(p_bs))))] if reads else []
+    size = sum(a.nbytes for m in first for a in (m.i, m.j, m.snr_db, m.outage) if a is not None)
+    n = len(world.codes)
     pair_bytes = 2 * 8 + (ric.row_width(n, cfg.xapp.max_hops) + 1) * _small(n).itemsize
-    if len(reads) * size + len(ticks) * pairs * pair_bytes > _HOLD_BYTES:
-        return None
-    return replace(stream, steps=[*first, *map(_compact, steps)])
+    return len(reads) * size + len(ticks) * pairs * pair_bytes, first
 
 
 def _compact(m: Measurement) -> Measurement:
-    return replace(m, i=m.i.astype(np.int32), j=m.j.astype(np.int32))
+    return replace(m, i=m.i.astype(np.int32, copy=False), j=m.j.astype(np.int32, copy=False))
 
 
 def cell_level(cfg: SimConfig, stream: WorldStream) -> int:
@@ -196,8 +198,7 @@ def solve_stream(cfg: SimConfig, stream: WorldStream, pairs: np.ndarray,
 
 
 def hold_solves(solves: SolveStream) -> SolveStream:
-    """The solves held whole, hops and paths in a small int type; `hold`
-    has counted their bytes."""
+    """The solves held whole, hops and paths narrowed as `need` counts them."""
     small = _small(len(solves.codes))
     return replace(solves, ticks=[replace(t, hops=t.hops.astype(small), paths=t.paths.astype(small))
                                   for t in solves.ticks])

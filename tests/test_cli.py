@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -459,12 +460,13 @@ def test_bad_sweep_grid_exits_2_before_running(tmp_path, capsys, monkeypatch, co
 def test_lane_overflow_of_any_replication_exits_2_before_the_pool(tmp_path, capsys, monkeypatch,
                                                                   seed, replications):
     """At 390 veh/km the spawn of seeds 1 and 4 overflows a lane and seed 3
-    fits: the sweep spawns every replication's fleet before it hands a job
-    to the pool, so a replication past the first is refused up front too."""
+    fits: the sweep spawns every replication's fleet before it starts the
+    pool or hands it a replication, so a replication past the first is
+    refused up front too."""
     calls = []
-    monkeypatch.setattr(engine, "_execute",
-                        lambda jobs, workers, solves: calls.append(jobs))
+    monkeypatch.setattr(engine, "_replication", lambda *job: calls.append(job))
     monkeypatch.setattr(engine, "run_with_audit", lambda cfg: calls.append(cfg))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: calls.append(method))
     out = tmp_path / "out"
     assert main(["sweep-snr", "--out", str(out), "--density", "390", "--seed", seed,
                  "--replications", replications, "--workers", "2"]) == 2
@@ -475,10 +477,9 @@ def test_lane_overflow_of_any_replication_exits_2_before_the_pool(tmp_path, caps
 
 def test_too_few_vehicles_exits_2_before_running(tmp_path, capsys, monkeypatch):
     """At 1 veh/km seed 5 spawns no vehicle: the sweep refuses the
-    replication while it validates, before any job reaches `_execute`."""
+    replication while it validates, before it runs the replication."""
     calls = []
-    monkeypatch.setattr(engine, "_execute",
-                        lambda jobs, workers, solves: calls.append(jobs))
+    monkeypatch.setattr(engine, "_replication", lambda *job: calls.append(job))
     out = tmp_path / "out"
     assert main(["sweep-snr", "--out", str(out), "--snr-min", "5", "--density", "1",
                  "--seed", "5", "--replications", "1", "--duration", "0.3",
@@ -620,9 +621,16 @@ def test_malformed_config_file_exits_2_before_running(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-def test_missing_config_file_exits_2(tmp_path):
-    assert main(["run", "--config", str(tmp_path / "nope.cfg"),
-                 "--out", str(tmp_path / "out")]) == 2
+def test_missing_config_file_exits_2(tmp_path, capsys, monkeypatch):
+    """A path to no file, and an empty path (which ran the default config),
+    are refused before any run."""
+    runs = []
+    monkeypatch.setattr(engine, "run_with_audit", lambda cfg: runs.append(cfg))
+    for path in (str(tmp_path / "nope.cfg"), ""):
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config file not found" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_output_path_collision_exits_3(tmp_path):

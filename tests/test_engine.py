@@ -532,10 +532,9 @@ def test_blockage_sweep_zero_column_equals_snr_sweep():
         assert blocked.connectivity_std == relay.connectivity_std
 
 
-def test_sweep_pool_starts_no_more_workers_than_cells(monkeypatch):
-    """Eight workers over a 2 x 2 grid ask the pool of each p_b's two
-    threshold cells for two processes. The pool is a stand-in that maps in
-    this process, so nothing is forked."""
+def serial_pool(monkeypatch):
+    """Stand in for the fork pool with one that maps in this process, so
+    nothing is forked; returns the process counts the sweeps ask it for."""
     requested = []
 
     class SerialPool:
@@ -548,17 +547,31 @@ def test_sweep_pool_starts_no_more_workers_than_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, jobs):
-            return [fn(*job) for job in jobs]
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
 
     class Context:
         Pool = SerialPool
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
-    spec = SweepSpec(base=quick_cfg(duration_s=1.0, seed=3), gamma_min_values=(5.0, 10.0),
-                     p_b_values=(0.0, 0.5), workers=8)
-    assert len(sweep_blockage(spec).runs) == 4
-    assert requested == [2, 2]
+    return requested
+
+
+def test_sweep_pool_starts_no_more_workers_than_cells(monkeypatch):
+    """A held replication is one job, and past the hold budget, here 0
+    bytes, each cell is one: a sweep starts one pool of at most as many
+    processes as jobs, and none for one job or one worker."""
+    requested = serial_pool(monkeypatch)
+    base = quick_cfg(duration_s=1.0, seed=3)
+    full = streams._HOLD_BYTES
+    for reps, workers, budget, pools in ((1, 8, full, []), (3, 8, full, [3]), (3, 2, full, [2]),
+                                         (2, 1, full, []), (1, 8, 0, [4]), (1, 1, 0, [])):
+        monkeypatch.setattr(streams, "_HOLD_BYTES", budget)
+        requested[:] = []
+        spec = SweepSpec(base=base, gamma_min_values=(5.0, 10.0), p_b_values=(0.0, 0.5),
+                         replications=reps, workers=workers)
+        assert len(sweep_blockage(spec).runs) == 4 * reps
+        assert requested == pools, (reps, workers, budget)
 
 
 def sweep_case(rng, measured_neighbors):
@@ -740,6 +753,24 @@ def test_sweep_past_the_hold_budget_runs_each_cell_alone(monkeypatch):
     assert cell_outputs(alone) == cell_outputs(shared) and alone.rows == shared.rows
 
 
+def hold_bytes(spec, rep):
+    """The bytes `streams.need` counts for replication `rep` of `spec`'s
+    blockage sweep: its world (the first report step's, int32 endpoints,
+    times the read report steps) and one p_b's solves (control ticks times
+    pairs times 16 bytes and a 2-byte slot per hop count and path entry)."""
+    base = spec.base
+    cfg = replace(base, seed=base.seed + rep,
+                  xapp=replace(base.xapp, snr_min_db=min(spec.gamma_min_values)))
+    stream = engine._world_stream(cfg, sorted(spec.p_b_values))
+    first = next(iter(stream.steps))
+    pairs = len(engine._build_pairs(stream.codes, cfg.pair_selection, cfg.seed))
+    assert len(stream.codes) > cfg.xapp.max_hops
+    ticks = base.n_steps() // base.steps(base.control_period_s)
+    world = read_reports(base) * sum(a.nbytes for a in (
+        first.i.astype(np.int32), first.j.astype(np.int32), first.snr_db, first.outage))
+    return world, ticks * pairs * (16 + 2 * (cfg.xapp.max_hops + 2))
+
+
 def test_sweep_holds_a_world_only_with_its_solves(monkeypatch):
     """The budget is the first report step's bytes times the read report steps
     plus one p_b's solves: control ticks times pairs times 16 bytes and a
@@ -748,16 +779,9 @@ def test_sweep_holds_a_world_only_with_its_solves(monkeypatch):
     and every cell runs alone. The outputs are the same in every case."""
     spec = replace(sweep_case(np.random.default_rng(49), 1), replications=1)
     base = spec.base
-    cfg = replace(base, xapp=replace(base.xapp, snr_min_db=min(spec.gamma_min_values)))
-    stream = engine._world_stream(cfg, sorted(spec.p_b_values))
-    first = next(iter(stream.steps))
-    pairs = len(engine._build_pairs(stream.codes, cfg.pair_selection, cfg.seed))
-    assert len(stream.codes) > cfg.xapp.max_hops
+    world, solves = hold_bytes(spec, 0)
     reports = read_reports(base)
     ticks = base.n_steps() // base.steps(base.control_period_s)
-    world = reports * sum(a.nbytes for a in (first.i.astype(np.int32), first.j.astype(np.int32),
-                                              first.snr_db, first.outage))
-    solves = ticks * pairs * (16 + 2 * (cfg.xapp.max_hops + 2))
     cells = len(spec.gamma_min_values) * len(spec.p_b_values)
     (measured, solved), held = counted_sweep(monkeypatch, spec, world + solves)
     assert (measured, solved) == (reports, len(spec.p_b_values) * ticks)
@@ -765,6 +789,47 @@ def test_sweep_holds_a_world_only_with_its_solves(monkeypatch):
         (measured, solved), alone = counted_sweep(monkeypatch, spec, budget)
         assert (measured, solved) == (1 + cells * reports, cells * ticks)
         assert cell_outputs(alone) == cell_outputs(held) and alone.rows == held.rows
+
+
+def test_a_pool_runs_no_more_held_replications_than_fit_the_budget(monkeypatch):
+    """Held replications run at once only as far as the budget fits the
+    largest of them that many times, and a replication past the budget
+    runs each cell alone. At a budget each replication fits but not two of
+    them, the two-worker sweep runs both in turn in this process; at twice
+    that, on a pool of two; at a budget only the smaller fits, the larger's
+    cells share a pool of two with it. Each held world is measured once,
+    and the outputs are those of the serial sweep."""
+    requested = serial_pool(monkeypatch)
+    spec = sweep_case(np.random.default_rng(55), None)
+    needs = [sum(hold_bytes(spec, rep)) for rep in range(spec.replications)]
+    assert spec.replications == 2 and min(needs) < max(needs) < 2 * min(needs)
+    measured, measure = [], channel.link_table
+    monkeypatch.setattr(channel, "link_table",
+                        lambda *args, **kwargs: measured.append(1) or measure(*args, **kwargs))
+    reports = read_reports(spec.base)
+    cells = len(spec.gamma_min_values) * len(spec.p_b_values)
+    serial = sweep_blockage(spec)
+    for budget, pools, measures in ((max(needs), [], 2 * reports),
+                                    (2 * max(needs), [2], 2 * reports),
+                                    (min(needs), [2], reports + 1 + cells * reports)):
+        monkeypatch.setattr(streams, "_HOLD_BYTES", budget)
+        measured[:], requested[:] = [], []
+        split = sweep_blockage(replace(spec, workers=2))
+        assert (len(measured), requested) == (measures, pools), budget
+        assert cell_outputs(split) == cell_outputs(serial) and split.rows == serial.rows
+
+
+@pytest.mark.parametrize("replications,workers,held", [(3, 2, True), (1, 4, True), (1, 4, False)])
+def test_uneven_worker_splits_give_the_serial_cells(monkeypatch, replications, workers, held):
+    """Three replications on two worker processes, and one replication with
+    four workers, held or past the hold budget (0 bytes) so that its cells
+    are the jobs, give the cells and rows of the serial sweep."""
+    spec = replace(sweep_case(np.random.default_rng([53, replications]), None),
+                   replications=replications)
+    serial = sweep_blockage(spec)
+    monkeypatch.setattr(streams, "_HOLD_BYTES", streams._HOLD_BYTES if held else 0)
+    split = sweep_blockage(replace(spec, workers=workers))
+    assert cell_outputs(split) == cell_outputs(serial) and split.rows == serial.rows
 
 
 # Runs whose every report would arrive after their last control tick: one
@@ -803,10 +868,10 @@ def test_a_run_that_reads_no_report_measures_no_link(monkeypatch, cfg):
 
 def held_solves(cfg, gammas, p_bs):
     """`cfg`'s solves held at the smallest of `gammas` on its world for `p_bs`."""
-    stream = engine._world_stream(cfg, p_bs)
-    pairs = engine._build_pairs(stream.codes, cfg.pair_selection, cfg.seed)
-    return streams.hold_solves(streams.solve_stream(cfg, streams.hold(stream, len(pairs)),
-                                                    pairs, gammas))
+    world = engine._world(cfg, cfg.world.layout())
+    pairs = engine._build_pairs(world.codes, cfg.pair_selection, cfg.seed)
+    stream = engine._world_stream(cfg, p_bs, world, streams.need(cfg, world, p_bs, len(pairs))[1])
+    return streams.hold_solves(streams.solve_stream(cfg, stream, pairs, gammas))
 
 
 def test_a_run_refuses_solves_for_another_run():
@@ -900,18 +965,18 @@ def test_cav_terminations_must_be_a_bool(flag):
 
 def test_sweep_spec_builds_every_replication_world_up_front(monkeypatch):
     """The sweep builds each replication's world as its run would before it
-    hands any job to `_execute`, so a world past the node-index bound
-    (scaled down to 2^6 here) is refused before any run. At 80 veh/km seeds
-    2, 3 and 4 spawn 58, 49 and 65 vehicles: two replications from seed 2
-    fit, the third does not. `_execute` runs one replication's cells at a
-    time."""
+    hands any replication to `_replication`, so a world past the node-index
+    bound (scaled down to 2^6 here) is refused before any run. At 80 veh/km
+    seeds 2, 3 and 4 spawn 58, 49 and 65 vehicles: two replications from
+    seed 2 fit, the third does not. `_replication` runs one replication's
+    cells at a time, on the world the sweep built for it."""
     monkeypatch.setattr(ran, "_INDEX_BITS", 6)
     jobs = []
-    monkeypatch.setattr(engine, "_execute",
-                        lambda cells, workers, solves: jobs.append(cells) or [])
+    monkeypatch.setattr(engine, "_replication",
+                        lambda cfg, rep, world, *rest: jobs.append((rep, len(world.fleet))) or [])
     base = replace(quick_cfg(), traffic=TrafficConfig(density_veh_km=80.0))
     sweep_snr(SweepSpec(base=base, gamma_min_values=(5.0,), replications=2))
-    assert [[rep for _, rep in cells] for cells in jobs] == [[0], [1]]
+    assert jobs == [(0, 58), (1, 49)]
     with pytest.raises(ConfigurationError, match=r"2\^6: 4 RSUs and 65 vehicles"):
         sweep_snr(SweepSpec(base=base, gamma_min_values=(5.0,), replications=3))
     assert len(jobs) == 2

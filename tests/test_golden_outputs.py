@@ -5,11 +5,16 @@ Each command runs once in process through `cli.main`; the sha256 of every CSV
 it writes, and of every manifest.json without its `runtime_s`, is pinned
 below. A refactor that keeps the outputs unchanged passes; one that moves any
 byte of any CSV or any other manifest value fails, naming the file. The CSVs
-are also pinned with each byte budget that sizes the work at an extreme.
+are also pinned with each byte budget that sizes the work at an extreme, and
+in fresh interpreters with numpy's SIMD dispatch off and at two hash seeds.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +138,50 @@ BUDGETS = {
 def test_csv_outputs_do_not_depend_on_the_byte_budgets(monkeypatch, tmp_path, name, budget):
     monkeypatch.setattr(*BUDGETS[budget])
     assert csv_hashes(write(name, tmp_path)) == GOLDEN[name]
+
+
+def dispatch_targets():
+    """The SIMD targets above its baseline that numpy dispatches to on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+# A fresh interpreter that prints the dispatch targets it has on, then runs
+# each command of its JSON argument through `cli.main`.
+CHILD = """
+import json, sys
+from tests.test_golden_outputs import dispatch_targets
+from v2xric.cli import main
+print(" ".join(dispatch_targets()))
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("simd,hash_seed", [(False, "0"), (True, "0"), (True, "1")],
+                         ids=["no-simd-dispatch", "hash-seed-0", "hash-seed-1"])
+def test_csv_outputs_do_not_depend_on_the_cpu_or_the_hash_seed(tmp_path, simd, hash_seed):
+    """A run and a sweep in a fresh interpreter write the pinned CSVs with
+    every SIMD target numpy dispatches to on this CPU turned off, and at
+    hash seeds 0 and 1. The scope is this numpy build on any CPU it
+    dispatches for; another numpy may round `log10` otherwise."""
+    targets = dispatch_targets()
+    env = {"PYTHONHASHSEED": hash_seed}
+    if not simd:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    names = ("default-run", "blockage-grid")
+    argvs = [COMMANDS[name][1] + ["--out", str(tmp_path / name)] for name in names]
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), str(ROOT),
+                                         os.environ.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)], cwd=ROOT,
+                           env={**os.environ, **env, "PYTHONPATH": path},
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    on = child.stdout.split()
+    assert on == (targets if simd else [])
+    for name in names:
+        assert csv_hashes(tmp_path / name) == GOLDEN[name], name

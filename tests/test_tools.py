@@ -1,15 +1,23 @@
 """`tools/abbench.py`'s summary on synthetic A/B runs: quartiles, the
-parent's IQR, the median's move and the verdict of each metric."""
+parent's IQR, the median's move and the verdict of each metric; and the
+executable lines `tools/linetrace.py` reports on."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "abbench", Path(__file__).resolve().parents[1] / "tools" / "abbench.py")
-abbench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(abbench)
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+abbench = _tool("abbench")
+linetrace = _tool("linetrace")
 
 DECLARED = {"tick_ms": {"name": "tick_ms", "unit": "ms", "better": "lower", "bound": 0.25},
             "rate": {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}}
@@ -93,3 +101,30 @@ def test_traced_peak_repeats_on_the_smoke_config():
     peak = abbench.traced_peak_kb(root, "blockage-grid", smoke=True)
     assert peak > 0
     assert abbench.traced_peak_kb(root, "blockage-grid", smoke=True) == pytest.approx(peak, abs=4.0)
+
+
+SAMPLE = '''"""A module docstring
+over two lines."""
+
+LIMIT = 3
+
+
+def outer(x):
+    """A function docstring."""
+
+    def inner(y):
+        return y + LIMIT
+
+    if x > 0:
+        return inner(x)
+    return 0
+'''
+
+
+def test_executable_lines_are_the_compiled_statements(tmp_path):
+    """The module docstring's first line, each assignment, `def` and
+    statement of every nested function and both arms of the branch; not a
+    blank line, a docstring's later lines or a function docstring."""
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE, encoding="utf-8")
+    assert linetrace.executable_lines(path) == {1, 4, 7, 10, 11, 13, 14, 15}
